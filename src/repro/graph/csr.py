@@ -168,8 +168,7 @@ class CSRGraph:
         order = np.lexsort((dst, src))
         src, dst = src[order], dst[order]
         indptr = np.zeros(n + 1, dtype=np.intp)
-        np.add.at(indptr, src + 1, 1)
-        indptr = np.cumsum(indptr)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         return CSRGraph(indptr, dst, coords=coords, vertex_weights=vertex_weights)
 
     def permute(self, perm: Sequence[int] | np.ndarray) -> "CSRGraph":
@@ -183,15 +182,30 @@ class CSRGraph:
         perm = check_permutation(perm, n)
         inv = np.empty(n, dtype=np.intp)
         inv[perm] = np.arange(n, dtype=np.intp)
-        edges = self.edge_array()
-        new_edges = perm[edges]
+        # Relabel both endpoints of every directed entry; sorting on
+        # new_src * n + new_dst groups the rows and orders each row.
+        old_degrees = self.degrees
+        degrees = old_degrees[inv]
+        keys = np.repeat(perm * n, old_degrees) + perm[self.indices]
+        keys.sort()
+        keys -= np.repeat(np.arange(n, dtype=np.intp) * n, degrees)
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(degrees, out=indptr[1:])
         coords = None if self.coords is None else self.coords[inv]
         weights = (
             None if self.vertex_weights is None else self.vertex_weights[inv]
         )
-        return CSRGraph.from_edges(
-            n, new_edges, coords=coords, vertex_weights=weights
-        )
+        # A relabelled valid graph is valid: skip __post_init__, whose
+        # symmetry check is two more sorts of all 2m entries.
+        out = object.__new__(CSRGraph)
+        for name, value in (
+            ("indptr", indptr),
+            ("indices", keys),
+            ("coords", coords),
+            ("vertex_weights", weights),
+        ):
+            object.__setattr__(out, name, value)
+        return out
 
     def __repr__(self) -> str:
         return (

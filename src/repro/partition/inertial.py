@@ -4,6 +4,14 @@ Like RCB, but each box is split perpendicular to its *principal inertial
 axis* (the direction of maximum spread found by PCA of the coordinates)
 instead of a coordinate axis.  This adapts to domains not aligned with the
 axes — e.g. a rotated channel — at the cost of a small eigen-solve per box.
+
+Built level by level on the driver RCB uses
+(:mod:`repro.partition.bisection`): the covariances of all boxes of one
+depth come from segment sums (``np.add.reduceat``) and one stacked
+``np.linalg.eigh``.  Batched summation rounds differently from a per-box
+matrix product, so against the box-at-a-time recursion kept as the test
+oracle (``tests/oracles_partition.py``) the contract is the same bisection
+rule and the same partition quality, not an identical permutation.
 """
 
 from __future__ import annotations
@@ -12,12 +20,54 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import OrderingError
 from repro.graph.csr import CSRGraph
+from repro.partition.bisection import (
+    bisection_order,
+    stable_ranks,
+    tiebreak_jitter,
+)
 from repro.partition.ordering import positions_from_order, require_coords
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike
 
 __all__ = ["InertialOrdering", "inertial_order", "principal_axis"]
+
+
+def _principal_axes(columns: list[np.ndarray], starts: np.ndarray) -> np.ndarray:
+    """Principal axis of every segment, one row each.
+
+    ``columns[a]`` holds coordinate ``a`` of all points, segment after
+    segment, and ``starts`` the first position of each segment.  Segments
+    of at most two points, and degenerate ones (all points coincident, or
+    a non-finite covariance), get the x axis.
+    """
+    dim = len(columns)
+    sizes = np.diff(starts, append=columns[0].size)
+    centered = [
+        col - np.repeat(np.add.reduceat(col, starts) / sizes, sizes)
+        for col in columns
+    ]
+    cov = np.empty((starts.size, dim, dim))
+    for i in range(dim):
+        for j in range(i, dim):
+            cov[:, i, j] = np.add.reduceat(centered[i] * centered[j], starts)
+            cov[:, j, i] = cov[:, i, j]
+    flat = cov.reshape(starts.size, -1)
+    solve = (
+        (sizes > 2)
+        & np.isfinite(flat).all(axis=1)
+        & ~np.isclose(flat, 0).all(axis=1)
+    )
+    axes = np.zeros((starts.size, dim))
+    axes[:, 0] = 1.0
+    if solve.any():
+        found = np.linalg.eigh(cov[solve])[1][:, :, -1]
+        # Fix the sign (first non-negligible component positive) so
+        # orderings are deterministic across LAPACK builds.
+        big = np.abs(found) > 1e-12
+        lead = found[np.arange(found.shape[0]), big.argmax(axis=1)]
+        found[big.any(axis=1) & (lead < 0)] *= -1
+        axes[solve] = found
+    return axes
 
 
 def principal_axis(points: np.ndarray) -> np.ndarray:
@@ -25,55 +75,29 @@ def principal_axis(points: np.ndarray) -> np.ndarray:
 
     Degenerate point sets (all coincident) fall back to the x axis.
     """
-    centered = points - points.mean(axis=0)
-    cov = centered.T @ centered
-    if not np.all(np.isfinite(cov)) or np.allclose(cov, 0):
-        axis = np.zeros(points.shape[1])
-        axis[0] = 1.0
-        return axis
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    axis = eigvecs[:, -1]
-    # Fix the sign so orderings are deterministic across LAPACK builds.
-    lead = np.flatnonzero(np.abs(axis) > 1e-12)
-    if lead.size and axis[lead[0]] < 0:
-        axis = -axis
-    return axis
+    points = np.asarray(points, dtype=np.float64)
+    return _principal_axes(list(points.T), np.zeros(1, dtype=np.intp))[0]
 
 
 def inertial_order(graph: CSRGraph, *, seed: SeedLike = 0) -> np.ndarray:
-    """Inertial bisection visit order (vertex ids in 1-D sequence)."""
+    """Inertial bisection visit order (vertex ids in 1-D sequence).
+
+    Boxes of one or two points are ordered by their x coordinate.
+    """
     coords = require_coords(graph, "inertial bisection")
-    n = graph.num_vertices
-    if n == 0:
-        return np.empty(0, dtype=np.intp)
-    rng = as_generator(seed)
-    scale = max(float(np.ptp(coords)) if coords.size else 1.0, 1e-30)
-    jitter = rng.uniform(-1e-9, 1e-9, size=n) * scale
-    order = np.empty(n, dtype=np.intp)
-    out = 0
-    stack: list[np.ndarray] = [np.arange(n, dtype=np.intp)]
-    while stack:
-        idx = stack.pop()
-        if idx.size <= 2:
-            # Sort tiny boxes by projection on x for determinism.
-            if idx.size == 2:
-                keys = coords[idx, 0] + jitter[idx]
-                idx = idx[np.argsort(keys)]
-            order[out : out + idx.size] = idx
-            out += idx.size
-            continue
-        axis = principal_axis(coords[idx])
-        keys = coords[idx] @ axis + jitter[idx]
-        half = idx.size // 2
-        part = np.argpartition(keys, half - 1)
-        lo, hi = idx[part[:half]], idx[part[half:]]
-        stack.append(hi)
-        stack.append(lo)
-    if out != n:
-        raise OrderingError(
-            f"inertial bisection emitted {out} of {n} vertices (internal bug)"
-        )
-    return order
+    n, dim = coords.shape
+    jitter = tiebreak_jitter(coords, seed)
+    columns = [np.ascontiguousarray(coords[:, a]) for a in range(dim)]
+
+    def level_keys(perm, starts, seg, depth):
+        subs = [col[perm] for col in columns]
+        axes = _principal_axes(subs, starts)
+        keys = jitter[perm]
+        for a, sub in enumerate(subs):
+            keys += axes[seg, a] * sub
+        return stable_ranks(keys)
+
+    return bisection_order(n, level_keys)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,18 @@ axis.  Used here not to produce p parts directly but to produce the full
 physically proximate vertices get nearby indices, so "partitioning is
 equivalent to assigning contiguous blocks" (Sec. 3.1) for any p.
 
-The recursion is implemented iteratively with an explicit stack and
-vectorized ``argpartition`` median splits, so it handles the paper's 30k
-vertex mesh in well under a second.
+The tree is built level by level, not box by box
+(:mod:`repro.partition.bisection`): each vertex is ranked once per axis on
+``coords[:, axis] + jitter``, and one level is a ``reduceat`` pass for the
+boxes' extents plus one integer sort, so the Python loop runs
+``ceil(log2 n)`` times — about 0.25 s for a 250k-vertex mesh.
+
+Ties.  The seeded jitter makes the keys distinct on every mesh generator
+in the repo, and then the permutation is a pure function of the lo/hi
+*sets*: identical to the box-at-a-time recursion kept as the test oracle
+(``tests/oracles_partition.py``).  If keys do tie (jitter absorbed by
+huge coordinates) the split is stable by vertex id — still a bijection,
+still ``s // 2 | s - s // 2`` per box.
 """
 
 from __future__ import annotations
@@ -19,40 +28,15 @@ import numpy as np
 
 from repro.errors import OrderingError
 from repro.graph.csr import CSRGraph
+from repro.partition.bisection import (
+    bisection_order,
+    stable_ranks,
+    tiebreak_jitter,
+)
 from repro.partition.ordering import positions_from_order, require_coords
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike
 
 __all__ = ["RCBOrdering", "rcb_order", "rcb_labels"]
-
-
-def _split_axis(coords: np.ndarray, idx: np.ndarray, axis: int | None) -> int:
-    """Choose the axis to split: widest extent, or the given axis."""
-    if axis is not None:
-        return axis
-    sub = coords[idx]
-    extents = sub.max(axis=0) - sub.min(axis=0)
-    return int(np.argmax(extents))
-
-
-def _median_split(
-    coords: np.ndarray,
-    idx: np.ndarray,
-    axis: int,
-    jitter: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split *idx* at the median of coordinate *axis*, sizes n//2 / n-n//2.
-
-    ``jitter`` (a tiny per-vertex tiebreak) makes the split deterministic
-    even with exactly-equal coordinates (structured grids).
-    """
-    keys = coords[idx, axis]
-    if jitter is not None:
-        keys = keys + jitter[idx]
-    half = idx.size // 2
-    part = np.argpartition(keys, half - 1) if half > 0 else np.arange(idx.size)
-    lo = idx[part[:half]]
-    hi = idx[part[half:]]
-    return lo, hi
 
 
 def rcb_order(
@@ -68,34 +52,28 @@ def rcb_order(
     anisotropic domains like the airfoil channel.
     """
     coords = require_coords(graph, "RCB")
-    n = graph.num_vertices
-    if n == 0:
-        return np.empty(0, dtype=np.intp)
-    rng = as_generator(seed)
-    # Tiny deterministic jitter (1e-9 of the domain size) breaks coordinate
-    # ties without perturbing real orderings.
-    scale = max(float(np.ptp(coords)) if coords.size else 1.0, 1e-30)
-    jitter = rng.uniform(-1e-9, 1e-9, size=n) * scale
-    order = np.empty(n, dtype=np.intp)
-    out = 0
-    # Stack of (index array, depth); children pushed hi-first so lo side is
-    # emitted first, giving a left-to-right sweep like the paper's Fig. 2.
-    stack: list[tuple[np.ndarray, int]] = [(np.arange(n, dtype=np.intp), 0)]
-    while stack:
-        idx, depth = stack.pop()
-        if idx.size <= 1:
-            order[out : out + idx.size] = idx
-            out += idx.size
-            continue
-        axis = _split_axis(
-            coords, idx, depth % coords.shape[1] if alternate_axes else None
-        )
-        lo, hi = _median_split(coords, idx, axis, jitter)
-        stack.append((hi, depth + 1))
-        stack.append((lo, depth + 1))
-    if out != n:
-        raise OrderingError(f"RCB emitted {out} of {n} vertices (internal bug)")
-    return order
+    n, dim = coords.shape
+    jitter = tiebreak_jitter(coords, seed)
+    columns = [np.ascontiguousarray(coords[:, a]) for a in range(dim)]
+    # ranks[a * n + v]: rank of vertex v along axis a.
+    ranks = np.concatenate([stable_ranks(col + jitter) for col in columns])
+
+    def level_keys(perm, starts, seg, depth):
+        if alternate_axes:
+            axis = depth % dim
+        else:
+            extents = []
+            for col in columns:
+                sub = col[perm]
+                extents.append(
+                    np.maximum.reduceat(sub, starts)
+                    - np.minimum.reduceat(sub, starts)
+                )
+            # Widest axis of each box (lowest axis on equal extents).
+            axis = np.argmax(extents, axis=0)[seg]
+        return ranks[axis * n + perm]
+
+    return bisection_order(n, level_keys)
 
 
 def rcb_labels(

@@ -1,0 +1,44 @@
+"""The CI workflow files load strictly (the same check CI's docs job runs)."""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("yaml")
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT / "tools"))
+
+import check_ci  # noqa: E402
+
+BROKEN = """\
+jobs:
+  perf:
+    steps:
+      - name: first
+        run: echo first
+        run: echo second
+"""
+
+
+def test_repo_workflows_have_no_duplicate_keys():
+    assert check_ci.workflow_files(REPO_ROOT)
+    assert check_ci.check_repo(REPO_ROOT) == []
+    assert check_ci.main([str(REPO_ROOT)]) == 0
+
+
+def test_checker_catches_step_with_two_run_keys(tmp_path):
+    workflows = tmp_path / ".github" / "workflows"
+    workflows.mkdir(parents=True)
+    (workflows / "ci.yml").write_text(BROKEN, encoding="utf-8")
+    assert check_ci.check_repo(tmp_path) == [
+        ".github/workflows/ci.yml:6: duplicate key 'run'"
+    ]
+    assert check_ci.main([str(tmp_path)]) == 1
+
+
+def test_checker_fails_when_there_is_nothing_to_check(tmp_path):
+    assert check_ci.main([str(tmp_path)]) == 1

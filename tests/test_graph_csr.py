@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
+from repro.graph.generators import grid_graph, grid_mesh_3d, paper_mesh
 
 
 def triangle() -> CSRGraph:
@@ -129,6 +130,40 @@ class TestPermute:
     def test_permute_rejects_invalid(self):
         with pytest.raises(ValueError):
             triangle().permute([0, 0, 1])
+
+    @pytest.mark.parametrize("make", (
+        lambda: paper_mesh(700, seed=3),
+        lambda: grid_graph(9, 4),
+        lambda: grid_mesh_3d(3, 4, 5).graph,
+        lambda: CSRGraph.from_edges(6, [(0, 5), (2, 3)], vertex_weights=np.arange(6.0)),
+        lambda: CSRGraph.from_edges(4, []),
+        lambda: CSRGraph.from_edges(0, []),
+    ))
+    def test_permute_equals_rebuild_from_relabelled_edges(self, make):
+        # permute() sorts the relabelled CSR entries directly and skips
+        # validation; the result must be the graph from_edges would build.
+        g = make()
+        n = g.num_vertices
+        perm = np.random.default_rng(n).permutation(n)
+        inv = np.argsort(perm)
+        want = CSRGraph.from_edges(
+            n,
+            perm[g.edge_array()],
+            coords=None if g.coords is None else g.coords[inv],
+            vertex_weights=(
+                None if g.vertex_weights is None else g.vertex_weights[inv]
+            ),
+        )
+        got = g.permute(perm)
+        for name in ("indptr", "indices", "coords", "vertex_weights"):
+            a, b = getattr(got, name), getattr(want, name)
+            if b is None:
+                assert a is None
+            else:
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+        # ... and a valid one: the validating constructor accepts it.
+        CSRGraph(got.indptr, got.indices, got.coords, got.vertex_weights)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)

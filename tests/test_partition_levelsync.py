@@ -1,0 +1,180 @@
+"""Level-synchronous bisection vs the box-at-a-time oracles.
+
+``rcb_order`` must return the oracle's permutation exactly whenever the
+``coords + jitter`` keys are distinct, and split equal keys by vertex id
+when they are not.  ``inertial_order`` shares the driver and is held to
+the oracle's bisection rule and partition quality.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from oracles_partition import (
+    inertial_order_oracle,
+    principal_axis_oracle,
+    rcb_order_oracle,
+)
+from repro.graph.csr import CSRGraph
+from repro.graph.generators import grid_graph, grid_mesh_3d, paper_mesh
+from repro.graph.metrics import edge_cut
+from repro.partition.bisection import (
+    bisection_order,
+    stable_ranks,
+    tiebreak_jitter,
+)
+from repro.partition.inertial import inertial_order, principal_axis
+from repro.partition.rcb import rcb_order
+
+SIZES = (0, 1, 2, 3, 17, 1_000, 30_269)
+
+
+def cloud(n: int, dim: int, seed: int, *, box=None) -> CSRGraph:
+    """n random points (orderings read only the coordinates)."""
+    coords = np.random.default_rng(seed).random((n, dim))
+    if box is not None:
+        coords = coords * np.asarray(box, dtype=float)
+    return CSRGraph.from_edges(n, [], coords=coords)
+
+
+def assert_matches_oracle(graph: CSRGraph, **kwargs) -> None:
+    np.testing.assert_array_equal(
+        rcb_order(graph, **kwargs), rcb_order_oracle(graph, **kwargs)
+    )
+
+
+class TestRCBMatchesOracle:
+    @pytest.mark.parametrize("seed", (0, 7))
+    @pytest.mark.parametrize("alternate_axes", (False, True))
+    @pytest.mark.parametrize("dim", (2, 3))
+    @pytest.mark.parametrize("n", SIZES)
+    def test_random_clouds(self, n, dim, alternate_axes, seed):
+        assert_matches_oracle(
+            cloud(n, dim, seed), alternate_axes=alternate_axes, seed=seed
+        )
+
+    @pytest.mark.parametrize("alternate_axes", (False, True))
+    def test_paper_mesh(self, alternate_axes):
+        assert_matches_oracle(paper_mesh(30_269), alternate_axes=alternate_axes)
+
+    @pytest.mark.parametrize("alternate_axes", (False, True))
+    @pytest.mark.parametrize(
+        "graph",
+        (grid_graph(16, 16), grid_graph(37, 5), grid_mesh_3d(5, 6, 7).graph),
+        ids=("grid16x16", "grid37x5", "grid5x6x7"),
+    )
+    def test_structured_grids_exact_coordinate_ties(self, graph, alternate_axes):
+        # Equal raw coordinates; the jitter keeps the keys distinct.
+        for seed in (0, 7):
+            assert_matches_oracle(graph, alternate_axes=alternate_axes, seed=seed)
+
+    @pytest.mark.parametrize("box", ((100.0, 1.0), (1.0, 100.0), (1.0, 100.0, 1.0)))
+    def test_anisotropic_boxes(self, box):
+        graph = cloud(2_000, len(box), 3, box=box)
+        assert_matches_oracle(graph)
+        # The widest-axis rule keeps cutting the long side first.
+        first_half = graph.coords[rcb_order(graph)[:1_000]]
+        long_axis = int(np.argmax(box))
+        assert first_half[:, long_axis].max() < 0.51 * max(box)
+
+    def test_all_duplicate_coordinates_at_origin(self):
+        # ptp == 0 floors the jitter scale at 1e-30: keys stay distinct.
+        graph = CSRGraph.from_edges(50, [], coords=np.zeros((50, 2)))
+        assert_matches_oracle(graph)
+
+
+class TestTieSemantics:
+    """Equal keys: stable by vertex id, still a bijection, still s//2 | s-s//2."""
+
+    def test_all_duplicates_away_from_origin_keep_id_order(self):
+        # The 1e-39 jitter vanishes next to 3.0: every key ties, so every
+        # split is by vertex id alone.
+        graph = CSRGraph.from_edges(37, [], coords=np.full((37, 2), 3.0))
+        np.testing.assert_array_equal(rcb_order(graph), np.arange(37))
+
+    @pytest.mark.parametrize("alternate_axes", (False, True))
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_jitter_absorbed_by_huge_coordinates(self, dim, alternate_axes):
+        # Four distinct values per axis at 1e9: the 3e-9 jitter is below
+        # the 1.2e-7 spacing of doubles there, so keys tie massively.
+        rng = np.random.default_rng(5)
+        coords = 1e9 + rng.integers(0, 4, size=(501, dim)).astype(float)
+        graph = CSRGraph.from_edges(501, [], coords=coords)
+        assert np.unique(coords[:, 0] + tiebreak_jitter(coords, 0)).size <= 4
+        order = rcb_order(graph, alternate_axes=alternate_axes)
+        np.testing.assert_array_equal(np.sort(order), np.arange(501))
+        np.testing.assert_array_equal(
+            order,
+            rcb_order_oracle(graph, alternate_axes=alternate_axes, stable_ties=True),
+        )
+
+    def test_stable_oracle_equals_shipped_oracle_without_ties(self):
+        graph = cloud(1_000, 2, 11)
+        np.testing.assert_array_equal(
+            rcb_order_oracle(graph, stable_ties=True), rcb_order_oracle(graph)
+        )
+
+    def test_stable_ranks_break_ties_by_index(self):
+        np.testing.assert_array_equal(
+            stable_ranks(np.array([2.0, 1.0, 2.0, 1.0, 0.5])), [3, 1, 4, 2, 0]
+        )
+
+
+class TestDriver:
+    @pytest.mark.parametrize("n", (2, 3, 17, 1_000, 1_024, 1_025))
+    def test_one_pass_per_tree_level(self, n):
+        calls = []
+
+        def level_keys(perm, starts, seg, depth):
+            sizes = np.diff(starts, append=n)
+            # Every box of one depth is there, sizes within one of each other.
+            assert sizes.sum() == n and sizes.max() - sizes.min() <= 1
+            np.testing.assert_array_equal(seg, np.repeat(np.arange(starts.size), sizes))
+            calls.append(depth)
+            return perm
+
+        order = bisection_order(n, level_keys)
+        np.testing.assert_array_equal(order, np.arange(n))
+        assert calls == list(range(math.ceil(math.log2(n))))
+
+    def test_lower_half_takes_smaller_keys(self):
+        order = bisection_order(5, lambda perm, starts, seg, depth: 4 - perm)
+        np.testing.assert_array_equal(order, [4, 3, 2, 1, 0])
+
+
+class TestInertial:
+    @pytest.mark.parametrize("dim", (2, 3))
+    @pytest.mark.parametrize("n", SIZES[:-1])
+    def test_bijection(self, n, dim):
+        order = inertial_order(cloud(n, dim, 1), seed=7)
+        np.testing.assert_array_equal(np.sort(order), np.arange(n))
+
+    def test_all_duplicate_coordinates(self):
+        graph = CSRGraph.from_edges(33, [], coords=np.full((33, 3), 2.0))
+        np.testing.assert_array_equal(np.sort(inertial_order(graph)), np.arange(33))
+
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_principal_axis_matches_oracle(self, dim):
+        rng = np.random.default_rng(dim)
+        for count in (3, 10, 500):
+            points = rng.normal(size=(count, dim)) * rng.uniform(0.1, 5.0, dim)
+            np.testing.assert_allclose(
+                principal_axis(points), principal_axis_oracle(points), atol=1e-9
+            )
+
+    def test_edge_cut_within_two_percent_of_oracle(self):
+        graph = paper_mesh(30_269)
+        n = graph.num_vertices
+        new, old = inertial_order(graph), inertial_order_oracle(graph)
+        np.testing.assert_array_equal(np.sort(new), np.arange(n))
+        for parts in (4, 16, 64):
+            block = np.arange(n) * parts // n
+            cuts = []
+            for order in (new, old):
+                labels = np.empty(n, dtype=np.intp)
+                labels[order] = block
+                cuts.append(edge_cut(graph, labels))
+            assert abs(cuts[0] - cuts[1]) <= 0.02 * cuts[1], (parts, cuts)
