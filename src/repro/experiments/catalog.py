@@ -550,6 +550,61 @@ def _exp_scale_generate(
 # *during* the run and the AdaptiveSession must keep up).
 
 
+def _scale_run(
+    tier: str,
+    family: str,
+    workload_seed: int,
+    p: int,
+    iterations: int,
+    cluster_factory,
+    config_extras,
+    keys: tuple[str, ...],
+) -> dict[str, float]:
+    """One timed ``run_program`` at a scale tier: the body the adaptive,
+    elastic and resilience measurements share.
+
+    ``cluster_factory(horizon)`` builds the cluster and
+    ``config_extras(cluster, horizon)`` returns the family's
+    :class:`ProgramConfig` fields; *horizon* is the expected unloaded
+    duration, which the scenario traces scale their breakpoints to so
+    load changes, departures and failures always land mid-run.  *keys*
+    selects (and orders) the metrics the family reports.
+    """
+    from repro.runtime.kernels import KernelCostModel
+    from repro.runtime.program import ProgramConfig, run_program
+
+    graph, y0 = _scale_workload(tier, family, workload_seed)
+    n = graph.num_vertices
+    work_per_iter = KernelCostModel().sweep_seconds(int(graph.indices.size), n)
+    horizon = iterations * work_per_iter / p
+    cluster = cluster_factory(horizon)
+    config = ProgramConfig(
+        iterations=iterations,
+        initial_capabilities="equal",
+        **config_extras(cluster, horizon),
+    )
+    t0 = time.perf_counter()
+    report = run_program(graph, cluster, config, y0=y0)
+    run_host_s = time.perf_counter() - t0
+    metrics = {
+        "makespan": report.makespan,
+        "num_remaps": float(report.num_remaps),
+        "membership_events": float(report.membership_events),
+        "num_checkpoints": float(report.num_checkpoints),
+        "num_rollbacks": float(report.num_rollbacks),
+        "remap_time": report.remap_time,
+        "check_time": report.lb_check_time,
+        "checkpoint_time": report.checkpoint_time,
+        "rollback_time": report.rollback_time,
+        "lost_time": report.lost_time,
+        "redistribute_host_s": report.redistribute_host_s,
+        "run_host_s": run_host_s,
+        "final_active": float((report.partition_final.sizes() > 0).sum()),
+        "n_vertices": float(n),
+    }
+    return {k: metrics[k] for k in keys}
+
+
 def scale_adaptive_measurements(
     tier: str,
     scenario: str,
@@ -577,39 +632,20 @@ def scale_adaptive_measurements(
     """
     from repro.apps.workloads import dynamic_load_cluster
     from repro.runtime.adaptive import LoadBalanceConfig
-    from repro.runtime.kernels import KernelCostModel
-    from repro.runtime.program import ProgramConfig, run_program
 
-    graph, y0 = _scale_workload(tier, family, workload_seed)
-    n = graph.num_vertices
-    # Expected unloaded duration: the traces scale their onset/removal
-    # breakpoints to it so load changes always land mid-run.
-    work_per_iter = KernelCostModel().sweep_seconds(int(graph.indices.size), n)
-    horizon = iterations * work_per_iter / p
-    cluster = dynamic_load_cluster(p, scenario, horizon)
-    config = ProgramConfig(
-        iterations=iterations,
-        backend=backend,
-        initial_capabilities="equal",
-        load_balance=LoadBalanceConfig(
-            check_interval=check_interval, style=style
+    return _scale_run(
+        tier, family, workload_seed, p, iterations,
+        lambda horizon: dynamic_load_cluster(p, scenario, horizon),
+        lambda cluster, horizon: dict(
+            backend=backend,
+            load_balance=LoadBalanceConfig(
+                check_interval=check_interval, style=style
+            ),
+            world=world,
         ),
-        world=world,
+        ("makespan", "num_remaps", "remap_time", "check_time",
+         "redistribute_host_s", "run_host_s", "n_vertices"),
     )
-    t0 = time.perf_counter()
-    report = run_program(graph, cluster, config, y0=y0)
-    run_host_s = time.perf_counter() - t0
-    return {
-        "makespan": report.makespan,
-        "num_remaps": float(report.num_remaps),
-        "remap_time": report.remap_time,
-        "check_time": report.lb_check_time,
-        "redistribute_host_s": max(
-            s.redistribute_host_s for s in report.rank_stats
-        ),
-        "run_host_s": run_host_s,
-        "n_vertices": float(n),
-    }
 
 
 @experiment(
@@ -847,39 +883,22 @@ def scale_elastic_measurements(
     """
     from repro.apps.workloads import elastic_cluster
     from repro.runtime.adaptive import LoadBalanceConfig
-    from repro.runtime.kernels import KernelCostModel
-    from repro.runtime.program import ProgramConfig, run_program
 
-    graph, y0 = _scale_workload(tier, family, workload_seed)
-    n = graph.num_vertices
-    work_per_iter = KernelCostModel().sweep_seconds(int(graph.indices.size), n)
-    horizon = iterations * work_per_iter / p
-    cluster = elastic_cluster(p, scenario, horizon)
-    config = ProgramConfig(
-        iterations=iterations,
-        backend=backend,
-        initial_capabilities="equal",
-        load_balance=(
-            LoadBalanceConfig(check_interval=check_interval) if lb else None
+    return _scale_run(
+        tier, family, workload_seed, p, iterations,
+        lambda horizon: elastic_cluster(p, scenario, horizon),
+        lambda cluster, horizon: dict(
+            backend=backend,
+            load_balance=(
+                LoadBalanceConfig(check_interval=check_interval)
+                if lb
+                else None
+            ),
         ),
+        ("makespan", "num_remaps", "membership_events", "remap_time",
+         "check_time", "redistribute_host_s", "run_host_s", "final_active",
+         "n_vertices"),
     )
-    t0 = time.perf_counter()
-    report = run_program(graph, cluster, config, y0=y0)
-    run_host_s = time.perf_counter() - t0
-    final = report.partition_final
-    return {
-        "makespan": report.makespan,
-        "num_remaps": float(report.num_remaps),
-        "membership_events": float(report.membership_events),
-        "remap_time": report.remap_time,
-        "check_time": report.lb_check_time,
-        "redistribute_host_s": max(
-            s.redistribute_host_s for s in report.rank_stats
-        ),
-        "run_host_s": run_host_s,
-        "final_active": float((final.sizes() > 0).sum()),
-        "n_vertices": float(n),
-    }
 
 
 @experiment(
@@ -963,52 +982,31 @@ def scale_resilience_measurements(
     """
     from repro.apps.workloads import resilient_cluster
     from repro.runtime.adaptive import LoadBalanceConfig
-    from repro.runtime.kernels import KernelCostModel
-    from repro.runtime.program import ProgramConfig, run_program
     from repro.runtime.resilience import CostModelCheckpoint
 
-    graph, y0 = _scale_workload(tier, family, workload_seed)
-    n = graph.num_vertices
-    work_per_iter = KernelCostModel().sweep_seconds(int(graph.indices.size), n)
-    horizon = iterations * work_per_iter / p
-    cluster = resilient_cluster(p, scenario, horizon)
-    assert cluster.membership is not None
-    n_failures = sum(
-        1 for ev in cluster.membership.events if ev.kind == "fail"
+    def config_extras(cluster, horizon):
+        n_failures = sum(
+            1 for ev in cluster.membership.events if ev.kind == "fail"
+        )
+        return dict(
+            backend=backend,
+            load_balance=LoadBalanceConfig(check_interval=check_interval),
+            checkpoint=(
+                CostModelCheckpoint(mtbf=horizon / max(n_failures, 1))
+                if policy == "cost"
+                else policy
+            ),
+            replication_factor=int(replication),
+        )
+
+    return _scale_run(
+        tier, family, workload_seed, p, iterations,
+        lambda horizon: resilient_cluster(p, scenario, horizon),
+        config_extras,
+        ("makespan", "num_checkpoints", "num_rollbacks", "checkpoint_time",
+         "rollback_time", "lost_time", "num_remaps", "membership_events",
+         "redistribute_host_s", "run_host_s", "final_active", "n_vertices"),
     )
-    checkpoint = (
-        CostModelCheckpoint(mtbf=horizon / max(n_failures, 1))
-        if policy == "cost"
-        else policy
-    )
-    config = ProgramConfig(
-        iterations=iterations,
-        backend=backend,
-        initial_capabilities="equal",
-        load_balance=LoadBalanceConfig(check_interval=check_interval),
-        checkpoint=checkpoint,
-        replication_factor=int(replication),
-    )
-    t0 = time.perf_counter()
-    report = run_program(graph, cluster, config, y0=y0)
-    run_host_s = time.perf_counter() - t0
-    final = report.partition_final
-    return {
-        "makespan": report.makespan,
-        "num_checkpoints": float(report.num_checkpoints),
-        "num_rollbacks": float(report.num_rollbacks),
-        "checkpoint_time": report.checkpoint_time,
-        "rollback_time": report.rollback_time,
-        "lost_time": report.lost_time,
-        "num_remaps": float(report.num_remaps),
-        "membership_events": float(report.membership_events),
-        "redistribute_host_s": max(
-            s.redistribute_host_s for s in report.rank_stats
-        ),
-        "run_host_s": run_host_s,
-        "final_active": float((final.sizes() > 0).sum()),
-        "n_vertices": float(n),
-    }
 
 
 @experiment(

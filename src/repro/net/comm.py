@@ -35,6 +35,7 @@ from repro.net.message import (
     payload_nbytes,
     unpack_arrays,
 )
+from repro.net.network import NetworkModel
 from repro.net.trace import TraceEvent, TraceLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import Tracer
@@ -134,7 +135,15 @@ class Communicator:
 
 
 class RankContext:
-    """Per-rank handle: the API SPMD rank functions program against."""
+    """Per-rank handle: the API SPMD rank functions program against.
+
+    This is the one rank-side surface for both execution worlds.  The
+    methods here implement the sim world (virtual clocks, modeled
+    network); :class:`repro.runtime.procs.context.RealRankContext`
+    overrides only the clock and transport primitives — ``clock``,
+    ``charge``, ``compute``, ``send``, ``multicast``, ``barrier`` and the
+    per-message :meth:`_charge_recv` hook — and inherits everything else.
+    """
 
     def __init__(self, comm: Communicator, rank: int):
         self._comm = comm
@@ -142,6 +151,7 @@ class RankContext:
         self.size = comm.size
         self.proc = comm.cluster.processors[rank]
         self.metrics = comm.metrics[rank]
+        self._mailbox = comm.mailboxes[rank]
         #: Hierarchical span emitter (:mod:`repro.obs`); a no-op unless
         #: the run was started with trace=True.
         self.tracer = Tracer(
@@ -288,29 +298,31 @@ class RankContext:
         return_message: bool = False,
     ) -> Any:
         """Blocking receive; advances the clock to the message arrival."""
-        comm = self._comm
-        msg = comm.mailboxes[self.rank].receive(
-            source, tag, timeout=comm.recv_timeout
+        msg = self._mailbox.receive(
+            source, tag, timeout=self._comm.recv_timeout
         )
+        self._note_recv(msg)
+        return msg if return_message else msg.payload
+
+    def _charge_recv(self, msg: Message) -> None:
+        """Advance the clock for one delivered message: wait for its
+        virtual arrival, then pay the fixed receive overhead."""
+        self.clock = max(self.clock, msg.arrival_time) + self._comm.recv_overhead
+
+    def _note_recv(self, msg: Message) -> None:
+        """Charge, trace and count one delivered message (shared by every
+        receive path, so the bulk drain and the scalar path report
+        identically)."""
         t0 = self.clock
-        self.clock = max(self.clock, msg.arrival_time) + comm.recv_overhead
-        comm.trace.record(
+        self._charge_recv(msg)
+        self._comm.trace.record(
             TraceEvent("recv", self.rank, t0, self.clock, nbytes=msg.nbytes,
                        peer=msg.source, tag=msg.tag)
         )
-        self._note_recv(msg, self.clock - t0)
-        return msg if return_message else msg.payload
-
-    def _note_recv(self, msg: Message, wait: float) -> None:
-        """Count one delivered message (shared by every receive path, so
-        the bulk drain and the scalar path report identically)."""
         self.metrics.count("net.messages_recv")
         self.metrics.count("net.bytes_recv", msg.nbytes)
-        self.metrics.observe("net.recv_wait", wait)
-        self.metrics.gauge_max(
-            "net.mailbox_depth",
-            self._comm.mailboxes[self.rank].pending_count(),
-        )
+        self.metrics.observe("net.recv_wait", self.clock - t0)
+        self.metrics.gauge_max("net.mailbox_depth", self._mailbox.pending_count())
 
     def recv_expected(
         self, sources: Iterable[int], tag: int = ANY_TAG
@@ -327,7 +339,7 @@ class RankContext:
         behind the executor primitives, rooted collectives, and the
         load-report drains (one message per known peer per phase).
         """
-        comm = self._comm
+        timeout = self._comm.recv_timeout
         pending = set(sources)
         if self.rank in pending:
             raise CommunicationError(
@@ -339,15 +351,11 @@ class RankContext:
             # wakeup) instead of one wildcard arrival-deque scan per
             # message.  Same messages, same errors; the deterministic
             # clock charging below is untouched.
-            received = comm.mailboxes[self.rank].receive_bulk(
-                pending, tag, timeout=comm.recv_timeout
-            )
+            received = self._mailbox.receive_bulk(pending, tag, timeout=timeout)
         else:
             received = {}
             while pending:
-                msg = comm.mailboxes[self.rank].receive(
-                    ANY_SOURCE, tag, timeout=comm.recv_timeout
-                )
+                msg = self._mailbox.receive(ANY_SOURCE, tag, timeout=timeout)
                 if msg.source not in pending:
                     raise CommunicationError(
                         f"rank {self.rank}: unexpected message from rank "
@@ -359,18 +367,12 @@ class RankContext:
         for msg in sorted(
             received.values(), key=lambda m: (m.arrival_time, m.source)
         ):
-            t0 = self.clock
-            self.clock = max(self.clock, msg.arrival_time) + comm.recv_overhead
-            comm.trace.record(
-                TraceEvent("recv", self.rank, t0, self.clock,
-                           nbytes=msg.nbytes, peer=msg.source, tag=msg.tag)
-            )
-            self._note_recv(msg, self.clock - t0)
+            self._note_recv(msg)
         return received
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """Non-blocking check for a buffered matching message."""
-        return self._comm.mailboxes[self.rank].probe(source, tag)
+        return self._mailbox.probe(source, tag)
 
     def sendrecv(
         self,
@@ -454,6 +456,12 @@ class RankContext:
         knowledge: every rank may consult speeds, loads, membership)."""
         return self._comm.cluster
 
+    @property
+    def network(self) -> NetworkModel:
+        """The analytic network model (replicated pricing knowledge: the
+        load-balancing strategy estimates remap cost through it)."""
+        return self._comm.network
+
     def capability_snapshot(self) -> np.ndarray:
         """Current normalized effective speeds of all processors.
 
@@ -463,4 +471,7 @@ class RankContext:
         return self._comm.cluster.capability_ratios(self.clock)
 
     def __repr__(self) -> str:
-        return f"RankContext(rank={self.rank}, size={self.size}, clock={self.clock:.6f})"
+        return (
+            f"{type(self).__name__}(rank={self.rank}, size={self.size}, "
+            f"clock={self.clock:.6f})"
+        )

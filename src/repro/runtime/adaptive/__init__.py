@@ -51,9 +51,7 @@ from repro.runtime.adaptive.strategy import (
     LoadBalanceConfig,
     NoBalancing,
     RebalanceStrategy,
-    controller_check,
     decide,
-    distributed_check,
     make_strategy,
 )
 
@@ -71,9 +69,7 @@ __all__ = [
     "RebalanceStrategy",
     "STRATEGY_NAMES",
     "SessionStats",
-    "controller_check",
     "decide",
-    "distributed_check",
     "estimate_remap_cost",
     "make_strategy",
     "membership_decision",

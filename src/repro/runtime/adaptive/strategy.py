@@ -57,8 +57,6 @@ __all__ = [
     "STRATEGY_NAMES",
     "make_strategy",
     "decide",
-    "controller_check",
-    "distributed_check",
 ]
 
 #: Recognized strategy names (the ``style`` field / CLI vocabulary).
@@ -235,7 +233,7 @@ def decide(
     )
     remap_cost = (
         estimate_remap_cost(
-            ctx._comm.network,
+            ctx.network,
             partition,
             new_partition,
             config.element_nbytes,
@@ -446,37 +444,3 @@ def make_strategy(
         f"cannot make a rebalance strategy from {type(spec).__name__}"
     )
 
-
-def controller_check(
-    ctx: "RankContext",
-    partition: IntervalPartition,
-    time_per_item: float,
-    remaining_iterations: int,
-    config: LoadBalanceConfig,
-    *,
-    root: int = 0,
-) -> Decision:
-    """One centralized load-balance check (SPMD collective; all ranks call it).
-
-    Functional form of :class:`CentralizedStrategy` kept for callers that
-    drive single checks directly (benchmarks, tests).
-    """
-    return CentralizedStrategy(root=root).check(
-        ctx, partition, time_per_item, remaining_iterations, config
-    )
-
-
-def distributed_check(
-    ctx: "RankContext",
-    partition: IntervalPartition,
-    time_per_item: float,
-    remaining_iterations: int,
-    config: LoadBalanceConfig,
-) -> Decision:
-    """One decentralized load-balance check (SPMD collective).
-
-    Functional form of :class:`DistributedStrategy`.
-    """
-    return DistributedStrategy().check(
-        ctx, partition, time_per_item, remaining_iterations, config
-    )

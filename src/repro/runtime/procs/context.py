@@ -1,4 +1,11 @@
-"""Real-process rank contexts: the :class:`RankContext` API over sockets.
+"""Real-process rank contexts: :class:`RankContext` over sockets.
+
+There is one rank-side surface, :class:`repro.net.comm.RankContext`;
+:class:`RealRankContext` subclasses it and overrides only the clock and
+transport primitives (``clock``/``charge``/``compute``, ``send``/
+``multicast``, ``barrier`` and the per-message ``_charge_recv`` hook).
+Receives, packed helpers and collectives are the inherited ones, running
+over this process's mailbox.
 
 One :class:`RealCommunicator` lives in each worker OS process.  It owns the
 peer sockets, one receiver thread per peer (depositing decoded frames into
@@ -37,12 +44,11 @@ import pickle
 import socket
 import threading
 import time
-from typing import Any, Callable, Iterable, Sequence
-
-import numpy as np
+from typing import Any, Sequence
 
 from repro.errors import CommunicationError, MailboxClosedError
 from repro.net.cluster import ClusterSpec
+from repro.net.comm import RankContext
 from repro.net.framing import (
     KIND_SHUTDOWN,
     decode_payload,
@@ -51,15 +57,7 @@ from repro.net.framing import (
     send_frame,
 )
 from repro.net.mailbox import Mailbox
-from repro.net.message import (
-    ANY_SOURCE,
-    ANY_TAG,
-    Message,
-    Tags,
-    pack_arrays,
-    payload_nbytes,
-    unpack_arrays,
-)
+from repro.net.message import Message, Tags, payload_nbytes
 from repro.net.trace import TraceEvent, TraceLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import Tracer
@@ -70,10 +68,10 @@ __all__ = ["RealCommunicator", "RealRankContext"]
 class RealCommunicator:
     """Per-process shared state for one real-world SPMD run.
 
-    Exposes the attributes runtime code reaches for on the sim
-    :class:`~repro.net.comm.Communicator` — notably ``network`` (the
-    analytic pricing model used by the load-balancing strategy's
-    profitability test) and ``recv_timeout``.
+    Exposes the attributes the inherited :class:`RankContext` methods
+    read off the sim :class:`~repro.net.comm.Communicator` — ``cluster``,
+    ``trace``, ``recv_timeout`` and ``network`` (the analytic pricing
+    model behind the load-balancing strategy's profitability test).
     """
 
     def __init__(
@@ -201,12 +199,13 @@ class RealCommunicator:
                 pass
 
 
-class RealRankContext:
-    """The per-rank API, backed by real sockets and a latched wall clock.
+class RealRankContext(RankContext):
+    """:class:`~repro.net.comm.RankContext` with the clock and transport
+    primitives overridden: real sockets and a latched wall clock.
 
-    Implements the same surface as :class:`~repro.net.comm.RankContext`;
-    rank functions, collectives, the executor, and the adaptive session
-    run unmodified on either.
+    Everything else — receives, packed helpers, collectives — is
+    inherited, so rank functions, the executor, and the adaptive session
+    run unmodified in either world.
     """
 
     def __init__(self, comm: RealCommunicator):
@@ -214,6 +213,7 @@ class RealRankContext:
         self.rank = comm.rank
         self.size = comm.size
         self.proc = comm.cluster.processors[comm.rank]
+        self._mailbox = comm.mailbox
         self._clock = 0.0
         self._offset = 0.0
         self.metrics = MetricsRegistry()
@@ -261,15 +261,8 @@ class RealRankContext:
             TraceEvent("compute", self.rank, t0, self._clock, label=label)
         )
 
-    def compute_items(
-        self, n_items: int, sec_per_item: float, *, label: str = ""
-    ) -> None:
-        if n_items < 0 or sec_per_item < 0:
-            raise ValueError("n_items and sec_per_item must be >= 0")
-        self._latch()
-
     # -------------------------------------------------------------- #
-    # point-to-point
+    # transport
     # -------------------------------------------------------------- #
 
     def send(self, dest: int, payload: Any, tag: int = Tags.USER_BASE) -> None:
@@ -281,7 +274,7 @@ class RealRankContext:
                 self.rank, dest, tag, payload, payload_nbytes(payload),
                 send_time=self._clock, arrival_time=self._clock,
             )
-            self._comm.mailbox.deposit(msg)
+            self._mailbox.deposit(msg)
             return
         t0 = self._now()
         nbytes = self._comm.send_payload(dest, tag, payload)
@@ -301,91 +294,9 @@ class RealRankContext:
             if d != self.rank:
                 self.send(d, payload, tag)
 
-    def send_packed(
-        self, dest: int, arrays: Sequence[np.ndarray], tag: int = Tags.USER_BASE
-    ) -> None:
-        self.send(dest, pack_arrays(list(arrays)), tag)
-
-    def recv_packed(
-        self, source: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> list[np.ndarray]:
-        return unpack_arrays(self.recv(source, tag))
-
-    def recv(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        *,
-        return_message: bool = False,
-    ) -> Any:
-        t0 = self._now()
-        msg = self._comm.mailbox.receive(
-            source, tag, timeout=self._comm.recv_timeout
-        )
+    def _charge_recv(self, msg: Message) -> None:
+        """The wait already happened on the host: latch it."""
         self._latch()
-        self._note_recv(msg, t0)
-        return msg if return_message else msg.payload
-
-    def _note_recv(self, msg: Message, t0: float) -> None:
-        """Record one delivered message (all receive paths, so the bulk
-        drain and the scalar path report identical counts and bytes)."""
-        self._comm.trace.record(
-            TraceEvent("recv", self.rank, t0, self._clock,
-                       nbytes=msg.nbytes, peer=msg.source, tag=msg.tag)
-        )
-        self.metrics.count("net.messages_recv")
-        self.metrics.count("net.bytes_recv", msg.nbytes)
-        self.metrics.observe("net.recv_wait", max(self._clock - t0, 0.0))
-        self.metrics.gauge_max(
-            "net.mailbox_depth", self._comm.mailbox.pending_count()
-        )
-
-    def recv_expected(
-        self, sources: Iterable[int], tag: int = ANY_TAG
-    ) -> dict[int, Message]:
-        comm = self._comm
-        pending = set(sources)
-        if self.rank in pending:
-            raise CommunicationError(
-                "recv_expected cannot expect a message from self"
-            )
-        received: dict[int, Message] = {}
-        while pending:
-            t0 = self._now()
-            msg = comm.mailbox.receive(
-                ANY_SOURCE, tag, timeout=comm.recv_timeout
-            )
-            if msg.source not in pending:
-                raise CommunicationError(
-                    f"rank {self.rank}: unexpected message from rank "
-                    f"{msg.source} (tag {msg.tag}) while expecting "
-                    f"{sorted(pending)}"
-                )
-            received[msg.source] = msg
-            pending.discard(msg.source)
-            self._latch()
-            self._note_recv(msg, t0)
-        self._latch()
-        return received
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        return self._comm.mailbox.probe(source, tag)
-
-    def sendrecv(
-        self,
-        dest: int,
-        payload: Any,
-        source: int,
-        *,
-        send_tag: int = Tags.USER_BASE,
-        recv_tag: int | None = None,
-    ) -> Any:
-        self.send(dest, payload, send_tag)
-        return self.recv(source, recv_tag if recv_tag is not None else send_tag)
-
-    # -------------------------------------------------------------- #
-    # collectives
-    # -------------------------------------------------------------- #
 
     def barrier(self) -> None:
         """Max-agreement barrier: all ranks leave with **identical** clocks.
@@ -407,7 +318,7 @@ class RealRankContext:
         if self.rank == 0:
             entries = [self._clock]
             for r in range(1, self.size):
-                msg = comm.mailbox.receive(
+                msg = self._mailbox.receive(
                     r, Tags.BARRIER, timeout=comm.recv_timeout
                 )
                 entries.append(float(msg.payload))
@@ -416,7 +327,7 @@ class RealRankContext:
                 comm.send_payload(r, Tags.BARRIER, agreed)
         else:
             comm.send_payload(0, Tags.BARRIER, self._clock)
-            msg = comm.mailbox.receive(
+            msg = self._mailbox.receive(
                 0, Tags.BARRIER, timeout=comm.recv_timeout
             )
             agreed = float(msg.payload)
@@ -425,69 +336,3 @@ class RealRankContext:
             TraceEvent("barrier", self.rank, t0, self._clock)
         )
         self.metrics.observe("net.barrier_wait", max(self._clock - t0, 0.0))
-
-    def bcast(self, payload: Any, root: int = 0, *, tag: int = Tags.BCAST) -> Any:
-        from repro.net.collectives import bcast
-
-        return bcast(self, payload, root=root, tag=tag)
-
-    def gather(
-        self, payload: Any, root: int = 0, *, tag: int = Tags.GATHER
-    ) -> list[Any] | None:
-        from repro.net.collectives import gather
-
-        return gather(self, payload, root=root, tag=tag)
-
-    def allgather(self, payload: Any) -> list[Any]:
-        from repro.net.collectives import allgather
-
-        return allgather(self, payload)
-
-    def scatter(self, parts: Sequence[Any] | None, root: int = 0) -> Any:
-        from repro.net.collectives import scatter
-
-        return scatter(self, parts, root=root)
-
-    def reduce(
-        self, value: Any, op: Callable[[Any, Any], Any], root: int = 0
-    ) -> Any | None:
-        from repro.net.collectives import reduce as _reduce
-
-        return _reduce(self, value, op, root=root)
-
-    def allreduce(self, value: Any, op: Callable[[Any, Any], Any]) -> Any:
-        from repro.net.collectives import allreduce
-
-        return allreduce(self, value, op)
-
-    def alltoallv(
-        self,
-        outgoing: dict[int, Any],
-        recv_from: Iterable[int],
-        *,
-        tag: int = Tags.ALLTOALL,
-    ) -> dict[int, Any]:
-        from repro.net.collectives import alltoallv
-
-        return alltoallv(self, outgoing, recv_from, tag=tag)
-
-    # -------------------------------------------------------------- #
-    # misc
-    # -------------------------------------------------------------- #
-
-    @property
-    def trace(self) -> TraceLog:
-        return self._comm.trace
-
-    @property
-    def cluster(self) -> ClusterSpec:
-        return self._comm.cluster
-
-    def capability_snapshot(self) -> np.ndarray:
-        return self._comm.cluster.capability_ratios(self.clock)
-
-    def __repr__(self) -> str:
-        return (
-            f"RealRankContext(rank={self.rank}, size={self.size}, "
-            f"clock={self.clock:.6f})"
-        )

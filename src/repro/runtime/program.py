@@ -18,6 +18,7 @@ made of.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -32,7 +33,11 @@ from repro.net.trace import TraceLog
 from repro.partition.intervals import IntervalPartition, partition_list
 from repro.partition.ordering import OrderingMethod
 from repro.partition.rcb import RCBOrdering
-from repro.runtime.adaptive import AdaptiveSession, LoadBalanceConfig
+from repro.runtime.adaptive import (
+    AdaptiveSession,
+    LoadBalanceConfig,
+    SessionStats,
+)
 from repro.runtime.executor import ExecutorCostModel, ExecutorScratch, gather
 from repro.runtime.kernels import KernelCostModel
 from repro.runtime.schedule_builders import InspectorCostModel
@@ -180,38 +185,25 @@ class ProgramConfig:
                     f"replication_factor must be >= 1 ring successor, got "
                     f"{self.replication_factor}"
                 )
-            import dataclasses as _dc
-
             object.__setattr__(
                 self,
                 "checkpoint",
-                _dc.replace(
+                dataclasses.replace(
                     self.checkpoint,
                     replication_factor=self.replication_factor,
                 ),
             )
 
 
-@dataclass
-class RankStats:
-    """Per-rank virtual-time breakdown of one run."""
+@dataclass(kw_only=True)
+class RankStats(SessionStats):
+    """Per-rank breakdown of one run: the session's Phase D record plus
+    what only the program loop knows."""
 
     rank: int
     n_local_final: int
     compute_time: float = 0.0
-    inspector_time: float = 0.0
-    lb_check_time: float = 0.0
-    remap_time: float = 0.0
-    num_checks: int = 0
-    num_remaps: int = 0
-    membership_events: int = 0
-    checkpoint_time: float = 0.0
-    num_checkpoints: int = 0
-    rollback_time: float = 0.0
-    num_rollbacks: int = 0
-    lost_time: float = 0.0
     final_clock: float = 0.0
-    redistribute_host_s: float = 0.0  # host s inside packed remap exchanges
 
 
 @dataclass
@@ -233,114 +225,93 @@ class ProgramReport:
     metrics: dict[str, Any] | None = None
     metrics_by_rank: list[dict[str, Any]] | None = None
 
-    def _require_stats(self, what: str) -> None:
-        """Aggregates over zero ranks are undefined; say so instead of
-        raising a bare ``ValueError`` from ``max()`` or a misleading
-        "ranks disagree" from an empty count set."""
+    def _per_rank(self, field: str) -> dict[int, Any]:
+        """``{rank: stats.<field>}``.  Aggregates over zero ranks are
+        undefined; say so instead of raising a bare ``ValueError`` from
+        ``max()`` or a misleading desync error from an empty set."""
         if not self.rank_stats:
             raise ConfigurationError(
-                f"{what} is undefined: this report carries no per-rank stats"
+                f"{field} is undefined: this report carries no per-rank stats"
             )
+        return {s.rank: getattr(s, field) for s in self.rank_stats}
+
+    def _agreed(self, field: str, error: type[Exception], what: str) -> int:
+        """A collective counter: every rank must report the same value.
+
+        A disagreement means the ranks desynchronized somewhere in Phase
+        D, which is surfaced instead of silently reporting rank 0's view.
+        """
+        per_rank = self._per_rank(field)
+        counts = set(per_rank.values())
+        if len(counts) != 1:
+            raise error(
+                f"ranks disagree on {what}: {per_rank} — Phase D desynchronized"
+            )
+        return counts.pop()
+
+    def _slowest(self, field: str) -> float:
+        """A per-rank time, reported as the max over ranks."""
+        return max(self._per_rank(field).values())
 
     @property
     def num_remaps(self) -> int:
-        """Remaps performed, aggregated across ranks.
-
-        Remap decisions are collective, so every rank must report the same
-        count; a disagreement means the ranks desynchronized somewhere in
-        Phase D, which this property surfaces instead of silently
-        reporting rank 0's view.
-        """
-        self._require_stats("num_remaps")
-        counts = {s.num_remaps for s in self.rank_stats}
-        if len(counts) != 1:
-            per_rank = {s.rank: s.num_remaps for s in self.rank_stats}
-            raise LoadBalanceError(
-                f"ranks disagree on the number of remaps: {per_rank} — "
-                f"Phase D desynchronized"
-            )
-        return counts.pop()
+        """Remaps performed (collective: decisions are replicated)."""
+        return self._agreed(
+            "num_remaps", LoadBalanceError, "the number of remaps"
+        )
 
     @property
     def membership_events(self) -> int:
-        """Elastic membership events applied, aggregated across ranks.
-
-        Event application is collective (the trace is replicated and polls
-        happen at synchronized clocks), so every rank must report the same
-        count; a disagreement means a rank consumed a different event
-        window — surfaced here exactly like a :attr:`num_remaps` desync.
-        """
-        self._require_stats("membership_events")
-        counts = {s.membership_events for s in self.rank_stats}
-        if len(counts) != 1:
-            per_rank = {s.rank: s.membership_events for s in self.rank_stats}
-            raise LoadBalanceError(
-                f"ranks disagree on applied membership events: {per_rank} — "
-                f"the elastic poll desynchronized"
-            )
-        return counts.pop()
+        """Elastic membership events applied (collective: the trace is
+        replicated and polls happen at synchronized clocks)."""
+        return self._agreed(
+            "membership_events", LoadBalanceError, "applied membership events"
+        )
 
     @property
     def num_checkpoints(self) -> int:
-        """Checkpoint epochs taken, aggregated across ranks.
-
-        Checkpoints are collective (the policy evaluates on replicated
-        inputs), so every rank must report the same count; a disagreement
-        means the policy desynchronized — surfaced exactly like a
-        :attr:`num_remaps` desync.
-        """
-        self._require_stats("num_checkpoints")
-        counts = {s.num_checkpoints for s in self.rank_stats}
-        if len(counts) != 1:
-            per_rank = {s.rank: s.num_checkpoints for s in self.rank_stats}
-            raise ResilienceError(
-                f"ranks disagree on the number of checkpoints: {per_rank} "
-                f"— the checkpoint policy desynchronized"
-            )
-        return counts.pop()
+        """Checkpoint epochs taken (collective: the policy evaluates on
+        replicated inputs)."""
+        return self._agreed(
+            "num_checkpoints", ResilienceError, "the number of checkpoints"
+        )
 
     @property
     def num_rollbacks(self) -> int:
-        """Failure recoveries performed, aggregated across ranks."""
-        self._require_stats("num_rollbacks")
-        counts = {s.num_rollbacks for s in self.rank_stats}
-        if len(counts) != 1:
-            per_rank = {s.rank: s.num_rollbacks for s in self.rank_stats}
-            raise ResilienceError(
-                f"ranks disagree on the number of rollbacks: {per_rank} — "
-                f"failure recovery desynchronized"
-            )
-        return counts.pop()
+        """Failure recoveries performed (collective)."""
+        return self._agreed(
+            "num_rollbacks", ResilienceError, "the number of rollbacks"
+        )
 
     @property
     def checkpoint_time(self) -> float:
-        self._require_stats("checkpoint_time")
-        return max(s.checkpoint_time for s in self.rank_stats)
+        return self._slowest("checkpoint_time")
 
     @property
     def rollback_time(self) -> float:
-        self._require_stats("rollback_time")
-        return max(s.rollback_time for s in self.rank_stats)
+        return self._slowest("rollback_time")
 
     @property
     def lost_time(self) -> float:
-        self._require_stats("lost_time")
-        return max(s.lost_time for s in self.rank_stats)
+        return self._slowest("lost_time")
+
+    @property
+    def lb_check_time(self) -> float:
+        return self._slowest("lb_check_time")
+
+    @property
+    def remap_time(self) -> float:
+        return self._slowest("remap_time")
+
+    @property
+    def redistribute_host_s(self) -> float:
+        """Host seconds inside packed remap exchanges, slowest rank."""
+        return self._slowest("redistribute_host_s")
 
     @property
     def total_work_seconds(self) -> float:
         """Unit-speed work of the whole run (for efficiency metrics)."""
         return self.work_per_iteration * self.config.iterations
-
-    @property
-    def lb_check_time(self) -> float:
-        self._require_stats("lb_check_time")
-        return max(s.lb_check_time for s in self.rank_stats)
-
-    @property
-    def remap_time(self) -> float:
-        self._require_stats("remap_time")
-        return max(s.remap_time for s in self.rank_stats)
 
 
 def _initial_capabilities(
@@ -396,7 +367,7 @@ def _rank_body(
     config: ProgramConfig,
 ) -> dict[str, Any]:
     n = gperm.num_vertices
-    stats = RankStats(rank=ctx.rank, n_local_final=0)
+    compute_time = 0.0
 
     # Phase D lives in one place: the session builds the inspector, owns
     # the monitor, and runs the strategy check / packed remap / rebuild.
@@ -440,25 +411,12 @@ def _rank_body(
                     ),
                     label="kernel",
                 )
-                stats.compute_time += ctx.clock - t0
+                compute_time += ctx.clock - t0
             session.record(ctx.clock - t0, int(local.size))
             if config.barrier_each_iteration:
                 ctx.barrier()
             (local,) = session.maybe_rebalance(it, (local,))
         it = session.next_iteration(it)
-
-    stats.inspector_time = session.stats.inspector_time
-    stats.lb_check_time = session.stats.lb_check_time
-    stats.remap_time = session.stats.remap_time
-    stats.num_checks = session.stats.num_checks
-    stats.num_remaps = session.stats.num_remaps
-    stats.membership_events = session.stats.membership_events
-    stats.checkpoint_time = session.stats.checkpoint_time
-    stats.num_checkpoints = session.stats.num_checkpoints
-    stats.rollback_time = session.stats.rollback_time
-    stats.num_rollbacks = session.stats.num_rollbacks
-    stats.lost_time = session.stats.lost_time
-    stats.redistribute_host_s = session.stats.redistribute_host_s
 
     # Final assembly at rank 0.
     lo, hi = session.interval()
@@ -468,8 +426,13 @@ def _rank_body(
         full = np.empty(n, dtype=np.float64)
         for piece_lo, data in pieces:
             full[piece_lo : piece_lo + data.size] = data
-    stats.n_local_final = int(local.size)
-    stats.final_clock = ctx.clock
+    stats = RankStats(
+        **dataclasses.asdict(session.stats),
+        rank=ctx.rank,
+        n_local_final=int(local.size),
+        compute_time=compute_time,
+        final_clock=ctx.clock,
+    )
     return {"stats": stats, "full": full, "partition": session.partition}
 
 

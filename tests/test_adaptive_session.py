@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, LoadBalanceError
+from repro.errors import ConfigurationError, LoadBalanceError, ResilienceError
 from repro.graph.generators import paper_mesh
 from repro.net.cluster import adaptive_cluster, uniform_cluster
 from repro.net.loadmodel import ConstantLoad
@@ -243,24 +243,39 @@ class TestProgramIntegration:
             reports["centralized"].values, reports["distributed"].values
         )
 
-    def test_num_remaps_aggregates_and_raises_on_desync(self):
+    @pytest.mark.parametrize(
+        "field, error",
+        [
+            ("num_remaps", LoadBalanceError),
+            ("membership_events", LoadBalanceError),
+            ("num_checkpoints", ResilienceError),
+            ("num_rollbacks", ResilienceError),
+        ],
+    )
+    def test_collective_counters_aggregate_and_raise_on_desync(
+        self, field, error
+    ):
         def report_with(counts):
             return ProgramReport(
                 values=np.zeros(4),
                 makespan=1.0,
                 clocks=[1.0] * len(counts),
                 rank_stats=[
-                    RankStats(rank=r, n_local_final=2, num_remaps=c)
+                    RankStats(rank=r, n_local_final=2, **{field: c})
                     for r, c in enumerate(counts)
                 ],
-                cluster=uniform_cluster(len(counts)),
+                cluster=uniform_cluster(3),
                 config=ProgramConfig(),
                 work_per_iteration=1.0,
             )
 
-        assert report_with([3, 3, 3]).num_remaps == 3
-        with pytest.raises(LoadBalanceError, match="desynchronized"):
-            report_with([3, 2, 3]).num_remaps
+        assert getattr(report_with([3, 3, 3]), field) == 3
+        with pytest.raises(error, match="desynchronized") as exc:
+            getattr(report_with([3, 2, 3]), field)
+        # The diagnosis names every rank's value, not just rank 0's view.
+        assert "{0: 3, 1: 2, 2: 3}" in str(exc.value)
+        with pytest.raises(ConfigurationError, match="no per-rank stats"):
+            getattr(report_with([]), field)
 
 
 class TestDynamicLoadScenarios:

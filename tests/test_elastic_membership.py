@@ -358,14 +358,6 @@ class TestElasticRuns:
         oracle = run_sequential(*workload, 12)
         np.testing.assert_allclose(report.values, oracle, atol=1e-9)
 
-    def test_membership_events_property_raises_on_desync(self, workload):
-        trace = MembershipTrace(4, [E(0.02, "leave", 1)])
-        report = self._run(workload, trace, None)
-        assert report.membership_events == 1
-        report.rank_stats[2].membership_events = 0  # simulate a desync
-        with pytest.raises(LoadBalanceError, match="desynchronized"):
-            report.membership_events
-
     def test_decide_rejects_inf_but_imputes_nan(self, workload):
         """Only the documented nan sentinel is imputed; an infinite load
         report (e.g. a broken predictor) still fails loudly."""

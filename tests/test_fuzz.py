@@ -242,6 +242,9 @@ def test_corpus_exists_and_is_big_enough():
         assert required in names, f"corpus is missing {required}"
 
 
+# Corpus scenarios fail ranks below their replication factor on purpose;
+# the cap warning (an error under pytest.ini) is incidental to the replay.
+@pytest.mark.filterwarnings("ignore::repro.errors.ResilienceWarning")
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_corpus_scenario_passes_oracle(path):
     scenario = Scenario.from_json(path.read_text(encoding="utf-8"))

@@ -387,3 +387,40 @@ class TestRecvTimeoutPlumbing:
         assert "source=2" in msg
         assert "tag=17" in msg
         assert "--recv-timeout" in msg and "REPRO_RECV_TIMEOUT" in msg
+
+
+class TestOneRankSurface:
+    """The real world overrides RankContext's clock and transport
+    primitives and nothing else: a method defined on both classes is a
+    fork waiting to drift."""
+
+    #: What differs between worlds (plus private latched-clock helpers).
+    WORLD_PRIMITIVES = {
+        "clock", "charge", "compute", "send", "multicast", "barrier",
+    }
+
+    def test_real_context_defines_only_the_world_primitives(self):
+        from repro.net.comm import RankContext
+        from repro.runtime.procs.context import RealRankContext
+
+        assert issubclass(RealRankContext, RankContext)
+        shared = {
+            name
+            for name, attr in vars(RankContext).items()
+            if not name.startswith("_")
+            and (callable(attr) or isinstance(attr, property))
+        } - self.WORLD_PRIMITIVES
+        shared |= {"_note_recv", "__repr__"}
+        # The surface the acceptance criteria name must actually be there.
+        assert shared >= {
+            "recv", "recv_expected", "recv_packed", "send_packed",
+            "sendrecv", "probe", "compute_items", "bcast", "gather",
+            "allgather", "scatter", "reduce", "allreduce", "alltoallv",
+            "trace", "cluster", "network", "capability_snapshot",
+        }
+        assert not shared & set(vars(RealRankContext))
+        assert self.WORLD_PRIMITIVES <= set(vars(RealRankContext))
+
+    def test_repr_names_the_concrete_class(self):
+        ctx = Communicator(uniform_cluster(2)).context(1)
+        assert repr(ctx).startswith("RankContext(rank=1, size=2, clock=")

@@ -114,6 +114,15 @@ def _ring_and_collectives(ctx):
     return (os.getpid(), total, gathered, ctx.clock)
 
 
+def _shared_surface_probe(ctx):
+    ctx.compute_items(100, 1.0e-6, label="probe")
+    right = (ctx.rank + 1) % ctx.size
+    left = (ctx.rank - 1) % ctx.size
+    ctx.send_packed(right, [np.arange(3.0) + ctx.rank, np.ones(2)], tag=210)
+    a, b = ctx.recv_packed(left, 210)
+    return ctx.allgather(float(a.sum() + b.sum()))
+
+
 def _clock_monotone_probe(ctx):
     clocks = []
     for _ in range(3):
@@ -206,6 +215,36 @@ class TestRealSPMD:
         assert {"send", "recv", "barrier"} <= kinds
         # Both workers' buffers made it back to the parent merge.
         assert {e.rank for e in events} == {0, 1}
+
+    def test_flat_event_kinds_match_across_worlds(self):
+        """The inherited helpers (compute_items, packed send/recv, a
+        collective) trace the same flat events in the same per-rank
+        order in both worlds; only the times differ."""
+
+        def flat_kinds(world):
+            res = run_spmd(
+                uniform_cluster(2), _shared_surface_probe,
+                world=world, recv_timeout=30, trace=True,
+            )
+            per_rank = {}
+            for rank in range(2):
+                events = sorted(
+                    (e for e in res.trace.events()
+                     if e.rank == rank and e.span_id < 0),
+                    key=lambda e: e.seq,
+                )
+                per_rank[rank] = [e.kind for e in events]
+            return res.values, per_rank
+
+        sim_values, sim_kinds = flat_kinds("sim")
+        real_values, real_kinds = flat_kinds("real")
+        assert sim_values == real_values
+        for rank in range(2):
+            # A real worker aligns its clock epoch with one bootstrap
+            # barrier before the rank function runs.
+            assert real_kinds[rank][0] == "barrier"
+            assert real_kinds[rank][1:] == sim_kinds[rank]
+            assert sim_kinds[rank][:3] == ["compute", "send", "recv"]
 
     def test_trace_capacity_caps_real_buffer(self):
         res = run_spmd(

@@ -12,6 +12,7 @@ from repro.errors import (
     ConfigurationError,
     RankFailedError,
     ResilienceError,
+    ResilienceWarning,
 )
 from repro.graph.generators import paper_mesh
 from repro.net.cluster import uniform_cluster
@@ -34,6 +35,13 @@ from repro.runtime.resilience import (
     take_checkpoint,
 )
 
+#: pytest.ini turns a leaked ResilienceWarning into an error.  Failure
+#: runs and randomized placements can leave fewer survivors than the
+#: replication factor asks for; the cap is incidental there, so ignore it
+#: (tests where the cap is the point assert it with ``pytest.warns``).
+ignore_replication_cap = pytest.mark.filterwarnings(
+    "ignore::repro.errors.ResilienceWarning"
+)
 
 # ----------------------------------------------------------------------
 # DSL validation: every malformed spec gets an actionable message
@@ -190,7 +198,8 @@ class TestRingPartners:
 
     def test_single_active_rank_has_no_partner(self):
         part = partition_list(50, [1.0])
-        assert ring_partners(part, np.array([True])) == {}
+        with pytest.warns(ResilienceWarning, match="capped to 0"):
+            assert ring_partners(part, np.array([True])) == {}
 
 
 class TestEstimateCheckpointCost:
@@ -217,7 +226,9 @@ class TestEstimateCheckpointCost:
     def test_zero_without_partners(self):
         part = partition_list(50, [1.0])
         net = PointToPointNetwork()
-        assert estimate_checkpoint_cost(net, part, np.ones(1, bool), 8) == 0.0
+        with pytest.warns(ResilienceWarning, match="capped to 0"):
+            cost = estimate_checkpoint_cost(net, part, np.ones(1, bool), 8)
+        assert cost == 0.0
 
     def test_rejects_bad_sizes(self):
         part = partition_list(50, [0.5, 0.5])
@@ -500,6 +511,7 @@ class TestFailureRuns:
         assert rep.num_rollbacks == 0
         assert rep.num_checkpoints == 20
 
+    @ignore_replication_cap
     def test_dataless_failure_refreshes_epoch(self):
         # Epoch 0's ring over {0,1,2} makes empty rank 2 the replica
         # holder for data-owner rank 1.  When rank 2's host dies (losing
@@ -598,6 +610,7 @@ class TestFailureRuns:
 # hypothesis: random failure times/ranks never corrupt the result
 
 
+@ignore_replication_cap
 @settings(deadline=None, max_examples=12)
 @given(
     seed=st.integers(0, 2**20),
@@ -650,6 +663,7 @@ def _random_world(seed: int, p: int):
 
 
 class TestReplicaPartnerPlacement:
+    @ignore_replication_cap
     @settings(deadline=None, max_examples=60)
     @given(
         seed=st.integers(0, 2**20),
@@ -682,6 +696,7 @@ class TestReplicaPartnerPlacement:
         ring = ring_partners(part, active)
         assert ring == {owner: h[0] for owner, h in singles.items()}
 
+    @ignore_replication_cap
     @settings(deadline=None, max_examples=40)
     @given(
         seed=st.integers(0, 2**20),
@@ -706,9 +721,10 @@ class TestReplicaPartnerPlacement:
 
     def test_k_is_capped_by_the_active_set(self):
         part = partition_list(90, [1 / 3, 1 / 3, 1 / 3])
-        partners = replica_partners(
-            part, np.ones(3, dtype=bool), replication_factor=10
-        )
+        with pytest.warns(ResilienceWarning, match="capped to 2"):
+            partners = replica_partners(
+                part, np.ones(3, dtype=bool), replication_factor=10
+            )
         assert all(len(h) == 2 for h in partners.values())
 
     def test_successors_walk_the_ring_in_order(self):
@@ -777,6 +793,7 @@ class TestReplicationDSL:
             ProgramConfig(checkpoint="interval:4", replication_factor=0)
 
 
+@ignore_replication_cap
 class TestKSuccessorRecovery:
     """End-to-end: k correlated failures per ring neighborhood."""
 
@@ -889,7 +906,6 @@ class TestReplicationCapping:
         assert effective_replication_factor(4, 5) == 4
 
     def test_cap_warns_with_resilience_warning(self):
-        from repro.errors import ResilienceWarning
         from repro.runtime.resilience import effective_replication_factor
 
         with pytest.warns(ResilienceWarning, match="capped to 2"):
@@ -898,7 +914,6 @@ class TestReplicationCapping:
     def test_cap_echoed_once_per_process(self):
         import warnings
 
-        from repro.errors import ResilienceWarning
         from repro.runtime.resilience import effective_replication_factor
 
         with warnings.catch_warnings(record=True) as caught:
@@ -917,7 +932,6 @@ class TestReplicationCapping:
             effective_replication_factor(1, -1)
 
     def test_single_active_rank_caps_to_zero(self):
-        from repro.errors import ResilienceWarning
         from repro.runtime.resilience import effective_replication_factor
 
         with pytest.warns(ResilienceWarning):
@@ -956,8 +970,6 @@ class TestReplicationCapping:
         assert effective_replication_factor(2, 3) == 2  # sanity: uncapped
 
     def test_run_program_warns_on_capped_replication(self, tiny_paper_mesh):
-        from repro.errors import ResilienceWarning
-
         y0 = np.random.default_rng(2).uniform(0, 10, 500)
         with pytest.warns(ResilienceWarning, match="capped"):
             report = run_program(

@@ -16,8 +16,7 @@ from repro.net.cluster import adaptive_cluster, heterogeneous_cluster, uniform_c
 from repro.net.network import PointToPointNetwork, SharedEthernet
 from repro.net.spmd import run_spmd
 from repro.partition.intervals import partition_list
-from repro.runtime.adaptive import LoadBalanceConfig
-from repro.runtime.adaptive import distributed_check
+from repro.runtime.adaptive import DistributedStrategy, LoadBalanceConfig
 from repro.runtime.kernels import run_sequential
 from repro.runtime.prediction import (
     ExponentialSmoothingPredictor,
@@ -125,7 +124,7 @@ class TestDistributedCheck:
         part = partition_list(10_000, np.ones(cluster.size))
 
         def fn(ctx):
-            return distributed_check(
+            return DistributedStrategy().check(
                 ctx, part, times[ctx.rank], remaining, config
             )
 

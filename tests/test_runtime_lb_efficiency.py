@@ -10,7 +10,7 @@ from repro.net.cluster import heterogeneous_cluster, uniform_cluster
 from repro.net.loadmodel import ConstantLoad
 from repro.net.spmd import run_spmd
 from repro.partition.intervals import partition_list
-from repro.runtime.adaptive import LoadBalanceConfig, controller_check
+from repro.runtime.adaptive import CentralizedStrategy, LoadBalanceConfig
 from repro.runtime.efficiency import (
     adaptive_cluster_efficiency,
     adaptive_efficiency,
@@ -70,7 +70,7 @@ class TestControllerCheck:
         part = part or partition_list(n, np.ones(cluster.size))
 
         def fn(ctx):
-            return controller_check(
+            return CentralizedStrategy().check(
                 ctx, part, times_per_item[ctx.rank], remaining, config
             )
 

@@ -123,8 +123,13 @@ class TestPerformanceShape:
         assert loaded.makespan > base.makespan * 1.5
 
     def test_lb_improves_adaptive_run(self, workload):
+        # Point-to-point, not the default shared Ethernet: contended
+        # frames are ordered by host-thread arrival there, which moves
+        # the makespan by more than this comparison's ~2 % margin.
         g, y0 = workload
-        cl = adaptive_cluster(4, loaded_rank=0, competing_load=2.0)
+        cl = adaptive_cluster(
+            4, loaded_rank=0, competing_load=2.0, ethernet=False
+        )
         cfg = dict(iterations=40, initial_capabilities="equal")
         no_lb = run_program(g, cl, ProgramConfig(**cfg), y0=y0)
         lb = run_program(
@@ -141,7 +146,9 @@ class TestPerformanceShape:
         """Table 5's shape: per-check cost is an order of magnitude below
         the remap cost."""
         g, y0 = workload
-        cl = adaptive_cluster(4, loaded_rank=0, competing_load=2.0)
+        cl = adaptive_cluster(
+            4, loaded_rank=0, competing_load=2.0, ethernet=False
+        )
         rep = run_program(
             g, cl,
             ProgramConfig(
