@@ -1,384 +1,24 @@
-"""The registered experiment catalog: Tables 1-5 plus two ablations.
-
-Each experiment reproduces one table (or an ablation around one) of the
-paper's evaluation.  The compute helpers here are the *single* source of the
-measurement logic: the ``benchmarks/bench_*.py`` pytest modules import them
-for their shape assertions, and the harness runs them over parameter grids
-(``repro bench run <name>``), so a number printed by a benchmark and a
-number in a ``results/<name>.json`` artifact come from the same code.
-
-Grids follow the paper's sweeps; every experiment also carries a reduced
-``quick_grid`` so ``--quick`` smoke runs finish in seconds.  Workload meshes
-are keyed by an explicit ``workload_seed`` grid axis (not the per-config
-seed) so every configuration of one experiment sees the same mesh.
-"""
+"""The scale tier: host-time and dynamic-environment runs far past the
+paper's 30,269-vertex mesh (``repro bench run 'scale-*'``)."""
 
 from __future__ import annotations
 
 import time
-from functools import lru_cache
 from typing import Any, Mapping
 
 import numpy as np
 
-from repro.errors import ReproError
 from repro.experiments.registry import experiment
+from repro.experiments.catalog.workloads import huge_workload, scale_workload
 
 __all__ = [
-    "mcr_instance",
-    "time_mcr",
-    "measure_remap",
-    "average_remap_costs",
-    "schedule_build_time",
-    "static_run",
-    "single_machine_times",
-    "adaptive_run",
-    "ordering_by_name",
     "scale_epoch_measurements",
     "scale_huge_measurements",
     "scale_adaptive_measurements",
     "scale_elastic_measurements",
     "scale_resilience_measurements",
     "scale_service_measurements",
-    "ORDERING_NAMES",
 ]
-
-# --------------------------------------------------------------------------
-# shared workloads (memoized: several configurations share one mesh)
-
-
-@lru_cache(maxsize=4)
-def _workload(n_vertices: int, seed: int):
-    """(graph, y0) for the Fig. 9-like mesh at the requested scale."""
-    from repro.graph.generators import paper_mesh
-
-    graph = paper_mesh(n_vertices, seed=seed)
-    y0 = np.random.default_rng(seed).uniform(0.0, 100.0, graph.num_vertices)
-    return graph, y0
-
-
-@lru_cache(maxsize=4)
-def _rsb_like_ordered_graph(n_vertices: int, seed: int):
-    """The Table 3 input: the paper mesh pre-permuted by RCB indexing."""
-    from repro.partition.rcb import RCBOrdering
-
-    graph, _ = _workload(n_vertices, seed)
-    return graph.permute(RCBOrdering()(graph))
-
-
-# --------------------------------------------------------------------------
-# Table 1 — execution time of MinimizeCostRedistribution
-
-
-def mcr_instance(p: int, seed: int = 0):
-    """One random (arrangement, old, new) MCR instance at *p* processors."""
-    from repro.apps.workloads import random_capabilities
-
-    rng = np.random.default_rng(seed)
-    old = random_capabilities(p, rng)
-    new = random_capabilities(p, rng)
-    return np.arange(p), old, new
-
-
-def time_mcr(
-    p: int, *, elements: int = 10_000, repeats: int = 3, seed: int = 0
-) -> float:
-    """Best-of-*repeats* host seconds for one MinimizeCostRedistribution call."""
-    from repro.partition.arrangement import minimize_cost_redistribution
-
-    arr, old, new = mcr_instance(p, seed)
-    best = float("inf")
-    for _ in range(max(repeats, 1)):
-        t0 = time.perf_counter()
-        minimize_cost_redistribution(arr, old, new, elements)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-@experiment(
-    "table1",
-    title="Execution time of MinimizeCostRedistribution",
-    paper_anchor="Table 1",
-    grid={"p": (3, 5, 10, 15, 20), "elements": (10_000,), "repeats": (3,)},
-    quick_grid={"p": (3, 5), "elements": (2_000,), "repeats": (1,)},
-    description="Host-times the MCR heuristic; growth should be ~p^3.",
-)
-def _exp_table1(params: Mapping[str, Any], *, seed: int) -> dict[str, float]:
-    return {
-        "mcr_seconds": time_mcr(
-            int(params["p"]),
-            elements=int(params["elements"]),
-            repeats=int(params["repeats"]),
-            seed=seed,
-        )
-    }
-
-
-# --------------------------------------------------------------------------
-# Table 2 — average cost of data remapping, with and without MCR
-
-
-def measure_remap(n: int, p: int, old_caps, new_caps, arrangement) -> float:
-    """Virtual makespan of one redistribution on the SUN4 Ethernet testbed."""
-    from repro.net.cluster import sun4_cluster
-    from repro.net.spmd import run_spmd
-    from repro.partition.intervals import partition_list
-    from repro.runtime.adaptive import redistribute
-
-    cluster = sun4_cluster(p)
-    old = partition_list(n, old_caps)
-    new = partition_list(n, new_caps, arrangement)
-    data = np.zeros(n, dtype=np.float64)
-
-    def fn(ctx):
-        lo, hi = old.interval(ctx.rank)
-        redistribute(ctx, old, new, data[lo:hi])
-        ctx.barrier()
-
-    return run_spmd(cluster, fn).makespan
-
-
-def average_remap_costs(
-    n: int, p: int, rng: np.random.Generator, *, samples: int
-) -> tuple[float, float]:
-    """(with MCR, without MCR) mean remap cost over random capability samples."""
-    from repro.apps.workloads import random_capabilities
-    from repro.net.cluster import sun4_cluster
-    from repro.partition.arrangement import (
-        RedistributionCostModel,
-        minimize_cost_redistribution,
-    )
-
-    net = sun4_cluster(p).make_network()
-    cost_model = RedistributionCostModel.from_network(net, 8)
-    with_mcr = without = 0.0
-    for _ in range(samples):
-        old_caps = random_capabilities(p, rng)
-        new_caps = random_capabilities(p, rng)
-        arr = minimize_cost_redistribution(
-            np.arange(p), old_caps, new_caps, n, cost_model=cost_model
-        )
-        with_mcr += measure_remap(n, p, old_caps, new_caps, arr)
-        without += measure_remap(n, p, old_caps, new_caps, np.arange(p))
-    return with_mcr / samples, without / samples
-
-
-@experiment(
-    "table2",
-    title="Average cost of data remapping (MCR vs identity)",
-    paper_anchor="Table 2",
-    grid={"n": (512, 2048, 16_384), "p": (3, 4, 5), "samples": (8,)},
-    quick_grid={"n": (2048,), "p": (3,), "samples": (2,)},
-    description="Virtual remap cost averaged over random capability changes.",
-)
-def _exp_table2(params: Mapping[str, Any], *, seed: int) -> dict[str, float]:
-    rng = np.random.default_rng(seed)
-    with_mcr, without = average_remap_costs(
-        int(params["n"]), int(params["p"]), rng, samples=int(params["samples"])
-    )
-    return {"remap_mcr": with_mcr, "remap_identity": without}
-
-
-# --------------------------------------------------------------------------
-# Table 3 — time to build communication schedules, by strategy
-
-
-def schedule_build_time(graph, p: int, strategy: str) -> float:
-    """Max per-rank virtual time to build the schedule on the SUN4 pool."""
-    from repro.net.cluster import sun4_cluster
-    from repro.net.spmd import run_spmd
-    from repro.partition.intervals import partition_list
-    from repro.runtime.inspector import run_inspector
-
-    cluster = sun4_cluster(p)
-    part = partition_list(graph.num_vertices, cluster.speeds)
-
-    def fn(ctx):
-        result = run_inspector(graph, part, ctx.rank, strategy=strategy, ctx=ctx)
-        ctx.barrier()
-        return result.build_time
-
-    return run_spmd(cluster, fn).makespan
-
-
-@experiment(
-    "table3",
-    title="Communication-schedule construction time by strategy",
-    paper_anchor="Table 3",
-    grid={
-        "strategy": ("sort1", "sort2", "simple"),
-        "p": (2, 3, 4, 5),
-        "n_vertices": (6_000,),
-        "workload_seed": (1995,),
-    },
-    quick_grid={
-        "strategy": ("sort1", "sort2", "simple"),
-        "p": (2, 3),
-        "n_vertices": (800,),
-        "workload_seed": (1995,),
-    },
-    description="Sorting strategies get cheaper with p; simple gets worse.",
-)
-def _exp_table3(params: Mapping[str, Any], *, seed: int) -> dict[str, float]:
-    graph = _rsb_like_ordered_graph(
-        int(params["n_vertices"]), int(params["workload_seed"])
-    )
-    return {
-        "build_seconds": schedule_build_time(
-            graph, int(params["p"]), str(params["strategy"])
-        )
-    }
-
-
-# --------------------------------------------------------------------------
-# Table 4 — execution time and efficiency in static environments
-
-
-def static_run(graph, y0, iterations: int, p: int):
-    """One static (dedicated, nonuniform) run on the first *p* workstations."""
-    from repro.net.cluster import sun4_cluster
-    from repro.runtime.program import ProgramConfig, run_program
-
-    return run_program(
-        graph, sun4_cluster(p), ProgramConfig(iterations=iterations), y0=y0
-    )
-
-
-def single_machine_times(graph, y0, iterations: int, num_ws: int = 5) -> list[float]:
-    """T(p_i): the single-workstation makespans, the Sec. 4 denominator."""
-    from repro.net.cluster import sun4_cluster
-    from repro.runtime.program import ProgramConfig, run_program
-
-    pool = sun4_cluster(num_ws)
-    return [
-        run_program(
-            graph, pool.subset([i]), ProgramConfig(iterations=iterations), y0=y0
-        ).makespan
-        for i in range(num_ws)
-    ]
-
-
-@lru_cache(maxsize=8)
-def _cached_singles(
-    n_vertices: int, workload_seed: int, iterations: int
-) -> tuple[float, ...]:
-    """All five T(p_i) for one workload; every p-configuration slices this."""
-    graph, y0 = _workload(n_vertices, workload_seed)
-    return tuple(single_machine_times(graph, y0, iterations, num_ws=5))
-
-
-@experiment(
-    "table4",
-    title="Execution time and efficiency in static environments",
-    paper_anchor="Table 4",
-    grid={
-        "p": (1, 2, 3, 4, 5),
-        "n_vertices": (6_000,),
-        "iterations": (60,),
-        "workload_seed": (1995,),
-    },
-    quick_grid={
-        "p": (1, 2, 3),
-        "n_vertices": (800,),
-        "iterations": (8,),
-        "workload_seed": (1995,),
-    },
-    higher_is_better=("efficiency",),
-    description="Time falls as workstations are added; efficiency declines.",
-)
-def _exp_table4(params: Mapping[str, Any], *, seed: int) -> dict[str, float]:
-    from repro.runtime.efficiency import nonuniform_efficiency
-
-    n, iters = int(params["n_vertices"]), int(params["iterations"])
-    p = int(params["p"])
-    graph, y0 = _workload(n, int(params["workload_seed"]))
-    report = static_run(graph, y0, iters, p)
-    singles = _cached_singles(n, int(params["workload_seed"]), iters)[:p]
-    return {
-        "makespan": report.makespan,
-        "efficiency": nonuniform_efficiency(report.makespan, list(singles)),
-    }
-
-
-# --------------------------------------------------------------------------
-# Table 5 — adaptive environment, with and without load balancing
-
-
-def adaptive_run(
-    graph,
-    y0,
-    iterations: int,
-    p: int,
-    *,
-    lb: bool,
-    competing_load: float = 2.0,
-    check_interval: int = 10,
-    style: str = "centralized",
-):
-    """One Table-5 run: competing load on ws 0, equal initial decomposition.
-
-    *style* picks the rebalance strategy ("centralized" is the paper's
-    protocol, "distributed" its stated future work); ``lb=False`` runs the
-    no-balancing baseline regardless of style.
-    """
-    from repro.apps.workloads import adaptive_testbed
-    from repro.runtime.adaptive import LoadBalanceConfig
-    from repro.runtime.program import ProgramConfig, run_program
-
-    cfg = ProgramConfig(
-        iterations=iterations,
-        initial_capabilities="equal",
-        load_balance=(
-            LoadBalanceConfig(check_interval=check_interval, style=style)
-            if lb
-            else None
-        ),
-    )
-    cluster = adaptive_testbed(p, competing_load=competing_load)
-    return run_program(graph, cluster, cfg, y0=y0)
-
-
-@experiment(
-    "table5",
-    title="Adaptive environment with and without load balancing",
-    paper_anchor="Table 5",
-    grid={
-        "p": (1, 2, 3, 4, 5),
-        "lb": (True, False),
-        "n_vertices": (6_000,),
-        "iterations": (60,),
-        "check_interval": (10,),
-        "workload_seed": (1995,),
-    },
-    quick_grid={
-        "p": (2, 3),
-        "lb": (True, False),
-        "n_vertices": (800,),
-        "iterations": (20,),
-        "check_interval": (5,),
-        "workload_seed": (1995,),
-    },
-    description="Load balancing roughly halves time; check cost << remap cost.",
-)
-def _exp_table5(params: Mapping[str, Any], *, seed: int) -> dict[str, float]:
-    graph, y0 = _workload(
-        int(params["n_vertices"]), int(params["workload_seed"])
-    )
-    report = adaptive_run(
-        graph,
-        y0,
-        int(params["iterations"]),
-        int(params["p"]),
-        lb=bool(params["lb"]),
-        check_interval=int(params["check_interval"]),
-    )
-    return {
-        "makespan": report.makespan,
-        "remap_time": report.remap_time,
-        "check_time": report.lb_check_time,
-        "num_remaps": float(report.num_remaps),
-    }
-
 
 # --------------------------------------------------------------------------
 # Scale tier — host-time benchmarks of the backend hot paths (ROADMAP
@@ -386,26 +26,6 @@ def _exp_table5(params: Mapping[str, Any], *, seed: int) -> dict[str, float]:
 # 30,269-vertex mesh).  Unlike the table experiments, these measure *host*
 # wall seconds, because both backends charge identical virtual time by
 # design — the contract the differential tests enforce.
-
-
-@lru_cache(maxsize=2)
-def _scale_workload(tier: str, family: str, seed: int):
-    """(graph, y0) for one scale-tier mesh, shared across backend configs.
-
-    The mesh arrives already phase-A ordered — grids are naturally
-    row-major, geometric meshes get one (cached) Hilbert indexing — so the
-    benchmark times phases B/C on the pipeline's actual input, never on an
-    artificially shuffled layout the paper's runtime would never see.
-    """
-    from repro.graph.generators import scale_mesh
-
-    graph = scale_mesh(tier, family=family, seed=seed)
-    if family == "geometric":
-        from repro.partition.sfc import HilbertOrdering
-
-        graph = graph.permute(HilbertOrdering()(graph))
-    y0 = np.random.default_rng(seed).uniform(0.0, 100.0, graph.num_vertices)
-    return graph, y0
 
 
 def scale_epoch_measurements(
@@ -432,7 +52,7 @@ def scale_epoch_measurements(
     from repro.runtime.executor import gather, scatter
     from repro.runtime.inspector import run_inspector
 
-    graph, y0 = _scale_workload(tier, family, workload_seed)
+    graph, y0 = scale_workload(tier, family, workload_seed)
     n = graph.num_vertices
     part = partition_list(n, np.ones(p))
 
@@ -573,7 +193,7 @@ def _scale_run(
     from repro.runtime.kernels import KernelCostModel
     from repro.runtime.program import ProgramConfig, run_program
 
-    graph, y0 = _scale_workload(tier, family, workload_seed)
+    graph, y0 = scale_workload(tier, family, workload_seed)
     n = graph.num_vertices
     work_per_iter = KernelCostModel().sweep_seconds(int(graph.indices.size), n)
     horizon = iterations * work_per_iter / p
@@ -775,7 +395,7 @@ def scale_real_measurements(
     from repro.runtime.adaptive.redistribution import estimate_remap_cost
     from repro.runtime.resilience import estimate_checkpoint_cost
 
-    graph, y0 = _scale_workload(tier, family, workload_seed)
+    graph, y0 = scale_workload(tier, family, workload_seed)
     n = graph.num_vertices
     cluster = uniform_cluster(p)
     caps_old = np.ones(p)
@@ -1060,30 +680,6 @@ def _exp_scale_resilience(
 # scale-huge — incremental vs full inspector rebuild at 1M-10M vertices
 
 
-@lru_cache(maxsize=1)
-def _huge_workload(tier: str, workload_seed: int):
-    """(graph, y0) for one huge-tier grid mesh.
-
-    Cached separately from :func:`_scale_workload` with ``maxsize=1``:
-    a 10M-vertex CSR is hundreds of MB, so at most one huge mesh lives
-    at a time (put ``tier`` first in the grid so the cache actually
-    hits across the p/backend axes).
-    """
-    import warnings
-
-    from repro.graph.generators import scale_mesh
-
-    with warnings.catch_warnings():
-        # The 10m tier is not a perfect square; the near-target grid is
-        # fine for a relative full-vs-incremental comparison.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        graph = scale_mesh(tier, family="grid", seed=workload_seed)
-    y0 = np.random.default_rng(workload_seed).uniform(
-        0.0, 100.0, graph.num_vertices
-    )
-    return graph, y0
-
-
 def _small_boundary_remap(old, p: int, n: int):
     """A remap of the kind phase D actually produces: every internal
     boundary shifts by ~0.5% of a block (alternating direction), owners
@@ -1127,7 +723,7 @@ def scale_huge_measurements(
     from repro.runtime.inspector import run_inspector
     from repro.partition.intervals import partition_list
 
-    graph, y0 = _huge_workload(tier, workload_seed)
+    graph, y0 = huge_workload(tier, workload_seed)
     n = graph.num_vertices
     old = partition_list(n, np.ones(p))
     new, shift = _small_boundary_remap(old, p, n)
@@ -1222,138 +818,6 @@ def _exp_scale_huge(params: Mapping[str, Any], *, seed: int) -> dict[str, float]
         str(params["backend"]),
         workload_seed=int(params["workload_seed"]),
     )
-
-
-# --------------------------------------------------------------------------
-# Ablation — choice of one-dimensional locality transformation
-
-ORDERING_NAMES = ("rcb", "inertial", "spectral", "hilbert", "morton", "random")
-
-
-def ordering_by_name(name: str, seed: int = 0):
-    """Instantiate one of Sec. 3.1's ordering heuristics by short name."""
-    from repro.partition.inertial import InertialOrdering
-    from repro.partition.ordering import IdentityOrdering, RandomOrdering
-    from repro.partition.rcb import RCBOrdering
-    from repro.partition.sfc import HilbertOrdering, MortonOrdering
-    from repro.partition.spectral import SpectralOrdering
-
-    factories = {
-        "rcb": RCBOrdering,
-        "inertial": InertialOrdering,
-        "spectral": lambda: SpectralOrdering(leaf_size=128),
-        "hilbert": HilbertOrdering,
-        "morton": MortonOrdering,
-        "identity": IdentityOrdering,
-        "random": lambda: RandomOrdering(seed=seed),
-    }
-    try:
-        return factories[name]()
-    except KeyError:
-        known = ", ".join(sorted(factories))
-        raise ReproError(f"unknown ordering {name!r}; known: {known}") from None
-
-
-@experiment(
-    "ablation_orderings",
-    title="Ablation: 1-D locality transformations",
-    paper_anchor="Sec. 3.1",
-    grid={
-        "ordering": ORDERING_NAMES,
-        "n_vertices": (6_000,),
-        "iterations": (10,),
-        "workload_seed": (1995,),
-    },
-    quick_grid={
-        "ordering": ("rcb", "random"),
-        "n_vertices": (800,),
-        "iterations": (5,),
-        "workload_seed": (1995,),
-    },
-    description="Cut quality of each ordering and its end-to-end makespan.",
-)
-def _exp_ablation_orderings(
-    params: Mapping[str, Any], *, seed: int
-) -> dict[str, float]:
-    from repro.graph.metrics import cut_curve, mean_edge_span
-    from repro.net.cluster import sun4_cluster
-    from repro.runtime.program import ProgramConfig, run_program
-
-    graph, y0 = _workload(
-        int(params["n_vertices"]), int(params["workload_seed"])
-    )
-    method = ordering_by_name(str(params["ordering"]), seed)
-    perm = method(graph)
-
-    # Hand the already-computed permutation to run_program so expensive
-    # orderings (spectral, inertial) are not recomputed inside the run.
-    class _Precomputed:
-        name = method.name
-
-        def __call__(self, g):
-            return perm
-
-    report = run_program(
-        graph,
-        sun4_cluster(4),
-        ProgramConfig(
-            iterations=int(params["iterations"]), ordering=_Precomputed()
-        ),
-        y0=y0,
-    )
-    return {
-        "mean_span": mean_edge_span(graph, perm),
-        "cut16": float(cut_curve(graph, perm, (16,))[16]),
-        "makespan": report.makespan,
-    }
-
-
-# --------------------------------------------------------------------------
-# Ablation — load-balance check frequency (interval 0 = no load balancing)
-
-
-@experiment(
-    "ablation_check_frequency",
-    title="Ablation: load-balance check frequency",
-    paper_anchor="Sec. 3.5",
-    grid={
-        "interval": (0, 5, 10, 20, 40),
-        "n_vertices": (6_000,),
-        "iterations": (60,),
-        "workload_seed": (1995,),
-    },
-    quick_grid={
-        "interval": (0, 5),
-        "n_vertices": (800,),
-        "iterations": (20,),
-        "workload_seed": (1995,),
-    },
-    description="Sweeps the check interval the paper fixes at 10.",
-)
-def _exp_ablation_check_frequency(
-    params: Mapping[str, Any], *, seed: int
-) -> dict[str, float]:
-    interval = int(params["interval"])
-    graph, y0 = _workload(
-        int(params["n_vertices"]), int(params["workload_seed"])
-    )
-    report = adaptive_run(
-        graph,
-        y0,
-        int(params["iterations"]),
-        4,
-        lb=interval > 0,
-        check_interval=interval if interval > 0 else 10,
-    )
-    stats = report.rank_stats[0]
-    return {
-        "makespan": report.makespan,
-        "num_checks": float(stats.num_checks),
-        "num_remaps": float(stats.num_remaps),
-        "check_time": report.lb_check_time,
-        "remap_time": report.remap_time,
-    }
-
 
 # --------------------------------------------------------------------------
 # Scale tier — the multi-tenant job service (repro.serve): a stream of

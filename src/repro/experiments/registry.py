@@ -1,9 +1,9 @@
 """The experiment registry: one flat namespace of registered experiments.
 
-Experiments self-register at import time (the decorator form in
-:mod:`repro.experiments.catalog`); :func:`discover` imports the catalog so
-callers — the CLI, tests, sweep drivers — see the full set without knowing
-which module defines what.
+Experiments self-register at import time (the decorator form in the
+:mod:`repro.experiments.catalog` family modules); :func:`discover` imports
+them so callers — the CLI, tests, sweep drivers — see the full set without
+knowing which module defines what.
 """
 
 from __future__ import annotations
@@ -18,8 +18,13 @@ __all__ = ["register", "experiment", "get", "names", "all_experiments", "discove
 
 _REGISTRY: dict[str, Experiment] = {}
 
-#: Modules imported by :func:`discover`; extensions may append to this.
-CATALOG_MODULES = ["repro.experiments.catalog", "repro.experiments.sweep"]
+#: Modules imported by :func:`discover`.
+CATALOG_MODULES = [
+    "repro.experiments.catalog.paper",
+    "repro.experiments.catalog.ablations",
+    "repro.experiments.catalog.scale",
+    "repro.experiments.sweep",
+]
 
 
 def register(exp: Experiment) -> Experiment:

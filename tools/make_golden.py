@@ -29,7 +29,8 @@ def build_golden() -> dict:
     """Compute the pinned facts (shared with the regression test)."""
     import numpy as np
 
-    from repro.experiments.catalog import _workload, adaptive_run
+    from repro.experiments.catalog import adaptive_run
+    from repro.experiments.catalog.workloads import mesh_workload
     from repro.experiments.runner import run_experiment
     from repro.net.cluster import SUN4_SPEEDS, uniform_cluster
     from repro.net.loadmodel import MembershipEvent, MembershipTrace
@@ -49,7 +50,7 @@ def build_golden() -> dict:
         for run in artifact["runs"]
     ]
 
-    graph, y0 = _workload(800, 1995)
+    graph, y0 = mesh_workload(800, 1995)
     report = adaptive_run(graph, y0, 20, 3, lb=True, check_interval=5)
     stats = report.rank_stats[0]
     remap = {
@@ -94,7 +95,7 @@ def build_golden() -> dict:
 
     # An end-to-end elastic run's decisions (virtual metrics only): one
     # join adopted, one departure drained, on the reduced paper mesh.
-    graph, y0 = _workload(800, 1995)
+    graph, y0 = mesh_workload(800, 1995)
     trace = MembershipTrace(
         4,
         [
@@ -171,12 +172,12 @@ def build_golden_trace() -> dict:
     ``seq`` order, virtual timestamps — is a deterministic function of
     the program and stays stable across machines.
     """
-    from repro.experiments.catalog import _workload
+    from repro.experiments.catalog.workloads import mesh_workload
     from repro.net.cluster import uniform_cluster
     from repro.obs import chrome_trace
     from repro.runtime.program import ProgramConfig, run_program
 
-    graph, y0 = _workload(800, 1995)
+    graph, y0 = mesh_workload(800, 1995)
     report = run_program(
         graph,
         uniform_cluster(3),
