@@ -18,7 +18,6 @@ from repro.apps.sparse_matvec import (
 from repro.apps.workloads import (
     Workload,
     adaptive_testbed,
-    full_scale,
     paper_workload,
     random_capabilities,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "SymmetricPatternMatrix",
     "Workload",
     "adaptive_testbed",
-    "full_scale",
     "paper_workload",
     "random_capabilities",
     "run_parallel_spmv",

@@ -1,13 +1,12 @@
-"""Workload builders shared by the examples and the benchmark harness.
+"""Workload builders shared by the examples and the experiment harness.
 
-Centralizes experiment scaling: by default benches run a reduced mesh so the
-whole suite finishes in minutes; ``REPRO_FULL=1`` switches to the paper's
-full 30,269-vertex mesh and 500 iterations (docs/benchmarks.md, "scale").
+Defaults are a reduced mesh so everything finishes in seconds; the paper's
+full 30,269-vertex mesh and 500 iterations are an explicit argument here
+and a ``--set`` on the harness (docs/benchmarks.md, "Scale").
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ from repro.net.loadmodel import (
 from repro.utils.rng import SeedLike, as_generator
 
 __all__ = [
-    "full_scale",
     "Workload",
     "paper_workload",
     "random_capabilities",
@@ -36,11 +34,6 @@ __all__ = [
     "RESILIENCE_SCENARIOS",
     "resilient_cluster",
 ]
-
-
-def full_scale() -> bool:
-    """True when the harness should run at the paper's full scale."""
-    return os.environ.get("REPRO_FULL", "").strip() in ("1", "true", "yes")
 
 
 @dataclass(frozen=True)
@@ -60,18 +53,14 @@ class Workload:
 def paper_workload(
     *,
     seed: SeedLike = 1995,
-    n_vertices: int | None = None,
-    iterations: int | None = None,
+    n_vertices: int = 6_000,
+    iterations: int = 60,
 ) -> Workload:
     """The Tables 3-5 workload: the Fig. 9-like mesh + Fig. 8 loop.
 
-    Defaults: 6,000 vertices / 60 iterations reduced scale, or the paper's
-    30,269 vertices / 500 iterations under ``REPRO_FULL=1``.
+    Defaults to the reduced scale; the paper ran 30,269 vertices for 500
+    iterations.
     """
-    if n_vertices is None:
-        n_vertices = 30_269 if full_scale() else 6_000
-    if iterations is None:
-        iterations = 500 if full_scale() else 60
     graph = paper_mesh(n_vertices, seed=seed)
     rng = as_generator(seed)
     y0 = rng.uniform(0.0, 100.0, size=graph.num_vertices)

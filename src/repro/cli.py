@@ -9,8 +9,9 @@ Commands mirror what a downstream user evaluating the runtime wants first:
 * ``orderings`` — compare 1-D locality transformations on a mesh;
 * ``mcr`` — run MinimizeCostRedistribution on given capability vectors;
 * ``bench`` — the unified experiment harness (:mod:`repro.experiments`):
-  ``list`` registered experiments, ``run`` one over its grid, ``sweep``
-  a scenario grid, and ``report`` a markdown diff of two JSON artifacts;
+  ``list`` registered experiments, ``run`` one over its grid (and check
+  the paper's shape for it), ``sweep`` a scenario grid, and ``report`` a
+  markdown diff of two JSON artifacts;
 * ``fuzz`` — the seeded adversarial scenario fuzzer (:mod:`repro.fuzz`):
   ``run`` a generated batch or replay one scenario, ``shrink`` a failing
   scenario to a minimal reproducer, ``corpus`` to replay the committed
@@ -242,7 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     bsub.add_parser("list", help="list registered experiments")
 
-    brun = bsub.add_parser("run", help="run one experiment over its grid")
+    brun = bsub.add_parser(
+        "run",
+        help="run one experiment over its grid; exits 1 if the runs "
+             "violate the shape its expectation states",
+    )
     brun.add_argument("name",
                       help="experiment name, or a glob like 'scale-*' "
                            "(see `repro bench list`)")
@@ -782,6 +787,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     validate_overrides(name, overrides, quick=args.quick)
             from contextlib import ExitStack
 
+            violated = False
             with ExitStack() as stack:
                 window = None
                 if args.trace_out:
@@ -822,6 +828,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                             results_dir=args.results_dir,
                         )
                     _print_artifact_summary(artifact)
+                    for message in artifact.get("violations", ()):
+                        violated = True
+                        print(f"expectation violated: {name}: {message}")
                     print(f"\nartifact: {path}")
             if window is not None:
                 from repro.obs import write_chrome_trace
@@ -840,7 +849,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     )
                     print(f"trace: {args.trace_out} ({label}, "
                           f"{len(tr)} event(s))")
-            return 0
+            return 1 if violated else 0
 
         if args.bench_command == "sweep":
             from repro.experiments import run_sweep

@@ -4,7 +4,8 @@ This package turns the paper's evaluation into a reproducible surface
 (see docs/benchmarks.md):
 
 * :mod:`repro.experiments.spec` — the :class:`Experiment` declaration:
-  name, paper anchor, parameter grid, seed policy;
+  name, paper anchor, parameter grid, seed policy, and the optional
+  ``expect`` that checks the paper's shape on the finished runs;
 * :mod:`repro.experiments.registry` — the flat experiment namespace with
   import-time self-registration and :func:`discover`;
 * :mod:`repro.experiments.runner` — grid execution with wall-time and
@@ -15,8 +16,9 @@ This package turns the paper's evaluation into a reproducible surface
   × load trace × ordering × graph family);
 * :mod:`repro.experiments.report` — artifact diffing and the markdown
   regression report;
-* :mod:`repro.experiments.catalog` — the registered experiments: Tables 1-5
-  plus ablations.
+* :mod:`repro.experiments.catalog` — the registered experiments, one
+  module per family: the paper's tables and figures, ablations, the
+  footnoted extensions, and the scale tier.
 
 CLI entry points: ``repro bench list | run | sweep | report``.
 """

@@ -20,8 +20,12 @@ Schema (``repro.experiments.run`` version 1)::
       "runs": [
         {"params": {...}, "seed": 1995, "wall_s": 0.12,
          "max_rss_kb": 81234, "metrics": {"makespan": 1.9}}
-      ]
+      ],
+      "violations": []
     }
+
+``violations`` is optional: present when the experiment declares an
+expectation, one message per shape claim the runs violated.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ def new_artifact(
     quick: bool,
     base_seed: int,
     higher_is_better: Sequence[str] = (),
+    violations: Sequence[str] | None = None,
 ) -> dict[str, Any]:
     """Assemble (and validate) one artifact dict from finished run records."""
     artifact = {
@@ -77,6 +82,8 @@ def new_artifact(
         "host": host_info(),
         "runs": [dict(r) for r in runs],
     }
+    if violations is not None:
+        artifact["violations"] = list(violations)
     errors = validate_artifact(artifact)
     if errors:
         raise ReproError(f"internal error: invalid artifact: {errors}")
@@ -112,6 +119,11 @@ def validate_artifact(obj: Any) -> list[str]:
     ):
         if not isinstance(obj.get(key), typ):
             errors.append(f"{key}: expected {typ.__name__}, got {obj.get(key)!r}")
+    violations = obj.get("violations", [])
+    if not isinstance(violations, list) or not all(
+        isinstance(v, str) for v in violations
+    ):
+        errors.append(f"violations: expected a list of strings, got {violations!r}")
     for i, run in enumerate(obj.get("runs") or []):
         where = f"runs[{i}]"
         if not isinstance(run, dict):

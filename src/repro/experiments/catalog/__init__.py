@@ -1,17 +1,21 @@
 """The registered experiment catalog, one module per family.
 
 * :mod:`~repro.experiments.catalog.paper` — the paper's own evidence
-  (Tables 1-5);
+  (Tables 1-5, Figs. 2 and 5);
 * :mod:`~repro.experiments.catalog.ablations` — ablations around its
   design choices;
+* :mod:`~repro.experiments.catalog.extensions` — the directions it names
+  in footnotes and future work;
 * :mod:`~repro.experiments.catalog.scale` — the ``scale-*`` tier;
 * :mod:`~repro.experiments.catalog.workloads` — the memoised meshes the
   families share.
 
-The compute helpers are the single source of each measurement: the harness
-runs them over parameter grids (``repro bench run <name>``) and tests
-import them from here, so a number in a ``results/<name>.json`` artifact
-and a number a test checks come from the same code.
+Each measurement lives in exactly one place, next to the claim it
+supports: the harness runs it over a parameter grid (``repro bench run
+<name>``), the experiment's ``expect`` checks the shape the paper reports,
+and tests import the compute helpers from here, so a number in a
+``results/<name>.json`` artifact and a number a test checks come from the
+same code.
 """
 
 from repro.experiments.catalog.ablations import ORDERING_NAMES, ordering_by_name

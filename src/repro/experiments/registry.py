@@ -9,7 +9,7 @@ knowing which module defines what.
 from __future__ import annotations
 
 import importlib
-from typing import Callable, Iterable, Mapping
+from typing import Callable
 
 from repro.errors import ReproError
 from repro.experiments.spec import Experiment, MetricsFn
@@ -22,6 +22,7 @@ _REGISTRY: dict[str, Experiment] = {}
 CATALOG_MODULES = [
     "repro.experiments.catalog.paper",
     "repro.experiments.catalog.ablations",
+    "repro.experiments.catalog.extensions",
     "repro.experiments.catalog.scale",
     "repro.experiments.sweep",
 ]
@@ -36,36 +37,17 @@ def register(exp: Experiment) -> Experiment:
     return exp
 
 
-def experiment(
-    name: str,
-    *,
-    title: str,
-    paper_anchor: str,
-    grid: Mapping,
-    quick_grid: Mapping | None = None,
-    seed: int = 1995,
-    higher_is_better: Iterable[str] = (),
-    description: str = "",
-    tags: Iterable[str] = (),
-) -> Callable[[MetricsFn], MetricsFn]:
-    """Decorator form: register the decorated metrics function as *name*."""
+def experiment(name: str, **fields) -> Callable[[MetricsFn], MetricsFn]:
+    """Decorator form: register the decorated metrics function as *name*.
+
+    *fields* are :class:`Experiment`'s remaining fields; ``description``
+    defaults to the first line of the function's docstring.
+    """
 
     def deco(fn: MetricsFn) -> MetricsFn:
         doc_lines = (fn.__doc__ or "").strip().splitlines()
-        register(
-            Experiment(
-                name=name,
-                title=title,
-                paper_anchor=paper_anchor,
-                fn=fn,
-                grid=grid,
-                quick_grid=quick_grid,
-                seed=seed,
-                higher_is_better=tuple(higher_is_better),
-                description=description or (doc_lines[0] if doc_lines else ""),
-                tags=tuple(tags),
-            )
-        )
+        fields.setdefault("description", doc_lines[0] if doc_lines else "")
+        register(Experiment(name=name, fn=fn, **fields))
         return fn
 
     return deco

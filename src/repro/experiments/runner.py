@@ -3,7 +3,9 @@
 For each configuration in an experiment's grid the runner derives the
 deterministic per-configuration seed (:func:`~repro.experiments.spec.config_seed`),
 calls the experiment's metrics function, and records wall time plus the
-process's peak RSS.  The finished artifact (schema
+process's peak RSS.  After the grid, the experiment's ``expect`` (if any)
+checks the run records against the shape the paper claims; what it reports
+is stored as the artifact's ``violations``.  The finished artifact (schema
 ``repro.experiments.run``/v1) is written to ``<results_dir>/<name>.json``.
 """
 
@@ -138,6 +140,7 @@ def run_experiment(
         quick=quick,
         base_seed=exp.seed,
         higher_is_better=exp.higher_is_better,
+        violations=list(exp.expect(runs)) if exp.expect is not None else None,
     )
     path: Path | None = None
     if results_dir is not None:

@@ -12,15 +12,30 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import ReproError
 
-__all__ = ["Experiment", "MetricsFn", "expand_grid", "config_seed"]
+__all__ = [
+    "Experiment",
+    "ExpectFn",
+    "MetricsFn",
+    "expand_grid",
+    "config_seed",
+    "group_runs",
+    "below",
+]
 
 #: A metrics function receives one fully-resolved parameter configuration and
 #: a deterministic seed, and returns a flat mapping of metric name -> number.
 MetricsFn = Callable[..., Mapping[str, float]]
+
+#: An expectation receives the finished run records (``params``, ``seed``,
+#: ``wall_s``, ``max_rss_kb``, ``metrics`` each) and yields one message per
+#: violated shape claim — nothing when the paper's shape holds.  It must
+#: compare only the configurations it is given: ``--quick`` and ``--set``
+#: runs hand it a subset of the grid.
+ExpectFn = Callable[[Sequence[Mapping[str, Any]]], Iterable[str]]
 
 
 def config_seed(base_seed: int, params: Mapping[str, Any]) -> int:
@@ -59,12 +74,40 @@ def expand_grid(grid: Mapping[str, Sequence[Any]]) -> list[dict[str, Any]]:
     return [dict(zip(keys, combo)) for combo in product(*(grid[k] for k in keys))]
 
 
+def group_runs(
+    runs: Sequence[Mapping[str, Any]], *axes: str
+) -> list[tuple[dict[str, Any], dict[Any, Mapping[str, float]]]]:
+    """Split run records into the families an expectation compares within.
+
+    Runs that agree on every parameter except *axes* form one group,
+    returned as ``(shared, by_axis)``: the parameters they share, and a
+    mapping from each run's value on *axes* (a tuple when there are
+    several) to its metrics.  A partner that was not run is simply absent.
+    """
+    groups: dict[str, tuple[dict, dict]] = {}
+    for run in runs:
+        params = run["params"]
+        shared = {k: v for k, v in params.items() if k not in axes}
+        key = params[axes[0]] if len(axes) == 1 else tuple(params[a] for a in axes)
+        _, by_axis = groups.setdefault(repr(sorted(shared.items())), (shared, {}))
+        by_axis[key] = run["metrics"]
+    return list(groups.values())
+
+
+def below(what: str, a: float, b: float, factor: float = 1.0) -> Iterator[str]:
+    """The shape claim ``a < factor * b``: yields one message if it fails."""
+    if not a < factor * b:
+        yield f"{what}: {a:.4g} is not below {factor:g} x {b:.4g}"
+
+
 @dataclass(frozen=True)
 class Experiment:
     """One registered experiment: a paper-anchored, grid-parameterized run.
 
     ``fn(params, seed=...)`` must return a flat ``{metric: number}`` mapping
-    for one configuration; the runner handles timing, memory, and artifacts.
+    for one configuration; the runner handles timing, memory, and artifacts,
+    then hands every run record to ``expect`` (if any) to check the shape
+    the paper claims.
     """
 
     name: str
@@ -79,6 +122,7 @@ class Experiment:
     higher_is_better: tuple[str, ...] = ()
     description: str = ""
     tags: tuple[str, ...] = field(default_factory=tuple)
+    expect: ExpectFn | None = None
 
     def __post_init__(self) -> None:
         # Names are slugs: alphanumerics plus "_" and "-" (experiment

@@ -269,7 +269,7 @@ def brute_force_arrangement(
     """Exhaustive search over all p! arrangements (small p only).
 
     Returns (best arrangement, its gain).  Used to measure the MCR greedy's
-    optimality gap in the ablation benchmarks.
+    optimality gap (experiment ``ablation_mcr_optimality``).
     """
     old_arr = check_permutation(old_arrangement)
     p = old_arr.size

@@ -5,8 +5,8 @@ distributions; the era's canonical mechanism (HPF's ``DISTRIBUTE`` /
 ``REDISTRIBUTE``) moved arrays between BLOCK, CYCLIC and CYCLIC(b) layouts.
 This module implements those layouts over the same 1-D element space the
 STANCE interval partitions use, plus the transfer-plan computation and an
-executor, so the two families can be compared head to head (see
-``benchmarks/bench_ext_hpf_redistribution.py``):
+executor, so the two families can be compared head to head (experiment
+``ext_hpf_redistribution``, ``repro bench run ext_hpf_redistribution``):
 
 * a STANCE interval partition *is* a generalized (weighted) BLOCK
   distribution, so remapping between two of them moves only boundary slabs;

@@ -13,7 +13,6 @@ from repro.apps.sparse_matvec import (
 )
 from repro.apps.workloads import (
     adaptive_testbed,
-    full_scale,
     paper_workload,
     random_capabilities,
 )
@@ -138,13 +137,9 @@ class TestWorkloads:
         b = paper_workload(n_vertices=400, iterations=5, seed=9)
         np.testing.assert_array_equal(a.y0, b.y0)
 
-    def test_full_scale_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FULL", raising=False)
-        assert not full_scale()
-        monkeypatch.setenv("REPRO_FULL", "1")
-        assert full_scale()
-        w = paper_workload(seed=1, n_vertices=300)  # explicit n overrides
-        assert w.n <= 300
+    def test_paper_workload_default_scale(self):
+        w = paper_workload(seed=1)
+        assert (w.n, w.iterations) == (6_000, 60)
 
     def test_random_capabilities_normalized(self):
         rng = np.random.default_rng(0)

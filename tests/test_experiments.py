@@ -3,14 +3,16 @@
 Exercises the acceptance surface end to end: discovery finds every
 registered experiment, a quick run produces a schema-valid JSON artifact,
 ``repro bench run table4 --quick`` / ``repro bench sweep --grid small``
-work through the CLI, and ``repro bench report`` detects an injected
-regression.
+work through the CLI, ``repro bench report`` detects an injected
+regression, and every experiment's ``expect`` holds on its quick grid.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,8 @@ from repro.errors import ReproError
 from repro.experiments import (
     SCHEMA,
     SCHEMA_VERSION,
+    Experiment,
+    all_experiments,
     compare_artifacts,
     config_seed,
     expand_grid,
@@ -32,7 +36,11 @@ from repro.experiments import (
 
 PAPER_EXPERIMENTS = {
     "table1", "table2", "table3", "table4", "table5",
-    "ablation_orderings", "ablation_check_frequency",
+    "fig2_rcb_locality", "fig5_arrangement",
+    "ablation_orderings", "ablation_check_frequency", "ablation_dedup",
+    "ablation_mcr_optimality", "ablation_multicast",
+    "ext_adaptive_application", "ext_distributed_lb",
+    "ext_hpf_redistribution", "ext_prediction",
 }
 
 
@@ -150,6 +158,67 @@ def test_load_artifact_rejects_invalid_file(tmp_path):
 
 
 # --------------------------------------------------------------------------
+# expectations: the paper's shape, checked by the command that measures it
+
+
+def test_every_paper_experiment_carries_an_expectation():
+    assert {e.name for e in all_experiments() if e.expect} == PAPER_EXPERIMENTS
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_EXPERIMENTS))
+def test_quick_grid_meets_its_expectation(name):
+    artifact, _ = run_experiment(name, quick=True, results_dir=None)
+    assert artifact["violations"] == []
+
+
+def test_expectation_sees_only_the_configurations_run():
+    # Narrowed to one arm of each comparison, nothing is left to compare:
+    # a missing partner is not a violation (and not a KeyError).
+    for name, overrides in (
+        ("table5", {"lb": True, "p": 2}),
+        ("ablation_multicast", {"multicast": False}),
+        ("fig5_arrangement", {"arrangement": "mcr"}),
+    ):
+        artifact, _ = run_experiment(
+            name, quick=True, overrides=overrides, results_dir=None
+        )
+        assert artifact["violations"] == [], name
+
+
+def test_violated_expectation_fails_the_cli_run(tmp_path, capsys):
+    from repro.experiments import registry
+
+    exp = Experiment(
+        name="always-violated",
+        title="throw-away",
+        paper_anchor="none",
+        fn=lambda params, seed: {"x": 1.0},
+        grid={"a": (1, 2)},
+        expect=lambda runs: [f"x is flat over {len(runs)} runs"],
+    )
+    registry.register(exp)
+    try:
+        rc = main(["bench", "run", exp.name, "--results-dir", str(tmp_path)])
+    finally:
+        del registry._REGISTRY[exp.name]
+    assert rc == 1
+    assert "always-violated: x is flat over 2 runs" in capsys.readouterr().out
+    artifact = load_artifact(tmp_path / "always-violated.json")  # still written
+    assert artifact["violations"] == ["x is flat over 2 runs"]
+    assert len(artifact["runs"]) == 2
+
+
+def test_registry_and_docs_agree():
+    # Every registered name has a "### `name` — ..." entry in
+    # docs/benchmarks.md, and every such entry names a registered experiment.
+    docs = Path(__file__).parent.parent / "docs" / "benchmarks.md"
+    documented = set()
+    for heading in re.findall(r"^### (`.*?) — ", docs.read_text("utf-8"), flags=re.M):
+        documented.update(re.findall(r"`([^`]+)`", heading))
+    assert documented == set(names())
+
+
+# --------------------------------------------------------------------------
 # report: regression detection
 
 
@@ -224,10 +293,7 @@ def test_cli_bench_run_table4_quick(tmp_path, capsys):
     assert rc == 0
     artifact = load_artifact(tmp_path / "table4-quick.json")
     assert artifact["schema_version"] == SCHEMA_VERSION
-    effs = {r["params"]["p"]: r["metrics"]["efficiency"]
-            for r in artifact["runs"]}
-    assert effs[1] == pytest.approx(1.0, abs=1e-6)
-    assert effs[2] < 1.0  # nonuniform pool: efficiency declines
+    assert artifact["violations"] == []  # Table 4's shape, checked by the run
     assert "artifact" in capsys.readouterr().out
 
 

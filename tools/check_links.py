@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 
 #: Directories never scanned (and never valid link targets from our docs).
-SKIP_DIRS = {".git", ".hypothesis", ".pytest_cache", ".benchmarks",
-             "__pycache__", "node_modules", ".venv", "venv"}
+SKIP_DIRS = {".git", ".hypothesis", ".pytest_cache", "__pycache__",
+             "node_modules", ".venv", "venv"}
 
 #: ``[text](target)`` inline links; images share the syntax via ``![``.
 _LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
