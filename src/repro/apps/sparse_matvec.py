@@ -27,7 +27,7 @@ from repro.partition.ordering import OrderingMethod
 from repro.partition.rcb import RCBOrdering
 from repro.runtime.executor import gather
 from repro.runtime.inspector import run_inspector
-from repro.runtime.kernels import KernelCostModel
+from repro.runtime.kernels import KernelCostModel, RowSegments
 
 __all__ = ["SymmetricPatternMatrix", "spmv_sequential", "run_parallel_spmv"]
 
@@ -109,13 +109,10 @@ def spmv_sequential(mat: SymmetricPatternMatrix, x: np.ndarray) -> np.ndarray:
     """Reference y = A @ x (vectorized, whole matrix)."""
     x = np.asarray(x, dtype=np.float64)
     g = mat.graph
-    y = mat.diag * x
-    if g.indices.size:
-        contrib = mat.offdiag * x[g.indices]
-        rows = np.repeat(np.arange(g.num_vertices, dtype=np.intp),
-                         np.diff(g.indptr))
-        np.add.at(y, rows, contrib)
-    return y
+    # diag·x + (row sum), the association run_parallel_spmv uses too.
+    return mat.diag * x + RowSegments(g.degrees).sums(
+        mat.offdiag * x[g.indices]
+    )
 
 
 def run_parallel_spmv(
@@ -167,11 +164,9 @@ def run_parallel_spmv(
             combined = (
                 np.concatenate([local_x, ghost]) if ghost.size else local_x
             )
-            y = local_diag * local_x
-            if plan.slots.size:
-                contrib = local_w * combined[plan.slots]
-                nz = plan.counts > 0
-                y[nz] += np.add.reduceat(contrib, plan.starts[nz])
+            y = local_diag * local_x + plan.segments.sums(
+                local_w * combined[plan.slots]
+            )
             ctx.compute(
                 kernel_cost.sweep_seconds(plan.n_references, local_x.size),
                 label="spmv",

@@ -272,16 +272,12 @@ def thin_to_edge_count(
         (lengths + 1e-12, (edges[:, 0], edges[:, 1])), shape=(n, n)
     )
     mst = sp.csgraph.minimum_spanning_tree(w).tocoo()
-    tree_keys = set(
-        zip(
-            np.minimum(mst.row, mst.col).tolist(),
-            np.maximum(mst.row, mst.col).tolist(),
-        )
-    )
-    in_tree = np.fromiter(
-        ((int(u), int(v)) in tree_keys for u, v in edges),
-        dtype=bool,
-        count=edges.shape[0],
+    # Edges are (u, v) with u < v; match them to the tree's by the scalar
+    # key u*n + v (int64: n*n overflows the MST's int32 indices).
+    row, col = mst.row.astype(np.int64), mst.col.astype(np.int64)
+    in_tree = np.isin(
+        edges[:, 0] * n + edges[:, 1],
+        np.minimum(row, col) * n + np.maximum(row, col),
     )
     extra_needed = m_target - int(in_tree.sum())
     non_tree_idx = np.flatnonzero(~in_tree)

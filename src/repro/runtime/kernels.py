@@ -8,15 +8,20 @@ The paper's kernel, verbatim::
         y[i] = t[i] / degree(i)
 
 i.e. one Jacobi-style neighbor-averaging sweep through an indirection
-array.  :func:`sequential_kernel` is the single-machine reference;
+array.  :func:`sequential_kernel` is the single-machine form;
 :class:`KernelPlan` is the per-rank compiled form produced by the
 inspector (address-translated slots into the combined [local | ghost]
-buffer), applied with a fully vectorized ``add.reduceat``.
+buffer).  Both apply one kernel, :class:`RowSegments`: a segmented sum
+that accumulates each row's references in array order starting from 0.0
+— exactly the loop's ``t[i] += y[ia(k)]`` — so the vectorized sweeps are
+bit-identical to the literal transcriptions (:func:`sequential_kernel_reference`,
+:meth:`KernelPlan.sweep_reference`), not merely close to them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +33,7 @@ from repro.runtime.schedule import CommSchedule
 __all__ = [
     "KernelCostModel",
     "KernelPlan",
+    "RowSegments",
     "build_kernel_plan",
     "sequential_kernel",
     "sequential_kernel_reference",
@@ -54,26 +60,53 @@ class KernelCostModel:
         )
 
 
-def sequential_kernel(graph: CSRGraph, y: np.ndarray) -> np.ndarray:
-    """One vectorized sweep of the Fig. 8 loop over the whole graph."""
+class RowSegments:
+    """The loop invariants of a row-wise sweep over consecutive segments.
+
+    Row ``i`` owns the next ``counts[i]`` elements of a flat per-reference
+    array.  Everything that depends only on ``counts`` is derived here,
+    once; :meth:`sums` and :meth:`means` are then one ``np.bincount`` per
+    sweep, which adds the weights in array order from 0.0 — the summation
+    order of the Fig. 8 loop.
+    """
+
+    __slots__ = ("n_rows", "rows", "divisor", "empty")
+
+    def __init__(self, counts: np.ndarray) -> None:
+        counts = np.asarray(counts)
+        self.n_rows = int(counts.size)
+        #: Owning row of every reference, ascending.
+        self.rows = np.repeat(np.arange(self.n_rows, dtype=np.intp), counts)
+        empty = counts == 0
+        #: Rows without references (``None`` when every row has one).
+        self.empty = empty if empty.any() else None
+        self.divisor = np.where(empty, 1.0, counts)
+
+    def sums(self, weights: np.ndarray) -> np.ndarray:
+        """Per-row sum of *weights* (one per reference); empty rows get 0."""
+        return np.bincount(self.rows, weights=weights, minlength=self.n_rows)
+
+    def means(self, weights: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """Per-row mean of *weights*; empty rows take their value in *keep*."""
+        out = self.sums(weights) / self.divisor
+        if self.empty is not None:
+            out[self.empty] = keep[self.empty]
+        return out
+
+
+def _as_vertex_values(graph: CSRGraph, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (graph.num_vertices,):
         raise ScheduleError(
             f"y has shape {y.shape}, expected ({graph.num_vertices},)"
         )
-    deg = graph.degrees
-    gathered = y[graph.indices]
-    sums = np.zeros(graph.num_vertices)
-    nonzero = deg > 0
-    starts = graph.indptr[:-1]
-    # reduceat misbehaves on empty segments; guard by computing only rows
-    # with neighbors and fixing empty rows to keep their value.
-    if gathered.size:
-        seg_sums = np.add.reduceat(gathered, starts[nonzero])
-        sums[nonzero] = seg_sums
-    out = y.copy()
-    out[nonzero] = sums[nonzero] / deg[nonzero]
-    return out
+    return y
+
+
+def sequential_kernel(graph: CSRGraph, y: np.ndarray) -> np.ndarray:
+    """One vectorized sweep of the Fig. 8 loop over the whole graph."""
+    y = _as_vertex_values(graph, y)
+    return RowSegments(graph.degrees).means(y[graph.indices], y)
 
 
 def sequential_kernel_reference(graph: CSRGraph, y: np.ndarray) -> np.ndarray:
@@ -99,9 +132,10 @@ def run_sequential(
 ) -> np.ndarray:
     """Run the Fig. 8 loop *iterations* times sequentially (the oracle for
     the parallel runs and the T(p_i) baseline of the Sec. 4 efficiency)."""
-    y = np.asarray(y0, dtype=np.float64).copy()
+    y = _as_vertex_values(graph, y0).copy()
+    segments = RowSegments(graph.degrees)
     for _ in range(iterations):
-        y = sequential_kernel(graph, y)
+        y = segments.means(y[graph.indices], y)
     return y
 
 
@@ -133,17 +167,24 @@ class KernelPlan:
     def n_references(self) -> int:
         return int(self.slots.size)
 
+    @cached_property
+    def segments(self) -> RowSegments:
+        """The plan's row segments, derived on first use and kept for its
+        lifetime (``cached_property`` writes the instance dict, which a
+        frozen dataclass allows): no sweep repeats plan-only work."""
+        return RowSegments(self.counts)
+
     def sweep(self, local_y: np.ndarray, ghost: np.ndarray) -> np.ndarray:
         """One vectorized kernel sweep over this rank's vertices."""
+        if local_y.shape != (self.n_local,):
+            # A longer block would silently read slots >= n_local from
+            # its own tail instead of the ghost buffer.
+            raise ScheduleError(
+                f"rank {self.rank}: local data has shape {local_y.shape}, "
+                f"plan covers {self.n_local} vertices"
+            )
         combined = np.concatenate([local_y, ghost]) if ghost.size else local_y
-        out = np.array(local_y, dtype=np.float64, copy=True)
-        if self.slots.size == 0:
-            return out
-        gathered = combined[self.slots]
-        nonzero = self.counts > 0
-        seg_sums = np.add.reduceat(gathered, self.starts[nonzero])
-        out[nonzero] = seg_sums / self.counts[nonzero]
-        return out
+        return self.segments.means(combined[self.slots], local_y)
 
     def sweep_reference(self, local_y: np.ndarray, ghost: np.ndarray) -> np.ndarray:
         """Loop transcription of Fig. 8 over local data — test oracle."""

@@ -107,12 +107,17 @@ class TestSparseMatvec:
     def test_identity_ordering_supported(self):
         g = paper_mesh(150, seed=3)
         mat = SymmetricPatternMatrix.laplacian_like(g)
-        x0 = np.ones(g.num_vertices)
+        x0 = np.random.default_rng(5).uniform(-1.0, 1.0, g.num_vertices)
         par, _ = run_parallel_spmv(
-            mat, uniform_cluster(2), x0, iterations=1, normalize=False,
+            mat, uniform_cluster(2), x0, iterations=3, normalize=False,
             ordering=IdentityOrdering(),
         )
-        np.testing.assert_allclose(par, spmv_sequential(mat, x0), rtol=1e-12)
+        # Same vertex numbering, same segmented sum, same association:
+        # the parallel product is the sequential one bit for bit.
+        seq = x0
+        for _ in range(3):
+            seq = spmv_sequential(mat, seq)
+        np.testing.assert_array_equal(par, seq)
 
     def test_input_validation(self):
         g = paper_mesh(100, seed=0)

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles_graph import thin_to_edge_count_oracle
 
+import repro.graph.generators as generators
 from repro.errors import GraphError
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
     PAPER_MESH_EDGES,
     PAPER_MESH_VERTICES,
@@ -158,6 +161,28 @@ class TestThinning:
         g = grid_graph(5, 5)
         with pytest.raises(GraphError):
             thin_to_edge_count(g, g.num_vertices - 2)
+
+    @pytest.mark.parametrize("n", [64, 200, 1000, 30_269])
+    def test_paper_mesh_equals_oracle_thinning(self, n, monkeypatch):
+        """The np.isin tree-membership test keeps exactly the edges the
+        per-edge set probe kept (also checked at 250,000 for the PR)."""
+        new = paper_mesh(n, seed=3)
+        monkeypatch.setattr(
+            generators, "thin_to_edge_count", thin_to_edge_count_oracle
+        )
+        old = paper_mesh(n, seed=3)
+        np.testing.assert_array_equal(new.indptr, old.indptr)
+        np.testing.assert_array_equal(new.indices, old.indices)
+        np.testing.assert_array_equal(new.coords, old.coords)
+
+    def test_thin_without_coords_equals_oracle(self):
+        """The coordinate-free branch (seeded random lengths)."""
+        edges = perturbed_grid_mesh(9, 9, seed=2).graph.edge_array()
+        g = CSRGraph.from_edges(81, edges)
+        new = thin_to_edge_count(g, 100, seed=5)
+        old = thin_to_edge_count_oracle(g, 100, seed=5)
+        np.testing.assert_array_equal(new.indptr, old.indptr)
+        np.testing.assert_array_equal(new.indices, old.indices)
 
     def test_thin_keeps_short_edges(self):
         g = perturbed_grid_mesh(10, 10, seed=4).graph

@@ -7,15 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import RankFailedError
+from repro.errors import RankFailedError, ScheduleError
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import grid_graph, perturbed_grid_mesh
+from repro.graph.generators import (
+    grid_graph,
+    paper_mesh,
+    perturbed_grid_mesh,
+    random_geometric_graph,
+)
 from repro.net.cluster import uniform_cluster
 from repro.net.spmd import run_spmd
 from repro.partition.intervals import partition_list
+from repro.partition.ordering import IdentityOrdering
 from repro.partition.rcb import RCBOrdering
 from repro.runtime.executor import gather, scatter
+from repro.runtime.incremental import IncrementalInspector
 from repro.runtime.inspector import run_inspector
+from repro.runtime import kernels
 from repro.runtime.kernels import (
     KernelCostModel,
     build_kernel_plan,
@@ -23,6 +31,7 @@ from repro.runtime.kernels import (
     sequential_kernel,
     sequential_kernel_reference,
 )
+from repro.runtime.program import ProgramConfig, run_program
 from repro.runtime.schedule_builders import build_schedule_sort1
 
 
@@ -151,9 +160,8 @@ class TestSequentialKernel:
     def test_matches_literal_reference(self):
         g = perturbed_grid_mesh(6, 6, seed=1).graph
         y = np.random.default_rng(0).uniform(size=g.num_vertices)
-        np.testing.assert_allclose(
-            sequential_kernel(g, y), sequential_kernel_reference(g, y),
-            rtol=1e-12,
+        np.testing.assert_array_equal(
+            sequential_kernel(g, y), sequential_kernel_reference(g, y)
         )
 
     def test_isolated_vertex_keeps_value(self):
@@ -189,10 +197,8 @@ class TestSequentialKernel:
         edges = rng.integers(0, n, size=(m, 2))
         g = CSRGraph.from_edges(n, edges)
         y = rng.uniform(-10, 10, n)
-        np.testing.assert_allclose(
-            sequential_kernel(g, y),
-            sequential_kernel_reference(g, y),
-            rtol=1e-12, atol=1e-12,
+        np.testing.assert_array_equal(
+            sequential_kernel(g, y), sequential_kernel_reference(g, y)
         )
 
 
@@ -208,7 +214,7 @@ class TestKernelPlan:
             lo, hi = part.interval(ctx.rank)
             ghost = gather(ctx, insp.schedule, y[lo:hi])
             out = insp.kernel_plan.sweep(y[lo:hi], ghost)
-            np.testing.assert_allclose(out, expected[lo:hi], rtol=1e-12)
+            np.testing.assert_array_equal(out, expected[lo:hi])
             return True
 
         assert all(run_spmd(uniform_cluster(3), fn).values)
@@ -220,14 +226,24 @@ class TestKernelPlan:
         lo, hi = part.interval(0)
         rng = np.random.default_rng(4)
         local = rng.uniform(size=hi - lo)
-        ghost = rng.uniform(size=plan.slots.max() - (hi - lo) + 1
-                            if plan.slots.max() >= hi - lo else 0)
         ghost = rng.uniform(size=sched.ghost_size)
-        np.testing.assert_allclose(
-            plan.sweep(local, ghost),
-            plan.sweep_reference(local, ghost),
-            rtol=1e-12,
+        np.testing.assert_array_equal(
+            plan.sweep(local, ghost), plan.sweep_reference(local, ghost)
         )
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_sweep_rejects_wrong_local_length(self, mesh, extra):
+        """A block one element too long would read slot n_local from its
+        own tail instead of ghost[0]: refuse it, naming both lengths."""
+        part = partition_list(mesh.num_vertices, np.ones(2))
+        sched = build_schedule_sort1(mesh, part, 1)
+        plan = build_kernel_plan(mesh, part, sched)
+        local = np.zeros(plan.n_local + extra)
+        with pytest.raises(ScheduleError) as exc:
+            plan.sweep(local, np.zeros(sched.ghost_size))
+        msg = str(exc.value)
+        assert "rank 1" in msg
+        assert str(local.size) in msg and str(plan.n_local) in msg
 
     def test_plan_covers_all_local_degrees(self, mesh):
         part = partition_list(mesh.num_vertices, np.ones(4))
@@ -252,8 +268,8 @@ class TestKernelPlan:
             plan = build_kernel_plan(mesh, part, sched)
             lo, hi = part.interval(ctx.rank)
             ghost = gather(ctx, sched, y[lo:hi])
-            np.testing.assert_allclose(
-                plan.sweep(y[lo:hi], ghost), expected[lo:hi], rtol=1e-12
+            np.testing.assert_array_equal(
+                plan.sweep(y[lo:hi], ghost), expected[lo:hi]
             )
             return True
 
@@ -265,6 +281,142 @@ class TestKernelPlan:
         kc = KernelCostModel()
         per_iter = kc.sweep_seconds(2 * 44_929, 30_269)
         assert 500 * per_iter == pytest.approx(97.61, rel=0.2)
+
+
+def _isolated_graph() -> CSRGraph:
+    """12 vertices; 3, 5 and 11 have no neighbors.  Split in two blocks
+    of six, 5 is the *last* vertex of block 0 and 11 the last of block 1
+    (and of the graph), so a sum array sized by the highest referenced
+    row instead of ``n_local`` comes out short."""
+    edges = [(0, 1), (1, 2), (0, 7), (1, 8), (2, 6), (4, 9), (6, 7), (9, 10)]
+    return CSRGraph.from_edges(12, edges)
+
+
+def _hub_graph() -> CSRGraph:
+    g = random_geometric_graph(400, seed=6)
+    # A reduction that unrolls or pairs up a row's terms diverges from
+    # the loop only on rows longer than its unroll width.
+    assert g.degrees.max() >= 9
+    return g
+
+
+class TestSummationOrderContract:
+    """The kernel is the literal Fig. 8 loop bit for bit: every vectorized
+    sweep accumulates a row's references in array order from 0.0."""
+
+    GRAPHS = {
+        "paper_mesh": lambda: paper_mesh(600, seed=1),
+        "degree>=9": _hub_graph,
+        "isolated": _isolated_graph,
+    }
+    # Speeds per rank: three uneven blocks, two even ones (the isolated
+    # graph's block boundary), an empty-interval rank (n_local = 0), and
+    # a single rank that owns everything and has no ghosts.
+    SPLITS = {
+        "3 ranks": [0.5, 0.3, 0.2],
+        "2 ranks": [1.0, 1.0],
+        "empty rank": [0.6, 0.0, 0.4],
+        "1 rank": [1.0],
+    }
+
+    @pytest.mark.parametrize("graph", GRAPHS)
+    def test_sequential_kernel_equals_the_loop(self, graph):
+        g = self.GRAPHS[graph]()
+        y = np.random.default_rng(8).uniform(-50.0, 50.0, g.num_vertices)
+        np.testing.assert_array_equal(
+            sequential_kernel(g, y), sequential_kernel_reference(g, y)
+        )
+
+    @pytest.mark.parametrize("split", SPLITS)
+    @pytest.mark.parametrize("graph", GRAPHS)
+    def test_sweep_equals_the_loop(self, graph, split):
+        g = self.GRAPHS[graph]()
+        n = g.num_vertices
+        part = partition_list(n, self.SPLITS[split])
+        y = np.random.default_rng(9).uniform(-50.0, 50.0, n)
+        whole = sequential_kernel_reference(g, y)
+        for r in range(part.num_processors):
+            sched = build_schedule_sort1(g, part, r)
+            plan = build_kernel_plan(g, part, sched)
+            lo, hi = part.interval(r)
+            local, ghost = y[lo:hi], y[sched.ghost_globals]
+            out = plan.sweep(local, ghost)
+            assert out.shape == (hi - lo,)
+            np.testing.assert_array_equal(
+                out, plan.sweep_reference(local, ghost)
+            )
+            np.testing.assert_array_equal(out, whole[lo:hi])
+            if split == "1 rank":
+                assert ghost.size == 0
+        if split == "empty rank":
+            assert part.size(1) == 0
+
+    def test_plan_derives_its_segments_once(self, mesh, monkeypatch):
+        """Nothing that depends only on the plan is redone per sweep."""
+        built = []
+        init = kernels.RowSegments.__init__
+        monkeypatch.setattr(
+            kernels.RowSegments, "__init__",
+            lambda self, counts: (built.append(1), init(self, counts))[1],
+        )
+        part = partition_list(mesh.num_vertices, np.ones(2))
+        sched = build_schedule_sort1(mesh, part, 0)
+        plan = build_kernel_plan(mesh, part, sched)
+        assert not built  # lazy: building a plan derives nothing
+        y = np.random.default_rng(1).uniform(size=mesh.num_vertices)
+        lo, hi = part.interval(0)
+        for _ in range(3):
+            plan.sweep(y[lo:hi], y[sched.ghost_globals])
+        assert len(built) == 1
+
+    def test_patched_plan_sweeps_like_a_fresh_one(self):
+        """The patch path builds a new KernelPlan from the old one's
+        arrays; its segments must be its own, not the (already swept)
+        old plan's."""
+        g = paper_mesh(600, seed=1)
+        g = g.permute(RCBOrdering()(g))
+        n = g.num_vertices
+        y = np.random.default_rng(10).uniform(-50.0, 50.0, n)
+        old = partition_list(n, [0.4, 0.3, 0.3])
+        new = partition_list(n, [0.3, 0.45, 0.25])
+        for r in range(3):
+            inc = IncrementalInspector(g, old, r, strategy="sort2")
+            lo, hi = old.interval(r)
+            inc.result.kernel_plan.sweep(
+                y[lo:hi], y[inc.result.schedule.ghost_globals]
+            )
+            got = inc.rebuild(new, force="patch")
+            assert inc.last_mode == "patched"
+            want = run_inspector(g, new, r, strategy="sort2")
+            lo, hi = new.interval(r)
+            ghost = y[want.schedule.ghost_globals]
+            out = got.kernel_plan.sweep(y[lo:hi], ghost)
+            np.testing.assert_array_equal(
+                out, want.kernel_plan.sweep(y[lo:hi], ghost)
+            )
+            np.testing.assert_array_equal(
+                out, got.kernel_plan.sweep_reference(y[lo:hi], ghost)
+            )
+
+    def test_run_sequential_is_the_loop_iterated(self):
+        g = paper_mesh(300, seed=2)
+        y = np.random.default_rng(11).uniform(0.0, 100.0, g.num_vertices)
+        expected = y
+        for _ in range(4):
+            expected = sequential_kernel_reference(g, expected)
+        np.testing.assert_array_equal(run_sequential(g, y, 4), expected)
+
+    def test_parallel_run_equals_run_sequential_on_same_numbering(self):
+        """Under IdentityOrdering every rank sums each row in the graph's
+        own neighbor order, so 4 ranks reproduce the oracle bit for bit
+        (a reordering permutes each row's summation order: ~1e-14)."""
+        g = paper_mesh(800, seed=21)
+        y0 = np.random.default_rng(0).uniform(0.0, 100.0, g.num_vertices)
+        rep = run_program(
+            g, uniform_cluster(4),
+            ProgramConfig(iterations=6, ordering=IdentityOrdering()), y0=y0,
+        )
+        np.testing.assert_array_equal(rep.values, run_sequential(g, y0, 6))
 
 
 class TestKernelPlanEmptyIntervals:
@@ -307,7 +459,7 @@ class TestKernelPlanEmptyIntervals:
             ghost = gather(ctx, insp.schedule, y[lo:hi].copy())
             out = plan.sweep(y[lo:hi].copy(), ghost)
             ctx.barrier()
-            np.testing.assert_allclose(out, expected[lo:hi], rtol=1e-12)
+            np.testing.assert_array_equal(out, expected[lo:hi])
             return out.size
 
         res = run_spmd(uniform_cluster(p), fn)
@@ -328,7 +480,7 @@ class TestKernelPlanEmptyIntervals:
             ghost = gather(ctx, insp.schedule, y[lo:hi].copy())
             out = insp.kernel_plan.sweep(y[lo:hi].copy(), ghost)
             ctx.barrier()
-            np.testing.assert_allclose(out, expected[lo:hi], rtol=1e-12)
+            np.testing.assert_array_equal(out, expected[lo:hi])
             return True
 
         assert all(run_spmd(uniform_cluster(3), fn).values)
