@@ -27,7 +27,7 @@ from repro.net.loadmodel import (
     advance_clock,
     work_done_in,
 )
-from repro.net.message import ANY_SOURCE, ANY_TAG, Message, Tags, payload_nbytes
+from repro.net.message import Message, Tags, payload_nbytes
 from repro.net.network import (
     ETHERNET_10MBIT,
     ETHERNET_100MBIT,
@@ -47,8 +47,6 @@ from repro.net.spmd import WORLDS, SPMDResult, SPMDRunner, run_spmd
 from repro.net.trace import TraceEvent, TraceLog
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
     "ClusterSpec",
     "Communicator",
     "CompositeLoad",

@@ -3,7 +3,10 @@
 Implemented with the library's own point-to-point primitives (plus hardware
 multicast where the network supports it), the way the paper's library built
 its collectives over P4.  Every collective is *symmetric*: all ranks of the
-communicator must call it, in the same order.
+communicator must call it, in the same order.  Every receive names its
+source and tag: a rooted collective drains its known peer set with
+:meth:`~repro.net.comm.RankContext.recv_expected`, everything else is an
+exact ``recv(source, tag)``.
 """
 
 from __future__ import annotations

@@ -26,15 +26,7 @@ import numpy as np
 from repro.errors import CommunicationError, ConfigurationError
 from repro.net.cluster import ClusterSpec
 from repro.net.mailbox import Mailbox
-from repro.net.message import (
-    ANY_SOURCE,
-    ANY_TAG,
-    Message,
-    Tags,
-    pack_arrays,
-    payload_nbytes,
-    unpack_arrays,
-)
+from repro.net.message import Message, Tags, pack_arrays, payload_nbytes
 from repro.net.network import NetworkModel
 from repro.net.trace import TraceEvent, TraceLog
 from repro.obs.metrics import MetricsRegistry
@@ -104,15 +96,8 @@ class Communicator:
         self.recv_timeout = resolve_recv_timeout(recv_timeout)
         self.recv_overhead = recv_overhead
         self.barrier_overhead = barrier_overhead
-        self._seq_lock = threading.Lock()
-        self._seq = 0
         self._barrier_max = 0.0
         self._barrier = threading.Barrier(self.size, action=self._barrier_action)
-
-    def _next_seq(self) -> int:
-        with self._seq_lock:
-            self._seq += 1
-            return self._seq
 
     def _barrier_action(self) -> None:
         # Runs in exactly one thread once all ranks have arrived.
@@ -217,7 +202,6 @@ class RankContext:
             msg = Message(
                 self.rank, dest, tag, payload, nbytes,
                 send_time=self.clock, arrival_time=self.clock,
-                seq=comm._next_seq(),
             )
             comm.mailboxes[dest].deposit(msg)
             return
@@ -227,7 +211,7 @@ class RankContext:
         self.clock = comm.network.injection_done(self.rank, dest, nbytes, t0)
         msg = Message(
             self.rank, dest, tag, payload, nbytes,
-            send_time=t0, arrival_time=arrival, seq=comm._next_seq(),
+            send_time=t0, arrival_time=arrival,
         )
         comm.trace.record(
             TraceEvent("send", self.rank, t0, self.clock, nbytes=nbytes,
@@ -266,7 +250,7 @@ class RankContext:
         for d, arrival in zip(dests, arrivals):
             msg = Message(
                 self.rank, d, tag, payload, nbytes,
-                send_time=t0, arrival_time=arrival, seq=comm._next_seq(),
+                send_time=t0, arrival_time=arrival,
             )
             comm.mailboxes[d].deposit(msg)
 
@@ -279,30 +263,19 @@ class RankContext:
         """Send several arrays coalesced into **one** message (one frame,
         one per-message setup) instead of one message per array.
 
-        The receiver unpacks with :meth:`recv_packed` (or
-        :func:`repro.net.message.unpack_arrays` on the raw payload).
+        The receiver applies :func:`repro.net.message.unpack_arrays` to
+        the received payload.
         """
         self.send(dest, pack_arrays(list(arrays)), tag)
 
-    def recv_packed(
-        self, source: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> list[np.ndarray]:
-        """Receive one coalesced message and return its arrays."""
-        return unpack_arrays(self.recv(source, tag))
-
-    def recv(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        *,
-        return_message: bool = False,
-    ) -> Any:
-        """Blocking receive; advances the clock to the message arrival."""
+    def recv(self, source: int, tag: int) -> Any:
+        """Blocking receive of the next payload on the exact (source, tag)
+        channel; advances the clock to the message arrival."""
         msg = self._mailbox.receive(
             source, tag, timeout=self._comm.recv_timeout
         )
         self._note_recv(msg)
-        return msg if return_message else msg.payload
+        return msg.payload
 
     def _charge_recv(self, msg: Message) -> None:
         """Advance the clock for one delivered message: wait for its
@@ -310,8 +283,8 @@ class RankContext:
         self.clock = max(self.clock, msg.arrival_time) + self._comm.recv_overhead
 
     def _note_recv(self, msg: Message) -> None:
-        """Charge, trace and count one delivered message (shared by every
-        receive path, so the bulk drain and the scalar path report
+        """Charge, trace and count one delivered message (shared by
+        :meth:`recv` and :meth:`recv_expected`, so they report
         identically)."""
         t0 = self.clock
         self._charge_recv(msg)
@@ -325,67 +298,34 @@ class RankContext:
         self.metrics.gauge_max("net.mailbox_depth", self._mailbox.pending_count())
 
     def recv_expected(
-        self, sources: Iterable[int], tag: int = ANY_TAG
+        self, sources: Iterable[int], tag: int
     ) -> dict[int, Message]:
-        """Receive exactly one message from each of *sources*, in any
-        arrival order, and return them keyed by source rank.
+        """Receive exactly one message on *tag* from each of *sources*
+        and return them keyed by source rank.
 
-        The drain uses wildcard matching so progress never stalls on a
-        particular peer, but the **clock is charged in ascending virtual
-        (arrival_time, source) order** — not the host-thread order the
-        messages happened to be deposited in.  On deterministic networks
-        this makes the receiver's clock bit-reproducible across runs,
-        thread schedules, and runtime backends; it is the receive pattern
-        behind the executor primitives, rooted collectives, and the
-        load-report drains (one message per known peer per phase).
+        The known-pattern drain (:meth:`Mailbox.receive_bulk`): progress
+        never stalls on a particular peer, and the **clock is charged in
+        ascending virtual (arrival_time, source) order** — not the
+        host-thread order the messages happened to be deposited in.  On
+        deterministic networks this makes the receiver's clock
+        bit-reproducible across runs, thread schedules, and runtime
+        backends; it is the receive pattern behind the executor
+        primitives, rooted collectives, and the load-report drains (one
+        message per known peer per phase).
         """
-        timeout = self._comm.recv_timeout
-        pending = set(sources)
-        if self.rank in pending:
+        sources = frozenset(sources)
+        if self.rank in sources:
             raise CommunicationError(
                 "recv_expected cannot expect a message from self"
             )
-        if tag != ANY_TAG:
-            # Known tag: bulk-match the whole expected set in one pass
-            # over the per-source channels (one lock acquisition per
-            # wakeup) instead of one wildcard arrival-deque scan per
-            # message.  Same messages, same errors; the deterministic
-            # clock charging below is untouched.
-            received = self._mailbox.receive_bulk(pending, tag, timeout=timeout)
-        else:
-            received = {}
-            while pending:
-                msg = self._mailbox.receive(ANY_SOURCE, tag, timeout=timeout)
-                if msg.source not in pending:
-                    raise CommunicationError(
-                        f"rank {self.rank}: unexpected message from rank "
-                        f"{msg.source} (tag {msg.tag}) while expecting "
-                        f"{sorted(pending)}"
-                    )
-                received[msg.source] = msg
-                pending.discard(msg.source)
+        received = self._mailbox.receive_bulk(
+            sources, tag, timeout=self._comm.recv_timeout
+        )
         for msg in sorted(
             received.values(), key=lambda m: (m.arrival_time, m.source)
         ):
             self._note_recv(msg)
         return received
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """Non-blocking check for a buffered matching message."""
-        return self._mailbox.probe(source, tag)
-
-    def sendrecv(
-        self,
-        dest: int,
-        payload: Any,
-        source: int,
-        *,
-        send_tag: int = Tags.USER_BASE,
-        recv_tag: int | None = None,
-    ) -> Any:
-        """Exchange: send to *dest*, then receive from *source*."""
-        self.send(dest, payload, send_tag)
-        return self.recv(source, recv_tag if recv_tag is not None else send_tag)
 
     # ------------------------------------------------------------------ #
     # collectives (implemented in repro.net.collectives)
@@ -461,14 +401,6 @@ class RankContext:
         """The analytic network model (replicated pricing knowledge: the
         load-balancing strategy estimates remap cost through it)."""
         return self._comm.network
-
-    def capability_snapshot(self) -> np.ndarray:
-        """Current normalized effective speeds of all processors.
-
-        Available because the interval list (and hence cluster composition)
-        is replicated, mirroring the paper's replicated translation list.
-        """
-        return self._comm.cluster.capability_ratios(self.clock)
 
     def __repr__(self) -> str:
         return (

@@ -1,20 +1,23 @@
-"""Thread-safe per-rank mailboxes with (source, tag) matching.
+"""Thread-safe per-rank mailboxes: exact (source, tag) channels.
 
 Each rank owns one :class:`Mailbox`.  Senders deposit :class:`Message`
-objects; the owning rank blocks in :meth:`Mailbox.receive` until a matching
-message arrives.  Matching supports the ``ANY_SOURCE`` / ``ANY_TAG``
-wildcards with FIFO order preserved per (source, tag) channel, which is the
-ordering guarantee P4 (and MPI) provide.
+objects; the owning rank blocks in :meth:`Mailbox.receive` (one channel) or
+:meth:`Mailbox.receive_bulk` (one message from each of a known set of
+sources on one tag) until the messages it named have arrived.  Every
+receive names its source and its tag — the replicated interval list lets
+both sides of every exchange derive the pattern locally, so there is no
+wildcard matching — and each channel is FIFO, the ordering guarantee P4
+(and MPI) provide.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque, Iterable
 
 from repro.errors import CommunicationError, MailboxClosedError
-from repro.net.message import ANY_SOURCE, ANY_TAG, Message
+from repro.net.message import Message
 
 __all__ = ["Mailbox"]
 
@@ -22,21 +25,16 @@ __all__ = ["Mailbox"]
 class Mailbox:
     """Unbounded buffered mailbox for a single receiving rank.
 
-    Matching is O(1) amortized for exact (source, tag) receives: messages
-    removed through the per-channel queues are only *marked* dead in the
-    arrival-order deque and reclaimed lazily when the scan next passes
-    them, instead of the O(pending) ``deque.remove`` a naive design needs
-    per receive (quadratic over a burst of coalesced executor messages).
+    One deque per (source, tag) channel is the only message container:
+    a receive is a ``popleft`` on the channel it names, and whether a
+    blocked rank can proceed is a function of those channels alone.
     """
 
     def __init__(self, rank: int):
         self.rank = rank
         self._cond = threading.Condition()
-        self._queues: dict[tuple[int, int], Deque[Message]] = {}
-        self._arrival_order: Deque[Message] = deque()
-        #: id() of messages already popped via a channel queue but not yet
-        #: swept out of ``_arrival_order`` (always a subset of it).
-        self._dead: set[int] = set()
+        self._channels: dict[tuple[int, int], Deque[Message]] = {}
+        self._pending = 0
         self._closed = False
 
     def deposit(self, msg: Message) -> None:
@@ -51,160 +49,90 @@ class Mailbox:
                     f"mailbox {self.rank} is closed; dropping message from "
                     f"{msg.source} tag {msg.tag}"
                 )
-            self._queues.setdefault((msg.source, msg.tag), deque()).append(msg)
-            self._arrival_order.append(msg)
+            self._channels.setdefault((msg.source, msg.tag), deque()).append(msg)
+            self._pending += 1
             self._cond.notify_all()
 
-    def _compact_head(self) -> None:
-        """Drop dead entries from the front of the arrival deque.
+    def _wait(self, timeout: float | None, what: str, waiting_for: str) -> None:
+        """Block for the next deposit; caller holds the lock.
 
-        If dead entries pile up *behind* a stuck head message (one nobody
-        ever receives), a full sweep rebuilds the deque so memory stays
-        proportional to live messages, not total traffic.
+        ``timeout`` is a *real* (host) timeout guarding against deadlocks;
+        expiry raises :class:`CommunicationError` naming what the rank was
+        blocked on and how many other messages sit buffered.
         """
-        order = self._arrival_order
-        dead = self._dead
-        while order and id(order[0]) in dead:
-            dead.discard(id(order.popleft()))
-        if len(dead) > len(order) // 2:
-            self._arrival_order = deque(
-                m for m in order if id(m) not in dead
+        if not self._cond.wait(timeout=timeout):
+            raise CommunicationError(
+                f"rank {self.rank}: {what} timed out after {timeout}s "
+                f"waiting for {waiting_for} ({self._pending} non-matching "
+                f"message(s) buffered); likely deadlock or a slow peer — "
+                f"tune with --recv-timeout / REPRO_RECV_TIMEOUT"
             )
-            dead.clear()
-
-    def _match(self, source: int, tag: int) -> Optional[Message]:
-        """Pop the first matching message, or None. Caller holds the lock."""
-        self._compact_head()
-        if source != ANY_SOURCE and tag != ANY_TAG:
-            q = self._queues.get((source, tag))
-            if q:
-                msg = q.popleft()
-                self._dead.add(id(msg))
-                return msg
-            return None
-        # Wildcard: take the earliest-deposited live message that matches.
-        # The earliest arrival on a channel is that channel's queue head,
-        # so removal from the channel queue is a popleft.
-        dead = self._dead
-        for msg in self._arrival_order:
-            if id(msg) in dead:
-                continue
-            if (source == ANY_SOURCE or msg.source == source) and (
-                tag == ANY_TAG or msg.tag == tag
-            ):
-                self._queues[(msg.source, msg.tag)].popleft()
-                dead.add(id(msg))
-                self._compact_head()
-                return msg
-        return None
 
     def receive(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        *,
-        timeout: float | None = None,
+        self, source: int, tag: int, *, timeout: float | None = None
     ) -> Message:
-        """Block until a message matching (source, tag) is available.
-
-        ``timeout`` is a *real* (host) timeout guarding against deadlocks in
-        tests; expiry raises :class:`CommunicationError`.
-        """
+        """Block until the (source, tag) channel has a message; pop it."""
         with self._cond:
             while True:
                 if self._closed:
                     raise MailboxClosedError(f"mailbox {self.rank} closed")
-                msg = self._match(source, tag)
-                if msg is not None:
-                    return msg
-                if not self._cond.wait(timeout=timeout):
-                    src = "ANY" if source == ANY_SOURCE else str(source)
-                    tg = "ANY" if tag == ANY_TAG else str(tag)
-                    buffered = len(self._arrival_order) - len(self._dead)
-                    raise CommunicationError(
-                        f"rank {self.rank}: blocked receive timed out after "
-                        f"{timeout}s waiting for source={src}, tag={tg} "
-                        f"({buffered} non-matching message(s) buffered); "
-                        f"likely deadlock or a slow peer — tune with "
-                        f"--recv-timeout / REPRO_RECV_TIMEOUT"
-                    )
+                q = self._channels.get((source, tag))
+                if q:
+                    self._pending -= 1
+                    return q.popleft()
+                self._wait(
+                    timeout, "blocked receive", f"source={source}, tag={tag}"
+                )
 
     def receive_bulk(
         self,
-        sources: set[int],
+        sources: Iterable[int],
         tag: int,
         *,
         timeout: float | None = None,
     ) -> dict[int, Message]:
-        """Receive one message from each of *sources* for an exact *tag*.
+        """Receive one message from each of *sources* on *tag*.
 
-        The bulk form of the known-pattern executor drain: one lock
-        acquisition and one pass over the per-source channels per wakeup,
-        instead of a full wildcard scan of the arrival deque per message
-        (O(peers) per phase rather than O(messages x pending)).  Exact
-        matching only — wildcards take the legacy per-message path.
+        The known-pattern drain: one lock acquisition and one pass over
+        the expected channels per wakeup, each source's FIFO head only —
+        a fast peer's *next* message on the tag stays queued for the next
+        drain.
 
         A buffered message carrying *tag* from a rank outside *sources*
-        raises :class:`CommunicationError` (the same protocol violation
-        :meth:`repro.net.comm.RankContext.recv_expected` reports), checked
-        whenever no expected channel can make progress.
+        is a protocol violation and raises :class:`CommunicationError`,
+        checked whenever no expected channel can make progress.
         """
-        if tag == ANY_TAG or any(s == ANY_SOURCE for s in sources):
-            raise CommunicationError(
-                "receive_bulk requires an exact tag and exact sources"
-            )
+        expected = frozenset(sources)
         received: dict[int, Message] = {}
-        pending = set(sources)
+        pending = set(expected)
         with self._cond:
             while pending:
                 if self._closed:
                     raise MailboxClosedError(f"mailbox {self.rank} closed")
-                progressed = False
                 for s in tuple(pending):
-                    q = self._queues.get((s, tag))
+                    q = self._channels.get((s, tag))
                     if q:
-                        msg = q.popleft()
-                        self._dead.add(id(msg))
-                        received[s] = msg
+                        received[s] = q.popleft()
                         pending.discard(s)
-                        progressed = True
-                if progressed:
-                    self._compact_head()
-                    continue
-                for (s, t), q in self._queues.items():
-                    if t == tag and q and s not in pending:
+                        self._pending -= 1
+                if not pending:
+                    break
+                for (s, t), q in self._channels.items():
+                    if t == tag and q and s not in expected:
                         raise CommunicationError(
                             f"rank {self.rank}: unexpected message from rank "
                             f"{s} (tag {tag}) while expecting "
                             f"{sorted(pending)}"
                         )
-                if not self._cond.wait(timeout=timeout):
-                    buffered = len(self._arrival_order) - len(self._dead)
-                    raise CommunicationError(
-                        f"rank {self.rank}: bulk receive timed out after "
-                        f"{timeout}s waiting for sources "
-                        f"{sorted(pending)}, tag {tag} ({buffered} "
-                        f"non-matching message(s) buffered); likely "
-                        f"deadlock or a slow peer — tune with "
-                        f"--recv-timeout / REPRO_RECV_TIMEOUT"
-                    )
+                self._wait(
+                    timeout, "bulk receive",
+                    f"sources {sorted(pending)}, tag {tag}",
+                )
         return received
 
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """True if a matching message is already buffered (non-blocking)."""
-        with self._cond:
-            for msg in self._arrival_order:
-                if id(msg) in self._dead:
-                    continue
-                if (source == ANY_SOURCE or msg.source == source) and (
-                    tag == ANY_TAG or msg.tag == tag
-                ):
-                    return True
-            return False
-
     def pending_count(self) -> int:
-        with self._cond:
-            return len(self._arrival_order) - len(self._dead)
+        """Messages deposited and not yet received."""
+        return self._pending
 
     def close(self) -> None:
         """Wake all blocked receivers with :class:`MailboxClosedError`."""

@@ -8,14 +8,12 @@ assigned by a :class:`repro.net.network.NetworkModel`.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
     "Tags",
     "Message",
     "PackedArrays",
@@ -23,11 +21,6 @@ __all__ = [
     "unpack_arrays",
     "payload_nbytes",
 ]
-
-#: Wildcard source rank for :meth:`repro.net.comm.Communicator.recv`.
-ANY_SOURCE: int = -1
-#: Wildcard tag for :meth:`repro.net.comm.Communicator.recv`.
-ANY_TAG: int = -1
 
 
 class Tags:
@@ -76,7 +69,6 @@ class Message:
     nbytes: int
     send_time: float
     arrival_time: float = 0.0
-    seq: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         if self.source < 0 or self.dest < 0:

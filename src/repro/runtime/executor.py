@@ -5,15 +5,17 @@ move data between the processors ... There are two basic primitives, gather
 and scatter." (Sec. 3.3)
 
 Both primitives are SPMD collectives over a consistent set of schedules:
-every rank calls them in the same phase.  Receives use wildcard matching so
-message arrival order cannot stall progress — but received payloads are
-**applied in sorted peer order**, never arrival order, so results are
-bit-deterministic even when thread scheduling reorders arrivals (this
-matters for ``scatter(op="add")``, where a local element accumulates
+every rank calls them in the same phase.  The schedule names every peer a
+rank hears from, so each phase is one known-pattern drain
+(:meth:`RankContext.recv_expected`: one message per scheduled peer on the
+phase's tag, taken as they arrive so no peer can stall progress).  Received
+payloads are **applied in sorted peer order**, never arrival order, so
+results are bit-deterministic even when thread scheduling reorders arrivals
+(this matters for ``scatter(op="add")``, where a local element accumulates
 floating-point contributions from several peers).  Virtual time is charged
-in sorted virtual-arrival order (:meth:`RankContext.recv_expected`), so on
-deterministic networks the clocks are bit-reproducible too — across runs,
-thread schedules, and runtime backends.
+in sorted virtual-arrival order, so on deterministic networks the clocks
+are bit-reproducible too — across runs, thread schedules, and runtime
+backends.
 
 Buffer pack/unpack dispatches on the runtime backend
 (:mod:`repro.runtime.backend`): ``vectorized`` uses fancy indexing and

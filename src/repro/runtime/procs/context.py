@@ -4,13 +4,13 @@ There is one rank-side surface, :class:`repro.net.comm.RankContext`;
 :class:`RealRankContext` subclasses it and overrides only the clock and
 transport primitives (``clock``/``charge``/``compute``, ``send``/
 ``multicast``, ``barrier`` and the per-message ``_charge_recv`` hook).
-Receives, packed helpers and collectives are the inherited ones, running
-over this process's mailbox.
+Receives (exact ``(source, tag)`` channels, as in the sim world) and
+collectives are the inherited ones, running over this process's mailbox.
 
 One :class:`RealCommunicator` lives in each worker OS process.  It owns the
 peer sockets, one receiver thread per peer (depositing decoded frames into
 the rank's :class:`~repro.net.mailbox.Mailbox`, which provides the same
-(source, tag) matching and FIFO guarantees as the sim world), and the
+per-channel FIFO guarantee as the sim world), and the
 rank's **latched wall clock**.
 
 Latched wall clock
@@ -203,9 +203,9 @@ class RealRankContext(RankContext):
     """:class:`~repro.net.comm.RankContext` with the clock and transport
     primitives overridden: real sockets and a latched wall clock.
 
-    Everything else — receives, packed helpers, collectives — is
-    inherited, so rank functions, the executor, and the adaptive session
-    run unmodified in either world.
+    Everything else — receives, collectives — is inherited, so rank
+    functions, the executor, and the adaptive session run unmodified in
+    either world.
     """
 
     def __init__(self, comm: RealCommunicator):

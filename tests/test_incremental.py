@@ -9,6 +9,8 @@ both backends, chained patches included).
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from repro.errors import CommunicationError, ConfigurationError, ScheduleError
 from repro.graph.generators import grid_graph, paper_mesh, perturbed_grid_mesh
 from repro.net.cluster import adaptive_cluster
 from repro.net.mailbox import Mailbox
-from repro.net.message import ANY_SOURCE, ANY_TAG, Message, payload_nbytes
+from repro.net.message import Message, payload_nbytes
 from repro.partition.intervals import IntervalPartition
 from repro.runtime.adaptive import LoadBalanceConfig
 from repro.runtime.incremental import (
@@ -274,19 +276,17 @@ class TestIncrementalDifferential:
             IncrementalInspector(graph, part, 0, strategy="simple")
 
 
-def make_msg(src, dest, tag, payload, seq=0):
-    return Message(
-        src, dest, tag, payload, payload_nbytes(payload), 0.0, 0.0, seq
-    )
+def make_msg(src, dest, tag, payload):
+    return Message(src, dest, tag, payload, payload_nbytes(payload), 0.0, 0.0)
 
 
 class TestMailboxBulk:
     def test_bulk_equals_single_receives(self):
         sources, tag = {0, 2, 3, 5}, 9
         single, bulk = Mailbox(1), Mailbox(1)
-        for seq, src in enumerate([3, 0, 5, 2]):
+        for src in [3, 0, 5, 2]:
             for box in (single, bulk):
-                box.deposit(make_msg(src, 1, tag, f"m{src}", seq=seq))
+                box.deposit(make_msg(src, 1, tag, f"m{src}"))
         got = bulk.receive_bulk(sources, tag, timeout=1.0)
         want = {s: single.receive(s, tag, timeout=1.0) for s in sources}
         assert set(got) == sources
@@ -296,11 +296,32 @@ class TestMailboxBulk:
 
     def test_bulk_takes_fifo_head_per_channel(self):
         box = Mailbox(1)
-        box.deposit(make_msg(0, 1, 4, "first", seq=1))
-        box.deposit(make_msg(0, 1, 4, "second", seq=2))
-        got = box.receive_bulk({0}, 4, timeout=1.0)
-        assert got[0].payload == "first"
-        assert box.receive(0, 4, timeout=1.0).payload == "second"
+        box.deposit(make_msg(0, 1, 4, "first"))
+        box.deposit(make_msg(0, 1, 4, "second"))
+        box.deposit(make_msg(2, 1, 4, "only"))
+        got = box.receive_bulk({0, 2}, 4, timeout=1.0)
+        assert {s: m.payload for s, m in got.items()} == {0: "first", 2: "only"}
+        assert box.pending_count() == 1
+        # The second message waits, in order, for the next drain.
+        assert box.receive_bulk({0}, 4, timeout=1.0)[0].payload == "second"
+
+    def test_next_phase_message_from_a_drained_source_is_not_an_intruder(self):
+        """Rank 0 already delivered this phase and queued the next one
+        before rank 3's message arrives: 0 is in the expected set, so its
+        queued message is a fast neighbour, not a protocol violation."""
+        box = Mailbox(1)
+        box.deposit(make_msg(0, 1, 8, "phase-1"))
+        box.deposit(make_msg(0, 1, 8, "phase-2"))
+        late = threading.Timer(
+            0.05, box.deposit, args=(make_msg(3, 1, 8, "phase-1"),)
+        )
+        late.start()
+        got = box.receive_bulk({0, 3}, 8, timeout=5.0)
+        late.join()
+        assert {s: m.payload for s, m in got.items()} == {
+            0: "phase-1", 3: "phase-1",
+        }
+        assert box.receive(0, 8, timeout=1.0).payload == "phase-2"
 
     def test_bulk_leaves_other_tags_buffered(self):
         box = Mailbox(1)
@@ -321,12 +342,12 @@ class TestMailboxBulk:
         with pytest.raises(CommunicationError, match="timed out"):
             box.receive_bulk({0}, 3, timeout=0.05)
 
-    def test_wildcards_rejected(self):
+    def test_intruder_raises_even_after_partial_progress(self):
         box = Mailbox(1)
-        with pytest.raises(CommunicationError):
-            box.receive_bulk({0}, ANY_TAG, timeout=0.1)
-        with pytest.raises(CommunicationError):
-            box.receive_bulk({ANY_SOURCE}, 3, timeout=0.1)
+        box.deposit(make_msg(0, 1, 9, "expected"))
+        box.deposit(make_msg(4, 1, 9, "intruder"))
+        with pytest.raises(CommunicationError, match="from rank 4"):
+            box.receive_bulk({0, 2}, 9, timeout=0.2)
 
 
 class TestSessionInspectorModes:

@@ -1,4 +1,4 @@
-"""Tests for message records, size estimation, and mailbox matching."""
+"""Tests for message records, size estimation, and mailbox channels."""
 
 from __future__ import annotations
 
@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from repro.errors import CommunicationError, MailboxClosedError
 from repro.net.mailbox import Mailbox
-from repro.net.message import ANY_SOURCE, ANY_TAG, Message, payload_nbytes
+from repro.net.message import Message, payload_nbytes
 
 
-def make_msg(src=0, dest=1, tag=5, payload="x", t=0.0, seq=0):
-    return Message(src, dest, tag, payload, payload_nbytes(payload), t, t, seq)
+def make_msg(src=0, dest=1, tag=5, payload="x", t=0.0):
+    return Message(src, dest, tag, payload, payload_nbytes(payload), t, t)
 
 
 class TestPayloadNbytes:
@@ -71,31 +71,15 @@ class TestMailbox:
 
     def test_fifo_per_channel(self):
         box = Mailbox(1)
-        box.deposit(make_msg(payload="first", seq=1))
-        box.deposit(make_msg(payload="second", seq=2))
+        box.deposit(make_msg(payload="first"))
+        box.deposit(make_msg(payload="second"))
         assert box.receive(0, 5, timeout=1.0).payload == "first"
         assert box.receive(0, 5, timeout=1.0).payload == "second"
 
-    def test_any_source(self):
-        box = Mailbox(1)
-        box.deposit(make_msg(src=3, seq=1))
-        assert box.receive(ANY_SOURCE, 5, timeout=1.0).source == 3
-
-    def test_any_tag(self):
-        box = Mailbox(1)
-        box.deposit(make_msg(tag=9, seq=1))
-        assert box.receive(0, ANY_TAG, timeout=1.0).tag == 9
-
-    def test_wildcard_takes_earliest(self):
-        box = Mailbox(1)
-        box.deposit(make_msg(src=4, tag=7, payload="early", seq=1))
-        box.deposit(make_msg(src=2, tag=5, payload="late", seq=2))
-        assert box.receive(ANY_SOURCE, ANY_TAG, timeout=1.0).payload == "early"
-
     def test_selective_receive_leaves_others(self):
         box = Mailbox(1)
-        box.deposit(make_msg(src=0, tag=1, payload="a", seq=1))
-        box.deposit(make_msg(src=0, tag=2, payload="b", seq=2))
+        box.deposit(make_msg(src=0, tag=1, payload="a"))
+        box.deposit(make_msg(src=0, tag=2, payload="b"))
         assert box.receive(0, 2, timeout=1.0).payload == "b"
         assert box.receive(0, 1, timeout=1.0).payload == "a"
 
@@ -104,20 +88,23 @@ class TestMailbox:
         with pytest.raises(CommunicationError, match="timed out"):
             box.receive(0, 5, timeout=0.05)
 
-    def test_probe(self):
+    def test_timeout_counts_what_is_buffered_elsewhere(self):
         box = Mailbox(1)
-        assert not box.probe()
-        box.deposit(make_msg())
-        assert box.probe()
-        assert box.probe(0, 5)
-        assert not box.probe(3, ANY_TAG)
+        box.deposit(make_msg(src=0, tag=6))
+        box.deposit(make_msg(src=3, tag=5))
+        with pytest.raises(CommunicationError) as ei:
+            box.receive(0, 5, timeout=0.05)
+        assert "source=0, tag=5" in str(ei.value)
+        assert "2 non-matching message(s) buffered" in str(ei.value)
 
     def test_pending_count(self):
         box = Mailbox(1)
         assert box.pending_count() == 0
-        box.deposit(make_msg(seq=1))
-        box.deposit(make_msg(tag=6, seq=2))
+        box.deposit(make_msg())
+        box.deposit(make_msg(tag=6))
         assert box.pending_count() == 2
+        box.receive(0, 6, timeout=1.0)
+        assert box.pending_count() == 1
 
     def test_close_wakes_receiver(self):
         box = Mailbox(1)
@@ -224,6 +211,7 @@ class TestPackedArrays:
 
     def test_send_packed_recv_packed(self):
         from repro.net.cluster import uniform_cluster
+        from repro.net.message import unpack_arrays
         from repro.net.spmd import run_spmd
 
         fields = [np.arange(4, dtype=np.float64), np.ones((2, 3))]
@@ -232,7 +220,7 @@ class TestPackedArrays:
             if ctx.rank == 0:
                 ctx.send_packed(1, fields, tag=101)
                 return None
-            parts = ctx.recv_packed(0, tag=101)
+            parts = unpack_arrays(ctx.recv(0, 101))
             for a, b in zip(fields, parts):
                 np.testing.assert_array_equal(a, b)
             return len(parts)
@@ -248,50 +236,35 @@ class TestPackedArrays:
             if ctx.rank == 0:
                 ctx.send_packed(1, [np.zeros(5), np.zeros(6)], tag=102)
             else:
-                ctx.recv_packed(0, tag=102)
+                ctx.recv(0, 102)
 
         res = run_spmd(uniform_cluster(2), fn, trace=True)
         assert res.trace.message_count() == 1
 
 
 class TestMailboxLazyDeletion:
-    """The O(1)-amortized matching path keeps wildcard/exact semantics."""
-
-    def test_exact_then_wildcard_interleaved(self):
-        box = Mailbox(1)
-        msgs = [make_msg(src=s, tag=t, seq=i)
-                for i, (s, t) in enumerate([(0, 5), (2, 5), (0, 6), (3, 5)])]
-        for m in msgs:
-            box.deposit(m)
-        assert box.receive(0, 5) is msgs[0]          # exact: marks dead
-        assert box.receive(ANY_SOURCE, 5) is msgs[1]  # skips the dead head
-        assert box.pending_count() == 2
-        assert box.receive(ANY_SOURCE, ANY_TAG) is msgs[2]
-        assert box.receive(3, 5) is msgs[3]
-        assert box.pending_count() == 0
-
-    def test_probe_ignores_dead_entries(self):
-        box = Mailbox(1)
-        box.deposit(make_msg(src=0, tag=5, seq=1))
-        box.deposit(make_msg(src=0, tag=7, seq=2))
-        box.receive(0, 5)
-        assert not box.probe(0, 5)
-        assert box.probe(0, 7)
+    """Per-channel order under interleaving and bursts.  (The class name
+    predates the single-container mailbox: there is no lazy deletion left,
+    only the ordering guarantee it had to preserve.)"""
 
     def test_fifo_per_channel_preserved(self):
         box = Mailbox(1)
-        first = make_msg(src=0, tag=5, seq=1)
-        second = make_msg(src=0, tag=5, seq=2)
-        box.deposit(first)
-        box.deposit(second)
-        assert box.receive(ANY_SOURCE, ANY_TAG) is first
+        first = make_msg(src=0, tag=5)
+        other = make_msg(src=2, tag=5)
+        second = make_msg(src=0, tag=5)
+        for m in (first, other, second):
+            box.deposit(m)
+        assert box.receive(2, 5) is other  # another channel drained between
+        assert box.receive(0, 5) is first
         assert box.receive(0, 5) is second
 
     def test_burst_drain_in_arrival_order(self):
         box = Mailbox(1)
-        msgs = [make_msg(src=i % 4, tag=9, seq=i) for i in range(64)]
+        msgs = [make_msg(src=i % 4, tag=9) for i in range(64)]
         for m in msgs:
             box.deposit(m)
-        drained = [box.receive(ANY_SOURCE, 9) for _ in range(64)]
-        assert drained == msgs
+        assert box.pending_count() == 64
+        for src in (3, 1, 0, 2):
+            drained = [box.receive(src, 9) for _ in range(16)]
+            assert all(a is b for a, b in zip(drained, msgs[src::4]))
         assert box.pending_count() == 0

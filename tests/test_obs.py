@@ -384,10 +384,10 @@ def _bulk_recv_fn(ctx):
 
 
 def _scalar_recv_fn(ctx):
-    """Same traffic, received one message at a time."""
+    """Same traffic, received one channel at a time."""
     if ctx.rank == 0:
-        for _ in range(1, ctx.size):
-            ctx.recv(tag=_PARITY_TAG)
+        for source in range(1, ctx.size):
+            ctx.recv(source, _PARITY_TAG)
     else:
         ctx.send(0, np.arange(32, dtype=np.float64), tag=_PARITY_TAG)
     return ctx.metrics.snapshot()

@@ -25,7 +25,7 @@ from repro.net.framing import (
     recv_frame,
     send_frame,
 )
-from repro.net.message import PackedArrays, pack_arrays
+from repro.net.message import PackedArrays, pack_arrays, unpack_arrays
 from repro.net.spmd import run_spmd
 from repro.runtime.program import ProgramConfig, run_program
 
@@ -119,7 +119,7 @@ def _shared_surface_probe(ctx):
     right = (ctx.rank + 1) % ctx.size
     left = (ctx.rank - 1) % ctx.size
     ctx.send_packed(right, [np.arange(3.0) + ctx.rank, np.ones(2)], tag=210)
-    a, b = ctx.recv_packed(left, 210)
+    a, b = unpack_arrays(ctx.recv(left, 210))
     return ctx.allgather(float(a.sum() + b.sum()))
 
 
@@ -135,7 +135,8 @@ def _clock_monotone_probe(ctx):
 
 def _deadlock_on_rank0(ctx):
     if ctx.rank == 0:
-        return ctx.recv(1, tag=300)  # rank 1 never sends
+        return ctx.recv(1, tag=300)  # rank 1 never sends on this tag
+    ctx.send(0, "wrong channel", tag=301)
     return None
 
 
@@ -187,8 +188,8 @@ class TestRealSPMD:
         failure = ei.value.failures[0]
         msg = str(failure)
         assert "rank 0" in msg
-        assert "source=1" in msg
-        assert "tag=300" in msg
+        assert "source=1, tag=300" in msg
+        assert "1 non-matching message(s) buffered" in msg
         assert "recv-timeout" in msg or "RECV_TIMEOUT" in msg
 
     def test_rank_failure_cascades(self):

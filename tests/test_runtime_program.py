@@ -260,3 +260,51 @@ class TestConfigValidation:
         )
         sizes = rep.partition_final.sizes()
         assert sizes[0] > 2.5 * sizes[1]
+
+
+class TestLooselySynchronous:
+    """``barrier_each_iteration=False`` is the paper's loosely synchronous
+    mode: neighbours drift a phase apart, so a rank's gather drain finds a
+    fast peer's *next* message queued behind the one it is taking."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        g = paper_mesh(3000, seed=3)
+        y0 = np.random.default_rng(0).uniform(0, 100, g.num_vertices)
+        config = ProgramConfig(iterations=60, barrier_each_iteration=False)
+        reports = [
+            run_program(g, sun4_cluster(5, ethernet=False), config, y0=y0)
+            for _ in range(10)
+        ]
+        return g, y0, reports
+
+    def test_five_ranks_without_barriers_match_the_oracle(self, runs):
+        g, y0, reports = runs
+        oracle = run_sequential(g, y0, 60)
+        for rep in reports:
+            np.testing.assert_allclose(rep.values, oracle, atol=1e-9)
+
+    def test_makespan_is_a_function_of_the_program(self, runs):
+        g, y0, reports = runs
+        assert len({rep.makespan for rep in reports}) == 1
+        synced = run_program(
+            g, sun4_cluster(5, ethernet=False),
+            ProgramConfig(iterations=60), y0=y0,
+        )
+        assert reports[0].makespan < synced.makespan
+
+    def test_a_genuine_intruder_still_raises(self):
+        from repro.errors import CommunicationError, RankFailedError
+        from repro.net.spmd import run_spmd
+
+        def fn(ctx):
+            if ctx.rank == 0:
+                ctx.recv_expected([1], 150)
+            elif ctx.rank == 2:
+                ctx.send(0, "not in the expected set", 150)
+
+        with pytest.raises(RankFailedError) as ei:
+            run_spmd(uniform_cluster(3), fn, recv_timeout=5.0)
+        failure = ei.value.failures[0]
+        assert isinstance(failure, CommunicationError)
+        assert "unexpected message from rank 2" in str(failure)
