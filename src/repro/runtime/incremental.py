@@ -16,12 +16,12 @@ addresses are unchanged.  This module exploits that:
   :class:`~repro.runtime.schedule.CommSchedule` and
   :class:`~repro.runtime.kernels.KernelPlan` into the new partition's,
   touching O(diff x degree + boundary) data instead of O(n/p + refs);
-* a deterministic crossover test (predicted patch cost vs. the cost of
-  the last full build, both in :class:`InspectorCostModel` units) falls
-  back to :func:`~repro.runtime.inspector.run_inspector` when the diff
-  is too large to be worth patching — "learned per run" because the
-  full-cost side tracks the sizes observed at the most recent full
-  build.
+* a deterministic crossover test falls back to
+  :func:`~repro.runtime.inspector.run_inspector` when the diff is too
+  large to be worth patching.  Both sides are priced by the
+  :class:`InspectorCostModel` method that charges the real work
+  (``sorted_build_cost`` / ``patch_cost``), fed the sizes known before
+  it starts.
 
 **Bit-identity contract.**  The patched schedule and plan are equal,
 array for array, to what a from-scratch ``sort1``/``sort2`` build would
@@ -339,7 +339,7 @@ class IncrementalInspector:
     def _capture(
         self, partition: IntervalPartition, result: InspectorResult
     ) -> None:
-        """Refresh the cross-reference cache and full-cost sizes.
+        """Refresh the cross-reference cache after a full build.
 
         Bookkeeping only — it mirrors information the build just derived,
         so no extra virtual time is charged.
@@ -356,50 +356,43 @@ class IncrementalInspector:
         self._off_pos = np.flatnonzero(off_mask)
         self.partition = partition
         self.result = result
-        self._sizes = {
-            "refs": int(nbr.size),
-            "ghosts": result.schedule.ghost_size,
-            "sends": result.schedule.send_volume,
-        }
 
-    def _full_cost_estimate(self) -> float:
-        """Virtual cost of a full rebuild at the last observed sizes.
+    # ------------------------------------------------------------------ #
+    # the crossover: both sides priced by the formulas that charge them
+    # ------------------------------------------------------------------ #
+    # Known before any work: the new block's reference count (exact, from
+    # indptr), the moved rows' reference count (exact), and the current
+    # cross-reference, ghost and send sizes, which stand in for the new
+    # partition's (a boundary shift changes them by boundary-sized
+    # amounts).  Deterministic and backend-identical.
 
-        Mirrors the sort1/sort2 charge formulas in
-        :mod:`repro.runtime.schedule_builders`; the sizes track the most
-        recent (full or patched) build, so the estimate is learned per
-        run rather than fixed up front.
-        """
-        cm = self.cost_model
-        s = self._sizes
-        cost = (
-            cm.sec_per_ref * s["refs"]
-            + cm.sec_per_translate * s["ghosts"]
-            + cm.sort_cost(s["ghosts"])
+    def _full_cost_estimate(self, d: IntervalDiff) -> float:
+        """What ``sort1``/``sort2`` would charge for the new block."""
+        indptr = self.graph.indptr
+        schedule = self.result.schedule
+        return self.cost_model.sorted_build_cost(
+            self.strategy,
+            refs=int(indptr[d.new_hi] - indptr[d.new_lo]),
+            ghosts=schedule.ghost_size,
+            sends=schedule.send_volume,
         )
-        if self.strategy == "sort1":
-            return cost + cm.sort_cost(s["sends"])
-        return cost + cm.sec_per_linear_op * s["sends"]
 
     def _patch_cost_estimate(self, d: IntervalDiff) -> float:
-        """Predicted virtual cost of patching through *d* (pre-patch).
+        """What :meth:`_patch` would charge for *d*, from pre-patch sizes.
 
-        Upper-bounds the actual ``"inspector-incremental"`` charge using
-        only structural quantities known before any work happens, so the
-        full-vs-patch decision is deterministic and backend-identical.
+        The sort of the added cross references is left out: it is
+        boundary-sized and unknown until the moved rows are scanned, and
+        the only pre-patch bound on it (every reference of every moved
+        row) overstated the whole charge 20-35x (docs/benchmarks.md,
+        "Incremental crossover").
         """
-        cm = self.cost_model
-        diff_refs = _range_ref_count(self.graph, d.lost) + _range_ref_count(
-            self.graph, d.gained
-        )
-        cross = int(self.cross_src.size)
-        s = self._sizes
-        return (
-            cm.sec_per_ref * diff_refs
-            + 2.0 * cm.sec_per_linear_op * cross
-            + cm.sec_per_translate * s["ghosts"]
-            + cm.sort_cost(diff_refs)
-            + cm.sec_per_linear_op * (s["ghosts"] + s["sends"])
+        schedule = self.result.schedule
+        return self.cost_model.patch_cost(
+            diff_refs=_range_ref_count(self.graph, d.lost + d.gained),
+            cross=2 * int(self.cross_src.size),
+            ghosts=schedule.ghost_size,
+            sends=schedule.send_volume,
+            added=0,
         )
 
     # ------------------------------------------------------------------ #
@@ -434,7 +427,7 @@ class IncrementalInspector:
             take_patch = False
         else:
             take_patch = patchable and (
-                self._patch_cost_estimate(d) < self._full_cost_estimate()
+                self._patch_cost_estimate(d) < self._full_cost_estimate(d)
             )
         if not take_patch:
             self.num_full_rebuilds += 1
@@ -548,17 +541,12 @@ class IncrementalInspector:
         # --- virtual charge ------------------------------------------- #
         # Deterministic in the diff's structural sizes (and trivially
         # backend-identical: the patch is a single numpy implementation).
-        cm = self.cost_model
-        diff_refs = _range_ref_count(graph, d.lost) + _range_ref_count(
-            graph, d.gained
-        )
-        sends = int(sum(a.size for a in send_lists.values()))
-        cost = (
-            cm.sec_per_ref * diff_refs
-            + cm.sec_per_linear_op * int(self.cross_src.size + cross_src.size)
-            + cm.sec_per_translate * int(ghost_globals.size)
-            + cm.sort_cost(added)
-            + cm.sec_per_linear_op * (int(ghost_globals.size) + sends)
+        cost = self.cost_model.patch_cost(
+            diff_refs=_range_ref_count(graph, d.lost + d.gained),
+            cross=int(self.cross_src.size + cross_src.size),
+            ghosts=schedule.ghost_size,
+            sends=schedule.send_volume,
+            added=added,
         )
         _charge(ctx, cost, "inspector-incremental")
         self.last_patch_cost = cost
@@ -575,11 +563,6 @@ class IncrementalInspector:
         self._off_pos = off_pos
         self.partition = new_partition
         self.result = result
-        self._sizes = {
-            "refs": int(graph.indptr[hi1] - graph.indptr[lo1]),
-            "ghosts": schedule.ghost_size,
-            "sends": schedule.send_volume,
-        }
         return result
 
     def _patch_kernel_plan(

@@ -76,6 +76,43 @@ class InspectorCostModel:
     def sort_cost(self, k: int) -> float:
         return self.sec_per_sort_op * k * max(math.log2(k), 1.0) if k else 0.0
 
+    def sorted_build_cost(
+        self, strategy: str, *, refs: int, ghosts: int, sends: int
+    ) -> float:
+        """The sort1/sort2 charge for a block with *refs* adjacency
+        references, *ghosts* unique off-block targets and *sends* send-list
+        entries: dedup over all references, translation and sort of the
+        permutation list, then the send lists — sorted explicitly by
+        sort1, a linear pass for sort2 (they come out ordered).
+        """
+        return (
+            self.sec_per_ref * refs
+            + self.sec_per_translate * ghosts
+            + self.sort_cost(ghosts)
+            + (
+                self.sort_cost(sends)
+                if strategy == "sort1"
+                else self.sec_per_linear_op * sends
+            )
+        )
+
+    def patch_cost(
+        self, *, diff_refs: int, cross: int, ghosts: int, sends: int, added: int
+    ) -> float:
+        """The incremental-patch charge: dedup over the *diff_refs*
+        references of the moved rows, a linear pass over the old plus new
+        cross-reference arrays (*cross*, both sizes summed), translation
+        of the patched ghost buffer, a sort of the *added* cross
+        references, and a linear pass to regroup ghosts and sends.
+        """
+        return (
+            self.sec_per_ref * diff_refs
+            + self.sec_per_linear_op * cross
+            + self.sec_per_translate * ghosts
+            + self.sort_cost(added)
+            + self.sec_per_linear_op * (ghosts + sends)
+        )
+
 
 def _charge(ctx: "RankContext | None", seconds: float, label: str) -> None:
     if ctx is not None and seconds > 0:
@@ -233,14 +270,9 @@ def build_schedule_sort1(
     the send lists.
     """
     sched, sizes = _sorted_schedule(graph, partition, rank, backend)
-    cm = cost_model
-    cost = (
-        cm.sec_per_ref * sizes["refs"]
-        + cm.sec_per_translate * sizes["ghosts"]
-        + cm.sort_cost(sizes["ghosts"])
-        + cm.sort_cost(sizes["sends"])
+    _charge(
+        ctx, cost_model.sorted_build_cost("sort1", **sizes), "inspector-sort1"
     )
-    _charge(ctx, cost, "inspector-sort1")
     return sched
 
 
@@ -258,14 +290,9 @@ def build_schedule_sort2(
     out sorted for free, so only the permutation-list sort is charged.
     """
     sched, sizes = _sorted_schedule(graph, partition, rank, backend)
-    cm = cost_model
-    cost = (
-        cm.sec_per_ref * sizes["refs"]
-        + cm.sec_per_translate * sizes["ghosts"]
-        + cm.sort_cost(sizes["ghosts"])
-        + cm.sec_per_linear_op * sizes["sends"]
+    _charge(
+        ctx, cost_model.sorted_build_cost("sort2", **sizes), "inspector-sort2"
     )
-    _charge(ctx, cost, "inspector-sort2")
     return sched
 
 

@@ -276,6 +276,67 @@ class TestIncrementalDifferential:
             IncrementalInspector(graph, part, 0, strategy="simple")
 
 
+class TestCrossoverEstimate:
+    """The crossover prices both arms with the formulas that charge them,
+    fed pre-patch sizes: the patch estimate must track the patch charge."""
+
+    @pytest.fixture(scope="class")
+    def walk(self):
+        """A fixed 16-rank remap sequence on a Hilbert-ordered mesh:
+        (estimate, inspector) per rebuild, results checked on the way."""
+        from repro.partition.sfc import HilbertOrdering
+
+        mesh = paper_mesh(40_000, seed=5)
+        graph = mesh.permute(HilbertOrdering()(mesh))
+        p = 16
+        part = IntervalPartition(
+            np.linspace(0, graph.num_vertices, p + 1).astype(np.intp),
+            np.arange(p, dtype=np.intp),
+        )
+        rng = np.random.default_rng(16)
+        incs = [
+            IncrementalInspector(graph, part, r, strategy="sort2")
+            for r in range(p)
+        ]
+        rebuilds = []
+        for _ in range(5):
+            part = shifted_partition(part, rng, mag=1500)
+            for r, inc in enumerate(incs):
+                d = diff_interval(inc.partition, part, r)
+                estimate = inc._patch_cost_estimate(d)
+                got = inc.rebuild(part)
+                want = run_inspector(graph, part, r, strategy="sort2")
+                assert inspector_results_equal(got, want)
+                rebuilds.append((estimate, inc.last_mode, inc.last_patch_cost))
+        return rebuilds
+
+    def test_estimate_within_2x_of_the_patch_charge(self, walk):
+        patched = [(e, c) for e, mode, c in walk if mode == "patched"]
+        assert len(patched) >= 60  # of 80: the patch is the common arm
+        for estimate, charged in patched:
+            assert 0.5 <= estimate / charged <= 2.0
+
+    def test_both_arms_are_still_taken(self, walk):
+        assert {mode for _, mode, _ in walk} == {"patched", "full"}
+
+    def test_cost_model_owns_both_formulas(self):
+        """The sort1/sort2 charge and the patch charge each exist once:
+        the builders, the patch and the crossover all call these."""
+        from repro.runtime.schedule_builders import InspectorCostModel
+
+        cm = InspectorCostModel()
+        sizes = dict(refs=6000, ghosts=120, sends=130)
+        sort1 = cm.sorted_build_cost("sort1", **sizes)
+        sort2 = cm.sorted_build_cost("sort2", **sizes)
+        assert sort1 - sort2 == pytest.approx(
+            cm.sort_cost(130) - cm.sec_per_linear_op * 130
+        )
+        base = dict(diff_refs=400, cross=500, ghosts=120, sends=130)
+        assert cm.patch_cost(**base, added=64) - cm.patch_cost(
+            **base, added=0
+        ) == pytest.approx(cm.sort_cost(64))
+
+
 def make_msg(src, dest, tag, payload):
     return Message(src, dest, tag, payload, payload_nbytes(payload), 0.0, 0.0)
 
