@@ -15,12 +15,7 @@ from repro.apps.sparse_matvec import (
     run_parallel_spmv,
     spmv_sequential,
 )
-from repro.apps.workloads import (
-    Workload,
-    adaptive_testbed,
-    paper_workload,
-    random_capabilities,
-)
+from repro.apps.workloads import adaptive_testbed, random_capabilities
 
 __all__ = [
     "AdaptiveRunReport",
@@ -28,9 +23,7 @@ __all__ = [
     "SmoothingResult",
     "run_adaptive_application",
     "SymmetricPatternMatrix",
-    "Workload",
     "adaptive_testbed",
-    "paper_workload",
     "random_capabilities",
     "run_parallel_spmv",
     "smooth_mesh",

@@ -1,18 +1,12 @@
-"""Workload builders shared by the examples and the experiment harness.
-
-Defaults are a reduced mesh so everything finishes in seconds; the paper's
-full 30,269-vertex mesh and 500 iterations are an explicit argument here
-and a ``--set`` on the harness (docs/benchmarks.md, "Scale").
+"""Cluster and scenario builders shared by the examples, the experiment
+harness and the repo benchmark: capability samples, the paper's adaptive
+testbed, and the dynamic-load / elastic / resilience scenario clusters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.graph.csr import CSRGraph
-from repro.graph.generators import paper_mesh
 from repro.net.cluster import ClusterSpec, adaptive_cluster, uniform_cluster
 from repro.net.loadmodel import (
     MembershipEvent,
@@ -20,11 +14,8 @@ from repro.net.loadmodel import (
     RampLoad,
     StepLoad,
 )
-from repro.utils.rng import SeedLike, as_generator
 
 __all__ = [
-    "Workload",
-    "paper_workload",
     "random_capabilities",
     "adaptive_testbed",
     "DYNAMIC_SCENARIOS",
@@ -34,42 +25,6 @@ __all__ = [
     "RESILIENCE_SCENARIOS",
     "resilient_cluster",
 ]
-
-
-@dataclass(frozen=True)
-class Workload:
-    """One experiment workload: the mesh graph, initial values, iterations."""
-
-    graph: CSRGraph
-    y0: np.ndarray
-    iterations: int
-    label: str
-
-    @property
-    def n(self) -> int:
-        return self.graph.num_vertices
-
-
-def paper_workload(
-    *,
-    seed: SeedLike = 1995,
-    n_vertices: int = 6_000,
-    iterations: int = 60,
-) -> Workload:
-    """The Tables 3-5 workload: the Fig. 9-like mesh + Fig. 8 loop.
-
-    Defaults to the reduced scale; the paper ran 30,269 vertices for 500
-    iterations.
-    """
-    graph = paper_mesh(n_vertices, seed=seed)
-    rng = as_generator(seed)
-    y0 = rng.uniform(0.0, 100.0, size=graph.num_vertices)
-    return Workload(
-        graph=graph,
-        y0=y0,
-        iterations=iterations,
-        label=f"mesh(n={graph.num_vertices}, m={graph.num_edges})",
-    )
 
 
 def random_capabilities(

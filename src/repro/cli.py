@@ -10,8 +10,9 @@ Commands mirror what a downstream user evaluating the runtime wants first:
 * ``mcr`` — run MinimizeCostRedistribution on given capability vectors;
 * ``bench`` — the unified experiment harness (:mod:`repro.experiments`):
   ``list`` registered experiments, ``run`` one over its grid (and check
-  the paper's shape for it), ``sweep`` a scenario grid, and ``report`` a
-  markdown diff of two JSON artifacts;
+  the paper's shape for it; the scenario sweeps are the ``sweep_small``
+  / ``sweep_full`` experiments), and ``report`` a markdown diff of two
+  JSON artifacts;
 * ``fuzz`` — the seeded adversarial scenario fuzzer (:mod:`repro.fuzz`):
   ``run`` a generated batch or replay one scenario, ``shrink`` a failing
   scenario to a minimal reproducer, ``corpus`` to replay the committed
@@ -237,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ring-buffer cap on recorded trace events")
 
     bench = sub.add_parser(
-        "bench", help="experiment harness: list, run, sweep, report"
+        "bench", help="experiment harness: list, run, report"
     )
     bsub = bench.add_subparsers(dest="bench_command", required=True)
 
@@ -269,11 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     brun.add_argument("--trace-capacity", type=int, default=None,
                       metavar="N",
                       help="ring-buffer cap on recorded trace events per run")
-
-    bsweep = bsub.add_parser("sweep", help="run a scenario-sweep grid")
-    bsweep.add_argument("--grid", default="small",
-                        help="named scenario grid (small or full)")
-    bsweep.add_argument("--results-dir", default="results")
 
     breport = bsub.add_parser(
         "report", help="markdown comparison of two artifacts"
@@ -850,14 +846,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     print(f"trace: {args.trace_out} ({label}, "
                           f"{len(tr)} event(s))")
             return 1 if violated else 0
-
-        if args.bench_command == "sweep":
-            from repro.experiments import run_sweep
-
-            artifact, path = run_sweep(args.grid, results_dir=args.results_dir)
-            _print_artifact_summary(artifact)
-            print(f"\nartifact: {path}")
-            return 0
 
         if args.bench_command == "report":
             from repro.experiments import compare_files

@@ -12,15 +12,16 @@ This package turns the paper's evaluation into a reproducible surface
   peak-RSS capture, writing schema-versioned ``results/<name>.json``;
 * :mod:`repro.experiments.artifacts` — the artifact schema
   (``repro.experiments.run``/v1), validation, load/save;
-* :mod:`repro.experiments.sweep` — the scenario-sweep engine (cluster size
-  × load trace × ordering × graph family);
+* :mod:`repro.experiments.sweep` — the scenario sweeps (cluster size ×
+  load trace × ordering × graph family), registered as ``sweep_small`` /
+  ``sweep_full``;
 * :mod:`repro.experiments.report` — artifact diffing and the markdown
   regression report;
 * :mod:`repro.experiments.catalog` — the registered experiments, one
   module per family: the paper's tables and figures, ablations, the
   footnoted extensions, and the scale tier.
 
-CLI entry points: ``repro bench list | run | sweep | report``.
+CLI entry points: ``repro bench list | run | report``.
 """
 
 from repro.experiments.artifacts import (
@@ -34,7 +35,7 @@ from repro.experiments.registry import all_experiments, discover, get, names, re
 from repro.experiments.report import Comparison, compare_artifacts, compare_files
 from repro.experiments.runner import DEFAULT_RESULTS_DIR, run_experiment
 from repro.experiments.spec import Experiment, config_seed, expand_grid
-from repro.experiments.sweep import SCENARIO_GRIDS, run_sweep
+from repro.experiments.sweep import SCENARIO_GRIDS
 
 __all__ = [
     "SCHEMA",
@@ -54,7 +55,6 @@ __all__ = [
     "names",
     "register",
     "run_experiment",
-    "run_sweep",
     "save_artifact",
     "validate_artifact",
 ]

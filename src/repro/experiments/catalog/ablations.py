@@ -75,7 +75,6 @@ def _expect_ablation_orderings(runs):
         "iterations": (5,),
         "workload_seed": (1995,),
     },
-    description="Cut quality of each ordering and its end-to-end makespan.",
     expect=_expect_ablation_orderings,
 )
 def _exp_ablation_orderings(
@@ -149,7 +148,6 @@ def _expect_ablation_check_frequency(runs):
         "iterations": (20,),
         "workload_seed": (1995,),
     },
-    description="Sweeps the check interval the paper fixes at 10.",
     expect=_expect_ablation_check_frequency,
 )
 def _exp_ablation_check_frequency(

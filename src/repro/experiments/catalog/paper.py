@@ -80,7 +80,6 @@ def _expect_table1(runs):
     paper_anchor="Table 1",
     grid={"p": (3, 5, 10, 15, 20), "elements": (10_000,), "repeats": (3,)},
     quick_grid={"p": (3, 5), "elements": (2_000,), "repeats": (3,)},
-    description="Host-times the MCR heuristic; growth should be ~p^3.",
     expect=_expect_table1,
 )
 def _exp_table1(params: Mapping[str, Any], *, seed: int) -> dict[str, float]:
@@ -172,7 +171,6 @@ def _expect_table2(runs):
     paper_anchor="Table 2",
     grid={"n": (512, 2048, 16_384), "p": (3, 4, 5), "samples": (8,)},
     quick_grid={"n": (2048,), "p": (3,), "samples": (2,)},
-    description="Virtual remap cost averaged over random capability changes.",
     expect=_expect_table2,
 )
 def _exp_table2(params: Mapping[str, Any], *, seed: int) -> dict[str, float]:
@@ -245,7 +243,6 @@ def _expect_table3(runs):
         "n_vertices": (6_000,),
         "workload_seed": (1995,),
     },
-    description="Sorting strategies get cheaper with p; simple gets worse.",
     expect=_expect_table3,
 )
 def _exp_table3(params: Mapping[str, Any], *, seed: int) -> dict[str, float]:
@@ -328,7 +325,6 @@ def _expect_table4(runs):
         "workload_seed": (1995,),
     },
     higher_is_better=("efficiency",),
-    description="Time falls as workstations are added; efficiency declines.",
     expect=_expect_table4,
 )
 def _exp_table4(params: Mapping[str, Any], *, seed: int) -> dict[str, float]:
@@ -432,7 +428,6 @@ def _expect_table5(runs):
         "check_interval": (5,),
         "workload_seed": (1995,),
     },
-    description="Load balancing roughly halves time; check cost << remap cost.",
     expect=_expect_table5,
 )
 def _exp_table5(params: Mapping[str, Any], *, seed: int) -> dict[str, float]:

@@ -111,8 +111,6 @@ def scale_epoch_measurements(
         "workload_seed": (1995,),
         "world": ("sim",),
     },
-    description="Host seconds per epoch on 100k-500k meshes, per backend.",
-    tags=("scale", "perf"),
 )
 def _exp_scale_epoch(params: Mapping[str, Any], *, seed: int) -> dict[str, float]:
     return scale_epoch_measurements(
@@ -140,8 +138,6 @@ def _exp_scale_epoch(params: Mapping[str, Any], *, seed: int) -> dict[str, float
         "family": ("grid", "geometric"),
         "workload_seed": (1995,),
     },
-    description="Host seconds (and sizes) to construct each tier mesh.",
-    tags=("scale", "perf"),
 )
 def _exp_scale_generate(
     params: Mapping[str, Any], *, seed: int
@@ -294,9 +290,6 @@ def scale_adaptive_measurements(
         "workload_seed": (1995,),
         "world": ("sim",),
     },
-    description="Phase D keeping up with mid-run load changes at scale; "
-    "vectorized vs reference packed redistribution.",
-    tags=("scale", "perf", "adaptive"),
 )
 def _exp_scale_adaptive(
     params: Mapping[str, Any], *, seed: int
@@ -460,10 +453,6 @@ def scale_real_measurements(
         "replication": (1,),
         "workload_seed": (1995,),
     },
-    description="Epoch/remap/checkpoint costs measured on real OS "
-    "processes vs the virtual-clock prediction and the analytic "
-    "estimators; values_match asserts the differential contract.",
-    tags=("scale", "perf", "real"),
 )
 def _exp_scale_real(params: Mapping[str, Any], *, seed: int) -> dict[str, float]:
     return scale_real_measurements(
@@ -545,9 +534,6 @@ def scale_elastic_measurements(
         "check_interval": (5,),
         "workload_seed": (1995,),
     },
-    description="Machines join/leave the pool mid-run; mandatory drains, "
-    "profitability-tested joins, vs the static (drain-only) baseline.",
-    tags=("scale", "perf", "adaptive", "elastic"),
 )
 def _exp_scale_elastic(
     params: Mapping[str, Any], *, seed: int
@@ -655,10 +641,6 @@ def scale_resilience_measurements(
         "check_interval": (5,),
         "workload_seed": (1995,),
     },
-    description="Machines die unannounced mid-run; partner-replication "
-    "checkpoints (k ring successors per epoch) vs rollback re-execution, "
-    "fixed intervals vs the Young-style cost model.",
-    tags=("scale", "perf", "adaptive", "resilience"),
 )
 def _exp_scale_resilience(
     params: Mapping[str, Any], *, seed: int
@@ -806,10 +788,6 @@ def scale_huge_measurements(
         "workload_seed": (1995,),
     },
     higher_is_better=("speedup",),
-    description="Phase B after a small-boundary remap: patch the cached "
-    "schedule/plan vs rebuild from scratch, checking bit-identity of "
-    "structures and sweep values at every rank.",
-    tags=("scale", "perf"),
 )
 def _exp_scale_huge(params: Mapping[str, Any], *, seed: int) -> dict[str, float]:
     return scale_huge_measurements(
@@ -893,10 +871,6 @@ def scale_service_measurements(
         "admission_seed": (1,),
     },
     higher_is_better=("throughput", "jain_fairness"),
-    description="Job streams co-scheduled under FIFO / seeded-random / "
-    "SJF admission; each running job's compute is the others' competing "
-    "load (ServiceLoad).",
-    tags=("scale", "perf", "adaptive", "serve"),
 )
 def _exp_scale_service(
     params: Mapping[str, Any], *, seed: int

@@ -40,13 +40,10 @@ def register(exp: Experiment) -> Experiment:
 def experiment(name: str, **fields) -> Callable[[MetricsFn], MetricsFn]:
     """Decorator form: register the decorated metrics function as *name*.
 
-    *fields* are :class:`Experiment`'s remaining fields; ``description``
-    defaults to the first line of the function's docstring.
+    *fields* are :class:`Experiment`'s remaining fields.
     """
 
     def deco(fn: MetricsFn) -> MetricsFn:
-        doc_lines = (fn.__doc__ or "").strip().splitlines()
-        fields.setdefault("description", doc_lines[0] if doc_lines else "")
         register(Experiment(name=name, fn=fn, **fields))
         return fn
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -120,8 +120,6 @@ class Experiment:
     seed: int = 1995
     #: Metric names where larger is better (everything else: lower is better).
     higher_is_better: tuple[str, ...] = ()
-    description: str = ""
-    tags: tuple[str, ...] = field(default_factory=tuple)
     expect: ExpectFn | None = None
 
     def __post_init__(self) -> None:

@@ -1,27 +1,26 @@
 """Scenario-sweep engine: cluster size × load trace × ordering × graph family.
 
-One command (``repro bench sweep --grid small``) exercises the full cross
+One command (``repro bench run sweep_small``) exercises the full cross
 product of environments the paper's Secs. 1 and 4 describe — dedicated,
 nonuniform, and adaptive resources — over several graph families and 1-D
 orderings, producing a single schema-versioned artifact with per-scenario
-makespan/efficiency/LB metrics.  The sweeps are registered as ordinary
-experiments (``sweep_small``, ``sweep_full``) so they also appear in
-``repro bench list`` and compare through ``repro bench report``.
+makespan/efficiency/LB metrics.  Each named grid is an ordinary registered
+experiment (``sweep_small``, ``sweep_full``): it appears in ``repro bench
+list``, runs through ``repro bench run`` and compares through ``repro
+bench report``.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
 
 from repro.errors import ReproError
 from repro.experiments.registry import register
-from repro.experiments.runner import DEFAULT_RESULTS_DIR, run_experiment
 from repro.experiments.spec import Experiment
 
-__all__ = ["SCENARIO_GRIDS", "run_scenario", "run_sweep", "sweep_experiment"]
+__all__ = ["SCENARIO_GRIDS", "run_scenario"]
 
 #: Named scenario grids.  "small" is the smoke scale (seconds); "full"
 #: exercises every dimension and is meant for dedicated runs.
@@ -112,38 +111,15 @@ def run_scenario(params: Mapping[str, Any], *, seed: int) -> dict[str, float]:
     }
 
 
-def sweep_experiment(grid: str) -> Experiment:
-    """The registered Experiment for one named scenario grid."""
-    try:
-        axes = SCENARIO_GRIDS[grid]
-    except KeyError:
-        known = ", ".join(sorted(SCENARIO_GRIDS))
-        raise ReproError(f"unknown sweep grid {grid!r}; known: {known}") from None
-    return Experiment(
-        name=f"sweep_{grid}",
-        title=f"Scenario sweep ({grid} grid)",
-        paper_anchor="Secs. 1, 4",
-        fn=run_scenario,
-        grid=axes,
-        seed=2026,
-        higher_is_better=("efficiency",),
-        description=(
-            "Cross product of cluster size, load trace, ordering, and graph "
-            "family through the four-phase runtime."
-        ),
-        tags=("sweep",),
+for _grid, _axes in SCENARIO_GRIDS.items():
+    register(
+        Experiment(
+            name=f"sweep_{_grid}",
+            title=f"Scenario sweep ({_grid} grid)",
+            paper_anchor="Secs. 1, 4",
+            fn=run_scenario,
+            grid=_axes,
+            seed=2026,
+            higher_is_better=("efficiency",),
+        )
     )
-
-
-for _grid in SCENARIO_GRIDS:
-    register(sweep_experiment(_grid))
-
-
-def run_sweep(
-    grid: str = "small",
-    *,
-    results_dir: str | Path | None = DEFAULT_RESULTS_DIR,
-) -> tuple[dict[str, Any], Path | None]:
-    """Run every scenario of the named grid; returns ``(artifact, path)``."""
-    exp = sweep_experiment(grid)
-    return run_experiment(exp, results_dir=results_dir)

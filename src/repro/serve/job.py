@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -108,7 +107,9 @@ class JobSpec:
     # ------------------------------------------------------------------ #
 
     def build_graph(self) -> "CSRGraph":
-        return _mesh(self.vertices, self.seed)
+        from repro.graph import paper_mesh
+
+        return paper_mesh(self.vertices, seed=self.seed)
 
     def build_y0(self, graph: "CSRGraph") -> np.ndarray:
         return np.random.default_rng(self.seed).uniform(
@@ -194,13 +195,6 @@ class JobSpec:
                 f"job spec is not valid JSON: {exc}"
             ) from None
         return cls.from_dict(data)
-
-
-@lru_cache(maxsize=64)
-def _mesh(vertices: int, seed: int):
-    from repro.graph import paper_mesh
-
-    return paper_mesh(vertices, seed=seed)
 
 
 class JobQueue:

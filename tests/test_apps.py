@@ -11,11 +11,7 @@ from repro.apps.sparse_matvec import (
     run_parallel_spmv,
     spmv_sequential,
 )
-from repro.apps.workloads import (
-    adaptive_testbed,
-    paper_workload,
-    random_capabilities,
-)
+from repro.apps.workloads import adaptive_testbed, random_capabilities
 from repro.errors import ConfigurationError
 from repro.graph.generators import grid_mesh, paper_mesh
 from repro.graph.ops import to_scipy
@@ -130,22 +126,6 @@ class TestSparseMatvec:
 
 
 class TestWorkloads:
-    def test_paper_workload_shape(self):
-        w = paper_workload(n_vertices=400, iterations=7, seed=1)
-        assert w.n == w.graph.num_vertices
-        assert w.iterations == 7
-        assert w.y0.shape == (w.n,)
-        assert "mesh" in w.label
-
-    def test_paper_workload_reproducible(self):
-        a = paper_workload(n_vertices=400, iterations=5, seed=9)
-        b = paper_workload(n_vertices=400, iterations=5, seed=9)
-        np.testing.assert_array_equal(a.y0, b.y0)
-
-    def test_paper_workload_default_scale(self):
-        w = paper_workload(seed=1)
-        assert (w.n, w.iterations) == (6_000, 60)
-
     def test_random_capabilities_normalized(self):
         rng = np.random.default_rng(0)
         caps = random_capabilities(6, rng)

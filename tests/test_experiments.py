@@ -2,7 +2,7 @@
 
 Exercises the acceptance surface end to end: discovery finds every
 registered experiment, a quick run produces a schema-valid JSON artifact,
-``repro bench run table4 --quick`` / ``repro bench sweep --grid small``
+``repro bench run table4 --quick`` / ``repro bench run sweep_small``
 work through the CLI, ``repro bench report`` detects an injected
 regression, and every experiment's ``expect`` holds on its quick grid.
 """
@@ -304,8 +304,7 @@ def test_cli_bench_run_unknown_name_fails_cleanly(tmp_path, capsys):
 
 
 def test_cli_bench_sweep_small(tmp_path):
-    rc = main(["bench", "sweep", "--grid", "small",
-               "--results-dir", str(tmp_path)])
+    rc = main(["bench", "run", "sweep_small", "--results-dir", str(tmp_path)])
     assert rc == 0
     artifact = load_artifact(tmp_path / "sweep_small.json")
     assert artifact["schema_version"] == SCHEMA_VERSION
@@ -318,10 +317,15 @@ def test_cli_bench_sweep_small(tmp_path):
 
 
 def test_cli_bench_sweep_unknown_grid_fails_cleanly(tmp_path, capsys):
-    rc = main(["bench", "sweep", "--grid", "gigantic",
-               "--results-dir", str(tmp_path)])
+    # A sweep grid is an experiment name now; an unknown one fails like any.
+    rc = main(["bench", "run", "sweep_gigantic", "--results-dir", str(tmp_path)])
     assert rc == 2
-    assert "unknown sweep grid" in capsys.readouterr().err
+    assert "unknown experiment 'sweep_gigantic'" in capsys.readouterr().err
+
+
+def test_cli_bench_has_no_sweep_subcommand():
+    with pytest.raises(SystemExit):
+        main(["bench", "sweep", "--grid", "small"])
 
 
 def test_cli_bench_report_end_to_end(tmp_path, capsys):
