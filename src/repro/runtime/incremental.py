@@ -382,9 +382,9 @@ class IncrementalInspector:
 
         The sort of the added cross references is left out: it is
         boundary-sized and unknown until the moved rows are scanned, and
-        the only pre-patch bound on it (every reference of every moved
-        row) overstated the whole charge 20-35x (docs/benchmarks.md,
-        "Incremental crossover").
+        the pre-patch bound on it (every reference of every moved row)
+        overstates the whole charge 10-34x, where leaving it out stays
+        within 2x (docs/benchmarks.md, "Incremental crossover").
         """
         schedule = self.result.schedule
         return self.cost_model.patch_cost(
