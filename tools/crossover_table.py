@@ -10,7 +10,7 @@ patched result's exact sizes).  Prints the markdown table in
 docs/benchmarks.md, "Incremental crossover: estimate vs exact charge",
 then the patch share of an unforced run.
 
-    python tools/crossover_table.py [--seed 1995] [--scale full|smoke]
+    python tools/crossover_table.py [--seed 1995]
 """
 
 from __future__ import annotations
@@ -47,35 +47,30 @@ def forced_patch_cases(graph, cluster, config, y0) -> list[dict]:
         d = diff_interval(self.partition, new_partition, self.rank)
         if d.n_kept == 0:
             return rebuild(self, new_partition, force="full")
-        cm, indptr, old = self.cost_model, self.graph.indptr, self.result.schedule
+        cm, indptr = self.cost_model, self.graph.indptr
         moved = _range_ref_count(self.graph, d.lost + d.gained)
-        cross = int(self.cross_src.size)
+        shipped = self._patch_cost_estimate(d)  # prices no ``added`` sort
         estimate = {
-            name: cm.patch_cost(
-                diff_refs=moved, cross=2 * cross, ghosts=old.ghost_size,
-                sends=old.send_volume, added=added,
-            )
-            for name, added in zip(VARIANTS, (moved, 0, cross))
+            name: shipped + cm.sort_cost(added)
+            for name, added in zip(VARIANTS, (moved, 0, int(self.cross_src.size)))
         }
+        new_block = self._full_cost_estimate(d)
+        old_refs = int(indptr[d.old_hi] - indptr[d.old_lo])
+        new_refs = int(indptr[d.new_hi] - indptr[d.new_lo])
         full_estimate = {
-            "old block": cm.sorted_build_cost(
-                self.strategy, refs=int(indptr[d.old_hi] - indptr[d.old_lo]),
-                ghosts=old.ghost_size, sends=old.send_volume,
-            ),
-            "new block": self._full_cost_estimate(d),
+            "new block": new_block,
+            "old block": new_block + cm.sec_per_ref * (old_refs - new_refs),
         }
         result = rebuild(self, new_partition, force="patch")
-        new = result.schedule
         cases.append({
             "rank": self.rank,
             "remap": self.num_patches + self.num_full_rebuilds,
             "rows": d.n_lost + d.n_gained,
             "refs": moved,
             "patch": self.last_patch_cost,
-            "full": cm.sorted_build_cost(
-                self.strategy, refs=int(indptr[d.new_hi] - indptr[d.new_lo]),
-                ghosts=new.ghost_size, sends=new.send_volume,
-            ),
+            # After the patch the inspector holds the new partition's exact
+            # ghost and send sizes, so the same formula is the exact charge.
+            "full": self._full_cost_estimate(d),
             "estimate": estimate,
             "full_estimate": full_estimate,
         })
@@ -92,10 +87,10 @@ def forced_patch_cases(graph, cluster, config, y0) -> list[dict]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1995)
-    parser.add_argument("--scale", choices=("full", "smoke"), default="full")
     args = parser.parse_args(argv)
 
-    graph, cluster, config = _adaptive_sfc(args.seed, args.scale)
+    # Full scale only: the smoke-scale run never remaps.
+    graph, cluster, config = _adaptive_sfc(args.seed, "full")
     y0 = np.random.default_rng(args.seed).uniform(0.0, 100.0, graph.num_vertices)
     cases = forced_patch_cases(graph, cluster, config, y0)
 
