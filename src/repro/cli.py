@@ -155,11 +155,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="replay exactly one scenario instead of "
                            "generating: a path to a scenario JSON file, "
                            "or the JSON object inline")
+    invariant_help = (
+        "check only the named invariant(s); repeatable (default: all "
+        "seven — reference-match, no-desync, recoverable, and the four "
+        "differentials backend-differential, obs-neutral, "
+        "inspector-differential, world-differential)"
+    )
     frun.add_argument("--invariant", action="append", default=[],
-                      metavar="NAME",
-                      help="check only the named invariant(s); repeatable "
-                           "(default: all — see `repro fuzz run --seed 0 "
-                           "--budget 1` output for the list)")
+                      metavar="NAME", help=invariant_help)
     frun.add_argument("--shrink-failures", action="store_true",
                       help="greedily shrink each failing scenario and "
                            "print its minimal reproducer command")
@@ -178,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     fshrink.add_argument("--index", type=int, default=0,
                          help="scenario index under --seed (default 0)")
     fshrink.add_argument("--invariant", action="append", default=[],
-                         metavar="NAME")
+                         metavar="NAME", help=invariant_help)
     fshrink.add_argument("--max-attempts", type=int, default=200,
                          help="oracle-run budget for the shrink loop")
     fshrink.add_argument("-o", "--output", default=None,
@@ -190,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     fcorpus.add_argument("--dir", default="tests/fuzz_corpus",
                          help="corpus directory (default: tests/fuzz_corpus)")
     fcorpus.add_argument("--invariant", action="append", default=[],
-                         metavar="NAME")
+                         metavar="NAME", help=invariant_help)
 
     serve = sub.add_parser(
         "serve",
@@ -426,9 +429,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         RankFailedError,
         ResilienceError,
     ) as exc:
-        # Cross-rank aggregation (num_remaps / membership_events /
-        # num_checkpoints / num_rollbacks) raises on a desync too, so
-        # the summary prints live inside the guard.
+        # Reading the report's collective counters raises on a desync
+        # too, so the summary prints live inside the guard.
         _log.error("error: %s", exc)
         return 2
     if args.verify:
@@ -646,7 +648,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                     for violation in report.violations:
                         print(f"  - {violation}")
                     print(f"  {report.scenario.reproducer_command()}")
-            print(f"\n{len(paths)} corpus scenario(s), {failures} failure(s)")
+            print(f"\n{len(paths)} corpus scenario(s), {failures} "
+                  f"failure(s); invariants: {', '.join(invariants)}")
             return 1 if failures else 0
     except ReproError as exc:
         _log.error("error: %s", exc)
@@ -781,7 +784,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
                 for name in matched:
                     validate_overrides(name, overrides, quick=args.quick)
-            from contextlib import ExitStack
+            import cProfile
+            import pstats
+            from contextlib import ExitStack, nullcontext
+            from pathlib import Path
 
             violated = False
             with ExitStack() as stack:
@@ -793,36 +799,24 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                         capture_traces(capacity=args.trace_capacity)
                     )
                 for name in matched:
-                    if args.profile:
-                        import cProfile
-                        import pstats
-                        from pathlib import Path
-
-                        profile_dir = Path(args.results_dir) / "profiles"
-                        profile_dir.mkdir(parents=True, exist_ok=True)
-                        pstats_path = profile_dir / f"{name}.pstats"
-                        prof = cProfile.Profile()
-                        prof.enable()
-                        try:
+                    prof = cProfile.Profile() if args.profile else nullcontext()
+                    try:
+                        with prof:
                             artifact, path = run_experiment(
                                 name,
                                 quick=args.quick,
                                 overrides=overrides or None,
                                 results_dir=args.results_dir,
                             )
-                        finally:
-                            prof.disable()
+                    finally:
+                        if args.profile:
+                            profile_dir = Path(args.results_dir) / "profiles"
+                            profile_dir.mkdir(parents=True, exist_ok=True)
+                            pstats_path = profile_dir / f"{name}.pstats"
                             prof.dump_stats(str(pstats_path))
                             stats = pstats.Stats(prof, stream=sys.stderr)
                             stats.sort_stats("cumulative").print_stats(20)
                             _log.info("profile: %s", pstats_path)
-                    else:
-                        artifact, path = run_experiment(
-                            name,
-                            quick=args.quick,
-                            overrides=overrides or None,
-                            results_dir=args.results_dir,
-                        )
                     _print_artifact_summary(artifact)
                     for message in artifact.get("violations", ()):
                         violated = True

@@ -4,12 +4,14 @@ paper's 30,269-vertex mesh (``repro bench run 'scale-*'``)."""
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Any, Mapping
 
 import numpy as np
 
 from repro.experiments.registry import experiment
 from repro.experiments.catalog.workloads import huge_workload, scale_workload
+from repro.experiments.spec import agree_across, below, config_label, group_runs
 
 __all__ = [
     "scale_epoch_measurements",
@@ -25,7 +27,11 @@ __all__ = [
 # north star: "as fast as the hardware allows", far past the paper's
 # 30,269-vertex mesh).  Unlike the table experiments, these measure *host*
 # wall seconds, because both backends charge identical virtual time by
-# design — the contract the differential tests enforce.
+# design — the contract each ``expect`` here states: a backend pair agrees
+# on every metric but the host-timed ones, bit for bit.
+
+#: The host-timed metrics of a timed ``run_program`` (``_scale_run``).
+_RUN_HOST = ("redistribute_host_s", "run_host_s")
 
 
 def scale_epoch_measurements(
@@ -111,6 +117,11 @@ def scale_epoch_measurements(
         "workload_seed": (1995,),
         "world": ("sim",),
     },
+    expect=partial(
+        agree_across,
+        axis="backend",
+        ignore=("inspector_host_s", "executor_host_s", "epoch_host_s"),
+    ),
 )
 def _exp_scale_epoch(params: Mapping[str, Any], *, seed: int) -> dict[str, float]:
     return scale_epoch_measurements(
@@ -202,22 +213,14 @@ def _scale_run(
     t0 = time.perf_counter()
     report = run_program(graph, cluster, config, y0=y0)
     run_host_s = time.perf_counter() - t0
-    metrics = {
-        "makespan": report.makespan,
-        "num_remaps": float(report.num_remaps),
-        "membership_events": float(report.membership_events),
-        "num_checkpoints": float(report.num_checkpoints),
-        "num_rollbacks": float(report.num_rollbacks),
-        "remap_time": report.remap_time,
-        "check_time": report.lb_check_time,
-        "checkpoint_time": report.checkpoint_time,
-        "rollback_time": report.rollback_time,
-        "lost_time": report.lost_time,
-        "redistribute_host_s": report.redistribute_host_s,
-        "run_host_s": run_host_s,
-        "final_active": float((report.partition_final.sizes() > 0).sum()),
-        "n_vertices": float(n),
-    }
+    metrics = report.virtual_metrics()
+    metrics.update(
+        check_time=metrics["lb_check_time"],
+        redistribute_host_s=report.redistribute_host_s,
+        run_host_s=run_host_s,
+        final_active=float((report.partition_final.sizes() > 0).sum()),
+        n_vertices=float(n),
+    )
     return {k: metrics[k] for k in keys}
 
 
@@ -264,6 +267,13 @@ def scale_adaptive_measurements(
     )
 
 
+def _expect_scale_adaptive(runs):
+    # A real-world run (--set world=real) reports wall seconds: only the
+    # sim world's metrics are virtual.
+    sim = [run for run in runs if run["params"]["world"] == "sim"]
+    yield from agree_across(sim, "backend", ignore=_RUN_HOST)
+
+
 @experiment(
     "scale-adaptive",
     title="Scale tier: dynamic-load scenarios under adaptive load balancing",
@@ -290,6 +300,7 @@ def scale_adaptive_measurements(
         "workload_seed": (1995,),
         "world": ("sim",),
     },
+    expect=_expect_scale_adaptive,
 )
 def _exp_scale_adaptive(
     params: Mapping[str, Any], *, seed: int
@@ -435,6 +446,15 @@ def scale_real_measurements(
     }
 
 
+def _expect_scale_real(runs):
+    for run in runs:
+        if run["metrics"]["values_match"] != 1.0:
+            yield (
+                f"final values differ between the sim and real worlds at "
+                f"{config_label(run['params'])}"
+            )
+
+
 @experiment(
     "scale-real",
     title="Real processes vs simulator: measured/predicted cost ratios",
@@ -453,6 +473,7 @@ def scale_real_measurements(
         "replication": (1,),
         "workload_seed": (1995,),
     },
+    expect=_expect_scale_real,
 )
 def _exp_scale_real(params: Mapping[str, Any], *, seed: int) -> dict[str, float]:
     return scale_real_measurements(
@@ -534,6 +555,7 @@ def scale_elastic_measurements(
         "check_interval": (5,),
         "workload_seed": (1995,),
     },
+    expect=partial(agree_across, axis="backend", ignore=_RUN_HOST),
 )
 def _exp_scale_elastic(
     params: Mapping[str, Any], *, seed: int
@@ -615,6 +637,21 @@ def scale_resilience_measurements(
     )
 
 
+def _expect_scale_resilience(runs):
+    yield from agree_across(runs, "backend", ignore=_RUN_HOST)
+    for run in runs:
+        if not run["metrics"]["num_rollbacks"] >= 1:
+            yield f"a failure went unrecovered at {config_label(run['params'])}"
+    # k=2 ships each epoch to one more successor than k=1: its checkpoint
+    # overhead must strictly dominate at an otherwise equal configuration.
+    for shared, by in group_runs(runs, "replication"):
+        if 1 in by and 2 in by:
+            yield from below(
+                f"checkpoint_time at r1 vs r2 ({config_label(shared)})",
+                by[1]["checkpoint_time"], by[2]["checkpoint_time"],
+            )
+
+
 @experiment(
     "scale-resilience",
     title="Scale tier: unannounced failures under checkpoint/recovery",
@@ -641,6 +678,7 @@ def scale_resilience_measurements(
         "check_interval": (5,),
         "workload_seed": (1995,),
     },
+    expect=_expect_scale_resilience,
 )
 def _exp_scale_resilience(
     params: Mapping[str, Any], *, seed: int
@@ -771,6 +809,26 @@ def scale_huge_measurements(
     }
 
 
+def _expect_scale_huge(runs):
+    # (patch_virtual_s included: the charge is deterministic in the diff.)
+    yield from agree_across(
+        runs, "backend", ignore=("full_rebuild_s", "incremental_s", "speedup")
+    )
+    for run in runs:
+        params, m = run["params"], run["metrics"]
+        at = config_label(params)
+        if m["results_match"] != 1.0:
+            yield f"patched schedules/plans differ from a full rebuild's at {at}"
+        if m["values_match"] != 1.0:
+            yield f"patched sweep values differ from a full rebuild's at {at}"
+        # The small-boundary remap must take the patch path everywhere,
+        # and it must actually be faster.
+        if m["patched_ranks"] != params["p"]:
+            yield f"{m['patched_ranks']:.0f} of {params['p']} ranks patched at {at}"
+        if not m["speedup"] > 1.0:
+            yield f"incremental speedup {m['speedup']:.3g} is not > 1 at {at}"
+
+
 @experiment(
     "scale-huge",
     title="Huge tier: incremental vs full inspector rebuild, 1M-10M vertices",
@@ -788,6 +846,7 @@ def scale_huge_measurements(
         "workload_seed": (1995,),
     },
     higher_is_better=("speedup",),
+    expect=_expect_scale_huge,
 )
 def _exp_scale_huge(params: Mapping[str, Any], *, seed: int) -> dict[str, float]:
     return scale_huge_measurements(
@@ -848,6 +907,19 @@ def scale_service_measurements(
     return out
 
 
+def _expect_scale_service(runs):
+    yield from agree_across(runs, "backend", ignore=("run_host_s",))
+    # On the adversarial descending stream the seeded random permutation
+    # must beat FIFO's p99 makespan (narrow jobs stop queuing behind the
+    # wide head-of-line job).
+    for shared, by in group_runs(runs, "policy"):
+        if shared["shape"] == "descending" and "random" in by and "fifo" in by:
+            yield from below(
+                f"p99 makespan, random vs fifo ({config_label(shared)})",
+                by["random"]["p99_makespan"], by["fifo"]["p99_makespan"],
+            )
+
+
 @experiment(
     "scale-service",
     title="Scale tier: multi-tenant job service on one shared cluster",
@@ -871,6 +943,7 @@ def scale_service_measurements(
         "admission_seed": (1,),
     },
     higher_is_better=("throughput", "jain_fairness"),
+    expect=_expect_scale_service,
 )
 def _exp_scale_service(
     params: Mapping[str, Any], *, seed: int

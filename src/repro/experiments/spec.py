@@ -24,6 +24,8 @@ __all__ = [
     "config_seed",
     "group_runs",
     "below",
+    "agree_across",
+    "config_label",
 ]
 
 #: A metrics function receives one fully-resolved parameter configuration and
@@ -98,6 +100,33 @@ def below(what: str, a: float, b: float, factor: float = 1.0) -> Iterator[str]:
     """The shape claim ``a < factor * b``: yields one message if it fails."""
     if not a < factor * b:
         yield f"{what}: {a:.4g} is not below {factor:g} x {b:.4g}"
+
+
+def config_label(params: Mapping[str, Any]) -> str:
+    """``k=v, ...`` — how a violation message names a configuration."""
+    return ", ".join(f"{k}={v}" for k, v in params.items())
+
+
+def agree_across(
+    runs: Sequence[Mapping[str, Any]], axis: str, ignore: Sequence[str] = ()
+) -> Iterator[str]:
+    """The differential claim: runs that differ only in *axis* agree, bit
+    for bit, on every metric not in *ignore* (the host-timed ones).
+
+    Yields one message per disagreement, naming the configuration, the
+    metric and both values.  A partner that was not run is not compared.
+    """
+    for shared, by in group_runs(runs, axis):
+        (first, expected), *others = by.items()
+        for value, metrics in others:
+            for name in sorted((expected.keys() | metrics.keys()) - set(ignore)):
+                a, b = expected.get(name), metrics.get(name)
+                if a != b:
+                    yield (
+                        f"{name} differs across {axis} at "
+                        f"{config_label(shared)}: "
+                        f"{a!r} ({axis}={first}) vs {b!r} ({axis}={value})"
+                    )
 
 
 @dataclass(frozen=True)

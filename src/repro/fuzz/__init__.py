@@ -1,11 +1,14 @@
 """Seeded adversarial scenario fuzzing (churn × load × failure).
 
-The runtime's standing contracts — recovery reproduces the no-failure
-values bit-for-bit, the reference and vectorized backends agree on every
-virtual metric, collective counters never desynchronize, and an
-unrecoverable world dies with a diagnosed :class:`ResilienceError` rather
-than a crash — are each pinned by hand-written tests.  This package turns
-them into an *oracle* and drives randomly composed scenarios at it:
+The runtime's standing contracts are each pinned by hand-written tests.
+This package turns them into an *oracle* of seven named invariants —
+``reference-match`` (recovery reproduces the no-failure values bit for
+bit), ``no-desync`` (collective counters never desynchronize),
+``recoverable`` (an unrecoverable world dies with a diagnosed
+:class:`ResilienceError` rather than a crash), and one differential per
+neutral axis: ``backend-differential``, ``obs-neutral``,
+``inspector-differential``, ``world-differential`` — and drives randomly
+composed scenarios at it:
 
 * :mod:`~repro.fuzz.scenario` — the deterministic generator: a seed maps
   to a :class:`Scenario` (graph size, cluster shape, membership churn,
@@ -28,6 +31,8 @@ replay CI.
 
 from repro.fuzz.oracle import (
     INVARIANTS,
+    LATTICE,
+    Axis,
     OracleReport,
     check_invariant_names,
     run_scenario,
@@ -41,7 +46,9 @@ from repro.fuzz.scenario import (
 from repro.fuzz.shrink import ShrinkResult, shrink_scenario
 
 __all__ = [
+    "Axis",
     "INVARIANTS",
+    "LATTICE",
     "LoadSpec",
     "OracleReport",
     "Scenario",

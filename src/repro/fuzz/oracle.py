@@ -8,32 +8,36 @@ the standing invariants of the runtime held:
   no loads, no checkpoints).  Final values are a function of the
   computation alone; any divergence means recovery or redistribution
   corrupted data.
-* ``backend-differential`` — the reference and vectorized backends agree
-  bit-for-bit on the outcome, the final values, and every virtual metric
-  (makespan, per-rank clocks, checkpoint/rollback/lost-time counters).
 * ``no-desync`` — the collective counters (remaps, membership events,
   checkpoints, rollbacks) aggregate without a cross-rank disagreement;
   the :class:`~repro.runtime.ProgramReport` properties raise on desync
-  and the oracle surfaces that as a violation.
+  and the oracle surfaces that as a violation, for every run it makes.
 * ``recoverable`` — the run either completes or dies with a *diagnosed*
   :class:`~repro.errors.ResilienceError` (directly, or wrapped per-rank
   in a :class:`~repro.errors.RankFailedError`); any other exception is a
   crash.  A scenario's ``expect`` field may narrow this to exactly one
   of the two legitimate outcomes.
-* ``obs-neutral`` — re-running the scenario with tracing enabled
-  (:mod:`repro.obs`) leaves the final values, per-rank virtual clocks,
-  virtual metrics, and collective counters bit-identical.  Recording is
-  observation only: a span that advanced a clock or perturbed a decision
-  would break the determinism contract in the subtlest possible way.
-  (Observability's *own* outputs — e.g. the mailbox-depth gauge — are
-  deliberately not compared: they may legitimately vary with thread
-  scheduling; the invariant is that the *computation* cannot.)
+
+and four *differentials*, one per row of :data:`LATTICE`: the scenario is
+re-run with one neutral :class:`~repro.runtime.ProgramConfig` axis moved,
+and the two reports must agree under the one rule,
+:meth:`ProgramReport.differences <repro.runtime.ProgramReport.differences>`.
+``backend-differential`` (the paper-faithful loops) and ``obs-neutral``
+(recording is observation only: a span that advanced a clock or perturbed
+a decision would break determinism in the subtlest possible way; obs's
+*own* outputs, e.g. the mailbox-depth gauge, are not compared) stay
+inside one cost model, so the outcome, every clock, virtual time and
+collective counter must match too.  ``inspector-differential`` and
+``world-differential`` are values-only: a patch is charged less virtual
+time than a rebuild, and in the real world membership events fire on
+wall time, so clocks — and in the real world even the outcome —
+legitimately move.  A variant run that *crashes* is always a violation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,46 +45,54 @@ from repro.errors import (
     ConfigurationError,
     LoadBalanceError,
     RankFailedError,
-    ReproError,
     ResilienceError,
 )
 from repro.fuzz.scenario import Scenario
+from repro.runtime.program import COLLECTIVE_COUNTERS, run_program
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.program import ProgramReport
 
 __all__ = [
     "INVARIANTS",
+    "LATTICE",
+    "Axis",
     "OracleReport",
     "check_invariant_names",
     "run_scenario",
 ]
 
+
+class Axis(NamedTuple):
+    """One neutral axis of the configuration lattice."""
+
+    invariant: str
+    #: The :class:`ProgramConfig` fields the variant run replaces.
+    changes: Mapping[str, Any]
+    #: Both runs charge the same sim cost model: clocks, virtual times,
+    #: collective counters and the outcome must agree, not only values.
+    virtual: bool
+    applies: Callable[[Scenario], bool] = lambda scenario: True
+
+
+LATTICE = (
+    Axis("backend-differential", {"backend": "reference"}, virtual=True),
+    Axis("obs-neutral", {"trace": True}, virtual=True),
+    Axis(
+        "inspector-differential",
+        {"inspector_mode": "incremental"},
+        virtual=False,
+        applies=lambda scenario: scenario.strategy != "simple",
+    ),
+    Axis("world-differential", {"world": "real"}, virtual=False),
+)
+
 #: The oracle's invariant vocabulary (``--invariant`` on the CLI).
 INVARIANTS = (
     "reference-match",
-    "backend-differential",
     "no-desync",
     "recoverable",
-    "obs-neutral",
-)
-
-#: The collective counters whose aggregation detects a desync.
-_COLLECTIVE_COUNTERS = (
-    "num_remaps",
-    "membership_events",
-    "num_checkpoints",
-    "num_rollbacks",
-)
-
-#: Virtual metrics that must agree bit-for-bit across backends.
-_VIRTUAL_METRICS = (
-    "makespan",
-    "checkpoint_time",
-    "rollback_time",
-    "lost_time",
-    "lb_check_time",
-    "remap_time",
+    *(axis.invariant for axis in LATTICE),
 )
 
 
@@ -111,7 +123,6 @@ class OracleReport:
     diagnosis: str = ""
     makespan: float | None = None
     num_rollbacks: int | None = None
-    num_checkpoints: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -137,17 +148,14 @@ class OracleReport:
 
 
 def _attempt(
-    scenario: Scenario, backend: str, *, traced: bool = False
+    scenario: Scenario, **changes: Any
 ) -> tuple[str, "ProgramReport | None", str]:
-    """One run: (outcome, report-or-None, diagnosis-or-crash-message)."""
-    from repro.runtime import run_program
-
+    """One run of *scenario* on the vectorized backend, with *changes*
+    replaced in its config: (outcome, report-or-None, diagnosis-or-crash)."""
     graph = scenario.build_graph()
     y0 = scenario.build_y0(graph)
     cluster = scenario.build_cluster()
-    config = scenario.build_config(backend=backend)
-    if traced:
-        config = replace(config, trace=True)
+    config = replace(scenario.build_config(backend="vectorized"), **changes)
     try:
         report = run_program(graph, cluster, config, y0=y0)
         return "recovered", report, ""
@@ -159,18 +167,16 @@ def _attempt(
         ):
             return "diagnosed", None, str(exc)
         return "crashed", None, f"{type(exc).__name__}: {exc}"
-    except ReproError as exc:
-        return "crashed", None, f"{type(exc).__name__}: {exc}"
     except Exception as exc:  # noqa: BLE001 — the oracle's whole job
         return "crashed", None, f"{type(exc).__name__}: {exc}"
 
 
-def _check_desync(report: "ProgramReport", backend: str, out: list[str]) -> None:
-    for counter in _COLLECTIVE_COUNTERS:
+def _check_desync(report: "ProgramReport", label: str, out: list[str]) -> None:
+    for counter in COLLECTIVE_COUNTERS:
         try:
             getattr(report, counter)
         except (LoadBalanceError, ResilienceError) as exc:
-            out.append(f"no-desync[{backend}]: {counter} desynchronized: {exc}")
+            out.append(f"no-desync[{label}]: {counter} desynchronized: {exc}")
 
 
 def run_scenario(
@@ -180,32 +186,17 @@ def run_scenario(
 ) -> OracleReport:
     """Execute *scenario* under the selected invariants.
 
-    ``backend-differential`` runs the scenario under both backends;
-    without it only the vectorized backend runs.  ``reference-match``
-    additionally runs the quiet baseline once.
+    The scenario runs once as configured (vectorized backend); every
+    selected :data:`LATTICE` row that applies re-runs it with that axis
+    moved, and ``reference-match`` additionally runs the quiet baseline.
     """
     checked = check_invariant_names(invariants)
-    backends = (
-        ("reference", "vectorized")
-        if "backend-differential" in checked
-        else ("vectorized",)
-    )
-    attempts = {b: _attempt(scenario, b) for b in backends}
+    outcome, primary, diagnosis = _attempt(scenario)
     violations: list[str] = []
 
-    outcomes = {b: a[0] for b, a in attempts.items()}
-    if len(set(outcomes.values())) > 1:
-        violations.append(
-            f"backend-differential: backends disagree on the outcome: "
-            f"{outcomes}"
-        )
-    primary_backend = backends[-1]  # vectorized when both ran
-    outcome, primary, diagnosis = attempts[primary_backend]
-
     if "recoverable" in checked:
-        for b, (oc, _, msg) in attempts.items():
-            if oc == "crashed":
-                violations.append(f"recoverable[{b}]: {msg}")
+        if outcome == "crashed":
+            violations.append(f"recoverable: {diagnosis}")
         if scenario.expect == "recovered" and outcome == "diagnosed":
             violations.append(
                 f"recoverable: scenario expects a recovery but the run "
@@ -216,95 +207,37 @@ def run_scenario(
                 "recoverable: scenario expects a diagnosed "
                 "ResilienceError but the run completed"
             )
+    if "no-desync" in checked and primary is not None:
+        _check_desync(primary, "vectorized", violations)
 
-    reports = {b: a[1] for b, a in attempts.items() if a[1] is not None}
-    if "no-desync" in checked:
-        for b, report in reports.items():
-            _check_desync(report, b, violations)
-
-    if (
-        "backend-differential" in checked
-        and len(reports) == 2
-        and len(set(outcomes.values())) == 1
-    ):
-        ref, vec = reports["reference"], reports["vectorized"]
-        if not np.array_equal(ref.values, vec.values):
+    for axis in LATTICE:
+        if axis.invariant not in checked or not axis.applies(scenario):
+            continue
+        moved = ", ".join(f"{k}={v!r}" for k, v in axis.changes.items())
+        v_outcome, variant, v_msg = _attempt(scenario, **axis.changes)
+        if v_outcome == "crashed":
             violations.append(
-                "backend-differential: final values differ between "
-                "reference and vectorized backends"
+                f"{axis.invariant}: the {moved} run crashed: {v_msg}"
             )
-        if ref.clocks != vec.clocks:
+        elif axis.virtual and v_outcome != outcome:
             violations.append(
-                f"backend-differential: per-rank clocks differ: "
-                f"{ref.clocks} vs {vec.clocks}"
+                f"{axis.invariant}: the {moved} run was {v_outcome}, "
+                f"the run it varies was {outcome}"
             )
-        for metric in _VIRTUAL_METRICS:
-            a, b = getattr(ref, metric), getattr(vec, metric)
-            if a != b:
-                violations.append(
-                    f"backend-differential: {metric} differs: "
-                    f"{a!r} (reference) vs {b!r} (vectorized)"
+        if variant is None:
+            continue
+        if "no-desync" in checked:
+            _check_desync(variant, moved, violations)
+        if primary is not None:
+            violations.extend(
+                f"{axis.invariant}: with {moved}, {difference}"
+                for difference in primary.differences(
+                    variant, virtual=axis.virtual
                 )
-        for counter in _COLLECTIVE_COUNTERS:
-            try:
-                a, b = getattr(ref, counter), getattr(vec, counter)
-            except (LoadBalanceError, ResilienceError):
-                continue  # already reported by no-desync
-            if a != b:
-                violations.append(
-                    f"backend-differential: {counter} differs: "
-                    f"{a} (reference) vs {b} (vectorized)"
-                )
-
-    if (
-        "obs-neutral" in checked
-        and primary is not None
-        and outcome == "recovered"
-    ):
-        tr_outcome, traced, tr_msg = _attempt(
-            scenario, primary_backend, traced=True
-        )
-        if traced is None:
-            violations.append(
-                f"obs-neutral: the traced re-run failed "
-                f"({tr_outcome}): {tr_msg}"
             )
-        else:
-            if not np.array_equal(primary.values, traced.values):
-                violations.append(
-                    "obs-neutral: enabling tracing changed the final values"
-                )
-            if primary.clocks != traced.clocks:
-                violations.append(
-                    f"obs-neutral: enabling tracing changed the per-rank "
-                    f"clocks: {primary.clocks} vs {traced.clocks}"
-                )
-            for metric in _VIRTUAL_METRICS:
-                a, b = getattr(primary, metric), getattr(traced, metric)
-                if a != b:
-                    violations.append(
-                        f"obs-neutral: enabling tracing changed {metric}: "
-                        f"{a!r} vs {b!r}"
-                    )
-            for counter in _COLLECTIVE_COUNTERS:
-                try:
-                    a, b = getattr(primary, counter), getattr(traced, counter)
-                except (LoadBalanceError, ResilienceError):
-                    continue  # already reported by no-desync
-                if a != b:
-                    violations.append(
-                        f"obs-neutral: enabling tracing changed {counter}: "
-                        f"{a} vs {b}"
-                    )
 
-    if (
-        "reference-match" in checked
-        and primary is not None
-        and outcome == "recovered"
-    ):
-        base_outcome, base_report, base_msg = _attempt(
-            scenario.baseline(), primary_backend
-        )
+    if "reference-match" in checked and primary is not None:
+        base_outcome, base_report, base_msg = _attempt(scenario.baseline())
         if base_report is None:
             violations.append(
                 f"reference-match: the quiet baseline itself failed "
@@ -327,17 +260,12 @@ def run_scenario(
         violations=violations,
         diagnosis=diagnosis,
         makespan=primary.makespan if primary is not None else None,
-        num_rollbacks=(
-            _safe_counter(primary, "num_rollbacks") if primary else None
-        ),
-        num_checkpoints=(
-            _safe_counter(primary, "num_checkpoints") if primary else None
-        ),
+        num_rollbacks=_rollbacks(primary),
     )
 
 
-def _safe_counter(report: "ProgramReport", name: str) -> int | None:
+def _rollbacks(report: "ProgramReport | None") -> int | None:
     try:
-        return getattr(report, name)
-    except (LoadBalanceError, ResilienceError):
+        return report.num_rollbacks if report is not None else None
+    except ResilienceError:  # desynchronized: no-desync reports it
         return None

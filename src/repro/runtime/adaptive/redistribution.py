@@ -9,7 +9,9 @@ slabs the shared plan predicts.
 :func:`redistribute_fields` is the workhorse: it moves *k* field arrays
 plus the vertex identity of every moved element in **one** packed message
 per peer (:class:`repro.net.message.PackedArrays`), so a remap pays the
-per-message setup cost once per peer instead of once per field.  The
+per-message setup cost once per peer instead of once per field.  Its body,
+:func:`exchange_fields`, is also the failure-recovery exchange (dead
+sources stood in for by their replica holders): one implementation.  The
 identity segment lets the receiver verify each slab against the shared
 plan — a desynchronized partition (ranks disagreeing about who owns what)
 fails loudly instead of silently scattering data.  Buffer packing
@@ -26,7 +28,7 @@ golden regression tests pin them).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -44,6 +46,11 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "redistribute",
     "redistribute_fields",
+    "exchange_fields",
+    "extract_slabs",
+    "pack_slabs",
+    "verify_slabs",
+    "place_slabs",
     "estimate_remap_cost",
     "network_pricing_params",
     "transfer_plan_summary",
@@ -55,33 +62,15 @@ __all__ = [
 IDENTITY_NBYTES = np.dtype(np.intp).itemsize
 
 
-def _transfers_by_peer(
-    transfers: Sequence[Transfer], rank: int
-) -> tuple[dict[int, list[Transfer]], dict[int, list[Transfer]]]:
-    """This rank's (outgoing by dest, incoming by source) slab groups.
-
-    Slabs keep the plan's global order inside each group, so sender and
-    receiver agree on segment layout without negotiation.
-    """
-    outgoing: dict[int, list[Transfer]] = {}
-    incoming: dict[int, list[Transfer]] = {}
-    for tr in transfers:
-        if tr.source == rank:
-            outgoing.setdefault(tr.dest, []).append(tr)
-        if tr.dest == rank:
-            incoming.setdefault(tr.source, []).append(tr)
-    return outgoing, incoming
-
-
 # The packed wire format of one slab group — THE single implementation.
-# Both the Phase D remap (here) and the resilience recovery
-# (:mod:`repro.runtime.resilience.recovery`) ship slabs through these
-# three helpers, so the backend-paired pack/verify/place semantics (and
-# the bit-identical reference/vectorized contract) cannot diverge between
-# the two exchanges.
+# The remap / recovery exchange (:func:`exchange_fields`) and the
+# checkpoint replication (:mod:`repro.runtime.resilience.checkpoint`) ship
+# slabs through these four helpers, so the backend-paired
+# pack/verify/place semantics (and the bit-identical reference/vectorized
+# contract) cannot diverge between the exchanges.
 
 
-def _extract_slabs(
+def extract_slabs(
     source_fields: Sequence[np.ndarray],
     slabs: Sequence[Transfer],
     src_lo: int,
@@ -107,7 +96,7 @@ def _extract_slabs(
     ]
 
 
-def _pack_slabs(
+def pack_slabs(
     source_fields: Sequence[np.ndarray],
     slabs: Sequence[Transfer],
     src_lo: int,
@@ -127,11 +116,11 @@ def _pack_slabs(
             [np.arange(tr.lo, tr.hi, dtype=np.intp) for tr in slabs]
         )
     return pack_arrays(
-        [identity] + _extract_slabs(source_fields, slabs, src_lo, backend)
+        [identity] + extract_slabs(source_fields, slabs, src_lo, backend)
     )
 
 
-def _verify_slabs(
+def verify_slabs(
     rank: int,
     origin: str,
     parts: Sequence[np.ndarray],
@@ -168,7 +157,7 @@ def _verify_slabs(
             )
 
 
-def _place_slabs(
+def place_slabs(
     outs: Sequence[np.ndarray],
     slabs: Sequence[Transfer],
     parts: Sequence[np.ndarray],
@@ -188,6 +177,129 @@ def _place_slabs(
             offset += tr.count
 
 
+def exchange_fields(
+    ctx: "RankContext",
+    old: IntervalPartition,
+    new: IntervalPartition,
+    fields: Sequence[np.ndarray],
+    *,
+    tag: int = Tags.REDISTRIBUTE,
+    backend: str | None = None,
+    failed: np.ndarray | None = None,
+    shippers: Mapping[int, int] | None = None,
+    replicas: Mapping[int, Sequence[np.ndarray]] | None = None,
+    error_cls: type[Exception] = RedistributionError,
+) -> list[np.ndarray]:
+    """The packed *old* -> *new* exchange; SPMD collective.
+
+    One packed message per peer carries the vertex identity plus every
+    field's slab; the receiver checks identity against the shared plan
+    before placing anything.  With nothing *failed* this is the Phase D
+    remap.  On the recovery path (:mod:`repro.runtime.resilience.recovery`)
+    a *failed* rank contributes no data: each slab it owned is shipped by
+    ``shippers[owner]`` out of ``replicas[owner]``, under a per-owner tag
+    (``Tags.RECOVERY_BASE + owner``) so a holder covering several dead
+    owners keeps their streams apart from each other and from its own.
+    """
+    backend = resolve_backend(backend)
+    fields = [np.asarray(f) for f in fields]
+    if not fields:
+        raise error_cls("the packed exchange needs at least one field")
+    rank = ctx.rank
+    if failed is None:
+        failed = np.zeros(ctx.size, dtype=bool)
+    old_lo, old_hi = old.interval(rank)
+    new_lo, new_hi = new.interval(rank)
+    outs = [
+        np.empty((new_hi - new_lo,) + f.shape[1:], dtype=f.dtype)
+        for f in fields
+    ]
+    if not failed[rank]:
+        for k, f in enumerate(fields):
+            if f.shape[0] != old_hi - old_lo:
+                raise error_cls(
+                    f"rank {rank}: field {k} has {f.shape[0]} elements, old "
+                    f"interval holds {old_hi - old_lo}"
+                )
+        # Retained overlap: the slab (if any) that stays on this rank.
+        kept = [Transfer(rank, rank, max(old_lo, new_lo), min(old_hi, new_hi))]
+        if kept[0].lo < kept[0].hi:
+            place_slabs(
+                outs, kept, extract_slabs(fields, kept, old_lo, backend),
+                new_lo, backend,
+            )
+
+    def replica_tag(owner: int) -> int:
+        if Tags.RECOVERY_BASE + owner >= Tags.USER_BASE:
+            raise error_cls(
+                f"rank {owner} exceeds the recovery tag space "
+                f"(world must stay below {Tags.USER_BASE - Tags.RECOVERY_BASE} "
+                f"ranks)"
+            )
+        return Tags.RECOVERY_BASE + owner
+
+    # Group the plan's slabs by who really ships them.  Slabs keep the
+    # plan's global order inside each group, so sender and receiver agree
+    # on segment layout without negotiation.
+    own_out: dict[int, list[Transfer]] = {}  # dest -> slabs (this rank's data)
+    replica_out: dict[tuple[int, int], list[Transfer]] = {}  # (owner, dest)
+    incoming_live: dict[int, list[Transfer]] = {}  # live source -> slabs
+    incoming_dead: dict[int, list[Transfer]] = {}  # dead owner -> slabs
+    for tr in transfer_matrix(old, new):
+        if failed[tr.source]:
+            if shippers[tr.source] == rank:
+                replica_out.setdefault((tr.source, tr.dest), []).append(tr)
+            if tr.dest == rank:
+                incoming_dead.setdefault(tr.source, []).append(tr)
+        else:
+            if tr.source == rank:
+                own_out.setdefault(tr.dest, []).append(tr)
+            if tr.dest == rank:
+                incoming_live.setdefault(tr.source, []).append(tr)
+
+    # Sends first (buffered), destinations ascending so the virtual clock
+    # is deterministic regardless of plan enumeration details: own slabs,
+    # then replica slabs.
+    for dest in sorted(own_out):
+        ctx.send(dest, pack_slabs(fields, own_out[dest], old_lo, backend), tag)
+    for owner, dest in sorted(replica_out):
+        if dest != rank:  # this rank's own share is placed locally below
+            payload = pack_slabs(
+                list(replicas[owner]), replica_out[(owner, dest)],
+                old.interval(owner)[0], backend,
+            )
+            ctx.send(dest, payload, replica_tag(owner))
+
+    # Live incoming, ascending source: verified against the plan's
+    # identity prediction, then placed slab by slab.
+    for source in sorted(incoming_live):
+        slabs = incoming_live[source]
+        parts = unpack_arrays(ctx.recv(source, tag))
+        verify_slabs(
+            rank, f"rank {source}", parts, slabs, len(fields), outs, error_cls
+        )
+        place_slabs(outs, slabs, parts[1:], new_lo, backend)
+
+    # Dead owners' slabs, ascending owner: from the local replica when
+    # this rank is the designated shipper, else from its message.
+    for owner in sorted(incoming_dead):
+        slabs = incoming_dead[owner]
+        holder = shippers[owner]
+        if holder == rank:
+            parts = extract_slabs(
+                list(replicas[owner]), slabs, old.interval(owner)[0], backend
+            )
+        else:
+            parts = unpack_arrays(ctx.recv(holder, replica_tag(owner)))
+            verify_slabs(
+                rank, f"partner {holder} (owner {owner})", parts, slabs,
+                len(fields), outs, error_cls,
+            )
+            parts = parts[1:]
+        place_slabs(outs, slabs, parts, new_lo, backend)
+    return outs
+
+
 def redistribute_fields(
     ctx: "RankContext",
     old: IntervalPartition,
@@ -200,62 +312,9 @@ def redistribute_fields(
     """Move this rank's block of *k* fields from *old* to *new* homes.
 
     SPMD collective: all ranks call it with their old-block fields; each
-    returns its new-block fields.  One packed message per peer carries the
-    vertex identity plus every field's slab; the receiver checks identity
-    against the shared plan before placing anything.
+    returns its new-block fields (:func:`exchange_fields`, nothing failed).
     """
-    backend = resolve_backend(backend)
-    fields = [np.asarray(f) for f in fields]
-    if not fields:
-        raise RedistributionError("redistribute_fields needs at least one field")
-    old_lo, old_hi = old.interval(ctx.rank)
-    for k, f in enumerate(fields):
-        if f.shape[0] != old_hi - old_lo:
-            raise RedistributionError(
-                f"rank {ctx.rank}: field {k} has {f.shape[0]} elements, old "
-                f"interval holds {old_hi - old_lo}"
-            )
-    transfers = transfer_matrix(old, new)
-    new_lo, new_hi = new.interval(ctx.rank)
-    outs = [
-        np.empty((new_hi - new_lo,) + f.shape[1:], dtype=f.dtype)
-        for f in fields
-    ]
-
-    # Retained overlap: the slab (if any) that stays on this rank.
-    keep_lo = max(old_lo, new_lo)
-    keep_hi = min(old_hi, new_hi)
-    if keep_lo < keep_hi:
-        for f, out in zip(fields, outs):
-            if backend == "reference":
-                ref.slab_unpack_loop(
-                    out,
-                    keep_lo - new_lo,
-                    ref.slab_pack_loop(f, keep_lo - old_lo, keep_hi - old_lo),
-                )
-            else:
-                out[keep_lo - new_lo : keep_hi - new_lo] = f[
-                    keep_lo - old_lo : keep_hi - old_lo
-                ]
-
-    outgoing, incoming = _transfers_by_peer(transfers, ctx.rank)
-
-    # Outgoing: one packed message per destination peer, slabs in global
-    # order inside it.  Peers are walked in ascending order so the virtual
-    # clock is deterministic regardless of plan enumeration details.
-    for dest in sorted(outgoing):
-        ctx.send(dest, _pack_slabs(fields, outgoing[dest], old_lo, backend), tag)
-
-    # Incoming: one packed message per source peer, verified against the
-    # plan's identity prediction, then placed slab by slab.
-    for source in sorted(incoming):
-        slabs = incoming[source]
-        parts = unpack_arrays(ctx.recv(source, tag))
-        _verify_slabs(
-            ctx.rank, f"rank {source}", parts, slabs, len(fields), outs
-        )
-        _place_slabs(outs, slabs, parts[1:], new_lo, backend)
-    return outs
+    return exchange_fields(ctx, old, new, fields, tag=tag, backend=backend)
 
 
 def redistribute(

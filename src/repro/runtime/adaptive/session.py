@@ -174,26 +174,6 @@ class AdaptiveSession:
         self.elastic: ElasticState | None = (
             ElasticState(trace) if trace is not None else None
         )
-        if self.elastic is not None and not isinstance(
-            self.strategy, NoBalancing
-        ):
-            # Elastic checks pass the active mask through check(); fail
-            # fast on a caller-supplied strategy with the pre-elastic
-            # signature instead of a mid-run TypeError at the first check.
-            import inspect
-
-            params = inspect.signature(self.strategy.check).parameters
-            accepts_active = "active" in params or any(
-                p.kind is inspect.Parameter.VAR_KEYWORD
-                for p in params.values()
-            )
-            if not accepts_active:
-                raise LoadBalanceError(
-                    f"strategy {self.strategy.name!r} does not accept the "
-                    f"'active' keyword its check() needs under elastic "
-                    f"membership; update it to the current "
-                    f"RebalanceStrategy protocol"
-                )
         self.resilience: ResilienceState | None = None
         policy = resolve_checkpoint_policy(self.checkpoint)
         if policy is not None:
@@ -471,25 +451,14 @@ class AdaptiveSession:
             remaining = self.total_iterations - (iteration + 1)
             if self.elastic is not None:
                 remaining = self._capped_remaining(remaining, self._last_span)
-                decision = self.strategy.check(
-                    ctx,
-                    self.partition,
-                    time_per_item,
-                    remaining_iterations=remaining,
-                    config=config,
-                    active=self.elastic.active,
-                )
-            else:
-                # Without a membership trace, call through the PR-3 protocol
-                # surface exactly as before, so caller-supplied strategies
-                # written against it keep working unchanged.
-                decision = self.strategy.check(
-                    ctx,
-                    self.partition,
-                    time_per_item,
-                    remaining_iterations=remaining,
-                    config=config,
-                )
+            decision = self.strategy.check(
+                ctx,
+                self.partition,
+                time_per_item,
+                remaining_iterations=remaining,
+                config=config,
+                active=self.active,
+            )
         self.stats.lb_check_time += ctx.clock - t0
         self.stats.num_checks += 1
         self._count("lb.checks")

@@ -45,7 +45,22 @@ from repro.runtime.schedule_builders import InspectorCostModel
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.resilience import CheckpointPolicy
 
-__all__ = ["ProgramConfig", "RankStats", "ProgramReport", "run_program"]
+__all__ = [
+    "COLLECTIVE_COUNTERS", "VIRTUAL_TIMES",
+    "ProgramConfig", "RankStats", "ProgramReport", "run_program",
+]
+
+#: :class:`ProgramReport`'s collective counters (``_agreed``: every rank
+#: must report the same value) and its virtual seconds (the makespan and
+#: the ``_slowest``-rank Phase D times) — the one list of what a sim-world
+#: run measures; the oracle, the scale tier and the sweeps read it here.
+COLLECTIVE_COUNTERS = (
+    "num_remaps", "membership_events", "num_checkpoints", "num_rollbacks",
+)
+VIRTUAL_TIMES = (
+    "makespan", "checkpoint_time", "rollback_time", "lost_time",
+    "lb_check_time", "remap_time",
+)
 
 
 @dataclass(frozen=True)
@@ -312,6 +327,45 @@ class ProgramReport:
     def total_work_seconds(self) -> float:
         """Unit-speed work of the whole run (for efficiency metrics)."""
         return self.work_per_iteration * self.config.iterations
+
+    def virtual_metrics(self) -> dict[str, float]:
+        """:data:`VIRTUAL_TIMES` and :data:`COLLECTIVE_COUNTERS` by name."""
+        return {
+            name: float(getattr(self, name))
+            for name in VIRTUAL_TIMES + COLLECTIVE_COUNTERS
+        }
+
+    def differences(
+        self, other: "ProgramReport", *, virtual: bool
+    ) -> list[str]:
+        """The differential rule: where two runs of one program disagree.
+
+        Two runs that differ only in a *neutral axis* — backend, tracing,
+        inspector mode, execution world — must compute the same final
+        values, bit for bit.  When both ran on the sim world's one cost
+        model (*virtual*), per-rank clocks, :data:`VIRTUAL_TIMES` and
+        :data:`COLLECTIVE_COUNTERS` must be identical too.  One message
+        per differing field, naming it.  A counter that raises on desync
+        is skipped: that is one run's own defect (reading it reports it),
+        not a difference between the two.
+        """
+        out = []
+        if not np.array_equal(self.values, other.values):
+            out.append("final values differ")
+        if not virtual:
+            return out
+        if self.clocks != other.clocks:
+            out.append(
+                f"per-rank clocks differ: {self.clocks} vs {other.clocks}"
+            )
+        for name in VIRTUAL_TIMES + COLLECTIVE_COUNTERS:
+            try:
+                a, b = getattr(self, name), getattr(other, name)
+            except (LoadBalanceError, ResilienceError):
+                continue
+            if a != b:
+                out.append(f"{name} differs: {a!r} vs {b!r}")
+        return out
 
 
 def _initial_capabilities(

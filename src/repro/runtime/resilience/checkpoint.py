@@ -35,9 +35,9 @@ from repro.partition.arrangement import Transfer
 from repro.partition.intervals import IntervalPartition
 from repro.runtime.adaptive.redistribution import (
     IDENTITY_NBYTES,
-    _pack_slabs,
-    _verify_slabs,
     network_pricing_params,
+    pack_slabs,
+    verify_slabs,
 )
 from repro.runtime.backend import resolve_backend
 from repro.runtime.resilience.policy import CheckpointPolicy
@@ -240,7 +240,7 @@ def take_checkpoint(
     # in ring order so the virtual clock is deterministic.
     metrics = getattr(ctx, "metrics", None)
     for partner in partners.get(rank, ()):
-        payload = _pack_slabs(
+        payload = pack_slabs(
             fields, [Transfer(rank, partner, lo, hi)], lo, backend
         )
         if metrics is not None:
@@ -262,7 +262,7 @@ def take_checkpoint(
     for owner in sorted(predecessors):
         parts = unpack_arrays(ctx.recv(owner, tag))
         olo, ohi = partition.interval(owner)
-        _verify_slabs(
+        verify_slabs(
             rank,
             f"checkpoint owner {owner}",
             parts,

@@ -6,7 +6,9 @@ from the *checkpoint* partition to a fresh partition over the shrunken
 active set (chosen by the ordinary MCR profitability machinery, where the
 dead rank holding elements makes the remap mandatory).
 
-The exchange is the packed Phase D redistribution with one twist: slabs
+The exchange *is* the packed Phase D redistribution
+(:func:`~repro.runtime.adaptive.redistribution.exchange_fields`, one
+body for both) with one twist: slabs
 whose *source* is a dead rank are shipped from the replica by that
 rank's *first surviving* checkpoint holder instead — the plan is still
 fully replicated (partition, ring, holder lists, and failure set are
@@ -26,17 +28,8 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from repro.errors import ResilienceError
-from repro.net.message import Tags, unpack_arrays
-from repro.partition.arrangement import Transfer, transfer_matrix
 from repro.partition.intervals import IntervalPartition
-from repro.runtime import reference as ref
-from repro.runtime.adaptive.redistribution import (
-    _extract_slabs,
-    _pack_slabs,
-    _place_slabs,
-    _verify_slabs,
-)
-from repro.runtime.backend import resolve_backend
+from repro.runtime.adaptive.redistribution import exchange_fields
 from repro.runtime.resilience.checkpoint import normalize_partners
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,7 +42,7 @@ def check_recoverable(
     partition: IntervalPartition,
     partners: "Mapping[int, int | Sequence[int]]",
     failed: np.ndarray,
-) -> None:
+) -> dict[int, int]:
     """Fail loudly when the epoch cannot be reassembled.
 
     Every dead rank that owned data at the checkpoint must have at least
@@ -57,10 +50,13 @@ def check_recoverable(
     partner (a single-active-rank pool), or the owner *and all k of its
     holders* died within one epoch — the correlated-failure limit of
     k-successor partner replication (k=1 is the classic ring-edge double
-    failure).
+    failure).  Returns each such owner's designated *shipper*: its first
+    live holder in ring-successor order — replicated knowledge, so every
+    rank names the same one without a message.
     """
     failed = np.asarray(failed, dtype=bool)
     holder_map = normalize_partners(partners)
+    shippers: dict[int, int] = {}
     for owner in sorted(int(r) for r in np.flatnonzero(failed)):
         if partition.size(owner) == 0:
             continue
@@ -87,17 +83,8 @@ def check_recoverable(
                 f"per epoch per ring neighborhood — checkpoint more "
                 f"often or raise the replication factor)"
             )
-
-
-def _recovery_tag(owner: int) -> int:
-    tag = Tags.RECOVERY_BASE + owner
-    if tag >= Tags.USER_BASE:
-        raise ResilienceError(
-            f"rank {owner} exceeds the recovery tag space "
-            f"(world must stay below {Tags.USER_BASE - Tags.RECOVERY_BASE} "
-            f"ranks)"
-        )
-    return tag
+        shippers[owner] = next(h for h in holders if not failed[h])
+    return shippers
 
 
 def recover_redistribute_fields(
@@ -121,128 +108,14 @@ def recover_redistribute_fields(
     *failed* is the cumulative failure mask at detection time.  Each rank
     returns its *new*-block fields.
     """
-    backend = resolve_backend(backend)
-    fields = [np.asarray(f) for f in fields]
-    if not fields:
-        raise ResilienceError(
-            "recover_redistribute_fields needs at least one field"
-        )
     failed = np.asarray(failed, dtype=bool)
-    rank = ctx.rank
-    alive = not failed[rank]
-    holder_map = normalize_partners(partners)
-    check_recoverable(old, holder_map, failed)
-    # The designated shipper for each dead data owner: its first live
-    # holder, in ring-successor order — replicated knowledge, so every
-    # rank names the same shipper without a message.
-    shippers: dict[int, int] = {}
-    for owner in (int(r) for r in np.flatnonzero(failed)):
-        if old.size(owner) == 0:
-            continue
-        shippers[owner] = next(
-            h for h in holder_map[owner] if not failed[h]
-        )
+    shippers = check_recoverable(old, partners, failed)
     if np.any(failed & (new.sizes() > 0)):
         bad = np.flatnonzero(failed & (new.sizes() > 0)).tolist()
         raise ResilienceError(
             f"recovery partition assigns elements to failed ranks {bad}"
         )
-    old_lo, old_hi = old.interval(rank)
-    if alive:
-        for k, f in enumerate(fields):
-            if f.shape[0] != old_hi - old_lo:
-                raise ResilienceError(
-                    f"rank {rank}: restored field {k} has {f.shape[0]} "
-                    f"elements, the checkpoint interval holds "
-                    f"{old_hi - old_lo}"
-                )
-    transfers = transfer_matrix(old, new)
-    new_lo, new_hi = new.interval(rank)
-    outs = [
-        np.empty((new_hi - new_lo,) + f.shape[1:], dtype=f.dtype)
-        for f in fields
-    ]
-
-    # Retained overlap (alive ranks only; a dead rank owns nothing new).
-    keep_lo = max(old_lo, new_lo)
-    keep_hi = min(old_hi, new_hi)
-    if alive and keep_lo < keep_hi:
-        for f, out in zip(fields, outs):
-            if backend == "reference":
-                ref.slab_unpack_loop(
-                    out,
-                    keep_lo - new_lo,
-                    ref.slab_pack_loop(f, keep_lo - old_lo, keep_hi - old_lo),
-                )
-            else:
-                out[keep_lo - new_lo : keep_hi - new_lo] = f[
-                    keep_lo - old_lo : keep_hi - old_lo
-                ]
-
-    # Group the plan's slabs by who really ships them.
-    own_out: dict[int, list[Transfer]] = {}  # dest -> slabs (this rank's data)
-    replica_out: dict[tuple[int, int], list[Transfer]] = {}  # (owner, dest)
-    incoming_live: dict[int, list[Transfer]] = {}  # live source -> slabs
-    incoming_dead: dict[int, list[Transfer]] = {}  # dead owner -> slabs
-    for tr in transfers:
-        if failed[tr.source]:
-            if shippers[tr.source] == rank:
-                replica_out.setdefault((tr.source, tr.dest), []).append(tr)
-            if tr.dest == rank:
-                incoming_dead.setdefault(tr.source, []).append(tr)
-        else:
-            if tr.source == rank and tr.dest != rank:
-                own_out.setdefault(tr.dest, []).append(tr)
-            if tr.dest == rank and tr.source != rank:
-                incoming_live.setdefault(tr.source, []).append(tr)
-
-    # Sends first (buffered), destinations in ascending order so the
-    # virtual clock is deterministic: own slabs, then replica slabs.
-    for dest in sorted(own_out):
-        ctx.send(
-            dest,
-            _pack_slabs(fields, own_out[dest], old_lo, backend),
-            Tags.REDISTRIBUTE,
-        )
-    for owner, dest in sorted(replica_out):
-        if dest == rank:
-            continue  # placed locally below, no message
-        olo, _ = old.interval(owner)
-        ctx.send(
-            dest,
-            _pack_slabs(
-                list(replicas[owner]), replica_out[(owner, dest)], olo, backend
-            ),
-            _recovery_tag(owner),
-        )
-
-    # Live incoming, ascending source order.
-    for source in sorted(incoming_live):
-        slabs = incoming_live[source]
-        parts = unpack_arrays(ctx.recv(source, Tags.REDISTRIBUTE))
-        _verify_slabs(rank, f"rank {source}", parts, slabs, len(fields),
-                      outs, ResilienceError)
-        _place_slabs(outs, slabs, parts[1:], new_lo, backend)
-
-    # Dead owners' slabs, ascending owner order: from the local replica
-    # when this rank is the designated shipper, else from its message.
-    for owner in sorted(incoming_dead):
-        slabs = incoming_dead[owner]
-        holder = shippers[owner]
-        if holder == rank:
-            olo, _ = old.interval(owner)
-            parts = _extract_slabs(list(replicas[owner]), slabs, olo, backend)
-            _place_slabs(outs, slabs, parts, new_lo, backend)
-        else:
-            parts = unpack_arrays(ctx.recv(holder, _recovery_tag(owner)))
-            _verify_slabs(
-                rank,
-                f"partner {holder} (owner {owner})",
-                parts,
-                slabs,
-                len(fields),
-                outs,
-                ResilienceError,
-            )
-            _place_slabs(outs, slabs, parts[1:], new_lo, backend)
-    return outs
+    return exchange_fields(
+        ctx, old, new, fields, backend=backend, failed=failed,
+        shippers=shippers, replicas=replicas, error_cls=ResilienceError,
+    )

@@ -231,13 +231,12 @@ class TestEndToEnd:
                 ProgramConfig(iterations=6, strategy=strategy, backend=backend),
                 y0=y0,
             )
-        np.testing.assert_array_equal(
-            reports["reference"].values, reports["vectorized"].values
-        )
         # Exact, not approximate: every receive is charged in virtual-
         # arrival order, so whole-program virtual time is bit-identical
         # across backends on deterministic networks.
-        assert reports["reference"].makespan == reports["vectorized"].makespan
+        assert reports["reference"].differences(
+            reports["vectorized"], virtual=True
+        ) == []
 
     def test_use_backend_context(self):
         assert resolve_backend(None) in BACKENDS

@@ -276,6 +276,16 @@ class TestFuzzCLI:
         assert "known invariants" in err
         assert "no-desync" in err
 
+    def test_invariant_help_names_every_invariant(self, capsys):
+        # The parser may not import repro.fuzz (0.5 s of every CLI start),
+        # so the help text restates the names: keep it honest.
+        from repro.fuzz import INVARIANTS
+
+        with pytest.raises(SystemExit):
+            main(["fuzz", "run", "--help"])
+        text = "".join(capsys.readouterr().out.split())  # undo the wrapping
+        assert all(name in text for name in INVARIANTS)
+
     def test_rejects_bad_scenario_spec(self, capsys):
         rc = main(["fuzz", "run", "--scenario", "no/such/file.json"])
         assert rc == 2
@@ -291,12 +301,14 @@ class TestFuzzCLI:
         assert rc == 2
         assert "no scenario JSON files" in capsys.readouterr().err
 
+    @pytest.mark.real  # the default walks the whole lattice, real world included
     def test_run_inline_scenario_passes(self, capsys):
         rc = main(["fuzz", "run", "--scenario", self.QUIET])
         assert rc == 0
         out = capsys.readouterr().out
         assert "recovered" in out
         assert "1 scenario(s), 0 failure(s)" in out
+        assert "inspector-differential, world-differential" in out
 
     def test_failing_scenario_prints_reproducer(self, capsys):
         rc = main([

@@ -13,9 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ResilienceError
 from repro.fuzz import (
     INVARIANTS,
+    LATTICE,
     LoadSpec,
     Scenario,
     check_invariant_names,
@@ -26,6 +27,10 @@ from repro.fuzz import (
 
 CORPUS_DIR = Path(__file__).parent / "fuzz_corpus"
 CORPUS = sorted(CORPUS_DIR.glob("*.json"))
+
+#: Everything but the axis that spawns OS processes: that one runs under
+#: the `real` marker, so `pytest -m "not real and not fuzz"` stays in-process.
+SIM_INVARIANTS = tuple(i for i in INVARIANTS if i != "world-differential")
 
 
 # ----------------------------------------------------------------------
@@ -148,11 +153,12 @@ class TestOracle:
 
     def test_quiet_scenario_recovers(self):
         rep = run_scenario(
-            Scenario(seed=1, vertices=96, workstations=2, iterations=4)
+            Scenario(seed=1, vertices=96, workstations=2, iterations=4),
+            invariants=SIM_INVARIANTS,
         )
         assert rep.outcome == "recovered"
         assert rep.ok
-        assert rep.checked == INVARIANTS
+        assert rep.checked == SIM_INVARIANTS
         assert rep.makespan is not None and rep.makespan > 0
 
     def test_expectation_mismatch_is_a_violation(self):
@@ -179,6 +185,150 @@ class TestOracle:
         rep = run_scenario(s, invariants=["no-desync"])
         assert rep.checked == ("no-desync",)
         assert rep.ok
+
+
+class TestOracleDetects:
+    """The gate itself: with ``run_program`` replaced by a stub whose
+    report is tampered on one side of one lattice axis, that axis's
+    invariant — and only it — reports the divergence."""
+
+    SCENARIO = Scenario(seed=1, vertices=96, workstations=2, iterations=4)
+
+    @pytest.fixture
+    def planted(self, monkeypatch, stub_report):
+        def plant(tamper):
+            """Every run returns a stub report after ``tamper(config,
+            report)``; returns the list of configs that ran."""
+            seen = []
+
+            def fake_run_program(graph, cluster, config, y0=None):
+                seen.append(config)
+                report = stub_report()
+                tamper(config, report)
+                return report
+
+            monkeypatch.setattr(
+                "repro.fuzz.oracle.run_program", fake_run_program
+            )
+            return seen
+
+        return plant
+
+    def test_invariants_are_the_three_checks_plus_the_lattice(self):
+        assert len(INVARIANTS) == 7
+        assert INVARIANTS[3:] == tuple(axis.invariant for axis in LATTICE)
+
+    def test_agreeing_runs_pass_and_walk_the_whole_lattice(self, planted):
+        seen = planted(lambda config, report: None)
+        assert run_scenario(self.SCENARIO).ok
+        moved = [
+            (c.backend, c.trace, c.inspector_mode, c.world) for c in seen
+        ]
+        assert moved == [
+            ("vectorized", False, "full", "sim"),
+            ("reference", False, "full", "sim"),
+            ("vectorized", True, "full", "sim"),
+            ("vectorized", False, "incremental", "sim"),
+            ("vectorized", False, "full", "real"),
+            ("vectorized", False, "full", "sim"),  # the quiet baseline
+        ]
+
+    @pytest.mark.parametrize(
+        "invariant, on, field",
+        [
+            ("backend-differential", lambda c: c.backend == "reference", "clocks"),
+            ("backend-differential", lambda c: c.backend == "reference", "values"),
+            ("obs-neutral", lambda c: c.trace, "remap_time"),
+            ("obs-neutral", lambda c: c.trace, "num_checkpoints"),
+            ("inspector-differential",
+             lambda c: c.inspector_mode == "incremental", "values"),
+            ("world-differential", lambda c: c.world == "real", "values"),
+        ],
+    )
+    def test_a_planted_divergence_is_reported_by_its_axis(
+        self, planted, nudge_report, invariant, on, field
+    ):
+        planted(lambda c, report: on(c) and nudge_report(report, field))
+        rep = run_scenario(self.SCENARIO)
+        [violation] = rep.violations
+        assert violation.startswith(f"{invariant}: ")
+        assert field in violation
+
+    @pytest.mark.parametrize(
+        "on",
+        [lambda c: c.inspector_mode == "incremental", lambda c: c.world == "real"],
+    )
+    def test_values_only_axes_ignore_clocks_times_and_counters(
+        self, planted, nudge_report, on
+    ):
+        def tamper(config, report):
+            if on(config):
+                for field in ("clocks", "makespan", "remap_time", "num_remaps"):
+                    nudge_report(report, field)
+
+        planted(tamper)
+        assert run_scenario(self.SCENARIO).ok
+
+    def test_a_desync_is_reported_once_by_no_desync(self, planted):
+        def tamper(config, report):
+            if config.backend == "reference":
+                report.rank_stats[0].num_remaps += 1
+
+        planted(tamper)
+        [violation] = run_scenario(self.SCENARIO).violations
+        assert violation.startswith("no-desync[backend='reference']")
+
+    def test_a_crashing_variant_is_a_violation_on_every_axis(self, planted):
+        def tamper(config, report):
+            if config.world == "real":
+                raise RuntimeError("worker died")
+
+        planted(tamper)
+        [violation] = run_scenario(self.SCENARIO).violations
+        assert violation.startswith("world-differential: ")
+        assert "crashed: RuntimeError: worker died" in violation
+
+    def test_outcome_agreement_is_a_contract_only_inside_the_sim_world(
+        self, planted
+    ):
+        # Membership events fire on wall time in the real world, so a
+        # diagnosed real run beside a recovered sim run is legitimate...
+        def late_failure(on):
+            def tamper(config, report):
+                if on(config):
+                    raise ResilienceError("unrecoverable")
+            return tamper
+
+        planted(late_failure(lambda c: c.world == "real"))
+        assert run_scenario(self.SCENARIO).ok
+        # ...while tracing may never change what happens.
+        planted(late_failure(lambda c: c.trace))
+        [violation] = run_scenario(self.SCENARIO).violations
+        assert violation.startswith("obs-neutral: ")
+        assert "diagnosed" in violation and "recovered" in violation
+
+    def test_unpatchable_strategy_skips_the_inspector_axis(self, planted):
+        seen = planted(lambda config, report: None)
+        simple = Scenario(seed=1, vertices=96, workstations=2, iterations=4,
+                          strategy="simple")
+        assert run_scenario(simple).ok
+        assert all(c.inspector_mode == "full" for c in seen)
+
+    @pytest.mark.parametrize(
+        "invariant, moved",
+        [("backend-differential", {"backend": "reference"}),
+         ("obs-neutral", {"trace": True})],
+    )
+    def test_one_selected_differential_runs_one_variant(
+        self, planted, invariant, moved
+    ):
+        seen = planted(lambda config, report: None)
+        rep = run_scenario(self.SCENARIO, invariants=[invariant])
+        assert rep.checked == (invariant,)
+        base, variant = seen
+        for name, value in moved.items():
+            assert getattr(base, name) != value
+            assert getattr(variant, name) == value
 
 
 # ----------------------------------------------------------------------
@@ -244,16 +394,43 @@ def test_corpus_exists_and_is_big_enough():
 
 # Corpus scenarios fail ranks below their replication factor on purpose;
 # the cap warning (an error under pytest.ini) is incidental to the replay.
+# The replay walks the whole lattice; the world axis spawns OS processes,
+# so it is its own test id under the `real` marker.
 @pytest.mark.filterwarnings("ignore::repro.errors.ResilienceWarning")
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_corpus_scenario_passes_oracle(path):
     scenario = Scenario.from_json(path.read_text(encoding="utf-8"))
-    report = run_scenario(scenario)
+    report = run_scenario(scenario, invariants=SIM_INVARIANTS)
     assert report.ok, f"{path.stem}: {report.violations}"
     # The file's expectation must be meaningful, not a blanket "any",
     # for the handcrafted entries that pin a specific outcome.
     if scenario.expect != "any":
         assert report.outcome == scenario.expect
+
+
+@pytest.mark.real
+@pytest.mark.filterwarnings("ignore::repro.errors.ResilienceWarning")
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_corpus_scenario_world_differential(path):
+    scenario = Scenario.from_json(path.read_text(encoding="utf-8"))
+    report = run_scenario(scenario, invariants=["world-differential"])
+    assert report.ok, f"{path.stem}: {report.violations}"
+
+
+def test_corpus_exercises_every_axis():
+    scenarios = [
+        Scenario.from_json(p.read_text(encoding="utf-8")) for p in CORPUS
+    ]
+    applicable = {
+        axis.invariant: sum(axis.applies(s) for s in scenarios)
+        for axis in LATTICE
+    }
+    assert applicable == {
+        "backend-differential": 22,
+        "obs-neutral": 22,
+        "inspector-differential": 17,
+        "world-differential": 22,
+    }
 
 
 def test_corpus_files_are_normalized():

@@ -280,7 +280,7 @@ class TestDifferential:
             ),
             y0=y0,
         )
-        assert np.array_equal(sim.values, real.values)
+        assert sim.differences(real, virtual=False) == []
 
     def test_unannounced_failure_recovery_real_world(self, tiny_paper_mesh):
         y0 = np.random.default_rng(5).uniform(0, 100, 500)
@@ -305,7 +305,7 @@ class TestDifferential:
         sim = run_program(
             tiny_paper_mesh, cluster, ProgramConfig(**common), y0=y0
         )
-        assert np.array_equal(sim.values, real.values)
+        assert sim.differences(real, virtual=False) == []
 
     def test_config_world_validation(self):
         with pytest.raises(ConfigurationError, match="world"):

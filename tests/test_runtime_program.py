@@ -18,7 +18,13 @@ from repro.partition.sfc import HilbertOrdering
 from repro.partition.spectral import SpectralOrdering
 from repro.runtime.adaptive import LoadBalanceConfig
 from repro.runtime.kernels import run_sequential
-from repro.runtime.program import ProgramConfig, run_program
+from repro.runtime.program import (
+    COLLECTIVE_COUNTERS,
+    VIRTUAL_TIMES,
+    ProgramConfig,
+    ProgramReport,
+    run_program,
+)
 
 
 @pytest.fixture(scope="module")
@@ -308,3 +314,50 @@ class TestLooselySynchronous:
         failure = ei.value.failures[0]
         assert isinstance(failure, CommunicationError)
         assert "unexpected message from rank 2" in str(failure)
+
+
+class TestDifferentialRule:
+    """``ProgramReport.differences`` on stub reports: the one rule every
+    "these two runs must agree" check calls."""
+
+    COMPARED = ("values", "clocks", *VIRTUAL_TIMES, *COLLECTIVE_COUNTERS)
+
+    def test_field_lists_name_report_attributes(self, stub_report):
+        report = stub_report()
+        assert list(report.virtual_metrics()) == [
+            *VIRTUAL_TIMES, *COLLECTIVE_COUNTERS
+        ]
+        for name in COLLECTIVE_COUNTERS + VIRTUAL_TIMES[1:]:
+            assert isinstance(getattr(ProgramReport, name), property)
+
+    def test_identical_reports_agree(self, stub_report):
+        assert stub_report().differences(stub_report(), virtual=True) == []
+
+    @pytest.mark.parametrize("field", COMPARED)
+    def test_one_moved_field_is_one_message_naming_it(
+        self, stub_report, nudge_report, field
+    ):
+        a, b = stub_report(), stub_report()
+        nudge_report(b, field)
+        [message] = a.differences(b, virtual=True)
+        assert field in message
+        assert b.differences(a, virtual=True) != []
+
+    @pytest.mark.parametrize("field", COMPARED)
+    def test_values_only_mode_ignores_clocks_times_and_counters(
+        self, stub_report, nudge_report, field
+    ):
+        a, b = stub_report(), stub_report()
+        nudge_report(b, field)
+        differences = a.differences(b, virtual=False)
+        assert len(differences) == (1 if field == "values" else 0)
+
+    def test_a_desynchronized_counter_is_not_a_difference(self, stub_report):
+        # Reading the counter raises (one run's own defect, the oracle's
+        # no-desync reports it); the rule must not report it a second time.
+        a, b = stub_report(), stub_report()
+        b.rank_stats[0].num_remaps += 1
+        with pytest.raises(Exception, match="ranks disagree"):
+            b.num_remaps
+        assert a.differences(b, virtual=True) == []
+        assert b.differences(a, virtual=True) == []

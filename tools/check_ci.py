@@ -1,11 +1,16 @@
 #!/usr/bin/env python
-"""Check that every GitHub workflow file loads with no duplicate keys.
+"""Check every GitHub workflow file: no duplicate keys, no embedded programs.
 
 YAML loaders keep the last of two equal keys in one mapping and say
 nothing, so a step that loses its ``- name:`` line merges into the step
 above it and one of the two ``run:`` scripts silently never runs.  This
 loads every ``.github/workflows/*.yml`` / ``*.yaml`` with a loader that
 raises on a repeated key instead, and reports ``file:line`` of each.
+
+It also reports every ``run:`` block that embeds a Python program
+(``python - <<EOF``, a ``python -c`` spanning lines): a contract nobody
+lints, tier-1 never runs and nobody can run offline.  It belongs in the
+repository (an ``expect``, a test, a tool) and the workflow calls it.
 
 Needs PyYAML, which the library itself does not (CI's docs job installs
 it; the tier-1 test skips without it).  Exit status: 0 if every workflow
@@ -15,24 +20,42 @@ job in CI and by tests/test_ci_config.py.
 
 from __future__ import annotations
 
+import re
 import sys
 from pathlib import Path
 
 import yaml
 
+#: A here-document on an interpreter's command line, or a ``-c`` argument
+#: whose opening quote is not closed on its own line.
+EMBEDDED_PROGRAM = re.compile(
+    r"""\bpython[\d.]*\b[^\n]*(?:<<|\s-c\s+(["'])(?:(?!\1).)*\n)"""
+)
+
 
 class StrictLoader(yaml.SafeLoader):
-    """SafeLoader that rejects a key repeated within one mapping."""
+    """SafeLoader that rejects a key repeated within one mapping and
+    notes the line of every ``run:`` key whose script embeds a program."""
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self.embedded: list[int] = []
 
     def construct_mapping(self, node, deep=False):
         seen = set()
-        for key_node, _ in node.value:
+        for key_node, value_node in node.value:
             key = self.construct_object(key_node, deep=True)
             if key in seen:
                 raise yaml.constructor.ConstructorError(
                     None, None, f"duplicate key {key!r}", key_node.start_mark
                 )
             seen.add(key)
+            if (
+                key == "run"
+                and isinstance(value_node, yaml.ScalarNode)
+                and EMBEDDED_PROGRAM.search(value_node.value)
+            ):
+                self.embedded.append(key_node.start_mark.line + 1)
         return super().construct_mapping(node, deep=deep)
 
 
@@ -42,15 +65,22 @@ def workflow_files(root: Path) -> list[Path]:
 
 
 def check_file(path: Path, root: Path) -> list[str]:
-    """Return one ``file:line: problem`` string per load failure."""
+    """Return one ``file:line: problem`` string per finding."""
+    name = path.relative_to(root)
+    loader = StrictLoader(path.read_text(encoding="utf-8"))
     try:
-        with path.open(encoding="utf-8") as handle:
-            yaml.load(handle, Loader=StrictLoader)
+        loader.get_single_data()
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         line = mark.line + 1 if mark is not None else 0
-        return [f"{path.relative_to(root)}:{line}: {exc.problem}"]
-    return []
+        return [f"{name}:{line}: {exc.problem}"]
+    finally:
+        loader.dispose()
+    return [
+        f"{name}:{line}: run block embeds a Python program; move it into "
+        f"the repository (an expect, a test, a tool) and call that"
+        for line in loader.embedded
+    ]
 
 
 def check_repo(root: Path) -> list[str]:
@@ -74,7 +104,8 @@ def main(argv: list[str] | None = None) -> int:
         for item in problems:
             print(f"  {item}", file=sys.stderr)
         return 1
-    print(f"ok: {len(files)} workflow file(s) load with no duplicate keys")
+    print(f"ok: {len(files)} workflow file(s): no duplicate keys, "
+          f"no embedded programs")
     return 0
 
 
