@@ -332,9 +332,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.graph import paper_mesh
     from repro.net import adaptive_cluster, sun4_cluster
     from repro.runtime import (
-        LoadBalanceConfig,
         ProgramConfig,
         cluster_efficiency,
+        resolve_load_balance,
         run_program,
         run_sequential,
     )
@@ -347,7 +347,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         cluster = sun4_cluster(args.workstations)
     y0 = np.random.default_rng(args.seed).uniform(0, 100, graph.num_vertices)
-    balancing = args.load_balance != "off"
     try:
         config = ProgramConfig(
             iterations=args.iterations,
@@ -359,12 +358,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 if args.competing_load > 0 or args.membership
                 else "speeds"
             ),
-            load_balance=(
-                LoadBalanceConfig(
-                    check_interval=args.check_interval, style=args.load_balance
-                )
-                if balancing
-                else None
+            load_balance=resolve_load_balance(
+                args.load_balance, check_interval=args.check_interval
             ),
             membership=args.membership,
             checkpoint=args.checkpoint,
@@ -390,7 +385,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 cluster, report.makespan, report.total_work_seconds
             )
             print(f"efficiency (Sec. 4): {eff:.3f}")
-        if balancing:
+        if config.load_balance is not None:
             print(f"strategy: {args.load_balance}, "
                   f"remaps: {report.num_remaps}, "
                   f"check cost {report.lb_check_time:.4f} s, "

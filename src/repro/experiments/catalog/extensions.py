@@ -160,7 +160,7 @@ def _exp_ext_distributed_lb(
     from repro.net.network import PointToPointNetwork, SharedEthernet
     from repro.net.spmd import run_spmd
     from repro.partition.intervals import partition_list
-    from repro.runtime.adaptive import LoadBalanceConfig, make_strategy
+    from repro.runtime.adaptive import check
 
     p, checks = int(params["p"]), int(params["checks"])
     cluster = uniform_cluster(
@@ -168,13 +168,12 @@ def _exp_ext_distributed_lb(
         network_factory=SharedEthernet if params["multicast"] else PointToPointNetwork,
     )
     part = partition_list(50_000, np.ones(p))
-    config = LoadBalanceConfig(style=str(params["style"]))
-    strategy = make_strategy(config)
+    style = str(params["style"])
     times = 1e-4 * (1.0 + 0.01 * np.arange(p))  # nearly balanced: no remap
 
     def fn(ctx):
         for _ in range(checks):
-            strategy.check(ctx, part, times[ctx.rank], 100, config)
+            check(ctx, style, part, times[ctx.rank], 100)
             ctx.barrier()
 
     return {"check_seconds": run_spmd(cluster, fn).makespan / checks}

@@ -19,6 +19,7 @@ own that).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Mapping
@@ -27,6 +28,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.net.loadmodel import MembershipTrace, StepLoad
+from repro.runtime.adaptive import STRATEGY_NAMES
+from repro.runtime.inspector import STRATEGIES
 from repro.utils.rng import SeedLike, as_generator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,9 +53,6 @@ SCENARIO_SCHEMA_VERSION = 1
 #: the deliberately-unrecoverable corpus entries), or ``any`` (either is
 #: fine; crashing never is).
 EXPECTATIONS = ("recovered", "diagnosed", "any")
-
-_STRATEGIES = ("simple", "sort1", "sort2")
-_LB_STYLES = ("off", "centralized", "distributed")
 
 #: Rough virtual seconds per iteration per vertex on an unloaded uniform
 #: pool — only used to place event times inside the run's lifetime, so a
@@ -122,15 +122,15 @@ class Scenario:
             raise ConfigurationError(
                 f"scenario needs >= 1 iteration, got {self.iterations}"
             )
-        if self.strategy not in _STRATEGIES:
+        if self.strategy not in STRATEGIES:
             raise ConfigurationError(
                 f"unknown schedule strategy {self.strategy!r}; known: "
-                f"{', '.join(_STRATEGIES)}"
+                f"{', '.join(STRATEGIES)}"
             )
-        if self.load_balance not in _LB_STYLES:
+        if self.load_balance not in STRATEGY_NAMES:
             raise ConfigurationError(
                 f"unknown load-balance style {self.load_balance!r}; known: "
-                f"{', '.join(_LB_STYLES)}"
+                f"{', '.join(STRATEGY_NAMES)}"
             )
         if self.check_interval < 1:
             raise ConfigurationError(
@@ -212,20 +212,15 @@ class Scenario:
         return cluster
 
     def build_config(self, *, backend: str | None = None) -> "ProgramConfig":
-        from repro.runtime import LoadBalanceConfig, ProgramConfig
+        from repro.runtime import ProgramConfig, resolve_load_balance
 
         return ProgramConfig(
             iterations=self.iterations,
             strategy=self.strategy,
             backend=backend,
             initial_capabilities="equal",
-            load_balance=(
-                None
-                if self.load_balance == "off"
-                else LoadBalanceConfig(
-                    check_interval=self.check_interval,
-                    style=self.load_balance,
-                )
+            load_balance=resolve_load_balance(
+                self.load_balance, check_interval=self.check_interval
             ),
             membership=self.membership,
             checkpoint=self.checkpoint,
@@ -303,16 +298,12 @@ class Scenario:
             for entry in data.pop("loads", [])
         )
         speeds = data.pop("speeds", None)
-        known = {
-            "seed", "vertices", "workstations", "iterations", "strategy",
-            "load_balance", "check_interval", "membership", "checkpoint",
-            "expect", "name",
-        }
+        known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ConfigurationError(
                 f"scenario has unknown field(s) {sorted(unknown)}; known "
-                f"fields: {sorted(known | {'loads', 'speeds', 'schema_version'})}"
+                f"fields: {sorted(known | {'schema_version'})}"
             )
         try:
             return cls(
@@ -383,9 +374,9 @@ def generate_scenario(seed: SeedLike, *, name: str = "") -> Scenario:
     p = int(rng.integers(2, 6))
     vertices = int(rng.integers(15, 51)) * 8  # 120..400
     iterations = int(rng.integers(6, 13))
-    strategy = str(rng.choice(_STRATEGIES))
+    strategy = str(rng.choice(STRATEGIES))
     load_balance = str(
-        rng.choice(_LB_STYLES, p=[0.2, 0.5, 0.3])
+        rng.choice(STRATEGY_NAMES, p=[0.2, 0.5, 0.3])
     )
     check_interval = int(rng.integers(2, 6))
 

@@ -81,8 +81,9 @@ def _candidates(scenario: Scenario) -> Iterator[Scenario]:
         )
     if scenario.iterations > 2:
         yield replace(scenario, iterations=scenario.iterations // 2)
-    if scenario.load_balance != "off":
-        yield replace(scenario, load_balance="off")
+    static = replace(scenario, load_balance="off")
+    if static != scenario:
+        yield static
     if scenario.checkpoint is not None and scenario.membership_trace() is not None:
         trace = scenario.membership_trace()
         if trace is not None and not trace.has_failures:

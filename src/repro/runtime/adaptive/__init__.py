@@ -1,13 +1,15 @@
 """Phase D as a subsystem: adaptive load balancing (Secs. 3.4-3.5).
 
 The paper's headline capability — monitor the load, test profitability,
-MinimizeCostRedistribution, remap — lives here as three pluggable layers:
+MinimizeCostRedistribution, remap — lives here in four modules:
 
 * :mod:`~repro.runtime.adaptive.strategy` — *when and what to remap*:
-  the :class:`RebalanceStrategy` protocol with the paper's
-  :class:`CentralizedStrategy`, the future-work
-  :class:`DistributedStrategy`, and :class:`NoBalancing`, all sharing one
-  deterministic :func:`decide` profitability function;
+  one deterministic :func:`decide` profitability function (its inputs are
+  its arguments plus four named constants), reached through the two
+  :func:`check` protocols Sec. 3.5 describes — ``"centralized"`` (the
+  paper's controller) and ``"distributed"`` (its stated future work) —
+  and :func:`resolve_load_balance`, the one place ``"off"`` / ``None``
+  (a static run) is understood;
 * :mod:`~repro.runtime.adaptive.redistribution` — *how data moves*:
   :func:`redistribute_fields` ships k fields plus vertex identity in one
   packed message per peer, with backend-paired (reference/vectorized)
@@ -21,11 +23,6 @@ MinimizeCostRedistribution, remap — lives here as three pluggable layers:
   runtime; :class:`ElasticState` + :func:`membership_decision` drain
   departing ranks through the same packed redistribution and re-run the
   profitability test for joiners.
-
-The old single-module homes (``repro.runtime.controller``,
-``repro.runtime.distributed_lb``, ``repro.runtime.redistribution``) have
-been removed; import everything from :mod:`repro.runtime.adaptive` (or
-the :mod:`repro.runtime` facade).
 """
 
 from repro.runtime.adaptive.elastic import (
@@ -45,36 +42,30 @@ from repro.runtime.adaptive.redistribution import (
 from repro.runtime.adaptive.session import AdaptiveSession, SessionStats
 from repro.runtime.adaptive.strategy import (
     STRATEGY_NAMES,
-    CentralizedStrategy,
     Decision,
-    DistributedStrategy,
     LoadBalanceConfig,
-    NoBalancing,
-    RebalanceStrategy,
+    check,
     decide,
-    make_strategy,
+    resolve_load_balance,
 )
 
 __all__ = [
     "AdaptiveSession",
-    "CentralizedStrategy",
     "Decision",
-    "DistributedStrategy",
     "ElasticState",
     "IDENTITY_NBYTES",
     "LoadBalanceConfig",
     "MembershipEvent",
     "MembershipTrace",
-    "NoBalancing",
-    "RebalanceStrategy",
     "STRATEGY_NAMES",
     "SessionStats",
+    "check",
     "decide",
     "estimate_remap_cost",
-    "make_strategy",
     "membership_decision",
     "redistribute",
     "redistribute_fields",
+    "resolve_load_balance",
     "resolve_membership",
     "transfer_plan_summary",
 ]

@@ -29,8 +29,8 @@ transfer cost.
 boundaries; :func:`membership_decision` is the replicated decision each
 event triggers.  Both are deterministic in (trace, synchronized clock), so
 every rank reaches the identical conclusion without a decision broadcast —
-the same argument that makes
-:class:`~repro.runtime.adaptive.strategy.DistributedStrategy` correct.
+the same argument that makes the distributed
+:func:`~repro.runtime.adaptive.strategy.check` correct.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 from repro.errors import LoadBalanceError
 from repro.net.loadmodel import MembershipEvent, MembershipTrace
 from repro.partition.intervals import IntervalPartition
-from repro.runtime.adaptive.strategy import Decision, LoadBalanceConfig, decide
+from repro.runtime.adaptive.strategy import Decision, decide
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.comm import RankContext
@@ -132,8 +132,9 @@ def membership_decision(
     partition: IntervalPartition,
     active: np.ndarray,
     remaining_iterations: int,
-    config: LoadBalanceConfig,
     *,
+    num_fields: int = 1,
+    rebuild_cost: float = 0.0,
     force: bool = False,
     iteration_span: float | None = None,
 ) -> Decision:
@@ -170,7 +171,8 @@ def membership_decision(
         partition,
         times,
         remaining_iterations,
-        config,
+        num_fields=num_fields,
+        rebuild_cost=rebuild_cost,
         active=np.asarray(active, dtype=bool),
         force=force,
     )

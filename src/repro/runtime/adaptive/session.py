@@ -9,8 +9,8 @@ of them drive now:
 * :meth:`record` feeds the per-iteration load sample to the monitor
   ("average computation time per data item");
 * :meth:`maybe_rebalance` runs the configured
-  :class:`~repro.runtime.adaptive.strategy.RebalanceStrategy` at the
-  check interval and, when the decision says remap, performs the packed
+  :func:`~repro.runtime.adaptive.strategy.check` protocol at the check
+  interval and, when the decision says remap, performs the packed
   redistribution and the inspector rebuild;
 * :meth:`remap_to` is the unconditional form for *adaptive applications*
   (paper footnote 1), where the computational structure itself changes and
@@ -44,13 +44,12 @@ which world it is balancing against.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.errors import LoadBalanceError, ResilienceError, ScheduleError
+from repro.errors import LoadBalanceError, ResilienceError
 from repro.graph.csr import CSRGraph
 from repro.partition.intervals import IntervalPartition
 from repro.runtime.adaptive.elastic import (
@@ -61,17 +60,18 @@ from repro.runtime.adaptive.elastic import (
 )
 from repro.runtime.adaptive.redistribution import redistribute_fields
 from repro.runtime.adaptive.strategy import (
+    Decision,
     LoadBalanceConfig,
-    NoBalancing,
-    RebalanceStrategy,
-    make_strategy,
+    check,
+    resolve_load_balance,
 )
-from repro.runtime.incremental import IncrementalInspector
+from repro.runtime.incremental import IncrementalInspector, check_inspector_mode
 from repro.runtime.inspector import InspectorResult, run_inspector
 from repro.runtime.monitor import LoadMonitor
 from repro.runtime.resilience.checkpoint import ResilienceState, take_checkpoint
 from repro.runtime.resilience.policy import (
     CheckpointPolicy,
+    require_checkpoint,
     resolve_checkpoint_policy,
 )
 from repro.runtime.resilience.recovery import recover_redistribute_fields
@@ -115,8 +115,9 @@ class AdaptiveSession:
     graph: CSRGraph
     partition: IntervalPartition
     total_iterations: int
+    #: A :class:`LoadBalanceConfig`, a protocol name, or None / "off" for
+    #: a static run; normalized by :func:`resolve_load_balance` on init.
     lb: "LoadBalanceConfig | str | None" = None
-    strategy: "RebalanceStrategy | None" = None
     schedule_strategy: str = "sort2"
     inspector_cost: InspectorCostModel = field(default_factory=InspectorCostModel)
     backend: str | None = None
@@ -142,26 +143,11 @@ class AdaptiveSession:
             raise LoadBalanceError(
                 f"total_iterations must be >= 1, got {self.total_iterations}"
             )
-        explicit_off = self.lb == "off"
-        if isinstance(self.lb, str):
-            self.lb = (
-                None if explicit_off else LoadBalanceConfig(style=self.lb)
-            )
-        if self.strategy is None:
-            self.strategy = make_strategy(self.lb)
-        elif explicit_off:
-            # An explicit lb="off" wins over a supplied strategy object:
-            # the caller asked for the static baseline.
-            self.strategy = NoBalancing()
-        elif self.lb is None and not isinstance(self.strategy, NoBalancing):
-            # A caller-supplied strategy with no config would otherwise be
-            # silently inert (checks gate on the config); give it the
-            # default knobs so the pluggable path actually balances.
-            self.lb = LoadBalanceConfig()
+        self.lb = resolve_load_balance(self.lb)
         self.stats = SessionStats()
         self.monitor = LoadMonitor()
         self._predictor = None
-        if self.lb is not None and self.lb.predictor is not None:
+        if not self.static and self.lb.predictor is not None:
             from repro.runtime.prediction import make_predictor
 
             self._predictor = make_predictor(self.lb.predictor)
@@ -178,17 +164,7 @@ class AdaptiveSession:
         policy = resolve_checkpoint_policy(self.checkpoint)
         if policy is not None:
             self.resilience = ResilienceState(policy)
-        if (
-            self.elastic is not None
-            and self.elastic.trace.has_failures
-            and self.resilience is None
-        ):
-            raise ResilienceError(
-                "the membership trace contains unannounced 'fail' events; "
-                "recovery needs a checkpoint policy — set "
-                "ProgramConfig.checkpoint (e.g. \"interval:4\") or pass "
-                "--checkpoint on the CLI"
-            )
+        require_checkpoint(trace, policy)
         self._resume_at: int | None = None
         self._last_sync_clock = self.ctx.clock
         self._last_span = 0.0
@@ -203,16 +179,9 @@ class AdaptiveSession:
                     f"{bad}; mask the initial capabilities with the "
                     f"membership trace's active set at t=0"
                 )
-        if self.inspector_mode not in ("full", "incremental"):
-            raise ScheduleError(
-                f"inspector_mode must be 'full' or 'incremental', got "
-                f"{self.inspector_mode!r}"
-            )
+        check_inspector_mode(self.inspector_mode, self.schedule_strategy)
         self._incremental: IncrementalInspector | None = None
         if self.inspector_mode == "incremental":
-            # Raises ScheduleError for the 'simple' strategy, whose
-            # request-ordered ghost buffers the patch path cannot
-            # reproduce.
             self._incremental = IncrementalInspector(
                 self.graph,
                 self.partition,
@@ -226,22 +195,6 @@ class AdaptiveSession:
         else:
             self.inspector = self._build_inspector()
         self.stats.inspector_time += self.inspector.build_time
-
-    # ------------------------------------------------------------------ #
-    # observability plumbing
-    # ------------------------------------------------------------------ #
-
-    def _span(self, kind: str, label: str = ""):
-        """An observability span on this rank's tracer (no-op without one)."""
-        tracer = getattr(self.ctx, "tracer", None)
-        if tracer is None:
-            return nullcontext()
-        return tracer.span(kind, label=label)
-
-    def _count(self, name: str, value: int = 1) -> None:
-        metrics = getattr(self.ctx, "metrics", None)
-        if metrics is not None:
-            metrics.count(name, value)
 
     # ------------------------------------------------------------------ #
     # phase B plumbing
@@ -291,37 +244,85 @@ class AdaptiveSession:
             return self.elastic.active
         return np.ones(self.ctx.size, dtype=bool)
 
-    def _priced(self, config: LoadBalanceConfig, num_fields: int) -> LoadBalanceConfig:
-        """Copy *config* with pricing matched to what a remap really costs.
+    @property
+    def static(self) -> bool:
+        """No load-balance config: the run never adapts voluntarily."""
+        return self.lb is None
 
-        ``num_fields`` is set to the actual field count the packed exchange
-        will ship.  Under elastic membership, a zero (default)
-        ``rebuild_cost_estimate`` is additionally filled with the rebuild
-        cost learned from the last remap — the measured synchronized remap
-        span minus its priced transfer — so the frequent repartitions
-        membership churn provokes stop looking free.  (Non-elastic runs
-        keep the paper's protocol untouched: rebuilds are priced only if
-        the caller configures an estimate.)  Both inputs are identical on
+    def _remap_decision(
+        self,
+        fields: Sequence[np.ndarray],
+        next_iteration: int,
+        span: float,
+        *,
+        report: float | None = None,
+        events: Sequence = (),
+        force: bool = False,
+    ) -> Decision:
+        """Price a remap, cap its horizon, decide; SPMD collective.
+
+        The one path the periodic check, a membership batch and the
+        recovery share.  The remap is priced for what the packed exchange
+        will really ship — every field plus identity (with no fields at
+        all it only moves ownership and rebuilds schedules) — plus the
+        rebuild cost learned from the last remap's measured span
+        (:meth:`_note_remap_span`; 0.0 outside elastic runs, which keep
+        the paper's protocol untouched).  All inputs are identical on
         every rank, keeping decisions collective.
-        """
-        updates: dict = {}
-        if num_fields and config.num_fields != num_fields:
-            updates["num_fields"] = num_fields
-        if (
-            self.elastic is not None
-            and config.rebuild_cost_estimate == 0.0
-            and self._rebuild_cost > 0.0
-        ):
-            updates["rebuild_cost_estimate"] = self._rebuild_cost
-        return replace(config, **updates) if updates else config
 
-    def _note_remap_span(self, transfer_cost_estimate: float) -> None:
+        With *report* (this rank's monitored time per item) the configured
+        :func:`check` protocol collects every rank's report; without it
+        the decision is evaluated redundantly from replicated inputs
+        (:func:`membership_decision`), for the *events* of a membership
+        batch or a recovery's survivor split.
+        """
+        pricing = dict(
+            num_fields=len(fields) or 1, rebuild_cost=self._rebuild_cost
+        )
+        remaining = max(self.total_iterations - next_iteration, 0)
+        if self.elastic is not None:
+            remaining = self._capped_remaining(remaining, span)
+        if report is not None:
+            return check(
+                self.ctx, self.lb.style, self.partition, report, remaining,
+                active=self.active, **pricing,
+            )
+        assert self.elastic is not None
+        mask = self.elastic.active
+        if self.static:
+            # The baseline's mandatory drain targets only the active ranks
+            # already holding data — otherwise a later departure would
+            # smuggle data onto a joiner the baseline never adopted.  A
+            # replace's designated successor is the explicit exception
+            # (the operator swapped the machine *in order to* hand over).
+            # If the departing ranks held everything, fall back to the
+            # full active set: the data must land somewhere.
+            holders = mask & (self.partition.sizes() > 0)
+            for ev in events:
+                if ev.kind == "replace" and mask[ev.replacement]:
+                    holders[ev.replacement] = True
+            if holders.any():
+                mask = holders
+        return membership_decision(
+            self.ctx,
+            self.partition,
+            mask,
+            remaining,
+            force=force,
+            iteration_span=span if span > 0 else None,
+            **pricing,
+        )
+
+    def _note_remap_span(self, decision: Decision) -> None:
         """Learn the rebuild cost from the remap that just completed.
 
-        *transfer_cost_estimate* must be the decision's remap cost **minus
-        the rebuild estimate that was priced into it** — subtracting the
-        full priced cost would cancel the previously learned rebuild and
-        oscillate the estimate between R and 0 on alternate remaps.
+        The measured synchronized remap span minus its priced *transfer*:
+        the decision's remap cost **minus the rebuild cost that was priced
+        into it** (still ``_rebuild_cost``: nothing else writes it) —
+        subtracting the full priced cost would cancel the previously
+        learned rebuild and oscillate the estimate between R and 0 on
+        alternate remaps.  Pricing it makes the frequent repartitions
+        membership churn provokes stop looking free.
 
         Only meaningful under elastic membership: ``_last_sync_clock`` is
         advanced by every :meth:`poll_membership`, which no-ops without a
@@ -337,7 +338,8 @@ class AdaptiveSession:
         if self.elastic is None:
             return
         span = self.ctx.clock - self._last_sync_clock
-        self._rebuild_cost = max(span - transfer_cost_estimate, 0.0)
+        transfer = decision.remap_cost - self._rebuild_cost
+        self._rebuild_cost = max(span - transfer, 0.0)
         self._last_sync_clock = self.ctx.clock
 
     def _capped_remaining(self, remaining: int, span: float) -> int:
@@ -379,7 +381,7 @@ class AdaptiveSession:
         extended to empty intervals (which can never fill a window but
         must still participate).
         """
-        if self.lb is None or isinstance(self.strategy, NoBalancing):
+        if self.static:
             return False
         done = iteration + 1
         if done % self.lb.check_interval != 0 or done >= self.total_iterations:
@@ -400,8 +402,9 @@ class AdaptiveSession:
         applied first (:meth:`poll_membership`); a departure drains the
         leaving rank's fields regardless of the load-balance style.  When a
         check is due, every rank contributes its monitored load to the
-        strategy; if the collective decision says remap, *fields* are
-        redistributed to the new partition and the inspector is rebuilt.
+        configured protocol; if the collective decision says remap,
+        *fields* are redistributed to the new partition and the inspector
+        is rebuilt.
         With a checkpoint policy configured, a due boundary additionally
         replicates the (possibly remapped) state as a fresh epoch; a
         ``fail`` event detected by the poll instead triggers the rollback
@@ -430,15 +433,9 @@ class AdaptiveSession:
             return fields
         if not self.check_due(iteration):
             return self._maybe_checkpoint(iteration, boundary_clock, fields)
-        assert self.lb is not None
         ctx = self.ctx
-        # Price the remap for what the packed exchange will really ship:
-        # every field plus identity, not just one field.  With no fields
-        # at all the configured pricing stands (the remap then only moves
-        # ownership and rebuilds schedules).
-        config = self._priced(self.lb, len(fields))
         t0 = ctx.clock
-        with self._span("lb-check", label=self.strategy.name):
+        with ctx.tracer.span("lb-check", label=self.lb.style):
             time_per_item = (
                 self.monitor.avg_time_per_item()
                 if self.monitor.has_window
@@ -448,27 +445,17 @@ class AdaptiveSession:
                 # Footnote 2: forecast next-phase capability from history.
                 self._predictor.observe(1.0 / time_per_item)
                 time_per_item = 1.0 / self._predictor.predict()
-            remaining = self.total_iterations - (iteration + 1)
-            if self.elastic is not None:
-                remaining = self._capped_remaining(remaining, self._last_span)
-            decision = self.strategy.check(
-                ctx,
-                self.partition,
-                time_per_item,
-                remaining_iterations=remaining,
-                config=config,
-                active=self.active,
+            decision = self._remap_decision(
+                fields, iteration + 1, self._last_span, report=time_per_item
             )
         self.stats.lb_check_time += ctx.clock - t0
         self.stats.num_checks += 1
-        self._count("lb.checks")
+        ctx.metrics.count("lb.checks")
         self.monitor.reset_window()
         if decision.remap:
             assert decision.new_partition is not None
             fields = self.remap_to(decision.new_partition, fields)
-            self._note_remap_span(
-                decision.remap_cost - config.rebuild_cost_estimate
-            )
+            self._note_remap_span(decision)
         return self._maybe_checkpoint(iteration, boundary_clock, fields)
 
     def poll_membership(
@@ -499,8 +486,10 @@ class AdaptiveSession:
         if not events:
             return fields
         self.stats.membership_events += len(events)
-        self._count("membership.events", len(events))
-        with self._span("membership-poll", label=f"{len(events)} event(s)"):
+        ctx.metrics.count("membership.events", len(events))
+        with ctx.tracer.span(
+            "membership-poll", label=f"{len(events)} event(s)"
+        ):
             return self._apply_membership_events(
                 iteration, fields, events, span, t0
             )
@@ -540,8 +529,7 @@ class AdaptiveSession:
             and iteration + 1 < self.total_iterations
         )
         forced = any(ev.kind in ("leave", "replace") for ev in events)
-        static = self.lb is None or isinstance(self.strategy, NoBalancing)
-        if not forced and static:
+        if not forced and self.static:
             # The static baseline never adapts voluntarily: departures must
             # drain (the data has nowhere else to go), but a join is an
             # opportunity only a balancing run exploits.  The joiner stays
@@ -551,44 +539,14 @@ class AdaptiveSession:
                     fields, next_iteration=iteration + 1
                 )
             return fields
-        decision_mask = self.elastic.active
-        if forced and static:
-            # The baseline's mandatory drain targets only the active ranks
-            # already holding data — otherwise a later departure would
-            # smuggle data onto a joiner the baseline never adopted.  A
-            # replace's designated successor is the explicit exception
-            # (the operator swapped the machine *in order to* hand over).
-            # If the departing ranks held everything, fall back to the
-            # full active set: the data must land somewhere.
-            holders = decision_mask & (self.partition.sizes() > 0)
-            for ev in events:
-                if ev.kind == "replace" and decision_mask[ev.replacement]:
-                    holders[ev.replacement] = True
-            if holders.any():
-                decision_mask = holders
-        config = self._priced(
-            self.lb if self.lb is not None else LoadBalanceConfig(),
-            len(fields),
-        )
-        remaining = self._capped_remaining(
-            max(self.total_iterations - (iteration + 1), 0), span
-        )
-        decision = membership_decision(
-            ctx,
-            self.partition,
-            decision_mask,
-            remaining,
-            config,
-            force=forced,
-            iteration_span=span if span > 0 else None,
+        decision = self._remap_decision(
+            fields, iteration + 1, span, events=events, force=forced
         )
         self.stats.lb_check_time += ctx.clock - t0
         if decision.remap:
             assert decision.new_partition is not None
             fields = self.remap_to(decision.new_partition, fields)
-            self._note_remap_span(
-                decision.remap_cost - config.rebuild_cost_estimate
-            )
+            self._note_remap_span(decision)
         if refresh:
             fields = self._take_checkpoint(fields, next_iteration=iteration + 1)
         return fields
@@ -641,7 +599,7 @@ class AdaptiveSession:
         ctx = self.ctx
         ctx.barrier()
         t0 = ctx.clock
-        with self._span("checkpoint", label=f"epoch {res.epochs_taken}"):
+        with ctx.tracer.span("checkpoint", label=f"epoch {res.epochs_taken}"):
             res.checkpoint = take_checkpoint(
                 ctx,
                 self.partition,
@@ -650,15 +608,13 @@ class AdaptiveSession:
                 next_iteration=next_iteration,
                 epoch=res.epochs_taken,
                 backend=self.backend,
-                replication_factor=getattr(
-                    res.policy, "replication_factor", 1
-                ),
+                replication_factor=res.policy.replication_factor,
             )
         res.measured_cost = ctx.clock - t0
         res.epochs_taken += 1
         self.stats.checkpoint_time += ctx.clock - t0
         self.stats.num_checkpoints += 1
-        self._count("cp.checkpoints")
+        ctx.metrics.count("cp.checkpoints")
         # The next iteration-span sample starts where the checkpoint
         # ended, not where the iteration did.
         self._last_sync_clock = ctx.clock
@@ -732,8 +688,8 @@ class AdaptiveSession:
         t0 = ctx.clock
         self.stats.num_rollbacks += 1
         self.stats.lost_time += max(ctx.clock - cp.clock, 0.0)
-        self._count("cp.rollbacks")
-        with self._span("recovery", label=f"resume@{cp.next_iteration}"):
+        ctx.metrics.count("cp.rollbacks")
+        with ctx.tracer.span("recovery", label=f"resume@{cp.next_iteration}"):
             # Restore the epoch: replicated partition, snapshot data.  The
             # incoming fields (post-checkpoint progress) are discarded.
             self.partition = cp.partition
@@ -742,27 +698,8 @@ class AdaptiveSession:
             # Survivor split: mandatory (the dead rank holds epoch data while
             # inactive).  The static baseline keeps its drain-only semantics:
             # data lands only on active ranks that already hold some.
-            active = self.elastic.active
-            decision_mask = active
-            if self.lb is None or isinstance(self.strategy, NoBalancing):
-                holders = active & (cp.partition.sizes() > 0)
-                if holders.any():
-                    decision_mask = holders
-            config = self._priced(
-                self.lb if self.lb is not None else LoadBalanceConfig(),
-                len(fields),
-            )
-            remaining = self._capped_remaining(
-                max(self.total_iterations - cp.next_iteration, 0), span
-            )
-            decision = membership_decision(
-                ctx,
-                self.partition,
-                decision_mask,
-                remaining,
-                config,
-                force=True,
-                iteration_span=span if span > 0 else None,
+            decision = self._remap_decision(
+                fields, cp.next_iteration, span, force=True
             )
             assert decision.remap and decision.new_partition is not None
             host0 = time.perf_counter()
@@ -781,9 +718,7 @@ class AdaptiveSession:
             self.inspector = self._rebuild_inspector()
             ctx.barrier()
         self.stats.rollback_time += ctx.clock - t0
-        self._note_remap_span(
-            decision.remap_cost - config.rebuild_cost_estimate
-        )
+        self._note_remap_span(decision)
         self._resume_at = cp.next_iteration
         return self._take_checkpoint(
             fields, next_iteration=cp.next_iteration
@@ -802,7 +737,7 @@ class AdaptiveSession:
         ctx = self.ctx
         fields = list(fields)
         t0 = ctx.clock
-        with self._span("remap"):
+        with ctx.tracer.span("remap"):
             if fields:
                 host0 = time.perf_counter()
                 fields = redistribute_fields(
@@ -815,5 +750,5 @@ class AdaptiveSession:
             ctx.barrier()
         self.stats.remap_time += ctx.clock - t0
         self.stats.num_remaps += 1
-        self._count("lb.remaps")
+        ctx.metrics.count("lb.remaps")
         return fields

@@ -1,46 +1,42 @@
-"""Pluggable rebalancing strategies: the decision layer of Phase D.
+"""The decision layer of Phase D: one profitability rule, two protocols.
 
-Sec. 3.5 describes two protocols for deciding *whether and how* to remap:
+Sec. 3.5 fixes *what* is decided — :func:`decide`, the rule that
+remapping pays iff the predicted per-iteration improvement, summed over
+the remaining iterations, exceeds the estimated remap cost
+(redistribution + schedule rebuild), with the new arrangement chosen by
+MCR — and varies two things: how often to check ("the frequency of load
+balancing is an important parameter") and how the ``p`` load reports
+reach whoever runs the rule.  :func:`check` is that second choice, the
+two arms of one function:
 
-* the paper's implementation — "each processor monitors its own load and
-  sends it to a controller processor, which makes the decision about
-  repartitioning the data ... which broadcasts the decision to all the
-  processors" (:class:`CentralizedStrategy`);
-* its stated future work — "when better resource management tools are
-  available, we hope to have distributed strategies"
-  (:class:`DistributedStrategy`).
-
-Both share one deterministic decision function, :func:`decide` — the
-profitability rule that remapping pays iff the predicted per-iteration
-improvement, summed over the remaining iterations, exceeds the estimated
-remap cost (redistribution + schedule rebuild).  The strategies differ only
-in protocol cost:
-
-* centralized: (p-1) unicast load reports + 1 decision broadcast, the
-  decision computed once at the controller;
-* distributed: p load multicasts (one hardware multicast per rank on
-  Ethernet, O(p^2) unicasts otherwise), the decision computed p times
+* ``"centralized"``, the paper's implementation — "each processor
+  monitors its own load and sends it to a controller processor, which
+  makes the decision about repartitioning the data ... which broadcasts
+  the decision to all the processors": (p-1) unicast load reports + 1
+  decision broadcast, the rule evaluated once at rank 0;
+* ``"distributed"``, its stated future work — "when better resource
+  management tools are available, we hope to have distributed
+  strategies": p load multicasts (one hardware multicast per rank on
+  Ethernet, O(p^2) unicasts otherwise), the rule evaluated p times
   redundantly — determinism guarantees every rank reaches the identical
   conclusion without exchanging it.
 
-:class:`NoBalancing` completes the lattice: checks never fire and no
-messages move, so a static run and an adaptive run share one driver loop
-(:class:`repro.runtime.adaptive.AdaptiveSession`).
+:class:`LoadBalanceConfig` holds the three options a caller sets (check
+interval, protocol, predictor); :func:`resolve_load_balance` is the one
+place the names ``"off"`` and ``None`` are understood — below it, "no
+config" *is* the static run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Iterable
 
 import numpy as np
 
 from repro.errors import LoadBalanceError
 from repro.net.message import Tags
-from repro.partition.arrangement import (
-    RedistributionCostModel,
-    minimize_cost_redistribution,
-)
+from repro.partition.arrangement import minimize_cost_redistribution
 from repro.partition.intervals import IntervalPartition, partition_list
 from repro.runtime.adaptive.redistribution import estimate_remap_cost
 
@@ -50,41 +46,50 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "LoadBalanceConfig",
     "Decision",
-    "RebalanceStrategy",
-    "CentralizedStrategy",
-    "DistributedStrategy",
-    "NoBalancing",
     "STRATEGY_NAMES",
-    "make_strategy",
+    "PROFITABILITY_MARGIN",
+    "MIN_IMPROVEMENT",
+    "ELEMENT_NBYTES",
+    "MCR_SECONDS_PER_P3",
+    "resolve_load_balance",
     "decide",
+    "check",
 ]
 
-#: Recognized strategy names (the ``style`` field / CLI vocabulary).
-STRATEGY_NAMES = ("off", "centralized", "distributed")
+#: The two protocols of :func:`check` — the values
+#: :attr:`LoadBalanceConfig.style` takes — and, with "off" in front, the
+#: ``--load-balance`` vocabulary.
+_PROTOCOLS = ("centralized", "distributed")
+STRATEGY_NAMES = ("off", *_PROTOCOLS)
+
+# What Sec. 3.5 fixes rather than varies: constants, not options.
+#: Remap only if the predicted savings exceed ``margin`` x the estimated
+#: remap cost; 1.0 is the paper's break-even rule.
+PROFITABILITY_MARGIN = 1.0
+#: The predicted per-iteration improvement must also reach this fraction
+#: of the current per-iteration time; filters out remaps that only chase
+#: block-rounding noise.
+MIN_IMPROVEMENT = 0.02
+#: The Fig. 8 fields are double precision: 8 bytes per moved element.
+ELEMENT_NBYTES = 8
+#: The O(p^3) MCR search always chooses the new arrangement (with
+#: :class:`~repro.partition.arrangement.RedistributionCostModel`'s default
+#: weights); paper Table 1 measures it at ~2 microseconds x p^3 on the
+#: testbed's workstations.
+MCR_SECONDS_PER_P3 = 2.0e-6
 
 
 @dataclass(frozen=True)
 class LoadBalanceConfig:
-    """Knobs of the load-balancing protocol.
+    """The options of the load-balancing protocol someone sets.
 
     ``check_interval`` — iterations between checks (the paper checks every
     10 and calls frequency selection out of scope; the ablation bench
     sweeps it).
-    ``profitability_margin`` — remap only if predicted savings exceed
-    ``margin`` x estimated remap cost (1.0 = the paper's break-even rule).
-    ``min_improvement`` — additionally require the predicted per-iteration
-    improvement to exceed this fraction of the current per-iteration time;
-    filters out remaps that only chase block-rounding noise.
-    ``use_mcr`` — choose the new arrangement with MCR (True) or keep the
-    current arrangement (False; the "without MCR" baseline of Table 2).
-    ``rebuild_cost_estimate`` — virtual seconds charged for re-running the
-    inspector after a remap, included in the profitability test.
-    ``num_fields`` — how many field arrays a remap will move in the packed
-    exchange (the session sets this to the actual field count per check),
-    so the priced remap matches what :func:`redistribute_fields` ships.
-    ``style`` — "centralized" (the paper's implementation), "distributed"
-    (its stated future work), or "off" (monitor but never check: a static
-    run).  :func:`make_strategy` maps the name onto a strategy object.
+    ``style`` — which :func:`check` protocol collects the load reports:
+    "centralized" (the paper's implementation) or "distributed" (its
+    stated future work).  A static run has no config at all
+    (:func:`resolve_load_balance`).
     ``predictor`` — None for the paper's last-phase assumption, or a
     predictor name from :mod:`repro.runtime.prediction` ("last",
     "moving-average", "ewma", "trend") to forecast capabilities from more
@@ -92,13 +97,6 @@ class LoadBalanceConfig:
     """
 
     check_interval: int = 10
-    profitability_margin: float = 1.0
-    min_improvement: float = 0.02
-    use_mcr: bool = True
-    element_nbytes: int = 8
-    num_fields: int = 1
-    rebuild_cost_estimate: float = 0.0
-    cost_model: RedistributionCostModel = RedistributionCostModel()
     style: str = "centralized"
     predictor: str | None = None
 
@@ -107,18 +105,30 @@ class LoadBalanceConfig:
             raise LoadBalanceError(
                 f"check_interval must be >= 1, got {self.check_interval}"
             )
-        if self.profitability_margin < 0:
-            raise LoadBalanceError("profitability_margin must be >= 0")
-        if not (0.0 <= self.min_improvement < 1.0):
-            raise LoadBalanceError("min_improvement must be in [0, 1)")
-        if self.style not in STRATEGY_NAMES:
+        if self.style not in _PROTOCOLS:
             raise LoadBalanceError(
-                f"style must be one of {STRATEGY_NAMES}, got {self.style!r}"
+                f"style must be one of {_PROTOCOLS}, got {self.style!r}"
             )
-        if self.element_nbytes <= 0:
-            raise LoadBalanceError("element_nbytes must be > 0")
-        if self.num_fields < 1:
-            raise LoadBalanceError("num_fields must be >= 1")
+
+
+def resolve_load_balance(
+    spec: "LoadBalanceConfig | str | None", **options: Any
+) -> LoadBalanceConfig | None:
+    """Normalize a load-balance spec: a config, a name, or ``None``.
+
+    ``None`` and ``"off"`` mean a static run (``None``); a protocol name
+    becomes ``LoadBalanceConfig(style=name, **options)``; a config passes
+    through unchanged.
+    """
+    if spec is None or isinstance(spec, LoadBalanceConfig):
+        return spec
+    if isinstance(spec, str):
+        if spec == "off":
+            return None
+        return LoadBalanceConfig(style=spec, **options)
+    raise LoadBalanceError(
+        f"cannot resolve a load-balance config from {type(spec).__name__}"
+    )
 
 
 @dataclass(frozen=True)
@@ -137,8 +147,9 @@ def decide(
     partition: IntervalPartition,
     times_per_item: np.ndarray,
     remaining_iterations: int,
-    config: LoadBalanceConfig,
     *,
+    num_fields: int = 1,
+    rebuild_cost: float = 0.0,
     active: np.ndarray | None = None,
     force: bool = False,
 ) -> Decision:
@@ -148,8 +159,16 @@ def decide(
     predicts the next phase's duration under the current and rebalanced
     partitions, prices the remap (MCR arrangement + transfer plan +
     schedule rebuild), and applies the profitability rule.  Deterministic
-    in its inputs, which is what lets :class:`DistributedStrategy` evaluate
-    it redundantly on every rank without a decision broadcast.
+    in its inputs, which is what lets the distributed :func:`check`
+    evaluate it redundantly on every rank without a decision broadcast.
+
+    Every value that can change the outcome is an argument here or a
+    module constant above.  The two per-check prices:
+
+    * *num_fields* — how many field arrays the packed exchange will ship,
+      so the priced remap matches what :func:`redistribute_fields` moves;
+    * *rebuild_cost* — virtual seconds charged for re-running the
+      inspector after a remap, added to the transfer estimate.
 
     Elastic membership threads through two extra inputs:
 
@@ -215,19 +234,13 @@ def decide(
     capabilities = np.where(active, 1.0 / times_per_item, 0.0)
     predicted_balanced = float(n / capabilities.sum())
 
-    if config.use_mcr:
-        # Charge the controller's O(p^3) MCR search (paper Table 1 measures
-        # it at ~2 microseconds x p^3 on the testbed's workstations).
-        ctx.compute(2.0e-6 * ctx.size**3, label="mcr")
-        arrangement = minimize_cost_redistribution(
-            partition.owners,
-            sizes / max(sizes.sum(), 1.0),
-            capabilities / capabilities.sum(),
-            n,
-            cost_model=config.cost_model,
-        )
-    else:
-        arrangement = partition.owners
+    ctx.compute(MCR_SECONDS_PER_P3 * ctx.size**3, label="mcr")
+    arrangement = minimize_cost_redistribution(
+        partition.owners,
+        sizes / max(sizes.sum(), 1.0),
+        capabilities / capabilities.sum(),
+        n,
+    )
     new_partition = partition_list(
         n, capabilities / capabilities.sum(), arrangement
     )
@@ -236,10 +249,10 @@ def decide(
             ctx.network,
             partition,
             new_partition,
-            config.element_nbytes,
-            num_fields=config.num_fields,
+            ELEMENT_NBYTES,
+            num_fields=num_fields,
         )
-        + config.rebuild_cost_estimate
+        + rebuild_cost
     )
     if np.isinf(predicted_current):
         profitable = True
@@ -251,8 +264,8 @@ def decide(
             else 0.0
         )
         profitable = (
-            savings > config.profitability_margin * remap_cost
-            and relative_gain >= config.min_improvement
+            savings > PROFITABILITY_MARGIN * remap_cost
+            and relative_gain >= MIN_IMPROVEMENT
         )
     profitable = bool(profitable) or force
     return Decision(
@@ -264,183 +277,61 @@ def decide(
     )
 
 
-@runtime_checkable
-class RebalanceStrategy(Protocol):
-    """One load-balance check protocol (an SPMD collective).
+def check(
+    ctx: "RankContext",
+    style: str,
+    partition: IntervalPartition,
+    time_per_item: float,
+    remaining_iterations: int,
+    *,
+    num_fields: int = 1,
+    rebuild_cost: float = 0.0,
+    active: np.ndarray | None = None,
+) -> Decision:
+    """One load-balance check under protocol *style* (an SPMD collective).
 
-    Implementations exchange the per-rank load reports however they like,
-    but must return the *same* :class:`Decision` on every rank — the
-    session redistributes unconditionally on ``decision.remap``, so a
-    strategy that desynchronizes ranks deadlocks the exchange (and trips
-    the :attr:`ProgramReport.num_remaps` cross-rank consistency check).
-
-    Under elastic membership, *time_per_item* may be ``nan`` (a rank with
-    no monitor window), *active* masks the participating ranks, and
-    *force* marks a mandatory remap — all three are forwarded to
-    :func:`decide`.
+    All ranks call it in the same phase with their own monitored
+    *time_per_item* (``nan`` for a rank with no monitor window) and get
+    the *same* :class:`Decision` back — the session redistributes
+    unconditionally on ``decision.remap``, so anything less deadlocks the
+    exchange.  The keyword inputs are forwarded to :func:`decide`.
     """
-
-    name: str
-
-    def check(
-        self,
-        ctx: "RankContext",
-        partition: IntervalPartition,
-        time_per_item: float,
-        remaining_iterations: int,
-        config: LoadBalanceConfig,
-        *,
-        active: np.ndarray | None = None,
-        force: bool = False,
-    ) -> Decision:
-        """Run one collective check; all ranks call it in the same phase."""
-        ...
-
-
-def _check_remaining(remaining_iterations: int) -> None:
     if remaining_iterations < 0:
         raise LoadBalanceError("remaining_iterations must be >= 0")
-
-
-@dataclass(frozen=True)
-class CentralizedStrategy:
-    """The paper's implementation: load reports to a controller rank.
-
-    "This currently requires sending the load information as separate
-    messages to the controller, which broadcasts the decision to all the
-    processors."
-    """
-
-    root: int = 0
-    name: str = "centralized"
-
-    def check(
-        self,
-        ctx: "RankContext",
-        partition: IntervalPartition,
-        time_per_item: float,
-        remaining_iterations: int,
-        config: LoadBalanceConfig,
-        *,
-        active: np.ndarray | None = None,
-        force: bool = False,
-    ) -> Decision:
-        _check_remaining(remaining_iterations)
-        root = self.root
-        # "sending the load information as separate messages to the controller"
-        if ctx.rank == root:
-            times = np.empty(ctx.size, dtype=np.float64)
-            times[root] = time_per_item
-            peers = [r for r in range(ctx.size) if r != root]
-            for source, msg in ctx.recv_expected(
-                peers, Tags.LOAD_REPORT
-            ).items():
-                times[source] = msg.payload
+    inputs = dict(
+        num_fields=num_fields, rebuild_cost=rebuild_cost, active=active
+    )
+    if style == "centralized":
+        # "sending the load information as separate messages to the
+        # controller, which broadcasts the decision to all the processors"
+        decision = None
+        if ctx.rank == 0:
+            times = _load_reports(ctx, time_per_item, range(1, ctx.size))
             decision = decide(
-                ctx, partition, times, remaining_iterations, config,
-                active=active, force=force,
+                ctx, partition, times, remaining_iterations, **inputs
             )
         else:
-            ctx.send(root, float(time_per_item), Tags.LOAD_REPORT)
-            decision = None
-        # "broadcasts the decision to all the processors"
-        return ctx.bcast(decision, root=root, tag=Tags.LB_DECISION)
-
-
-@dataclass(frozen=True)
-class DistributedStrategy:
-    """No controller: every rank multicasts its load and decides locally.
-
-    One hardware multicast per rank on Ethernet (O(p) frames), a sequential
-    unicast fan-out otherwise (O(p^2) messages) — exactly the trade-off
-    ``bench_ext_distributed_lb`` quantifies.  Determinism of :func:`decide`
-    guarantees all ranks reach the identical conclusion without a decision
-    broadcast.
-    """
-
-    name: str = "distributed"
-
-    def check(
-        self,
-        ctx: "RankContext",
-        partition: IntervalPartition,
-        time_per_item: float,
-        remaining_iterations: int,
-        config: LoadBalanceConfig,
-        *,
-        active: np.ndarray | None = None,
-        force: bool = False,
-    ) -> Decision:
-        _check_remaining(remaining_iterations)
+            ctx.send(0, float(time_per_item), Tags.LOAD_REPORT)
+        return ctx.bcast(decision, root=0, tag=Tags.LB_DECISION)
+    if style == "distributed":
+        # No controller: every rank multicasts its load and redundantly
+        # runs the same deterministic decision.
         peers = [r for r in range(ctx.size) if r != ctx.rank]
         if peers:
             ctx.multicast(peers, float(time_per_item), Tags.LOAD_REPORT)
-        times = np.empty(ctx.size, dtype=np.float64)
-        times[ctx.rank] = time_per_item
-        for source, msg in ctx.recv_expected(
-            peers, Tags.LOAD_REPORT
-        ).items():
-            times[source] = msg.payload
-        # Every rank redundantly runs the same deterministic decision.
-        return decide(
-            ctx, partition, times, remaining_iterations, config,
-            active=active, force=force,
-        )
-
-
-@dataclass(frozen=True)
-class NoBalancing:
-    """Checks never remap and exchange nothing: the static baseline."""
-
-    name: str = "off"
-
-    def check(
-        self,
-        ctx: "RankContext",
-        partition: IntervalPartition,
-        time_per_item: float,
-        remaining_iterations: int,
-        config: LoadBalanceConfig,
-        *,
-        active: np.ndarray | None = None,
-        force: bool = False,
-    ) -> Decision:
-        _check_remaining(remaining_iterations)
-        return Decision(
-            remap=False,
-            new_partition=None,
-            predicted_current=float("nan"),
-            predicted_balanced=float("nan"),
-            remap_cost=0.0,
-        )
-
-
-def make_strategy(
-    spec: "str | RebalanceStrategy | LoadBalanceConfig | None",
-) -> RebalanceStrategy:
-    """Resolve a strategy from a name, config, instance, or ``None``.
-
-    ``None`` and ``"off"`` mean :class:`NoBalancing`; a
-    :class:`LoadBalanceConfig` resolves through its ``style``; any object
-    satisfying :class:`RebalanceStrategy` passes through unchanged.
-    """
-    if spec is None:
-        return NoBalancing()
-    if isinstance(spec, LoadBalanceConfig):
-        spec = spec.style
-    if isinstance(spec, str):
-        if spec == "off":
-            return NoBalancing()
-        if spec == "centralized":
-            return CentralizedStrategy()
-        if spec == "distributed":
-            return DistributedStrategy()
-        raise LoadBalanceError(
-            f"unknown rebalance strategy {spec!r}; known: {STRATEGY_NAMES}"
-        )
-    if isinstance(spec, RebalanceStrategy):
-        return spec
+        times = _load_reports(ctx, time_per_item, peers)
+        return decide(ctx, partition, times, remaining_iterations, **inputs)
     raise LoadBalanceError(
-        f"cannot make a rebalance strategy from {type(spec).__name__}"
+        f"unknown load-balance protocol {style!r}; known: {_PROTOCOLS}"
     )
 
+
+def _load_reports(
+    ctx: "RankContext", own: float, peers: Iterable[int]
+) -> np.ndarray:
+    """This rank's report plus one received from every rank in *peers*."""
+    times = np.empty(ctx.size, dtype=np.float64)
+    times[ctx.rank] = own
+    for source, msg in ctx.recv_expected(peers, Tags.LOAD_REPORT).items():
+        times[source] = msg.payload
+    return times

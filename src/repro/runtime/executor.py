@@ -146,10 +146,8 @@ def gather(
     backend = resolve_backend(backend)
     local_data = np.asarray(local_data)
     _check_local_shape(ctx, schedule, local_data)
-    metrics = getattr(ctx, "metrics", None)
-    if metrics is not None:
-        metrics.count("exec.gathers")
-        metrics.count("exec.ghost_elements", schedule.ghost_size)
+    ctx.metrics.count("exec.gathers")
+    ctx.metrics.count("exec.ghost_elements", schedule.ghost_size)
     pack = 0
     for dest in schedule.send_peers():
         idx = schedule.send_lists[dest]
@@ -219,9 +217,7 @@ def scatter(
         )
     if not (op in ("add", "replace") or callable(op)):
         raise ScheduleError(f"unknown scatter op {op!r}")
-    metrics = getattr(ctx, "metrics", None)
-    if metrics is not None:
-        metrics.count("exec.scatters")
+    ctx.metrics.count("exec.scatters")
     pack = 0
     for src in schedule.recv_peers():
         pos = schedule.recv_lists[src]
@@ -284,9 +280,7 @@ def gather_fields(
         raise ScheduleError("gather_fields needs at least one field")
     for f in fields:
         _check_local_shape(ctx, schedule, f)
-    metrics = getattr(ctx, "metrics", None)
-    if metrics is not None:
-        metrics.count("exec.gather_fields")
+    ctx.metrics.count("exec.gather_fields")
 
     pack = 0
     for dest in schedule.send_peers():

@@ -28,8 +28,9 @@ array for array, to what a from-scratch ``sort1``/``sort2`` build would
 produce (both backends): the ghost buffer is ``np.unique`` of the same
 cross-reference multiset, the recv side reuses
 :func:`~repro.runtime.schedule_builders._recv_side_sorted` verbatim, and
-the send side runs the same ``dest * n + src`` pair-key dedup as
-:func:`~repro.runtime.schedule_builders._send_side`.  The property suite
+the send side *is*
+:func:`~repro.runtime.schedule_builders._send_side`, fed the patched
+cross references.  The property suite
 in ``tests/test_incremental.py`` pins this through randomized remap
 sequences.
 
@@ -42,7 +43,7 @@ Virtual time: a patch charges ``"inspector-incremental"`` — a
 deterministic function of the diff's structural sizes, identical across
 backends (the incremental path is a single numpy implementation), and
 much smaller than a full build's charge.  That shrinkage feeds the
-session's learned ``rebuild_cost_estimate``, making *more* remaps pass
+session's learned rebuild cost, making *more* remaps pass
 the profitability test — a perf change that also improves adaptive
 quality.
 """
@@ -58,12 +59,14 @@ from repro.errors import ScheduleError
 from repro.graph.csr import CSRGraph
 from repro.partition.intervals import IntervalPartition
 from repro.runtime.inspector import InspectorResult, run_inspector
-from repro.runtime.kernels import KernelPlan
+from repro.runtime.kernels import KernelPlan, sorted_ghost_slots
 from repro.runtime.schedule import CommSchedule
 from repro.runtime.schedule_builders import (
     InspectorCostModel,
     _charge,
     _recv_side_sorted,
+    _send_side,
+    _sorted_unique,
     local_references,
 )
 
@@ -75,8 +78,28 @@ __all__ = [
     "diff_interval",
     "classify_elements",
     "IncrementalInspector",
+    "check_inspector_mode",
     "inspector_results_equal",
 ]
+
+#: Phase B rebuild modes after a remap (``ProgramConfig.inspector_mode``).
+INSPECTOR_MODES = ("full", "incremental")
+
+
+def check_inspector_mode(mode: str, strategy: str) -> None:
+    """The one rule on ``inspector_mode``: a known mode, and a patchable
+    schedule strategy when it is ``"incremental"``."""
+    if mode not in INSPECTOR_MODES:
+        raise ScheduleError(
+            f"inspector_mode must be one of {INSPECTOR_MODES}, got {mode!r}"
+        )
+    patchable = IncrementalInspector.PATCHABLE
+    if mode == "incremental" and strategy not in patchable:
+        raise ScheduleError(
+            f"inspector_mode='incremental' requires a sorting strategy "
+            f"{patchable}, got {strategy!r} (the simple strategy's "
+            f"request-ordered ghost buffers cannot be patched)"
+        )
 
 
 @dataclass(frozen=True)
@@ -196,55 +219,6 @@ def _range_ref_count(graph: CSRGraph, ranges: tuple[tuple[int, int], ...]) -> in
     return int(sum(graph.indptr[hi] - graph.indptr[lo] for lo, hi in ranges))
 
 
-def _sorted_unique(x: np.ndarray) -> np.ndarray:
-    """``np.unique`` for 1-D integer arrays via an explicit sort.
-
-    Bit-identical output (sorted distinct values) but without the hash
-    machinery ``np.unique`` runs through on small arrays — the patch
-    path calls this twice per rebuild on boundary-sized inputs, where
-    the hash setup alone costs more than the whole sort.
-    """
-    if x.size == 0:
-        return x.astype(np.intp)
-    s = np.sort(x)
-    keep = np.empty(s.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(s[1:], s[:-1], out=keep[1:])
-    return s[keep]
-
-
-def _send_side_from_cross(
-    partition: IntervalPartition,
-    rank: int,
-    cross_src: np.ndarray,
-    cross_nbr: np.ndarray,
-) -> dict[int, np.ndarray]:
-    """``_send_side`` recomputed from the cached cross references.
-
-    Bit-identical to :func:`repro.runtime.schedule_builders._send_side`:
-    the cross arrays hold exactly the off-block reference multiset that
-    function derives from scratch, and ``np.unique`` of the same pair-key
-    multiset yields the same sorted array.
-    """
-    if cross_src.size == 0:
-        return {}
-    lo, hi = partition.interval(rank)
-    dest = partition.owner_of(cross_nbr)
-    n = partition.num_elements
-    pair_key = dest * np.intp(n) + cross_src
-    uniq = _sorted_unique(pair_key)
-    u_dest = uniq // n
-    u_src = uniq % n
-    send_lists: dict[int, np.ndarray] = {}
-    change = np.flatnonzero(np.diff(u_dest)) + 1
-    starts = np.concatenate([[0], change])
-    ends = np.concatenate([change, [uniq.size]])
-    for s, e in zip(starts, ends):
-        d = int(u_dest[s])
-        send_lists[d] = (u_src[s:e] - lo).astype(np.intp)
-    return send_lists
-
-
 def inspector_results_equal(a: InspectorResult, b: InspectorResult) -> bool:
     """Array-for-array equality of two inspector results (schedule and
     kernel plan; build times and strategies are excluded on purpose)."""
@@ -300,13 +274,7 @@ class IncrementalInspector:
         cost_model: InspectorCostModel = InspectorCostModel(),
         backend: str | None = None,
     ):
-        if strategy not in self.PATCHABLE:
-            raise ScheduleError(
-                f"incremental rebuild requires a sorting strategy "
-                f"{self.PATCHABLE}, got {strategy!r} (the simple "
-                f"strategy's request-ordered ghost buffers cannot be "
-                f"patched)"
-            )
+        check_inspector_mode("incremental", strategy)
         self.graph = graph
         self.rank = rank
         self.strategy = strategy
@@ -439,9 +407,8 @@ class IncrementalInspector:
         self.last_mode = "patched"
         # The full path counts itself inside run_inspector; the patch
         # path is the other arm of the same decision.
-        metrics = getattr(self.ctx, "metrics", None)
-        if metrics is not None:
-            metrics.count("inspector.patch_builds")
+        if self.ctx is not None:
+            self.ctx.metrics.count("inspector.patch_builds")
         return result
 
     def _patch(
@@ -524,9 +491,7 @@ class IncrementalInspector:
         recv_lists, ghost_globals = _recv_side_sorted(
             new_partition, rank, ghost_globals
         )
-        send_lists = _send_side_from_cross(
-            new_partition, rank, cross_src, cross_nbr
-        )
+        send_lists = _send_side(new_partition, rank, cross_src, cross_nbr)
         schedule = CommSchedule(
             rank=rank,
             partition=new_partition,
@@ -589,7 +554,6 @@ class IncrementalInspector:
         lo0 = d.old_lo
         lo1, hi1 = d.new_lo, d.new_hi
         n_local1 = hi1 - lo1
-        g1 = ghost_globals.size
 
         # A kept row's reference into the kept interval maps by the
         # uniform shift lo0 - lo1 (global g: old slot g - lo0, new slot
@@ -611,6 +575,17 @@ class IncrementalInspector:
         )
         mapped = slots[head : head + (s1 - s0)]
         np.add(old_slots, lo0 - lo1, out=mapped)
+
+        def ghost_slots(off: np.ndarray, rows: str) -> np.ndarray:
+            translated = sorted_ghost_slots(ghost_globals, off, n_local1)
+            if translated is None:
+                raise ScheduleError(
+                    f"rank {self.rank}: {rows} row references a global "
+                    f"missing from the patched ghost buffer (asymmetric "
+                    f"adjacency?)"
+                )
+            return translated
+
         kept_off = np.empty(0, dtype=np.intp)
         if exc.size:
             es = old_slots[exc]
@@ -621,25 +596,7 @@ class IncrementalInspector:
             new_slot = np.empty(es.size, dtype=np.intp)
             now_local = (g >= lo1) & (g < hi1)
             new_slot[now_local] = g[now_local] - lo1
-            off = g[~now_local]
-            if off.size:
-                if g1 == 0:
-                    raise ScheduleError(
-                        f"rank {self.rank}: kept row references a global "
-                        f"missing from the patched ghost buffer "
-                        f"(asymmetric adjacency?)"
-                    )
-                pos = np.searchsorted(ghost_globals, off)
-                ok = (pos < g1) & (
-                    ghost_globals[np.minimum(pos, g1 - 1)] == off
-                )
-                if not np.all(ok):
-                    raise ScheduleError(
-                        f"rank {self.rank}: kept row references a global "
-                        f"missing from the patched ghost buffer "
-                        f"(asymmetric adjacency?)"
-                    )
-                new_slot[~now_local] = n_local1 + pos
+            new_slot[~now_local] = ghost_slots(g[~now_local], "kept")
             mapped[exc] = new_slot
             kept_off = head + exc[~now_local]
 
@@ -652,23 +609,7 @@ class IncrementalInspector:
             local = (nbr >= lo1) & (nbr < hi1)
             out[local] = nbr[local] - lo1
             off_idx = np.flatnonzero(~local)
-            off = nbr[off_idx]
-            if off.size:
-                if g1 == 0:
-                    raise ScheduleError(
-                        f"rank {self.rank}: gained row has off-block "
-                        f"references but the patched ghost buffer is empty"
-                    )
-                pos = np.searchsorted(ghost_globals, off)
-                ok = (pos < g1) & (
-                    ghost_globals[np.minimum(pos, g1 - 1)] == off
-                )
-                if not np.all(ok):
-                    raise ScheduleError(
-                        f"rank {self.rank}: gained row references a global "
-                        f"missing from the patched ghost buffer"
-                    )
-                out[off_idx] = n_local1 + pos
+            out[off_idx] = ghost_slots(nbr[off_idx], "gained")
             return base + off_idx
 
         off_parts = []

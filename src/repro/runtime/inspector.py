@@ -74,10 +74,9 @@ def run_inspector(
             f"unknown inspector strategy {strategy!r}; pick from {STRATEGIES}"
         )
     t0 = ctx.clock if ctx is not None else 0.0
-    tracer = getattr(ctx, "tracer", None)
     span = (
-        tracer.span("inspector", label=strategy)
-        if tracer is not None
+        ctx.tracer.span("inspector", label=strategy)
+        if ctx is not None
         else nullcontext()
     )
     with span:
@@ -108,10 +107,8 @@ def run_inspector(
         plan = build_kernel_plan(graph, partition, schedule, backend=backend)
     build_time = (ctx.clock - t0) if ctx is not None else 0.0
     if ctx is not None:
-        metrics = getattr(ctx, "metrics", None)
-        if metrics is not None:
-            metrics.count("inspector.full_builds")
-            metrics.observe("inspector.build_time", build_time)
+        ctx.metrics.count("inspector.full_builds")
+        ctx.metrics.observe("inspector.build_time", build_time)
     return InspectorResult(
         schedule=schedule,
         kernel_plan=plan,

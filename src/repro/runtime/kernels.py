@@ -35,6 +35,7 @@ __all__ = [
     "KernelPlan",
     "RowSegments",
     "build_kernel_plan",
+    "sorted_ghost_slots",
     "sequential_kernel",
     "sequential_kernel_reference",
     "run_sequential",
@@ -201,6 +202,23 @@ class KernelPlan:
         return out
 
 
+def sorted_ghost_slots(
+    ghost_sorted: np.ndarray, off: np.ndarray, n_local: int
+) -> np.ndarray | None:
+    """Combined-buffer slots (``n_local + position``) of the off-block
+    globals *off* in an **ascending** ghost buffer, or ``None`` when some
+    reference is not found there (the buffer is not sorted, or lacks it).
+    """
+    if off.size == 0:
+        return np.empty(0, dtype=np.intp)
+    g = ghost_sorted.size
+    if g == 0:
+        return None
+    pos = np.searchsorted(ghost_sorted, off)
+    found = (pos < g) & (ghost_sorted[np.minimum(pos, g - 1)] == off)
+    return n_local + pos if found.all() else None
+
+
 def build_kernel_plan(
     graph: CSRGraph,
     partition: IntervalPartition,
@@ -234,33 +252,24 @@ def build_kernel_plan(
         local_mask = (nbr >= lo) & (nbr < hi)
         slots[local_mask] = nbr[local_mask] - lo
         off = nbr[~local_mask]
-        if off.size:
-            ghost = schedule.ghost_globals
-            if ghost.size == 0:
-                raise ScheduleError(
-                    f"rank {rank}: off-processor references but empty ghost "
-                    "buffer"
+        ghost = schedule.ghost_globals
+        off_slots = sorted_ghost_slots(ghost, off, n_local)
+        if off_slots is None:
+            # Request-ordered ghost buffers (simple strategy) are not
+            # sorted; fall back to a dictionary translation.
+            lookup = {int(g): i for i, g in enumerate(ghost)}
+            try:
+                off_slots = n_local + np.fromiter(
+                    (lookup[int(g)] for g in off),
+                    dtype=np.intp,
+                    count=off.size,
                 )
-            pos = np.searchsorted(ghost, off)
-            ok = (pos < ghost.size) & (
-                ghost[np.minimum(pos, ghost.size - 1)] == off
-            )
-            if not np.all(ok):
-                # Request-ordered ghost buffers (simple strategy) are not
-                # sorted; fall back to a dictionary translation.
-                lookup = {int(g): i for i, g in enumerate(ghost)}
-                try:
-                    pos = np.fromiter(
-                        (lookup[int(g)] for g in off),
-                        dtype=np.intp,
-                        count=off.size,
-                    )
-                except KeyError as exc:
-                    raise ScheduleError(
-                        f"rank {rank}: reference {exc} missing from ghost "
-                        "buffer"
-                    ) from None
-            slots[~local_mask] = n_local + pos
+            except KeyError as exc:
+                raise ScheduleError(
+                    f"rank {rank}: reference {exc} missing from ghost "
+                    "buffer"
+                ) from None
+        slots[~local_mask] = off_slots
     # An empty interval (a drained or standby rank under elastic
     # membership) has no vertices and therefore no segment starts.
     starts = np.zeros(counts.size, dtype=np.intp)

@@ -24,7 +24,12 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError, LoadBalanceError, ResilienceError
+from repro.errors import (
+    ConfigurationError,
+    LoadBalanceError,
+    ResilienceError,
+    ScheduleError,
+)
 from repro.graph.csr import CSRGraph
 from repro.net.cluster import ClusterSpec
 from repro.net.loadmodel import MembershipTrace
@@ -37,9 +42,15 @@ from repro.runtime.adaptive import (
     AdaptiveSession,
     LoadBalanceConfig,
     SessionStats,
+    resolve_load_balance,
 )
 from repro.runtime.executor import ExecutorCostModel, ExecutorScratch, gather
+from repro.runtime.incremental import check_inspector_mode
 from repro.runtime.kernels import KernelCostModel
+from repro.runtime.resilience import (
+    effective_replication_factor,
+    require_checkpoint,
+)
 from repro.runtime.schedule_builders import InspectorCostModel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -84,9 +95,10 @@ class ProgramConfig:
     #: experiment: "the graph was decomposed assuming all the processors had
     #: equal computational ratio"), or an explicit capability vector.
     initial_capabilities: str | Sequence[float] = "speeds"
-    #: Phase D strategy: a :class:`LoadBalanceConfig`, a strategy name
-    #: ("off" | "centralized" | "distributed", default knobs), or None
-    #: (same as "off").  Normalized to LoadBalanceConfig | None on init.
+    #: Phase D: a :class:`LoadBalanceConfig`, a name ("off" |
+    #: "centralized" | "distributed", default options), or None (same as
+    #: "off").  Normalized to LoadBalanceConfig | None on init
+    #: (:func:`~repro.runtime.adaptive.resolve_load_balance`).
     load_balance: LoadBalanceConfig | str | None = None
     #: Elastic membership: a :class:`~repro.net.loadmodel.MembershipTrace`,
     #: a DSL string ("leave:0@9.5, join:2@20"), or None.  A trace given
@@ -146,35 +158,16 @@ class ProgramConfig:
                 f"trace_capacity must be >= 1 (or None for unbounded), got "
                 f"{self.trace_capacity}"
             )
-        if self.inspector_mode not in ("full", "incremental"):
-            raise ConfigurationError(
-                f"inspector_mode must be 'full' or 'incremental', got "
-                f"{self.inspector_mode!r}"
+        try:
+            check_inspector_mode(self.inspector_mode, self.strategy)
+            object.__setattr__(
+                self, "load_balance", resolve_load_balance(self.load_balance)
             )
-        if self.inspector_mode == "incremental" and self.strategy == "simple":
-            raise ConfigurationError(
-                "inspector_mode='incremental' requires a sorting strategy "
-                "(sort1/sort2): the simple strategy's request-ordered "
-                "ghost buffers cannot be patched"
-            )
+        except (ScheduleError, LoadBalanceError) as exc:
+            raise ConfigurationError(str(exc)) from None
         if self.recv_timeout is not None and self.recv_timeout <= 0:
             raise ConfigurationError(
                 f"recv_timeout must be > 0 seconds, got {self.recv_timeout}"
-            )
-        if isinstance(self.load_balance, str):
-            from repro.runtime.adaptive import STRATEGY_NAMES
-
-            if self.load_balance not in STRATEGY_NAMES:
-                raise ConfigurationError(
-                    f"load_balance must be one of {STRATEGY_NAMES}, a "
-                    f"LoadBalanceConfig, or None; got {self.load_balance!r}"
-                )
-            object.__setattr__(
-                self,
-                "load_balance",
-                None
-                if self.load_balance == "off"
-                else LoadBalanceConfig(style=self.load_balance),
             )
         if self.backend is not None:
             from repro.runtime.backend import resolve_backend
@@ -534,17 +527,7 @@ def run_program(
             "checkpointing requires barrier_each_iteration: epochs are "
             "taken at synchronized iteration boundaries"
         )
-    if (
-        trace is not None
-        and trace.has_failures
-        and config.checkpoint is None
-    ):
-        raise ResilienceError(
-            "the membership trace contains unannounced 'fail' events; "
-            "recovery needs a checkpoint policy — set "
-            "ProgramConfig.checkpoint (e.g. \"interval:4\") or pass "
-            "--checkpoint on the CLI"
-        )
+    require_checkpoint(trace, config.checkpoint)
 
     # Phase A: 1-D transformation (done once, offline).
     ordering = _pick_ordering(config, graph)
@@ -556,15 +539,13 @@ def run_program(
     # Surface a replication-factor cap at configuration time (the same
     # warning the checkpoint layer would emit from inside the ranks).
     if config.checkpoint is not None:
-        from repro.runtime.resilience import effective_replication_factor
-
         num_active = (
             int(np.count_nonzero(trace.active_mask(0.0)))
             if trace is not None
             else cluster.size
         )
         effective_replication_factor(
-            getattr(config.checkpoint, "replication_factor", 1), num_active
+            config.checkpoint.replication_factor, num_active
         )
 
     caps = _initial_capabilities(config, cluster)

@@ -50,6 +50,7 @@ from repro.runtime.resilience.policy import (
     IntervalCheckpoint,
     format_checkpoint_policy,
     parse_checkpoint_policy,
+    require_checkpoint,
     resolve_checkpoint_policy,
 )
 from repro.runtime.resilience.recovery import (
@@ -72,6 +73,7 @@ __all__ = [
     "parse_checkpoint_policy",
     "recover_redistribute_fields",
     "replica_partners",
+    "require_checkpoint",
     "resolve_checkpoint_policy",
     "ring_partners",
     "take_checkpoint",

@@ -238,13 +238,11 @@ def take_checkpoint(
     # holds data) — the interval as a single slab through the shared
     # wire-format implementation, packed once and fanned out.  Sends go
     # in ring order so the virtual clock is deterministic.
-    metrics = getattr(ctx, "metrics", None)
     for partner in partners.get(rank, ()):
         payload = pack_slabs(
             fields, [Transfer(rank, partner, lo, hi)], lo, backend
         )
-        if metrics is not None:
-            metrics.count("cp.checkpoint_bytes", payload_nbytes(payload))
+        ctx.metrics.count("cp.checkpoint_bytes", payload_nbytes(payload))
         ctx.send(partner, payload, tag)
 
     # Local snapshot: the rank's own half of the epoch (free of network

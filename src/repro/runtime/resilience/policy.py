@@ -21,16 +21,19 @@ die *unannounced*.  Two policies are provided:
 Both policies are deterministic in replicated inputs only (iteration
 number, the synchronized boundary clock, the synchronized measured cost),
 so every rank reaches the identical conclusion without a message — the
-same argument that makes the distributed rebalance strategy correct.
+same argument that makes the distributed load-balance check correct.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.errors import ResilienceError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.loadmodel import MembershipTrace
 
 __all__ = [
     "CheckpointPolicy",
@@ -39,6 +42,7 @@ __all__ = [
     "POLICY_NAMES",
     "format_checkpoint_policy",
     "parse_checkpoint_policy",
+    "require_checkpoint",
     "resolve_checkpoint_policy",
 ]
 
@@ -267,3 +271,20 @@ def resolve_checkpoint_policy(
     raise ResilienceError(
         f"cannot resolve a checkpoint policy from {type(spec).__name__}"
     )
+
+
+def require_checkpoint(
+    trace: "MembershipTrace | None", policy: CheckpointPolicy | None
+) -> None:
+    """A failure without an epoch to roll back to is unrecoverable.
+
+    The driver applies the rule before the ranks launch, the session
+    again so a directly-built one is protected too.
+    """
+    if trace is not None and trace.has_failures and policy is None:
+        raise ResilienceError(
+            "the membership trace contains unannounced 'fail' events; "
+            "recovery needs a checkpoint policy — set "
+            "ProgramConfig.checkpoint (e.g. \"interval:4\") or pass "
+            "--checkpoint on the CLI"
+        )

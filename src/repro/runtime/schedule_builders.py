@@ -188,26 +188,42 @@ def _recv_side_sorted(
     return recv_lists, off_globals_sorted
 
 
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """``np.unique`` for 1-D integer arrays via an explicit sort.
+
+    Bit-identical output (sorted distinct values) but without the hash
+    machinery ``np.unique`` runs through on small arrays — the patch
+    path calls this on boundary-sized inputs, where the hash setup alone
+    costs more than the whole sort.
+    """
+    if x.size == 0:
+        return x.astype(np.intp)
+    s = np.sort(x)
+    keep = np.empty(s.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 def _send_side(
-    graph: CSRGraph,
     partition: IntervalPartition,
     rank: int,
+    cross_src: np.ndarray,
+    cross_nbr: np.ndarray,
 ) -> dict[int, np.ndarray]:
-    """Send lists (sorted local indices per destination), derived locally.
+    """Send lists (sorted local indices per destination), derived locally
+    from the block's cross references (owned source, off-block target).
 
     By symmetry, destination d references exactly my vertices that have an
     edge to a vertex owned by d.
     """
-    lo, hi = partition.interval(rank)
-    src, nbr = local_references(graph, partition, rank)
-    off_mask = (nbr < lo) | (nbr >= hi)
-    if not np.any(off_mask):
+    if cross_src.size == 0:
         return {}
-    src_off = src[off_mask]
-    dest = partition.owner_of(nbr[off_mask])
+    lo, _ = partition.interval(rank)
+    dest = partition.owner_of(cross_nbr)
     n = partition.num_elements
-    pair_key = dest * np.intp(n) + src_off
-    uniq = np.unique(pair_key)  # sorted -> grouped by dest, ascending global
+    pair_key = dest * np.intp(n) + cross_src
+    uniq = _sorted_unique(pair_key)  # grouped by dest, ascending global
     u_dest = uniq // n
     u_src = uniq % n
     send_lists: dict[int, np.ndarray] = {}
@@ -238,7 +254,7 @@ def _sorted_schedule(
         recv_lists, ghost_globals = _recv_side_sorted(
             partition, rank, ghost_globals
         )
-        send_lists = _send_side(graph, partition, rank)
+        send_lists = _send_side(partition, rank, src[off_mask], off)
         sizes = {
             "refs": int(nbr.size),
             "ghosts": int(ghost_globals.size),

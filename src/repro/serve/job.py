@@ -17,6 +17,7 @@ head-of-line worst case for FIFO admission), and ``mixed``
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
@@ -24,6 +25,8 @@ from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.runtime.adaptive import STRATEGY_NAMES
+from repro.runtime.inspector import STRATEGIES
 from repro.utils.rng import SeedLike, as_generator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,9 +45,6 @@ JOB_SCHEMA_VERSION = 1
 
 #: Canonical seeded job-stream shapes (:func:`generate_stream`).
 STREAM_SHAPES = ("uniform", "descending", "mixed")
-
-_STRATEGIES = ("simple", "sort1", "sort2")
-_LB_STYLES = ("off", "centralized", "distributed")
 
 
 @dataclass(frozen=True)
@@ -82,15 +82,15 @@ class JobSpec:
                 f"job {self.job_id!r} must request >= 1 rank, got "
                 f"{self.ranks}"
             )
-        if self.strategy not in _STRATEGIES:
+        if self.strategy not in STRATEGIES:
             raise ConfigurationError(
                 f"job {self.job_id!r}: unknown schedule strategy "
-                f"{self.strategy!r}; known: {', '.join(_STRATEGIES)}"
+                f"{self.strategy!r}; known: {', '.join(STRATEGIES)}"
             )
-        if self.load_balance not in _LB_STYLES:
+        if self.load_balance not in STRATEGY_NAMES:
             raise ConfigurationError(
                 f"job {self.job_id!r}: unknown load-balance style "
-                f"{self.load_balance!r}; known: {', '.join(_LB_STYLES)}"
+                f"{self.load_balance!r}; known: {', '.join(STRATEGY_NAMES)}"
             )
         if self.check_interval < 1:
             raise ConfigurationError(
@@ -117,7 +117,7 @@ class JobSpec:
         )
 
     def build_config(self, *, backend: str | None = None) -> "ProgramConfig":
-        from repro.runtime import LoadBalanceConfig, ProgramConfig
+        from repro.runtime import ProgramConfig, resolve_load_balance
 
         return ProgramConfig(
             iterations=self.iterations,
@@ -127,13 +127,8 @@ class JobSpec:
             # paper's adaptive setup: decompose as if equal, let Phase D
             # react to the measured capability ratios.
             initial_capabilities="equal",
-            load_balance=(
-                None
-                if self.load_balance == "off"
-                else LoadBalanceConfig(
-                    check_interval=self.check_interval,
-                    style=self.load_balance,
-                )
+            load_balance=resolve_load_balance(
+                self.load_balance, check_interval=self.check_interval
             ),
         )
 
@@ -144,15 +139,7 @@ class JobSpec:
     def to_dict(self) -> dict[str, Any]:
         return {
             "schema_version": JOB_SCHEMA_VERSION,
-            "job_id": self.job_id,
-            "vertices": self.vertices,
-            "iterations": self.iterations,
-            "ranks": self.ranks,
-            "priority": self.priority,
-            "seed": self.seed,
-            "strategy": self.strategy,
-            "load_balance": self.load_balance,
-            "check_interval": self.check_interval,
+            **dataclasses.asdict(self),
         }
 
     def to_json(self) -> str:
@@ -171,10 +158,7 @@ class JobSpec:
                 f"job schema_version {version} is not supported (this "
                 f"build reads version {JOB_SCHEMA_VERSION})"
             )
-        known = {
-            "job_id", "vertices", "iterations", "ranks", "priority",
-            "seed", "strategy", "load_balance", "check_interval",
-        }
+        known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ConfigurationError(

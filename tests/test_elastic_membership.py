@@ -33,7 +33,6 @@ from repro.partition.intervals import partition_list
 from repro.runtime.adaptive import (
     AdaptiveSession,
     ElasticState,
-    LoadBalanceConfig,
     resolve_membership,
 )
 from repro.runtime.kernels import run_sequential
@@ -362,13 +361,12 @@ class TestElasticRuns:
         from repro.runtime.adaptive import decide
 
         part = partition_list(100, np.ones(2))
-        cfg = LoadBalanceConfig()
 
         def fn(ctx):
-            ok = decide(ctx, part, [1e-4, float("nan")], 10, cfg)
+            ok = decide(ctx, part, [1e-4, float("nan")], 10)
             assert np.isfinite(ok.predicted_balanced)
             with pytest.raises(LoadBalanceError, match="invalid load"):
-                decide(ctx, part, [1e-4, float("inf")], 10, cfg)
+                decide(ctx, part, [1e-4, float("inf")], 10)
             return True
 
         assert all(run_spmd(uniform_cluster(2), fn).values)

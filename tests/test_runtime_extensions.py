@@ -3,6 +3,8 @@ distributed load balancing, and the adaptive-application driver."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from repro.net.cluster import adaptive_cluster, heterogeneous_cluster, uniform_c
 from repro.net.network import PointToPointNetwork, SharedEthernet
 from repro.net.spmd import run_spmd
 from repro.partition.intervals import partition_list
-from repro.runtime.adaptive import DistributedStrategy, LoadBalanceConfig
+from repro.runtime.adaptive import LoadBalanceConfig, check
 from repro.runtime.kernels import run_sequential
 from repro.runtime.prediction import (
     ExponentialSmoothingPredictor,
@@ -119,14 +121,11 @@ class TestPredictors:
 
 
 class TestDistributedCheck:
-    def run_check(self, cluster, times, remaining=200, config=None):
-        config = config or LoadBalanceConfig(style="distributed")
+    def run_check(self, cluster, times, remaining=200, style="distributed"):
         part = partition_list(10_000, np.ones(cluster.size))
 
         def fn(ctx):
-            return DistributedStrategy().check(
-                ctx, part, times[ctx.rank], remaining, config
-            )
+            return check(ctx, style, part, times[ctx.rank], remaining)
 
         return run_spmd(cluster, fn, trace=True)
 
@@ -239,6 +238,32 @@ class TestProgramWithExtensions:
         np.testing.assert_array_equal(
             central.partition_final.bounds, distributed.partition_final.bounds
         )
+
+        # The same at the level of one check: for one input, both protocols
+        # hand every rank the same Decision (a remap, so the new partition
+        # is compared too).
+        part = partition_list(g.num_vertices, np.ones(cl.size))
+        times = [3e-4, 1e-4, 1e-4]
+
+        def fn(ctx):
+            return [
+                check(ctx, style, part, times[ctx.rank], 400, num_fields=2)
+                for style in ("centralized", "distributed")
+            ]
+
+        decisions = [d for pair in run_spmd(cl, fn).values for d in pair]
+        first = decisions[0]
+        assert first.remap
+        for d in decisions[1:]:
+            assert dataclasses.replace(d, new_partition=None) == (
+                dataclasses.replace(first, new_partition=None)
+            )
+            np.testing.assert_array_equal(
+                d.new_partition.bounds, first.new_partition.bounds
+            )
+            np.testing.assert_array_equal(
+                d.new_partition.owners, first.new_partition.owners
+            )
 
 
 class TestAdaptiveApplication:

@@ -10,7 +10,7 @@ from repro.net.cluster import heterogeneous_cluster, uniform_cluster
 from repro.net.loadmodel import ConstantLoad
 from repro.net.spmd import run_spmd
 from repro.partition.intervals import partition_list
-from repro.runtime.adaptive import CentralizedStrategy, LoadBalanceConfig
+from repro.runtime.adaptive import LoadBalanceConfig, check
 from repro.runtime.efficiency import (
     adaptive_cluster_efficiency,
     adaptive_efficiency,
@@ -58,20 +58,16 @@ class TestLoadBalanceConfig:
         with pytest.raises(LoadBalanceError):
             LoadBalanceConfig(check_interval=0)
         with pytest.raises(LoadBalanceError):
-            LoadBalanceConfig(profitability_margin=-1.0)
-        with pytest.raises(LoadBalanceError):
-            LoadBalanceConfig(element_nbytes=0)
+            LoadBalanceConfig(style="off")  # a static run has no config
 
 
 class TestControllerCheck:
-    def run_check(self, cluster, times_per_item, n=1000, remaining=100,
-                  config=None, part=None):
-        config = config or LoadBalanceConfig()
-        part = part or partition_list(n, np.ones(cluster.size))
+    def run_check(self, cluster, times_per_item, n=1000, remaining=100):
+        part = partition_list(n, np.ones(cluster.size))
 
         def fn(ctx):
-            return CentralizedStrategy().check(
-                ctx, part, times_per_item[ctx.rank], remaining, config
+            return check(
+                ctx, "centralized", part, times_per_item[ctx.rank], remaining
             )
 
         return run_spmd(cluster, fn)
@@ -101,21 +97,6 @@ class TestControllerCheck:
         res = self.run_check(uniform_cluster(3), [3e-4, 1e-4, 1e-4],
                              n=30_000, remaining=0)
         assert not res.values[0].remap
-
-    def test_margin_blocks_marginal_remaps(self):
-        strict = LoadBalanceConfig(profitability_margin=1e9)
-        res = self.run_check(uniform_cluster(3), [3e-4, 1e-4, 1e-4],
-                             n=30_000, remaining=400, config=strict)
-        assert not res.values[0].remap
-
-    def test_without_mcr_keeps_arrangement(self):
-        cfg = LoadBalanceConfig(use_mcr=False)
-        part = partition_list(1000, np.ones(3), arrangement=[2, 0, 1])
-        res = self.run_check(uniform_cluster(3), [3e-4, 1e-4, 1e-4],
-                             n=1000, remaining=500, config=cfg, part=part)
-        d = res.values[0]
-        if d.new_partition is not None:
-            np.testing.assert_array_equal(d.new_partition.owners, [2, 0, 1])
 
     def test_invalid_load_report_fails(self):
         from repro.errors import RankFailedError
