@@ -65,13 +65,21 @@ def time_mcr(
 
 
 def _expect_table1(runs):
+    from repro.runtime.adaptive.strategy import MCR_SECONDS_PER_P3
+
     for _, by_p in group_runs(runs, "p"):
         t = {p: by_p[p]["mcr_seconds"] for p in sorted(by_p)}
         for a, b in pairwise(t):
             yield from below(f"MCR seconds at p={a} vs p={b}", t[a], t[b])
-        if {3, 20} <= t.keys():  # superlinear: the paper grows ~51x
-            yield from below("MCR seconds at p=3 vs p=20", t[3], t[20], 0.1)
-        yield from below(f"MCR seconds at p={max(t)} vs a remap", t[max(t)], 2.0)
+        yield from below(f"MCR seconds at p={max(t)} vs a remap", t[max(t)], 0.05)
+        # Measured beside modelled: the host cost of MCR stays below the
+        # virtual seconds the simulator charges for it (Table 1's 2 us p^3).
+        for p in t:
+            if p >= 15:
+                yield from below(
+                    f"MCR host seconds at p={p} vs the virtual charge",
+                    t[p], MCR_SECONDS_PER_P3 * p**3,
+                )
 
 
 @experiment(

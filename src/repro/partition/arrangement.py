@@ -91,14 +91,7 @@ class Transfer:
         return self.hi - self.lo
 
 
-def _segments(
-    old: IntervalPartition, new: IntervalPartition
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Elementary segments of the list with (old owner, new owner) each.
-
-    Returns (boundaries, old_owner_per_segment, new_owner_per_segment) where
-    segment i is [boundaries[i], boundaries[i+1]).
-    """
+def _check_same_list(old: IntervalPartition, new: IntervalPartition) -> None:
     if old.num_elements != new.num_elements:
         raise PartitionError(
             f"partitions cover different lists: {old.num_elements} vs "
@@ -109,26 +102,98 @@ def _segments(
             f"partitions have different processor counts: "
             f"{old.num_processors} vs {new.num_processors}"
         )
-    cuts = np.union1d(old.bounds, new.bounds)
-    if cuts.size < 2:
-        return cuts, np.empty(0, np.intp), np.empty(0, np.intp)
-    mids = cuts[:-1]  # left endpoint identifies each non-empty segment
-    widths = np.diff(cuts)
-    keep = widths > 0
-    mids = mids[keep]
-    cuts = np.concatenate([mids, [cuts[-1]]])
-    old_block = np.searchsorted(old.bounds, mids, side="right") - 1
-    new_block = np.searchsorted(new.bounds, mids, side="right") - 1
-    return cuts, old.owners[old_block], new.owners[new_block]
+
+
+def _row_bounds(n: int, capabilities: np.ndarray, arrangements: np.ndarray) -> np.ndarray:
+    """Bounds of ``partition_list(n, capabilities, row)`` for every row.
+
+    *arrangements* is (k, p); the result is (k, p + 1).  Each row takes the
+    floating-point steps of :func:`proportional_sizes` in the same order —
+    the row's own capability sum included, which may differ in the last
+    bit between two orders of the same values — so the sizes are
+    ``array_equal``, not merely close.
+    """
+    caps = capabilities[arrangements]  # C-contiguous: sum(axis=1) is the 1-D sum per row
+    exact = n * caps / caps.sum(axis=1, keepdims=True)
+    sizes = np.floor(exact).astype(np.intp)
+    remainder = n - sizes.sum(axis=1)
+    # Largest remainder, ties to the lower block: a block gets one more
+    # item when its rank under a stable descending sort of the fractional
+    # parts is below the row's remainder.
+    order = np.argsort(-(exact - sizes), axis=1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(order.shape[1])[None, :], axis=1)
+    sizes += rank < remainder[:, None]
+    bounds = np.zeros((sizes.shape[0], sizes.shape[1] + 1), dtype=np.intp)
+    np.cumsum(sizes, axis=1, out=bounds[:, 1:])
+    return bounds
+
+
+def _score_rows(
+    old_bounds: np.ndarray,
+    old_owners: np.ndarray,
+    new_bounds: np.ndarray,
+    new_owners: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(kept elements, messages) of redistributing *old* to each new row.
+
+    *old_bounds* (p + 1) and *old_owners* (p) are one partition;
+    *new_bounds* (k, p + 1) and *new_owners* (k, p) are k candidates over
+    the same list.  Both results are exact integers of length k.
+
+    The 2p + 2 cuts of a row, sorted, delimit its elementary segments.
+    Left of a segment of positive width lie all cuts equal to its left
+    end, so its block in either partition is a running count of that
+    partition's cuts.  Two adjacent live segments always differ in old or
+    in new owner (the cut between them is a bound of one of the two, and
+    owners are permutations), hence every live segment whose owners differ
+    is one message.
+    """
+    k, p = new_owners.shape
+    cuts = np.concatenate(
+        [np.broadcast_to(old_bounds, (k, p + 1)), new_bounds], axis=1
+    )
+    order = np.argsort(cuts, axis=1, kind="stable")
+    cuts = np.take_along_axis(cuts, order, axis=1)
+    widths = np.diff(cuts, axis=1)
+    new_block = np.cumsum(order[:, :-1] > p, axis=1) - 1
+    old_block = np.arange(2 * p + 1) - new_block - 1
+    # Blocks of zero-width segments may read p; they are masked by width.
+    np.minimum(new_block, p - 1, out=new_block)
+    np.minimum(old_block, p - 1, out=old_block)
+    same = old_owners[old_block] == np.take_along_axis(new_owners, new_block, axis=1)
+    overlap = (widths * same).sum(axis=1)
+    messages = ((widths > 0) & ~same).sum(axis=1)
+    return overlap, messages
+
+
+def _row_gains(
+    old: IntervalPartition,
+    new_capabilities: np.ndarray,
+    arrangements: np.ndarray,
+    cost_model: RedistributionCostModel,
+) -> np.ndarray:
+    """COST (Fig. 6) of every row of *arrangements* under *new_capabilities*."""
+    overlap, messages = _score_rows(
+        old.bounds,
+        old.owners,
+        _row_bounds(old.num_elements, new_capabilities, arrangements),
+        arrangements,
+    )
+    return cost_model.element_weight * overlap - cost_model.message_weight * messages
+
+
+def _score_pair(old: IntervalPartition, new: IntervalPartition) -> tuple[int, int]:
+    _check_same_list(old, new)
+    overlap, messages = _score_rows(
+        old.bounds, old.owners, new.bounds[None, :], new.owners[None, :]
+    )
+    return int(overlap[0]), int(messages[0])
 
 
 def overlap_elements(old: IntervalPartition, new: IntervalPartition) -> int:
     """Elements whose home processor is unchanged (they need not move)."""
-    cuts, old_own, new_own = _segments(old, new)
-    if old_own.size == 0:
-        return 0
-    widths = np.diff(cuts)
-    return int(widths[old_own == new_own].sum())
+    return _score_pair(old, new)[0]
 
 
 def transfer_matrix(
@@ -136,32 +201,26 @@ def transfer_matrix(
 ) -> list[Transfer]:
     """All slabs that must move, as (source, dest, lo, hi) transfers.
 
-    Adjacent segments with the same (source, dest) pair are coalesced, so
-    the number of transfers equals the number of network messages the
-    redistribution generates (paper's second cost factor).
+    One transfer per elementary segment whose owner changes: two adjacent
+    segments never share both source and dest, so the number of transfers
+    equals the number of network messages the redistribution generates
+    (paper's second cost factor).
     """
-    cuts, old_own, new_own = _segments(old, new)
-    transfers: list[Transfer] = []
-    for i in range(old_own.size):
-        if old_own[i] == new_own[i]:
-            continue
-        lo, hi = int(cuts[i]), int(cuts[i + 1])
-        if (
-            transfers
-            and transfers[-1].source == old_own[i]
-            and transfers[-1].dest == new_own[i]
-            and transfers[-1].hi == lo
-        ):
-            prev = transfers.pop()
-            transfers.append(Transfer(prev.source, prev.dest, prev.lo, hi))
-        else:
-            transfers.append(Transfer(int(old_own[i]), int(new_own[i]), lo, hi))
-    return transfers
+    _check_same_list(old, new)
+    cuts = np.union1d(old.bounds, new.bounds)
+    lo, hi = cuts[:-1], cuts[1:]
+    source = old.owners[np.searchsorted(old.bounds, lo, side="right") - 1]
+    dest = new.owners[np.searchsorted(new.bounds, lo, side="right") - 1]
+    moving = np.flatnonzero(source != dest)
+    return [
+        Transfer(int(source[i]), int(dest[i]), int(lo[i]), int(hi[i]))
+        for i in moving
+    ]
 
 
 def message_count(old: IntervalPartition, new: IntervalPartition) -> int:
     """Number of point-to-point messages the redistribution generates."""
-    return len(transfer_matrix(old, new))
+    return _score_pair(old, new)[1]
 
 
 def redistribution_gain(
@@ -174,9 +233,8 @@ def redistribution_gain(
     Rewards kept-in-place elements and penalizes message count:
     ``element_weight * overlap - message_weight * messages``.
     """
-    return cost_model.element_weight * overlap_elements(
-        old, new
-    ) - cost_model.message_weight * message_count(old, new)
+    overlap, messages = _score_pair(old, new)
+    return cost_model.element_weight * overlap - cost_model.message_weight * messages
 
 
 def move(arrangement: Sequence[int] | np.ndarray, element: int, location: int) -> np.ndarray:
@@ -202,6 +260,25 @@ def move(arrangement: Sequence[int] | np.ndarray, element: int, location: int) -
     return np.asarray(arr, dtype=np.intp)
 
 
+def _validated_instance(
+    old_arrangement: Sequence[int] | np.ndarray,
+    old_capabilities: Sequence[float] | np.ndarray,
+    new_capabilities: Sequence[float] | np.ndarray,
+    n_elements: int,
+) -> tuple[IntervalPartition, np.ndarray]:
+    """(old partition, new capability vector) of one rearrangement problem."""
+    old_arr = check_permutation(old_arrangement)
+    old_cap = check_probability_vector("old_capabilities", old_capabilities)
+    new_cap = check_probability_vector("new_capabilities", new_capabilities)
+    if old_cap.size != old_arr.size or new_cap.size != old_arr.size:
+        raise PartitionError(
+            "capability vectors must match the arrangement length"
+        )
+    if n_elements < 0:
+        raise PartitionError(f"n_elements must be >= 0, got {n_elements}")
+    return partition_list(n_elements, old_cap, old_arr), new_cap
+
+
 def minimize_cost_redistribution(
     old_arrangement: Sequence[int] | np.ndarray,
     old_capabilities: Sequence[float] | np.ndarray,
@@ -224,38 +301,34 @@ def minimize_cost_redistribution(
     Returns the chosen new arrangement.  The resulting partition is obtained
     with ``partition_list(n, new_capabilities, arrangement)``.
     """
-    old_arr = check_permutation(old_arrangement)
+    old_part, new_cap = _validated_instance(
+        old_arrangement, old_capabilities, new_capabilities, n_elements
+    )
+    old_arr = old_part.owners
     p = old_arr.size
-    old_cap = check_probability_vector("old_capabilities", old_capabilities)
-    new_cap = check_probability_vector("new_capabilities", new_capabilities)
-    if old_cap.size != p or new_cap.size != p:
-        raise PartitionError(
-            "capability vectors must match the arrangement length"
-        )
-    if n_elements < 0:
-        raise PartitionError(f"n_elements must be >= 0, got {n_elements}")
-    old_part = partition_list(n_elements, old_cap, old_arr)
-
-    def gain_of(candidate_arr: np.ndarray) -> float:
-        candidate = partition_list(n_elements, new_cap, candidate_arr)
-        return redistribution_gain(old_part, candidate, cost_model)
-
     list_out = old_arr.copy()
-    for i in range(p):
-        element = int(old_arr[i])
+    cols = np.arange(p)
+    rows = cols[:, None]
+    for element in old_arr:
         current = int(np.flatnonzero(list_out == element)[0])
-        best_j = current
-        best_gain = gain_of(list_out)
-        for j in range(p):
-            if j == current:
-                continue
-            gain = gain_of(move(list_out, element, j))
-            if gain > best_gain:
-                best_gain = gain
-                best_j = j
-        if best_j != current:
-            list_out = move(list_out, element, best_j)
+        # Row j is MOVE(list_out, element, j): the locations between
+        # current and j shift one step toward current.
+        shift = ((cols >= current) & (cols < rows)).astype(np.intp)
+        shift -= (cols > rows) & (cols <= current)
+        candidates = list_out[cols + shift]
+        candidates[cols, cols] = element
+        gains = _row_gains(old_part, new_cap, candidates, cost_model)
+        # Strictly greater moves, ties stay; among better locations the
+        # lowest wins.
+        best_j = int(np.argmax(gains))
+        if gains[best_j] > gains[current]:
+            list_out = candidates[best_j]
     return list_out
+
+
+#: Permutations :func:`brute_force_arrangement` scores per batch; 9! rows
+#: at once would sort a 362,880 x 20 matrix of cuts.
+_BRUTE_FORCE_CHUNK = 4096
 
 
 def brute_force_arrangement(
@@ -271,20 +344,21 @@ def brute_force_arrangement(
     Returns (best arrangement, its gain).  Used to measure the MCR greedy's
     optimality gap (experiment ``ablation_mcr_optimality``).
     """
-    old_arr = check_permutation(old_arrangement)
-    p = old_arr.size
+    old_part, new_cap = _validated_instance(
+        old_arrangement, old_capabilities, new_capabilities, n_elements
+    )
+    p = old_part.num_processors
     if p > 9:
         raise PartitionError(
             f"brute force over {p}! arrangements is infeasible (p <= 9)"
         )
-    old_cap = check_probability_vector("old_capabilities", old_capabilities)
-    new_cap = check_probability_vector("new_capabilities", new_capabilities)
-    old_part = partition_list(n_elements, old_cap, old_arr)
-    best: tuple[float, tuple[int, ...]] | None = None
-    for perm in itertools.permutations(range(p)):
-        candidate = partition_list(n_elements, new_cap, np.array(perm))
-        gain = redistribution_gain(old_part, candidate, cost_model)
-        if best is None or gain > best[0]:
-            best = (gain, perm)
-    assert best is not None
-    return np.asarray(best[1], dtype=np.intp), float(best[0])
+    best_gain, best_perm = -np.inf, None
+    perms = itertools.permutations(range(p))
+    while chunk := list(itertools.islice(perms, _BRUTE_FORCE_CHUNK)):
+        rows = np.array(chunk, dtype=np.intp)
+        gains = _row_gains(old_part, new_cap, rows, cost_model)
+        top = int(np.argmax(gains))  # first maximum of the chunk
+        if gains[top] > best_gain:
+            best_gain, best_perm = float(gains[top]), rows[top]
+    assert best_perm is not None
+    return best_perm, best_gain

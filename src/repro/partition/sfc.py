@@ -7,7 +7,8 @@ adjacent grid cells, giving RCB-quality locality at sort cost; Morton is
 cheaper but has long jumps at quadrant boundaries — a nice ablation pair.
 
 The Hilbert encoding is the classic Butz/Lam-Shapiro bit-manipulation
-algorithm, vectorized over all points at once.
+algorithm, vectorized over all points at once and table-driven: one lookup
+consumes four bits of each coordinate.
 """
 
 from __future__ import annotations
@@ -75,29 +76,60 @@ def morton_keys(coords: np.ndarray, *, bits: int = 16) -> np.ndarray:
     raise OrderingError(f"Morton keys support 2-D/3-D, got {coords.shape[1]}-D")
 
 
+def _hilbert_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Four levels of the Lam-Shapiro rotation walk as one lookup.
+
+    The walk's state is whether the remaining low bits of x and y are
+    swapped and whether they are complemented.  Entry
+    ``state << 8 | x_nibble << 4 | y_nibble`` holds the four base-4 digits
+    those levels emit and the state they leave (already shifted into index
+    position), both derived here by running the per-bit rule on every entry.
+    """
+    index = np.arange(4 * 256)
+    swap, comp = index >> 9, (index >> 8) & 1
+    x, y = (index >> 4) & 15, index & 15
+    digits = np.zeros_like(index)
+    for level in (3, 2, 1, 0):
+        bx, by = (x >> level) & 1, (y >> level) & 1
+        rx = np.where(swap, by, bx) ^ comp
+        ry = np.where(swap, bx, by) ^ comp
+        digits = (digits << 2) | ((3 * rx) ^ ry)
+        # Rotate the quadrant: ry == 0 swaps, and flips first when rx == 1.
+        comp ^= (ry == 0) & (rx == 1)
+        swap ^= ry == 0
+    return digits.astype(np.uint8), ((swap << 1 | comp) << 8).astype(np.intp)
+
+
+_HILBERT_DIGITS, _HILBERT_NEXT = _hilbert_tables()
+
+
 def hilbert_keys_2d(coords: np.ndarray, *, bits: int = 16) -> np.ndarray:
-    """2-D Hilbert-curve keys (vectorized Lam-Shapiro rotation walk)."""
+    """2-D Hilbert-curve keys (Lam-Shapiro rotation walk, 4 levels per lookup)."""
     if coords.shape[1] != 2:
         raise OrderingError("hilbert_keys_2d needs 2-D coordinates")
     q = quantize_coords(coords, bits)
-    x = q[:, 0].astype(np.int64)
-    y = q[:, 1].astype(np.int64)
-    d = np.zeros(x.shape[0], dtype=np.int64)
-    s = np.int64(1) << np.int64(bits - 1)
-    while s > 0:
-        rx = ((x & s) > 0).astype(np.int64)
-        ry = ((y & s) > 0).astype(np.int64)
-        d += s * s * ((3 * rx) ^ ry)
-        # Rotate the quadrant (vectorized over all points).
-        swap = ry == 0
-        flip = swap & (rx == 1)
-        x_f = np.where(flip, s - 1 - x, x)
-        y_f = np.where(flip, s - 1 - y, y)
-        x_new = np.where(swap, y_f, x_f)
-        y_new = np.where(swap, x_f, y_f)
-        x, y = x_new, y_new
-        s >>= 1
-    return d.astype(np.uint64)
+    x = q[:, 0].astype(np.intp)
+    y = q[:, 1].astype(np.intp)
+    x <<= 4  # the x nibble lands above the y nibble in the table index
+    steps = -(-bits // 4)
+    # Levels above *bits* hold zeros, and a level of zeros only toggles the
+    # swap: left-padding to a multiple of 4 starts the walk swapped when
+    # the pad is odd.
+    state: np.ndarray | int = ((4 * steps - bits) & 1) << 9
+    keys = np.zeros(x.shape[0], dtype=np.uint64)
+    index = np.empty_like(x)
+    nibble = np.empty_like(x)
+    for shift in range(4 * (steps - 1), -1, -4):
+        np.right_shift(x, shift, out=index)
+        index &= 0xF0
+        np.right_shift(y, shift, out=nibble)
+        nibble &= 0x0F
+        index |= nibble
+        index |= state
+        keys <<= 8
+        keys |= _HILBERT_DIGITS[index]
+        state = _HILBERT_NEXT[index]
+    return keys
 
 
 def sfc_order(

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import socket
 import struct
 import time
@@ -171,6 +172,23 @@ def _decode_error(msg: tuple) -> BaseException:
     return CommunicationError(f"remote rank error: {msg[1]}")
 
 
+def _died_without_reporting(
+    rank: int, proc: multiprocessing.process.BaseProcess
+) -> CommunicationError:
+    """The diagnosis for a worker whose pipe closed with no result on it."""
+    proc.join(timeout=5.0)  # the pipe's EOF can precede the exit status
+    code = proc.exitcode
+    detail = f"exit code {code}"
+    if code is not None and code < 0:
+        try:
+            detail += f", killed by {signal.Signals(-code).name}"
+        except ValueError:  # a signal number this platform does not name
+            detail += f", killed by signal {-code}"
+    return CommunicationError(
+        f"rank {rank}: worker process died without reporting ({detail})"
+    )
+
+
 def run_real_spmd(
     cluster: ClusterSpec,
     fn: Callable[..., Any],
@@ -243,7 +261,11 @@ def run_real_spmd(
                     progressed = True
                     try:
                         msg = conns[r].recv()
-                    except (EOFError, Exception) as exc:
+                    except EOFError:  # poll() also fires when the pipe closes
+                        failures[r] = _died_without_reporting(r, procs[r])
+                        pending.discard(r)
+                        continue
+                    except Exception as exc:
                         failures[r] = CommunicationError(
                             f"rank {r}: undecodable result from worker: {exc}"
                         )
@@ -257,10 +279,7 @@ def run_real_spmd(
                     pending.discard(r)
                 elif procs[r].exitcode is not None:
                     progressed = True
-                    failures[r] = CommunicationError(
-                        f"rank {r}: worker process died without reporting "
-                        f"(exit code {procs[r].exitcode})"
-                    )
+                    failures[r] = _died_without_reporting(r, procs[r])
                     pending.discard(r)
             if not progressed:
                 time.sleep(0.01)

@@ -1,23 +1,49 @@
-"""Recursive reference implementations of the bisection orderings.
+"""Reference implementations the array versions in ``repro.partition`` replaced.
 
-These are the one-box-at-a-time bodies that ``repro.partition.rcb`` and
-``repro.partition.inertial`` shipped before the level-synchronous driver
-(``repro.partition.bisection``) replaced them.  They stay here as the
-differential oracle: ``rcb_order`` must reproduce ``rcb_order_oracle``'s
-permutation exactly whenever the ``coords + jitter`` keys are distinct,
-and ``inertial_order`` is held to ``inertial_order_oracle``'s partition
-quality.  One Python step per tree node — do not call these on meshes much
-beyond 30k vertices.
+**Bisection orderings.**  The one-box-at-a-time bodies that
+``repro.partition.rcb`` and ``repro.partition.inertial`` shipped before the
+level-synchronous driver (``repro.partition.bisection``) replaced them.
+``rcb_order`` must reproduce ``rcb_order_oracle``'s permutation exactly
+whenever the ``coords + jitter`` keys are distinct, and ``inertial_order``
+is held to ``inertial_order_oracle``'s partition quality.  One Python step
+per tree node — do not call these on meshes much beyond 30k vertices.
+
+**Arrangements (Sec. 3.4).**  ``mcr_oracle`` and ``brute_force_oracle`` are
+the bodies ``minimize_cost_redistribution`` and ``brute_force_arrangement``
+shipped before the batch row scorer: one validated ``IntervalPartition``
+per candidate arrangement, scored by ``gain_oracle`` — ``union1d`` segments
+walked twice, the second time through a Python loop that coalesces adjacent
+slabs.  The shipped functions must return exactly what these return.
+
+**Hilbert keys.**  ``hilbert_keys_2d_oracle`` is the one-bit-per-step
+rotation walk that the table-driven ``hilbert_keys_2d`` replaced; keys must
+be ``array_equal`` for every ``bits``.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.partition.arrangement import RedistributionCostModel, move
+from repro.partition.intervals import IntervalPartition, partition_list
+from repro.partition.sfc import quantize_coords
 from repro.utils.rng import SeedLike, as_generator
 
-__all__ = ["rcb_order_oracle", "inertial_order_oracle", "principal_axis_oracle"]
+__all__ = [
+    "rcb_order_oracle",
+    "inertial_order_oracle",
+    "principal_axis_oracle",
+    "segments_oracle",
+    "overlap_oracle",
+    "messages_oracle",
+    "gain_oracle",
+    "mcr_oracle",
+    "brute_force_oracle",
+    "hilbert_keys_2d_oracle",
+]
 
 
 def _jitter(coords: np.ndarray, n: int, seed: SeedLike) -> np.ndarray:
@@ -134,3 +160,134 @@ def inertial_order_oracle(graph: CSRGraph, *, seed: SeedLike = 0) -> np.ndarray:
         stack.append(idx[part[:half]])
     assert out == n
     return order
+
+
+def segments_oracle(
+    old: IntervalPartition, new: IntervalPartition
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(boundaries, old owner, new owner) of the non-empty elementary segments."""
+    cuts = np.union1d(old.bounds, new.bounds)
+    if cuts.size < 2:
+        return cuts, np.empty(0, np.intp), np.empty(0, np.intp)
+    mids = cuts[:-1]  # left endpoint identifies each non-empty segment
+    widths = np.diff(cuts)
+    keep = widths > 0
+    mids = mids[keep]
+    cuts = np.concatenate([mids, [cuts[-1]]])
+    old_block = np.searchsorted(old.bounds, mids, side="right") - 1
+    new_block = np.searchsorted(new.bounds, mids, side="right") - 1
+    return cuts, old.owners[old_block], new.owners[new_block]
+
+
+def overlap_oracle(old: IntervalPartition, new: IntervalPartition) -> int:
+    cuts, old_own, new_own = segments_oracle(old, new)
+    if old_own.size == 0:
+        return 0
+    widths = np.diff(cuts)
+    return int(widths[old_own == new_own].sum())
+
+
+def messages_oracle(old: IntervalPartition, new: IntervalPartition) -> int:
+    """Moving slabs, adjacent ones with the same (source, dest) coalesced."""
+    cuts, old_own, new_own = segments_oracle(old, new)
+    slabs: list[tuple[int, int, int]] = []  # (source, dest, hi)
+    for i in range(old_own.size):
+        if old_own[i] == new_own[i]:
+            continue
+        lo, hi = int(cuts[i]), int(cuts[i + 1])
+        source, dest = int(old_own[i]), int(new_own[i])
+        if slabs and slabs[-1] == (source, dest, lo):
+            slabs[-1] = (source, dest, hi)
+        else:
+            slabs.append((source, dest, hi))
+    return len(slabs)
+
+
+def gain_oracle(
+    old: IntervalPartition,
+    new: IntervalPartition,
+    cost_model: RedistributionCostModel = RedistributionCostModel(),
+) -> float:
+    return cost_model.element_weight * overlap_oracle(
+        old, new
+    ) - cost_model.message_weight * messages_oracle(old, new)
+
+
+def mcr_oracle(
+    old_arrangement,
+    old_capabilities,
+    new_capabilities,
+    n_elements: int,
+    *,
+    cost_model: RedistributionCostModel = RedistributionCostModel(),
+) -> np.ndarray:
+    """The MCR greedy (Fig. 6), one ``partition_list`` per candidate."""
+    old_arr = np.asarray(old_arrangement, dtype=np.intp)
+    p = old_arr.size
+    old_part = partition_list(n_elements, old_capabilities, old_arr)
+
+    def gain_of(candidate_arr: np.ndarray) -> float:
+        candidate = partition_list(n_elements, new_capabilities, candidate_arr)
+        return gain_oracle(old_part, candidate, cost_model)
+
+    list_out = old_arr.copy()
+    for i in range(p):
+        element = int(old_arr[i])
+        current = int(np.flatnonzero(list_out == element)[0])
+        best_j = current
+        best_gain = gain_of(list_out)
+        for j in range(p):
+            if j == current:
+                continue
+            gain = gain_of(move(list_out, element, j))
+            if gain > best_gain:
+                best_gain = gain
+                best_j = j
+        if best_j != current:
+            list_out = move(list_out, element, best_j)
+    return list_out
+
+
+def brute_force_oracle(
+    old_arrangement,
+    old_capabilities,
+    new_capabilities,
+    n_elements: int,
+    *,
+    cost_model: RedistributionCostModel = RedistributionCostModel(),
+) -> tuple[np.ndarray, float]:
+    """Exhaustive optimum, one ``partition_list`` per permutation."""
+    old_arr = np.asarray(old_arrangement, dtype=np.intp)
+    p = old_arr.size
+    old_part = partition_list(n_elements, old_capabilities, old_arr)
+    best: tuple[float, tuple[int, ...]] | None = None
+    for perm in itertools.permutations(range(p)):
+        candidate = partition_list(n_elements, new_capabilities, np.array(perm))
+        gain = gain_oracle(old_part, candidate, cost_model)
+        if best is None or gain > best[0]:
+            best = (gain, perm)
+    assert best is not None
+    return np.asarray(best[1], dtype=np.intp), float(best[0])
+
+
+def hilbert_keys_2d_oracle(coords: np.ndarray, *, bits: int = 16) -> np.ndarray:
+    """2-D Hilbert keys by the Lam-Shapiro rotation walk, one bit per step."""
+    q = quantize_coords(coords, bits)
+    x = q[:, 0].astype(np.int64)
+    y = q[:, 1].astype(np.int64)
+    d = np.zeros(x.shape[0], dtype=np.int64)
+    s = np.int64(1) << np.int64(bits - 1)
+    while s > 0:
+        rx = ((x & s) > 0).astype(np.int64)
+        ry = ((y & s) > 0).astype(np.int64)
+        d += s * s * ((3 * rx) ^ ry)
+        # Rotate the quadrant (vectorized over all points).
+        swap = ry == 0
+        flip = swap & (rx == 1)
+        x_f = np.where(flip, s - 1 - x, x)
+        y_f = np.where(flip, s - 1 - y, y)
+        x_new = np.where(swap, y_f, x_f)
+        y_new = np.where(swap, x_f, y_f)
+        x, y = x_new, y_new
+        s >>= 1
+    return d.astype(np.uint64)

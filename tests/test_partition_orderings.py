@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles_partition import hilbert_keys_2d_oracle
 from repro.errors import OrderingError
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import grid_graph, perturbed_grid_mesh
+from repro.graph.generators import grid_graph, paper_mesh, perturbed_grid_mesh
 from repro.graph.metrics import mean_edge_span
 from repro.partition.inertial import InertialOrdering, inertial_order, principal_axis
 from repro.partition.ordering import (
@@ -277,3 +278,36 @@ class TestSFC:
         keys = hilbert_keys_2d(coords, bits=bits)
         assert np.unique(keys).size == side * side
         assert keys.max() == side * side - 1
+
+    @pytest.mark.parametrize("bits", range(1, 22))
+    def test_hilbert_table_walk_equals_per_bit_oracle(self, bits):
+        # Every width: 4-bit steps left-pad the others, which changes the
+        # state the walk starts in.
+        coords = np.random.default_rng(bits).random((4000, 2))
+        keys = hilbert_keys_2d(coords, bits=bits)
+        oracle = hilbert_keys_2d_oracle(coords, bits=bits)
+        assert keys.dtype == oracle.dtype == np.uint64
+        np.testing.assert_array_equal(keys, oracle)
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            np.array([[0.3, 0.7]]),  # one point
+            np.full((5, 2), 2.5),  # all points equal
+            np.column_stack([np.linspace(0, 1, 9), np.zeros(9)]),  # y constant
+            np.column_stack([np.ones(9), np.linspace(-3, 4, 9)]),  # x constant
+        ],
+    )
+    def test_hilbert_degenerate_inputs_equal_oracle(self, coords):
+        for bits in (1, 5, 16, 21):
+            np.testing.assert_array_equal(
+                hilbert_keys_2d(coords, bits=bits),
+                hilbert_keys_2d_oracle(coords, bits=bits),
+            )
+
+    def test_hilbert_ordering_of_paper_mesh_equals_oracle(self):
+        graph = paper_mesh(30269, seed=3)
+        order = np.argsort(hilbert_keys_2d_oracle(graph.coords), kind="stable")
+        np.testing.assert_array_equal(
+            HilbertOrdering()(graph), positions_from_order(order.astype(np.intp))
+        )

@@ -8,7 +8,9 @@ any multiprocessing start method.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
 import socket
 
 import numpy as np
@@ -148,6 +150,12 @@ def _boom_on_rank2(ctx):
     return ctx.recv(2, tag=400)
 
 
+def _sigkill_on_rank1(ctx):
+    if ctx.rank == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return ctx.rank
+
+
 class TestRealSPMD:
     def test_runs_on_distinct_processes(self):
         res = run_spmd(
@@ -191,6 +199,20 @@ class TestRealSPMD:
         assert "source=1, tag=300" in msg
         assert "1 non-matching message(s) buffered" in msg
         assert "recv-timeout" in msg or "RECV_TIMEOUT" in msg
+
+    def test_killed_worker_is_reported_as_killed(self):
+        with pytest.raises(RankFailedError) as ei:
+            run_spmd(
+                uniform_cluster(3), _sigkill_on_rank1,
+                world="real", recv_timeout=10,
+            )
+        failure = ei.value.failures[1]
+        assert isinstance(failure, CommunicationError)
+        msg = str(failure)
+        assert "rank 1" in msg
+        assert "died without reporting" in msg
+        assert "exit code -9" in msg and "SIGKILL" in msg
+        assert multiprocessing.active_children() == []
 
     def test_rank_failure_cascades(self):
         with pytest.raises(RankFailedError) as ei:
