@@ -111,6 +111,6 @@ def test_committed_trajectory_is_valid():
     document = json.loads((REPO_ROOT / "BENCH_trajectory.json").read_text())
     assert document["schema"] == bench_record.SCHEMA
     identities = [bench_record.identity(r) for r in document["records"]]
-    assert len(set(identities)) == len(identities) >= 1
+    assert len(set(identities)) == len(identities) >= 3
     for record in document["records"]:
         assert record["workloads"]
