@@ -159,12 +159,14 @@ def run_parallel_spmv(
         local_diag = pmat.diag[lo:hi]
         start, stop = pmat.graph.indptr[lo], pmat.graph.indptr[hi]
         local_w = pmat.offdiag[start:stop]
+        # The weights are per reference, so these segments take no index.
+        segments = RowSegments(plan.counts)
         for _ in range(iterations):
             ghost = gather(ctx, insp.schedule, local_x)
             combined = (
                 np.concatenate([local_x, ghost]) if ghost.size else local_x
             )
-            y = local_diag * local_x + plan.segments.sums(
+            y = local_diag * local_x + segments.sums(
                 local_w * combined[plan.slots]
             )
             ctx.compute(

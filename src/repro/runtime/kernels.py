@@ -64,32 +64,106 @@ class KernelCostModel:
 class RowSegments:
     """The loop invariants of a row-wise sweep over consecutive segments.
 
-    Row ``i`` owns the next ``counts[i]`` elements of a flat per-reference
-    array.  Everything that depends only on ``counts`` is derived here,
-    once; :meth:`sums` and :meth:`means` are then one ``np.bincount`` per
-    sweep, which adds the weights in array order from 0.0 — the summation
-    order of the Fig. 8 loop.
+    Row ``i`` owns the next ``counts[i]`` references of a flat
+    per-reference array; reference ``k`` reads ``values[index[k]]`` (or
+    ``values[k]`` when *index* is ``None``).  Everything that depends only
+    on ``counts`` and ``index`` is derived here, once:
+
+    * rows are *ranked* by descending reference count (stable), and the
+      references laid out column-major — column ``j`` holds the ``j``-th
+      reference of every row with more than ``j``, i.e. a prefix of the
+      ranked rows — so a sweep is one gather (``values[gather]``) and one
+      contiguous ``np.add`` per column into a zeroed accumulator;
+    * column adds stop at the first column shorter than the number of
+      columns still to go; the remaining references of those few long rows
+      go through one ``np.add.at`` in array order.  That bounds the column
+      adds by ``sqrt(2 * m)`` for ``m`` references (a hub row costs one
+      ``add.at`` element per reference, not one ``np.add`` call).
+
+    Every row therefore still adds its references in array order starting
+    from 0.0 — the summation order of the Fig. 8 loop — so results are
+    bit-identical to it, including −0.0, infinities and a NaN's payload.
+    (Where two *different* NaNs meet in one add, IEEE 754 leaves the
+    survivor to the implementation; numpy's scalar and array adds differ.)
     """
 
-    __slots__ = ("n_rows", "rows", "divisor", "empty")
+    __slots__ = (
+        "n_rows", "gather", "columns", "tail_rows", "tail_start",
+        "unrank", "divisor", "empty",
+    )
 
-    def __init__(self, counts: np.ndarray) -> None:
-        counts = np.asarray(counts)
-        self.n_rows = int(counts.size)
-        #: Owning row of every reference, ascending.
-        self.rows = np.repeat(np.arange(self.n_rows, dtype=np.intp), counts)
-        empty = counts == 0
+    def __init__(self, counts: np.ndarray, index: np.ndarray | None = None) -> None:
+        counts = np.asarray(counts, dtype=np.intp)
+        n = self.n_rows = int(counts.size)
+        width = int(counts.max()) if n else 0
+        # A stable sort of small unsigned keys is numpy's radix sort.
+        order = np.argsort(
+            (width - counts).astype(np.min_scalar_type(width)), kind="stable"
+        )
+        ranked = counts[order]
+        starts = (np.cumsum(counts) - counts)[order]
+        # longer[j]: how many rows have more than j references, i.e. the
+        # length of column j.
+        longer = np.searchsorted(-ranked, -np.arange(width))
+        short = np.flatnonzero(longer < width - np.arange(width))
+        n_cols = int(short[0]) if short.size else width
+        bounds = np.zeros(n_cols + 1, dtype=np.intp)
+        np.cumsum(longer[:n_cols], out=bounds[1:])
+        #: ``(rows, lo, hi)`` of every column: ``laid[lo:hi]`` adds into
+        #: the first ``rows`` ranked rows.
+        self.columns = list(
+            zip(longer[:n_cols].tolist(), bounds[:-1].tolist(), bounds[1:].tolist())
+        )
+        # The tail: references n_cols.. of every row longer than n_cols,
+        # row by row in array order.
+        n_long = int(longer[n_cols]) if n_cols < width else 0
+        rest = ranked[:n_long] - n_cols
+        self.tail_rows = np.repeat(np.arange(n_long, dtype=np.intp), rest)
+        self.tail_start = int(bounds[-1])
+        #: Where each laid-out reference reads its value: *index* composed
+        #: with the layout — the one per-reference array kept.  Filled one
+        #: column at a time, so building holds no second per-reference array.
+        self.gather = np.empty(self.tail_start + self.tail_rows.size, dtype=np.intp)
+
+        def place(lo: int, hi: int, positions: np.ndarray) -> None:
+            self.gather[lo:hi] = positions if index is None else index[positions]
+
+        for j, (rows, lo, hi) in enumerate(self.columns):
+            place(lo, hi, starts[:rows] + j)
+        if self.tail_rows.size:
+            first = np.cumsum(rest) - rest
+            place(
+                self.tail_start, self.gather.size,
+                starts[self.tail_rows] + n_cols
+                + np.arange(self.tail_rows.size) - first[self.tail_rows],
+            )
+        #: Ranked position of every row (the inverse of *order*).
+        self.unrank = np.empty(n, dtype=np.intp)
+        self.unrank[order] = np.arange(n, dtype=np.intp)
         #: Rows without references (``None`` when every row has one).
-        self.empty = empty if empty.any() else None
-        self.divisor = np.where(empty, 1.0, counts)
+        self.empty = counts == 0 if n and ranked[-1] == 0 else None
+        #: Float reference counts in ranked order (empty rows divide by 1).
+        self.divisor = np.maximum(ranked, 1.0)
 
-    def sums(self, weights: np.ndarray) -> np.ndarray:
-        """Per-row sum of *weights* (one per reference); empty rows get 0."""
-        return np.bincount(self.rows, weights=weights, minlength=self.n_rows)
+    def _ranked_sums(self, values: np.ndarray) -> np.ndarray:
+        laid = values[self.gather]
+        t = np.zeros(self.n_rows)
+        for rows, lo, hi in self.columns:
+            head = t[:rows]
+            np.add(head, laid[lo:hi], head)
+        if self.tail_rows.size:
+            np.add.at(t, self.tail_rows, laid[self.tail_start :])
+        return t
 
-    def means(self, weights: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        """Per-row mean of *weights*; empty rows take their value in *keep*."""
-        out = self.sums(weights) / self.divisor
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-row sum of the referenced *values*; empty rows get 0."""
+        return self._ranked_sums(values)[self.unrank]
+
+    def means(self, values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """Per-row mean of the referenced *values*; empty rows take their
+        value in *keep*."""
+        t = self._ranked_sums(values)
+        out = np.divide(t, self.divisor, out=t)[self.unrank]
         if self.empty is not None:
             out[self.empty] = keep[self.empty]
         return out
@@ -107,7 +181,7 @@ def _as_vertex_values(graph: CSRGraph, y: np.ndarray) -> np.ndarray:
 def sequential_kernel(graph: CSRGraph, y: np.ndarray) -> np.ndarray:
     """One vectorized sweep of the Fig. 8 loop over the whole graph."""
     y = _as_vertex_values(graph, y)
-    return RowSegments(graph.degrees).means(y[graph.indices], y)
+    return RowSegments(graph.degrees, graph.indices).means(y, y)
 
 
 def sequential_kernel_reference(graph: CSRGraph, y: np.ndarray) -> np.ndarray:
@@ -134,9 +208,9 @@ def run_sequential(
     """Run the Fig. 8 loop *iterations* times sequentially (the oracle for
     the parallel runs and the T(p_i) baseline of the Sec. 4 efficiency)."""
     y = _as_vertex_values(graph, y0).copy()
-    segments = RowSegments(graph.degrees)
+    segments = RowSegments(graph.degrees, graph.indices)
     for _ in range(iterations):
-        y = segments.means(y[graph.indices], y)
+        y = segments.means(y, y)
     return y
 
 
@@ -173,7 +247,7 @@ class KernelPlan:
         """The plan's row segments, derived on first use and kept for its
         lifetime (``cached_property`` writes the instance dict, which a
         frozen dataclass allows): no sweep repeats plan-only work."""
-        return RowSegments(self.counts)
+        return RowSegments(self.counts, self.slots)
 
     def sweep(self, local_y: np.ndarray, ghost: np.ndarray) -> np.ndarray:
         """One vectorized kernel sweep over this rank's vertices."""
@@ -185,7 +259,7 @@ class KernelPlan:
                 f"plan covers {self.n_local} vertices"
             )
         combined = np.concatenate([local_y, ghost]) if ghost.size else local_y
-        return self.segments.means(combined[self.slots], local_y)
+        return self.segments.means(combined, local_y)
 
     def sweep_reference(self, local_y: np.ndarray, ghost: np.ndarray) -> np.ndarray:
         """Loop transcription of Fig. 8 over local data — test oracle."""

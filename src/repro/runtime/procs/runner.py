@@ -23,7 +23,10 @@ error-shutdown frame to its peers (their blocked receives wake with
 errors are filtered, and the parent raises
 :class:`~repro.errors.RankFailedError` with the primary exceptions.  A
 worker that dies without reporting (killed, segfault) is surfaced as a
-:class:`~repro.errors.CommunicationError` naming the rank and exit code.
+:class:`~repro.errors.CommunicationError` naming the rank and exit code;
+once any rank has failed, one that neither reports nor exits within
+``recv_timeout`` plus a fixed grace (stopped, or stuck outside a receive)
+is killed and named as unresponsive.
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ __all__ = ["run_real_spmd"]
 
 #: How long the parent waits for the socket-mesh bootstrap phase.
 _BOOTSTRAP_TIMEOUT = 60.0
+#: After a rank fails, how much longer than recv_timeout the parent waits
+#: for each other rank to report before killing it as unresponsive.
+_FAILURE_GRACE = 5.0
 _HELLO = struct.Struct("<i")
 
 
@@ -189,6 +195,17 @@ def _died_without_reporting(
     )
 
 
+def _process_state(proc: multiprocessing.process.BaseProcess) -> str:
+    """``"stopped"`` if the OS reports *proc* stopped (Linux ``/proc``),
+    otherwise ``"alive"``."""
+    try:
+        with open(f"/proc/{proc.pid}/stat") as f:
+            state = f.read().rpartition(")")[2].split()[0]
+    except (OSError, IndexError):
+        return "alive"
+    return "stopped" if state in ("T", "t") else "alive"
+
+
 def run_real_spmd(
     cluster: ClusterSpec,
     fn: Callable[..., Any],
@@ -247,12 +264,14 @@ def run_real_spmd(
             conns[r].send(("ports", ports))
 
         # Phase 2: collect results.  Workers self-police deadlocks via
-        # recv_timeout, so the parent only errors on ranks that die
-        # without reporting.
+        # recv_timeout; once one rank has failed, a peer that neither
+        # reports nor exits within recv_timeout + _FAILURE_GRACE (stopped,
+        # or stuck outside any receive) is killed and named.
         values: list[Any] = [None] * size
         clocks: list[float] = [0.0] * size
         blobs: list[tuple | None] = [None] * size
         failures: dict[int, BaseException] = {}
+        first_failure: tuple[int, float] | None = None  # (rank, when)
         pending = set(range(size))
         while pending:
             progressed = False
@@ -281,6 +300,20 @@ def run_real_spmd(
                     progressed = True
                     failures[r] = _died_without_reporting(r, procs[r])
                     pending.discard(r)
+            if failures and first_failure is None:
+                first_failure = (min(failures), time.monotonic())
+            if first_failure is not None and pending:
+                waited = time.monotonic() - first_failure[1]
+                if waited > timeout + _FAILURE_GRACE:
+                    for r in sorted(pending):
+                        state = _process_state(procs[r])
+                        procs[r].kill()
+                        procs[r].join(timeout=5.0)
+                        failures[r] = CommunicationError(
+                            f"rank {r}: unresponsive for {waited:.1f} s after "
+                            f"rank {first_failure[0]} failed (process {state})"
+                        )
+                    pending.clear()
             if not progressed:
                 time.sleep(0.01)
     finally:
@@ -289,6 +322,9 @@ def run_real_spmd(
         for p in procs:
             if p.is_alive():
                 p.terminate()
+                p.join(timeout=5.0)
+            if p.is_alive():  # SIGTERM is not delivered to a stopped process
+                p.kill()
                 p.join(timeout=5.0)
         for c in conns:
             c.close()

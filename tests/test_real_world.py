@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import re
 import signal
 import socket
+import time
 
 import numpy as np
 import pytest
@@ -156,6 +158,14 @@ def _sigkill_on_rank1(ctx):
     return ctx.rank
 
 
+def _sigstop_on_rank1(ctx):
+    ctx.barrier()
+    if ctx.rank == 1:
+        os.kill(os.getpid(), signal.SIGSTOP)
+    ctx.barrier()  # rank 0 times out waiting for rank 1
+    return ctx.rank
+
+
 class TestRealSPMD:
     def test_runs_on_distinct_processes(self):
         res = run_spmd(
@@ -212,6 +222,30 @@ class TestRealSPMD:
         assert "rank 1" in msg
         assert "died without reporting" in msg
         assert "exit code -9" in msg and "SIGKILL" in msg
+        assert multiprocessing.active_children() == []
+
+    def test_stopped_worker_is_killed_and_named(self):
+        """A stopped worker neither reports nor exits: once a peer has
+        failed, the parent waits recv_timeout + grace, kills it, names it."""
+        from repro.runtime.procs.runner import _FAILURE_GRACE
+
+        recv_timeout = 1.0
+        start = time.monotonic()
+        with pytest.raises(RankFailedError) as ei:
+            run_spmd(
+                uniform_cluster(3), _sigstop_on_rank1,
+                world="real", recv_timeout=recv_timeout,
+            )
+        assert time.monotonic() - start < recv_timeout + _FAILURE_GRACE + 5.0
+        failure = ei.value.failures[1]
+        assert isinstance(failure, CommunicationError)
+        msg = str(failure)
+        # Ranks 0 and 2 both time out in the barrier; either may report first.
+        assert re.fullmatch(
+            r"rank 1: unresponsive for [\d.]+ s after rank [02] failed "
+            r"\(process stopped\)",
+            msg,
+        )
         assert multiprocessing.active_children() == []
 
     def test_rank_failure_cascades(self):

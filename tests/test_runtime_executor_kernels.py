@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles_kernels import BincountRowSegments
+from repro.apps.sparse_matvec import (
+    SymmetricPatternMatrix,
+    run_parallel_spmv,
+    spmv_sequential,
+)
 from repro.errors import RankFailedError, ScheduleError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
@@ -26,6 +34,7 @@ from repro.runtime.inspector import run_inspector
 from repro.runtime import kernels
 from repro.runtime.kernels import (
     KernelCostModel,
+    RowSegments,
     build_kernel_plan,
     run_sequential,
     sequential_kernel,
@@ -300,6 +309,77 @@ def _hub_graph() -> CSRGraph:
     return g
 
 
+def _star_graph(hub_degree: int = 10_000) -> CSRGraph:
+    """Vertex 0 adjacent to every other: one row far longer than the
+    number of rows that reach its length (the column layout's tail)."""
+    return CSRGraph.from_edges(
+        hub_degree + 1, [(0, v) for v in range(1, hub_degree + 1)]
+    )
+
+
+def _random_hub_graph(rng: np.random.Generator) -> CSRGraph:
+    """Random sparse edges plus a few hubs; some vertices stay isolated
+    and every row's neighbors are shuffled (symmetry ignores order)."""
+    n = int(rng.integers(1, 120))
+    edges = [rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))]
+    for hub in rng.integers(0, n, size=int(rng.integers(0, 4))):
+        others = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
+        edges.append(np.stack([np.full_like(others, hub), others], axis=1))
+    g = CSRGraph.from_edges(n, np.concatenate(edges))
+    indices = g.indices.copy()
+    for v in range(n):
+        rng.shuffle(indices[g.indptr[v] : g.indptr[v + 1]])
+    return CSRGraph(g.indptr, indices)
+
+
+def _special_values(rng: np.random.Generator, size: int, share: float) -> np.ndarray:
+    """Values over 17 decades (so the summation order shows in the last
+    bits) with a *share* of −0.0, ±inf and signed NaNs with payloads."""
+    y = rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.integers(-8, 9, size)
+    special = rng.random(size) < share
+    kind = rng.integers(0, 4, size)
+    payload = rng.integers(1, 2**51, size, dtype=np.uint64)
+    sign = rng.integers(0, 2, size, dtype=np.uint64) << np.uint64(63)
+    nan = (np.uint64(0x7FF8000000000000) | payload | sign).view(np.float64)
+    y = np.where(special & (kind == 0), -0.0, y)
+    y = np.where(special & (kind == 1), np.inf, y)
+    y = np.where(special & (kind == 2), -np.inf, y)
+    return np.where(special & (kind == 3), nan, y)
+
+
+def _nan_meets_nan(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Rows where two different NaN bit patterns can meet in one add.
+
+    IEEE 754 leaves which payload survives to the implementation, and
+    numpy's scalar add, its array add and its size-1 in-place add pick
+    different operands — so only these rows are compared by NaN-ness."""
+    with np.errstate(invalid="ignore"):
+        generated = np.float64(np.inf) + np.float64(-np.inf)
+    out = np.zeros(len(counts), dtype=bool)
+    k = 0
+    for i, c in enumerate(counts):
+        w = weights[k : k + c]
+        k += c
+        patterns = set(w[np.isnan(w)].view(np.uint64).tolist())
+        if np.isposinf(w).any() and np.isneginf(w).any():
+            patterns.add(int(generated.view(np.uint64)))
+        out[i] = len(patterns) > 1
+    return out
+
+
+def _assert_bitwise_equal(
+    got: np.ndarray, want: np.ndarray, nan_meets_nan: np.ndarray | None = None
+) -> None:
+    assert got.shape == want.shape
+    same = slice(None) if nan_meets_nan is None else ~nan_meets_nan
+    np.testing.assert_array_equal(
+        got[same].view(np.uint64), want[same].view(np.uint64)
+    )
+    if nan_meets_nan is not None:
+        assert np.isnan(got[nan_meets_nan]).all()
+        assert np.isnan(want[nan_meets_nan]).all()
+
+
 class TestSummationOrderContract:
     """The kernel is the literal Fig. 8 loop bit for bit: every vectorized
     sweep accumulates a row's references in array order from 0.0."""
@@ -308,6 +388,7 @@ class TestSummationOrderContract:
         "paper_mesh": lambda: paper_mesh(600, seed=1),
         "degree>=9": _hub_graph,
         "isolated": _isolated_graph,
+        "star": _star_graph,
     }
     # Speeds per rank: three uneven blocks, two even ones (the isolated
     # graph's block boundary), an empty-interval rank (n_local = 0), and
@@ -357,7 +438,7 @@ class TestSummationOrderContract:
         init = kernels.RowSegments.__init__
         monkeypatch.setattr(
             kernels.RowSegments, "__init__",
-            lambda self, counts: (built.append(1), init(self, counts))[1],
+            lambda self, *args: (built.append(1), init(self, *args))[1],
         )
         part = partition_list(mesh.num_vertices, np.ones(2))
         sched = build_schedule_sort1(mesh, part, 0)
@@ -417,6 +498,124 @@ class TestSummationOrderContract:
             ProgramConfig(iterations=6, ordering=IdentityOrdering()), y0=y0,
         )
         np.testing.assert_array_equal(rep.values, run_sequential(g, y0, 6))
+
+
+class TestColumnLayout:
+    """The degree-ranked column layout against the loop and against the
+    ``bincount`` body it replaced (``oracles_kernels``), bit for bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1), share=st.sampled_from([0.0, 0.05, 0.3]))
+    @settings(max_examples=60, deadline=None)
+    def test_sequential_kernel_bitwise_property(self, seed, share):
+        rng = np.random.default_rng(seed)
+        g = _random_hub_graph(rng)
+        y = _special_values(rng, g.num_vertices, share)
+        nan_meets_nan = _nan_meets_nan(g.degrees, y[g.indices])
+        with np.errstate(invalid="ignore"):
+            got = sequential_kernel(g, y)
+            loop = sequential_kernel_reference(g, y)
+            oracle = BincountRowSegments(g.degrees).means(y[g.indices], y)
+        _assert_bitwise_equal(got, loop, nan_meets_nan)
+        _assert_bitwise_equal(got, oracle, nan_meets_nan)
+
+    @given(seed=st.integers(0, 2**32 - 1), share=st.sampled_from([0.0, 0.3]))
+    @settings(max_examples=40, deadline=None)
+    def test_any_counts_and_index_property(self, seed, share):
+        """Rows need not come from a graph: arbitrary counts (hubs, runs
+        of empty rows) and an arbitrary index, with and without it."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 60))
+        counts = rng.integers(0, 4, n) * (rng.random(n) < 0.8)
+        counts[rng.random(n) < 0.1] = rng.integers(10, 200)
+        values = _special_values(rng, int(rng.integers(1, 50)), share)
+        index = rng.integers(0, values.size, int(counts.sum()))
+        keep = _special_values(rng, n, share)
+        weights = values[index]
+        nan_meets_nan = _nan_meets_nan(counts, weights)
+        oracle = BincountRowSegments(counts)
+        segments = RowSegments(counts, index)
+        with np.errstate(invalid="ignore"):
+            sums = segments.sums(values)
+            means = segments.means(values, keep)
+            _assert_bitwise_equal(sums, oracle.sums(weights), nan_meets_nan)
+            _assert_bitwise_equal(
+                means, oracle.means(weights, keep), nan_meets_nan
+            )
+            _assert_bitwise_equal(
+                RowSegments(counts).sums(weights), sums, nan_meets_nan
+            )
+            # The literal loop, row by row from 0.0.
+            loop = keep.copy()
+            k = 0
+            for i, c in enumerate(counts):
+                t = 0.0
+                for _ in range(c):
+                    t += weights[k]
+                    k += 1
+                if c:
+                    loop[i] = t / c
+        _assert_bitwise_equal(means, loop, nan_meets_nan)
+
+    def test_star_hub_goes_through_the_tail(self):
+        g = _star_graph()
+        segments = RowSegments(g.degrees, g.indices)
+        # Column 0 holds every row's first reference; the hub's other
+        # 9,999 are one add.at, not 9,999 column adds.
+        assert segments.columns == [(10_001, 0, 10_001)]
+        assert segments.tail_rows.size == 9_999
+        y = _special_values(np.random.default_rng(12), g.num_vertices, 0.0)
+        _assert_bitwise_equal(
+            sequential_kernel(g, y), sequential_kernel_reference(g, y)
+        )
+
+    def test_empty_interval_plan(self):
+        g = paper_mesh(300, seed=2)
+        part = partition_list(g.num_vertices, [0.5, 0.0, 0.5])
+        sched = build_schedule_sort1(g, part, 1)
+        plan = build_kernel_plan(g, part, sched)
+        assert plan.n_local == 0
+        assert plan.segments.gather.size == 0 and plan.segments.columns == []
+        out = plan.sweep(np.empty(0), np.empty(sched.ghost_size))
+        assert out.shape == (0,)
+        assert RowSegments(np.zeros(0, dtype=np.intp)).sums(np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [*TestSummationOrderContract.GRAPHS, "random hubs"],
+    )
+    def test_column_adds_bounded_by_sqrt_2m(self, graph):
+        if graph == "random hubs":
+            rng = np.random.default_rng(13)
+            graphs = [_random_hub_graph(rng) for _ in range(200)]
+        else:
+            graphs = [TestSummationOrderContract.GRAPHS[graph]()]
+        for g in graphs:
+            m = int(g.indices.size)
+            segments = RowSegments(g.degrees, g.indices)
+            assert len(segments.columns) <= math.isqrt(2 * m) + 1
+            assert segments.gather.size == m
+
+    def test_sparse_matvec_parallel_equals_sequential(self):
+        """The SpMV app sums per-reference weights through the same
+        kernel on both sides: bit-identical under the same numbering."""
+        g = _hub_graph()
+        rng = np.random.default_rng(14)
+        m = g.indices.size
+        offdiag = rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.integers(-6, 7, m)
+        mat = SymmetricPatternMatrix(
+            g, offdiag, rng.uniform(1.0, 2.0, g.num_vertices)
+        )
+        x0 = rng.uniform(-1.0, 1.0, g.num_vertices)
+        oracle = mat.diag * x0 + BincountRowSegments(g.degrees).sums(
+            offdiag * x0[g.indices]
+        )
+        _assert_bitwise_equal(spmv_sequential(mat, x0), oracle)
+        par, _ = run_parallel_spmv(
+            mat, uniform_cluster(3), x0, iterations=2, normalize=False,
+            ordering=IdentityOrdering(),
+        )
+        seq = spmv_sequential(mat, spmv_sequential(mat, x0))
+        np.testing.assert_array_equal(par, seq)
 
 
 class TestKernelPlanEmptyIntervals:
