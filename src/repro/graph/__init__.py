@@ -7,40 +7,14 @@ from repro.graph.generators import (
     airfoil_mesh,
     delaunay_mesh,
     grid_graph,
-    grid_mesh,
-    grid_mesh_3d,
     paper_mesh,
     perturbed_grid_mesh,
     random_geometric_graph,
     thin_to_edge_count,
 )
-from repro.graph.io import (
-    load_graph_npz,
-    load_mesh_npz,
-    read_chaco,
-    save_graph_npz,
-    save_mesh_npz,
-    write_chaco,
-)
 from repro.graph.mesh import Mesh
-from repro.graph.metrics import (
-    boundary_vertices,
-    cut_curve,
-    edge_cut,
-    load_imbalance,
-    locality_profile,
-    mean_edge_span,
-    ordering_bandwidth,
-    partition_sizes,
-)
-from repro.graph.ops import (
-    bfs_levels,
-    connected_components,
-    from_scipy,
-    laplacian,
-    largest_component,
-    to_scipy,
-)
+from repro.graph.metrics import cut_curve, edge_cut, mean_edge_span, ordering_bandwidth
+from repro.graph.ops import connected_components, largest_component, to_scipy
 
 __all__ = [
     "CSRGraph",
@@ -48,32 +22,17 @@ __all__ = [
     "PAPER_MESH_EDGES",
     "PAPER_MESH_VERTICES",
     "airfoil_mesh",
-    "bfs_levels",
-    "boundary_vertices",
     "connected_components",
     "cut_curve",
     "delaunay_mesh",
     "edge_cut",
-    "from_scipy",
     "grid_graph",
-    "grid_mesh",
-    "grid_mesh_3d",
-    "laplacian",
     "largest_component",
-    "load_graph_npz",
-    "load_imbalance",
-    "load_mesh_npz",
-    "locality_profile",
     "mean_edge_span",
     "ordering_bandwidth",
     "paper_mesh",
-    "partition_sizes",
     "perturbed_grid_mesh",
     "random_geometric_graph",
-    "read_chaco",
-    "save_graph_npz",
-    "save_mesh_npz",
     "thin_to_edge_count",
     "to_scipy",
-    "write_chaco",
 ]

@@ -23,8 +23,6 @@ from repro.utils.rng import SeedLike, as_generator
 
 __all__ = [
     "grid_graph",
-    "grid_mesh",
-    "grid_mesh_3d",
     "delaunay_mesh",
     "perturbed_grid_mesh",
     "airfoil_mesh",
@@ -58,71 +56,6 @@ def grid_graph(nx: int, ny: int) -> CSRGraph:
     xs, ys = np.meshgrid(np.arange(nx, dtype=float), np.arange(ny, dtype=float))
     coords = np.stack([xs.ravel(), ys.ravel()], axis=1)
     return CSRGraph.from_edges(nx * ny, edges, coords=coords)
-
-
-def grid_mesh(nx: int, ny: int) -> Mesh:
-    """A structured grid triangulated into 2(nx-1)(ny-1) triangles."""
-    if nx < 2 or ny < 2:
-        raise GraphError("grid_mesh needs nx, ny >= 2")
-    xs, ys = np.meshgrid(np.arange(nx, dtype=float), np.arange(ny, dtype=float))
-    points = np.stack([xs.ravel(), ys.ravel()], axis=1)
-    idx = np.arange(nx * ny).reshape(ny, nx)
-    a = idx[:-1, :-1].ravel()
-    b = idx[:-1, 1:].ravel()
-    c = idx[1:, :-1].ravel()
-    d = idx[1:, 1:].ravel()
-    tris = np.concatenate(
-        [np.stack([a, b, c], axis=1), np.stack([b, d, c], axis=1)], axis=0
-    )
-    return Mesh(points, tris)
-
-
-def grid_mesh_3d(nx: int, ny: int, nz: int, *, jitter: float = 0.0,
-                 seed: SeedLike = 0) -> Mesh:
-    """A structured 3-D grid tetrahedralized (6 tets per cube).
-
-    The paper's graph model covers vertices with "two- or three-dimensional
-    coordinates"; this generator provides the 3-D case (optionally jittered
-    into an unstructured cloud) for the coordinate-based orderings.
-    """
-    if nx < 2 or ny < 2 or nz < 2:
-        raise GraphError("grid_mesh_3d needs nx, ny, nz >= 2")
-    if not (0.0 <= jitter < 0.5):
-        raise GraphError(f"jitter must be in [0, 0.5), got {jitter}")
-    xs, ys, zs = np.meshgrid(
-        np.arange(nx, dtype=float),
-        np.arange(ny, dtype=float),
-        np.arange(nz, dtype=float),
-        indexing="ij",
-    )
-    points = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
-    if jitter:
-        rng = as_generator(seed)
-        points = points + rng.uniform(-jitter, jitter, size=points.shape)
-    idx = np.arange(nx * ny * nz).reshape(nx, ny, nz)
-    # Corner index arrays for every cube (nx-1, ny-1, nz-1 cubes).
-    c000 = idx[:-1, :-1, :-1].ravel()
-    c100 = idx[1:, :-1, :-1].ravel()
-    c010 = idx[:-1, 1:, :-1].ravel()
-    c110 = idx[1:, 1:, :-1].ravel()
-    c001 = idx[:-1, :-1, 1:].ravel()
-    c101 = idx[1:, :-1, 1:].ravel()
-    c011 = idx[:-1, 1:, 1:].ravel()
-    c111 = idx[1:, 1:, 1:].ravel()
-    # The standard 6-tetrahedron decomposition along the main diagonal
-    # c000 -> c111 (all tets share that edge, so the mesh is conforming).
-    tet_corners = [
-        (c000, c100, c110, c111),
-        (c000, c100, c101, c111),
-        (c000, c010, c110, c111),
-        (c000, c010, c011, c111),
-        (c000, c001, c101, c111),
-        (c000, c001, c011, c111),
-    ]
-    cells = np.concatenate(
-        [np.stack(t, axis=1) for t in tet_corners], axis=0
-    ).astype(np.intp)
-    return Mesh(points, cells)
 
 
 def delaunay_mesh(points: np.ndarray) -> Mesh:

@@ -15,12 +15,8 @@ from repro.utils.validation import check_permutation
 
 __all__ = [
     "edge_cut",
-    "boundary_vertices",
-    "partition_sizes",
-    "load_imbalance",
     "ordering_bandwidth",
     "mean_edge_span",
-    "locality_profile",
     "cut_curve",
 ]
 
@@ -47,57 +43,6 @@ def edge_cut(graph: CSRGraph, labels: np.ndarray) -> int:
     if edges.size == 0:
         return 0
     return int(np.count_nonzero(labels[edges[:, 0]] != labels[edges[:, 1]]))
-
-
-def boundary_vertices(graph: CSRGraph, labels: np.ndarray) -> np.ndarray:
-    """Boolean mask of vertices with at least one cross-partition edge.
-
-    These are exactly the vertices the executor must gather/scatter.
-    """
-    labels = _check_labels(graph, labels)
-    n = graph.num_vertices
-    src = np.repeat(np.arange(n, dtype=np.intp), np.diff(graph.indptr))
-    cross = labels[src] != labels[graph.indices]
-    mask = np.zeros(n, dtype=bool)
-    np.logical_or.at(mask, src[cross], True)
-    return mask
-
-
-def partition_sizes(labels: np.ndarray, num_parts: int) -> np.ndarray:
-    """Vertex count per part (length ``num_parts``)."""
-    labels = np.asarray(labels, dtype=np.intp)
-    if labels.size and labels.max() >= num_parts:
-        raise PartitionError(
-            f"label {labels.max()} out of range for {num_parts} parts"
-        )
-    return np.bincount(labels, minlength=num_parts)
-
-
-def load_imbalance(
-    labels: np.ndarray,
-    weights: np.ndarray,
-    capabilities: np.ndarray,
-) -> float:
-    """max over parts of (assigned weight share / capability share).
-
-    1.0 means every processor got work exactly proportional to its power
-    (the paper's load-balance goal); 2.0 means some processor got twice its
-    fair share.
-    """
-    labels = np.asarray(labels, dtype=np.intp)
-    weights = np.asarray(weights, dtype=np.float64)
-    cap = np.asarray(capabilities, dtype=np.float64)
-    if weights.shape != labels.shape:
-        raise PartitionError("weights and labels must have equal length")
-    if np.any(cap <= 0):
-        raise PartitionError("capabilities must be positive")
-    p = cap.size
-    part_w = np.bincount(labels, weights=weights, minlength=p)
-    if labels.size and labels.max() >= p:
-        raise PartitionError(f"label {labels.max()} >= {p} parts")
-    share = part_w / weights.sum()
-    fair = cap / cap.sum()
-    return float(np.max(share / fair))
 
 
 def ordering_bandwidth(graph: CSRGraph, perm: np.ndarray) -> int:
@@ -143,16 +88,3 @@ def cut_curve(
         labels_1d = np.minimum(labels_1d, p - 1)
         result[p] = edge_cut(graph, labels_1d)
     return result
-
-
-def locality_profile(
-    graph: CSRGraph,
-    perm: np.ndarray,
-    part_counts: list[int] | np.ndarray = (2, 4, 8, 16, 32),
-) -> dict[str, object]:
-    """Summary of an ordering's 1-D locality quality."""
-    return {
-        "bandwidth": ordering_bandwidth(graph, perm),
-        "mean_span": mean_edge_span(graph, perm),
-        "cut_curve": cut_curve(graph, perm, list(part_counts)),
-    }

@@ -10,16 +10,12 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 
 __all__ = [
     "to_scipy",
-    "from_scipy",
     "connected_components",
     "largest_component",
-    "laplacian",
-    "bfs_levels",
 ]
 
 
@@ -29,31 +25,6 @@ def to_scipy(graph: CSRGraph) -> sp.csr_matrix:
     data = np.ones(graph.indices.size, dtype=np.float64)
     return sp.csr_matrix(
         (data, graph.indices.copy(), graph.indptr.copy()), shape=(n, n)
-    )
-
-
-def from_scipy(
-    mat: sp.spmatrix,
-    *,
-    coords: np.ndarray | None = None,
-    vertex_weights: np.ndarray | None = None,
-) -> CSRGraph:
-    """Build a :class:`CSRGraph` from any scipy sparse matrix.
-
-    The matrix is symmetrized (max with its transpose) and the diagonal is
-    dropped, so any sparsity pattern becomes a valid computational graph.
-    """
-    m = sp.csr_matrix(mat)
-    if m.shape[0] != m.shape[1]:
-        raise GraphError(f"adjacency must be square, got {m.shape}")
-    m = m.maximum(m.T)
-    m.setdiag(0)
-    m.eliminate_zeros()
-    coo = m.tocoo()
-    mask = coo.row < coo.col
-    edges = np.stack([coo.row[mask], coo.col[mask]], axis=1)
-    return CSRGraph.from_edges(
-        m.shape[0], edges, coords=coords, vertex_weights=vertex_weights
     )
 
 
@@ -87,29 +58,3 @@ def largest_component(graph: CSRGraph) -> CSRGraph:
     return CSRGraph.from_edges(
         int(keep.sum()), remapped, coords=coords, vertex_weights=weights
     )
-
-
-def laplacian(graph: CSRGraph) -> sp.csr_matrix:
-    """The combinatorial Laplacian L = D - A (used by spectral bisection)."""
-    adj = to_scipy(graph)
-    deg = np.asarray(adj.sum(axis=1)).ravel()
-    return sp.diags(deg).tocsr() - adj
-
-
-def bfs_levels(graph: CSRGraph, start: int) -> np.ndarray:
-    """BFS level of every vertex from *start* (-1 for unreachable).
-
-    Used by tests as an independent locality oracle and by the pseudo-
-    peripheral-vertex search in the spectral partitioner fallback.
-    """
-    if not (0 <= start < graph.num_vertices):
-        raise GraphError(f"start vertex {start} out of range")
-    order = sp.csgraph.breadth_first_order(
-        to_scipy(graph), start, directed=False, return_predecessors=False
-    )
-    dist = sp.csgraph.shortest_path(
-        to_scipy(graph), method="D", unweighted=True, indices=start
-    )
-    levels = np.where(np.isfinite(dist), dist, -1).astype(np.intp)
-    del order
-    return levels

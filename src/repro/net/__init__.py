@@ -15,7 +15,6 @@ from repro.net.cluster import (
 )
 from repro.net.comm import Communicator, RankContext, resolve_recv_timeout
 from repro.net.loadmodel import (
-    CompositeLoad,
     ConstantLoad,
     LoadTrace,
     MembershipEvent,
@@ -30,11 +29,9 @@ from repro.net.loadmodel import (
 from repro.net.message import Message, Tags, payload_nbytes
 from repro.net.network import (
     ETHERNET_10MBIT,
-    ETHERNET_100MBIT,
     NetworkModel,
     PointToPointNetwork,
     SharedEthernet,
-    SwitchedNetwork,
 )
 from repro.net.processor import ProcessorSpec
 from repro.net.report import (
@@ -49,9 +46,7 @@ from repro.net.trace import TraceEvent, TraceLog
 __all__ = [
     "ClusterSpec",
     "Communicator",
-    "CompositeLoad",
     "ConstantLoad",
-    "ETHERNET_100MBIT",
     "ETHERNET_10MBIT",
     "LoadTrace",
     "MembershipEvent",
@@ -73,7 +68,6 @@ __all__ = [
     "SUN4_SPEEDS",
     "SharedEthernet",
     "StepLoad",
-    "SwitchedNetwork",
     "Tags",
     "TraceEvent",
     "TraceLog",

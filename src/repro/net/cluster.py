@@ -171,10 +171,9 @@ class ClusterSpec:
     def with_loads(self, loads: Mapping[int, LoadTrace]) -> "ClusterSpec":
         """A copy with competing-load traces attached to several processors.
 
-        Each entry *replaces* the rank's existing trace (compose explicitly
-        with :class:`~repro.net.loadmodel.CompositeLoad` to stack).  The
-        job service uses this to project all co-tenant activity onto a
-        job's sub-cluster in one step.
+        Each entry *replaces* the rank's existing trace.  The job service
+        uses this to project all co-tenant activity onto a job's
+        sub-cluster in one step.
         """
         procs = list(self.processors)
         for rank, load in loads.items():

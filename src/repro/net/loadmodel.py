@@ -18,8 +18,7 @@ that axis: join/leave/replace events at virtual times over a fixed world of
 processors.  It deliberately shares the load traces' piecewise-constant
 algebra (``next_change_after`` with a ``math.inf`` sentinel), and
 :meth:`MembershipTrace.presence_load` projects absence onto an ordinary
-:class:`StepLoad` so membership composes with competing loads through
-:class:`CompositeLoad`.
+:class:`StepLoad`.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "StepLoad",
     "RampLoad",
     "RandomWalkLoad",
-    "CompositeLoad",
     "ServiceLoad",
     "EVENT_KINDS",
     "MembershipEvent",
@@ -213,10 +211,9 @@ class ServiceLoad(StepLoad):
     ``[start, end)`` of service time, and the whole trace is shifted into
     the new job's local clock (local ``t`` = service ``origin + t``).
     Intervals already over by ``origin`` vanish; intervals straddling it
-    are clipped.  Overlapping intervals sum, exactly like
-    :class:`CompositeLoad` — this is how "each running job's compute *is*
-    the other jobs' load" closes the loop the paper's Sec. 3.5 scripts by
-    hand.
+    are clipped.  Overlapping intervals sum — this is how "each running
+    job's compute *is* the other jobs' load" closes the loop the paper's
+    Sec. 3.5 scripts by hand.
     """
 
     def __init__(
@@ -248,21 +245,6 @@ class ServiceLoad(StepLoad):
             # Clamp accumulated float error so StepLoad's >= 0 check holds.
             steps.append((t, max(level, 0.0)))
         super().__init__(steps)
-
-
-class CompositeLoad(LoadTrace):
-    """Sum of several traces (independent competing users)."""
-
-    def __init__(self, traces: Sequence[LoadTrace]):
-        if not traces:
-            raise ValueError("CompositeLoad needs at least one trace")
-        self._traces = list(traces)
-
-    def load_at(self, t: float) -> float:
-        return sum(tr.load_at(t) for tr in self._traces)
-
-    def next_change_after(self, t: float) -> float:
-        return min(tr.next_change_after(t) for tr in self._traces)
 
 
 #: Recognized membership event kinds (the DSL vocabulary of
@@ -474,11 +456,10 @@ class MembershipTrace:
         """Project one rank's absence onto a :class:`StepLoad`.
 
         While the rank is inactive the step carries *absent_load* competing
-        processes (default: effectively starving the application), so
-        membership can be composed with ordinary competing loads through
-        :class:`CompositeLoad` — useful for visualisation and for the
-        algebra property tests, not used by the runtime itself (the session
-        drains a departing rank instead of letting it starve).
+        processes (default: effectively starving the application) — useful
+        for visualisation and for the algebra property tests, not used by
+        the runtime itself (the session drains a departing rank instead of
+        letting it starve).
         """
         if not (0 <= rank < self.world_size):
             raise ValueError(f"rank {rank} out of range")
@@ -692,8 +673,7 @@ def work_done_in(
 ) -> float:
     """Unit-speed work completed on the processor during [t0, t1].
 
-    The inverse of :func:`advance_clock`; used by the Section-4 adaptive
-    efficiency metric (the fraction f_i(T) each processor *could* have done).
+    The inverse of :func:`advance_clock`.
     """
     check_positive("speed", speed)
     if t1 < t0:

@@ -1,15 +1,12 @@
 """Network cost models for the simulated cluster.
 
-Three models, matching the environments the paper discusses:
+Two models, matching the environments the paper discusses:
 
 * :class:`PointToPointNetwork` — contention-free store-and-forward links;
   fully deterministic, the default for unit tests.
 * :class:`SharedEthernet` — a single shared medium (10 Mbit/s Ethernet in
   the paper): only one frame in flight at a time, with **hardware
   multicast** (Sec. 3.6) so one frame reaches any number of destinations.
-* :class:`SwitchedNetwork` — an ATM-like switched fabric with per-port
-  serialization; multicast is replicated at the switch so the sender pays
-  for one injection.
 
 All times are virtual seconds.  The models are thread-safe: the SPMD runner
 calls into them concurrently from one thread per rank.
@@ -27,9 +24,7 @@ __all__ = [
     "NetworkModel",
     "PointToPointNetwork",
     "SharedEthernet",
-    "SwitchedNetwork",
     "ETHERNET_10MBIT",
-    "ETHERNET_100MBIT",
 ]
 
 
@@ -254,87 +249,6 @@ class SharedEthernet(PointToPointNetwork):
         return [arrival] * len(dests)
 
 
-class SwitchedNetwork(NetworkModel):
-    """ATM-like switched fabric: serialization per destination input port.
-
-    Each destination's ingress port is a resource; concurrent senders to
-    different destinations do not contend.  Multicast is replicated by the
-    switch: the sender injects once, and each destination port delivers a
-    copy (so multicast costs the sender one injection but each receiver
-    still pays port serialization).
-    """
-
-    supports_multicast = True
-
-    def __init__(
-        self,
-        *,
-        latency: float = 5e-4,
-        bandwidth: float = 1.9375e7,  # ~155 Mbit/s OC-3 ATM
-        per_message_overhead: float = 3e-4,
-    ):
-        self._p = _LinkParams(latency, bandwidth, per_message_overhead)
-        self._lock = threading.Lock()
-        self._port_free: dict[int, float] = {}
-
-    @property
-    def latency(self) -> float:
-        return self._p.latency
-
-    @property
-    def bandwidth(self) -> float:
-        return self._p.bandwidth
-
-    @property
-    def per_message_overhead(self) -> float:
-        return self._p.per_message_overhead
-
-    def reset(self) -> None:
-        with self._lock:
-            self._port_free.clear()
-
-    def serialization_time(self, nbytes: int) -> float:
-        return nbytes / self._p.bandwidth
-
-    def message_cost(self, nbytes: int) -> float:
-        p = self._p
-        return p.per_message_overhead + p.latency + nbytes / p.bandwidth
-
-    def _deliver(self, dest: int, t_ready: float, hold: float) -> float:
-        with self._lock:
-            start = max(t_ready, self._port_free.get(dest, 0.0))
-            self._port_free[dest] = start + hold
-            return start + hold
-
-    def send(self, source: int, dest: int, nbytes: int, t_send: float) -> float:
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        p = self._p
-        hold = nbytes / p.bandwidth
-        done = self._deliver(dest, t_send + p.per_message_overhead, hold)
-        return done + p.latency
-
-    def injection_done(
-        self, source: int, dest: int, nbytes: int, t_send: float
-    ) -> float:
-        return t_send + self._p.per_message_overhead + self.serialization_time(nbytes)
-
-    def multicast(
-        self, source: int, dests: Sequence[int], nbytes: int, t_send: float
-    ) -> list[float]:
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        p = self._p
-        hold = nbytes / p.bandwidth
-        t_ready = t_send + p.per_message_overhead
-        return [self._deliver(d, t_ready, hold) + p.latency for d in dests]
-
-
 def ETHERNET_10MBIT() -> SharedEthernet:
     """The paper's network: 10 Mbit/s shared Ethernet, ~1 ms latency."""
     return SharedEthernet(latency=1e-3, bandwidth=1.25e6, per_message_overhead=5e-4)
-
-
-def ETHERNET_100MBIT() -> SharedEthernet:
-    """A faster shared Ethernet for sensitivity studies."""
-    return SharedEthernet(latency=2e-4, bandwidth=1.25e7, per_message_overhead=2e-4)

@@ -24,11 +24,10 @@ from repro.obs.export import (
 )
 from repro.obs.logconf import configure_logging
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
-from repro.obs.span import SPAN_KINDS, Tracer
+from repro.obs.span import Tracer
 
 __all__ = [
     "Tracer",
-    "SPAN_KINDS",
     "MetricsRegistry",
     "merge_snapshots",
     "chrome_trace",

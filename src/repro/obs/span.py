@@ -26,24 +26,7 @@ from typing import Callable, Iterator
 
 from repro.net.trace import TraceEvent, TraceLog
 
-__all__ = ["Tracer", "SPAN_KINDS"]
-
-#: The span vocabulary.  Exporters and the structure-equality tests key on
-#: these names; leaf comm/compute kinds stay outside this set.
-SPAN_KINDS = (
-    "program",
-    "epoch",
-    "inspector",
-    "executor",
-    "lb-check",
-    "remap",
-    "checkpoint",
-    "recovery",
-    "membership-poll",
-    "admit",
-    "job",
-)
-
+__all__ = ["Tracer"]
 
 class Tracer:
     """Per-rank span emitter bound to one :class:`TraceLog`.

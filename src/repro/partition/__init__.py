@@ -7,7 +7,6 @@ from repro.partition.arrangement import (
     brute_force_arrangement,
     message_count,
     minimize_cost_redistribution,
-    move,
     overlap_elements,
     redistribution_gain,
     transfer_matrix,
@@ -38,7 +37,7 @@ from repro.partition.quality import (
     compare_orderings,
     evaluate_ordering,
 )
-from repro.partition.rcb import RCBOrdering, rcb_labels, rcb_order
+from repro.partition.rcb import RCBOrdering, rcb_order
 from repro.partition.sfc import (
     HilbertOrdering,
     MortonOrdering,
@@ -52,7 +51,7 @@ from repro.partition.spectral import (
     rsb_order,
     spectral_order_flat,
 )
-from repro.partition.weighted import partition_weighted_list, weighted_imbalance
+from repro.partition.weighted import partition_weighted_list
 
 __all__ = [
     "BlockCyclicDistribution",
@@ -62,7 +61,6 @@ __all__ = [
     "hpf_transfer_summary",
     "partition_weighted_list",
     "redistribute_hpf",
-    "weighted_imbalance",
     "HilbertOrdering",
     "IdentityOrdering",
     "InertialOrdering",
@@ -85,12 +83,10 @@ __all__ = [
     "message_count",
     "minimize_cost_redistribution",
     "morton_keys",
-    "move",
     "overlap_elements",
     "partition_list",
     "positions_from_order",
     "proportional_sizes",
-    "rcb_labels",
     "rcb_order",
     "redistribution_gain",
     "rsb_order",

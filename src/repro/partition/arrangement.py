@@ -11,9 +11,8 @@ This module implements:
 
 * :func:`overlap_elements` / :func:`transfer_matrix` — exact data-movement
   accounting between two interval partitions;
-* :func:`move` — the MOVE list-rearrangement primitive (Fig. 7);
 * :func:`minimize_cost_redistribution` — the greedy O(p^3) MCR algorithm
-  (Fig. 6);
+  (Fig. 6), which scores every MOVE (Fig. 7) of a processor in one batch;
 * :func:`brute_force_arrangement` — exhaustive optimum for small p (the
   "trying out all cases is feasible only for a small number of processors"
   baseline).
@@ -38,7 +37,6 @@ __all__ = [
     "transfer_matrix",
     "message_count",
     "redistribution_gain",
-    "move",
     "minimize_cost_redistribution",
     "brute_force_arrangement",
 ]
@@ -235,29 +233,6 @@ def redistribution_gain(
     """
     overlap, messages = _score_pair(old, new)
     return cost_model.element_weight * overlap - cost_model.message_weight * messages
-
-
-def move(arrangement: Sequence[int] | np.ndarray, element: int, location: int) -> np.ndarray:
-    """The MOVE primitive (paper Fig. 7).
-
-    Relocate *element* (a processor id currently somewhere in the
-    arrangement) to index *location*, shifting the intervening elements.
-    The paper's example: ``MOVE([1,3,5,4,6], 5, 0) == [5,1,3,4,6]``.
-    """
-    arr = list(np.asarray(arrangement, dtype=np.intp))
-    try:
-        x = arr.index(element)
-    except ValueError:
-        raise PartitionError(
-            f"element {element} not present in arrangement {arr}"
-        ) from None
-    if not (0 <= location < len(arr)):
-        raise PartitionError(
-            f"location {location} out of range for arrangement of size {len(arr)}"
-        )
-    arr.pop(x)
-    arr.insert(location, element)
-    return np.asarray(arr, dtype=np.intp)
 
 
 def _validated_instance(

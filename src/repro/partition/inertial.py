@@ -29,7 +29,7 @@ from repro.partition.bisection import (
 from repro.partition.ordering import positions_from_order, require_coords
 from repro.utils.rng import SeedLike
 
-__all__ = ["InertialOrdering", "inertial_order", "principal_axis"]
+__all__ = ["InertialOrdering", "inertial_order"]
 
 
 def _principal_axes(columns: list[np.ndarray], starts: np.ndarray) -> np.ndarray:
@@ -68,15 +68,6 @@ def _principal_axes(columns: list[np.ndarray], starts: np.ndarray) -> np.ndarray
         found[big.any(axis=1) & (lead < 0)] *= -1
         axes[solve] = found
     return axes
-
-
-def principal_axis(points: np.ndarray) -> np.ndarray:
-    """Unit vector of maximum spread (largest-eigenvalue covariance axis).
-
-    Degenerate point sets (all coincident) fall back to the x axis.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    return _principal_axes(list(points.T), np.zeros(1, dtype=np.intp))[0]
 
 
 def inertial_order(graph: CSRGraph, *, seed: SeedLike = 0) -> np.ndarray:

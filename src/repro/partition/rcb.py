@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import OrderingError
 from repro.graph.csr import CSRGraph
 from repro.partition.bisection import (
     bisection_order,
@@ -36,7 +35,7 @@ from repro.partition.bisection import (
 from repro.partition.ordering import positions_from_order, require_coords
 from repro.utils.rng import SeedLike
 
-__all__ = ["RCBOrdering", "rcb_order", "rcb_labels"]
+__all__ = ["RCBOrdering", "rcb_order"]
 
 
 def rcb_order(
@@ -74,25 +73,6 @@ def rcb_order(
         return ranks[axis * n + perm]
 
     return bisection_order(n, level_keys)
-
-
-def rcb_labels(
-    graph: CSRGraph, num_parts: int, *, seed: SeedLike = 0
-) -> np.ndarray:
-    """Direct RCB partition labels for *num_parts* equal parts.
-
-    Convenience wrapper: contiguous blocks of the RCB order.  Kept for
-    comparison against contiguous-interval partitioning of the ordering
-    (they coincide when num_parts is a power of two).
-    """
-    if num_parts < 1:
-        raise OrderingError(f"num_parts must be >= 1, got {num_parts}")
-    order = rcb_order(graph, seed=seed)
-    labels = np.empty(graph.num_vertices, dtype=np.intp)
-    bounds = np.linspace(0, graph.num_vertices, num_parts + 1).astype(np.intp)
-    for part in range(num_parts):
-        labels[order[bounds[part] : bounds[part + 1]]] = part
-    return labels
 
 
 @dataclass(frozen=True)

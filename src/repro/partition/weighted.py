@@ -23,7 +23,7 @@ from repro.errors import PartitionError
 from repro.partition.intervals import IntervalPartition
 from repro.utils.validation import check_permutation, check_probability_vector
 
-__all__ = ["partition_weighted_list", "weighted_imbalance"]
+__all__ = ["partition_weighted_list"]
 
 
 def partition_weighted_list(
@@ -67,33 +67,3 @@ def partition_weighted_list(
     np.maximum.accumulate(bounds, out=bounds)
     bounds = np.minimum(bounds, n)
     return IntervalPartition(bounds=bounds, owners=owners)
-
-
-def weighted_imbalance(
-    partition: IntervalPartition,
-    weights: np.ndarray | Sequence[float],
-    capabilities: np.ndarray | Sequence[float],
-) -> float:
-    """max over ranks of (weight share / capability share); 1.0 is perfect.
-
-    The weighted counterpart of
-    :func:`repro.graph.metrics.load_imbalance` for interval partitions.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    cap = check_probability_vector("capabilities", capabilities)
-    if w.shape != (partition.num_elements,):
-        raise PartitionError(
-            f"weights length {w.size} != list length {partition.num_elements}"
-        )
-    if cap.size != partition.num_processors:
-        raise PartitionError("capabilities length != processor count")
-    total = float(w.sum())
-    if total <= 0:
-        raise PartitionError("total weight must be positive")
-    fair = cap / cap.sum()
-    worst = 0.0
-    for r in range(partition.num_processors):
-        lo, hi = partition.interval(r)
-        share = float(w[lo:hi].sum()) / total
-        worst = max(worst, share / fair[r])
-    return worst

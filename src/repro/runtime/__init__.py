@@ -15,14 +15,11 @@ from repro.runtime.adaptive import (
 )
 from repro.runtime.backend import (
     BACKENDS,
-    get_backend,
     resolve_backend,
     set_backend,
     use_backend,
 )
 from repro.runtime.efficiency import (
-    adaptive_cluster_efficiency,
-    adaptive_efficiency,
     cluster_efficiency,
     nonuniform_efficiency,
     sequential_times,
@@ -31,13 +28,11 @@ from repro.runtime.executor import (
     ExecutorCostModel,
     ExecutorScratch,
     gather,
-    gather_fields,
     scatter,
 )
 from repro.runtime.incremental import (
     IncrementalInspector,
     IntervalDiff,
-    classify_elements,
     diff_interval,
     inspector_results_equal,
 )
@@ -47,8 +42,6 @@ from repro.runtime.kernels import (
     KernelPlan,
     build_kernel_plan,
     run_sequential,
-    sequential_kernel,
-    sequential_kernel_reference,
 )
 from repro.runtime.monitor import LoadMonitor
 from repro.runtime.prediction import (
@@ -75,7 +68,6 @@ from repro.runtime.resilience import (
     parse_checkpoint_policy,
     recover_redistribute_fields,
     replica_partners,
-    ring_partners,
     take_checkpoint,
 )
 from repro.runtime.schedule import CommSchedule
@@ -87,11 +79,8 @@ from repro.runtime.schedule_builders import (
     build_schedule_sort2,
     local_references,
 )
-from repro.runtime.verify import ConsistencyReport, check_global_consistency
 from repro.runtime.translation import (
     DistributedTranslationTable,
-    IntervalTranslationTable,
-    ReplicatedTranslationTable,
     table_home,
 )
 
@@ -102,12 +91,10 @@ __all__ = [
     "Checkpoint",
     "CheckpointPolicy",
     "CommSchedule",
-    "ConsistencyReport",
     "CostModelCheckpoint",
     "IntervalCheckpoint",
     "SessionStats",
     "build_schedule_no_dedup",
-    "check_global_consistency",
     "decide",
     "Decision",
     "redistribute_fields",
@@ -122,12 +109,10 @@ __all__ = [
     "ExecutorScratch",
     "IncrementalInspector",
     "IntervalDiff",
-    "classify_elements",
     "diff_interval",
     "inspector_results_equal",
     "InspectorCostModel",
     "InspectorResult",
-    "IntervalTranslationTable",
     "KernelCostModel",
     "KernelPlan",
     "LoadBalanceConfig",
@@ -135,10 +120,7 @@ __all__ = [
     "ProgramConfig",
     "ProgramReport",
     "RankStats",
-    "ReplicatedTranslationTable",
     "STRATEGIES",
-    "adaptive_cluster_efficiency",
-    "adaptive_efficiency",
     "build_kernel_plan",
     "build_schedule_simple",
     "build_schedule_sort1",
@@ -148,8 +130,6 @@ __all__ = [
     "format_checkpoint_policy",
     "estimate_remap_cost",
     "gather",
-    "gather_fields",
-    "get_backend",
     "local_references",
     "resolve_backend",
     "resolve_load_balance",
@@ -160,14 +140,11 @@ __all__ = [
     "recover_redistribute_fields",
     "redistribute",
     "replica_partners",
-    "ring_partners",
     "run_inspector",
     "run_program",
     "run_sequential",
     "scatter",
     "take_checkpoint",
-    "sequential_kernel",
-    "sequential_kernel_reference",
     "sequential_times",
     "table_home",
 ]

@@ -21,8 +21,8 @@ Selection, in decreasing precedence:
 
 1. an explicit ``backend=`` argument on the public entry points
    (:func:`repro.runtime.inspector.run_inspector`,
-   :func:`repro.runtime.executor.gather` / ``scatter``, translation-table
-   ``dereference`` methods, :class:`repro.runtime.program.ProgramConfig`);
+   :func:`repro.runtime.executor.gather` / ``scatter``, the distributed
+   translation table's lookups, :class:`repro.runtime.program.ProgramConfig`);
 2. the process-wide default set via :func:`set_backend` /
    :func:`use_backend`;
 3. the ``REPRO_BACKEND`` environment variable, read once at import;
@@ -40,7 +40,6 @@ from repro.errors import ConfigurationError
 __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
-    "get_backend",
     "set_backend",
     "resolve_backend",
     "use_backend",
@@ -65,11 +64,6 @@ def _validate(name: str) -> str:
 _current: str = _validate(
     os.environ.get("REPRO_BACKEND", "").strip() or DEFAULT_BACKEND
 )
-
-
-def get_backend() -> str:
-    """The process-wide default backend name."""
-    return _current
 
 
 def set_backend(name: str) -> str:

@@ -1,12 +1,7 @@
-"""Efficiency metrics for nonuniform and adaptive environments (Sec. 4).
+"""Efficiency metric for nonuniform environments (Sec. 4).
 
-Static/nonuniform:  E(p_1..p_n) = (1/T(all)) / sum_i 1/T(p_i)
-where T(p_i) is the time processor i alone would need for the whole task.
-
-Adaptive:  E = 1 / sum_i f_i(T), where f_i(T) is the fraction of the task
-processor i *could* have completed during the parallel run's duration T.
-The paper notes f_i is hard to measure on real machines; our simulated
-processors integrate their capability traces exactly, so we can report it.
+E(p_1..p_n) = (1/T(all)) / sum_i 1/T(p_i), where T(p_i) is the time
+processor i alone would need for the whole task.
 """
 
 from __future__ import annotations
@@ -20,10 +15,8 @@ from repro.net.cluster import ClusterSpec
 
 __all__ = [
     "nonuniform_efficiency",
-    "adaptive_efficiency",
     "sequential_times",
     "cluster_efficiency",
-    "adaptive_cluster_efficiency",
 ]
 
 
@@ -41,21 +34,6 @@ def nonuniform_efficiency(
     if seq.size == 0 or np.any(seq <= 0):
         raise ConfigurationError("sequential times must be positive")
     return float((1.0 / parallel_time) / np.sum(1.0 / seq))
-
-
-def adaptive_efficiency(fractions: Sequence[float]) -> float:
-    """E = 1 / sum_i f_i(T) — Sec. 4's adaptive definition.
-
-    ``fractions[i]`` is the fraction of the whole task processor i could
-    have completed alone during the parallel run.
-    """
-    f = np.asarray(fractions, dtype=np.float64)
-    if f.size == 0 or np.any(f < 0):
-        raise ConfigurationError("fractions must be non-negative")
-    total = float(f.sum())
-    if total <= 0:
-        raise ConfigurationError("at least one processor must have capacity")
-    return 1.0 / total
 
 
 def sequential_times(cluster: ClusterSpec, work_seconds: float) -> list[float]:
@@ -77,19 +55,3 @@ def cluster_efficiency(
     return nonuniform_efficiency(
         parallel_time, sequential_times(cluster, work_seconds)
     )
-
-
-def adaptive_cluster_efficiency(
-    cluster: ClusterSpec, parallel_time: float, work_seconds: float
-) -> float:
-    """Adaptive efficiency with f_i integrated from the load traces.
-
-    f_i(T) = (unit-speed work processor i could do in [0, T]) / total work.
-    """
-    if work_seconds <= 0:
-        raise ConfigurationError(f"work_seconds must be > 0, got {work_seconds}")
-    fractions = [
-        proc.capacity(0.0, parallel_time) / work_seconds
-        for proc in cluster.processors
-    ]
-    return adaptive_efficiency(fractions)

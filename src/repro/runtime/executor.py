@@ -21,21 +21,17 @@ Buffer pack/unpack dispatches on the runtime backend
 (:mod:`repro.runtime.backend`): ``vectorized`` uses fancy indexing and
 ``np.add.at``; ``reference`` copies element by element.  Both send one
 coalesced payload per peer per phase and charge identical virtual time.
-
-:func:`gather_fields` ships several field arrays in **one** message per
-peer (the :mod:`repro.net.message` packed-payload coalescing) instead of
-one gather — and therefore one message per peer — per field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from repro.errors import ScheduleError
-from repro.net.message import Tags, unpack_arrays
+from repro.net.message import Tags
 from repro.runtime import reference as ref
 from repro.runtime.backend import resolve_backend
 from repro.runtime.schedule import CommSchedule
@@ -48,7 +44,6 @@ __all__ = [
     "ExecutorScratch",
     "gather",
     "scatter",
-    "gather_fields",
 ]
 
 
@@ -64,7 +59,7 @@ class ExecutorScratch:
     """Reusable *receive-side* buffers for the executor primitives.
 
     An iterative driver allocates one scratch object outside its loop and
-    passes it to every :func:`gather` / :func:`gather_fields` call; the
+    passes it to every :func:`gather` call; the
     ghost buffer is then allocated once and recycled across iterations
     instead of hitting the allocator every sweep (reallocation happens
     automatically when a remap changes the ghost size or dtype).
@@ -254,84 +249,3 @@ def scatter(
     if unpack:
         ctx.compute(unpack * cost_model.sec_per_unpack, label="scatter-unpack")
     return local_data
-
-
-def gather_fields(
-    ctx: "RankContext",
-    schedule: CommSchedule,
-    fields: Sequence[np.ndarray],
-    *,
-    tag: int = Tags.EXECUTOR_GATHER,
-    cost_model: ExecutorCostModel = ExecutorCostModel(),
-    backend: str | None = None,
-    scratch: ExecutorScratch | None = None,
-) -> list[np.ndarray]:
-    """Gather several field arrays with **one** message per peer.
-
-    Equivalent to ``[gather(ctx, schedule, f) for f in fields]`` but the
-    per-peer payloads are coalesced into a single packed message
-    (:func:`repro.net.message.pack_arrays`), so the per-message software
-    setup cost — the term that sinks fine-grained messaging in the paper's
-    Sec. 5 — is paid once per peer per phase instead of once per field.
-    """
-    backend = resolve_backend(backend)
-    fields = [np.asarray(f) for f in fields]
-    if not fields:
-        raise ScheduleError("gather_fields needs at least one field")
-    for f in fields:
-        _check_local_shape(ctx, schedule, f)
-    ctx.metrics.count("exec.gather_fields")
-
-    pack = 0
-    for dest in schedule.send_peers():
-        idx = schedule.send_lists[dest]
-        if backend == "reference":
-            bufs = [ref.pack_loop(f, idx) for f in fields]
-        else:
-            bufs = [np.ascontiguousarray(f[idx]) for f in fields]
-        ctx.send_packed(dest, bufs, tag)
-        pack += idx.size * len(fields)
-    if pack:
-        ctx.compute(pack * cost_model.sec_per_pack, label="gather-pack")
-
-    if scratch is not None:
-        ghosts = [
-            scratch.ghost(
-                ("gather_fields", i),
-                (schedule.ghost_size,) + f.shape[1:],
-                f.dtype,
-            )
-            for i, f in enumerate(fields)
-        ]
-    else:
-        ghosts = [
-            np.empty((schedule.ghost_size,) + f.shape[1:], dtype=f.dtype)
-            for f in fields
-        ]
-    expected = {
-        src: pos.size for src, pos in schedule.recv_lists.items() if pos.size
-    }
-    received: dict[int, list[np.ndarray]] = {}
-    for source, msg in ctx.recv_expected(expected, tag).items():
-        parts = unpack_arrays(msg.payload)
-        if len(parts) != len(fields) or any(
-            p.shape[0] != expected[source] for p in parts
-        ):
-            raise ScheduleError(
-                f"rank {ctx.rank}: packed gather payload from {source} "
-                f"does not match the schedule"
-            )
-        received[source] = parts
-
-    unpack = 0
-    for src in schedule.recv_peers():
-        pos = schedule.recv_lists[src]
-        for ghost, part in zip(ghosts, received[src]):
-            if backend == "reference":
-                ref.unpack_loop(ghost, pos, part)
-            else:
-                ghost[pos] = part
-        unpack += pos.size * len(fields)
-    if unpack:
-        ctx.compute(unpack * cost_model.sec_per_unpack, label="gather-unpack")
-    return ghosts

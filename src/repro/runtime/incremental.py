@@ -76,7 +76,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "IntervalDiff",
     "diff_interval",
-    "classify_elements",
     "IncrementalInspector",
     "check_inspector_mode",
     "inspector_results_equal",
@@ -174,26 +173,6 @@ def diff_interval(
         old_lo=lo0, old_hi=hi0, new_lo=lo1, new_hi=hi1,
         keep_lo=keep_lo, keep_hi=keep_hi,
         lost=lost, gained=gained,
-    )
-
-
-def classify_elements(
-    old: IntervalPartition, new: IntervalPartition, rank: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(kept, gained, lost) global indices for *rank* — the materialized
-    form of :func:`diff_interval`, used by the property suite."""
-    d = diff_interval(old, new, rank)
-    kept = np.arange(d.keep_lo, d.keep_hi, dtype=np.intp)
-    gained = _ranges_arange(d.gained)
-    lost = _ranges_arange(d.lost)
-    return kept, gained, lost
-
-
-def _ranges_arange(ranges: tuple[tuple[int, int], ...]) -> np.ndarray:
-    if not ranges:
-        return np.empty(0, dtype=np.intp)
-    return np.concatenate(
-        [np.arange(lo, hi, dtype=np.intp) for lo, hi in ranges]
     )
 
 

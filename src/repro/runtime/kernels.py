@@ -8,14 +8,14 @@ The paper's kernel, verbatim::
         y[i] = t[i] / degree(i)
 
 i.e. one Jacobi-style neighbor-averaging sweep through an indirection
-array.  :func:`sequential_kernel` is the single-machine form;
+array.  :func:`run_sequential` is the single-machine form;
 :class:`KernelPlan` is the per-rank compiled form produced by the
 inspector (address-translated slots into the combined [local | ghost]
 buffer).  Both apply one kernel, :class:`RowSegments`: a segmented sum
 that accumulates each row's references in array order starting from 0.0
 — exactly the loop's ``t[i] += y[ia(k)]`` — so the vectorized sweeps are
-bit-identical to the literal transcriptions (:func:`sequential_kernel_reference`,
-:meth:`KernelPlan.sweep_reference`), not merely close to them.
+bit-identical to the literal transcription
+(:meth:`KernelPlan.sweep_reference`), not merely close to them.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ __all__ = [
     "RowSegments",
     "build_kernel_plan",
     "sorted_ghost_slots",
-    "sequential_kernel",
-    "sequential_kernel_reference",
     "run_sequential",
 ]
 
@@ -176,30 +174,6 @@ def _as_vertex_values(graph: CSRGraph, y: np.ndarray) -> np.ndarray:
             f"y has shape {y.shape}, expected ({graph.num_vertices},)"
         )
     return y
-
-
-def sequential_kernel(graph: CSRGraph, y: np.ndarray) -> np.ndarray:
-    """One vectorized sweep of the Fig. 8 loop over the whole graph."""
-    y = _as_vertex_values(graph, y)
-    return RowSegments(graph.degrees, graph.indices).means(y, y)
-
-
-def sequential_kernel_reference(graph: CSRGraph, y: np.ndarray) -> np.ndarray:
-    """Literal transcription of Fig. 8 (pure Python loops) — test oracle."""
-    n = graph.num_vertices
-    t = np.zeros(n)
-    k = 0
-    out = np.array(y, dtype=np.float64, copy=True)
-    for i in range(n):
-        cnt = int(graph.indptr[i + 1] - graph.indptr[i])
-        for _ in range(cnt):
-            t[i] += y[graph.indices[k]]
-            k += 1
-    for i in range(n):
-        cnt = int(graph.indptr[i + 1] - graph.indptr[i])
-        if cnt:
-            out[i] = t[i] / cnt
-    return out
 
 
 def run_sequential(

@@ -27,7 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.graph.csr import CSRGraph
 
 __all__ = [
-    "dereference_loop",
     "recv_side_sorted_loop",
     "sorted_schedule_parts_loop",
     "no_dedup_parts_loop",
@@ -42,31 +41,6 @@ __all__ = [
     "slab_unpack_loop",
     "iota_loop",
 ]
-
-
-def dereference_loop(
-    partition: IntervalPartition, global_indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element binary-search dereference (paper Fig. 3, scalar form).
-
-    Matches :meth:`IntervalPartition.dereference` (one ``searchsorted``
-    call) element for element.
-    """
-    bounds = partition.bounds.tolist()
-    owners = partition.owners
-    gi = np.asarray(global_indices, dtype=np.intp)
-    owner = np.empty(gi.size, dtype=np.intp)
-    local = np.empty(gi.size, dtype=np.intp)
-    n = partition.num_elements
-    for k, g in enumerate(gi.tolist()):
-        if g < 0 or g >= n:
-            from repro.errors import PartitionError
-
-            raise PartitionError(f"global index out of range [0, {n})")
-        b = bisect_right(bounds, g) - 1
-        owner[k] = owners[b]
-        local[k] = g - bounds[b]
-    return owner, local
 
 
 def _owned_refs(

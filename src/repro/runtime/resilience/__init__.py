@@ -40,7 +40,6 @@ from repro.runtime.resilience.checkpoint import (
     estimate_checkpoint_cost,
     normalize_partners,
     replica_partners,
-    ring_partners,
     take_checkpoint,
 )
 from repro.runtime.resilience.policy import (
@@ -75,6 +74,5 @@ __all__ = [
     "replica_partners",
     "require_checkpoint",
     "resolve_checkpoint_policy",
-    "ring_partners",
     "take_checkpoint",
 ]

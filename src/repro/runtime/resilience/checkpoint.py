@@ -51,7 +51,6 @@ __all__ = [
     "ResilienceState",
     "effective_replication_factor",
     "replica_partners",
-    "ring_partners",
     "take_checkpoint",
     "estimate_checkpoint_cost",
 ]
@@ -116,16 +115,6 @@ def replica_partners(
         r: tuple(actives[(index[r] + j) % n] for j in range(1, k + 1))
         for r in actives
         if partition.size(r) > 0
-    }
-
-
-def ring_partners(
-    partition: IntervalPartition, active: np.ndarray
-) -> dict[int, int]:
-    """The single-successor (k=1) view: each data-holding rank → partner."""
-    return {
-        owner: holders[0]
-        for owner, holders in replica_partners(partition, active, 1).items()
     }
 
 

@@ -1,23 +1,23 @@
 """Translation tables: global index -> (home processor, local index).
 
-Three mechanisms, mirroring Sec. 3.2's discussion:
+Two mechanisms from Sec. 3.2's discussion:
 
-* :class:`IntervalTranslationTable` — the paper's contribution: with a 1-D
-  contiguous partition, the replicated list of per-processor (first, last)
-  bounds is a complete translation table in O(p) memory with O(log p)
-  communication-free dereference (Fig. 3).
-* :class:`ReplicatedTranslationTable` — the classic PARTI scheme with the
-  full (processor, local) entry per element replicated everywhere: fast but
-  O(n) memory per processor ("not feasible for applications with large data
-  sets").
+* :meth:`IntervalPartition.dereference
+  <repro.partition.intervals.IntervalPartition.dereference>` — the paper's
+  contribution: with a 1-D contiguous partition, the replicated list of
+  per-processor (first, last) bounds is a complete translation table in
+  O(p) memory with O(log p) communication-free dereference (Fig. 3).
 * :class:`DistributedTranslationTable` — the entries block-distributed over
   processors: O(n/p) memory but dereference *requires communication*; this
   is what makes the "Simple Strategy" schedule build slow in Table 3.
+
+The third, the classic PARTI table with the full (processor, local) entry
+per element replicated everywhere, is O(n) memory per processor ("not
+feasible for applications with large data sets") and is not built here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,91 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.comm import RankContext
 
 __all__ = [
-    "IntervalTranslationTable",
-    "ReplicatedTranslationTable",
     "DistributedTranslationTable",
     "table_home",
 ]
-
-
-@dataclass(frozen=True)
-class IntervalTranslationTable:
-    """The replicated interval list (paper Fig. 3).
-
-    Memory is proportional to the number of processors; every rank holds a
-    copy and dereferences locally.
-    """
-
-    partition: IntervalPartition
-
-    @property
-    def memory_entries(self) -> int:
-        """Table entries stored per processor (2 bounds per processor)."""
-        return 2 * self.partition.num_processors
-
-    def dereference(
-        self, global_indices: np.ndarray, *, backend: str | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(processor, local index) for each global index — no communication.
-
-        "The local address of a particular element is computed by
-        subtracting it from the first element that belongs to its home
-        processor."  The ``vectorized`` backend is one bulk binary search;
-        ``reference`` walks the query per element (bit-identical results).
-        """
-        gi = np.asarray(global_indices, dtype=np.intp)
-        if resolve_backend(backend) == "reference":
-            from repro.runtime.reference import dereference_loop
-
-            return dereference_loop(self.partition, gi)
-        return self.partition.dereference(gi)
-
-    def owner_of(
-        self, global_indices: np.ndarray, *, backend: str | None = None
-    ) -> np.ndarray:
-        owner, _ = self.dereference(global_indices, backend=backend)
-        return owner
-
-
-@dataclass(frozen=True)
-class ReplicatedTranslationTable:
-    """Explicit per-element table, replicated on every processor.
-
-    Built once from a partition; serves as the memory-hungry baseline
-    (``memory_entries`` is n per processor, vs 2p for the interval table).
-    """
-
-    owner: np.ndarray
-    local: np.ndarray
-
-    @staticmethod
-    def from_partition(partition: IntervalPartition) -> "ReplicatedTranslationTable":
-        gi = np.arange(partition.num_elements, dtype=np.intp)
-        owner, local = partition.dereference(gi)
-        return ReplicatedTranslationTable(owner=owner.copy(), local=local.copy())
-
-    def __post_init__(self) -> None:
-        if self.owner.shape != self.local.shape or self.owner.ndim != 1:
-            raise TranslationError("owner/local arrays must be equal-length 1-D")
-
-    @property
-    def memory_entries(self) -> int:
-        return 2 * self.owner.size
-
-    def dereference(
-        self, global_indices: np.ndarray, *, backend: str | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        gi = np.asarray(global_indices, dtype=np.intp)
-        if gi.size and (gi.min() < 0 or gi.max() >= self.owner.size):
-            raise TranslationError("global index out of range")
-        if resolve_backend(backend) == "reference":
-            owner = np.empty(gi.size, dtype=np.intp)
-            local = np.empty(gi.size, dtype=np.intp)
-            for k, g in enumerate(gi.tolist()):
-                owner[k] = self.owner[g]
-                local[k] = self.local[g]
-            return owner, local
-        return self.owner[gi], self.local[gi]
 
 
 def table_home(global_indices: np.ndarray, n: int, p: int) -> np.ndarray:

@@ -1,8 +1,7 @@
 """Shared utilities: RNG handling, validation helpers, table formatting."""
 
-from repro.utils.rng import as_generator, spawn_generators
+from repro.utils.rng import as_generator
 from repro.utils.validation import (
-    check_fraction,
     check_permutation,
     check_positive,
     check_probability_vector,
@@ -11,8 +10,6 @@ from repro.utils.tables import format_table
 
 __all__ = [
     "as_generator",
-    "spawn_generators",
-    "check_fraction",
     "check_permutation",
     "check_positive",
     "check_probability_vector",

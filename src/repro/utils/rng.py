@@ -1,9 +1,8 @@
 """Random-number-generator plumbing.
 
 Every stochastic component in the library takes an explicit seed or
-:class:`numpy.random.Generator`.  These helpers normalize what callers pass
-in and derive independent child generators for parallel components, so an
-experiment seeded once is reproducible end to end.
+:class:`numpy.random.Generator`.  :func:`as_generator` normalizes what
+callers pass in, so an experiment seeded once is reproducible end to end.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import numpy as np
 
 SeedLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
 
-__all__ = ["as_generator", "spawn_generators", "SeedLike"]
+__all__ = ["as_generator", "SeedLike"]
 
 
 def as_generator(seed: SeedLike = None) -> np.random.Generator:
@@ -29,20 +28,3 @@ def as_generator(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
     return np.random.default_rng(seed)
-
-
-def spawn_generators(seed: SeedLike, n: int) -> list[np.random.Generator]:
-    """Derive *n* statistically independent child generators from *seed*.
-
-    Used to give each simulated processor (or each Monte-Carlo repetition)
-    its own stream so results do not depend on the order in which streams
-    are consumed.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn {n} generators")
-    if isinstance(seed, np.random.Generator):
-        # Derive children by drawing seeds from the parent stream.
-        seeds = seed.integers(0, 2**63 - 1, size=n)
-        return [np.random.default_rng(int(s)) for s in seeds]
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(n)]

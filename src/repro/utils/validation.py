@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "check_positive",
-    "check_fraction",
     "check_permutation",
     "check_probability_vector",
 ]
@@ -28,14 +27,6 @@ def check_positive(name: str, value: float, *, strict: bool = True) -> float:
         raise ValueError(f"{name} must be > 0, got {value}")
     if not strict and value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
-
-
-def check_fraction(name: str, value: float) -> float:
-    """Validate that *value* lies in the closed interval [0, 1]."""
-    value = float(value)
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
     return value
 
 

@@ -1,4 +1,7 @@
-"""Reference implementation of the Fig. 8 segmented sum.
+"""Reference implementations of the Fig. 8 loop and its segmented sum.
+
+``sequential_kernel_oracle`` is the literal transcription of Fig. 8 in
+pure Python loops; one sweep of ``run_sequential`` must equal it bitwise.
 
 ``BincountRowSegments`` is the body ``repro.runtime.kernels.RowSegments``
 shipped before the degree-ranked column layout: the owning row of every
@@ -12,7 +15,25 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BincountRowSegments"]
+__all__ = ["BincountRowSegments", "sequential_kernel_oracle"]
+
+
+def sequential_kernel_oracle(graph, y: np.ndarray) -> np.ndarray:
+    """One sweep of the Fig. 8 loop over the whole graph, element by element."""
+    n = graph.num_vertices
+    t = np.zeros(n)
+    k = 0
+    out = np.array(y, dtype=np.float64, copy=True)
+    for i in range(n):
+        cnt = int(graph.indptr[i + 1] - graph.indptr[i])
+        for _ in range(cnt):
+            t[i] += y[graph.indices[k]]
+            k += 1
+    for i in range(n):
+        cnt = int(graph.indptr[i + 1] - graph.indptr[i])
+        if cnt:
+            out[i] = t[i] / cnt
+    return out
 
 
 class BincountRowSegments:

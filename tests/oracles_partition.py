@@ -7,13 +7,16 @@ level-synchronous driver (``repro.partition.bisection``) replaced them.
 whenever the ``coords + jitter`` keys are distinct, and ``inertial_order``
 is held to ``inertial_order_oracle``'s partition quality.  One Python step
 per tree node — do not call these on meshes much beyond 30k vertices.
+``principal_axis`` runs the shipped per-box axis solver on one box so it
+can be compared with ``principal_axis_oracle``.
 
 **Arrangements (Sec. 3.4).**  ``mcr_oracle`` and ``brute_force_oracle`` are
 the bodies ``minimize_cost_redistribution`` and ``brute_force_arrangement``
 shipped before the batch row scorer: one validated ``IntervalPartition``
 per candidate arrangement, scored by ``gain_oracle`` — ``union1d`` segments
 walked twice, the second time through a Python loop that coalesces adjacent
-slabs.  The shipped functions must return exactly what these return.
+slabs, over candidates built one at a time by ``move`` (Fig. 7's MOVE).
+The shipped functions must return exactly what these return.
 
 **Hilbert keys.**  ``hilbert_keys_2d_oracle`` is the one-bit-per-step
 rotation walk that the table-driven ``hilbert_keys_2d`` replaced; keys must
@@ -27,7 +30,9 @@ import itertools
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.partition.arrangement import RedistributionCostModel, move
+from repro.errors import PartitionError
+from repro.partition.arrangement import RedistributionCostModel
+from repro.partition.inertial import _principal_axes
 from repro.partition.intervals import IntervalPartition, partition_list
 from repro.partition.sfc import quantize_coords
 from repro.utils.rng import SeedLike, as_generator
@@ -35,11 +40,13 @@ from repro.utils.rng import SeedLike, as_generator
 __all__ = [
     "rcb_order_oracle",
     "inertial_order_oracle",
+    "principal_axis",
     "principal_axis_oracle",
     "segments_oracle",
     "overlap_oracle",
     "messages_oracle",
     "gain_oracle",
+    "move",
     "mcr_oracle",
     "brute_force_oracle",
     "hilbert_keys_2d_oracle",
@@ -114,6 +121,12 @@ def rcb_order_oracle(
         stack.append((lo, depth + 1))
     assert out == n
     return order
+
+
+def principal_axis(points: np.ndarray) -> np.ndarray:
+    """The shipped per-box solver on one box of *points*."""
+    points = np.asarray(points, dtype=np.float64)
+    return _principal_axes(list(points.T), np.zeros(1, dtype=np.intp))[0]
 
 
 def principal_axis_oracle(points: np.ndarray) -> np.ndarray:
@@ -211,6 +224,29 @@ def gain_oracle(
     return cost_model.element_weight * overlap_oracle(
         old, new
     ) - cost_model.message_weight * messages_oracle(old, new)
+
+
+def move(arrangement, element: int, location: int) -> np.ndarray:
+    """The MOVE primitive (paper Fig. 7).
+
+    Relocate *element* (a processor id currently somewhere in the
+    arrangement) to index *location*, shifting the intervening elements.
+    The paper's example: ``MOVE([1,3,5,4,6], 5, 0) == [5,1,3,4,6]``.
+    """
+    arr = list(np.asarray(arrangement, dtype=np.intp))
+    try:
+        x = arr.index(element)
+    except ValueError:
+        raise PartitionError(
+            f"element {element} not present in arrangement {arr}"
+        ) from None
+    if not (0 <= location < len(arr)):
+        raise PartitionError(
+            f"location {location} out of range for arrangement of size {len(arr)}"
+        )
+    arr.pop(x)
+    arr.insert(location, element)
+    return np.asarray(arr, dtype=np.intp)
 
 
 def mcr_oracle(

@@ -1,10 +1,9 @@
-"""Global consistency checking for communication schedules (Sec. 3.2's
-send/receive lists, Fig. 4).
+"""Cross-checkers and scalar transcriptions for the runtime's data structures.
 
-The per-rank schedule invariants live in
-:class:`~repro.runtime.schedule.CommSchedule`; this module checks the
-*cross-rank* properties a complete set of schedules must satisfy before the
-executor can trust them:
+**Schedules (Sec. 3.2, Fig. 4).**  ``check_global_consistency`` checks the
+*cross-rank* properties a complete set of per-rank schedules must satisfy
+before the executor can trust them (the per-rank invariants live in
+``CommSchedule`` itself):
 
 * **pairwise agreement** — what r ships to s is exactly what s expects
   from r, element for element, in order;
@@ -12,22 +11,37 @@ executor can trust them:
   slot (so the kernel plan can translate it);
 * **conservation** — total elements sent equals total elements expected.
 
-Used by the integration tests and available to applications that build
-custom schedules.
+**Translation (Fig. 3).**  ``dereference_oracle`` is the per-element
+binary search; ``IntervalPartition.dereference`` (one ``searchsorted``)
+must match it element for element.
+
+**Remaps.**  ``classify_elements`` materializes ``diff_interval`` as
+(kept, gained, lost) index arrays; ``ring_partners`` is the single-successor
+(k=1) view of ``replica_partners``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ScheduleError
+from repro.errors import PartitionError, ScheduleError
 from repro.graph.csr import CSRGraph
+from repro.partition.intervals import IntervalPartition
+from repro.runtime.incremental import diff_interval
+from repro.runtime.resilience.checkpoint import replica_partners
 from repro.runtime.schedule import CommSchedule
 from repro.runtime.schedule_builders import local_references
 
-__all__ = ["ConsistencyReport", "check_global_consistency"]
+__all__ = [
+    "ConsistencyReport",
+    "check_global_consistency",
+    "dereference_oracle",
+    "classify_elements",
+    "ring_partners",
+]
 
 
 @dataclass
@@ -134,3 +148,53 @@ def _first_diff(a: np.ndarray, b: np.ndarray) -> object:
         if diff.size:
             return int(a[diff[0]])
     return "length"
+
+
+def dereference_oracle(
+    partition: IntervalPartition, global_indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-element binary-search dereference (paper Fig. 3, scalar form).
+
+    Matches :meth:`IntervalPartition.dereference` (one ``searchsorted``
+    call) element for element.
+    """
+    bounds = partition.bounds.tolist()
+    owners = partition.owners
+    gi = np.asarray(global_indices, dtype=np.intp)
+    owner = np.empty(gi.size, dtype=np.intp)
+    local = np.empty(gi.size, dtype=np.intp)
+    n = partition.num_elements
+    for k, g in enumerate(gi.tolist()):
+        if g < 0 or g >= n:
+            raise PartitionError(f"global index out of range [0, {n})")
+        b = bisect_right(bounds, g) - 1
+        owner[k] = owners[b]
+        local[k] = g - bounds[b]
+    return owner, local
+
+
+def classify_elements(
+    old: IntervalPartition, new: IntervalPartition, rank: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(kept, gained, lost) global indices for *rank*."""
+    d = diff_interval(old, new, rank)
+    kept = np.arange(d.keep_lo, d.keep_hi, dtype=np.intp)
+    return kept, _ranges_arange(d.gained), _ranges_arange(d.lost)
+
+
+def _ranges_arange(ranges: tuple[tuple[int, int], ...]) -> np.ndarray:
+    if not ranges:
+        return np.empty(0, dtype=np.intp)
+    return np.concatenate(
+        [np.arange(lo, hi, dtype=np.intp) for lo, hi in ranges]
+    )
+
+
+def ring_partners(
+    partition: IntervalPartition, active: np.ndarray
+) -> dict[int, int]:
+    """Each data-holding rank -> its single replica holder."""
+    return {
+        owner: holders[0]
+        for owner, holders in replica_partners(partition, active, 1).items()
+    }

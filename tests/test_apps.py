@@ -1,11 +1,10 @@
-"""Tests for the application layer (smoothing, SpMV, workloads, quality)."""
+"""Tests for the application layer (SpMV, workloads, quality)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.apps.mesh_smoothing import smooth_mesh, verify_against_sequential
 from repro.apps.sparse_matvec import (
     SymmetricPatternMatrix,
     run_parallel_spmv,
@@ -13,51 +12,12 @@ from repro.apps.sparse_matvec import (
 )
 from repro.apps.workloads import adaptive_testbed, random_capabilities
 from repro.errors import ConfigurationError
-from repro.graph.generators import grid_mesh, paper_mesh
+from repro.graph.generators import paper_mesh
 from repro.graph.ops import to_scipy
-from repro.net.cluster import sun4_cluster, uniform_cluster
+from repro.net.cluster import uniform_cluster
 from repro.partition.ordering import IdentityOrdering
 from repro.partition.quality import compare_orderings, evaluate_ordering
 from repro.partition.rcb import RCBOrdering
-from repro.runtime.program import ProgramConfig
-
-
-class TestMeshSmoothing:
-    def test_accepts_mesh_object(self):
-        mesh = grid_mesh(8, 8)
-        res = smooth_mesh(mesh, uniform_cluster(2), iterations=5)
-        assert res.values.shape == (64,)
-        assert res.makespan > 0
-
-    def test_accepts_graph(self):
-        g = paper_mesh(300, seed=1)
-        res = smooth_mesh(g, uniform_cluster(2), iterations=5)
-        assert res.values.shape == (g.num_vertices,)
-
-    def test_verify_passes_for_correct_run(self):
-        g = paper_mesh(300, seed=1)
-        res = smooth_mesh(g, sun4_cluster(3), iterations=8)
-        err = verify_against_sequential(g, res)
-        assert err < 1e-9
-
-    def test_verify_catches_corruption(self):
-        g = paper_mesh(300, seed=1)
-        res = smooth_mesh(g, uniform_cluster(2), iterations=5)
-        res.values = res.values + 1.0
-        with pytest.raises(AssertionError):
-            verify_against_sequential(g, res)
-
-    def test_explicit_config_wins(self):
-        g = paper_mesh(300, seed=1)
-        cfg = ProgramConfig(iterations=4, strategy="sort1")
-        res = smooth_mesh(g, uniform_cluster(2), iterations=99, config=cfg)
-        assert res.report.config.iterations == 4
-
-    def test_custom_y0(self):
-        g = paper_mesh(300, seed=1)
-        y0 = np.linspace(0, 1, g.num_vertices)
-        res = smooth_mesh(g, uniform_cluster(2), iterations=5, y0=y0)
-        assert verify_against_sequential(g, res, y0=y0) < 1e-9
 
 
 class TestSparseMatvec:

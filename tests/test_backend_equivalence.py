@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
+from oracles_runtime import dereference_oracle
 from repro.graph.generators import perturbed_grid_mesh, random_geometric_graph
 from repro.net.cluster import heterogeneous_cluster, uniform_cluster
 from repro.net.spmd import run_spmd
 from repro.partition.intervals import partition_list
 from repro.runtime.backend import BACKENDS, resolve_backend, use_backend
-from repro.runtime.executor import gather, gather_fields, scatter
+from repro.runtime.executor import gather, scatter
 from repro.runtime.kernels import build_kernel_plan
 from repro.runtime.program import ProgramConfig, run_program
 from repro.runtime.schedule import CommSchedule
@@ -30,11 +30,7 @@ from repro.runtime.schedule_builders import (
     build_schedule_sort1,
     build_schedule_sort2,
 )
-from repro.runtime.translation import (
-    DistributedTranslationTable,
-    IntervalTranslationTable,
-    ReplicatedTranslationTable,
-)
+from repro.runtime.translation import DistributedTranslationTable
 
 MAX_P = 4
 
@@ -76,21 +72,9 @@ class TestTranslationTables:
     @settings(max_examples=25, deadline=None)
     def test_interval_table_dereference(self, seed):
         graph, part, p, rng = random_workload(seed)
-        table = IntervalTranslationTable(part)
         gi = rng.integers(0, part.num_elements, size=50)
-        ro, rl = table.dereference(gi, backend="reference")
-        vo, vl = table.dereference(gi, backend="vectorized")
-        np.testing.assert_array_equal(ro, vo)
-        np.testing.assert_array_equal(rl, vl)
-
-    @given(seed=st.integers(0, 200))
-    @settings(max_examples=25, deadline=None)
-    def test_replicated_table_dereference(self, seed):
-        _, part, _, rng = random_workload(seed)
-        table = ReplicatedTranslationTable.from_partition(part)
-        gi = rng.integers(0, part.num_elements, size=50)
-        ro, rl = table.dereference(gi, backend="reference")
-        vo, vl = table.dereference(gi, backend="vectorized")
+        ro, rl = dereference_oracle(part, gi)
+        vo, vl = part.dereference(gi)
         np.testing.assert_array_equal(ro, vo)
         np.testing.assert_array_equal(rl, vl)
 
@@ -193,28 +177,6 @@ class TestExecutor:
         # the deterministic point-to-point network the clocks must agree
         # exactly — host thread scheduling cannot leak into virtual time.
         assert res_ref.clocks == res_vec.clocks
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_gather_fields_matches_repeated_gather(self, backend):
-        graph, part, p, rng = random_workload(11)
-        n = graph.num_vertices
-        fields = [rng.uniform(size=n), rng.uniform(size=(n, 2))]
-
-        def fn(ctx):
-            sched = build_schedule_sort2(graph, part, ctx.rank)
-            lo, hi = part.interval(ctx.rank)
-            packed = gather_fields(
-                ctx, sched, [f[lo:hi] for f in fields], backend=backend
-            )
-            singles = [
-                gather(ctx, sched, f[lo:hi], backend=backend) for f in fields
-            ]
-            for a, b in zip(packed, singles):
-                np.testing.assert_array_equal(a, b)
-            # Coalescing: one message per peer instead of one per field.
-            return sched.num_send_messages
-
-        assert sum(run_spmd(uniform_cluster(p), fn).values) > 0
 
 
 class TestEndToEnd:

@@ -1,4 +1,5 @@
-"""The CI workflow files load strictly (the same check CI's docs job runs)."""
+"""The CI workflow files load strictly and call only CLI flags that exist
+(the same check CI's docs job runs)."""
 
 from __future__ import annotations
 
@@ -44,6 +45,21 @@ jobs:
 """
 
 
+STALE_CLI = """\
+jobs:
+  smoke:
+    steps:
+      - name: fine
+        run: PYTHONPATH=src python -m repro run --vertices 500 --verify && echo ok
+      - name: deleted flag, on a continuation line
+        run: |
+          PYTHONPATH=src python -m repro bench run table4 --quick \\
+            --switched-network --results-dir out
+      - name: unknown subcommand
+        run: python -m repro smooth --iterations 3  # comment
+"""
+
+
 def test_repo_workflows_have_no_duplicate_keys():
     assert check_ci.workflow_files(REPO_ROOT)
     assert check_ci.check_repo(REPO_ROOT) == []
@@ -74,4 +90,18 @@ def test_checker_catches_programs_embedded_in_run_blocks(tmp_path):
 
 
 def test_checker_fails_when_there_is_nothing_to_check(tmp_path):
+    assert check_ci.main([str(tmp_path)]) == 1
+
+
+def test_checker_catches_repro_commands_the_cli_rejects(tmp_path):
+    workflows = tmp_path / ".github" / "workflows"
+    workflows.mkdir(parents=True)
+    (workflows / "ci.yml").write_text(STALE_CLI, encoding="utf-8")
+    problems = check_ci.check_repo(tmp_path)
+    assert [p.split(": ")[0] for p in problems] == [
+        ".github/workflows/ci.yml:8",
+        ".github/workflows/ci.yml:11",
+    ]
+    assert "unrecognized arguments: --switched-network" in problems[0]
+    assert "invalid choice: 'smooth'" in problems[1]
     assert check_ci.main([str(tmp_path)]) == 1

@@ -21,8 +21,6 @@ from repro.errors import ConfigurationError, LoadBalanceError, RankFailedError
 from repro.graph.generators import paper_mesh
 from repro.net.cluster import uniform_cluster
 from repro.net.loadmodel import (
-    CompositeLoad,
-    ConstantLoad,
     MembershipEvent,
     MembershipTrace,
     advance_clock,
@@ -136,18 +134,17 @@ class TestMembershipTrace:
         with pytest.raises(ValueError, match="empties"):
             tr.subset([0, 2])
 
-    def test_presence_load_composes_with_load_traces(self):
+    def test_presence_load_is_a_load_trace(self):
         tr = MembershipTrace(
             2, [E(1.0, "leave", 0), E(3.0, "join", 0)]
         )
         absence = tr.presence_load(0, absent_load=9.0)
-        combined = CompositeLoad([absence, ConstantLoad(1.0)])
-        assert combined.load_at(0.5) == 1.0
-        assert combined.load_at(2.0) == 10.0
-        assert combined.load_at(3.0) == 1.0
+        assert absence.load_at(0.5) == 0.0
+        assert absence.load_at(2.0) == 9.0
+        assert absence.load_at(3.0) == 0.0
         # The breakpoints surface through the shared algebra.
-        assert combined.next_change_after(0.0) == 1.0
-        assert combined.next_change_after(1.0) == 3.0
+        assert absence.next_change_after(0.0) == 1.0
+        assert absence.next_change_after(1.0) == 3.0
 
     def test_resolve_membership_forms(self):
         tr = MembershipTrace(3, [E(1.0, "leave", 0)])

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles_graph import grid_mesh_3d
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import grid_graph, grid_mesh_3d, paper_mesh
+from repro.graph.generators import grid_graph, paper_mesh
 
 
 def triangle() -> CSRGraph:

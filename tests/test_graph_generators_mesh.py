@@ -15,7 +15,6 @@ from repro.graph.generators import (
     airfoil_mesh,
     delaunay_mesh,
     grid_graph,
-    grid_mesh,
     paper_mesh,
     perturbed_grid_mesh,
     random_geometric_graph,
@@ -35,7 +34,7 @@ class TestMesh:
         assert m.dim == 2
 
     def test_graph_carries_coords(self):
-        m = grid_mesh(3, 3)
+        m = perturbed_grid_mesh(3, 3, seed=0)
         assert m.graph.coords is not None
         np.testing.assert_array_equal(m.graph.coords, m.points)
 
@@ -51,7 +50,7 @@ class TestMesh:
             Mesh(np.zeros((3, 5)), np.zeros((1, 6), dtype=int))
 
     def test_graph_cached(self):
-        m = grid_mesh(3, 3)
+        m = perturbed_grid_mesh(3, 3, seed=0)
         assert m.graph is m.graph
 
 
@@ -73,14 +72,6 @@ class TestGridGenerators:
     def test_grid_graph_rejects_zero(self):
         with pytest.raises(GraphError):
             grid_graph(0, 3)
-
-    def test_grid_mesh_triangle_count(self):
-        m = grid_mesh(4, 3)
-        assert m.num_cells == 2 * 3 * 2
-
-    def test_grid_mesh_rejects_degenerate(self):
-        with pytest.raises(GraphError):
-            grid_mesh(1, 5)
 
 
 class TestUnstructuredGenerators:

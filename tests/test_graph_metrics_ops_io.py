@@ -1,4 +1,4 @@
-"""Tests for graph metrics, operations, and IO."""
+"""Tests for graph metrics and operations."""
 
 from __future__ import annotations
 
@@ -10,32 +10,8 @@ from hypothesis import strategies as st
 from repro.errors import PartitionError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import grid_graph, perturbed_grid_mesh
-from repro.graph.io import (
-    load_graph_npz,
-    load_mesh_npz,
-    read_chaco,
-    save_graph_npz,
-    save_mesh_npz,
-    write_chaco,
-)
-from repro.graph.metrics import (
-    boundary_vertices,
-    cut_curve,
-    edge_cut,
-    load_imbalance,
-    locality_profile,
-    mean_edge_span,
-    ordering_bandwidth,
-    partition_sizes,
-)
-from repro.graph.ops import (
-    bfs_levels,
-    connected_components,
-    from_scipy,
-    laplacian,
-    largest_component,
-    to_scipy,
-)
+from repro.graph.metrics import cut_curve, edge_cut, mean_edge_span, ordering_bandwidth
+from repro.graph.ops import connected_components, largest_component
 
 
 def path4() -> CSRGraph:
@@ -56,40 +32,6 @@ class TestMetrics:
     def test_edge_cut_shape_check(self):
         with pytest.raises(PartitionError):
             edge_cut(path4(), np.zeros(3, dtype=int))
-
-    def test_boundary_vertices(self):
-        mask = boundary_vertices(path4(), np.array([0, 0, 1, 1]))
-        np.testing.assert_array_equal(mask, [False, True, True, False])
-
-    def test_partition_sizes(self):
-        np.testing.assert_array_equal(
-            partition_sizes(np.array([0, 0, 2, 1]), 3), [2, 1, 1]
-        )
-
-    def test_partition_sizes_rejects_overflow_label(self):
-        with pytest.raises(PartitionError):
-            partition_sizes(np.array([0, 5]), 3)
-
-    def test_load_imbalance_perfect(self):
-        labels = np.array([0, 0, 1, 1])
-        w = np.ones(4)
-        assert load_imbalance(labels, w, np.array([1.0, 1.0])) == pytest.approx(1.0)
-
-    def test_load_imbalance_skewed(self):
-        labels = np.array([0, 0, 0, 1])
-        w = np.ones(4)
-        # P0 got 3/4 of work but only half the capability.
-        assert load_imbalance(labels, w, np.array([1.0, 1.0])) == pytest.approx(1.5)
-
-    def test_load_imbalance_capability_aware(self):
-        labels = np.array([0, 0, 0, 1])
-        w = np.ones(4)
-        caps = np.array([3.0, 1.0])
-        assert load_imbalance(labels, w, caps) == pytest.approx(1.0)
-
-    def test_load_imbalance_rejects_zero_caps(self):
-        with pytest.raises(PartitionError):
-            load_imbalance(np.zeros(2, dtype=int), np.ones(2), np.array([0.0, 1.0]))
 
     def test_bandwidth_and_span(self):
         g = path4()
@@ -114,10 +56,6 @@ class TestMetrics:
         with pytest.raises(PartitionError):
             cut_curve(path4(), np.arange(4), [0])
 
-    def test_locality_profile_keys(self):
-        prof = locality_profile(grid_graph(4, 4), np.arange(16), (2, 4))
-        assert set(prof) == {"bandwidth", "mean_span", "cut_curve"}
-
     @given(st.data())
     @settings(max_examples=30, deadline=None)
     def test_edge_cut_bounds(self, data):
@@ -136,24 +74,6 @@ class TestMetrics:
 
 
 class TestOps:
-    def test_to_from_scipy_roundtrip(self):
-        g = grid_graph(4, 4)
-        g2 = from_scipy(to_scipy(g), coords=g.coords)
-        assert np.array_equal(g2.edge_array(), g.edge_array())
-
-    def test_from_scipy_symmetrizes(self):
-        import scipy.sparse as sp
-
-        m = sp.csr_matrix(np.array([[0, 1], [0, 0]], dtype=float))
-        g = from_scipy(m)
-        assert g.num_edges == 1
-
-    def test_from_scipy_rejects_nonsquare(self):
-        import scipy.sparse as sp
-
-        with pytest.raises(Exception):
-            from_scipy(sp.csr_matrix(np.zeros((2, 3))))
-
     def test_connected_components(self):
         g = CSRGraph.from_edges(5, [(0, 1), (2, 3)])
         n, labels = connected_components(g)
@@ -173,76 +93,3 @@ class TestOps:
     def test_largest_component_noop_when_connected(self):
         g = path4()
         assert largest_component(g) is g
-
-    def test_laplacian_row_sums_zero(self):
-        lap = laplacian(grid_graph(3, 3))
-        np.testing.assert_allclose(np.asarray(lap.sum(axis=1)).ravel(), 0.0)
-
-    def test_bfs_levels(self):
-        levels = bfs_levels(path4(), 0)
-        np.testing.assert_array_equal(levels, [0, 1, 2, 3])
-
-    def test_bfs_levels_unreachable(self):
-        g = CSRGraph.from_edges(3, [(0, 1)])
-        levels = bfs_levels(g, 0)
-        assert levels[2] == -1
-
-    def test_bfs_levels_bad_start(self):
-        with pytest.raises(Exception):
-            bfs_levels(path4(), 17)
-
-
-class TestIO:
-    def test_graph_npz_roundtrip(self, tmp_path):
-        g = perturbed_grid_mesh(6, 6, seed=0).graph
-        path = tmp_path / "g.npz"
-        save_graph_npz(g, path)
-        g2 = load_graph_npz(path)
-        np.testing.assert_array_equal(g2.indptr, g.indptr)
-        np.testing.assert_array_equal(g2.indices, g.indices)
-        np.testing.assert_array_equal(g2.coords, g.coords)
-
-    def test_graph_npz_weights(self, tmp_path):
-        g = CSRGraph.from_edges(2, [(0, 1)], vertex_weights=[2.0, 3.0])
-        path = tmp_path / "w.npz"
-        save_graph_npz(g, path)
-        np.testing.assert_array_equal(load_graph_npz(path).vertex_weights, [2.0, 3.0])
-
-    def test_graph_npz_no_coords(self, tmp_path):
-        g = path4()
-        path = tmp_path / "nc.npz"
-        save_graph_npz(g, path)
-        assert load_graph_npz(path).coords is None
-
-    def test_mesh_npz_roundtrip(self, tmp_path):
-        m = perturbed_grid_mesh(5, 5, seed=1)
-        path = tmp_path / "m.npz"
-        save_mesh_npz(m, path)
-        m2 = load_mesh_npz(path)
-        np.testing.assert_array_equal(m2.points, m.points)
-        np.testing.assert_array_equal(m2.cells, m.cells)
-
-    def test_chaco_roundtrip(self, tmp_path):
-        g = grid_graph(4, 4)
-        path = tmp_path / "g.graph"
-        write_chaco(g, path)
-        g2 = read_chaco(path)
-        assert np.array_equal(g2.edge_array(), g.edge_array())
-        np.testing.assert_allclose(g2.coords, g.coords)
-
-    def test_chaco_without_coords(self, tmp_path):
-        g = path4()
-        path = tmp_path / "p.graph"
-        write_chaco(g, path, coords=False)
-        g2 = read_chaco(path)
-        assert g2.coords is None
-        assert g2.num_edges == 3
-
-    def test_chaco_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.graph"
-        path.write_text("")
-        with pytest.raises(Exception):
-            read_chaco(path)
-        path.write_text("3 1\n2\n1\n\n\n")
-        with pytest.raises(Exception):
-            read_chaco(path)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles_runtime import classify_elements
 from repro.errors import CommunicationError, ConfigurationError, ScheduleError
 from repro.graph.generators import grid_graph, paper_mesh, perturbed_grid_mesh
 from repro.net.cluster import adaptive_cluster
@@ -25,7 +26,6 @@ from repro.partition.intervals import IntervalPartition
 from repro.runtime.adaptive import LoadBalanceConfig
 from repro.runtime.incremental import (
     IncrementalInspector,
-    classify_elements,
     diff_interval,
     inspector_results_equal,
 )

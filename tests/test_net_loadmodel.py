@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.loadmodel import (
-    CompositeLoad,
     ConstantLoad,
+    LoadTrace,
     MembershipEvent,
     MembershipTrace,
     NoLoad,
@@ -21,6 +21,19 @@ from repro.net.loadmodel import (
     advance_clock,
     work_done_in,
 )
+
+
+class SumLoad(LoadTrace):
+    """Sum of several traces: coincident breakpoints for the algebra tests."""
+
+    def __init__(self, traces):
+        self._traces = list(traces)
+
+    def load_at(self, t):
+        return sum(tr.load_at(t) for tr in self._traces)
+
+    def next_change_after(self, t):
+        return min(tr.next_change_after(t) for tr in self._traces)
 
 
 class TestTraces:
@@ -96,16 +109,6 @@ class TestTraces:
     def test_random_walk_holds_after_horizon(self):
         tr = RandomWalkLoad(horizon=10, dt=1.0, seed=0)
         assert tr.load_at(10.5) == tr.load_at(1e6)
-
-    def test_composite_sums(self):
-        tr = CompositeLoad([ConstantLoad(1.0), StepLoad([(0, 0), (5, 2)])])
-        assert tr.load_at(0) == 1.0
-        assert tr.load_at(5) == 3.0
-        assert tr.next_change_after(0) == 5
-
-    def test_composite_rejects_empty(self):
-        with pytest.raises(ValueError):
-            CompositeLoad([])
 
     def test_mean_load(self):
         tr = StepLoad([(0, 0), (5, 2)])
@@ -207,7 +210,7 @@ class TestCompositeAlgebraProperties:
         parts = [self._jagged_step(rng) for _ in range(int(rng.integers(1, 4)))]
         if rng.random() < 0.5:
             parts.append(ConstantLoad(float(rng.uniform(0, 2))))
-        tr = CompositeLoad(parts)
+        tr = SumLoad(parts)
         t0 = float(rng.uniform(0.0, 25.0))
         work = float(rng.uniform(0.01, 30.0))
         speed = float(rng.uniform(0.2, 5.0))
@@ -224,7 +227,7 @@ class TestCompositeAlgebraProperties:
         math.inf sentinel, even across coincident breakpoints — the
         property that guarantees advance_clock terminates."""
         rng = np.random.default_rng(seed)
-        tr = CompositeLoad([self._jagged_step(rng), self._jagged_step(rng)])
+        tr = SumLoad([self._jagged_step(rng), self._jagged_step(rng)])
         t, hops = 0.0, 0
         while True:
             nxt = tr.next_change_after(t)
@@ -242,7 +245,7 @@ class TestCompositeAlgebraProperties:
         breakpoint shared by several component traces — conserves work."""
         rng = np.random.default_rng(seed)
         step = self._jagged_step(rng)
-        tr = CompositeLoad([step, step])  # every breakpoint coincides
+        tr = SumLoad([step, step])  # every breakpoint coincides
         t0 = float(rng.uniform(0.0, 10.0))
         t2 = t0 + float(rng.uniform(0.1, 15.0))
         mid = step.next_change_after(t0)
@@ -262,7 +265,7 @@ class TestCompositeAlgebraProperties:
         assert t1j == pytest.approx(t1p, rel=1e-12)
 
     def test_mean_load_handles_coincident_breakpoints(self):
-        tr = CompositeLoad([
+        tr = SumLoad([
             StepLoad([(0.0, 1.0), (2.0, 0.0)]),
             StepLoad([(0.0, 0.0), (2.0, 1.0)]),
         ])

@@ -1,16 +1,10 @@
-"""Tests for network cost models (point-to-point, Ethernet, switched)."""
+"""Tests for network cost models (point-to-point, Ethernet)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.net.network import (
-    ETHERNET_10MBIT,
-    ETHERNET_100MBIT,
-    PointToPointNetwork,
-    SharedEthernet,
-    SwitchedNetwork,
-)
+from repro.net.network import PointToPointNetwork, SharedEthernet
 
 
 class TestPointToPoint:
@@ -90,43 +84,6 @@ class TestSharedEthernet:
         )
         assert net.send(0, 1, 5000, 10.0) == pytest.approx(p2p.send(0, 1, 5000, 10.0))
 
-    def test_presets(self):
-        slow, fast = ETHERNET_10MBIT(), ETHERNET_100MBIT()
-        assert fast.bandwidth > slow.bandwidth
-        assert fast.send(0, 1, 100_000, 0.0) < slow.send(0, 1, 100_000, 0.0)
-
-
-class TestSwitchedNetwork:
-    def test_distinct_ports_parallel(self):
-        net = SwitchedNetwork(latency=0.0, bandwidth=1e6, per_message_overhead=0.0)
-        a1 = net.send(0, 1, 1_000_000, 0.0)
-        a2 = net.send(2, 3, 1_000_000, 0.0)
-        assert a1 == pytest.approx(1.0)
-        assert a2 == pytest.approx(1.0)  # different port: no waiting
-
-    def test_same_port_serializes(self):
-        net = SwitchedNetwork(latency=0.0, bandwidth=1e6, per_message_overhead=0.0)
-        a1 = net.send(0, 5, 1_000_000, 0.0)
-        a2 = net.send(2, 5, 1_000_000, 0.0)
-        assert a2 == pytest.approx(a1 + 1.0)
-
-    def test_multicast_replicated_at_switch(self):
-        net = SwitchedNetwork(latency=0.0, bandwidth=1e6, per_message_overhead=0.0)
-        arrivals = net.multicast(0, [1, 2], 1_000_000, 0.0)
-        assert arrivals[0] == pytest.approx(1.0)
-        assert arrivals[1] == pytest.approx(1.0)
-
-    def test_reset(self):
-        net = SwitchedNetwork(latency=0.0, bandwidth=1e6, per_message_overhead=0.0)
-        net.send(0, 1, 1_000_000, 0.0)
-        net.reset()
-        assert net.send(2, 1, 1_000_000, 0.0) == pytest.approx(1.0)
-
-    def test_faster_than_ethernet(self):
-        eth = ETHERNET_10MBIT()
-        atm = SwitchedNetwork()
-        assert atm.send(0, 1, 100_000, 0.0) < eth.send(0, 1, 100_000, 0.0)
-
 
 class TestSharedEthernetContention:
     """Regression: injection_done must reflect the *granted* medium slot."""
@@ -179,8 +136,8 @@ class TestSharedEthernetContention:
 
 @pytest.mark.parametrize(
     "factory",
-    [PointToPointNetwork, SharedEthernet, SwitchedNetwork],
-    ids=["p2p", "ethernet", "switched"],
+    [PointToPointNetwork, SharedEthernet],
+    ids=["p2p", "ethernet"],
 )
 class TestNegativeSizeRejected:
     """Regression: multicast must validate nbytes like send does."""

@@ -12,6 +12,7 @@ from oracles_partition import (
     gain_oracle,
     mcr_oracle,
     messages_oracle,
+    move,
     overlap_oracle,
 )
 from repro.errors import PartitionError
@@ -24,7 +25,6 @@ from repro.partition.arrangement import (
     brute_force_arrangement,
     message_count,
     minimize_cost_redistribution,
-    move,
     overlap_elements,
     redistribution_gain,
     transfer_matrix,

@@ -13,20 +13,22 @@ import math
 import numpy as np
 import pytest
 
+from oracles_graph import grid_mesh_3d
 from oracles_partition import (
     inertial_order_oracle,
+    principal_axis,
     principal_axis_oracle,
     rcb_order_oracle,
 )
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import grid_graph, grid_mesh_3d, paper_mesh
+from repro.graph.generators import grid_graph, paper_mesh
 from repro.graph.metrics import edge_cut
 from repro.partition.bisection import (
     bisection_order,
     stable_ranks,
     tiebreak_jitter,
 )
-from repro.partition.inertial import inertial_order, principal_axis
+from repro.partition.inertial import inertial_order
 from repro.partition.rcb import rcb_order
 
 SIZES = (0, 1, 2, 3, 17, 1_000, 30_269)

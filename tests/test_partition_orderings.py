@@ -7,19 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles_partition import hilbert_keys_2d_oracle
+from oracles_partition import hilbert_keys_2d_oracle, principal_axis
 from repro.errors import OrderingError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import grid_graph, paper_mesh, perturbed_grid_mesh
 from repro.graph.metrics import mean_edge_span
-from repro.partition.inertial import InertialOrdering, inertial_order, principal_axis
+from repro.partition.inertial import InertialOrdering, inertial_order
 from repro.partition.ordering import (
     IdentityOrdering,
     RandomOrdering,
     inverse,
     positions_from_order,
 )
-from repro.partition.rcb import RCBOrdering, rcb_labels, rcb_order
+from repro.partition.rcb import RCBOrdering, rcb_order
 from repro.partition.sfc import (
     HilbertOrdering,
     MortonOrdering,
@@ -49,6 +49,8 @@ ALL_METHODS = [
 
 
 @pytest.fixture(scope="module")
+
+
 def mesh_graph():
     return perturbed_grid_mesh(15, 15, seed=8).graph
 
@@ -114,15 +116,6 @@ class TestRCB:
         # First half of the order lies in one half-plane of the wide axis.
         xs = g.coords[order[:8], 0]
         assert xs.max() <= g.coords[order[8:], 0].min() + 1e-9
-
-    def test_rcb_labels_power_of_two(self):
-        g = grid_graph(4, 4)
-        labels = rcb_labels(g, 4)
-        np.testing.assert_array_equal(np.bincount(labels), [4, 4, 4, 4])
-
-    def test_rcb_labels_rejects_zero_parts(self):
-        with pytest.raises(OrderingError):
-            rcb_labels(grid_graph(2, 2), 0)
 
     def test_handles_duplicate_coordinates(self):
         coords = np.zeros((6, 2))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles_runtime import ring_partners
 from repro.errors import (
     ConfigurationError,
     RankFailedError,
@@ -31,7 +32,6 @@ from repro.runtime.resilience import (
     parse_checkpoint_policy,
     recover_redistribute_fields,
     replica_partners,
-    ring_partners,
     take_checkpoint,
 )
 

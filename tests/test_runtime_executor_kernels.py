@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles_kernels import BincountRowSegments
+from oracles_kernels import BincountRowSegments, sequential_kernel_oracle
 from repro.apps.sparse_matvec import (
     SymmetricPatternMatrix,
     run_parallel_spmv,
@@ -37,8 +37,6 @@ from repro.runtime.kernels import (
     RowSegments,
     build_kernel_plan,
     run_sequential,
-    sequential_kernel,
-    sequential_kernel_reference,
 )
 from repro.runtime.program import ProgramConfig, run_program
 from repro.runtime.schedule_builders import build_schedule_sort1
@@ -170,20 +168,20 @@ class TestSequentialKernel:
         g = perturbed_grid_mesh(6, 6, seed=1).graph
         y = np.random.default_rng(0).uniform(size=g.num_vertices)
         np.testing.assert_array_equal(
-            sequential_kernel(g, y), sequential_kernel_reference(g, y)
+            run_sequential(g, y, 1), sequential_kernel_oracle(g, y)
         )
 
     def test_isolated_vertex_keeps_value(self):
         g = CSRGraph.from_edges(3, [(0, 1)])
         y = np.array([1.0, 3.0, 7.0])
-        out = sequential_kernel(g, y)
+        out = run_sequential(g, y, 1)
         assert out[2] == 7.0
         assert out[0] == 3.0 and out[1] == 1.0
 
     def test_constant_fixed_point(self):
         g = grid_graph(5, 5)
         y = np.full(25, 4.2)
-        np.testing.assert_allclose(sequential_kernel(g, y), y)
+        np.testing.assert_allclose(run_sequential(g, y, 1), y)
 
     def test_smooths_toward_mean(self):
         g = grid_graph(10, 10)
@@ -195,7 +193,7 @@ class TestSequentialKernel:
     def test_shape_validation(self):
         g = grid_graph(2, 2)
         with pytest.raises(Exception):
-            sequential_kernel(g, np.zeros(5))
+            run_sequential(g, np.zeros(5), 1)
 
     @given(seed=st.integers(0, 30))
     @settings(max_examples=15, deadline=None)
@@ -207,7 +205,7 @@ class TestSequentialKernel:
         g = CSRGraph.from_edges(n, edges)
         y = rng.uniform(-10, 10, n)
         np.testing.assert_array_equal(
-            sequential_kernel(g, y), sequential_kernel_reference(g, y)
+            run_sequential(g, y, 1), sequential_kernel_oracle(g, y)
         )
 
 
@@ -216,7 +214,7 @@ class TestKernelPlan:
         n = mesh.num_vertices
         part = partition_list(n, [0.5, 0.3, 0.2])
         y = np.random.default_rng(3).uniform(size=n)
-        expected = sequential_kernel(mesh, y)
+        expected = run_sequential(mesh, y, 1)
 
         def fn(ctx):
             insp = run_inspector(mesh, part, ctx.rank, strategy="sort2")
@@ -270,7 +268,7 @@ class TestKernelPlan:
         n = mesh.num_vertices
         part = partition_list(n, np.ones(2))
         y = np.random.default_rng(5).uniform(size=n)
-        expected = sequential_kernel(mesh, y)
+        expected = run_sequential(mesh, y, 1)
 
         def fn(ctx):
             sched = build_schedule_simple(mesh, part, ctx=ctx)
@@ -405,7 +403,7 @@ class TestSummationOrderContract:
         g = self.GRAPHS[graph]()
         y = np.random.default_rng(8).uniform(-50.0, 50.0, g.num_vertices)
         np.testing.assert_array_equal(
-            sequential_kernel(g, y), sequential_kernel_reference(g, y)
+            run_sequential(g, y, 1), sequential_kernel_oracle(g, y)
         )
 
     @pytest.mark.parametrize("split", SPLITS)
@@ -415,7 +413,7 @@ class TestSummationOrderContract:
         n = g.num_vertices
         part = partition_list(n, self.SPLITS[split])
         y = np.random.default_rng(9).uniform(-50.0, 50.0, n)
-        whole = sequential_kernel_reference(g, y)
+        whole = sequential_kernel_oracle(g, y)
         for r in range(part.num_processors):
             sched = build_schedule_sort1(g, part, r)
             plan = build_kernel_plan(g, part, sched)
@@ -484,7 +482,7 @@ class TestSummationOrderContract:
         y = np.random.default_rng(11).uniform(0.0, 100.0, g.num_vertices)
         expected = y
         for _ in range(4):
-            expected = sequential_kernel_reference(g, expected)
+            expected = sequential_kernel_oracle(g, expected)
         np.testing.assert_array_equal(run_sequential(g, y, 4), expected)
 
     def test_parallel_run_equals_run_sequential_on_same_numbering(self):
@@ -512,8 +510,8 @@ class TestColumnLayout:
         y = _special_values(rng, g.num_vertices, share)
         nan_meets_nan = _nan_meets_nan(g.degrees, y[g.indices])
         with np.errstate(invalid="ignore"):
-            got = sequential_kernel(g, y)
-            loop = sequential_kernel_reference(g, y)
+            got = run_sequential(g, y, 1)
+            loop = sequential_kernel_oracle(g, y)
             oracle = BincountRowSegments(g.degrees).means(y[g.indices], y)
         _assert_bitwise_equal(got, loop, nan_meets_nan)
         _assert_bitwise_equal(got, oracle, nan_meets_nan)
@@ -565,7 +563,7 @@ class TestColumnLayout:
         assert segments.tail_rows.size == 9_999
         y = _special_values(np.random.default_rng(12), g.num_vertices, 0.0)
         _assert_bitwise_equal(
-            sequential_kernel(g, y), sequential_kernel_reference(g, y)
+            run_sequential(g, y, 1), sequential_kernel_oracle(g, y)
         )
 
     def test_empty_interval_plan(self):
@@ -642,7 +640,7 @@ class TestKernelPlanEmptyIntervals:
         caps[empty_ranks] = 0.0
         part = partition_list(n, caps / caps.sum())
         y = rng.uniform(0.0, 100.0, size=n)
-        expected = sequential_kernel(graph, y)
+        expected = run_sequential(graph, y, 1)
 
         def fn(ctx):
             insp = run_inspector(graph, part, ctx.rank, strategy="sort2",
@@ -670,7 +668,7 @@ class TestKernelPlanEmptyIntervals:
         n = graph.num_vertices
         part = partition_list(n, [1.0, 0.0, 0.0])
         y = np.arange(n, dtype=np.float64)
-        expected = sequential_kernel(graph, y)
+        expected = run_sequential(graph, y, 1)
 
         def fn(ctx):
             insp = run_inspector(graph, part, ctx.rank, strategy="sort2",

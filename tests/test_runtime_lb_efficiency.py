@@ -12,8 +12,6 @@ from repro.net.spmd import run_spmd
 from repro.partition.intervals import partition_list
 from repro.runtime.adaptive import LoadBalanceConfig, check
 from repro.runtime.efficiency import (
-    adaptive_cluster_efficiency,
-    adaptive_efficiency,
     cluster_efficiency,
     nonuniform_efficiency,
     sequential_times,
@@ -132,18 +130,6 @@ class TestEfficiency:
         with pytest.raises(ConfigurationError):
             nonuniform_efficiency(1.0, [0.0])
 
-    def test_adaptive_efficiency(self):
-        assert adaptive_efficiency([0.5, 0.5]) == pytest.approx(1.0)
-        assert adaptive_efficiency([1.0, 1.0]) == pytest.approx(0.5)
-
-    def test_adaptive_validation(self):
-        with pytest.raises(ConfigurationError):
-            adaptive_efficiency([])
-        with pytest.raises(ConfigurationError):
-            adaptive_efficiency([-0.1])
-        with pytest.raises(ConfigurationError):
-            adaptive_efficiency([0.0, 0.0])
-
     def test_sequential_times_speeds(self):
         cl = heterogeneous_cluster([1.0, 0.5])
         np.testing.assert_allclose(sequential_times(cl, 10.0), [10.0, 20.0])
@@ -159,14 +145,7 @@ class TestEfficiency:
         assert cluster_efficiency(cl, ideal, 10.0) == pytest.approx(1.0)
         assert cluster_efficiency(cl, 2 * ideal, 10.0) == pytest.approx(0.5)
 
-    def test_adaptive_cluster_efficiency(self):
-        cl = uniform_cluster(2).with_load(0, ConstantLoad(1.0))
-        # During T=10: p0 can do 5 units, p1 can do 10; W=15 -> f sums to 1.
-        assert adaptive_cluster_efficiency(cl, 10.0, 15.0) == pytest.approx(1.0)
-
     def test_work_seconds_validation(self):
         cl = uniform_cluster(1)
         with pytest.raises(ConfigurationError):
             sequential_times(cl, 0.0)
-        with pytest.raises(ConfigurationError):
-            adaptive_cluster_efficiency(cl, 1.0, -2.0)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.errors import RankFailedError, RedistributionError
 from repro.net.cluster import uniform_cluster
 from repro.net.message import Tags, pack_arrays
-from repro.net.network import ETHERNET_10MBIT, PointToPointNetwork, SwitchedNetwork
+from repro.net.network import ETHERNET_10MBIT, PointToPointNetwork
 from repro.net.spmd import run_spmd
 from repro.partition.arrangement import (
     message_count,
@@ -143,12 +143,14 @@ class TestEstimateRemapCost:
             net, old, new, 8
         )
 
-    def test_switched_overlaps_transfers(self):
+    def test_links_overlap_transfers(self):
         old = partition_list(100_000, [1, 1, 1, 1])
         new = partition_list(100_000, [4, 3, 2, 1])
         eth_cost = estimate_remap_cost(ETHERNET_10MBIT(), old, new, 8)
-        atm_cost = estimate_remap_cost(SwitchedNetwork(), old, new, 8)
-        assert atm_cost < eth_cost
+        links = PointToPointNetwork(
+            latency=1e-3, bandwidth=1.25e6, per_message_overhead=5e-4
+        )
+        assert estimate_remap_cost(links, old, new, 8) < eth_cost
 
     def test_shared_medium_flag_override(self):
         old = partition_list(50_000, [1, 1, 1])

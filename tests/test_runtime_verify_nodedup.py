@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles_runtime import check_global_consistency
 from repro.errors import ScheduleError
 from repro.graph.generators import perturbed_grid_mesh
 from repro.net.cluster import uniform_cluster
@@ -12,14 +13,13 @@ from repro.net.spmd import run_spmd
 from repro.partition.intervals import partition_list
 from repro.partition.rcb import RCBOrdering
 from repro.runtime.executor import gather
-from repro.runtime.kernels import build_kernel_plan, sequential_kernel
+from repro.runtime.kernels import build_kernel_plan, run_sequential
 from repro.runtime.schedule import CommSchedule
 from repro.runtime.schedule_builders import (
     build_schedule_no_dedup,
     build_schedule_sort1,
     build_schedule_sort2,
 )
-from repro.runtime.verify import check_global_consistency
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +120,7 @@ class TestNoDedupBuilder:
     def test_kernel_still_correct(self, mesh, part):
         """The fat schedule feeds the kernel identical results."""
         y = np.random.default_rng(1).uniform(size=mesh.num_vertices)
-        expected = sequential_kernel(mesh, y)
+        expected = run_sequential(mesh, y, 1)
 
         def fn(ctx):
             sched = build_schedule_no_dedup(mesh, part, ctx.rank)

@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.rng import as_generator, spawn_generators
+from repro.utils.rng import as_generator
 from repro.utils.tables import format_cell, format_table
-from repro.utils.timing import Stopwatch, stopwatch, time_call
 from repro.utils.validation import (
-    check_fraction,
     check_permutation,
     check_positive,
     check_probability_vector,
@@ -35,30 +33,6 @@ class TestRng:
     def test_none_gives_generator(self):
         assert isinstance(as_generator(None), np.random.Generator)
 
-    def test_spawn_count(self):
-        gens = spawn_generators(7, 5)
-        assert len(gens) == 5
-
-    def test_spawn_independent_streams(self):
-        g1, g2 = spawn_generators(7, 2)
-        assert not np.allclose(g1.uniform(size=16), g2.uniform(size=16))
-
-    def test_spawn_reproducible(self):
-        a = [g.uniform() for g in spawn_generators(3, 4)]
-        b = [g.uniform() for g in spawn_generators(3, 4)]
-        assert a == b
-
-    def test_spawn_from_generator(self):
-        gens = spawn_generators(np.random.default_rng(1), 3)
-        assert len(gens) == 3
-
-    def test_spawn_negative_raises(self):
-        with pytest.raises(ValueError):
-            spawn_generators(0, -1)
-
-    def test_spawn_zero_ok(self):
-        assert spawn_generators(0, 0) == []
-
 
 class TestValidation:
     def test_check_positive_accepts(self):
@@ -78,14 +52,6 @@ class TestValidation:
     def test_check_positive_rejects_inf(self):
         with pytest.raises(ValueError):
             check_positive("x", float("inf"))
-
-    def test_check_fraction_bounds(self):
-        assert check_fraction("f", 0.0) == 0.0
-        assert check_fraction("f", 1.0) == 1.0
-        with pytest.raises(ValueError):
-            check_fraction("f", 1.0001)
-        with pytest.raises(ValueError):
-            check_fraction("f", -0.1)
 
     def test_check_permutation_valid(self):
         out = check_permutation([2, 0, 1])
@@ -164,40 +130,3 @@ class TestTables:
         out = format_table(["col"], [["longvalue"]])
         header, sep, row = out.splitlines()
         assert len(header) == len(row)
-
-
-class TestTiming:
-    def test_stopwatch_accumulates(self):
-        sw = Stopwatch()
-        with sw:
-            pass
-        with sw:
-            pass
-        assert sw.count == 2
-        assert sw.total >= 0.0
-        assert sw.mean == sw.total / 2
-
-    def test_stopwatch_reset(self):
-        sw = Stopwatch()
-        with sw:
-            pass
-        sw.reset()
-        assert sw.count == 0 and sw.total == 0.0
-
-    def test_stopwatch_mean_empty(self):
-        assert Stopwatch().mean == 0.0
-
-    def test_stopwatch_contextmanager(self):
-        with stopwatch() as sw:
-            x = sum(range(100))
-        assert sw.total > 0.0
-        assert x == 4950
-
-    def test_time_call(self):
-        elapsed, result = time_call(lambda: 7, repeats=3)
-        assert result == 7
-        assert elapsed >= 0.0
-
-    def test_time_call_rejects_zero_repeats(self):
-        with pytest.raises(ValueError):
-            time_call(lambda: 1, repeats=0)
