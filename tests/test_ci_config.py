@@ -105,3 +105,45 @@ def test_checker_catches_repro_commands_the_cli_rejects(tmp_path):
     assert "unrecognized arguments: --switched-network" in problems[0]
     assert "invalid choice: 'smooth'" in problems[1]
     assert check_ci.main([str(tmp_path)]) == 1
+
+
+class TestReproCommands:
+    """How a ``run:`` script is cut into ``repro`` argument lists."""
+
+    def test_continuations_join_and_keep_the_first_line(self):
+        script = "echo start\npython -m repro run \\\n  --vertices 9 \\\n  --verify\n"
+        assert check_ci.repro_commands(10, script) == [
+            (11, ["run", "--vertices", "9", "--verify"])
+        ]
+
+    def test_shell_operators_end_the_argument_list(self):
+        script = "python -m repro info --json | head && echo done"
+        assert check_ci.repro_commands(1, script) == [(1, ["info", "--json"])]
+
+    def test_comments_are_dropped(self):
+        script = "python3 -m repro bench list  # show the catalog"
+        assert check_ci.repro_commands(4, script) == [(4, ["bench", "list"])]
+
+    def test_other_programs_are_ignored(self):
+        script = "python -m pytest -q\npython tools/check_links.py\nrepro run"
+        assert check_ci.repro_commands(1, script) == []
+
+    def test_one_entry_per_command(self):
+        script = "python -m repro info\npython3.11 -m repro run --verify"
+        assert [line for line, _ in check_ci.repro_commands(3, script)] == [3, 4]
+
+
+class TestCliError:
+    def test_accepted_command(self):
+        assert check_ci.cli_error(["run", "--vertices", "500"]) is None
+
+    def test_help_is_not_an_error(self):
+        assert check_ci.cli_error(["run", "--help"]) is None
+
+    def test_unknown_flag(self):
+        error = check_ci.cli_error(["run", "--no-such-flag"])
+        assert "unrecognized arguments: --no-such-flag" in error
+
+    def test_bad_flag_value(self):
+        error = check_ci.cli_error(["run", "--vertices", "many"])
+        assert "invalid int value" in error

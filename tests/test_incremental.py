@@ -26,6 +26,7 @@ from repro.partition.intervals import IntervalPartition
 from repro.runtime.adaptive import LoadBalanceConfig
 from repro.runtime.incremental import (
     IncrementalInspector,
+    check_inspector_mode,
     diff_interval,
     inspector_results_equal,
 )
@@ -70,6 +71,24 @@ def partition_pairs(draw):
     new = IntervalPartition(bounds(), owners)
     rank = draw(st.integers(0, p - 1))
     return old, new, rank
+
+
+class TestCheckInspectorMode:
+    @pytest.mark.parametrize("strategy", ["simple", "sort1", "sort2"])
+    def test_full_accepts_every_strategy(self, strategy):
+        check_inspector_mode("full", strategy)
+
+    @pytest.mark.parametrize("strategy", IncrementalInspector.PATCHABLE)
+    def test_incremental_accepts_sorted_strategies(self, strategy):
+        check_inspector_mode("incremental", strategy)
+
+    def test_incremental_rejects_request_ordered_buffers(self):
+        with pytest.raises(ScheduleError, match="cannot be patched"):
+            check_inspector_mode("incremental", "simple")
+
+    def test_unknown_mode(self):
+        with pytest.raises(ScheduleError, match="inspector_mode must be"):
+            check_inspector_mode("lazy", "sort2")
 
 
 class TestDiffInterval:

@@ -49,8 +49,6 @@ ALL_METHODS = [
 
 
 @pytest.fixture(scope="module")
-
-
 def mesh_graph():
     return perturbed_grid_mesh(15, 15, seed=8).graph
 

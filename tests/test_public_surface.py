@@ -188,3 +188,66 @@ def test_every_all_entry_resolves():
         if not hasattr(importlib.import_module(name), entry)
     ]
     assert not stale, f"__all__ entries naming no attribute: {stale}"
+
+
+# -- the walk's own rules, on synthetic sources ------------------------------
+
+
+def _loads_of(tmp_path, source: str) -> set[str]:
+    path = tmp_path / "mod.py"
+    path.write_text(source)
+    return _loads(path)
+
+
+def test_a_call_and_an_attribute_are_references(tmp_path):
+    loads = _loads_of(tmp_path, "import m\nm.helper()\nvalue = other(1)\n")
+    assert {"helper", "other"} <= loads
+
+
+def test_a_load_inside_its_own_definition_is_not_a_reference(tmp_path):
+    source = "def walk(n):\n    return walk(n - 1) if n else 0\n"
+    assert "walk" not in _loads_of(tmp_path, source)
+    assert "walk" in _loads_of(tmp_path, source + "walk(3)\n")
+
+
+def test_all_strings_and_import_aliases_are_not_references(tmp_path):
+    source = (
+        "from repro.graph import helper as alias\n"
+        "import repro.dead\n"
+        "__all__ = ['helper', 'dead']\n"
+    )
+    loads = _loads_of(tmp_path, source)
+    assert not {"helper", "alias", "dead"} & loads
+
+
+def test_stores_are_not_references(tmp_path):
+    loads = _loads_of(tmp_path, "obj.field = 1\nname = 2\n")
+    assert not {"field", "name"} & loads
+
+
+def test_top_level_names_cover_defs_classes_and_assignments():
+    tree = ast.parse(
+        "def f(): pass\n"
+        "async def g(): pass\n"
+        "class C: pass\n"
+        "X = 1\n"
+        "Y: int = 2\n"
+        "a, b = 3, 4\n"
+        "if True:\n    Z = 5\n"
+    )
+    assert [name for name, _ in _top_level_names(tree)] == ["f", "g", "C", "X", "Y"]
+
+
+def test_long_flags_walk_every_subcommand():
+    parser = argparse.ArgumentParser(prog="p")
+    parser.add_argument("--top")
+    sub = parser.add_subparsers()
+    child = sub.add_parser("go")
+    child.add_argument("-q", "--quick", action="store_true")
+    grandchild = child.add_subparsers().add_parser("deep")
+    grandchild.add_argument("--depth")
+    assert sorted(_long_flags(parser)) == [
+        ("--depth", "repro go deep"),
+        ("--quick", "repro go"),
+        ("--top", "repro"),
+    ]

@@ -32,6 +32,8 @@ from repro.runtime.resilience import (
     parse_checkpoint_policy,
     recover_redistribute_fields,
     replica_partners,
+    require_checkpoint,
+    resolve_checkpoint_policy,
     take_checkpoint,
 )
 
@@ -147,6 +149,35 @@ class TestCheckpointDSLValidation:
 
 # ----------------------------------------------------------------------
 # policies
+
+
+class TestResolveAndRequire:
+    def test_none_resolves_to_none(self):
+        assert resolve_checkpoint_policy(None) is None
+
+    def test_instance_passes_through(self):
+        policy = IntervalCheckpoint(3)
+        assert resolve_checkpoint_policy(policy) is policy
+
+    def test_string_is_parsed(self):
+        assert resolve_checkpoint_policy("cost:50") == parse_checkpoint_policy(
+            "cost:50"
+        )
+
+    def test_other_types_rejected(self):
+        with pytest.raises(ResilienceError, match="cannot resolve"):
+            resolve_checkpoint_policy(4)
+
+    def test_failure_without_policy_is_refused(self):
+        trace = MembershipTrace(3, [MembershipEvent(1.0, "fail", 1)])
+        with pytest.raises(ResilienceError, match="checkpoint policy"):
+            require_checkpoint(trace, None)
+        require_checkpoint(trace, IntervalCheckpoint(2))
+
+    def test_announced_changes_need_no_policy(self):
+        trace = MembershipTrace(3, [MembershipEvent(1.0, "leave", 1)])
+        require_checkpoint(trace, None)
+        require_checkpoint(None, None)
 
 
 class TestPolicies:

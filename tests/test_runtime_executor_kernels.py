@@ -37,6 +37,7 @@ from repro.runtime.kernels import (
     RowSegments,
     build_kernel_plan,
     run_sequential,
+    sorted_ghost_slots,
 )
 from repro.runtime.program import ProgramConfig, run_program
 from repro.runtime.schedule_builders import build_schedule_sort1
@@ -614,6 +615,27 @@ class TestColumnLayout:
         )
         seq = spmv_sequential(mat, spmv_sequential(mat, x0))
         np.testing.assert_array_equal(par, seq)
+
+
+class TestSortedGhostSlots:
+    def test_slots_follow_the_local_block(self):
+        ghost = np.array([3, 8, 21], dtype=np.intp)
+        slots = sorted_ghost_slots(ghost, np.array([21, 3, 21, 8]), 10)
+        np.testing.assert_array_equal(slots, [12, 10, 12, 11])
+
+    def test_missing_reference_gives_none(self):
+        ghost = np.array([3, 8, 21], dtype=np.intp)
+        assert sorted_ghost_slots(ghost, np.array([3, 9]), 10) is None
+        assert sorted_ghost_slots(ghost, np.array([40]), 10) is None
+
+    def test_unsorted_buffer_gives_none(self):
+        ghost = np.array([21, 3, 8], dtype=np.intp)
+        assert sorted_ghost_slots(ghost, np.array([3, 8, 21]), 10) is None
+
+    def test_empty_inputs(self):
+        empty = np.empty(0, dtype=np.intp)
+        assert sorted_ghost_slots(empty, empty, 4).size == 0
+        assert sorted_ghost_slots(empty, np.array([1]), 4) is None
 
 
 class TestKernelPlanEmptyIntervals:

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import RankFailedError, RedistributionError
+from repro.errors import RankFailedError, RedistributionError, ResilienceError
 from repro.net.cluster import uniform_cluster
-from repro.net.message import Tags, pack_arrays
+from repro.net.message import Tags, pack_arrays, unpack_arrays
 from repro.net.network import ETHERNET_10MBIT, PointToPointNetwork
 from repro.net.spmd import run_spmd
 from repro.partition.arrangement import (
+    Transfer,
     message_count,
     minimize_cost_redistribution,
     transfer_matrix,
@@ -23,6 +24,12 @@ from repro.runtime.adaptive import (
     redistribute,
     redistribute_fields,
     transfer_plan_summary,
+)
+from repro.runtime.adaptive.redistribution import (
+    extract_slabs,
+    pack_slabs,
+    place_slabs,
+    verify_slabs,
 )
 from repro.runtime.backend import BACKENDS
 
@@ -343,3 +350,136 @@ class TestTransferPlanSummary:
         assert summary["transfers"] == []
         assert summary["packed_messages"] == 0
         assert summary["moved_elements"] == 0
+
+
+class TestSlabHelpers:
+    """The packed slab wire format the remap, recovery and checkpoint
+    exchanges share, exercised without a cluster."""
+
+    N = 30
+    OLD = partition_list(N, [1.0, 1.0, 1.0])
+    NEW = partition_list(N, [1.5, 1.0, 0.5])  # keeps most, moves two slabs
+
+    def _fields(self):
+        base = np.arange(self.N, dtype=np.float64)
+        return [base * 2.0, np.stack([base, -base], axis=1).astype(np.int64)]
+
+    def _group(self, source, dest):
+        return [
+            tr for tr in transfer_matrix(self.OLD, self.NEW)
+            if tr.source == source and tr.dest == dest
+        ]
+
+    def _first_group(self):
+        return next(
+            (tr.source, tr.dest, self._group(tr.source, tr.dest))
+            for tr in transfer_matrix(self.OLD, self.NEW)
+        )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_extract_concatenates_slabs(self, backend):
+        source, _, slabs = self._first_group()
+        lo, hi = self.OLD.interval(source)
+        fields = self._fields()
+        out = extract_slabs([f[lo:hi] for f in fields], slabs, lo, backend)
+        for got, f in zip(out, fields):
+            want = np.concatenate([f[tr.lo : tr.hi] for tr in slabs])
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_multi_slab_group_round_trips(self, backend):
+        # A dead owner's replica ships several disjoint slabs in one message.
+        slabs = [Transfer(0, 1, 2, 4), Transfer(0, 1, 6, 9)]
+        block = np.arange(10, dtype=np.float64) + 0.5
+        parts = unpack_arrays(pack_slabs([block], slabs, 0, backend))
+        np.testing.assert_array_equal(parts[0], [2, 3, 6, 7, 8])
+        np.testing.assert_array_equal(parts[1], block[[2, 3, 6, 7, 8]])
+        out = np.zeros(8)
+        verify_slabs(1, "rank 0", parts, slabs, 1, [out])
+        place_slabs([out], slabs, parts[1:], 2, backend)
+        np.testing.assert_array_equal(out, [2.5, 3.5, 0, 0, 6.5, 7.5, 8.5, 0])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_pack_carries_identity_first(self, backend):
+        source, _, slabs = self._first_group()
+        lo, hi = self.OLD.interval(source)
+        fields = self._fields()
+        parts = unpack_arrays(
+            pack_slabs([f[lo:hi] for f in fields], slabs, lo, backend)
+        )
+        assert len(parts) == 1 + len(fields)
+        np.testing.assert_array_equal(
+            parts[0],
+            np.concatenate([np.arange(tr.lo, tr.hi) for tr in slabs]),
+        )
+
+    def test_backends_pack_identical_bytes(self):
+        source, _, slabs = self._first_group()
+        lo, hi = self.OLD.interval(source)
+        blocks = [f[lo:hi] for f in self._fields()]
+        a = pack_slabs(blocks, slabs, lo, "reference")
+        b = pack_slabs(blocks, slabs, lo, "vectorized")
+        assert a.index == b.index
+        np.testing.assert_array_equal(a.buffer, b.buffer)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_round_trip_rebuilds_new_blocks(self, backend):
+        fields = self._fields()
+        old_owner, _ = self.OLD.dereference(np.arange(self.N))
+        outs = {}
+        for r in range(3):  # elements that stay put are already in place
+            lo, hi = self.NEW.interval(r)
+            stays = old_owner[lo:hi] == r
+            outs[r] = [np.where(
+                stays.reshape((-1,) + (1,) * (f.ndim - 1)), f[lo:hi], 0
+            ).astype(f.dtype) for f in fields]
+        pairs = {(tr.source, tr.dest) for tr in transfer_matrix(self.OLD, self.NEW)}
+        for source, dest in sorted(pairs):
+            slabs = self._group(source, dest)
+            lo, hi = self.OLD.interval(source)
+            packed = pack_slabs([f[lo:hi] for f in fields], slabs, lo, backend)
+            parts = unpack_arrays(packed)
+            verify_slabs(dest, f"rank {source}", parts, slabs, len(fields),
+                         outs[dest])
+            place_slabs(outs[dest], slabs, parts[1:],
+                        self.NEW.interval(dest)[0], backend)
+        for r in range(3):
+            lo, hi = self.NEW.interval(r)
+            for out, f in zip(outs[r], fields):
+                np.testing.assert_array_equal(out, f[lo:hi])
+
+    def _verify(self, parts, slabs, outs):
+        verify_slabs(1, "rank 0", parts, slabs, len(outs), outs)
+
+    def test_verify_rejects_wrong_segment_count(self):
+        _, _, slabs = self._first_group()
+        outs = [np.zeros(5)]
+        with pytest.raises(RedistributionError, match="segments"):
+            self._verify([np.arange(3)], slabs, outs)
+
+    def test_verify_rejects_foreign_identities(self):
+        _, _, slabs = self._first_group()
+        count = sum(tr.count for tr in slabs)
+        parts = [np.arange(count, dtype=np.intp) + 1000, np.zeros(count)]
+        with pytest.raises(RedistributionError, match="identities"):
+            self._verify(parts, slabs, [np.zeros(count)])
+
+    def test_verify_rejects_wrong_dtype(self):
+        _, _, slabs = self._first_group()
+        identity = np.concatenate([np.arange(tr.lo, tr.hi) for tr in slabs])
+        parts = [identity, np.zeros(identity.size, dtype=np.float32)]
+        with pytest.raises(RedistributionError, match="does not match"):
+            self._verify(parts, slabs, [np.zeros(identity.size)])
+
+    def test_verify_rejects_short_field(self):
+        _, _, slabs = self._first_group()
+        identity = np.concatenate([np.arange(tr.lo, tr.hi) for tr in slabs])
+        parts = [identity, np.zeros(identity.size - 1)]
+        with pytest.raises(RedistributionError, match="does not match"):
+            self._verify(parts, slabs, [np.zeros(identity.size)])
+
+    def test_verify_raises_the_given_error_class(self):
+        _, _, slabs = self._first_group()
+        with pytest.raises(ResilienceError, match="segments"):
+            verify_slabs(1, "rank 0", [], slabs, 1, [np.zeros(1)],
+                         error_cls=ResilienceError)
