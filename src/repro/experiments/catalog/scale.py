@@ -135,6 +135,26 @@ def _exp_scale_epoch(params: Mapping[str, Any], *, seed: int) -> dict[str, float
     )
 
 
+#: Mean-degree band of each scale family: a grid is 4 less its boundary,
+#: a geometric graph targets ~6.
+_DEGREE_BANDS = {"grid": (3.95, 4.0), "geometric": (5.8, 6.3)}
+
+
+def _expect_scale_generate(runs):
+    from repro.graph.generators import SCALE_TIERS
+
+    for run in runs:
+        params, metrics = run["params"], run["metrics"]
+        where = config_label(params)
+        target = SCALE_TIERS[params["tier"]]
+        n, degree = metrics["n_vertices"], metrics["mean_degree"]
+        lo, hi = _DEGREE_BANDS[params["family"]]
+        if abs(n - target) > 0.02 * target:
+            yield f"n_vertices {n:.0f} is not within 2% of {target} at {where}"
+        if not lo <= degree <= hi:
+            yield f"mean_degree {degree:.4g} is outside [{lo}, {hi}] at {where}"
+
+
 @experiment(
     "scale-generate",
     title="Scale tier: streamed mesh construction throughput",
@@ -149,6 +169,7 @@ def _exp_scale_epoch(params: Mapping[str, Any], *, seed: int) -> dict[str, float
         "family": ("grid", "geometric"),
         "workload_seed": (1995,),
     },
+    expect=_expect_scale_generate,
 )
 def _exp_scale_generate(
     params: Mapping[str, Any], *, seed: int

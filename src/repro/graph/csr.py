@@ -75,14 +75,12 @@ class CSRGraph:
 
     def _check_symmetric(self) -> None:
         n = self.num_vertices
-        if self.indices.size == 0:
-            return
         src = np.repeat(np.arange(n, dtype=np.intp), np.diff(self.indptr))
         if np.any(src == self.indices):
             raise GraphError("graph has self-loops")
-        fwd = src * n + self.indices
         rev = self.indices * n + src
-        if not np.array_equal(np.sort(fwd), np.sort(rev)):
+        rev.sort()
+        if not np.array_equal(_sorted(src * n + self.indices), rev):
             raise GraphError("adjacency is not symmetric")
 
     # ------------------------------------------------------------------ #
@@ -124,9 +122,8 @@ class CSRGraph:
         n = self.num_vertices
         src = np.repeat(np.arange(n, dtype=np.intp), np.diff(self.indptr))
         mask = src < self.indices
-        edges = np.stack([src[mask], self.indices[mask]], axis=1)
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        return edges[order]
+        keys = _sorted(src[mask] * n + self.indices[mask])
+        return np.stack(np.divmod(keys, n), axis=1)
 
     def iter_edges(self) -> Iterator[tuple[int, int]]:
         for u, v in self.edge_array():
@@ -146,30 +143,18 @@ class CSRGraph:
     ) -> "CSRGraph":
         """Build a symmetric CSR graph from an undirected edge list.
 
-        Duplicate edges and self-loops are dropped.
+        Duplicate edges and self-loops are dropped; both orientations of
+        every edge become one key each (:func:`_from_keys`).
         """
         if n < 0:
             raise GraphError(f"vertex count must be >= 0, got {n}")
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
-        if arr.size == 0:
-            arr = np.empty((0, 2), dtype=np.intp)
+        arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         arr = arr.reshape(-1, 2).astype(np.intp)
         if arr.size and (arr.min() < 0 or arr.max() >= n):
             raise GraphError("edge endpoints out of range")
-        arr = arr[arr[:, 0] != arr[:, 1]]  # drop self-loops
-        lo = np.minimum(arr[:, 0], arr[:, 1])
-        hi = np.maximum(arr[:, 0], arr[:, 1])
-        if lo.size:
-            key = lo * np.intp(n) + hi
-            _, unique_idx = np.unique(key, return_index=True)
-            lo, hi = lo[unique_idx], hi[unique_idx]
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return CSRGraph(indptr, dst, coords=coords, vertex_weights=vertex_weights)
+        u, v = arr[arr[:, 0] != arr[:, 1]].T  # drop self-loops
+        keys = np.concatenate([u * n + v, v * n + u])
+        return _from_keys(n, keys, coords, vertex_weights)
 
     def permute(self, perm: Sequence[int] | np.ndarray) -> "CSRGraph":
         """Relabel vertices: new label of old vertex ``v`` is ``perm[v]``.
@@ -191,24 +176,51 @@ class CSRGraph:
         keys -= np.repeat(np.arange(n, dtype=np.intp) * n, degrees)
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(degrees, out=indptr[1:])
-        coords = None if self.coords is None else self.coords[inv]
-        weights = (
-            None if self.vertex_weights is None else self.vertex_weights[inv]
+        coords, weights = (
+            None if a is None else a[inv] for a in (self.coords, self.vertex_weights)
         )
         # A relabelled valid graph is valid: skip __post_init__, whose
-        # symmetry check is two more sorts of all 2m entries.
+        # symmetry check is one more sort of all 2m entries.
         out = object.__new__(CSRGraph)
-        for name, value in (
-            ("indptr", indptr),
-            ("indices", keys),
-            ("coords", coords),
-            ("vertex_weights", weights),
-        ):
-            object.__setattr__(out, name, value)
+        out.__dict__.update(
+            indptr=indptr, indices=keys, coords=coords, vertex_weights=weights
+        )
         return out
+
+    def subgraph(self, keep: np.ndarray) -> "CSRGraph":
+        """The subgraph induced by the vertices where *keep* is true,
+        relabelled in order (so sorted rows stay sorted), with their
+        coords and weights."""
+        keep = np.asarray(keep, dtype=bool)
+        n, new_id = int(keep.sum()), np.cumsum(keep) - 1
+        entry = np.repeat(keep, self.degrees) & keep[self.indices]
+        keys = np.repeat(new_id * n, self.degrees)[entry]
+        keys += new_id[self.indices[entry]]
+        coords, weights = (
+            None if a is None else a[keep] for a in (self.coords, self.vertex_weights)
+        )
+        return _from_keys(n, keys, coords, weights)
 
     def __repr__(self) -> str:
         return (
             f"CSRGraph(n={self.num_vertices}, m={self.num_edges}, "
             f"dim={self.dim})"
         )
+
+
+def _sorted(keys: np.ndarray) -> np.ndarray:
+    """*keys* in ascending order, sorted in place only if an O(m) test
+    finds them out of order (rows built here are in order already)."""
+    if np.any(keys[1:] < keys[:-1]):
+        keys.sort()
+    return keys
+
+
+def _from_keys(n: int, keys: np.ndarray, coords, vertex_weights) -> CSRGraph:
+    """The one construction of a CSR: from its directed entries as scalar
+    keys ``src * n + dst`` (>= 0), sorted and deduplicated here."""
+    keys = _sorted(keys)
+    src, dst = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return CSRGraph(indptr, dst, coords=coords, vertex_weights=vertex_weights)

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
@@ -45,17 +45,10 @@ PAPER_MESH_EDGES = 44_929
 def grid_graph(nx: int, ny: int) -> CSRGraph:
     """A structured nx-by-ny grid graph with unit spacing coordinates.
 
-    The regular baseline: every interior vertex has degree 4.
+    The regular baseline: every interior vertex has degree 4.  Row-major
+    vertex numbering; built by :func:`streamed_grid_graph`.
     """
-    if nx < 1 or ny < 1:
-        raise GraphError(f"grid dimensions must be >= 1, got {nx}x{ny}")
-    idx = np.arange(nx * ny).reshape(ny, nx)
-    horiz = np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1)
-    vert = np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1)
-    edges = np.concatenate([horiz, vert], axis=0)
-    xs, ys = np.meshgrid(np.arange(nx, dtype=float), np.arange(ny, dtype=float))
-    coords = np.stack([xs.ravel(), ys.ravel()], axis=1)
-    return CSRGraph.from_edges(nx * ny, edges, coords=coords)
+    return streamed_grid_graph(nx, ny)
 
 
 def delaunay_mesh(points: np.ndarray) -> Mesh:
@@ -166,8 +159,6 @@ def random_geometric_graph(
             radius = math.sqrt(target_degree / (math.pi * n))
         else:
             radius = (target_degree * 3.0 / (4.0 * math.pi * n)) ** (1.0 / 3.0)
-    from scipy.spatial import cKDTree
-
     tree = cKDTree(pts)
     pairs = tree.query_pairs(radius, output_type="ndarray")
     graph = CSRGraph.from_edges(n, pairs, coords=pts)
@@ -239,18 +230,15 @@ SCALE_TIERS = {
 SCALE_FAMILIES = ("grid", "geometric")
 
 
-def streamed_grid_graph(
-    nx: int, ny: int, *, block_rows: int = 256, with_coords: bool = True
-) -> CSRGraph:
+def streamed_grid_graph(nx: int, ny: int, *, block_rows: int = 256) -> CSRGraph:
     """A structured grid built straight into CSR form, block by block.
 
-    Identical to :func:`grid_graph` (same adjacency, same sorted neighbor
-    order, same coordinates) but never materializes the global edge list:
-    ``indptr`` comes from a closed-form degree formula and ``indices`` is
-    filled in row blocks of bounded size, so peak construction memory is
-    the output CSR plus O(``block_rows`` * nx) scratch.  This is what lets
-    the scale tier construct multi-million-vertex meshes without the 4x
-    edge-array blowup of the edge-list path.
+    Never materializes the global edge list: ``indptr`` comes from a
+    closed-form degree formula and ``indices`` is filled in row blocks of
+    bounded size (O(``block_rows`` * nx) scratch), in the sorted neighbor
+    order :meth:`CSRGraph.from_edges` would give.  What remains of peak
+    construction memory is the constructor's symmetry check, a few
+    per-entry temporaries: about 4x the output CSR at 1M vertices.
     """
     if nx < 1 or ny < 1:
         raise GraphError(f"grid dimensions must be >= 1, got {nx}x{ny}")
@@ -285,12 +273,8 @@ def streamed_grid_graph(
             axis=2,
         )
         indices[indptr[r0 * nx] : indptr[r1 * nx]] = cand[valid]
-    coords = None
-    if with_coords:
-        xs, ys = np.meshgrid(
-            np.arange(nx, dtype=float), np.arange(ny, dtype=float)
-        )
-        coords = np.stack([xs.ravel(), ys.ravel()], axis=1)
+    xs, ys = np.meshgrid(np.arange(nx, dtype=float), np.arange(ny, dtype=float))
+    coords = np.stack([xs.ravel(), ys.ravel()], axis=1)
     return CSRGraph(indptr, indices, coords=coords)
 
 
@@ -361,15 +345,8 @@ def paper_mesh(
     if graph.num_vertices > n_vertices:
         # Trim to exactly n_vertices by dropping the last grid points, then
         # keep the largest component.
-        keep = np.zeros(graph.num_vertices, dtype=bool)
-        keep[:n_vertices] = True
-        edges = graph.edge_array()
-        mask = keep[edges[:, 0]] & keep[edges[:, 1]]
-        graph = largest_component(
-            CSRGraph.from_edges(
-                n_vertices, edges[mask], coords=graph.coords[:n_vertices]
-            )
-        )
+        keep = np.arange(graph.num_vertices) < n_vertices
+        graph = largest_component(graph.subgraph(keep))
     n_edges = min(n_edges, graph.num_edges)
     n_edges = max(n_edges, graph.num_vertices - 1)
     return thin_to_edge_count(graph, n_edges, seed=seed)

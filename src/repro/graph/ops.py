@@ -45,16 +45,4 @@ def largest_component(graph: CSRGraph) -> CSRGraph:
     n_comp, labels = connected_components(graph)
     if n_comp <= 1:
         return graph
-    counts = np.bincount(labels)
-    keep = labels == counts.argmax()
-    new_id = np.cumsum(keep) - 1
-    edges = graph.edge_array()
-    mask = keep[edges[:, 0]] & keep[edges[:, 1]]
-    remapped = new_id[edges[mask]]
-    coords = None if graph.coords is None else graph.coords[keep]
-    weights = (
-        None if graph.vertex_weights is None else graph.vertex_weights[keep]
-    )
-    return CSRGraph.from_edges(
-        int(keep.sum()), remapped, coords=coords, vertex_weights=weights
-    )
+    return graph.subgraph(labels == np.bincount(labels).argmax())

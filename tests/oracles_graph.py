@@ -1,4 +1,4 @@
-"""Reference implementation of the mesh-thinning step, and a 3-D mesh builder.
+"""Reference implementations of graph-construction steps, and a 3-D mesh builder.
 
 ``thin_to_edge_count_oracle`` is the body ``repro.graph.generators``
 shipped before the spanning-tree membership test became one ``np.isin``
@@ -6,6 +6,18 @@ over scalar edge keys: a Python ``set`` of tree pairs probed once per
 edge.  It stays here as the differential oracle — the generator must
 keep exactly the same edges (``indptr``, ``indices`` and ``coords``
 ``array_equal``).  One Python step per edge — seconds at 250k vertices.
+
+``grid_graph_oracle`` is ``grid_graph`` before it became
+``streamed_grid_graph``: the grid's edge list through ``from_edges``.
+
+``from_edges_oracle``, ``edge_array_oracle``, ``check_symmetric_oracle``,
+``induced_subgraph_oracle`` and ``largest_component_oracle`` are the
+bodies ``repro.graph`` shipped before every CSR was built from sorted
+scalar keys ``src * n + dst``: a ``np.unique`` over undirected keys plus
+a two-key ``np.lexsort`` per construction, two full sorts per symmetry
+check, and induced subgraphs rebuilt through an edge list.  The
+shipped code must build ``array_equal`` graphs (all four fields) and
+reject exactly the graphs these reject.
 
 ``grid_mesh_3d`` is the tetrahedral test mesh for the paper's
 "two- or three-dimensional coordinates": no shipped generator is 3-D, so
@@ -17,11 +29,22 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 from repro.graph.mesh import Mesh
+from repro.graph.ops import connected_components
 from repro.utils.rng import SeedLike, as_generator
 
-__all__ = ["thin_to_edge_count_oracle", "grid_mesh_3d"]
+__all__ = [
+    "thin_to_edge_count_oracle",
+    "grid_graph_oracle",
+    "from_edges_oracle",
+    "edge_array_oracle",
+    "check_symmetric_oracle",
+    "induced_subgraph_oracle",
+    "largest_component_oracle",
+    "grid_mesh_3d",
+]
 
 
 def thin_to_edge_count_oracle(
@@ -63,6 +86,91 @@ def thin_to_edge_count_oracle(
     return CSRGraph.from_edges(
         n, edges[keep], coords=graph.coords, vertex_weights=graph.vertex_weights
     )
+
+
+def grid_graph_oracle(nx: int, ny: int) -> CSRGraph:
+    idx = np.arange(nx * ny).reshape(ny, nx)
+    horiz = np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1)
+    vert = np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1)
+    edges = np.concatenate([horiz, vert], axis=0)
+    xs, ys = np.meshgrid(np.arange(nx, dtype=float), np.arange(ny, dtype=float))
+    coords = np.stack([xs.ravel(), ys.ravel()], axis=1)
+    return from_edges_oracle(nx * ny, edges, coords=coords)
+
+
+def from_edges_oracle(
+    n: int,
+    edges,
+    *,
+    coords: np.ndarray | None = None,
+    vertex_weights: np.ndarray | None = None,
+) -> CSRGraph:
+    if n < 0:
+        raise GraphError(f"vertex count must be >= 0, got {n}")
+    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
+    if arr.size == 0:
+        arr = np.empty((0, 2), dtype=np.intp)
+    arr = arr.reshape(-1, 2).astype(np.intp)
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        raise GraphError("edge endpoints out of range")
+    arr = arr[arr[:, 0] != arr[:, 1]]  # drop self-loops
+    lo = np.minimum(arr[:, 0], arr[:, 1])
+    hi = np.maximum(arr[:, 0], arr[:, 1])
+    if lo.size:
+        key = lo * np.intp(n) + hi
+        _, unique_idx = np.unique(key, return_index=True)
+        lo, hi = lo[unique_idx], hi[unique_idx]
+    src = np.concatenate([lo, hi])
+    dst = np.concatenate([hi, lo])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return CSRGraph(indptr, dst, coords=coords, vertex_weights=vertex_weights)
+
+
+def edge_array_oracle(graph: CSRGraph) -> np.ndarray:
+    n = graph.num_vertices
+    src = np.repeat(np.arange(n, dtype=np.intp), np.diff(graph.indptr))
+    mask = src < graph.indices
+    edges = np.stack([src[mask], graph.indices[mask]], axis=1)
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    return edges[order]
+
+
+def check_symmetric_oracle(indptr: np.ndarray, indices: np.ndarray) -> None:
+    n = indptr.size - 1
+    if indices.size == 0:
+        return
+    src = np.repeat(np.arange(n, dtype=np.intp), np.diff(indptr))
+    if np.any(src == indices):
+        raise GraphError("graph has self-loops")
+    fwd = src * n + indices
+    rev = indices * n + src
+    if not np.array_equal(np.sort(fwd), np.sort(rev)):
+        raise GraphError("adjacency is not symmetric")
+
+
+def induced_subgraph_oracle(graph: CSRGraph, keep: np.ndarray) -> CSRGraph:
+    new_id = np.cumsum(keep) - 1
+    edges = edge_array_oracle(graph)
+    mask = keep[edges[:, 0]] & keep[edges[:, 1]]
+    remapped = new_id[edges[mask]]
+    coords = None if graph.coords is None else graph.coords[keep]
+    weights = (
+        None if graph.vertex_weights is None else graph.vertex_weights[keep]
+    )
+    return from_edges_oracle(
+        int(keep.sum()), remapped, coords=coords, vertex_weights=weights
+    )
+
+
+def largest_component_oracle(graph: CSRGraph) -> CSRGraph:
+    n_comp, labels = connected_components(graph)
+    if n_comp <= 1:
+        return graph
+    counts = np.bincount(labels)
+    return induced_subgraph_oracle(graph, labels == counts.argmax())
 
 
 def grid_mesh_3d(nx: int, ny: int, nz: int, *, jitter: float = 0.0,

@@ -107,6 +107,36 @@ def test_stale_documents_of_another_run_need_a_selector(out_dir, tmp_path, capsy
     assert sorted(record["workloads"]) == ["adaptive-sfc", "static-rcb"]
 
 
+def test_paired_with_names_a_recorded_parent(out_dir, tmp_path, capsys):
+    trajectory = tmp_path / "BENCH_trajectory.json"
+    assert _record(out_dir, trajectory) == 0
+    change = ["--out-dir", str(out_dir), "--trajectory", str(trajectory),
+              "--commit", "def5678"]
+    # Not in the trajectory, or only itself: refused, nothing written.
+    for parent in ("0badc0d", "def5678"):
+        before = trajectory.read_text()
+        assert bench_record.main([*change, "--paired-with", parent]) == 2
+        assert f"--paired-with {parent}" in capsys.readouterr().err
+        assert trajectory.read_text() == before
+    assert bench_record.main([*change, "--paired-with", "abc1234"]) == 0
+    parent, child = json.loads(trajectory.read_text())["records"]
+    assert "paired_with" not in parent
+    assert child["paired_with"] == "abc1234"
+
+
+def test_paired_with_refuses_a_parent_at_another_seed(out_dir, tmp_path, capsys):
+    trajectory = tmp_path / "BENCH_trajectory.json"
+    assert _record(out_dir, trajectory) == 0
+    for path in out_dir.iterdir():
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "seed": 7}))
+    assert bench_record.main([
+        "--out-dir", str(out_dir), "--trajectory", str(trajectory),
+        "--commit", "def5678", "--paired-with", "abc1234",
+    ]) == 2
+    assert "seed=7" in capsys.readouterr().err
+
+
 def test_committed_trajectory_is_valid():
     document = json.loads((REPO_ROOT / "BENCH_trajectory.json").read_text())
     assert document["schema"] == bench_record.SCHEMA
@@ -114,3 +144,8 @@ def test_committed_trajectory_is_valid():
     assert len(set(identities)) == len(identities) >= 3
     for record in document["records"]:
         assert record["workloads"]
+        if "paired_with" in record:
+            # The parent was recorded before its child.
+            parent = (record["paired_with"], record["seed"], record["scale"])
+            earlier = identities[: identities.index(bench_record.identity(record))]
+            assert parent in earlier

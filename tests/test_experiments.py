@@ -162,9 +162,24 @@ def test_load_artifact_rejects_invalid_file(tmp_path):
 
 
 def test_every_experiment_carries_an_expectation():
-    # Mesh-construction throughput and the scenario sweeps claim no shape.
+    # The scenario sweeps claim no shape.
     unchecked = {e.name for e in all_experiments() if e.expect is None}
-    assert unchecked == {"scale-generate", "sweep_small", "sweep_full"}
+    assert unchecked == {"sweep_small", "sweep_full"}
+
+
+def test_scale_generate_expectation_names_the_run():
+    def run(tier, family, n, degree):
+        return {"params": {"tier": tier, "family": family},
+                "metrics": {"n_vertices": n, "mean_degree": degree}}
+
+    expect = get("scale-generate").expect
+    assert list(expect([run("100k", "grid", 99_856, 3.987),
+                        run("1m", "geometric", 987_133, 6.04)])) == []
+    (short,) = expect([run("100k", "geometric", 97_000, 6.0)])
+    assert "n_vertices 97000 is not within 2% of 100000" in short
+    assert "family=geometric" in short
+    (sparse,) = expect([run("250k", "grid", 250_000, 3.9)])
+    assert "mean_degree 3.9 is outside [3.95, 4.0]" in sparse
 
 
 # Incidental to the scale tiers: scale-resilience fails ranks below its
@@ -176,8 +191,8 @@ def test_every_experiment_carries_an_expectation():
     "name",
     [
         *sorted(PAPER_EXPERIMENTS),
-        "scale-adaptive", "scale-elastic", "scale-epoch", "scale-resilience",
-        "scale-service",
+        "scale-adaptive", "scale-elastic", "scale-epoch", "scale-generate",
+        "scale-resilience", "scale-service",
         pytest.param("scale-real", marks=pytest.mark.real),
         # scale-huge's quick tier is 1M vertices (~30 s): CI's perf-smoke
         # job runs it, and `bench run` exits 1 there on a violation.

@@ -7,10 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles_graph import grid_mesh_3d
+from oracles_graph import (
+    check_symmetric_oracle,
+    edge_array_oracle,
+    from_edges_oracle,
+    grid_mesh_3d,
+    induced_subgraph_oracle,
+    largest_component_oracle,
+)
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import grid_graph, paper_mesh
+from repro.graph.ops import largest_component
 
 
 def triangle() -> CSRGraph:
@@ -203,3 +211,138 @@ class TestPermute:
         for u, v in g.iter_edges():
             assert u in g.neighbors(v)
             assert v in g.neighbors(u)
+
+
+# --------------------------------------------------------------------------
+# Every CSR is built from sorted scalar keys src * n + dst; the bodies this
+# replaced (tests/oracles_graph.py) are the differential oracles.
+
+
+def assert_same_graph(got: CSRGraph, want: CSRGraph) -> None:
+    for name in ("indptr", "indices", "coords", "vertex_weights"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+        else:
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+@st.composite
+def edge_lists(draw, min_n=0):
+    """(n, edges): duplicates, self-loops and both orientations included;
+    vertices no edge touches stay isolated."""
+    n = draw(st.integers(min_n, 12))
+    if n == 0:
+        return 0, []
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40
+    ))
+    flipped = draw(st.lists(st.sampled_from(edges), max_size=10)) if edges else []
+    return n, edges + [(v, u) for u, v in flipped]
+
+
+@st.composite
+def attributes(draw, n):
+    """Optional coords and vertex weights for an *n*-vertex graph."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    coords = rng.uniform(size=(n, 2)) if draw(st.booleans()) else None
+    weights = rng.uniform(size=n) if draw(st.booleans()) else None
+    return coords, weights
+
+
+@st.composite
+def raw_csrs(draw, symmetric=True):
+    """(indptr, indices) of a CSR built directly, not through from_edges:
+    rows sorted or shuffled, entries possibly repeated.  Unless
+    *symmetric*, one mutation may add a self-loop, drop an entry or
+    redirect one (the graph is then usually invalid)."""
+    n, edges = draw(edge_lists(min_n=1))
+    arr = np.array([(u, v) for u, v in edges if u != v], dtype=np.intp).reshape(-1, 2)
+    src = np.concatenate([arr[:, 0], arr[:, 1]])
+    dst = np.concatenate([arr[:, 1], arr[:, 0]])
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    mutation = "none" if symmetric else draw(
+        st.sampled_from(["none", "self-loop", "drop", "redirect"])
+    )
+    if mutation == "self-loop":
+        v = int(rng.integers(n))
+        src, dst = np.append(src, v), np.append(dst, v)
+    elif mutation == "drop" and src.size:
+        keep = np.arange(src.size) != rng.integers(src.size)
+        src, dst = src[keep], dst[keep]
+    elif mutation == "redirect" and src.size:
+        dst = dst.copy()
+        dst[rng.integers(src.size)] = rng.integers(n)
+    if draw(st.booleans()):
+        order = np.lexsort((dst, src))
+    else:
+        shuffle = rng.permutation(src.size)
+        order = shuffle[np.argsort(src[shuffle], kind="stable")]
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[order]
+
+
+class TestScalarKeyConstruction:
+    @given(edge_lists(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_from_edges_matches_oracle(self, case, data):
+        n, edges = case
+        coords, weights = data.draw(attributes(n))
+        assert_same_graph(
+            CSRGraph.from_edges(n, edges, coords=coords, vertex_weights=weights),
+            from_edges_oracle(n, edges, coords=coords, vertex_weights=weights),
+        )
+
+    @given(raw_csrs())
+    @settings(max_examples=150, deadline=None)
+    def test_edge_array_matches_oracle_on_raw_rows(self, raw):
+        g = CSRGraph(*raw)
+        got, want = g.edge_array(), edge_array_oracle(g)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    @given(edge_lists(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_largest_component_matches_oracle(self, case, data):
+        n, edges = case
+        coords, weights = data.draw(attributes(n))
+        g = CSRGraph.from_edges(n, edges, coords=coords, vertex_weights=weights)
+        assert_same_graph(largest_component(g), largest_component_oracle(g))
+
+    @given(raw_csrs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_subgraph_matches_oracle_on_raw_rows(self, raw, data):
+        indptr, indices = raw
+        n = indptr.size - 1
+        coords, weights = data.draw(attributes(n))
+        g = CSRGraph(indptr, indices, coords=coords, vertex_weights=weights)
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        assert_same_graph(g.subgraph(keep), induced_subgraph_oracle(g, keep))
+        assert_same_graph(largest_component(g), largest_component_oracle(g))
+
+    @given(raw_csrs(symmetric=False))
+    @settings(max_examples=300, deadline=None)
+    def test_rejections_match_oracle(self, raw):
+        def verdict(check):
+            try:
+                check()
+            except GraphError as exc:
+                return str(exc)
+            return None
+
+        want = verdict(lambda: check_symmetric_oracle(*raw))
+        assert verdict(lambda: CSRGraph(*raw)) == want
+
+    @pytest.mark.parametrize("indptr, indices, match", [
+        ([0, 1, 1], [1], "symmetric"),               # 0->1 without 1->0
+        ([0, 2, 3, 4], [2, 1, 0, 1], "symmetric"),   # unsorted row, 2->0 missing
+        ([0, 2, 3, 4], [2, 1, 0, 2], "self-loops"),  # unsorted row, 2->2
+        ([0, 2, 2], [1, 1], "symmetric"),            # repeated 0->1, no 1->0
+    ])
+    def test_rejects_sorted_or_unsorted_rows(self, indptr, indices, match):
+        with pytest.raises(GraphError, match=match):
+            CSRGraph(np.array(indptr), np.array(indices))
+        with pytest.raises(GraphError, match=match):
+            check_symmetric_oracle(np.array(indptr), np.array(indices))

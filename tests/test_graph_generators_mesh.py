@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
-from oracles_graph import thin_to_edge_count_oracle
+from oracles_graph import grid_graph_oracle, thin_to_edge_count_oracle
 
 import repro.graph.generators as generators
 from repro.errors import GraphError
@@ -216,9 +218,9 @@ class TestStreamedGridGraph:
 
     @pytest.mark.parametrize("nx,ny", [(1, 1), (2, 1), (1, 6), (8, 8), (13, 7)])
     def test_matches_grid_graph(self, nx, ny):
-        from repro.graph.generators import grid_graph, streamed_grid_graph
+        from repro.graph.generators import streamed_grid_graph
 
-        a = grid_graph(nx, ny)
+        a = grid_graph_oracle(nx, ny)
         b = streamed_grid_graph(nx, ny, block_rows=3)
         np.testing.assert_array_equal(a.indptr, b.indptr)
         np.testing.assert_array_equal(a.indices, b.indices)
@@ -284,3 +286,37 @@ class TestScaleMesh:
             warnings.simplefilter("error")
             g = scale_mesh("10k", exact=True)
         assert g.num_vertices == 10_000
+
+
+# sha256 of (indptr, indices, coords) of the meshes the benchmark workloads
+# and their fingerprints are built on; computed before CSR construction moved
+# to sorted scalar keys, which must not change one byte of them.
+@pytest.mark.parametrize("build, digests", [
+    pytest.param(lambda: paper_mesh(30_269), (
+        "9f1a89b99a2b2513d4f732ad6fb95f41d0f2d455d28c32c3d2de11396138f0e1",
+        "2751049c05209d1e98686f5e20193d17dce8de1c9914fb5584eb8282b51813eb",
+        "b32299427373ae07a7f6debe5c223b2ae2e9ad189898beb960632cf48540087c",
+    ), id="paper_mesh(30_269)"),
+    pytest.param(lambda: paper_mesh(2_000, seed=3), (  # 45 x 45 points, trimmed
+        "d0c7eb89ea50349083283daec4501eafaddc773b2a30debc9fd83f362ac0c7cc",
+        "5b329c1e040c1188dc98d4205d46a3fe0c59c3c38e5d43a1bb0e622160afb9a9",
+        "ec4881818f9696ed37f5969ad87ed937e3653b902dd87701f115474cac8f72d5",
+    ), id="paper_mesh(2_000,seed=3)"),
+    pytest.param(lambda: generators.scale_mesh("10k", family="geometric", seed=1995), (
+        "5c8623598a06a3750c333c64f15a97e52ffb33d1529381dcb04ed993eeb0bed2",
+        "7083203e4f95bd2541af296d12308ed62d1549127044608db19282790bd37b30",
+        "41a62358e017d1ec918c77af54a8c2bafb819bb33ebc20eff1e6b97544da0bc2",
+    ), id="scale_mesh(10k,geometric,seed=1995)"),
+    pytest.param(lambda: airfoil_mesh(4000).graph, (
+        "e96cb3a55844326f755414a08dfe3e8b3b8362077bac4d9f78596d8e1e6ddd7b",
+        "d4cabe70c6a9b7a0ebf31b01311bfb9a7665a24c905cf27578a898dfb3b97bcd",
+        "3f18f5e8f92612689f66e9db113f5a10fc37663522304dbcc767bf44feb2823f",
+    ), id="airfoil_mesh(4000)"),
+])
+def test_mesh_digest_pinned(build, digests):
+    graph = build()
+    assert graph.vertex_weights is None
+    assert tuple(
+        hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+        for a in (graph.indptr, graph.indices, graph.coords)
+    ) == digests

@@ -13,6 +13,15 @@ answered by a file and not by CHANGES.md prose.
     python3 -m bench run && python3 -m bench trace
     python tools/bench_record.py --label "what this run measured"
 
+Host speed drifts between sessions, so two records compare soundly only
+when they were measured in one session, alternating.  ``--paired-with
+<commit>`` stores, as ``paired_with``, the commit of the parent record
+this run was co-measured with; that record must already be in the
+trajectory at the same seed and scale, or the run is refused:
+
+    python tools/bench_record.py --out-dir <parent>/bench/out --commit <parent>
+    python tools/bench_record.py --paired-with <parent> --label "..."
+
 The trajectory is append-only: a record is identified by (commit, seed,
 scale), and recording an identity that is already there changes nothing
 (so the tool may be run twice on the same ``out/``).  A run with a failed
@@ -80,7 +89,10 @@ def load_documents(
 
 
 def build_record(
-    found: dict[str, dict[str, dict[str, Any]]], commit: str, label: str
+    found: dict[str, dict[str, dict[str, Any]]],
+    commit: str,
+    label: str,
+    paired_with: str | None = None,
 ) -> dict[str, Any]:
     docs = [doc for kinds in found.values() for doc in kinds.values()]
     runs = {(doc["seed"], doc["scale"]) for doc in docs}
@@ -119,7 +131,7 @@ def build_record(
             entry["trace_faithful"] = layers["trace_faithful"]
         workloads[name] = entry
     measured = max(doc["measured"] for doc in docs)
-    return {
+    record = {
         "commit": commit,
         "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(measured)),
         "label": label,
@@ -128,6 +140,9 @@ def build_record(
         "host": docs[0]["host"],
         "workloads": workloads,
     }
+    if paired_with is not None:
+        record["paired_with"] = paired_with
+    return record
 
 
 def identity(record: dict[str, Any]) -> tuple[str, int, str]:
@@ -142,6 +157,15 @@ def append_record(trajectory: Path, record: dict[str, Any]) -> bool:
             raise Refused(f"{trajectory} is not a schema-{SCHEMA} trajectory")
     else:
         document = {"schema": SCHEMA, "records": []}
+    if (parent := record.get("paired_with")) is not None:
+        wanted = (parent, record["seed"], record["scale"])
+        if parent == record["commit"] or not any(
+            identity(old) == wanted for old in document["records"]
+        ):
+            raise Refused(
+                f"--paired-with {parent}: no other record of that commit at "
+                f"seed={record['seed']} scale={record['scale']} in {trajectory}"
+            )
     if any(identity(old) == identity(record) for old in document["records"]):
         return False
     document["records"].append(record)
@@ -161,6 +185,11 @@ def main(argv: list[str] | None = None) -> int:
         "--commit", help="the commit that was measured (default: HEAD of this checkout)"
     )
     parser.add_argument("--label", default="", help="one line: what this run is")
+    parser.add_argument(
+        "--paired-with",
+        metavar="COMMIT",
+        help="the recorded parent commit this run alternated with in one session",
+    )
     parser.add_argument("--seed", type=int, help="only documents of this seed")
     parser.add_argument("--scale", help="only documents of this scale")
     args = parser.parse_args(argv)
@@ -169,6 +198,7 @@ def main(argv: list[str] | None = None) -> int:
             load_documents(args.out_dir, args.seed, args.scale),
             args.commit or git_commit(ROOT),
             args.label,
+            args.paired_with,
         )
         appended = append_record(args.trajectory, record)
     except Refused as exc:
