@@ -47,9 +47,9 @@ def main() -> None:
     assert err < 1e-9
 
     # Per-rank breakdown.
-    for s in report.rank_stats:
+    for rank, s in enumerate(report.rank_stats):
         print(
-            f"  rank {s.rank}: {s.n_local_final:5d} vertices, "
+            f"  rank {rank}: {report.partition_final.size(rank):5d} vertices, "
             f"compute {s.compute_time:7.3f}s, inspector {s.inspector_time:6.4f}s"
         )
 

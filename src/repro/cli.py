@@ -89,11 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "'cost:MTBF' (Young's interval for an MTBF "
                           "estimate in virtual seconds); append ':rF' "
                           "to replicate each epoch to F ring successors")
-    run.add_argument("--replication", type=int, default=None, metavar="K",
-                     help="replicate each checkpoint epoch to K distinct "
-                          "ring successors (survives K correlated "
-                          "failures per ring neighborhood; requires "
-                          "--checkpoint, overrides its ':rF' suffix)")
     run.add_argument("--check-interval", type=int, default=10)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--world", default="sim", choices=("sim", "real"),
@@ -363,7 +358,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             ),
             membership=args.membership,
             checkpoint=args.checkpoint,
-            replication_factor=args.replication,
             world=args.world,
             recv_timeout=args.recv_timeout,
             trace=args.trace_out is not None,

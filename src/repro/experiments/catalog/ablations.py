@@ -165,11 +165,10 @@ def _exp_ablation_check_frequency(
         lb=interval > 0,
         check_interval=interval if interval > 0 else 10,
     )
-    stats = report.rank_stats[0]
     return {
         "makespan": report.makespan,
-        "num_checks": float(stats.num_checks),
-        "num_remaps": float(stats.num_remaps),
+        "num_checks": float(report.num_checks),
+        "num_remaps": float(report.num_remaps),
         "check_time": report.lb_check_time,
         "remap_time": report.remap_time,
     }

@@ -455,7 +455,7 @@ def _exp_table5(params: Mapping[str, Any], *, seed: int) -> dict[str, float]:
         "remap_time": report.remap_time,
         "check_time": report.lb_check_time,
         "num_remaps": float(report.num_remaps),
-        "num_checks": float(report.rank_stats[0].num_checks),
+        "num_checks": float(report.num_checks),
     }
 
 

@@ -3,6 +3,7 @@ paper's 30,269-vertex mesh (``repro bench run 'scale-*'``)."""
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from functools import partial
 from typing import Any, Mapping
@@ -631,21 +632,26 @@ def scale_resilience_measurements(
     """
     from repro.apps.workloads import resilient_cluster
     from repro.runtime.adaptive import LoadBalanceConfig
-    from repro.runtime.resilience import CostModelCheckpoint
+    from repro.runtime.resilience import (
+        CostModelCheckpoint,
+        resolve_checkpoint_policy,
+    )
 
     def config_extras(cluster, horizon):
         n_failures = sum(
             1 for ev in cluster.membership.events if ev.kind == "fail"
         )
+        checkpoint = (
+            CostModelCheckpoint(mtbf=horizon / max(n_failures, 1))
+            if policy == "cost"
+            else resolve_checkpoint_policy(policy)
+        )
         return dict(
             backend=backend,
             load_balance=LoadBalanceConfig(check_interval=check_interval),
-            checkpoint=(
-                CostModelCheckpoint(mtbf=horizon / max(n_failures, 1))
-                if policy == "cost"
-                else policy
+            checkpoint=dataclasses.replace(
+                checkpoint, replication_factor=int(replication)
             ),
-            replication_factor=int(replication),
         )
 
     return _scale_run(

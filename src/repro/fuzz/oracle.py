@@ -48,7 +48,8 @@ from repro.errors import (
     ResilienceError,
 )
 from repro.fuzz.scenario import Scenario
-from repro.runtime.program import COLLECTIVE_COUNTERS, run_program
+from repro.runtime.adaptive.session import LEDGER
+from repro.runtime.program import run_program
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.program import ProgramReport
@@ -172,7 +173,7 @@ def _attempt(
 
 
 def _check_desync(report: "ProgramReport", label: str, out: list[str]) -> None:
-    for counter in COLLECTIVE_COUNTERS:
+    for counter in LEDGER:  # only a collective counter can raise
         try:
             getattr(report, counter)
         except (LoadBalanceError, ResilienceError) as exc:

@@ -46,11 +46,15 @@ class MetricsRegistry:
             self._gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
-        """Add one observation to histogram *name*."""
+        """Add one observation to histogram *name*.
+
+        ``total`` sums the observations in order from ``0.0``, exactly as
+        a float field accumulated with ``+=`` would.
+        """
         h = self._hists.get(name)
         if h is None:
             self._hists[name] = {
-                "count": 1, "total": value, "min": value, "max": value,
+                "count": 1, "total": 0.0 + value, "min": value, "max": value,
             }
         else:
             h["count"] += 1

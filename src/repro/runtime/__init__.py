@@ -55,7 +55,6 @@ from repro.runtime.prediction import (
 from repro.runtime.program import (
     ProgramConfig,
     ProgramReport,
-    RankStats,
     run_program,
 )
 from repro.runtime.resilience import (
@@ -119,7 +118,6 @@ __all__ = [
     "LoadMonitor",
     "ProgramConfig",
     "ProgramReport",
-    "RankStats",
     "STRATEGIES",
     "build_kernel_plan",
     "build_schedule_simple",

@@ -27,9 +27,10 @@ of them drive now:
   replica, repartition onto the survivors, and tell the driver (via
   :meth:`next_iteration`) to re-execute from the epoch's iteration.
 
-The session also does the bookkeeping Tables 4-5 are made of: virtual time
-spent in checks, remaps, checkpoints, and rollbacks; check/remap/epoch
-counts; and the host seconds of the redistribution exchange (what the
+The session also does the bookkeeping Tables 4-5 are made of, once, in
+its rank's metrics registry (:data:`LEDGER`): virtual time spent in
+checks, remaps, checkpoints, and rollbacks; check/remap/epoch counts; and
+the host seconds of the redistribution exchange (what the
 ``scale-adaptive`` benchmarks compare across backends).
 
 The competing load this loop reacts to comes from two producers: scripted
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -80,25 +81,64 @@ from repro.runtime.schedule_builders import InspectorCostModel
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.comm import RankContext
 
-__all__ = ["SessionStats", "AdaptiveSession"]
+__all__ = ["LEDGER", "SessionStats", "AdaptiveSession"]
+
+#: What a session records in its rank's metrics registry: name -> (registry
+#: entry, the error a disagreement between ranks raises).  An entry with an
+#: error is a counter every rank must agree on (Phase D decisions are
+#: replicated); one without is a duration histogram whose ``total`` is the
+#: rank's value.
+LEDGER: dict[str, tuple[str, type[Exception] | None]] = {
+    # virtual s: the initial schedule build (rebuilds are in remap_time)
+    "inspector_time": ("inspector.initial_build_time", None),
+    # virtual s: kernel sweeps, as fed to the load monitor
+    "compute_time": ("exec.compute_time", None),
+    # virtual s: strategy checks and membership decisions
+    "lb_check_time": ("lb.check_time", None),
+    # virtual s: redistribute + rebuild + barrier
+    "remap_time": ("lb.remap_time", None),
+    # virtual s: replication + barrier
+    "checkpoint_time": ("cp.checkpoint_time", None),
+    # virtual s: restore + recovery remap + rebuild
+    "rollback_time": ("cp.rollback_time", None),
+    # virtual s of discarded (re-executed) progress
+    "lost_time": ("cp.lost_time", None),
+    # host s inside the packed exchange
+    "redistribute_host_s": ("lb.redistribute_host_time", None),
+    "num_checks": ("lb.checks", LoadBalanceError),
+    "num_remaps": ("lb.remaps", LoadBalanceError),
+    # elastic join/leave/replace/fail events
+    "membership_events": ("membership.events", LoadBalanceError),
+    # epochs taken (bootstrap included)
+    "num_checkpoints": ("cp.checkpoints", ResilienceError),
+    # failure recoveries performed
+    "num_rollbacks": ("cp.rollbacks", ResilienceError),
+}
 
 
-@dataclass
+def ledger_value(snapshot: dict[str, Any], name: str) -> float:
+    """One rank's *name* out of its registry *snapshot* (0 if never
+    recorded)."""
+    entry, error = LEDGER[name]
+    if error is not None:
+        return snapshot["counters"].get(entry, 0)
+    hist = snapshot["histograms"].get(entry)
+    return hist["total"] if hist is not None else 0.0
+
+
 class SessionStats:
-    """Per-rank Phase D bookkeeping for one session."""
+    """One rank's :data:`LEDGER` by name: a read-only view of a registry
+    snapshot."""
 
-    inspector_time: float = 0.0  # virtual s: initial schedule build
-    lb_check_time: float = 0.0  # virtual s: strategy checks
-    remap_time: float = 0.0  # virtual s: redistribute + rebuild + barrier
-    num_checks: int = 0
-    num_remaps: int = 0
-    membership_events: int = 0  # elastic join/leave/replace/fail events
-    redistribute_host_s: float = 0.0  # host s inside the packed exchange
-    checkpoint_time: float = 0.0  # virtual s: replication + barrier
-    num_checkpoints: int = 0  # epochs taken (bootstrap included)
-    rollback_time: float = 0.0  # virtual s: restore + recovery remap + rebuild
-    num_rollbacks: int = 0  # failure recoveries performed
-    lost_time: float = 0.0  # virtual s of discarded (re-executed) progress
+    __slots__ = ("_snapshot",)
+
+    def __init__(self, snapshot: dict[str, Any]) -> None:
+        self._snapshot = snapshot
+
+    def __getattr__(self, name: str) -> float:
+        if name not in LEDGER:
+            raise AttributeError(name)
+        return ledger_value(self._snapshot, name)
 
 
 @dataclass
@@ -144,7 +184,6 @@ class AdaptiveSession:
                 f"total_iterations must be >= 1, got {self.total_iterations}"
             )
         self.lb = resolve_load_balance(self.lb)
-        self.stats = SessionStats()
         self.monitor = LoadMonitor()
         self._predictor = None
         if not self.static and self.lb.predictor is not None:
@@ -194,7 +233,14 @@ class AdaptiveSession:
             self.inspector: InspectorResult = self._incremental.result
         else:
             self.inspector = self._build_inspector()
-        self.stats.inspector_time += self.inspector.build_time
+        self.ctx.metrics.observe(
+            "inspector.initial_build_time", self.inspector.build_time
+        )
+
+    @property
+    def stats(self) -> SessionStats:
+        """This rank's :data:`LEDGER` as recorded so far."""
+        return SessionStats(self.ctx.metrics.snapshot())
 
     # ------------------------------------------------------------------ #
     # phase B plumbing
@@ -362,8 +408,10 @@ class AdaptiveSession:
     # ------------------------------------------------------------------ #
 
     def record(self, compute_seconds: float, items: int) -> None:
-        """Feed one iteration's compute sample to the load monitor."""
+        """Feed one iteration's compute sample to the load monitor (and
+        to ``compute_time``)."""
         self.monitor.record(compute_seconds, items)
+        self.ctx.metrics.observe("exec.compute_time", compute_seconds)
 
     def check_due(self, iteration: int) -> bool:
         """Whether :meth:`maybe_rebalance` would run a check now.
@@ -448,8 +496,7 @@ class AdaptiveSession:
             decision = self._remap_decision(
                 fields, iteration + 1, self._last_span, report=time_per_item
             )
-        self.stats.lb_check_time += ctx.clock - t0
-        self.stats.num_checks += 1
+        ctx.metrics.observe("lb.check_time", ctx.clock - t0)
         ctx.metrics.count("lb.checks")
         self.monitor.reset_window()
         if decision.remap:
@@ -485,7 +532,6 @@ class AdaptiveSession:
         events = self.elastic.poll(ctx.clock)
         if not events:
             return fields
-        self.stats.membership_events += len(events)
         ctx.metrics.count("membership.events", len(events))
         with ctx.tracer.span(
             "membership-poll", label=f"{len(events)} event(s)"
@@ -542,7 +588,7 @@ class AdaptiveSession:
         decision = self._remap_decision(
             fields, iteration + 1, span, events=events, force=forced
         )
-        self.stats.lb_check_time += ctx.clock - t0
+        ctx.metrics.observe("lb.check_time", ctx.clock - t0)
         if decision.remap:
             assert decision.new_partition is not None
             fields = self.remap_to(decision.new_partition, fields)
@@ -612,8 +658,7 @@ class AdaptiveSession:
             )
         res.measured_cost = ctx.clock - t0
         res.epochs_taken += 1
-        self.stats.checkpoint_time += ctx.clock - t0
-        self.stats.num_checkpoints += 1
+        ctx.metrics.observe("cp.checkpoint_time", res.measured_cost)
         ctx.metrics.count("cp.checkpoints")
         # The next iteration-span sample starts where the checkpoint
         # ended, not where the iteration did.
@@ -686,8 +731,7 @@ class AdaptiveSession:
             )
         ctx = self.ctx
         t0 = ctx.clock
-        self.stats.num_rollbacks += 1
-        self.stats.lost_time += max(ctx.clock - cp.clock, 0.0)
+        ctx.metrics.observe("cp.lost_time", max(ctx.clock - cp.clock, 0.0))
         ctx.metrics.count("cp.rollbacks")
         with ctx.tracer.span("recovery", label=f"resume@{cp.next_iteration}"):
             # Restore the epoch: replicated partition, snapshot data.  The
@@ -713,11 +757,13 @@ class AdaptiveSession:
                 replicas=cp.replicas,
                 backend=self.backend,
             )
-            self.stats.redistribute_host_s += time.perf_counter() - host0
+            ctx.metrics.observe(
+                "lb.redistribute_host_time", time.perf_counter() - host0
+            )
             self.partition = decision.new_partition
             self.inspector = self._rebuild_inspector()
             ctx.barrier()
-        self.stats.rollback_time += ctx.clock - t0
+        ctx.metrics.observe("cp.rollback_time", ctx.clock - t0)
         self._note_remap_span(decision)
         self._resume_at = cp.next_iteration
         return self._take_checkpoint(
@@ -744,11 +790,12 @@ class AdaptiveSession:
                     ctx, self.partition, new_partition, fields,
                     backend=self.backend,
                 )
-                self.stats.redistribute_host_s += time.perf_counter() - host0
+                ctx.metrics.observe(
+                    "lb.redistribute_host_time", time.perf_counter() - host0
+                )
             self.partition = new_partition
             self.inspector = self._rebuild_inspector()
             ctx.barrier()
-        self.stats.remap_time += ctx.clock - t0
-        self.stats.num_remaps += 1
+        ctx.metrics.observe("lb.remap_time", ctx.clock - t0)
         ctx.metrics.count("lb.remaps")
         return fields

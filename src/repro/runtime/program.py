@@ -18,7 +18,6 @@ made of.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -41,9 +40,9 @@ from repro.partition.rcb import RCBOrdering
 from repro.runtime.adaptive import (
     AdaptiveSession,
     LoadBalanceConfig,
-    SessionStats,
     resolve_load_balance,
 )
+from repro.runtime.adaptive.session import LEDGER, SessionStats, ledger_value
 from repro.runtime.executor import ExecutorCostModel, ExecutorScratch, gather
 from repro.runtime.incremental import check_inspector_mode
 from repro.runtime.kernels import KernelCostModel
@@ -56,22 +55,12 @@ from repro.runtime.schedule_builders import InspectorCostModel
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.resilience import CheckpointPolicy
 
-__all__ = [
-    "COLLECTIVE_COUNTERS", "VIRTUAL_TIMES",
-    "ProgramConfig", "RankStats", "ProgramReport", "run_program",
-]
+__all__ = ["VIRTUAL", "ProgramConfig", "ProgramReport", "run_program"]
 
-#: :class:`ProgramReport`'s collective counters (``_agreed``: every rank
-#: must report the same value) and its virtual seconds (the makespan and
-#: the ``_slowest``-rank Phase D times) — the one list of what a sim-world
-#: run measures; the oracle, the scale tier and the sweeps read it here.
-COLLECTIVE_COUNTERS = (
-    "num_remaps", "membership_events", "num_checkpoints", "num_rollbacks",
-)
-VIRTUAL_TIMES = (
-    "makespan", "checkpoint_time", "rollback_time", "lost_time",
-    "lb_check_time", "remap_time",
-)
+#: What one sim-world cost model makes identical between two runs of one
+#: program: the makespan and every :data:`LEDGER` aggregate but host
+#: seconds.  The oracle, the scale tier and the sweeps read it here.
+VIRTUAL = ("makespan", *(n for n in LEDGER if not n.endswith("_host_s")))
 
 
 @dataclass(frozen=True)
@@ -114,13 +103,9 @@ class ProgramConfig:
     #: when the membership trace contains unannounced ``fail`` events;
     #: allowed without one (the overhead-only baseline the
     #: ``scale-resilience`` experiments measure).
+    #: The DSL's ``:rF`` suffix ("interval:4:r2") sets how many ring
+    #: successors hold each data-holding rank's epoch.
     checkpoint: "CheckpointPolicy | str | None" = None
-    #: Replication factor override: when set, the (normalized) checkpoint
-    #: policy is re-issued with this many ring successors per data-holding
-    #: rank — the ``--replication`` CLI knob.  ``None`` keeps whatever the
-    #: policy (or its ``:rF`` DSL suffix) already says.  Setting it
-    #: without a checkpoint policy is a configuration error.
-    replication_factor: int | None = None
     kernel_cost: KernelCostModel = KernelCostModel()
     inspector_cost: InspectorCostModel = InspectorCostModel()
     executor_cost: ExecutorCostModel = ExecutorCostModel()
@@ -181,140 +166,59 @@ class ProgramConfig:
             object.__setattr__(
                 self, "checkpoint", resolve_checkpoint_policy(self.checkpoint)
             )
-        if self.replication_factor is not None:
-            if self.checkpoint is None:
-                raise ConfigurationError(
-                    "replication_factor requires a checkpoint policy: "
-                    "replicas are shipped when an epoch is taken — set "
-                    "ProgramConfig.checkpoint (e.g. \"interval:4\") too"
-                )
-            if self.replication_factor < 1:
-                raise ConfigurationError(
-                    f"replication_factor must be >= 1 ring successor, got "
-                    f"{self.replication_factor}"
-                )
-            object.__setattr__(
-                self,
-                "checkpoint",
-                dataclasses.replace(
-                    self.checkpoint,
-                    replication_factor=self.replication_factor,
-                ),
-            )
-
-
-@dataclass(kw_only=True)
-class RankStats(SessionStats):
-    """Per-rank breakdown of one run: the session's Phase D record plus
-    what only the program loop knows."""
-
-    rank: int
-    n_local_final: int
-    compute_time: float = 0.0
-    final_clock: float = 0.0
 
 
 @dataclass
 class ProgramReport:
-    """Outcome of :func:`run_program`."""
+    """Outcome of :func:`run_program`.
+
+    Every :data:`LEDGER` name is an attribute, aggregated over the ranks'
+    registries: a counter with a desync error must be equal on every rank
+    (else that error is raised), a time is the maximum over ranks.
+    """
 
     values: np.ndarray  # final y, original vertex numbering
     makespan: float
     clocks: list[float]
-    rank_stats: list[RankStats]
+    #: Each rank's :mod:`repro.obs` registry snapshot, rank order.
+    metrics_by_rank: list[dict[str, Any]]
     cluster: ClusterSpec
     config: ProgramConfig
     work_per_iteration: float  # unit-speed seconds of one whole-graph sweep
     trace: TraceLog | None = None
     partition_final: IntervalPartition | None = None
-    #: Merged :mod:`repro.obs` snapshot (counters summed, gauges maxed,
-    #: histograms folded across ranks); ``metrics_by_rank`` keeps the
-    #: per-rank snapshots for imbalance diagnostics.
+    #: Merged snapshot (counters summed, gauges maxed, histograms folded
+    #: across ranks).
     metrics: dict[str, Any] | None = None
-    metrics_by_rank: list[dict[str, Any]] | None = None
 
-    def _per_rank(self, field: str) -> dict[int, Any]:
-        """``{rank: stats.<field>}``.  Aggregates over zero ranks are
-        undefined; say so instead of raising a bare ``ValueError`` from
-        ``max()`` or a misleading desync error from an empty set."""
-        if not self.rank_stats:
+    def __getattr__(self, name: str) -> Any:
+        if name not in LEDGER:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        if not self.metrics_by_rank:
+            # Aggregates over zero ranks are undefined: say so instead of
+            # a bare ValueError from max() or a misleading desync error.
             raise ConfigurationError(
-                f"{field} is undefined: this report carries no per-rank stats"
+                f"{name} is undefined: this report carries no per-rank metrics"
             )
-        return {s.rank: getattr(s, field) for s in self.rank_stats}
-
-    def _agreed(self, field: str, error: type[Exception], what: str) -> int:
-        """A collective counter: every rank must report the same value.
-
-        A disagreement means the ranks desynchronized somewhere in Phase
-        D, which is surfaced instead of silently reporting rank 0's view.
-        """
-        per_rank = self._per_rank(field)
-        counts = set(per_rank.values())
-        if len(counts) != 1:
+        per_rank = {
+            rank: ledger_value(snapshot, name)
+            for rank, snapshot in enumerate(self.metrics_by_rank)
+        }
+        error = LEDGER[name][1]
+        if error is None:
+            return max(per_rank.values())
+        if len(set(per_rank.values())) != 1:
             raise error(
-                f"ranks disagree on {what}: {per_rank} — Phase D desynchronized"
+                f"ranks disagree on {name}: {per_rank} — Phase D desynchronized"
             )
-        return counts.pop()
-
-    def _slowest(self, field: str) -> float:
-        """A per-rank time, reported as the max over ranks."""
-        return max(self._per_rank(field).values())
+        return per_rank[0]
 
     @property
-    def num_remaps(self) -> int:
-        """Remaps performed (collective: decisions are replicated)."""
-        return self._agreed(
-            "num_remaps", LoadBalanceError, "the number of remaps"
-        )
-
-    @property
-    def membership_events(self) -> int:
-        """Elastic membership events applied (collective: the trace is
-        replicated and polls happen at synchronized clocks)."""
-        return self._agreed(
-            "membership_events", LoadBalanceError, "applied membership events"
-        )
-
-    @property
-    def num_checkpoints(self) -> int:
-        """Checkpoint epochs taken (collective: the policy evaluates on
-        replicated inputs)."""
-        return self._agreed(
-            "num_checkpoints", ResilienceError, "the number of checkpoints"
-        )
-
-    @property
-    def num_rollbacks(self) -> int:
-        """Failure recoveries performed (collective)."""
-        return self._agreed(
-            "num_rollbacks", ResilienceError, "the number of rollbacks"
-        )
-
-    @property
-    def checkpoint_time(self) -> float:
-        return self._slowest("checkpoint_time")
-
-    @property
-    def rollback_time(self) -> float:
-        return self._slowest("rollback_time")
-
-    @property
-    def lost_time(self) -> float:
-        return self._slowest("lost_time")
-
-    @property
-    def lb_check_time(self) -> float:
-        return self._slowest("lb_check_time")
-
-    @property
-    def remap_time(self) -> float:
-        return self._slowest("remap_time")
-
-    @property
-    def redistribute_host_s(self) -> float:
-        """Host seconds inside packed remap exchanges, slowest rank."""
-        return self._slowest("redistribute_host_s")
+    def rank_stats(self) -> list[SessionStats]:
+        """Each rank's :data:`LEDGER`, by name."""
+        return [SessionStats(snapshot) for snapshot in self.metrics_by_rank]
 
     @property
     def total_work_seconds(self) -> float:
@@ -322,11 +226,8 @@ class ProgramReport:
         return self.work_per_iteration * self.config.iterations
 
     def virtual_metrics(self) -> dict[str, float]:
-        """:data:`VIRTUAL_TIMES` and :data:`COLLECTIVE_COUNTERS` by name."""
-        return {
-            name: float(getattr(self, name))
-            for name in VIRTUAL_TIMES + COLLECTIVE_COUNTERS
-        }
+        """:data:`VIRTUAL` by name."""
+        return {name: float(getattr(self, name)) for name in VIRTUAL}
 
     def differences(
         self, other: "ProgramReport", *, virtual: bool
@@ -336,11 +237,10 @@ class ProgramReport:
         Two runs that differ only in a *neutral axis* — backend, tracing,
         inspector mode, execution world — must compute the same final
         values, bit for bit.  When both ran on the sim world's one cost
-        model (*virtual*), per-rank clocks, :data:`VIRTUAL_TIMES` and
-        :data:`COLLECTIVE_COUNTERS` must be identical too.  One message
-        per differing field, naming it.  A counter that raises on desync
-        is skipped: that is one run's own defect (reading it reports it),
-        not a difference between the two.
+        model (*virtual*), per-rank clocks and :data:`VIRTUAL` must be
+        identical too.  One message per differing field, naming it.  A
+        counter that raises on desync is skipped: that is one run's own
+        defect (reading it reports it), not a difference between the two.
         """
         out = []
         if not np.array_equal(self.values, other.values):
@@ -351,7 +251,7 @@ class ProgramReport:
             out.append(
                 f"per-rank clocks differ: {self.clocks} vs {other.clocks}"
             )
-        for name in VIRTUAL_TIMES + COLLECTIVE_COUNTERS:
+        for name in VIRTUAL:
             try:
                 a, b = getattr(self, name), getattr(other, name)
             except (LoadBalanceError, ResilienceError):
@@ -414,7 +314,6 @@ def _rank_body(
     config: ProgramConfig,
 ) -> dict[str, Any]:
     n = gperm.num_vertices
-    compute_time = 0.0
 
     # Phase D lives in one place: the session builds the inspector, owns
     # the monitor, and runs the strategy check / packed remap / rebuild.
@@ -458,7 +357,6 @@ def _rank_body(
                     ),
                     label="kernel",
                 )
-                compute_time += ctx.clock - t0
             session.record(ctx.clock - t0, int(local.size))
             if config.barrier_each_iteration:
                 ctx.barrier()
@@ -473,14 +371,7 @@ def _rank_body(
         full = np.empty(n, dtype=np.float64)
         for piece_lo, data in pieces:
             full[piece_lo : piece_lo + data.size] = data
-    stats = RankStats(
-        **dataclasses.asdict(session.stats),
-        rank=ctx.rank,
-        n_local_final=int(local.size),
-        compute_time=compute_time,
-        final_clock=ctx.clock,
-    )
-    return {"stats": stats, "full": full, "partition": session.partition}
+    return {"full": full, "partition": session.partition}
 
 
 def run_program(
@@ -590,17 +481,16 @@ def run_program(
     work_per_iter = kc.sweep_seconds(int(gperm.indices.size), n)
     from repro.obs.metrics import merge_snapshots
 
-    per_rank = [v.get("metrics") for v in result.values]
+    per_rank = [v["metrics"] for v in result.values]
     return ProgramReport(
         values=values,
         makespan=result.makespan,
         clocks=result.clocks,
-        rank_stats=[v["stats"] for v in result.values],
+        metrics_by_rank=per_rank,
         cluster=cluster,
         config=config,
         work_per_iteration=work_per_iter,
         trace=result.trace if want_trace else None,
         partition_final=result.values[0]["partition"],
         metrics=merge_snapshots(per_rank),
-        metrics_by_rank=per_rank,
     )

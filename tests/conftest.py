@@ -50,26 +50,44 @@ def stub_report():
     """Factory for a hand-built two-rank ``ProgramReport`` (nothing runs):
     the differential rule and the oracle are tested on reports whose every
     field the test controls."""
-    from repro.runtime.program import ProgramConfig, ProgramReport, RankStats
+    from repro.runtime.program import ProgramConfig, ProgramReport
+
+    recorded = dict(
+        num_remaps=2, membership_events=1, num_checkpoints=3, num_rollbacks=1,
+        checkpoint_time=0.1, rollback_time=0.2, lost_time=0.3,
+        lb_check_time=0.4, remap_time=0.5,
+    )
 
     def make() -> ProgramReport:
-        stats = [
-            RankStats(
-                rank=rank, n_local_final=5,
-                num_remaps=2, membership_events=1,
-                num_checkpoints=3, num_rollbacks=1,
-                checkpoint_time=0.1, rollback_time=0.2, lost_time=0.3,
-                lb_check_time=0.4, remap_time=0.5,
-            )
-            for rank in range(2)
-        ]
         return ProgramReport(
             values=np.arange(10.0), makespan=2.0, clocks=[1.5, 2.0],
-            rank_stats=stats, cluster=uniform_cluster(2),
-            config=ProgramConfig(), work_per_iteration=1.0,
+            metrics_by_rank=[_rank_snapshot(**recorded) for _ in range(2)],
+            cluster=uniform_cluster(2), config=ProgramConfig(),
+            work_per_iteration=1.0,
         )
 
     return make
+
+
+@pytest.fixture
+def rank_snapshot():
+    """``rank_snapshot(**values)``: a rank's registry snapshot holding
+    *values*, each recorded once under its ``LEDGER`` name."""
+    return _rank_snapshot
+
+
+def _rank_snapshot(**values) -> dict:
+    from repro.obs.metrics import MetricsRegistry
+    from repro.runtime.adaptive.session import LEDGER
+
+    registry = MetricsRegistry()
+    for name, value in values.items():
+        entry, error = LEDGER[name]
+        if error is None:
+            registry.observe(entry, value)
+        else:
+            registry.count(entry, value)
+    return registry.snapshot()
 
 
 @pytest.fixture
@@ -82,7 +100,7 @@ def nudge_report():
 
 
 def _nudge_report(report, field: str) -> None:
-    from repro.runtime.program import COLLECTIVE_COUNTERS
+    from repro.runtime.adaptive.session import LEDGER
 
     if field == "values":
         report.values[3] = np.nextafter(report.values[3], np.inf)
@@ -90,9 +108,12 @@ def _nudge_report(report, field: str) -> None:
         report.clocks[0] += 1e-9
     elif field == "makespan":
         report.makespan += 1e-9
-    elif field in COLLECTIVE_COUNTERS:
-        for stats in report.rank_stats:
-            setattr(stats, field, getattr(stats, field) + 1)
     else:
-        stats = report.rank_stats[1]
-        setattr(stats, field, getattr(stats, field) + 1e-9)
+        entry, error = LEDGER[field]
+        if error is not None:
+            for snapshot in report.metrics_by_rank:
+                counters = snapshot["counters"]
+                counters[entry] = counters.get(entry, 0) + 1
+        else:
+            histograms = report.metrics_by_rank[1]["histograms"]
+            histograms.setdefault(entry, {"total": 0.0})["total"] += 1e-9

@@ -29,12 +29,7 @@ from repro.runtime.adaptive import (
 )
 from repro.runtime.executor import gather
 from repro.runtime.kernels import run_sequential
-from repro.runtime.program import (
-    ProgramConfig,
-    ProgramReport,
-    RankStats,
-    run_program,
-)
+from repro.runtime.program import ProgramConfig, ProgramReport, run_program
 
 
 class TestResolveLoadBalance:
@@ -251,6 +246,7 @@ class TestProgramIntegration:
     @pytest.mark.parametrize(
         "field, error",
         [
+            ("num_checks", LoadBalanceError),
             ("num_remaps", LoadBalanceError),
             ("membership_events", LoadBalanceError),
             ("num_checkpoints", ResilienceError),
@@ -258,17 +254,14 @@ class TestProgramIntegration:
         ],
     )
     def test_collective_counters_aggregate_and_raise_on_desync(
-        self, field, error
+        self, rank_snapshot, field, error
     ):
         def report_with(counts):
             return ProgramReport(
                 values=np.zeros(4),
                 makespan=1.0,
                 clocks=[1.0] * len(counts),
-                rank_stats=[
-                    RankStats(rank=r, n_local_final=2, **{field: c})
-                    for r, c in enumerate(counts)
-                ],
+                metrics_by_rank=[rank_snapshot(**{field: c}) for c in counts],
                 cluster=uniform_cluster(3),
                 config=ProgramConfig(),
                 work_per_iteration=1.0,
@@ -279,7 +272,7 @@ class TestProgramIntegration:
             getattr(report_with([3, 2, 3]), field)
         # The diagnosis names every rank's value, not just rank 0's view.
         assert "{0: 3, 1: 2, 2: 3}" in str(exc.value)
-        with pytest.raises(ConfigurationError, match="no per-rank stats"):
+        with pytest.raises(ConfigurationError, match="no per-rank metrics"):
             getattr(report_with([]), field)
 
 

@@ -149,3 +149,63 @@ def test_committed_trajectory_is_valid():
             parent = (record["paired_with"], record["seed"], record["scale"])
             earlier = identities[: identities.index(bench_record.identity(record))]
             assert parent in earlier
+
+
+def _synthetic(commit, run_host_s, *, paired_with=None, seed=1995, scale="full"):
+    record = {
+        "commit": commit, "seed": seed, "scale": scale,
+        "workloads": {"static-rcb": {
+            "end_to_end": {"run_host_s": run_host_s},
+            "layers": {"executor.sweep_s": 2 * run_host_s,
+                       "obs.trace_overhead_frac": -0.1},
+        }},
+    }
+    if paired_with is not None:
+        record["paired_with"] = paired_with
+    return record
+
+
+def test_chain_multiplies_the_pair_ratios_in_order():
+    records = [
+        _synthetic("p1", 2.0), _synthetic("c1", 1.0, paired_with="p1"),
+        # Another session: slower host, so c1 -> p2 is never divided.
+        _synthetic("p2", 4.0), _synthetic("c2", 3.0, paired_with="p2"),
+    ]
+    links = bench_record.chain(records)
+    assert links[("static-rcb", "run_host_s")] == [
+        ("p1", "c1", 0.5, 0.5), ("p2", "c2", 0.75, 0.375),
+    ]
+    assert [link[3] for link in links[("static-rcb", "executor.sweep_s")]] \
+        == [0.5, 0.375]
+    # A signed fraction has no meaningful ratio.
+    assert ("static-rcb", "obs.trace_overhead_frac") not in links
+
+
+@pytest.mark.parametrize("moved", [{"seed": 7}, {"scale": "smoke"}])
+def test_chain_refuses_a_pair_across_seeds_or_scales(moved, tmp_path, capsys):
+    records = [
+        _synthetic("p1", 2.0),
+        _synthetic("c1", 1.0, paired_with="p1", **moved),
+    ]
+    with pytest.raises(bench_record.Refused, match="do not compare"):
+        bench_record.chain(records)
+    trajectory = tmp_path / "BENCH_trajectory.json"
+    trajectory.write_text(json.dumps({"schema": 1, "records": records}))
+    assert bench_record.main(["chain", "--trajectory", str(trajectory)]) == 2
+    assert "c1 is paired with p1" in capsys.readouterr().err
+
+
+def test_chain_on_the_committed_trajectory(capsys):
+    document = json.loads((REPO_ROOT / "BENCH_trajectory.json").read_text())
+    links = bench_record.chain(document["records"])
+
+    def ratio(workload, change):
+        (found,) = [
+            r for _, c, r, _ in links[(workload, "run_host_s")] if c == change
+        ]
+        return found
+
+    assert ratio("adaptive-sfc", "a8d5fe6") < 1  # PR 22: MCR in one batch
+    assert ratio("real-2rank", "b79bc88") < 1  # PR 25: column-layout sweep
+    assert bench_record.main(["chain"]) == 0
+    assert "740ee16 -> a8d5fe6" in capsys.readouterr().out

@@ -206,31 +206,20 @@ class TestBenchGlobs:
         assert stats.total_calls > 0
 
 
-class TestRunReplicationFlag:
-    def test_replication_requires_checkpoint(self, capsys):
-        rc = main([
-            "run", "--vertices", "200", "--iterations", "4",
-            "--workstations", "3", "--replication", "2",
-        ])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "replication_factor requires a checkpoint policy" in err
-
+class TestRunReplicationSuffix:
     def test_replication_rejects_zero(self, capsys):
         rc = main([
             "run", "--vertices", "200", "--iterations", "4",
-            "--workstations", "3", "--checkpoint", "interval:2",
-            "--replication", "0",
+            "--workstations", "3", "--checkpoint", "interval:2:r0",
         ])
         assert rc == 2
         assert "must be >= 1" in capsys.readouterr().err
 
-    def test_replication_overrides_policy_suffix(self, capsys):
+    def test_replication_suffix_reaches_the_run(self, capsys):
         rc = main([
             "run", "--vertices", "400", "--iterations", "8",
             "--workstations", "3", "--load-balance",
-            "--checkpoint", "interval:2:r3", "--replication", "2",
-            "--verify",
+            "--checkpoint", "interval:2:r2", "--verify",
         ])
         assert rc == 0
         out = capsys.readouterr().out

@@ -272,7 +272,7 @@ class TestOracleDetects:
     def test_a_desync_is_reported_once_by_no_desync(self, planted):
         def tamper(config, report):
             if config.backend == "reference":
-                report.rank_stats[0].num_remaps += 1
+                report.metrics_by_rank[0]["counters"]["lb.remaps"] += 1
 
         planted(tamper)
         [violation] = run_scenario(self.SCENARIO).violations

@@ -803,20 +803,15 @@ class TestReplicationDSL:
         assert format_checkpoint_policy(policy) == spec
         assert parse_checkpoint_policy(format_checkpoint_policy(policy)) == policy
 
-    def test_program_config_replication_override(self):
-        cfg = ProgramConfig(checkpoint="interval:4", replication_factor=2)
-        assert cfg.checkpoint.replication_factor == 2
-        # The override wins over the DSL suffix.
-        cfg = ProgramConfig(checkpoint="interval:4:r3", replication_factor=2)
-        assert cfg.checkpoint.replication_factor == 2
-
-    def test_replication_without_checkpoint_rejected(self):
-        with pytest.raises(ConfigurationError, match="checkpoint policy"):
-            ProgramConfig(replication_factor=2)
+    def test_program_config_takes_the_suffix(self):
+        cfg = ProgramConfig(checkpoint="interval:4:r3")
+        assert cfg.checkpoint.replication_factor == 3
+        assert ProgramConfig(checkpoint="interval:4").checkpoint \
+            .replication_factor == 1
 
     def test_nonpositive_replication_rejected(self):
-        with pytest.raises(ConfigurationError, match="replication_factor"):
-            ProgramConfig(checkpoint="interval:4", replication_factor=0)
+        with pytest.raises(ResilienceError, match="replication_factor"):
+            ProgramConfig(checkpoint="interval:4:r0")
 
 
 @ignore_replication_cap
@@ -1003,8 +998,7 @@ class TestReplicationCapping:
                 uniform_cluster(3),
                 ProgramConfig(
                     iterations=4,
-                    checkpoint="interval:2",
-                    replication_factor=10,
+                    checkpoint="interval:2:r10",
                 ),
                 y0=y0,
             )

@@ -17,14 +17,9 @@ from repro.partition.ordering import IdentityOrdering, RandomOrdering
 from repro.partition.sfc import HilbertOrdering
 from repro.partition.spectral import SpectralOrdering
 from repro.runtime.adaptive import LoadBalanceConfig
+from repro.runtime.adaptive.session import LEDGER
 from repro.runtime.kernels import run_sequential
-from repro.runtime.program import (
-    COLLECTIVE_COUNTERS,
-    VIRTUAL_TIMES,
-    ProgramConfig,
-    ProgramReport,
-    run_program,
-)
+from repro.runtime.program import VIRTUAL, ProgramConfig, run_program
 
 
 @pytest.fixture(scope="module")
@@ -164,9 +159,8 @@ class TestPerformanceShape:
             ),
             y0=y0,
         )
-        stats = rep.rank_stats[0]
-        per_check = rep.lb_check_time / max(stats.num_checks, 1)
-        per_remap = rep.remap_time / max(stats.num_remaps, 1)
+        per_check = rep.lb_check_time / max(rep.num_checks, 1)
+        per_remap = rep.remap_time / max(rep.num_remaps, 1)
         assert per_check < per_remap
 
     def test_stable_environment_no_remap(self, workload):
@@ -205,8 +199,8 @@ class TestReportContents:
         for s in rep.rank_stats:
             assert s.compute_time > 0
             assert s.inspector_time > 0
-            assert s.final_clock > 0
-        assert sum(s.n_local_final for s in rep.rank_stats) == g.num_vertices
+        assert all(c > 0 for c in rep.clocks)
+        assert rep.partition_final.sizes().sum() == g.num_vertices
 
     def test_trace_captured_when_enabled(self, workload):
         g, y0 = workload
@@ -320,15 +314,14 @@ class TestDifferentialRule:
     """``ProgramReport.differences`` on stub reports: the one rule every
     "these two runs must agree" check calls."""
 
-    COMPARED = ("values", "clocks", *VIRTUAL_TIMES, *COLLECTIVE_COUNTERS)
+    COMPARED = ("values", "clocks", *VIRTUAL)
 
-    def test_field_lists_name_report_attributes(self, stub_report):
+    def test_virtual_is_every_ledger_aggregate_but_host_seconds(
+        self, stub_report
+    ):
         report = stub_report()
-        assert list(report.virtual_metrics()) == [
-            *VIRTUAL_TIMES, *COLLECTIVE_COUNTERS
-        ]
-        for name in COLLECTIVE_COUNTERS + VIRTUAL_TIMES[1:]:
-            assert isinstance(getattr(ProgramReport, name), property)
+        assert list(report.virtual_metrics()) == list(VIRTUAL)
+        assert set(VIRTUAL) == {"makespan", *LEDGER} - {"redistribute_host_s"}
 
     def test_identical_reports_agree(self, stub_report):
         assert stub_report().differences(stub_report(), virtual=True) == []
@@ -356,8 +349,93 @@ class TestDifferentialRule:
         # Reading the counter raises (one run's own defect, the oracle's
         # no-desync reports it); the rule must not report it a second time.
         a, b = stub_report(), stub_report()
-        b.rank_stats[0].num_remaps += 1
+        b.metrics_by_rank[0]["counters"]["lb.remaps"] += 1
         with pytest.raises(Exception, match="ranks disagree"):
             b.num_remaps
         assert a.differences(b, virtual=True) == []
         assert b.differences(a, virtual=True) == []
+
+
+class TestLedgerPinned:
+    """One run through every Phase D path — LB, a join, a leave, an
+    unannounced fail, checkpoints, the incremental inspector — with every
+    report aggregate and every per-rank ledger value pinned as a literal.
+    Recording them once, in each rank's metrics registry, must not move a
+    bit of any of them."""
+
+    AGGREGATES = {
+        "makespan": 0.19397855314324186,
+        "inspector_time": 0.006643833893348354,
+        "compute_time": 0.04337100000000005,
+        "lb_check_time": 0.03267520000000021,
+        "remap_time": 0.016853519249893114,
+        "checkpoint_time": 0.03570880000000001,
+        "rollback_time": 0.006094500000000003,
+        "lost_time": 0.00437860000000001,
+        "num_checks": 6,
+        "num_remaps": 2,
+        "membership_events": 3,
+        "num_checkpoints": 6,
+        "num_rollbacks": 1,
+    }
+    CLOCKS = [
+        0.19397855314324186, 0.19001855314324184,
+        0.19257935314324184, 0.19257855314324185,
+    ]
+    #: Per-rank values that differ between ranks; every other ledger name
+    #: holds the aggregate on every rank.
+    PER_RANK = {
+        "inspector_time": [
+            0.005173919249893114, 0.006643833893348354,
+            0.004860074956100206, 0.0,
+        ],
+        "compute_time": [
+            0.008763000000000005, 0.01369750000000002,
+            0.04337100000000005, 0.04227650000000009,
+        ],
+        "lb_check_time": [
+            0.017651200000000093, 0.024851200000000125,
+            0.028763200000000166, 0.03267520000000021,
+        ],
+    }
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        graph = paper_mesh(800, seed=0)
+        y0 = np.random.default_rng(0).uniform(0, 100, graph.num_vertices)
+        config = ProgramConfig(
+            iterations=20,
+            initial_capabilities="equal",
+            load_balance=LoadBalanceConfig(check_interval=3),
+            membership="standby:3, join:3@0.02, leave:0@0.05, fail:1@0.08",
+            checkpoint="interval:4",
+            inspector_mode="incremental",
+        )
+        return run_program(graph, uniform_cluster(4), config, y0=y0)
+
+    def test_every_aggregate(self, report):
+        assert {
+            name: getattr(report, name) for name in self.AGGREGATES
+        } == self.AGGREGATES
+        assert set(self.AGGREGATES) == set(VIRTUAL)
+        assert report.clocks == self.CLOCKS
+        assert report.partition_final.sizes().tolist() == [0, 0, 400, 400]
+
+    def test_every_rank_view(self, report):
+        for rank, stats in enumerate(report.rank_stats):
+            for name in set(LEDGER) - {"redistribute_host_s"}:
+                expected = (
+                    self.PER_RANK[name][rank]
+                    if name in self.PER_RANK
+                    else self.AGGREGATES[name]
+                )
+                assert getattr(stats, name) == expected, (rank, name)
+        assert report.redistribute_host_s > 0
+
+    def test_counters_stay_in_the_merged_registry(self, report):
+        counters = report.metrics["counters"]
+        assert counters["lb.checks"] == 4 * 6
+        assert counters["lb.remaps"] == 4 * 2
+        assert counters["cp.checkpoints"] == 4 * 6
+        assert counters["cp.rollbacks"] == 4 * 1
+        assert counters["membership.events"] == 4 * 3

@@ -22,6 +22,14 @@ trajectory at the same seed and scale, or the run is refused:
     python tools/bench_record.py --out-dir <parent>/bench/out --commit <parent>
     python tools/bench_record.py --paired-with <parent> --label "..."
 
+``chain`` reads the trajectory back across sessions without comparing two
+sessions: for each workload and each end-to-end or layer metric it prints
+the change/parent ratio of every paired record, in trajectory order, and
+their running product.  A pairing whose parent is not recorded at the
+same seed and scale is refused:
+
+    python tools/bench_record.py chain
+
 The trajectory is append-only: a record is identified by (commit, seed,
 scale), and recording an identity that is already there changes nothing
 (so the tool may be run twice on the same ``out/``).  A run with a failed
@@ -30,7 +38,8 @@ left in ``out/`` by runs at another seed or scale are ignored when
 ``--seed`` / ``--scale`` say which run is meant, and rejected otherwise.
 
 It reads the documents as plain JSON: nothing is imported from ``bench/``.
-Exit status: 0 recorded or already present, 2 refused (reason on stderr).
+Exit status: 0 recorded, already present or chained; 2 refused (reason
+on stderr).
 """
 
 from __future__ import annotations
@@ -175,7 +184,73 @@ def append_record(trajectory: Path, record: dict[str, Any]) -> bool:
     return True
 
 
+def chain(
+    records: list[dict[str, Any]],
+) -> dict[tuple[str, str], list[tuple[str, str, float, float]]]:
+    """``{(workload, metric): [(parent, change, ratio, running product)]}``.
+
+    Only a record's ratio to the parent it was co-measured with is taken;
+    a metric missing, or not positive, on either side of a pair adds no
+    link (a ratio of a difference or a signed fraction means nothing).
+    """
+    by_identity = {identity(record): record for record in records}
+    links: dict[tuple[str, str], list[tuple[str, str, float, float]]] = {}
+    for record in records:
+        if (parent_commit := record.get("paired_with")) is None:
+            continue
+        parent = by_identity.get(
+            (parent_commit, record["seed"], record["scale"])
+        )
+        if parent is None or parent_commit == record["commit"]:
+            raise Refused(
+                f"{record['commit']} is paired with {parent_commit}, which "
+                f"has no other record at seed={record['seed']} "
+                f"scale={record['scale']}: the two sessions do not compare"
+            )
+        for workload, entry in record["workloads"].items():
+            before = parent["workloads"].get(workload, {})
+            for part in ("end_to_end", "layers"):
+                old = before.get(part, {})
+                for metric, value in entry.get(part, {}).items():
+                    base = old.get(metric)
+                    if base is None or not (base > 0 and value > 0):
+                        continue
+                    ratio = value / base
+                    chained = links.setdefault((workload, metric), [])
+                    product = (chained[-1][3] if chained else 1.0) * ratio
+                    chained.append(
+                        (parent_commit, record["commit"], ratio, product)
+                    )
+    return links
+
+
+def chain_main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(
+        prog="bench_record.py chain",
+        description="Chain the within-session pair ratios of the trajectory.",
+    )
+    parser.add_argument(
+        "--trajectory", type=Path, default=ROOT / "BENCH_trajectory.json"
+    )
+    args = parser.parse_args(argv)
+    records = json.loads(args.trajectory.read_text())["records"]
+    try:
+        links = chain(records)
+    except Refused as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 2
+    for (workload, metric), chained in sorted(links.items()):
+        print(f"{workload} {metric}")
+        for parent, change, ratio, product in chained:
+            print(f"  {parent} -> {change}  ratio {ratio:.3f}  "
+                  f"product {product:.3f}")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["chain"]:
+        return chain_main(argv[1:])
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", type=Path, default=ROOT / "bench" / "out")
     parser.add_argument(

@@ -52,10 +52,9 @@ def build_golden() -> dict:
 
     graph, y0 = mesh_workload(800, 1995)
     report = adaptive_run(graph, y0, 20, 3, lb=True, check_interval=5)
-    stats = report.rank_stats[0]
     remap = {
-        "num_remaps": int(stats.num_remaps),
-        "num_checks": int(stats.num_checks),
+        "num_remaps": int(report.num_remaps),
+        "num_checks": int(report.num_checks),
         "final_sizes": [int(s) for s in report.partition_final.sizes()],
     }
 
