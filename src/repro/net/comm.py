@@ -6,13 +6,15 @@ through a :class:`RankContext`, which exposes an MPI-like API (``send`` /
 ``recv`` / collectives) plus :meth:`RankContext.compute` for charging
 computation time through the rank's processor speed and competing-load trace.
 
-Real OS threads give true SPMD concurrency (ranks block on receives exactly
-as P4 processes would); **all reported time is virtual**, so results do not
-depend on the host machine, the GIL, or thread scheduling — except that the
-shared-Ethernet model orders contended frames by thread arrival (see
-:mod:`repro.net.network`).  Known-pattern drains
-(:meth:`RankContext.recv_expected`) charge receives in virtual-arrival
-order, keeping clocks bit-reproducible on deterministic networks.
+Each rank is an OS thread, so ranks block on receives exactly as P4
+processes would; under the GIL the threads take turns rather than run at
+once, so they model SPMD control flow, not host parallelism.  **All
+reported time is virtual**, so results do not depend on the host machine,
+the GIL, or thread scheduling — except that the shared-Ethernet model
+orders contended frames by thread arrival (see :mod:`repro.net.network`).
+Known-pattern drains (:meth:`RankContext.recv_expected`) charge receives
+in virtual-arrival order, keeping clocks bit-reproducible on
+deterministic networks.
 """
 
 from __future__ import annotations

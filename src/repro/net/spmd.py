@@ -7,7 +7,11 @@ worlds share this entry point:
 ``world="sim"`` (default)
     Each rank is an OS thread with its own
     :class:`~repro.net.comm.RankContext` and a **virtual** clock; results
-    do not depend on the host machine.
+    do not depend on the host machine.  The threads share one interpreter,
+    so under the GIL they take turns rather than run at once: they give
+    each rank its own blocking control flow, not host parallelism.  A
+    small run's ranks can therefore share one CPU (:func:`one_cpu`),
+    where a hand-off between them is cheaper.
 
 ``world="real"``
     Each rank is an OS process (:mod:`repro.runtime.procs`) connected to
@@ -24,9 +28,11 @@ exceptions (secondary mailbox-closed errors are filtered out).
 
 from __future__ import annotations
 
+import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -35,7 +41,7 @@ from repro.net.cluster import ClusterSpec
 from repro.net.comm import Communicator, RankContext  # noqa: F401 - re-export
 from repro.net.trace import TraceLog
 
-__all__ = ["WORLDS", "SPMDResult", "SPMDRunner", "run_spmd"]
+__all__ = ["WORLDS", "SPMDResult", "SPMDRunner", "one_cpu", "run_spmd"]
 
 #: Supported execution worlds.
 WORLDS = ("sim", "real")
@@ -47,6 +53,32 @@ def _check_world(world: str) -> str:
             f"unknown execution world {world!r}; pick from {WORLDS}"
         )
     return world
+
+
+@contextmanager
+def one_cpu(enabled: bool = True) -> Iterator[None]:
+    """Pin the calling thread to one CPU of its mask for the block.
+
+    Threads started inside the block inherit the pin, so the rank threads
+    of a sim-world run started here hand the GIL to each other on one
+    core instead of waking a thread on another.  The exact previous mask
+    is restored on exit, also when the block raises.  A no-op when
+    *enabled* is false, where ``os.sched_setaffinity`` does not exist,
+    and when the mask already holds a single CPU.
+    """
+    mask = (
+        os.sched_getaffinity(0)
+        if enabled and hasattr(os, "sched_setaffinity")
+        else set()
+    )
+    if len(mask) < 2:
+        yield
+        return
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, mask)
 
 
 @dataclass

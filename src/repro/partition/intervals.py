@@ -14,12 +14,12 @@ dereference a global index locally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from repro.errors import PartitionError
+from repro.utils.lazy import lazy_attribute
 from repro.utils.validation import check_permutation, check_probability_vector
 
 __all__ = [
@@ -91,7 +91,7 @@ class IntervalPartition:
     def num_elements(self) -> int:
         return int(self.bounds[-1])
 
-    @cached_property
+    @lazy_attribute
     def _block_of_owner(self) -> np.ndarray:
         blk = np.empty(self.num_processors, dtype=np.intp)
         blk[self.owners] = np.arange(self.num_processors, dtype=np.intp)

@@ -21,7 +21,6 @@ bit-identical to the literal transcription
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from repro.errors import ScheduleError
 from repro.graph.csr import CSRGraph
 from repro.partition.intervals import IntervalPartition
 from repro.runtime.schedule import CommSchedule
+from repro.utils.lazy import lazy_attribute
 
 __all__ = [
     "KernelCostModel",
@@ -216,11 +216,10 @@ class KernelPlan:
     def n_references(self) -> int:
         return int(self.slots.size)
 
-    @cached_property
+    @lazy_attribute
     def segments(self) -> RowSegments:
         """The plan's row segments, derived on first use and kept for its
-        lifetime (``cached_property`` writes the instance dict, which a
-        frozen dataclass allows): no sweep repeats plan-only work."""
+        lifetime: no sweep repeats plan-only work."""
         return RowSegments(self.counts, self.slots)
 
     def sweep(self, local_y: np.ndarray, ghost: np.ndarray) -> np.ndarray:

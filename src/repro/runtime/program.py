@@ -32,7 +32,8 @@ from repro.errors import (
 from repro.graph.csr import CSRGraph
 from repro.net.cluster import ClusterSpec
 from repro.net.loadmodel import MembershipTrace
-from repro.net.spmd import SPMDResult, run_spmd
+from repro.net.network import PointToPointNetwork, SharedEthernet
+from repro.net.spmd import SPMDResult, one_cpu, run_spmd
 from repro.net.trace import TraceLog
 from repro.partition.intervals import IntervalPartition, partition_list
 from repro.partition.ordering import OrderingMethod
@@ -61,6 +62,14 @@ __all__ = ["VIRTUAL", "ProgramConfig", "ProgramReport", "run_program"]
 #: program: the makespan and every :data:`LEDGER` aggregate but host
 #: seconds.  The oracle, the scale tier and the sweeps read it here.
 VIRTUAL = ("makespan", *(n for n in LEDGER if not n.endswith("_host_s")))
+
+#: Edge references per rank below which a sim-world run's rank threads
+#: share one CPU (:func:`~repro.net.spmd.one_cpu`).  Such a run's host time
+#: goes to handing the GIL between rank threads, and a hand-off that wakes
+#: a thread on another core costs more than the sweeps it would overlap.
+#: Larger runs keep every CPU: their numpy sweeps release the GIL.
+#: docs/architecture.md ("Execution worlds") has the measured crossover.
+ONE_CPU_BELOW_REFS_PER_RANK = 2**15
 
 
 @dataclass(frozen=True)
@@ -293,6 +302,23 @@ def _pick_ordering(config: ProgramConfig, graph: CSRGraph) -> OrderingMethod:
     return IdentityOrdering()
 
 
+def _shares_one_cpu(
+    gperm: CSRGraph, cluster: ClusterSpec, config: ProgramConfig
+) -> bool:
+    """Whether this run's rank threads share one CPU.  Only sim-world runs
+    on point-to-point links qualify: real-world ranks are forked processes
+    that would inherit the pin, and the shared Ethernet grants its medium
+    in thread arrival order, which the pin would change."""
+    if config.world != "sim":
+        return False
+    if gperm.indices.size / cluster.size >= ONE_CPU_BELOW_REFS_PER_RANK:
+        return False
+    network = cluster.make_network()
+    return isinstance(network, PointToPointNetwork) and not isinstance(
+        network, SharedEthernet
+    )
+
+
 def _rank_main(
     ctx: Any,
     gperm: CSRGraph,
@@ -455,18 +481,19 @@ def run_program(
     trace_capacity = config.trace_capacity
     if trace_capacity is None and capture is not None:
         trace_capacity = capture.capacity
-    result: SPMDResult = run_spmd(
-        cluster,
-        _rank_main,
-        gperm,
-        y_init,
-        caps,
-        config,
-        trace=want_trace,
-        trace_capacity=trace_capacity,
-        world=config.world,
-        recv_timeout=config.recv_timeout,
-    )
+    with one_cpu(_shares_one_cpu(gperm, cluster, config)):
+        result: SPMDResult = run_spmd(
+            cluster,
+            _rank_main,
+            gperm,
+            y_init,
+            caps,
+            config,
+            trace=want_trace,
+            trace_capacity=trace_capacity,
+            world=config.world,
+            recv_timeout=config.recv_timeout,
+        )
     if capture is not None:
         capture.deposit(
             f"{config.world}:{cluster.size}ranks:{config.iterations}it",
