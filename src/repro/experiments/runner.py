@@ -2,7 +2,8 @@
 
 For each configuration in an experiment's grid the runner derives the
 deterministic per-configuration seed (:func:`~repro.experiments.spec.config_seed`),
-calls the experiment's metrics function, and records wall time plus the
+calls the experiment's metrics function (once per pass, configuration after
+configuration; see ``Experiment.passes``), and records wall time plus the
 process's peak RSS.  After the grid, the experiment's ``expect`` (if any)
 checks the run records against the shape the paper claims; what it reports
 is stored as the artifact's ``violations``.  The finished artifact (schema
@@ -117,21 +118,25 @@ def run_experiment(
             if cfg not in merged:
                 merged.append(cfg)
         configs = merged
-    runs: list[dict[str, Any]] = []
-    for params in configs:
-        seed = config_seed(exp.seed, params)
-        t0 = time.perf_counter()
-        metrics = exp.fn(params, seed=seed)
-        wall = time.perf_counter() - t0
-        runs.append(
-            {
-                "params": dict(params),
-                "seed": seed,
-                "wall_s": wall,
-                "max_rss_kb": max_rss_kb(),
-                "metrics": _check_metrics(exp.name, params, metrics),
-            }
-        )
+    runs: list[dict[str, Any]] = [
+        {"params": dict(params), "seed": config_seed(exp.seed, params), "wall_s": 0.0}
+        for params in configs
+    ]
+    for _ in range(exp.passes):
+        for run in runs:
+            t0 = time.perf_counter()
+            metrics = exp.fn(run["params"], seed=run["seed"])
+            run["wall_s"] += time.perf_counter() - t0
+            run["max_rss_kb"] = max_rss_kb()
+            metrics = _check_metrics(exp.name, run["params"], metrics)
+            if "metrics" in run:
+                metrics = {
+                    key: (max if key in exp.higher_is_better else min)(
+                        run["metrics"][key], value
+                    )
+                    for key, value in metrics.items()
+                }
+            run["metrics"] = metrics
     artifact = artifacts.new_artifact(
         experiment=exp.name,
         title=exp.title,

@@ -150,12 +150,19 @@ class Experiment:
     #: Metric names where larger is better (everything else: lower is better).
     higher_is_better: tuple[str, ...] = ()
     expect: ExpectFn | None = None
+    #: Passes over the grid, configuration after configuration; each run
+    #: records every metric's best value over its passes.  For host-timed
+    #: metrics: host speed drifts over seconds, and alternating the
+    #: configurations an ``expect`` compares lets each see the same drift.
+    passes: int = 1
 
     def __post_init__(self) -> None:
         # Names are slugs: alphanumerics plus "_" and "-" (experiment
         # families use a hyphenated prefix, e.g. "scale-epoch").
         if not self.name or not self.name.replace("_", "").replace("-", "").isalnum():
             raise ReproError(f"invalid experiment name {self.name!r}")
+        if self.passes < 1:
+            raise ReproError(f"passes must be at least 1, got {self.passes}")
         expand_grid(self.grid)  # validate axes early
         if self.quick_grid is not None:
             expand_grid(self.quick_grid)

@@ -148,8 +148,19 @@ def sfc_order(
         keys = morton_keys(coords, bits=bits)
     else:
         raise OrderingError(f"unknown curve {curve!r}; use 'hilbert' or 'morton'")
-    # Stable sort: vertices in the same grid cell keep input order.
-    return np.argsort(keys, kind="stable").astype(np.intp)
+    # Stable order: vertices in the same grid cell keep input order.  When
+    # key and vertex id fit one 64-bit word, sorting ``key << id_bits | id``
+    # by value gives that order several times faster than a stable argsort.
+    n = keys.size
+    id_bits = max(n - 1, 0).bit_length()
+    key_bits = int(keys.max()).bit_length() if n else 0
+    if key_bits + id_bits > 64:
+        return np.argsort(keys, kind="stable").astype(np.intp)
+    words = keys << np.uint64(id_bits)
+    words |= np.arange(n, dtype=np.uint64)
+    words.sort()
+    words &= np.uint64((1 << id_bits) - 1)
+    return words.astype(np.intp)
 
 
 @dataclass(frozen=True)

@@ -240,6 +240,33 @@ def test_violated_expectation_fails_the_cli_run(tmp_path, capsys):
     assert len(artifact["runs"]) == 2
 
 
+def test_passes_alternate_configurations_and_keep_each_best_metric():
+    calls = []
+
+    def fn(params, seed):
+        calls.append(params["a"])
+        k = len(calls)
+        return {"host_s": 10.0 - k if k < 4 else 10.0 + k, "speedup": float(k)}
+
+    exp = Experiment(
+        name="two-pass", title="throw-away", paper_anchor="none", fn=fn,
+        grid={"a": (1, 2)}, higher_is_better=("speedup",), passes=3,
+    )
+    artifact, _ = run_experiment(exp, results_dir=None)
+    assert calls == [1, 2, 1, 2, 1, 2]
+    # a=1 ran as calls 1, 3, 5; a=2 as calls 2, 4, 6.
+    assert [run["metrics"] for run in artifact["runs"]] == [
+        {"host_s": 7.0, "speedup": 5.0},
+        {"host_s": 8.0, "speedup": 6.0},
+    ]
+    assert [run["seed"] for run in artifact["runs"]] == [
+        config_seed(exp.seed, {"a": a}) for a in (1, 2)
+    ]
+    with pytest.raises(ReproError, match="passes"):
+        Experiment(name="none", title="t", paper_anchor="none", fn=fn,
+                   grid={"a": (1,)}, passes=0)
+
+
 def test_agree_across_names_configuration_metric_and_both_values():
     from repro.experiments.spec import agree_across
 

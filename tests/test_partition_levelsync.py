@@ -25,6 +25,7 @@ from repro.graph.generators import grid_graph, paper_mesh
 from repro.graph.metrics import edge_cut
 from repro.partition.bisection import (
     bisection_order,
+    stable_order,
     stable_ranks,
     tiebreak_jitter,
 )
@@ -124,6 +125,32 @@ class TestTieSemantics:
             stable_ranks(np.array([2.0, 1.0, 2.0, 1.0, 0.5])), [3, 1, 4, 2, 0]
         )
 
+    @pytest.mark.parametrize(
+        "keys",
+        (
+            np.array([2.0, 1.0, 2.0, 1.0, 0.5]),
+            np.array([0.0, -0.0, 1.0, -0.0, 0.0]),
+            np.array([np.nan, 1.0, np.nan, -2.0, 0.5]),
+            np.array([3.0, np.nan, -0.0, 3.0, 0.0, np.inf, -np.inf]),
+            np.random.default_rng(2).integers(0, 9, 1_000).astype(float),
+            np.random.default_rng(3).choice([0.0, -0.0, 1.0], 1_000),
+            np.random.default_rng(4).choice([np.nan, 1.0, 2.0, 3.0], 1_000),
+            np.random.default_rng(5).random(1_000),
+            np.array([7.0]),
+            np.array([]),
+        ),
+        ids=("ties", "signed-zeros", "nan", "mixed", "many-ties",
+             "many-signed-zeros", "many-nan", "distinct", "one", "empty"),
+    )
+    def test_fast_path_equals_stable_sort(self, keys):
+        # The default argsort is kept only when its sorted keys strictly
+        # increase; anything else falls back to the stable sort.
+        expected = np.argsort(keys, kind="stable")
+        np.testing.assert_array_equal(stable_order(keys), expected)
+        ranks = np.empty(keys.size, dtype=np.intp)
+        ranks[expected] = np.arange(keys.size)
+        np.testing.assert_array_equal(stable_ranks(keys), ranks)
+
 
 class TestDriver:
     @pytest.mark.parametrize("n", (2, 3, 17, 1_000, 1_024, 1_025))
@@ -145,6 +172,19 @@ class TestDriver:
     def test_lower_half_takes_smaller_keys(self):
         order = bisection_order(5, lambda perm, starts, seg, depth: 4 - perm)
         np.testing.assert_array_equal(order, [4, 3, 2, 1, 0])
+
+    def test_contract_is_stated(self):
+        assert "distinct integers in ``[0, K)``" in bisection_order.__doc__
+
+    @pytest.mark.parametrize("n", (1, 2, 17, 1_000))
+    def test_fixed_key_map_over_a_wider_range(self, n):
+        # K = 3n: key 2n + (n - 1 - v) always belongs to vertex v.
+        vertex_of = np.full(3 * n, -1, dtype=np.intp)
+        vertex_of[2 * n + n - 1 - np.arange(n)] = np.arange(n)
+        order = bisection_order(
+            n, lambda perm, starts, seg, depth: 3 * n - 1 - perm, vertex_of
+        )
+        np.testing.assert_array_equal(order, np.arange(n)[::-1])
 
 
 class TestInertial:
