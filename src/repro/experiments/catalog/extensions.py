@@ -295,10 +295,7 @@ def _exp_ext_hpf_redistribution(
 # Capability prediction from several phases (footnote 2): a competing load
 # *ramps up* on one machine.  The last-phase rule always lags one check
 # behind; a trend predictor sizes the slow machine's block for the load it
-# will have.  The two smoothing predictors (moving-average, ewma) are
-# reported without a claim: a window mean of a monotone series is always
-# behind it, so on this ramp they size the loaded machine's block for a load
-# it no longer has and can lose even to not balancing at all.
+# will have.
 
 
 @lru_cache(maxsize=4)
@@ -332,16 +329,9 @@ def _expect_ext_prediction(runs):
     title="Extension: capability predictors under a ramping load",
     paper_anchor="Sec. 3.5 (footnote 2)",
     grid={
-        "predictor": ("off", "paper", "last", "moving-average", "ewma", "trend"),
-        "n_vertices": (6_000,),
-        "iterations": (60,),
-        "check_interval": (10,),
-        "workload_seed": (1995,),
-    },
-    # Same scale as the full grid: on a smaller mesh a remap costs about what
-    # it saves and no predictor separates from "off".
-    quick_grid={
         "predictor": ("off", "paper", "last", "trend"),
+        # The quick tier runs this grid too: on a smaller mesh a remap costs
+        # about what it saves and no predictor separates from "off".
         "n_vertices": (6_000,),
         "iterations": (60,),
         "check_interval": (10,),

@@ -34,7 +34,7 @@ from repro.net.trace import TraceEvent, TraceLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import Tracer
 
-__all__ = ["Communicator", "RankContext", "resolve_recv_timeout"]
+__all__ = ["Communicator", "RECV_OVERHEAD", "RankContext", "resolve_recv_timeout"]
 
 #: Default *host* timeout for blocking receives, to surface deadlocks in
 #: tests instead of hanging forever.  Override per run with the
@@ -74,6 +74,11 @@ def resolve_recv_timeout(explicit: float | None = None) -> float:
     return DEFAULT_RECV_TIMEOUT
 
 
+#: Virtual seconds a rank pays to take one delivered message off its
+#: mailbox (:meth:`RankContext._charge_recv`); the communicator's default.
+RECV_OVERHEAD = 2.0e-4
+
+
 class Communicator:
     """Shared state for one SPMD run over a cluster."""
 
@@ -84,7 +89,7 @@ class Communicator:
         trace: bool = False,
         trace_capacity: int | None = None,
         recv_timeout: float | None = None,
-        recv_overhead: float = 2.0e-4,
+        recv_overhead: float = RECV_OVERHEAD,
         barrier_overhead: float = 1.0e-4,
     ):
         self.cluster = cluster

@@ -60,6 +60,13 @@ class LoadTrace:
         """The next breakpoint strictly after *t*, or ``math.inf``."""
         raise NotImplementedError
 
+    def peak_load(self) -> float:
+        """The largest load the trace ever reaches (t >= 0)."""
+        peak, t = self.load_at(0.0), 0.0
+        while (t := self.next_change_after(t)) < math.inf:
+            peak = max(peak, self.load_at(t))
+        return peak
+
     def mean_load(self, t0: float, t1: float) -> float:
         """Time-averaged load over [t0, t1] (t1 > t0)."""
         if t1 <= t0:

@@ -46,10 +46,8 @@ from repro.runtime.kernels import (
 from repro.runtime.monitor import LoadMonitor
 from repro.runtime.prediction import (
     CapabilityPredictor,
-    ExponentialSmoothingPredictor,
     LastValuePredictor,
     LinearTrendPredictor,
-    MovingAveragePredictor,
     make_predictor,
 )
 from repro.runtime.program import (
@@ -98,10 +96,8 @@ __all__ = [
     "Decision",
     "redistribute_fields",
     "transfer_plan_summary",
-    "ExponentialSmoothingPredictor",
     "LastValuePredictor",
     "LinearTrendPredictor",
-    "MovingAveragePredictor",
     "make_predictor",
     "DistributedTranslationTable",
     "ExecutorCostModel",

@@ -42,15 +42,18 @@ from repro.runtime.adaptive.redistribution import (
 from repro.runtime.adaptive.session import AdaptiveSession, SessionStats
 from repro.runtime.adaptive.strategy import (
     STRATEGY_NAMES,
+    CheckPrice,
     Decision,
     LoadBalanceConfig,
     check,
     decide,
+    price_checks,
     resolve_load_balance,
 )
 
 __all__ = [
     "AdaptiveSession",
+    "CheckPrice",
     "Decision",
     "ElasticState",
     "IDENTITY_NBYTES",
@@ -63,6 +66,7 @@ __all__ = [
     "decide",
     "estimate_remap_cost",
     "membership_decision",
+    "price_checks",
     "redistribute",
     "redistribute_fields",
     "resolve_load_balance",

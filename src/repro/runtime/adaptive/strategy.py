@@ -25,6 +25,11 @@ two arms of one function:
 interval, protocol, predictor); :func:`resolve_load_balance` is the one
 place the names ``"off"`` and ``None`` are understood — below it, "no
 config" *is* the static run.
+
+:func:`price_checks` applies the same profitability reasoning one level
+up, to the checks themselves: before a job runs, it bounds what any
+remap could save and what the due checks must cost, so a caller that
+knows the placement (the job service) can drop checks that cannot pay.
 """
 
 from __future__ import annotations
@@ -35,17 +40,24 @@ from typing import TYPE_CHECKING, Any, Iterable
 import numpy as np
 
 from repro.errors import LoadBalanceError
+from repro.net.comm import RECV_OVERHEAD
 from repro.net.message import Tags
 from repro.partition.arrangement import minimize_cost_redistribution
 from repro.partition.intervals import IntervalPartition, partition_list
-from repro.runtime.adaptive.redistribution import estimate_remap_cost
+from repro.runtime.adaptive.redistribution import (
+    estimate_remap_cost,
+    network_pricing_params,
+)
+from repro.runtime.kernels import KernelCostModel
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.cluster import ClusterSpec
     from repro.net.comm import RankContext
 
 __all__ = [
     "LoadBalanceConfig",
     "Decision",
+    "CheckPrice",
     "STRATEGY_NAMES",
     "PROFITABILITY_MARGIN",
     "MIN_IMPROVEMENT",
@@ -54,6 +66,7 @@ __all__ = [
     "resolve_load_balance",
     "decide",
     "check",
+    "price_checks",
 ]
 
 #: The two protocols of :func:`check` — the values
@@ -92,7 +105,7 @@ class LoadBalanceConfig:
     (:func:`resolve_load_balance`).
     ``predictor`` — None for the paper's last-phase assumption, or a
     predictor name from :mod:`repro.runtime.prediction` ("last",
-    "moving-average", "ewma", "trend") to forecast capabilities from more
+    "trend") to forecast capabilities from more
     than one previous phase (paper footnote 2).
     """
 
@@ -275,6 +288,87 @@ def decide(
         predicted_balanced=predicted_balanced,
         remap_cost=remap_cost,
     )
+
+
+@dataclass(frozen=True)
+class CheckPrice:
+    """What a run's load-balance checks could gain against what they cost.
+
+    ``savings`` is an upper bound on the virtual seconds any remap could
+    save; ``per_check`` a lower bound on the virtual seconds one due check
+    adds to the critical path.  When the bound on the gain does not
+    exceed the ``checks`` checks' price, the run without them can never
+    finish later (:func:`price_checks`).
+    """
+
+    checks: int
+    savings: float
+    per_check: float
+
+    @property
+    def cost(self) -> float:
+        """Lower bound on the virtual seconds all due checks charge."""
+        return self.checks * self.per_check
+
+    @property
+    def pays(self) -> bool:
+        """Whether the checks may pay: no check is due, or the bound on
+        the savings exceeds their price."""
+        return self.checks == 0 or self.savings > self.cost
+
+
+def price_checks(
+    cluster: "ClusterSpec",
+    row_references: np.ndarray,
+    iterations: int,
+    lb: LoadBalanceConfig,
+    *,
+    kernel_cost: KernelCostModel = KernelCostModel(),
+) -> CheckPrice:
+    """Price a run's load-balance checks before it starts (Sec. 3.5).
+
+    Inputs are what is known before the run: the *cluster* it is placed
+    on (speeds and competing-load traces), the per-row reference counts of
+    its graph, its iteration count and its load-balance config.  The run
+    starts on an equal split, so no rank holds more than ceil(n/p) rows.
+
+    * *Savings, an upper bound.*  A remap can at best remove the whole
+      compute of the slowest rank from every iteration after the first
+      due check.  That compute is at most the kernel work of the graph's
+      heaviest ceil(n/p) rows at the rank's speed under its peak load,
+      which also bounds :func:`decide`'s predicted savings when no
+      predictor forecasts past the measured load.  It is 0 for one rank:
+      there is nowhere to move data to.
+    * *Price per check, a lower bound.*  Each due check costs the critical
+      path at least one load-report hop (``overhead + latency`` of
+      :func:`network_pricing_params`), the p-1 receive overheads of the
+      reports, rank 0's MCR charge of :data:`MCR_SECONDS_PER_P3` x p^3 at
+      its unloaded speed, and under ``"centralized"`` one decision hop.
+      One rank pays only the MCR charge.
+    """
+    p = cluster.size
+    n = int(np.size(row_references))
+    checks = max(iterations - 1, 0) // lb.check_interval
+    savings = 0.0
+    if checks and p > 1:
+        rows = -(-n // p)
+        heaviest = np.sort(np.asarray(row_references))[n - rows :]
+        work = kernel_cost.sweep_seconds(int(heaviest.sum()), rows)
+        slowdown = max(
+            (1.0 + proc.load.peak_load()) / proc.speed
+            for proc in cluster.processors
+        )
+        savings = (iterations - lb.check_interval) * work * slowdown
+    latency, _bandwidth, overhead, _shared = network_pricing_params(
+        cluster.make_network()
+    )
+    hops = 0 if p == 1 else 2 if lb.style == "centralized" else 1
+    per_check = (
+        hops * (overhead + latency)
+        + (p - 1) * RECV_OVERHEAD
+        + MCR_SECONDS_PER_P3 * p**3 / cluster.processors[0].speed
+    )
+    return CheckPrice(checks=checks, savings=savings, per_check=per_check)
 
 
 def check(

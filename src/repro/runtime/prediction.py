@@ -9,7 +9,9 @@ observation.
 
 Predictors are deliberately simple time-series models — the controller runs
 them every few iterations on p numbers, so anything heavier would dwarf the
-check cost the paper works to keep small.
+check cost the paper works to keep small.  No window mean is offered: it
+lags a ramping load, and on ``ext_prediction``'s noisy-walk setup a moving
+average and an exponential smoothing both lost to the last phase.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from repro.errors import LoadBalanceError
 __all__ = [
     "CapabilityPredictor",
     "LastValuePredictor",
-    "MovingAveragePredictor",
-    "ExponentialSmoothingPredictor",
     "LinearTrendPredictor",
     "make_predictor",
 ]
@@ -66,51 +66,6 @@ class LastValuePredictor(_BasePredictor):
         if self._last is None:
             raise LoadBalanceError("no observations yet")
         return self._last
-
-
-@dataclass
-class MovingAveragePredictor(_BasePredictor):
-    """Mean of the last *window* phases: smooths bursty competing load."""
-
-    window: int = 4
-    _history: Deque[float] = field(default_factory=deque)
-
-    def __post_init__(self) -> None:
-        if self.window < 1:
-            raise LoadBalanceError(f"window must be >= 1, got {self.window}")
-
-    def observe(self, capability: float) -> None:
-        self._history.append(self._check(capability))
-        while len(self._history) > self.window:
-            self._history.popleft()
-
-    def predict(self) -> float:
-        if not self._history:
-            raise LoadBalanceError("no observations yet")
-        return float(np.mean(self._history))
-
-
-@dataclass
-class ExponentialSmoothingPredictor(_BasePredictor):
-    """EWMA with factor *alpha* (1.0 degenerates to last-value)."""
-
-    alpha: float = 0.5
-    _state: float | None = None
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 1.0):
-            raise LoadBalanceError(f"alpha must be in (0, 1], got {self.alpha}")
-
-    def observe(self, capability: float) -> None:
-        c = self._check(capability)
-        self._state = c if self._state is None else (
-            self.alpha * c + (1.0 - self.alpha) * self._state
-        )
-
-    def predict(self) -> float:
-        if self._state is None:
-            raise LoadBalanceError("no observations yet")
-        return self._state
 
 
 @dataclass
@@ -155,11 +110,9 @@ class LinearTrendPredictor(_BasePredictor):
 
 
 def make_predictor(kind: str, **kwargs: object) -> CapabilityPredictor:
-    """Factory by name: 'last', 'moving-average', 'ewma', 'trend'."""
+    """Factory by name: 'last', 'trend'."""
     factories = {
         "last": LastValuePredictor,
-        "moving-average": MovingAveragePredictor,
-        "ewma": ExponentialSmoothingPredictor,
         "trend": LinearTrendPredictor,
     }
     if kind not in factories:

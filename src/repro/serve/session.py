@@ -10,9 +10,13 @@ service time ``t``, every already-admitted job's measured per-rank busy
 interval is projected onto the new job's processors as a
 :class:`~repro.net.loadmodel.ServiceLoad` — one competing process per
 co-tenant job per rank, clipped and shifted to the new job's local
-clock.  The new job's adaptive load balancer then reacts to real
-co-tenants through the ordinary ``capability_ratios`` machinery, which
-is the loop the paper scripts by hand with static load traces (Sec. 3.5).
+clock.  Admission then prices the job's load-balance checks on that
+placement (:func:`~repro.runtime.adaptive.price_checks`): a job whose
+checks cannot pay for themselves runs without them, and counts in
+``serve.lb_priced_out``.  Otherwise the job's adaptive load balancer
+reacts to real co-tenants through the ordinary ``capability_ratios``
+machinery, which is the loop the paper scripts by hand with static load
+traces (Sec. 3.5).
 Jobs admitted *later* do not retroactively slow an earlier job — the
 approximation that keeps admission decisions causal and the whole run
 deterministic.
@@ -24,6 +28,7 @@ bit-identical :class:`ServiceReport` numbers.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 from collections import deque
@@ -37,6 +42,7 @@ from repro.net.cluster import ClusterSpec
 from repro.net.loadmodel import ServiceLoad
 from repro.net.trace import TraceEvent, TraceLog
 from repro.obs.metrics import MetricsRegistry
+from repro.runtime.adaptive import price_checks
 from repro.serve.job import JobQueue, JobSpec
 from repro.serve.scheduler import ADMISSION_POLICIES, admission_order, place_job
 from repro.utils.tables import format_table
@@ -61,6 +67,9 @@ class JobRecord:
     checksum: float
     #: All jobs are submitted at service time 0 (batch stream).
     submitted: float = 0.0
+    #: Admission found the job's load-balance checks cannot pay on its
+    #: placement and ran it without them.
+    lb_priced_out: bool = False
 
     @property
     def queue_wait(self) -> float:
@@ -151,6 +160,11 @@ class ServiceReport:
             "p99_queue_wait": self.p99_queue_wait(),
         }
 
+    @property
+    def lb_priced_out(self) -> int:
+        """Jobs admission ran without their load-balance checks."""
+        return sum(r.lb_priced_out for r in self.records)
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "policy": self.policy,
@@ -159,6 +173,7 @@ class ServiceReport:
             "backend": self.backend,
             "cluster_size": self.cluster_size,
             "metrics": self.metrics(),
+            "lb_priced_out": self.lb_priced_out,
             "jobs": [
                 {
                     "job_id": r.job.job_id,
@@ -169,6 +184,7 @@ class ServiceReport:
                     "makespan": r.makespan,
                     "exec_makespan": r.exec_makespan,
                     "checksum": r.checksum,
+                    "lb_priced_out": r.lb_priced_out,
                 }
                 for r in self.records
             ],
@@ -183,11 +199,15 @@ class ServiceReport:
                 r.finished,
                 r.queue_wait,
                 r.makespan,
+                "off" if r.lb_priced_out else "",
             ]
             for r in sorted(self.records, key=lambda r: r.admitted)
         ]
         table = format_table(
-            ["job", "placement", "admitted", "finished", "wait", "makespan"],
+            [
+                "job", "placement", "admitted", "finished", "wait",
+                "makespan", "checks",
+            ],
             rows,
             title=(
                 f"service: {self.n_jobs} jobs over {self.cluster_size} "
@@ -201,7 +221,9 @@ class ServiceReport:
             f"{m['service_makespan']:.4f} s; makespan p50 "
             f"{m['p50_makespan']:.4f} s, p99 {m['p99_makespan']:.4f} s; "
             f"Jain fairness {m['jain_fairness']:.4f}; queue wait mean "
-            f"{m['mean_queue_wait']:.4f} s, p99 {m['p99_queue_wait']:.4f} s"
+            f"{m['mean_queue_wait']:.4f} s, p99 {m['p99_queue_wait']:.4f} s; "
+            f"load-balance checks priced out for {self.lb_priced_out} of "
+            f"{self.n_jobs} jobs"
         )
         return table + "\n\n" + summary
 
@@ -300,12 +322,18 @@ class ServiceSession:
         if loads:
             sub = sub.with_loads(loads)
         graph = job.build_graph()
-        report = run_program(
-            graph,
+        config = job.build_config(backend=self._backend)
+        priced_out = config.load_balance is not None and not price_checks(
             sub,
-            job.build_config(backend=self._backend),
-            y0=job.build_y0(graph),
-        )
+            graph.degrees,
+            config.iterations,
+            config.load_balance,
+            kernel_cost=config.kernel_cost,
+        ).pays
+        if priced_out:
+            config = dataclasses.replace(config, load_balance=None)
+            self.metrics.count("serve.lb_priced_out")
+        report = run_program(graph, sub, config, y0=job.build_y0(graph))
         for local, rank in enumerate(placement):
             end = t + report.clocks[local]
             if end > t:
@@ -340,6 +368,7 @@ class ServiceSession:
             finished=t + report.makespan,
             exec_makespan=report.makespan,
             checksum=float(report.values.sum()),
+            lb_priced_out=priced_out,
         )
 
     def run(self) -> ServiceReport:

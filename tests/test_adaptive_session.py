@@ -41,9 +41,9 @@ class TestResolveLoadBalance:
     def test_name_carries_the_passed_options(self):
         assert resolve_load_balance("centralized") == LoadBalanceConfig()
         assert resolve_load_balance(
-            "distributed", check_interval=3, predictor="ewma"
+            "distributed", check_interval=3, predictor="trend"
         ) == LoadBalanceConfig(
-            check_interval=3, style="distributed", predictor="ewma"
+            check_interval=3, style="distributed", predictor="trend"
         )
 
     def test_config_passes_through(self):

@@ -21,10 +21,8 @@ from repro.partition.intervals import partition_list
 from repro.runtime.adaptive import LoadBalanceConfig, check
 from repro.runtime.kernels import run_sequential
 from repro.runtime.prediction import (
-    ExponentialSmoothingPredictor,
     LastValuePredictor,
     LinearTrendPredictor,
-    MovingAveragePredictor,
     make_predictor,
 )
 from repro.runtime.program import ProgramConfig, run_program
@@ -40,34 +38,6 @@ class TestPredictors:
     def test_last_value_empty_raises(self):
         with pytest.raises(LoadBalanceError):
             LastValuePredictor().predict()
-
-    def test_moving_average_window(self):
-        p = MovingAveragePredictor(window=2)
-        for v in (10.0, 20.0, 30.0):
-            p.observe(v)
-        assert p.predict() == pytest.approx(25.0)
-
-    def test_moving_average_validation(self):
-        with pytest.raises(LoadBalanceError):
-            MovingAveragePredictor(window=0)
-
-    def test_ewma_smoothing(self):
-        p = ExponentialSmoothingPredictor(alpha=0.5)
-        p.observe(10.0)
-        p.observe(20.0)
-        assert p.predict() == pytest.approx(15.0)
-
-    def test_ewma_alpha_one_is_last_value(self):
-        p = ExponentialSmoothingPredictor(alpha=1.0)
-        p.observe(10.0)
-        p.observe(33.0)
-        assert p.predict() == 33.0
-
-    def test_ewma_validation(self):
-        with pytest.raises(LoadBalanceError):
-            ExponentialSmoothingPredictor(alpha=0.0)
-        with pytest.raises(LoadBalanceError):
-            ExponentialSmoothingPredictor(alpha=1.5)
 
     def test_trend_extrapolates_ramp(self):
         p = LinearTrendPredictor(window=4)
@@ -94,16 +64,16 @@ class TestPredictors:
             LinearTrendPredictor(min_factor=2.0)
 
     def test_rejects_nonpositive_observations(self):
-        for p in (LastValuePredictor(), MovingAveragePredictor(),
-                  ExponentialSmoothingPredictor(), LinearTrendPredictor()):
+        for p in (LastValuePredictor(), LinearTrendPredictor()):
             with pytest.raises(LoadBalanceError):
                 p.observe(0.0)
 
     def test_factory(self):
         assert isinstance(make_predictor("last"), LastValuePredictor)
-        assert isinstance(make_predictor("ewma"), ExponentialSmoothingPredictor)
-        with pytest.raises(LoadBalanceError):
-            make_predictor("oracle")
+        assert isinstance(make_predictor("trend"), LinearTrendPredictor)
+        for removed in ("oracle", "moving-average", "ewma"):
+            with pytest.raises(LoadBalanceError):
+                make_predictor(removed)
 
     def test_trend_beats_last_on_ramp(self):
         """On a steadily degrading machine the trend predictor's forecast is
@@ -197,7 +167,7 @@ class TestProgramWithExtensions:
         np.testing.assert_allclose(rep.values, oracle, atol=1e-9)
         assert rep.num_remaps >= 1
 
-    @pytest.mark.parametrize("predictor", ["last", "moving-average", "ewma", "trend"])
+    @pytest.mark.parametrize("predictor", ["last", "trend"])
     def test_predictors_preserve_correctness(self, workload, predictor):
         g, y0 = workload
         oracle = run_sequential(g, y0, 25)
