@@ -48,7 +48,7 @@ class CSRGraph:
             raise GraphError("indptr must be a 1-D array of length n+1")
         if indptr[0] != 0:
             raise GraphError("indptr must start at 0")
-        if np.any(np.diff(indptr) < 0):
+        if (indptr[1:] < indptr[:-1]).any():
             raise GraphError("indptr must be non-decreasing")
         if indptr[-1] != indices.size:
             raise GraphError(
@@ -75,8 +75,8 @@ class CSRGraph:
 
     def _check_symmetric(self) -> None:
         n = self.num_vertices
-        src = np.repeat(np.arange(n, dtype=np.intp), np.diff(self.indptr))
-        if np.any(src == self.indices):
+        src = np.repeat(np.arange(n, dtype=np.intp), self.degrees)
+        if (src == self.indices).any():
             raise GraphError("graph has self-loops")
         rev = self.indices * n + src
         rev.sort()
@@ -98,7 +98,7 @@ class CSRGraph:
 
     @property
     def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
+        return self.indptr[1:] - self.indptr[:-1]
 
     @property
     def dim(self) -> int | None:
@@ -120,7 +120,7 @@ class CSRGraph:
     def edge_array(self) -> np.ndarray:
         """(m, 2) array of undirected edges with u < v, sorted."""
         n = self.num_vertices
-        src = np.repeat(np.arange(n, dtype=np.intp), np.diff(self.indptr))
+        src = np.repeat(np.arange(n, dtype=np.intp), self.degrees)
         mask = src < self.indices
         keys = _sorted(src[mask] * n + self.indices[mask])
         return np.stack(np.divmod(keys, n), axis=1)
@@ -211,7 +211,7 @@ class CSRGraph:
 def _sorted(keys: np.ndarray) -> np.ndarray:
     """*keys* in ascending order, sorted in place only if an O(m) test
     finds them out of order (rows built here are in order already)."""
-    if np.any(keys[1:] < keys[:-1]):
+    if (keys[1:] < keys[:-1]).any():
         keys.sort()
     return keys
 

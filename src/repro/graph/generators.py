@@ -13,12 +13,12 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import Delaunay, cKDTree
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from repro.errors import GraphError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, _from_keys
 from repro.graph.mesh import Mesh
-from repro.graph.ops import largest_component
+from repro.graph.ops import connected_components, largest_component
 from repro.utils.rng import SeedLike, as_generator
 
 __all__ = [
@@ -58,7 +58,14 @@ def delaunay_mesh(points: np.ndarray) -> Mesh:
         raise GraphError(f"delaunay_mesh expects (n, 2) points, got {pts.shape}")
     if pts.shape[0] < 3:
         raise GraphError("delaunay_mesh needs at least 3 points")
-    tri = Delaunay(pts)
+    try:
+        tri = Delaunay(pts)
+    except QhullError as exc:
+        reason = str(exc).splitlines()[0]
+        raise GraphError(
+            f"delaunay_mesh: the {pts.shape[0]} points are degenerate "
+            f"(collinear or coincident, no triangle to build): {reason}"
+        ) from exc
     return Mesh(pts, tri.simplices.astype(np.intp))
 
 
@@ -173,6 +180,8 @@ def thin_to_edge_count(
     A spanning tree is always retained; beyond that, the geometrically
     longest edges are dropped first so the surviving edges stay local
     (physically proximate interactions, per the paper's graph model).
+    A disconnected graph has no spanning tree to keep: thinning one raises
+    :class:`GraphError` (``m_target == m`` returns *graph* itself).
     """
     m = graph.num_edges
     n = graph.num_vertices
@@ -184,33 +193,54 @@ def thin_to_edge_count(
         )
     if m_target == m:
         return graph
-    edges = graph.edge_array()
-    if graph.coords is not None:
-        lengths = np.linalg.norm(
-            graph.coords[edges[:, 0]] - graph.coords[edges[:, 1]], axis=1
+    thinned = _thin(graph, m_target, seed)
+    if thinned is None:
+        n_comp = connected_components(graph)[0]
+        raise GraphError(
+            f"cannot thin a graph of {n_comp} connected components: "
+            "it has no spanning tree to keep"
         )
+    return thinned
+
+
+def _thin(graph: CSRGraph, m_target: int, seed: SeedLike) -> CSRGraph | None:
+    """:func:`thin_to_edge_count` for ``n - 1 <= m_target < m``, or None
+    when the minimum spanning forest has fewer than ``n - 1`` edges (the
+    graph is disconnected) — the spanning tree doubles as the
+    connectivity check."""
+    n = graph.num_vertices
+    # The undirected edges (u, v), u < v, are the CSR's upper triangle:
+    # a suffix of each sorted row, so their keys u * n + v come sorted.
+    src = np.repeat(np.arange(n, dtype=np.intp), graph.degrees)
+    upper = src < graph.indices
+    u, v = src[upper], graph.indices[upper]
+    if graph.coords is not None:
+        # np.linalg.norm(d, axis=1)'s own arithmetic, without its overhead.
+        d = graph.coords[u] - graph.coords[v]
+        lengths = np.sqrt(np.add.reduce(d * d, axis=1))
     else:
-        lengths = as_generator(seed).uniform(size=edges.shape[0])
-    # Build a spanning tree over shortest edges first (Kruskal via scipy MST).
-    w = sp.csr_matrix(
-        (lengths + 1e-12, (edges[:, 0], edges[:, 1])), shape=(n, n)
-    )
-    mst = sp.csgraph.minimum_spanning_tree(w).tocoo()
-    # Edges are (u, v) with u < v; match them to the tree's by the scalar
-    # key u*n + v (int64: n*n overflows the MST's int32 indices).
-    row, col = mst.row.astype(np.int64), mst.col.astype(np.int64)
-    in_tree = np.isin(
-        edges[:, 0] * n + edges[:, 1],
-        np.minimum(row, col) * n + np.maximum(row, col),
-    )
-    extra_needed = m_target - int(in_tree.sum())
-    non_tree_idx = np.flatnonzero(~in_tree)
-    keep_extra = non_tree_idx[np.argsort(lengths[non_tree_idx])[:extra_needed]]
-    keep = np.zeros(edges.shape[0], dtype=bool)
-    keep[in_tree] = True
-    keep[keep_extra] = True
-    return CSRGraph.from_edges(
-        n, edges[keep], coords=graph.coords, vertex_weights=graph.vertex_weights
+        lengths = as_generator(seed).uniform(size=u.size)
+    # A spanning tree over shortest edges first (Kruskal via scipy MST) of
+    # the upper triangle in CSR form — the matrix a COO (u, v) edge list
+    # converts to, so scipy's stable tie order picks the same tree.
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
+    w = sp.csr_matrix((lengths + 1e-12, v, indptr), shape=(n, n))
+    mst = sp.csgraph.minimum_spanning_tree(w, overwrite=True)
+    if mst.nnz < n - 1:
+        return None
+    # Tree entries are upper-triangle entries of w: find them among the
+    # sorted keys (int64: n*n overflows the MST's int32 indices).
+    keys = u * n + v
+    tree_row = np.repeat(np.arange(n, dtype=np.intp), np.diff(mst.indptr))
+    keep = np.zeros(u.size, dtype=bool)
+    keep[np.searchsorted(keys, tree_row * n + mst.indices)] = True
+    non_tree = np.flatnonzero(~keep)
+    extra = m_target - mst.nnz
+    keep[non_tree[np.argsort(lengths[non_tree])[:extra]]] = True
+    u, v = u[keep], v[keep]
+    return _from_keys(
+        n, np.concatenate([u * n + v, v * n + u]), graph.coords, graph.vertex_weights
     )
 
 
@@ -339,14 +369,20 @@ def paper_mesh(
         raise GraphError("paper_mesh needs at least 9 vertices")
     if n_edges is None:
         n_edges = int(round(n_vertices * PAPER_MESH_EDGES / PAPER_MESH_VERTICES))
+
+    def edge_target(g: CSRGraph) -> int:
+        return max(min(n_edges, g.num_edges), g.num_vertices - 1)
+
     side = int(math.ceil(math.sqrt(n_vertices)))
-    mesh = perturbed_grid_mesh(side, side, jitter=0.35, seed=seed)
-    graph = mesh.graph
+    graph = perturbed_grid_mesh(side, side, jitter=0.35, seed=seed).graph
     if graph.num_vertices > n_vertices:
-        # Trim to exactly n_vertices by dropping the last grid points, then
-        # keep the largest component.
-        keep = np.arange(graph.num_vertices) < n_vertices
-        graph = largest_component(graph.subgraph(keep))
-    n_edges = min(n_edges, graph.num_edges)
-    n_edges = max(n_edges, graph.num_vertices - 1)
-    return thin_to_edge_count(graph, n_edges, seed=seed)
+        # Trim to exactly n_vertices by dropping the last grid points.
+        graph = graph.subgraph(np.arange(graph.num_vertices) < n_vertices)
+    if edge_target(graph) < graph.num_edges:
+        thinned = _thin(graph, edge_target(graph), seed)
+        if thinned is not None:
+            return thinned
+    # The trim split the mesh (thinning's spanning forest is not a tree),
+    # or there is nothing to thin and so no tree: keep the largest component.
+    graph = largest_component(graph)
+    return thin_to_edge_count(graph, edge_target(graph), seed=seed)

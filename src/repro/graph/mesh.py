@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, _from_keys
 
 __all__ = ["Mesh"]
 
@@ -61,13 +62,20 @@ class Mesh:
 
     @cached_property
     def graph(self) -> CSRGraph:
-        """The computational graph induced by the simplex edges."""
-        k = self.cells.shape[1]
-        pairs = [
-            self.cells[:, [i, j]] for i in range(k) for j in range(i + 1, k)
-        ]
-        edges = np.concatenate(pairs, axis=0) if pairs else np.empty((0, 2), np.intp)
-        return CSRGraph.from_edges(self.num_points, edges, coords=self.points)
+        """The computational graph induced by the simplex edges.
+
+        Both orientations of every simplex edge become one scalar key
+        each and go through the one CSR construction
+        (:func:`repro.graph.csr._from_keys`), which drops the copies of
+        an edge shared by neighbouring simplices.
+        """
+        n = self.num_points
+        i, j = zip(*combinations(range(self.cells.shape[1]), 2))
+        a, b = self.cells[:, list(i)].ravel(), self.cells[:, list(j)].ravel()
+        edge = a != b  # a degenerate simplex repeats a vertex
+        a, b = a[edge], b[edge]
+        keys = np.concatenate([a * n + b, b * n + a])
+        return _from_keys(n, keys, self.points, None)
 
     @property
     def num_edges(self) -> int:

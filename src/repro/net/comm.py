@@ -184,9 +184,10 @@ class RankContext:
         t0 = self.clock
         t1 = self.proc.finish_time(t0, work_seconds)
         self.clock = t1
-        self._comm.trace.record(
-            TraceEvent("compute", self.rank, t0, t1, label=label)
-        )
+        if self._comm.trace.enabled:
+            self._comm.trace.record(
+                TraceEvent("compute", self.rank, t0, t1, label=label)
+            )
 
     def compute_items(self, n_items: int, sec_per_item: float, *, label: str = "") -> None:
         """Charge computation proportional to a number of data items."""
@@ -220,10 +221,11 @@ class RankContext:
             self.rank, dest, tag, payload, nbytes,
             send_time=t0, arrival_time=arrival,
         )
-        comm.trace.record(
-            TraceEvent("send", self.rank, t0, self.clock, nbytes=nbytes,
-                       peer=dest, tag=tag)
-        )
+        if comm.trace.enabled:
+            comm.trace.record(
+                TraceEvent("send", self.rank, t0, self.clock, nbytes=nbytes,
+                           peer=dest, tag=tag)
+            )
         self.metrics.count("net.messages_sent")
         self.metrics.count("net.bytes_sent", nbytes)
         comm.mailboxes[dest].deposit(msg)
@@ -248,10 +250,11 @@ class RankContext:
         arrivals = comm.network.multicast(self.rank, dests, nbytes, t0)
         self.clock = comm.network.injection_done(self.rank, dests[0], nbytes, t0)
         kind = "multicast" if comm.network.supports_multicast else "send"
-        comm.trace.record(
-            TraceEvent(kind, self.rank, t0, self.clock, nbytes=nbytes,
-                       peer=-1, tag=tag, label=f"x{len(dests)}")
-        )
+        if comm.trace.enabled:
+            comm.trace.record(
+                TraceEvent(kind, self.rank, t0, self.clock, nbytes=nbytes,
+                           peer=-1, tag=tag, label=f"x{len(dests)}")
+            )
         self.metrics.count("net.messages_sent")
         self.metrics.count("net.bytes_sent", nbytes)
         for d, arrival in zip(dests, arrivals):
@@ -295,10 +298,11 @@ class RankContext:
         identically)."""
         t0 = self.clock
         self._charge_recv(msg)
-        self._comm.trace.record(
-            TraceEvent("recv", self.rank, t0, self.clock, nbytes=msg.nbytes,
-                       peer=msg.source, tag=msg.tag)
-        )
+        if self._comm.trace.enabled:
+            self._comm.trace.record(
+                TraceEvent("recv", self.rank, t0, self.clock, nbytes=msg.nbytes,
+                           peer=msg.source, tag=msg.tag)
+            )
         self.metrics.count("net.messages_recv")
         self.metrics.count("net.bytes_recv", msg.nbytes)
         self.metrics.observe("net.recv_wait", self.clock - t0)
@@ -344,7 +348,8 @@ class RankContext:
         t0 = self.clock
         comm._barrier.wait()
         self.clock = comm._barrier_max + comm.barrier_overhead
-        comm.trace.record(TraceEvent("barrier", self.rank, t0, self.clock))
+        if comm.trace.enabled:
+            comm.trace.record(TraceEvent("barrier", self.rank, t0, self.clock))
         self.metrics.count("net.barriers")
         self.metrics.observe("net.barrier_wait", self.clock - t0)
 

@@ -14,19 +14,23 @@ Design constraints, both load-bearing:
   thread schedule and break the golden-trace fixture.
 * **Neutrality.**  The tracer only *reads* the clock callback; it never
   charges time.  Opening a span with tracing disabled is a no-op
-  (same generator object, no log writes), so traced and untraced runs
-  execute identical virtual-time arithmetic.
+  (one shared null context, no event, no log write), so traced and
+  untraced runs execute identical virtual-time arithmetic.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Callable, Iterator
+from contextlib import contextmanager, nullcontext
+from typing import Callable, ContextManager, Iterator
 
 from repro.net.trace import TraceEvent, TraceLog
 
 __all__ = ["Tracer"]
+
+#: What :meth:`Tracer.span` returns with tracing disabled (reusable).
+_NO_SPAN = nullcontext()
+
 
 class Tracer:
     """Per-rank span emitter bound to one :class:`TraceLog`.
@@ -61,12 +65,17 @@ class Tracer:
         """Id of the innermost open span, or -1 at top level."""
         return self._stack[-1] if self._stack else -1
 
-    @contextmanager
-    def span(self, kind: str, label: str = "") -> Iterator[None]:
-        """Open a nested span; the event is recorded when it closes."""
+    def span(self, kind: str, label: str = "") -> ContextManager[None]:
+        """Open a nested span; the event is recorded when it closes.
+
+        Disabled, this is the shared no-op context: no generator, no event.
+        """
         if not self.enabled:
-            yield
-            return
+            return _NO_SPAN
+        return self._span(kind, label)
+
+    @contextmanager
+    def _span(self, kind: str, label: str) -> Iterator[None]:
         span_id = self._next_id
         self._next_id += 1
         parent_id = self.current_span

@@ -257,9 +257,10 @@ class RealRankContext(RankContext):
             raise ValueError(f"work_seconds must be >= 0, got {work_seconds}")
         t0 = self._clock
         self._latch()
-        self._comm.trace.record(
-            TraceEvent("compute", self.rank, t0, self._clock, label=label)
-        )
+        if self._comm.trace.enabled:
+            self._comm.trace.record(
+                TraceEvent("compute", self.rank, t0, self._clock, label=label)
+            )
 
     # -------------------------------------------------------------- #
     # transport
@@ -279,10 +280,11 @@ class RealRankContext(RankContext):
         t0 = self._now()
         nbytes = self._comm.send_payload(dest, tag, payload)
         self._latch()
-        self._comm.trace.record(
-            TraceEvent("send", self.rank, t0, self._clock,
-                       nbytes=nbytes, peer=dest, tag=tag)
-        )
+        if self._comm.trace.enabled:
+            self._comm.trace.record(
+                TraceEvent("send", self.rank, t0, self._clock,
+                           nbytes=nbytes, peer=dest, tag=tag)
+            )
         self.metrics.count("net.messages_sent")
         self.metrics.count("net.bytes_sent", nbytes)
 
@@ -332,7 +334,8 @@ class RealRankContext(RankContext):
             )
             agreed = float(msg.payload)
         self._adopt(agreed)
-        comm.trace.record(
-            TraceEvent("barrier", self.rank, t0, self._clock)
-        )
+        if comm.trace.enabled:
+            comm.trace.record(
+                TraceEvent("barrier", self.rank, t0, self._clock)
+            )
         self.metrics.observe("net.barrier_wait", max(self._clock - t0, 0.0))

@@ -7,6 +7,14 @@ edge.  It stays here as the differential oracle — the generator must
 keep exactly the same edges (``indptr``, ``indices`` and ``coords``
 ``array_equal``).  One Python step per edge — seconds at 250k vertices.
 
+``mesh_graph_oracle`` is ``Mesh.graph`` before it built its CSR from
+the simplex-edge keys directly: every simplex edge as a column pair
+through ``from_edges``.  ``paper_mesh_oracle`` is ``paper_mesh`` before
+thinning's spanning tree became its connectivity check: the mesh graph;
+if trimmed, its ``largest_component`` (a ``connected_components`` call
+whether or not the trim split it); then thinned.  Every step here is an
+oracle, so only the jittered points and qhull's simplices are shared.
+
 ``grid_graph_oracle`` is ``grid_graph`` before it became
 ``streamed_grid_graph``: the grid's edge list through ``from_edges``.
 
@@ -26,10 +34,13 @@ the coordinate-based orderings and the runtime are exercised in 3-D on it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import GraphError
+from repro.graph import generators
 from repro.graph.csr import CSRGraph
 from repro.graph.mesh import Mesh
 from repro.graph.ops import connected_components
@@ -37,6 +48,8 @@ from repro.utils.rng import SeedLike, as_generator
 
 __all__ = [
     "thin_to_edge_count_oracle",
+    "mesh_graph_oracle",
+    "paper_mesh_oracle",
     "grid_graph_oracle",
     "from_edges_oracle",
     "edge_array_oracle",
@@ -86,6 +99,35 @@ def thin_to_edge_count_oracle(
     return CSRGraph.from_edges(
         n, edges[keep], coords=graph.coords, vertex_weights=graph.vertex_weights
     )
+
+
+def mesh_graph_oracle(mesh: Mesh) -> CSRGraph:
+    k = mesh.cells.shape[1]
+    pairs = [mesh.cells[:, [i, j]] for i in range(k) for j in range(i + 1, k)]
+    edges = np.concatenate(pairs, axis=0)
+    return from_edges_oracle(mesh.num_points, edges, coords=mesh.points)
+
+
+def paper_mesh_oracle(
+    n_vertices: int = generators.PAPER_MESH_VERTICES,
+    n_edges: int | None = None,
+    *,
+    seed: SeedLike = 1995,
+) -> CSRGraph:
+    if n_edges is None:
+        n_edges = int(round(
+            n_vertices * generators.PAPER_MESH_EDGES / generators.PAPER_MESH_VERTICES
+        ))
+    side = int(math.ceil(math.sqrt(n_vertices)))
+    # Looked up at call time, so a test can hand both builders one mesh.
+    mesh = generators.perturbed_grid_mesh(side, side, jitter=0.35, seed=seed)
+    graph = mesh_graph_oracle(mesh)
+    if graph.num_vertices > n_vertices:
+        keep = np.arange(graph.num_vertices) < n_vertices
+        graph = largest_component_oracle(induced_subgraph_oracle(graph, keep))
+    n_edges = min(n_edges, graph.num_edges)
+    n_edges = max(n_edges, graph.num_vertices - 1)
+    return thin_to_edge_count_oracle(graph, n_edges, seed=seed)
 
 
 def grid_graph_oracle(nx: int, ny: int) -> CSRGraph:

@@ -6,7 +6,13 @@ import hashlib
 
 import numpy as np
 import pytest
-from oracles_graph import grid_graph_oracle, thin_to_edge_count_oracle
+from oracles_graph import (
+    grid_graph_oracle,
+    grid_mesh_3d,
+    mesh_graph_oracle,
+    paper_mesh_oracle,
+    thin_to_edge_count_oracle,
+)
 
 import repro.graph.generators as generators
 from repro.errors import GraphError
@@ -24,6 +30,16 @@ from repro.graph.generators import (
 )
 from repro.graph.mesh import Mesh
 from repro.graph.ops import connected_components
+
+
+def assert_same_graph(new: CSRGraph, old: CSRGraph) -> None:
+    """Byte-identical CSR: same arrays, same dtypes."""
+    for field in ("indptr", "indices", "coords"):
+        a, b = getattr(new, field), getattr(old, field)
+        np.testing.assert_array_equal(a, b)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype, field
 
 
 class TestMesh:
@@ -54,6 +70,19 @@ class TestMesh:
     def test_graph_cached(self):
         m = perturbed_grid_mesh(3, 3, seed=0)
         assert m.graph is m.graph
+
+    @pytest.mark.parametrize("build", [
+        lambda: perturbed_grid_mesh(13, 11, seed=4),
+        lambda: airfoil_mesh(600, seed=2),
+        lambda: grid_mesh_3d(4, 3, 5, jitter=0.2, seed=1),
+        # A degenerate cell (repeated vertex) adds no self-loop; a shared
+        # edge is stored once.
+        lambda: Mesh(np.eye(4, 2), np.array([[0, 1, 1], [0, 1, 2], [1, 2, 3]])),
+        lambda: Mesh(np.zeros((3, 2)), np.empty((0, 3), dtype=int)),
+    ])
+    def test_graph_equals_oracle(self, build):
+        mesh = build()
+        assert_same_graph(mesh.graph, mesh_graph_oracle(mesh))
 
 
 class TestGridGenerators:
@@ -89,6 +118,15 @@ class TestUnstructuredGenerators:
     def test_delaunay_rejects_3d(self):
         with pytest.raises(GraphError):
             delaunay_mesh(np.zeros((10, 3)))
+
+    @pytest.mark.parametrize("points", [
+        [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]],  # collinear
+        [[1.0, 2.0]] * 4,  # coincident
+    ])
+    def test_delaunay_rejects_flat_input(self, points):
+        """Qhull's error on a flat cloud surfaces as a GraphError."""
+        with pytest.raises(GraphError, match="degenerate"):
+            delaunay_mesh(np.array(points))
 
     def test_perturbed_grid_reproducible(self):
         a = perturbed_grid_mesh(10, 10, seed=5)
@@ -155,18 +193,28 @@ class TestThinning:
         with pytest.raises(GraphError):
             thin_to_edge_count(g, g.num_vertices - 2)
 
-    @pytest.mark.parametrize("n", [64, 200, 1000, 30_269])
-    def test_paper_mesh_equals_oracle_thinning(self, n, monkeypatch):
-        """The np.isin tree-membership test keeps exactly the edges the
-        per-edge set probe kept (also checked at 250,000 for the PR)."""
-        new = paper_mesh(n, seed=3)
-        monkeypatch.setattr(
-            generators, "thin_to_edge_count", thin_to_edge_count_oracle
+    def test_thin_rejects_disconnected(self):
+        """Two disjoint triangles have no spanning tree to keep."""
+        pts = np.array([[0, 0], [1, 0], [0, 1], [5, 5], [6, 5], [5, 6]], float)
+        g = Mesh(pts, np.array([[0, 1, 2], [3, 4, 5]])).graph
+        with pytest.raises(GraphError, match="2 connected components"):
+            thin_to_edge_count(g, 5)
+        assert thin_to_edge_count(g, g.num_edges) is g  # nothing removed
+
+    def test_thin_all_ties_equals_oracle(self):
+        """Every edge of a unit grid ties: scipy's stable tie order and
+        the argsort over the non-tree edges must pick the same edges."""
+        g = grid_graph(20, 20)
+        assert_same_graph(
+            thin_to_edge_count(g, 500), thin_to_edge_count_oracle(g, 500)
         )
-        old = paper_mesh(n, seed=3)
-        np.testing.assert_array_equal(new.indptr, old.indptr)
-        np.testing.assert_array_equal(new.indices, old.indices)
-        np.testing.assert_array_equal(new.coords, old.coords)
+
+    @pytest.mark.parametrize("n", [64, 200, 1000, 2000, 30_269])
+    def test_paper_mesh_equals_oracle_thinning(self, n):
+        """One sort of simplex-edge keys, upper-triangle thinning and the
+        spanning tree as connectivity check build the very mesh the
+        edge-list path did."""
+        assert_same_graph(paper_mesh(n, seed=3), paper_mesh_oracle(n, seed=3))
 
     def test_thin_without_coords_equals_oracle(self):
         """The coordinate-free branch (seeded random lengths)."""
@@ -211,6 +259,45 @@ class TestPaperMesh:
     def test_rejects_tiny(self):
         with pytest.raises(GraphError):
             paper_mesh(4)
+
+    @pytest.mark.parametrize("n", range(16, 400, 5))
+    def test_equals_oracle(self, n):
+        """The job service's sizes (64-320): square sides and trimmed."""
+        for seed in range(8):
+            assert_same_graph(paper_mesh(n, seed=seed), paper_mesh_oracle(n, seed=seed))
+
+    def test_connected_trim_needs_no_component_search(self, monkeypatch):
+        """Thinning's spanning tree is the connectivity check: a trim that
+        leaves the mesh connected never labels components."""
+        def unreachable(graph):
+            raise AssertionError("largest_component on the common path")
+
+        monkeypatch.setattr(generators, "largest_component", unreachable)
+        assert paper_mesh(150, seed=2).num_vertices == 150
+
+    @staticmethod
+    def split_by_trim(nx, ny, *, jitter, seed):
+        """16 points whose first 10 form two components once the last six
+        (the only bridges between them) are trimmed: 0-6 and 7-9."""
+        assert (nx, ny) == (4, 4)
+        pts = np.stack([np.arange(16.0), np.arange(16.0) % 3], axis=1)
+        cells = [[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 5], [4, 5, 6],
+                 [7, 8, 9], [6, 10, 11], [10, 11, 12], [12, 13, 14],
+                 [13, 14, 15], [9, 15, 14]]
+        return Mesh(pts, np.array(cells))
+
+    @pytest.mark.parametrize("n_edges, edges", [(9, 9), (100, 11)])
+    def test_trim_that_splits_keeps_largest_component(
+        self, monkeypatch, n_edges, edges
+    ):
+        """No generated mesh splits when trimmed; a handcrafted one does.
+        Thinned (9 edges), the spanning forest reports it; unthinned (100),
+        there is no forest and the component search runs instead."""
+        monkeypatch.setattr(generators, "perturbed_grid_mesh", self.split_by_trim)
+        g = paper_mesh(10, n_edges=n_edges, seed=0)
+        assert (g.num_vertices, g.num_edges) == (7, edges)
+        assert connected_components(g)[0] == 1
+        assert_same_graph(g, paper_mesh_oracle(10, n_edges=n_edges, seed=0))
 
 
 class TestStreamedGridGraph:

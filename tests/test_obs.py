@@ -98,6 +98,12 @@ class TestTracer:
         assert len(log) == 0
         assert tracer.current_span == -1
 
+    def test_disabled_span_is_one_shared_no_op(self):
+        """Tracing off, a span is the same null context every time: no
+        generator, no event object."""
+        _, tracer = self._tracer(enabled=False)
+        assert tracer.span("program") is tracer.span("epoch", label="e0")
+
     def test_current_span_tracks_the_stack(self):
         _, tracer = self._tracer()
         assert tracer.current_span == -1
@@ -340,6 +346,20 @@ class TestProgramObservability:
         assert plain.differences(traced, virtual=True) == []
         assert plain.metrics["counters"] == traced.metrics["counters"]
         assert plain.trace is None or len(plain.trace) == 0
+
+    def test_untraced_run_builds_no_events(self, tiny_paper_mesh, rng, monkeypatch):
+        """With tracing off no record site constructs a TraceEvent."""
+        import repro.net.comm as comm
+        import repro.obs.span as span
+
+        def no_event(*args, **kwargs):
+            raise AssertionError("TraceEvent built with tracing off")
+
+        monkeypatch.setattr(comm, "TraceEvent", no_event)
+        monkeypatch.setattr(span, "TraceEvent", no_event)
+        y0 = rng.uniform(0, 100, 500)
+        counters = _run(tiny_paper_mesh, y0, trace=False).metrics["counters"]
+        assert counters["net.messages_sent"] > 0 and counters["net.barriers"] > 0
 
     def test_metrics_follow_the_collective_counters(self, tiny_paper_mesh, rng):
         y0 = rng.uniform(0, 100, 500)
