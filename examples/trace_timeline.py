@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps import adaptive_testbed
 from repro.graph import paper_mesh
-from repro.net import analyze_trace, render_timeline
+from repro.net import adaptive_cluster
+from repro.obs import summarize
 from repro.runtime import LoadBalanceConfig, ProgramConfig, run_program
 
 
 def main() -> None:
     graph = paper_mesh(3_000, seed=23)
-    cluster = adaptive_testbed(4, competing_load=2.0)
+    cluster = adaptive_cluster(4, loaded_rank=0, competing_load=2.0)
     y0 = np.random.default_rng(6).uniform(0.0, 100.0, graph.num_vertices)
 
     for label, lb in (("WITHOUT load balancing", None),
@@ -35,12 +35,12 @@ def main() -> None:
         )
         report = run_program(graph, cluster, config, y0=y0)
         assert report.trace is not None
-        util = analyze_trace(report.trace, report.clocks)
+        summary = summarize(report.trace)
         print(f"\n=== {label}: {report.makespan:.3f} virtual s, "
-              f"mean utilization {util.mean_utilization:.2f}")
-        print(util.to_text())
+              f"mean utilization {summary.mean_utilization:.2f}")
+        print(summary.to_text())
         print()
-        print(render_timeline(report.trace, report.clocks, width=64))
+        print(summary.timeline(report.trace, width=64))
 
 
 if __name__ == "__main__":

@@ -10,14 +10,13 @@ from repro.apps.sparse_matvec import (
     run_parallel_spmv,
     spmv_sequential,
 )
-from repro.apps.workloads import adaptive_testbed, random_capabilities
+from repro.apps.workloads import random_capabilities
 
 __all__ = [
     "AdaptiveRunReport",
     "MovingHotspot",
     "run_adaptive_application",
     "SymmetricPatternMatrix",
-    "adaptive_testbed",
     "random_capabilities",
     "run_parallel_spmv",
     "spmv_sequential",

@@ -1,13 +1,13 @@
 """Cluster and scenario builders shared by the examples, the experiment
-harness and the repo benchmark: capability samples, the paper's adaptive
-testbed, and the dynamic-load / elastic / resilience scenario clusters.
+harness and the repo benchmark: capability samples and the dynamic-load /
+elastic / resilience scenario clusters.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.net.cluster import ClusterSpec, adaptive_cluster, uniform_cluster
+from repro.net.cluster import ClusterSpec, uniform_cluster
 from repro.net.loadmodel import (
     MembershipEvent,
     MembershipTrace,
@@ -17,7 +17,6 @@ from repro.net.loadmodel import (
 
 __all__ = [
     "random_capabilities",
-    "adaptive_testbed",
     "DYNAMIC_SCENARIOS",
     "dynamic_load_cluster",
     "ELASTIC_SCENARIOS",
@@ -38,22 +37,6 @@ def random_capabilities(
     caps = rng.dirichlet(np.ones(p))
     caps = np.maximum(caps, floor)
     return caps / caps.sum()
-
-
-def adaptive_testbed(
-    n_workstations: int,
-    *,
-    competing_load: float = 2.0,
-) -> ClusterSpec:
-    """The Table 5 environment.
-
-    The paper's single-workstation adaptive run (290.93 s) is ~3x its
-    static run (97.61 s), implying roughly two competing processes on the
-    loaded machine — hence the default ``competing_load=2.0``.
-    """
-    return adaptive_cluster(
-        n_workstations, loaded_rank=0, competing_load=competing_load
-    )
 
 
 #: The dynamic-load scenario names of the ``scale-adaptive`` experiments.

@@ -299,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     texport.add_argument("--no-wall", action="store_true",
                          help="omit wall-clock fields from the event args")
     tsummary = tsub.add_parser(
-        "summary", help="per-rank, per-phase event / time / byte totals"
+        "summary", help="per-phase totals, each rank's compute / comm / "
+                        "barrier budget and utilization, traffic by tag"
     )
     tsummary.add_argument("input",
                           help="Chrome trace-event JSON written by --trace-out")
@@ -855,12 +856,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
-    from repro.obs import load_chrome_trace, phase_table, write_chrome_trace
+    from repro.obs import load_chrome_trace, summarize, write_chrome_trace
 
     try:
         trace = load_chrome_trace(args.input)
         if args.trace_command == "summary":
-            print(phase_table(trace))
+            print(summarize(trace).to_text())
             return 0
         if args.trace_command == "export":
             write_chrome_trace(

@@ -376,7 +376,7 @@ def adaptive_run(
     protocol, "distributed" its stated future work); ``lb=False`` runs the
     no-balancing baseline regardless of style.
     """
-    from repro.apps.workloads import adaptive_testbed
+    from repro.net.cluster import adaptive_cluster
     from repro.runtime.adaptive import LoadBalanceConfig
     from repro.runtime.program import ProgramConfig, run_program
 
@@ -389,7 +389,9 @@ def adaptive_run(
             else None
         ),
     )
-    cluster = adaptive_testbed(p, competing_load=competing_load)
+    cluster = adaptive_cluster(
+        p, loaded_rank=0, competing_load=competing_load
+    )
     return run_program(graph, cluster, cfg, y0=y0)
 
 

@@ -34,12 +34,6 @@ from repro.net.network import (
     SharedEthernet,
 )
 from repro.net.processor import ProcessorSpec
-from repro.net.report import (
-    RankBreakdown,
-    UtilizationReport,
-    analyze_trace,
-    render_timeline,
-)
 from repro.net.spmd import WORLDS, SPMDResult, SPMDRunner, run_spmd
 from repro.net.trace import TraceEvent, TraceLog
 
@@ -57,10 +51,6 @@ __all__ = [
     "PointToPointNetwork",
     "ProcessorSpec",
     "RampLoad",
-    "RankBreakdown",
-    "UtilizationReport",
-    "analyze_trace",
-    "render_timeline",
     "RandomWalkLoad",
     "RankContext",
     "SPMDResult",

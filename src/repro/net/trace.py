@@ -10,9 +10,9 @@ Since the observability layer (:mod:`repro.obs`) the same log also holds
 *hierarchical spans*: events with ``span_id >= 0`` produced by a
 :class:`~repro.obs.Tracer`, nested through ``parent_id`` and carrying a
 wall-clock interval next to the virtual one.  Spans are a strict superset
-of the original flat events — every pre-existing consumer
-(:func:`~repro.net.report.analyze_trace`, the Fig. 5 message counts)
-filters by ``kind`` and never sees them.
+of the original flat events — every per-kind consumer (the budget of
+:func:`repro.obs.summarize`, the Fig. 5 message counts) filters by
+``kind`` and never sees them.
 
 Recording NEVER reads or advances any rank clock: enabling a trace leaves
 virtual time, final values, and collective counters bit-identical (the

@@ -6,8 +6,10 @@ One package for the three instruments every subsystem shares:
   :class:`~repro.net.trace.TraceLog` as the flat comm/compute events.
 * :class:`MetricsRegistry` — typed per-rank counters/gauges/histograms
   with one :func:`merge_snapshots` path into the run reports.
-* Exporters — Chrome trace-event JSON (Perfetto-loadable) and a text
-  phase table, plus `repro trace export|summary` round-tripping.
+* The Chrome trace-event exporter (Perfetto-loadable) and its loader,
+  so `repro trace export|summary` work from a saved file.
+* :func:`summarize` — the one trace analyzer: phase rows, each rank's
+  compute / comm / barrier budget, traffic by tag, an ASCII timeline.
 
 The standing contract: observability is *deterministically neutral*.
 Nothing in this package reads or advances a rank clock; enabling it
@@ -19,12 +21,12 @@ from repro.obs.capture import active_capture, capture_traces
 from repro.obs.export import (
     chrome_trace,
     load_chrome_trace,
-    phase_table,
     write_chrome_trace,
 )
 from repro.obs.logconf import configure_logging
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
 from repro.obs.span import Tracer
+from repro.obs.summary import TraceSummary, summarize
 
 __all__ = [
     "Tracer",
@@ -33,7 +35,8 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "load_chrome_trace",
-    "phase_table",
+    "summarize",
+    "TraceSummary",
     "configure_logging",
     "capture_traces",
     "active_capture",

@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome trace-event JSON and a text phase breakdown.
+"""Trace exporter: Chrome trace-event JSON, and its loader.
 
 The Chrome format (``{"traceEvents": [...]}``) loads directly in Perfetto
 (https://ui.perfetto.dev) and ``chrome://tracing``: one track per rank
@@ -31,7 +31,6 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "load_chrome_trace",
-    "phase_table",
 ]
 
 TIMEBASES = ("clock", "wall")
@@ -171,37 +170,3 @@ def load_chrome_trace(path: str) -> TraceLog:
             seq=int(a.get("seq", -1)),
         ))
     return log
-
-
-def phase_table(trace: TraceLog) -> str:
-    """A text breakdown: per (rank, kind) event count, time, and bytes.
-
-    Time is in the world's primary clock.  Span kinds and leaf kinds both
-    appear; nested spans overlap their parents by construction, so the
-    rows are *per-phase* totals, not a partition of the clock.
-    """
-    from repro.utils.tables import format_table
-
-    totals: dict[tuple[int, str], list[float]] = {}
-    for e in trace.events():
-        key = (e.rank, e.kind)
-        row = totals.setdefault(key, [0.0, 0.0, 0.0])
-        row[0] += 1
-        row[1] += e.t_end - e.t_start
-        row[2] += e.nbytes
-    rows = [
-        ["service" if rank < 0 else rank, kind, int(c), t, int(b)]
-        for (rank, kind), (c, t, b) in sorted(
-            totals.items(), key=lambda kv: (_track(kv[0][0]), kv[0][1])
-        )
-    ]
-    table = format_table(
-        ["rank", "phase", "events", "time", "bytes"],
-        rows,
-        title="Per-rank phase breakdown",
-        float_fmt="{:.6f}",
-    )
-    dropped = trace.dropped_events
-    if dropped:
-        table += f"\n\n(ring buffer dropped {dropped} event(s))"
-    return table

@@ -20,7 +20,6 @@ import numpy as np
 from repro.errors import OrderingError
 from repro.graph.csr import CSRGraph
 from repro.partition.ordering import positions_from_order, require_coords
-from repro.utils.rng import SeedLike
 
 __all__ = [
     "HilbertOrdering",
@@ -168,7 +167,6 @@ class HilbertOrdering:
     """Hilbert space-filling-curve indexing as an :class:`OrderingMethod`."""
 
     bits: int = 16
-    seed: SeedLike = 0  # unused; kept for interface symmetry
     name: str = "hilbert"
 
     def __call__(self, graph: CSRGraph) -> np.ndarray:
@@ -180,7 +178,6 @@ class MortonOrdering:
     """Morton (Z-order) indexing as an :class:`OrderingMethod`."""
 
     bits: int = 16
-    seed: SeedLike = 0  # unused; kept for interface symmetry
     name: str = "morton"
 
     def __call__(self, graph: CSRGraph) -> np.ndarray:

@@ -55,9 +55,7 @@ from repro.graph.csr import CSRGraph
 from repro.partition.intervals import IntervalPartition
 from repro.runtime.adaptive.elastic import (
     ElasticState,
-    MembershipTrace,
     membership_decision,
-    resolve_membership,
 )
 from repro.runtime.adaptive.redistribution import redistribute_fields
 from repro.runtime.adaptive.strategy import (
@@ -161,10 +159,6 @@ class AdaptiveSession:
     schedule_strategy: str = "sort2"
     inspector_cost: InspectorCostModel = field(default_factory=InspectorCostModel)
     backend: str | None = None
-    #: Elastic membership: a trace, a CLI DSL string, or None to inherit
-    #: the cluster's own trace (ClusterSpec.membership); clusters without
-    #: one run with a fixed rank set, exactly as before.
-    membership: "MembershipTrace | str | None" = None
     #: Checkpoint policy (:mod:`repro.runtime.resilience`): a policy
     #: object, a DSL string ("interval:4" / "cost:50"), or None for no
     #: checkpointing.  Mandatory when the membership trace contains
@@ -190,12 +184,9 @@ class AdaptiveSession:
             from repro.runtime.prediction import make_predictor
 
             self._predictor = make_predictor(self.lb.predictor)
-        trace = resolve_membership(
-            self.membership
-            if self.membership is not None
-            else self.ctx.cluster.membership,
-            self.ctx.size,
-        )
+        # Elastic membership is the cluster's trace (run_program attaches
+        # the resolved one); clusters without one keep a fixed rank set.
+        trace = self.ctx.cluster.membership
         self.elastic: ElasticState | None = (
             ElasticState(trace) if trace is not None else None
         )

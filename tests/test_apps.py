@@ -10,7 +10,7 @@ from repro.apps.sparse_matvec import (
     run_parallel_spmv,
     spmv_sequential,
 )
-from repro.apps.workloads import adaptive_testbed, random_capabilities
+from repro.apps.workloads import random_capabilities
 from repro.errors import ConfigurationError
 from repro.graph.generators import paper_mesh
 from repro.graph.ops import to_scipy
@@ -91,12 +91,6 @@ class TestWorkloads:
         caps = random_capabilities(6, rng)
         assert caps.sum() == pytest.approx(1.0)
         assert caps.min() >= 0.019
-
-    def test_adaptive_testbed_load(self):
-        cl = adaptive_testbed(3, competing_load=2.0)
-        assert cl.processors[0].effective_speed(0.0) == pytest.approx(
-            cl.processors[0].speed / 3.0
-        )
 
 
 class TestOrderingQuality:

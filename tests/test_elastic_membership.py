@@ -393,11 +393,10 @@ class TestElasticRuns:
                 graph,
                 partition_list(n, np.ones(ctx.size)),  # rank 2 gets data
                 total_iterations=4,
-                membership=trace,
             )
 
         with pytest.raises(RankFailedError, match="standby"):
-            run_spmd(uniform_cluster(3), rank_main)
+            run_spmd(uniform_cluster(3).with_membership(trace), rank_main)
 
     def test_dsl_string_accepted_by_program_config(self, workload):
         report = self._run(workload, "leave:1@0.02", None)

@@ -109,10 +109,11 @@ class TestClusterSpec:
         with pytest.raises(ConfigurationError):
             sun4_cluster(0)
 
-    def test_adaptive_cluster_load_placement(self):
-        cl = adaptive_cluster(3, loaded_rank=1, competing_load=2.0)
-        assert isinstance(cl.processors[1].load, ConstantLoad)
-        assert isinstance(cl.processors[0].load, NoLoad)
-        assert cl.processors[1].effective_speed(0.0) == pytest.approx(
-            SUN4_SPEEDS[1] / 3.0
+    @pytest.mark.parametrize("loaded", [0, 1])
+    def test_adaptive_cluster_load_placement(self, loaded):
+        cl = adaptive_cluster(3, loaded_rank=loaded, competing_load=2.0)
+        assert isinstance(cl.processors[loaded].load, ConstantLoad)
+        assert isinstance(cl.processors[1 - loaded].load, NoLoad)
+        assert cl.processors[loaded].effective_speed(0.0) == pytest.approx(
+            SUN4_SPEEDS[loaded] / 3.0
         )

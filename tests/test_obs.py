@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from repro.obs import (
     chrome_trace,
     load_chrome_trace,
     merge_snapshots,
-    phase_table,
+    summarize,
     write_chrome_trace,
 )
 from repro.obs.capture import active_capture
@@ -278,9 +279,9 @@ class TestChromeExport:
         with pytest.raises(ConfigurationError, match="kind"):
             load_chrome_trace(str(foreign))
 
-    def test_phase_table_rows_and_drop_note(self):
+    def test_summary_phase_rows_and_drop_note(self):
         log = _sample_log()
-        table = phase_table(log)
+        table = summarize(log).to_text()
         assert "Per-rank phase breakdown" in table
         assert "send" in table and "program" in table
         assert "service" in table  # the rank -1 row
@@ -288,7 +289,7 @@ class TestChromeExport:
         capped = TraceLog(enabled=True, capacity=1)
         capped.record(TraceEvent("send", 0, 0.0, 1.0))
         capped.record(TraceEvent("send", 0, 1.0, 2.0))
-        assert "dropped 1 event(s)" in phase_table(capped)
+        assert "dropped 1 event(s)" in summarize(capped).to_text()
 
 
 # --------------------------------------------------------------------- #
@@ -569,6 +570,18 @@ class TestCliTrace:
         text = capsys.readouterr().out
         assert "Per-rank phase breakdown" in text
         assert "executor" in text
+        assert "Per-rank time budget" in text
+
+    def test_trace_summary_prints_golden_budget(self, capsys):
+        """A saved artifact carries the whole budget: each rank's end is
+        its last event's, so no run report is needed beside the file."""
+        golden = Path(__file__).parent / "golden" / "chrome_trace.json"
+        assert main(["trace", "summary", str(golden)]) == 0
+        text = capsys.readouterr().out
+        budget = text.split("Per-rank time budget")[1].split("Traffic")[0]
+        rows = [ln for ln in budget.splitlines() if ln[:1].isdigit()]
+        assert [ln.split("|")[0].strip() for ln in rows] == ["0", "1", "2"]
+        assert "Traffic by message tag" in text
 
     def test_trace_export_rewrites_timebase(self, tmp_path, capsys):
         src = tmp_path / "run.json"
