@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.graph import paper_mesh
 from repro.net import adaptive_cluster
-from repro.obs import summarize
+from repro.obs import summarize, timeline
 from repro.runtime import LoadBalanceConfig, ProgramConfig, run_program
 
 
@@ -40,7 +40,7 @@ def main() -> None:
               f"mean utilization {summary.mean_utilization:.2f}")
         print(summary.to_text())
         print()
-        print(summary.timeline(report.trace, width=64))
+        print(timeline(report.trace, width=64))
 
 
 if __name__ == "__main__":

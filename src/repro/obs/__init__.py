@@ -9,7 +9,8 @@ One package for the three instruments every subsystem shares:
 * The Chrome trace-event exporter (Perfetto-loadable) and its loader,
   so `repro trace export|summary` work from a saved file.
 * :func:`summarize` — the one trace analyzer: phase rows, each rank's
-  compute / comm / barrier budget, traffic by tag, an ASCII timeline.
+  compute / comm / barrier budget, traffic by tag; :func:`timeline`
+  draws a trace as ASCII.
 
 The standing contract: observability is *deterministically neutral*.
 Nothing in this package reads or advances a rank clock; enabling it
@@ -26,7 +27,7 @@ from repro.obs.export import (
 from repro.obs.logconf import configure_logging
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
 from repro.obs.span import Tracer
-from repro.obs.summary import TraceSummary, summarize
+from repro.obs.summary import TraceSummary, summarize, timeline
 
 __all__ = [
     "Tracer",
@@ -37,6 +38,7 @@ __all__ = [
     "load_chrome_trace",
     "summarize",
     "TraceSummary",
+    "timeline",
     "configure_logging",
     "capture_traces",
     "active_capture",

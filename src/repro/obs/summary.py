@@ -23,12 +23,15 @@ from repro.errors import ConfigurationError
 from repro.net.trace import TraceLog
 from repro.utils.tables import format_table
 
-__all__ = ["TraceSummary", "summarize"]
+__all__ = ["TraceSummary", "summarize", "timeline"]
 
 #: Event kinds counted as communication time.
 _COMM_KINDS = ("send", "recv", "multicast")
 #: Event kinds that are one transmission each (a multicast counts once).
 _TRANSMISSIONS = ("send", "multicast")
+#: Event kinds that make a rank's budget: a rank with none of them (a
+#: ``repro serve`` machine recording only ``job`` spans) has no budget row.
+_BUDGET_KINDS = ("compute", *_COMM_KINDS, "barrier", "program")
 
 
 @dataclass
@@ -72,8 +75,16 @@ class TraceSummary:
         }
 
     @property
+    def budget_ranks(self) -> list[int]:
+        """The ranks that recorded compute, comm, barrier or ``program``."""
+        return [
+            r for r in self.ranks
+            if any((r, k) in self.phases for k in _BUDGET_KINDS)
+        ]
+
+    @property
     def mean_utilization(self) -> float:
-        utils = [self.budget(r)["util"] for r in self.ranks]
+        utils = [self.budget(r)["util"] for r in self.budget_ranks]
         return sum(utils) / len(utils) if utils else 0.0
 
     def to_text(self) -> str:
@@ -88,11 +99,11 @@ class TraceSummary:
             ["rank", "phase", "events", "time", "bytes"], rows,
             title="Per-rank phase breakdown", float_fmt="{:.6f}",
         )]
-        if self.ranks:
+        if self.budget_ranks:
             parts.append(format_table(
                 ["rank", "compute", "comm", "barrier", "other", "total",
                  "util"],
-                [[r, *self.budget(r).values()] for r in self.ranks],
+                [[r, *self.budget(r).values()] for r in self.budget_ranks],
                 title="Per-rank time budget", float_fmt="{:.4f}",
             ))
         if self.messages_by_tag:
@@ -107,57 +118,6 @@ class TraceSummary:
                 f"(ring buffer dropped {self.dropped_events} event(s))"
             )
         return "\n\n".join(parts)
-
-    def timeline(self, trace: TraceLog, *, width: int = 72) -> str:
-        """One row per rank, one glyph per time bucket of *trace*.
-
-        Glyphs: ``#`` compute-dominated bucket, ``~`` communication, ``.``
-        barrier/idle, space for time after the rank's end.  *trace* is the
-        log this summary was made from; the buckets need its intervals.
-        """
-        if width < 8:
-            raise ConfigurationError(
-                f"timeline width must be >= 8, got {width}"
-            )
-        makespan = self.makespan
-        if makespan <= 0:
-            return "(empty timeline)"
-        dt = makespan / width
-        row = {r: i for i, r in enumerate(self.ranks)}
-        compute = [[0.0] * width for _ in row]
-        comm = [[0.0] * width for _ in row]
-        for ev in trace:
-            if ev.rank not in row:
-                continue
-            if ev.kind == "compute":
-                target = compute[row[ev.rank]]
-            elif ev.kind in _COMM_KINDS:
-                target = comm[row[ev.rank]]
-            else:
-                continue
-            b0 = min(int(ev.t_start / dt), width - 1)
-            b1 = min(int(ev.t_end / dt), width - 1)
-            for b in range(b0, b1 + 1):
-                lo = max(ev.t_start, b * dt)
-                hi = min(ev.t_end, (b + 1) * dt)
-                target[b] += max(hi - lo, 0.0)
-        lines = []
-        for r, i in row.items():
-            end_bucket = min(int(self.ends[r] / dt), width)
-            chars = []
-            for b in range(width):
-                c, m = compute[i][b], comm[i][b]
-                if b >= end_bucket:
-                    chars.append(" ")
-                elif c >= m and c > 0.1 * dt:
-                    chars.append("#")
-                elif m > 0.1 * dt:
-                    chars.append("~")
-                else:
-                    chars.append(".")
-            lines.append(f"rank {r:2d} |{''.join(chars)}|")
-        lines.append(f"        0{' ' * (width - 10)}{makespan:.3f}s")
-        return "\n".join(lines)
 
 
 def summarize(trace: TraceLog) -> TraceSummary:
@@ -177,3 +137,55 @@ def summarize(trace: TraceLog) -> TraceSummary:
             s.messages_by_tag[ev.tag] = s.messages_by_tag.get(ev.tag, 0) + 1
             s.bytes_by_tag[ev.tag] = s.bytes_by_tag.get(ev.tag, 0) + ev.nbytes
     return s
+
+
+def timeline(trace: TraceLog, *, width: int = 72) -> str:
+    """One row per rank of *trace*, one glyph per time bucket.
+
+    Glyphs: ``#`` compute-dominated bucket, ``~`` communication, ``.``
+    barrier/idle, space for time after the rank's end.
+    """
+    if width < 8:
+        raise ConfigurationError(
+            f"timeline width must be >= 8, got {width}"
+        )
+    s = summarize(trace)
+    makespan = s.makespan
+    if makespan <= 0:
+        return "(empty timeline)"
+    dt = makespan / width
+    row = {r: i for i, r in enumerate(s.ranks)}
+    compute = [[0.0] * width for _ in row]
+    comm = [[0.0] * width for _ in row]
+    for ev in trace:
+        if ev.rank not in row:
+            continue
+        if ev.kind == "compute":
+            target = compute[row[ev.rank]]
+        elif ev.kind in _COMM_KINDS:
+            target = comm[row[ev.rank]]
+        else:
+            continue
+        b0 = min(int(ev.t_start / dt), width - 1)
+        b1 = min(int(ev.t_end / dt), width - 1)
+        for b in range(b0, b1 + 1):
+            lo = max(ev.t_start, b * dt)
+            hi = min(ev.t_end, (b + 1) * dt)
+            target[b] += max(hi - lo, 0.0)
+    lines = []
+    for r, i in row.items():
+        end_bucket = min(int(s.ends[r] / dt), width)
+        chars = []
+        for b in range(width):
+            c, m = compute[i][b], comm[i][b]
+            if b >= end_bucket:
+                chars.append(" ")
+            elif c >= m and c > 0.1 * dt:
+                chars.append("#")
+            elif m > 0.1 * dt:
+                chars.append("~")
+            else:
+                chars.append(".")
+        lines.append(f"rank {r:2d} |{''.join(chars)}|")
+    lines.append(f"        0{' ' * (width - 10)}{makespan:.3f}s")
+    return "\n".join(lines)

@@ -58,24 +58,38 @@ class TestResolveLoadBalance:
             resolve_load_balance(10)
 
 
-def _fields_never_passed(cls, *resolvers: str) -> set[str]:
-    """Fields of dataclass *cls* that no call of *cls* (or of a resolver
-    taking its fields as keywords) in src/, bench/, examples/ or tools/
-    passes, by keyword or by position."""
-    root = Path(__file__).resolve().parent.parent
-    callees = {cls.__name__, *resolvers}
+def _fields_passed(cls, resolvers, trees) -> set[str]:
+    """Fields of dataclass *cls* that some call in *trees* passes: a call
+    of *cls* by keyword or by position, a call of one of the *resolvers*
+    (which take *cls*'s fields as keywords) by keyword only."""
     names = [f.name for f in dataclasses.fields(cls)]
     passed: set[str] = set()
-    for top in ("src", "bench", "examples", "tools"):
-        for path in (root / top).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call) and (
-                    getattr(node.func, "id", None) in callees
-                    or getattr(node.func, "attr", None) in callees
-                ):
-                    passed.update(kw.arg for kw in node.keywords)
-                    passed.update(names[: len(node.args)])
-    return set(names) - passed
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", None) or getattr(
+                node.func, "attr", None
+            )
+            if callee == cls.__name__:
+                passed.update(names[: len(node.args)])
+            elif callee not in resolvers:
+                continue
+            passed.update(kw.arg for kw in node.keywords)
+    return passed
+
+
+def _fields_never_passed(cls, *resolvers: str) -> set[str]:
+    """Fields of dataclass *cls* that no call in src/, bench/, examples/
+    or tools/ passes (see :func:`_fields_passed`)."""
+    root = Path(__file__).resolve().parent.parent
+    trees = (
+        ast.parse(path.read_text())
+        for top in ("src", "bench", "examples", "tools")
+        for path in (root / top).rglob("*.py")
+    )
+    names = {f.name for f in dataclasses.fields(cls)}
+    return names - _fields_passed(cls, resolvers, trees)
 
 
 class TestOptionsCensus:
@@ -86,6 +100,20 @@ class TestOptionsCensus:
         assert [f.name for f in dataclasses.fields(LoadBalanceConfig)] == [
             "check_interval", "style", "predictor",
         ]
+
+    def test_positional_arguments_count_for_the_class_only(self):
+        """A resolver's positional argument is the spec, not a field."""
+        def passed(source):
+            return _fields_passed(
+                LoadBalanceConfig, ("resolve_load_balance",),
+                [ast.parse(source)],
+            )
+
+        assert passed("resolve_load_balance(spec)") == set()
+        assert passed("resolve_load_balance(spec, predictor='t')") == {
+            "predictor"
+        }
+        assert passed("cfg.LoadBalanceConfig(3)") == {"check_interval"}
 
     def test_every_load_balance_field_is_passed(self):
         assert _fields_never_passed(

@@ -24,7 +24,7 @@ from repro.net.loadmodel import MembershipEvent, MembershipTrace
 from repro.net.message import Tags
 from repro.net.spmd import run_spmd
 from repro.net.trace import TraceEvent, TraceLog
-from repro.obs import summarize
+from repro.obs import summarize, timeline
 from repro.runtime import LoadBalanceConfig, ProgramConfig, run_program
 
 
@@ -116,6 +116,32 @@ class TestBudget:
         assert s.makespan == 1.0
         assert "service" in s.to_text()
 
+    def test_serve_machines_have_phase_rows_but_no_budget(self):
+        """A ``repro serve`` trace: machines record only ``job`` spans."""
+        from repro.serve import ServiceSession, generate_stream
+
+        report = ServiceSession(
+            uniform_cluster(3),
+            generate_stream("mixed", 4, max_ranks=3, seed=1995),
+            max_tenants=2,
+            trace=True,
+        ).run()
+        s = summarize(report.trace)
+        assert s.ranks and all(k == "job" for (r, k) in s.phases if r >= 0)
+        assert s.budget_ranks == []
+        assert s.mean_utilization == 0.0
+        text = s.to_text()
+        assert "job" in text and "Per-rank time budget" not in text
+
+    def test_budget_row_only_for_budget_kinds(self):
+        log = TraceLog()
+        log.record(TraceEvent("compute", 0, 0.0, 1.0))
+        log.record(TraceEvent("job", 1, 0.0, 5.0))
+        log.record(TraceEvent("program", 2, 0.0, 2.0))
+        s = summarize(log)
+        assert s.ranks == [0, 1, 2]
+        assert s.budget_ranks == [0, 2]
+
     def test_joiner_traffic_kept(self):
         report = _joined_run()
         assert any(ev.rank == 3 for ev in report.trace)  # the join happened
@@ -127,7 +153,7 @@ class TestBudget:
 class TestTimeline:
     def test_basic_shape(self):
         res = traced_run(uniform_cluster(3))
-        art = summarize(res.trace).timeline(res.trace, width=40)
+        art = timeline(res.trace, width=40)
         lines = art.splitlines()
         assert len(lines) == 4  # 3 ranks + axis
         assert all(line.startswith("rank") for line in lines[:3])
@@ -139,7 +165,7 @@ class TestTimeline:
             lambda ctx: ctx.compute(1.0),
             trace=True,
         )
-        art = summarize(res.trace).timeline(res.trace, width=40)
+        art = timeline(res.trace, width=40)
         fast, slow = art.splitlines()[:2]
         # The fast rank's row ends early (trailing spaces inside the frame).
         assert fast.rstrip("|").rstrip().count("#") < slow.count("#")
@@ -148,17 +174,17 @@ class TestTimeline:
         log = TraceLog()
         log.record(TraceEvent("compute", 0, 0.0, 1.0))
         with pytest.raises(ConfigurationError):
-            summarize(log).timeline(log, width=2)
+            timeline(log, width=2)
 
     def test_empty_timeline(self):
         log = TraceLog()
-        assert summarize(log).timeline(log) == "(empty timeline)"
+        assert timeline(log) == "(empty timeline)"
 
     def test_synthetic_comm_glyphs(self):
         log = TraceLog()
         log.record(TraceEvent("send", 0, 0.0, 0.5, nbytes=10))
         log.record(TraceEvent("compute", 0, 0.5, 1.0))
-        row = summarize(log).timeline(log, width=10).splitlines()[0]
+        row = timeline(log, width=10).splitlines()[0]
         assert "~" in row and "#" in row
 
 
@@ -239,7 +265,7 @@ def _table5_run(lb):
 ])
 def test_parity_with_final_clock_analyzer(run):
     report = run()
-    budgets, messages, nbytes, timeline = _final_clock_analyzer(
+    budgets, messages, nbytes, art = _final_clock_analyzer(
         report.trace, list(report.clocks), 64
     )
     s = summarize(report.trace)
@@ -250,4 +276,4 @@ def test_parity_with_final_clock_analyzer(run):
             assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
     assert s.messages_by_tag == messages
     assert s.bytes_by_tag == nbytes
-    assert s.timeline(report.trace, width=64) == timeline
+    assert timeline(report.trace, width=64) == art
