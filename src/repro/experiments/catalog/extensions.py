@@ -312,7 +312,7 @@ def _unloaded_makespan(n_vertices: int, workload_seed: int, iterations: int) -> 
 def _expect_ext_prediction(runs):
     for _, by in group_runs(runs, "predictor"):
         time = {name: m["makespan"] for name, m in by.items()}
-        for name in ("paper", "last", "trend"):
+        for name in ("paper", "trend"):
             if name in time and "off" in time:
                 yield from below(
                     f"time with {name} predictor vs no LB", time[name], time["off"]
@@ -329,7 +329,7 @@ def _expect_ext_prediction(runs):
     title="Extension: capability predictors under a ramping load",
     paper_anchor="Sec. 3.5 (footnote 2)",
     grid={
-        "predictor": ("off", "paper", "last", "trend"),
+        "predictor": ("off", "paper", "trend"),
         # The quick tier runs this grid too: on a smaller mesh a remap costs
         # about what it saves and no predictor separates from "off".
         "n_vertices": (6_000,),

@@ -10,7 +10,7 @@ in CSR form — exactly the "indirection array" layout of the Fig. 8 loop
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -105,12 +105,6 @@ class CSRGraph:
         """Embedding dimension (2 or 3), or None for abstract graphs."""
         return None if self.coords is None else self.coords.shape[1]
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """Neighbor view for vertex *v* (no copy)."""
-        if not (0 <= v < self.num_vertices):
-            raise GraphError(f"vertex {v} out of range")
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
     def weights(self) -> np.ndarray:
         """Vertex computational weights (default: uniform 1.0)."""
         if self.vertex_weights is not None:
@@ -124,10 +118,6 @@ class CSRGraph:
         mask = src < self.indices
         keys = _sorted(src[mask] * n + self.indices[mask])
         return np.stack(np.divmod(keys, n), axis=1)
-
-    def iter_edges(self) -> Iterator[tuple[int, int]]:
-        for u, v in self.edge_array():
-            yield int(u), int(v)
 
     # ------------------------------------------------------------------ #
     # construction helpers

@@ -74,8 +74,9 @@ class ClusterSpec:
         """Unnormalized effective speeds at *t*, ignoring membership.
 
         This is the raw machine view: what each workstation could deliver if
-        it were participating.  Membership masking happens in
-        :meth:`capability_ratios`.
+        it were participating.  Membership masking happens in the load
+        balancer's :func:`~repro.runtime.adaptive.decide`, from
+        :meth:`active_mask`.
         """
         return np.array(
             [p.effective_speed(t) for p in self.processors], dtype=np.float64
@@ -97,31 +98,6 @@ class ClusterSpec:
         if self.membership is None:
             return np.zeros(self.size, dtype=bool)
         return self.membership.failed_mask(t)
-
-    def capability_ratios(
-        self, t: float = 0.0, active: Sequence[bool] | np.ndarray | None = None
-    ) -> np.ndarray:
-        """Normalized effective speeds at virtual time *t*.
-
-        This is the paper's "computational capability ratio" vector (e.g.
-        P0=0.27, P1=0.18, ... in Sec. 3.4): effective speeds normalized to
-        sum to one.  Inactive ranks (from *active*, or the cluster's own
-        membership trace when *active* is omitted) contribute a ratio of
-        exactly 0, so proportional splits give them nothing.
-        """
-        eff = self.effective_speeds(t)
-        mask = self.active_mask(t) if active is None else np.asarray(active, bool)
-        if mask.shape != (self.size,):
-            raise ConfigurationError(
-                f"active mask has shape {mask.shape}, cluster has "
-                f"{self.size} processors"
-            )
-        if not mask.any():
-            raise ConfigurationError(
-                f"no active processors at t={t}; capability ratios undefined"
-            )
-        eff = np.where(mask, eff, 0.0)
-        return eff / eff.sum()
 
     def make_network(self) -> NetworkModel:
         """Instantiate a fresh network model (contention state reset)."""
@@ -155,10 +131,6 @@ class ClusterSpec:
             name=f"{self.name}[{','.join(map(str, ranks))}]",
             membership=sub_membership,
         )
-
-    def prefix(self, n: int) -> "ClusterSpec":
-        """The first *n* workstations (the paper's 1..n pools)."""
-        return self.subset(range(n))
 
     def with_load(self, rank: int, load: LoadTrace) -> "ClusterSpec":
         """A copy with a competing-load trace attached to one processor."""

@@ -11,9 +11,8 @@ exact ``recv(source, tag)``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence, TYPE_CHECKING
+from typing import Any, Callable, Iterable, TYPE_CHECKING
 
-from repro.errors import CommunicationError
 from repro.net.message import Tags
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -23,7 +22,6 @@ __all__ = [
     "bcast",
     "gather",
     "allgather",
-    "scatter",
     "reduce",
     "allreduce",
     "alltoallv",
@@ -67,23 +65,6 @@ def allgather(ctx: "RankContext", payload: Any) -> list[Any]:
     """Gather at rank 0, then broadcast the full list."""
     values = gather(ctx, payload, root=0, tag=Tags.GATHER)
     return bcast(ctx, values, root=0, tag=Tags.BCAST)
-
-
-def scatter(
-    ctx: "RankContext", parts: Sequence[Any] | None, *, root: int = 0
-) -> Any:
-    """Scatter ``parts[r]`` to each rank *r* from *root*."""
-    if ctx.rank == root:
-        if parts is None or len(parts) != ctx.size:
-            raise CommunicationError(
-                f"scatter root needs exactly {ctx.size} parts, got "
-                f"{None if parts is None else len(parts)}"
-            )
-        for r in range(ctx.size):
-            if r != root:
-                ctx.send(r, parts[r], Tags.SCATTER)
-        return parts[root]
-    return ctx.recv(root, Tags.SCATTER)
 
 
 def reduce(

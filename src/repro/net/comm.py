@@ -23,12 +23,10 @@ import os
 import threading
 from typing import Any, Callable, Iterable, Sequence
 
-import numpy as np
-
 from repro.errors import CommunicationError, ConfigurationError
 from repro.net.cluster import ClusterSpec
 from repro.net.mailbox import Mailbox
-from repro.net.message import Message, Tags, pack_arrays, payload_nbytes
+from repro.net.message import Message, Tags, payload_nbytes
 from repro.net.network import NetworkModel
 from repro.net.trace import TraceEvent, TraceLog
 from repro.obs.metrics import MetricsRegistry
@@ -133,7 +131,7 @@ class RankContext:
     methods here implement the sim world (virtual clocks, modeled
     network); :class:`repro.runtime.procs.context.RealRankContext`
     overrides only the clock and transport primitives — ``clock``,
-    ``charge``, ``compute``, ``send``, ``multicast``, ``barrier`` and the
+    ``compute``, ``send``, ``multicast``, ``barrier`` and the
     per-message :meth:`_charge_recv` hook — and inherits everything else.
     """
 
@@ -162,17 +160,6 @@ class RankContext:
     @clock.setter
     def clock(self, value: float) -> None:
         self._comm.clocks[self.rank] = value
-
-    def charge(self, seconds: float) -> None:
-        """Advance the clock by raw virtual *seconds* (no speed scaling).
-
-        Used for fixed software overheads such as sorting during schedule
-        construction, where we charge measured host time scaled by the
-        processor speed via :meth:`compute` instead when appropriate.
-        """
-        if seconds < 0:
-            raise ValueError(f"cannot charge negative time: {seconds}")
-        self.clock += seconds
 
     def compute(self, work_seconds: float, *, label: str = "") -> None:
         """Charge *work_seconds* of unit-speed computation.
@@ -264,20 +251,6 @@ class RankContext:
             )
             comm.mailboxes[d].deposit(msg)
 
-    def send_packed(
-        self,
-        dest: int,
-        arrays: Sequence[np.ndarray],
-        tag: int = Tags.USER_BASE,
-    ) -> None:
-        """Send several arrays coalesced into **one** message (one frame,
-        one per-message setup) instead of one message per array.
-
-        The receiver applies :func:`repro.net.message.unpack_arrays` to
-        the received payload.
-        """
-        self.send(dest, pack_arrays(list(arrays)), tag)
-
     def recv(self, source: int, tag: int) -> Any:
         """Blocking receive of the next payload on the exact (source, tag)
         channel; advances the clock to the message arrival."""
@@ -367,11 +340,6 @@ class RankContext:
         from repro.net.collectives import allgather
 
         return allgather(self, payload)
-
-    def scatter(self, parts: Sequence[Any] | None, root: int = 0) -> Any:
-        from repro.net.collectives import scatter
-
-        return scatter(self, parts, root=root)
 
     def reduce(self, value: Any, op: Callable[[Any, Any], Any], root: int = 0) -> Any | None:
         from repro.net.collectives import reduce as _reduce

@@ -16,9 +16,7 @@ Sec. 1's definition of an adaptive environment also covers machines whose
 a faster one becomes idle and joins.  :class:`MembershipTrace` describes
 that axis: join/leave/replace events at virtual times over a fixed world of
 processors.  It deliberately shares the load traces' piecewise-constant
-algebra (``next_change_after`` with a ``math.inf`` sentinel), and
-:meth:`MembershipTrace.presence_load` projects absence onto an ordinary
-:class:`StepLoad`.
+algebra (``next_change_after`` with a ``math.inf`` sentinel).
 """
 
 from __future__ import annotations
@@ -66,18 +64,6 @@ class LoadTrace:
         while (t := self.next_change_after(t)) < math.inf:
             peak = max(peak, self.load_at(t))
         return peak
-
-    def mean_load(self, t0: float, t1: float) -> float:
-        """Time-averaged load over [t0, t1] (t1 > t0)."""
-        if t1 <= t0:
-            return self.load_at(t0)
-        total = 0.0
-        t = t0
-        while t < t1:
-            nxt = min(self.next_change_after(t), t1)
-            total += self.load_at(t) * (nxt - t)
-            t = nxt
-        return total / (t1 - t0)
 
 
 @dataclass(frozen=True)
@@ -417,10 +403,6 @@ class MembershipTrace:
             return mask
         return self._masks[idx].copy()
 
-    def active_at(self, t: float) -> frozenset[int]:
-        """The active rank set at time *t* (set form of the mask)."""
-        return frozenset(int(r) for r in np.flatnonzero(self.active_mask(t)))
-
     def failed_mask(self, t: float) -> np.ndarray:
         """Boolean mask of the ranks that have *failed* by time *t*.
 
@@ -458,26 +440,6 @@ class MembershipTrace:
     # ------------------------------------------------------------------ #
     # composition and derivation helpers
     # ------------------------------------------------------------------ #
-
-    def presence_load(self, rank: int, *, absent_load: float = 1e9) -> StepLoad:
-        """Project one rank's absence onto a :class:`StepLoad`.
-
-        While the rank is inactive the step carries *absent_load* competing
-        processes (default: effectively starving the application) — useful
-        for visualisation and for the algebra property tests, not used by
-        the runtime itself (the session drains a departing rank instead of
-        letting it starve).
-        """
-        if not (0 <= rank < self.world_size):
-            raise ValueError(f"rank {rank} out of range")
-        steps: list[tuple[float, float]] = [
-            (0.0, 0.0 if rank not in self.initially_inactive else absent_load)
-        ]
-        for ev, mask in zip(self.events, self._masks):
-            load = 0.0 if mask[rank] else absent_load
-            if load != steps[-1][1]:
-                steps.append((ev.time, load))
-        return StepLoad(steps)
 
     def subset(self, ranks: Sequence[int]) -> "MembershipTrace":
         """Re-index the trace onto the sub-world of *ranks*.

@@ -125,11 +125,6 @@ class PointToPointNetwork(NetworkModel):
         p = self._p
         return t_send + p.per_message_overhead + p.latency + nbytes / p.bandwidth
 
-    def message_cost(self, nbytes: int) -> float:
-        """Total end-to-end cost of one message (used by cost estimators)."""
-        p = self._p
-        return p.per_message_overhead + p.latency + nbytes / p.bandwidth
-
     def injection_done(
         self, source: int, dest: int, nbytes: int, t_send: float
     ) -> float:
@@ -155,18 +150,9 @@ class SharedEthernet(PointToPointNetwork):
 
     supports_multicast = True
 
-    def __init__(
-        self,
-        *,
-        latency: float = 1e-3,
-        bandwidth: float = 1.25e6,
-        per_message_overhead: float = 5e-4,
-    ):
-        super().__init__(
-            latency=latency,
-            bandwidth=bandwidth,
-            per_message_overhead=per_message_overhead,
-        )
+    def __init__(self, **link: float):
+        """Link parameters as for :class:`PointToPointNetwork`."""
+        super().__init__(**link)
         self._lock = threading.Lock()
         self._medium_free = 0.0
         # Last granted reservation per source rank: (dest, nbytes, t_send,

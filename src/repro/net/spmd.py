@@ -94,38 +94,25 @@ class SPMDResult:
     trace: TraceLog
     cluster: ClusterSpec
 
-    def _check_clocks(self, what: str) -> None:
+    @property
+    def makespan(self) -> float:
+        """Parallel execution time: the max final rank clock.
+
+        Empty or negative/non-finite clocks raise
+        :class:`~repro.errors.ConfigurationError` instead of silently
+        reporting a makespan.
+        """
         if not self.clocks:
             raise ConfigurationError(
-                f"{what} is undefined for a run with no ranks"
+                "makespan is undefined for a run with no ranks"
             )
         bad = [c for c in self.clocks if not np.isfinite(c) or c < 0]
         if bad:
             raise ConfigurationError(
-                f"{what} is undefined: degenerate final clocks {bad} "
+                f"makespan is undefined: degenerate final clocks {bad} "
                 f"(clocks must be finite and >= 0)"
             )
-
-    @property
-    def makespan(self) -> float:
-        """Parallel execution time: the max final rank clock."""
-        self._check_clocks("makespan")
         return max(self.clocks)
-
-    @property
-    def imbalance(self) -> float:
-        """max/mean of final clocks (1.0 = perfectly balanced finish).
-
-        All-zero clocks (no time ever charged) are defined as perfectly
-        balanced; empty or negative/non-finite clocks raise
-        :class:`~repro.errors.ConfigurationError` instead of silently
-        reporting balance.
-        """
-        self._check_clocks("imbalance")
-        mean = float(np.mean(self.clocks))
-        if mean == 0.0:
-            return 1.0  # nobody accumulated any time: vacuously balanced
-        return self.makespan / mean
 
     def value(self, rank: int = 0) -> Any:
         return self.values[rank]

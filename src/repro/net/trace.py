@@ -154,19 +154,6 @@ class TraceLog:
         with self._lock:
             return len(self._events)
 
-    def message_count(self, *, kinds: Iterable[str] = ("send", "multicast")) -> int:
-        """Number of transmissions (a multicast counts once, as on Ethernet)."""
-        kindset = set(kinds)
-        return sum(1 for e in self.events() if e.kind in kindset)
-
-    def bytes_sent(self) -> int:
-        """Total payload bytes across sends and multicasts."""
-        return sum(e.nbytes for e in self.events() if e.kind in ("send", "multicast"))
-
-    def time_in(self, kind: str, rank: int) -> float:
-        """Total virtual time rank spent in events of *kind*."""
-        return sum(e.t_end - e.t_start for e in self.events(kind=kind, rank=rank))
-
     def clear(self) -> None:
         with self._lock:
             self._events.clear()

@@ -99,25 +99,3 @@ class Tracer:
                     wall_end=self._wall(),
                 )
             )
-
-    def instant(self, kind: str, label: str = "") -> None:
-        """Record a zero-width span (a point annotation)."""
-        if not self.enabled:
-            return
-        span_id = self._next_id
-        self._next_id += 1
-        t = self._clock()
-        w = self._wall()
-        self._log.record(
-            TraceEvent(
-                kind=kind,
-                rank=self._rank,
-                t_start=t,
-                t_end=t,
-                label=label,
-                span_id=span_id,
-                parent_id=self.current_span,
-                wall_start=w,
-                wall_end=w,
-            )
-        )

@@ -55,9 +55,6 @@ class HPFDistribution:
     def owner_of(self, gi: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def local_index(self, gi: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def global_indices(self, rank: int) -> np.ndarray:
         """All global indices owned by *rank*, in local-index order."""
         raise NotImplementedError
@@ -75,9 +72,6 @@ class HPFDistribution:
             raise PartitionError(f"rank {rank} out of range [0, {self.p})")
         return rank
 
-    def local_size(self, rank: int) -> int:
-        return int(self.global_indices(rank).size)
-
 
 @dataclass(frozen=True)
 class BlockDistribution(HPFDistribution):
@@ -90,10 +84,6 @@ class BlockDistribution(HPFDistribution):
     def owner_of(self, gi: np.ndarray) -> np.ndarray:
         gi = self._check(gi)
         return np.minimum(gi // self.block, self.p - 1)
-
-    def local_index(self, gi: np.ndarray) -> np.ndarray:
-        gi = self._check(gi)
-        return gi - self.owner_of(gi) * self.block
 
     def global_indices(self, rank: int) -> np.ndarray:
         rank = self._check_rank(rank)
@@ -108,9 +98,6 @@ class CyclicDistribution(HPFDistribution):
 
     def owner_of(self, gi: np.ndarray) -> np.ndarray:
         return self._check(gi) % self.p
-
-    def local_index(self, gi: np.ndarray) -> np.ndarray:
-        return self._check(gi) // self.p
 
     def global_indices(self, rank: int) -> np.ndarray:
         rank = self._check_rank(rank)
@@ -130,11 +117,6 @@ class BlockCyclicDistribution(HPFDistribution):
 
     def owner_of(self, gi: np.ndarray) -> np.ndarray:
         return (self._check(gi) // self.b) % self.p
-
-    def local_index(self, gi: np.ndarray) -> np.ndarray:
-        gi = self._check(gi)
-        round_ = gi // (self.b * self.p)
-        return round_ * self.b + gi % self.b
 
     def global_indices(self, rank: int) -> np.ndarray:
         rank = self._check_rank(rank)

@@ -144,15 +144,6 @@ class IntervalPartition:
         owner = self.owners[block]
         return int(owner[0]) if scalar else owner
 
-    def local_index(self, global_index: np.ndarray | int) -> np.ndarray | int:
-        """Offset of a global index within its home processor's interval."""
-        gi = np.asarray(global_index, dtype=np.intp)
-        scalar = gi.ndim == 0
-        gi_arr = np.atleast_1d(gi)
-        block = np.searchsorted(self.bounds, gi_arr, side="right") - 1
-        local = gi_arr - self.bounds[block]
-        return int(local[0]) if scalar else local
-
     def dereference(
         self, global_index: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -168,19 +159,6 @@ class IntervalPartition:
     def to_labels(self) -> np.ndarray:
         """Per-element owner array of length n (for metrics/plotting)."""
         return np.repeat(self.owners, np.diff(self.bounds))
-
-    def first_last(self) -> list[tuple[int, int]]:
-        """The replicated translation list: (first, last) per rank, inclusive.
-
-        ``last == first - 1`` marks an empty interval.  Matches the paper's
-        Fig. 3 storage ("the first and last elements belonging to every
-        processor").
-        """
-        out = []
-        for rank in range(self.num_processors):
-            lo, hi = self.interval(rank)
-            out.append((lo, hi - 1))
-        return out
 
     def __repr__(self) -> str:
         return (

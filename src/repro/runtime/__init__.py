@@ -46,7 +46,6 @@ from repro.runtime.kernels import (
 from repro.runtime.monitor import LoadMonitor
 from repro.runtime.prediction import (
     CapabilityPredictor,
-    LastValuePredictor,
     LinearTrendPredictor,
     make_predictor,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "Decision",
     "redistribute_fields",
     "transfer_plan_summary",
-    "LastValuePredictor",
     "LinearTrendPredictor",
     "make_predictor",
     "DistributedTranslationTable",

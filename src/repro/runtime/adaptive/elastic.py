@@ -108,10 +108,6 @@ class ElasticState:
         self.active = self.trace.active_mask(0.0)
         self.failed = self.trace.failed_mask(0.0)
 
-    @property
-    def num_active(self) -> int:
-        return int(self.active.sum())
-
     def poll(self, t: float) -> list[MembershipEvent]:
         """Consume events in ``(last_poll, t]`` and update the masks."""
         if t < self.last_poll:

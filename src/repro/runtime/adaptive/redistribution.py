@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.errors import RedistributionError
 from repro.net.message import Tags, pack_arrays, payload_nbytes, unpack_arrays
+from repro.net.network import PointToPointNetwork, SharedEthernet
 from repro.partition.arrangement import Transfer, transfer_matrix
 from repro.partition.intervals import IntervalPartition
 from repro.runtime import reference as ref
@@ -41,7 +42,6 @@ from repro.runtime.backend import resolve_backend
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.comm import RankContext
-    from repro.net.network import NetworkModel
 
 __all__ = [
     "redistribute",
@@ -338,7 +338,7 @@ def redistribute(
 
 
 def network_pricing_params(
-    network: "NetworkModel", shared_medium: bool | None = None
+    network: PointToPointNetwork,
 ) -> tuple[float, float, float, bool]:
     """``(latency, bandwidth, per_message_overhead, shared?)`` of *network*.
 
@@ -348,25 +348,22 @@ def network_pricing_params(
     two estimates stay comparable by construction and a changed default
     can never make them silently diverge.
     """
-    latency = float(getattr(network, "latency", 1e-3))
-    bandwidth = float(getattr(network, "bandwidth", 1.25e6))
-    overhead = float(getattr(network, "per_message_overhead", 5e-4))
-    if shared_medium is None:
-        from repro.net.network import SharedEthernet
-
-        shared_medium = isinstance(network, SharedEthernet)
-    return latency, bandwidth, overhead, bool(shared_medium)
+    return (
+        network.latency,
+        network.bandwidth,
+        network.per_message_overhead,
+        isinstance(network, SharedEthernet),
+    )
 
 
 def estimate_remap_cost(
-    network: "NetworkModel",
+    network: PointToPointNetwork,
     old: IntervalPartition,
     new: IntervalPartition,
     element_nbytes: int,
     *,
     num_fields: int = 1,
     include_identity: bool = True,
-    shared_medium: bool | None = None,
 ) -> float:
     """Predicted virtual seconds to redistribute, without doing it.
 
@@ -392,9 +389,7 @@ def estimate_remap_cost(
     per_element = num_fields * element_nbytes + (
         IDENTITY_NBYTES if include_identity else 0
     )
-    latency, bandwidth, overhead, shared_medium = network_pricing_params(
-        network, shared_medium
-    )
+    latency, bandwidth, overhead, shared_medium = network_pricing_params(network)
     n_messages = len({(tr.source, tr.dest) for tr in transfers})
     fixed = n_messages * (overhead + latency)
     if shared_medium:

@@ -38,8 +38,9 @@ per-rank traces (``StepLoad`` schedules — the Table 5 setup), and the job
 service (:mod:`repro.serve`), where the load on a rank is other admitted
 jobs' measured compute projected through
 :class:`~repro.net.loadmodel.ServiceLoad`.  Either way it arrives through
-the same ``capability_ratios`` machinery, so the session is oblivious to
-which world it is balancing against.
+the same capability estimate (:func:`decide` inverts each rank's measured
+time per item), so the session is oblivious to which world it is
+balancing against.
 """
 
 from __future__ import annotations

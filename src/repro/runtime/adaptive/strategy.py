@@ -104,9 +104,9 @@ class LoadBalanceConfig:
     stated future work).  A static run has no config at all
     (:func:`resolve_load_balance`).
     ``predictor`` — None for the paper's last-phase assumption, or a
-    predictor name from :mod:`repro.runtime.prediction` ("last",
-    "trend") to forecast capabilities from more
-    than one previous phase (paper footnote 2).
+    predictor name from :mod:`repro.runtime.prediction` ("trend") to
+    forecast capabilities from more than one previous phase (paper
+    footnote 2).
     """
 
     check_interval: int = 10

@@ -134,11 +134,6 @@ class IntervalDiff:
     def n_gained(self) -> int:
         return sum(hi - lo for lo, hi in self.gained)
 
-    @property
-    def is_empty(self) -> bool:
-        """True when the rank's interval did not move at all."""
-        return not self.lost and not self.gained
-
 
 def diff_interval(
     old: IntervalPartition, new: IntervalPartition, rank: int

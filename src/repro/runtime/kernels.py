@@ -14,8 +14,8 @@ inspector (address-translated slots into the combined [local | ghost]
 buffer).  Both apply one kernel, :class:`RowSegments`: a segmented sum
 that accumulates each row's references in array order starting from 0.0
 — exactly the loop's ``t[i] += y[ia(k)]`` — so the vectorized sweeps are
-bit-identical to the literal transcription
-(:meth:`KernelPlan.sweep_reference`), not merely close to them.
+bit-identical to the literal transcription of Fig. 8 over a plan, not
+merely close to it.
 """
 
 from __future__ import annotations
@@ -233,20 +233,6 @@ class KernelPlan:
             )
         combined = np.concatenate([local_y, ghost]) if ghost.size else local_y
         return self.segments.means(combined, local_y)
-
-    def sweep_reference(self, local_y: np.ndarray, ghost: np.ndarray) -> np.ndarray:
-        """Loop transcription of Fig. 8 over local data — test oracle."""
-        combined = np.concatenate([local_y, ghost]) if ghost.size else local_y
-        out = np.array(local_y, dtype=np.float64, copy=True)
-        for i in range(self.n_local):
-            cnt = int(self.counts[i])
-            if not cnt:
-                continue
-            t = 0.0
-            for k in range(self.starts[i], self.starts[i] + cnt):
-                t += combined[self.slots[k]]
-            out[i] = t / cnt
-        return out
 
 
 def sorted_ghost_slots(

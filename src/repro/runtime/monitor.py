@@ -52,13 +52,6 @@ class LoadMonitor:
             )
         return self.window_seconds / self.window_items
 
-    def capability(self) -> float:
-        """Estimated capability (items per second) over the current window."""
-        t = self.avg_time_per_item()
-        if t <= 0:
-            raise LoadBalanceError("zero compute time recorded; cannot invert")
-        return 1.0 / t
-
     def reset_window(self) -> None:
         """Start a new observation window (after each load-balance check)."""
         self.window_seconds = 0.0

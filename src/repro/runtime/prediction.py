@@ -26,7 +26,6 @@ from repro.errors import LoadBalanceError
 
 __all__ = [
     "CapabilityPredictor",
-    "LastValuePredictor",
     "LinearTrendPredictor",
     "make_predictor",
 ]
@@ -44,32 +43,8 @@ class CapabilityPredictor(Protocol):
         ...
 
 
-class _BasePredictor:
-    def _check(self, capability: float) -> float:
-        if not np.isfinite(capability) or capability <= 0:
-            raise LoadBalanceError(
-                f"capability observations must be positive, got {capability}"
-            )
-        return float(capability)
-
-
 @dataclass
-class LastValuePredictor(_BasePredictor):
-    """The paper's implicit model: next phase == last phase."""
-
-    _last: float | None = None
-
-    def observe(self, capability: float) -> None:
-        self._last = self._check(capability)
-
-    def predict(self) -> float:
-        if self._last is None:
-            raise LoadBalanceError("no observations yet")
-        return self._last
-
-
-@dataclass
-class LinearTrendPredictor(_BasePredictor):
+class LinearTrendPredictor:
     """Least-squares line over the last *window* phases, extrapolated one
     step — anticipates ramping competing load (someone's build job warming
     up) instead of lagging it.
@@ -90,7 +65,11 @@ class LinearTrendPredictor(_BasePredictor):
             raise LoadBalanceError("need min_factor <= 1 <= max_factor")
 
     def observe(self, capability: float) -> None:
-        self._history.append(self._check(capability))
+        if not np.isfinite(capability) or capability <= 0:
+            raise LoadBalanceError(
+                f"capability observations must be positive, got {capability}"
+            )
+        self._history.append(float(capability))
         while len(self._history) > self.window:
             self._history.popleft()
 
@@ -110,11 +89,9 @@ class LinearTrendPredictor(_BasePredictor):
 
 
 def make_predictor(kind: str, **kwargs: object) -> CapabilityPredictor:
-    """Factory by name: 'last', 'trend'."""
-    factories = {
-        "last": LastValuePredictor,
-        "trend": LinearTrendPredictor,
-    }
+    """Factory by name: 'trend'.  The paper's last-phase rule is no
+    predictor at all (``LoadBalanceConfig(predictor=None)``)."""
+    factories = {"trend": LinearTrendPredictor}
     if kind not in factories:
         raise LoadBalanceError(
             f"unknown predictor {kind!r}; pick from {sorted(factories)}"

@@ -2,7 +2,7 @@
 
 There is one rank-side surface, :class:`repro.net.comm.RankContext`;
 :class:`RealRankContext` subclasses it and overrides only the clock and
-transport primitives (``clock``/``charge``/``compute``, ``send``/
+transport primitives (``clock``/``compute``, ``send``/
 ``multicast``, ``barrier`` and the per-message ``_charge_recv`` hook).
 Receives (exact ``(source, tag)`` channels, as in the sim world) and
 collectives are the inherited ones, running over this process's mailbox.
@@ -34,7 +34,7 @@ Instead, ``ctx.clock`` is a *stored* value that advances in two ways:
 Reads between operations therefore return a stable, rank-agreed value at
 every barrier boundary — exactly the property the sim world's virtual
 clocks provide — while still measuring real wall time between barriers.
-``compute``/``charge`` only latch (the host already did the work for
+``compute`` only latches (the host already did the work for
 real); modeled virtual costs are never added to the real clock.
 """
 
@@ -242,13 +242,6 @@ class RealRankContext(RankContext):
     def clock(self) -> float:
         """Latched wall time in seconds (see module docstring)."""
         return self._clock
-
-    def charge(self, seconds: float) -> None:
-        """Validate like the sim world, then latch (wall time is not
-        advanced by modeled costs — the host clock is authoritative)."""
-        if seconds < 0:
-            raise ValueError(f"cannot charge negative time: {seconds}")
-        self._latch()
 
     def compute(self, work_seconds: float, *, label: str = "") -> None:
         """Latch the clock forward to now: the computation already ran on

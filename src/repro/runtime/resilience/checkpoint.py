@@ -44,7 +44,7 @@ from repro.runtime.resilience.policy import CheckpointPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.comm import RankContext
-    from repro.net.network import NetworkModel
+    from repro.net.network import PointToPointNetwork
 
 __all__ = [
     "Checkpoint",
@@ -274,13 +274,12 @@ def take_checkpoint(
 
 
 def estimate_checkpoint_cost(
-    network: "NetworkModel",
+    network: "PointToPointNetwork",
     partition: IntervalPartition,
     active: np.ndarray,
     element_nbytes: int,
     *,
     num_fields: int = 1,
-    shared_medium: bool | None = None,
     replication_factor: int = 1,
 ) -> float:
     """Predicted virtual seconds for one checkpoint, without taking it.
@@ -304,9 +303,7 @@ def estimate_checkpoint_cost(
     if not partners:
         return 0.0
     per_element = num_fields * element_nbytes + IDENTITY_NBYTES
-    latency, bandwidth, overhead, shared_medium = network_pricing_params(
-        network, shared_medium
-    )
+    latency, bandwidth, overhead, shared_medium = network_pricing_params(network)
     # Per owner: all its replica copies leave through its own port.
     outgoing = {
         owner: partition.size(owner) * per_element * len(holders)

@@ -34,7 +34,7 @@ class CommSchedule:
     Invariant (validated): for matched ranks r, s the data r sends to s
     (``send_lists[s]`` on r, as global indices) equals, elementwise and in
     order, the data s expects from r (``recv_lists[r]`` positions into
-    ``ghost_globals`` on s).  :meth:`validate_pair` checks it in tests.
+    ``ghost_globals`` on s).  ``tests/oracles_runtime.py`` checks it.
     """
 
     rank: int
@@ -161,27 +161,3 @@ class CommSchedule:
             "send_messages": self.num_send_messages,
             "recv_messages": self.num_recv_messages,
         }
-
-    def send_globals(self, dest: int) -> np.ndarray:
-        """Global indices of the elements sent to *dest*, in send order."""
-        lo, _ = self.partition.interval(self.rank)
-        return self.send_lists.get(dest, np.empty(0, dtype=np.intp)) + lo
-
-    def recv_globals(self, src: int) -> np.ndarray:
-        """Global indices expected from *src*, in placement order."""
-        pos = self.recv_lists.get(src, np.empty(0, dtype=np.intp))
-        return self.ghost_globals[pos]
-
-    def validate_pair(self, other: "CommSchedule") -> None:
-        """Assert this rank's sends to *other* match its expectations.
-
-        Raises :class:`ScheduleError` on any mismatch; used by integration
-        tests and by the paired property tests.
-        """
-        mine_to_other = self.send_globals(other.rank)
-        other_expects = other.recv_globals(self.rank)
-        if not np.array_equal(mine_to_other, other_expects):
-            raise ScheduleError(
-                f"schedule mismatch {self.rank}->{other.rank}: sender ships "
-                f"{mine_to_other[:8]}..., receiver expects {other_expects[:8]}..."
-            )

@@ -73,10 +73,6 @@ class DistributedTranslationTable:
         self._owner = owner.copy()
         self._local = local.copy()
 
-    @property
-    def memory_entries(self) -> int:
-        return 2 * self._owner.size
-
     def lookup_local(
         self, global_indices: np.ndarray, *, backend: str | None = None
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -215,9 +215,6 @@ class JobQueue:
     def total_work(self) -> float:
         return sum(job.work_estimate() for job in self.jobs)
 
-    def to_jsonl(self) -> str:
-        return "\n".join(job.to_json() for job in self.jobs) + "\n"
-
     @classmethod
     def from_jsonl(cls, text: str) -> "JobQueue":
         jobs = []

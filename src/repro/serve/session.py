@@ -14,9 +14,10 @@ clock.  Admission then prices the job's load-balance checks on that
 placement (:func:`~repro.runtime.adaptive.price_checks`): a job whose
 checks cannot pay for themselves runs without them, and counts in
 ``serve.lb_priced_out``.  Otherwise the job's adaptive load balancer
-reacts to real co-tenants through the ordinary ``capability_ratios``
-machinery, which is the loop the paper scripts by hand with static load
-traces (Sec. 3.5).
+reacts to real co-tenants through the ordinary capability estimate
+(each rank's measured time per item, which the co-tenants' load slows),
+which is the loop the paper scripts by hand with static load traces
+(Sec. 3.5).
 Jobs admitted *later* do not retroactively slow an earlier job — the
 approximation that keeps admission decisions causal and the whole run
 deterministic.

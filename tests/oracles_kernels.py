@@ -2,6 +2,9 @@
 
 ``sequential_kernel_oracle`` is the literal transcription of Fig. 8 in
 pure Python loops; one sweep of ``run_sequential`` must equal it bitwise.
+``sweep_reference`` is the same loop over one rank's compiled
+``KernelPlan`` (local block plus ghost buffer); ``KernelPlan.sweep`` must
+equal it bitwise.
 
 ``BincountRowSegments`` is the body ``repro.runtime.kernels.RowSegments``
 shipped before the degree-ranked column layout: the owning row of every
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BincountRowSegments", "sequential_kernel_oracle"]
+__all__ = ["BincountRowSegments", "sequential_kernel_oracle", "sweep_reference"]
 
 
 def sequential_kernel_oracle(graph, y: np.ndarray) -> np.ndarray:
@@ -33,6 +36,21 @@ def sequential_kernel_oracle(graph, y: np.ndarray) -> np.ndarray:
         cnt = int(graph.indptr[i + 1] - graph.indptr[i])
         if cnt:
             out[i] = t[i] / cnt
+    return out
+
+
+def sweep_reference(plan, local_y: np.ndarray, ghost: np.ndarray) -> np.ndarray:
+    """One sweep of the Fig. 8 loop over *plan*'s rank, element by element."""
+    combined = np.concatenate([local_y, ghost]) if ghost.size else local_y
+    out = np.array(local_y, dtype=np.float64, copy=True)
+    for i in range(plan.n_local):
+        cnt = int(plan.counts[i])
+        if not cnt:
+            continue
+        t = 0.0
+        for k in range(plan.starts[i], plan.starts[i] + cnt):
+            t += combined[plan.slots[k]]
+        out[i] = t / cnt
     return out
 
 

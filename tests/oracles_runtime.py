@@ -11,6 +11,9 @@ before the executor can trust them (the per-rank invariants live in
   slot (so the kernel plan can translate it);
 * **conservation** — total elements sent equals total elements expected.
 
+``validate_pair`` checks pairwise agreement for one ordered pair, through
+``send_globals`` / ``recv_globals`` (a schedule's lists as global indices).
+
 **Translation (Fig. 3).**  ``dereference_oracle`` is the per-element
 binary search; ``IntervalPartition.dereference`` (one ``searchsorted``)
 must match it element for element.
@@ -38,6 +41,9 @@ from repro.runtime.schedule_builders import local_references
 __all__ = [
     "ConsistencyReport",
     "check_global_consistency",
+    "validate_pair",
+    "send_globals",
+    "recv_globals",
     "dereference_oracle",
     "classify_elements",
     "ring_partners",
@@ -58,6 +64,30 @@ class ConsistencyReport:
     @property
     def ok(self) -> bool:
         return not self.issues
+
+
+def send_globals(sched: CommSchedule, dest: int) -> np.ndarray:
+    """Global indices of the elements *sched* sends to *dest*, in send order."""
+    lo, _ = sched.partition.interval(sched.rank)
+    return sched.send_lists.get(dest, np.empty(0, dtype=np.intp)) + lo
+
+
+def recv_globals(sched: CommSchedule, src: int) -> np.ndarray:
+    """Global indices *sched* expects from *src*, in placement order."""
+    pos = sched.recv_lists.get(src, np.empty(0, dtype=np.intp))
+    return sched.ghost_globals[pos]
+
+
+def validate_pair(sched: CommSchedule, other: CommSchedule) -> None:
+    """Raise :class:`ScheduleError` unless what *sched* ships to *other*
+    is exactly what *other* expects from it, element for element."""
+    mine_to_other = send_globals(sched, other.rank)
+    other_expects = recv_globals(other, sched.rank)
+    if not np.array_equal(mine_to_other, other_expects):
+        raise ScheduleError(
+            f"schedule mismatch {sched.rank}->{other.rank}: sender ships "
+            f"{mine_to_other[:8]}..., receiver expects {other_expects[:8]}..."
+        )
 
 
 def check_global_consistency(
@@ -99,8 +129,8 @@ def check_global_consistency(
         for b in schedules:
             if a.rank == b.rank:
                 continue
-            shipped = a.send_globals(b.rank)
-            expected = b.recv_globals(a.rank)
+            shipped = send_globals(a, b.rank)
+            expected = recv_globals(b, a.rank)
             if not np.array_equal(shipped, expected):
                 issue(
                     f"mismatch {a.rank}->{b.rank}: ships {shipped.size} "

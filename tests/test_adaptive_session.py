@@ -126,13 +126,14 @@ class TestOptionsCensus:
     def test_program_config_unset_fields_are_the_known_four(self):
         """Each unset field waits on a ROADMAP item; a new one fails."""
         waiting = {
-            # ROADMAP item 5 folds the three pricing fields into one
-            # CostModel, after item 2 thaws bench/tracing.py (it reads all
-            # three).
+            # ROADMAP item 7 folds the three pricing fields into one
+            # CostModel.  That waits on item 3, which thaws bench/: its
+            # tracing.py reads kernel_cost, inspector_cost and
+            # executor_cost.
             "kernel_cost",
             "inspector_cost",
             "executor_cost",
-            # ROADMAP item 5: an ablation_barrier experiment earns it a
+            # ROADMAP item 7: an ablation_barrier experiment earns it a
             # caller, or the field and its branches go.
             "barrier_each_iteration",
         }

@@ -20,12 +20,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError, LoadBalanceError, RankFailedError
 from repro.graph.generators import paper_mesh
 from repro.net.cluster import uniform_cluster
-from repro.net.loadmodel import (
-    MembershipEvent,
-    MembershipTrace,
-    advance_clock,
-    work_done_in,
-)
+from repro.net.loadmodel import MembershipEvent, MembershipTrace
 from repro.net.spmd import run_spmd
 from repro.partition.intervals import partition_list
 from repro.runtime.adaptive import (
@@ -60,7 +55,7 @@ class TestMembershipTrace:
         np.testing.assert_array_equal(
             tr.active_mask(99.0), [True, True, True, True]
         )
-        assert tr.active_at(1.5) == frozenset({1, 2})
+        assert np.flatnonzero(tr.active_mask(1.5)).tolist() == [1, 2]
 
     def test_events_between_window_is_half_open(self):
         tr = MembershipTrace(3, [E(1.0, "leave", 0), E(2.0, "join", 0)])
@@ -79,7 +74,7 @@ class TestMembershipTrace:
         tr = MembershipTrace(
             3, [E(1.0, "replace", 0, replacement=2)], initially_inactive=[2]
         )
-        assert tr.active_at(1.0) == frozenset({1, 2})
+        assert np.flatnonzero(tr.active_mask(1.0)).tolist() == [1, 2]
 
     def test_rejects_invalid_sequences(self):
         with pytest.raises(ValueError, match="not active"):
@@ -134,24 +129,12 @@ class TestMembershipTrace:
         with pytest.raises(ValueError, match="empties"):
             tr.subset([0, 2])
 
-    def test_presence_load_is_a_load_trace(self):
-        tr = MembershipTrace(
-            2, [E(1.0, "leave", 0), E(3.0, "join", 0)]
-        )
-        absence = tr.presence_load(0, absent_load=9.0)
-        assert absence.load_at(0.5) == 0.0
-        assert absence.load_at(2.0) == 9.0
-        assert absence.load_at(3.0) == 0.0
-        # The breakpoints surface through the shared algebra.
-        assert absence.next_change_after(0.0) == 1.0
-        assert absence.next_change_after(1.0) == 3.0
-
     def test_resolve_membership_forms(self):
         tr = MembershipTrace(3, [E(1.0, "leave", 0)])
         assert resolve_membership(None, 3) is None
         assert resolve_membership(tr, 3) is tr
         parsed = resolve_membership("leave:0@1.0", 3)
-        assert parsed.active_at(1.0) == frozenset({1, 2})
+        assert np.flatnonzero(parsed.active_mask(1.0)).tolist() == [1, 2]
         with pytest.raises(LoadBalanceError):
             resolve_membership(tr, 4)  # world-size mismatch
         with pytest.raises(LoadBalanceError):
@@ -164,7 +147,7 @@ class TestMembershipTrace:
         assert state.poll(0.5) == []
         events = state.poll(1.5)
         assert [e.kind for e in events] == ["leave"]
-        assert state.num_active == 1
+        assert state.active.sum() == 1
         with pytest.raises(LoadBalanceError, match="backwards"):
             state.poll(1.0)
 
@@ -207,12 +190,6 @@ class TestMembershipAlgebraProperties:
             seen += len(trace.events_between(t, nxt))
             t = nxt
         assert seen == len(trace.events)
-        # Presence loads derived from the trace preserve integrability.
-        for rank in range(trace.world_size):
-            load = trace.presence_load(rank, absent_load=3.0)
-            w = work_done_in(0.0, t + 1.0, 1.0, load)
-            t_back = advance_clock(0.0, w, 1.0, load)
-            assert math.isclose(t_back, t + 1.0, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def _random_trace(
@@ -448,16 +425,16 @@ class TestElasticScenarios:
 
         leave = elastic_cluster(4, "leave-at-peak", horizon)
         assert leave.processors[0].load.load_at(0.5 * horizon) > 0
-        assert leave.membership.active_at(1.06 * horizon) == frozenset({1, 2, 3})
+        assert np.flatnonzero(leave.membership.active_mask(1.06 * horizon)).tolist() == [1, 2, 3]
 
         join = elastic_cluster(4, "join-midrun", horizon)
-        assert join.membership.active_at(0.0) == frozenset({0, 1, 2})
-        assert join.membership.active_at(0.5 * horizon) == frozenset({0, 1, 2, 3})
+        assert np.flatnonzero(join.membership.active_mask(0.0)).tolist() == [0, 1, 2]
+        assert np.flatnonzero(join.membership.active_mask(0.5 * horizon)).tolist() == [0, 1, 2, 3]
 
         churn = elastic_cluster(4, "churn", horizon)
-        assert churn.membership.active_at(0.35 * horizon) == frozenset({0, 2, 3})
-        assert churn.membership.active_at(0.65 * horizon) == frozenset({0, 1, 2, 3})
-        assert churn.membership.active_at(0.95 * horizon) == frozenset({0, 1, 3})
+        assert np.flatnonzero(churn.membership.active_mask(0.35 * horizon)).tolist() == [0, 2, 3]
+        assert np.flatnonzero(churn.membership.active_mask(0.65 * horizon)).tolist() == [0, 1, 2, 3]
+        assert np.flatnonzero(churn.membership.active_mask(0.95 * horizon)).tolist() == [0, 1, 3]
 
         with pytest.raises(ValueError):
             elastic_cluster(4, "tsunami", horizon)
@@ -466,18 +443,15 @@ class TestElasticScenarios:
         with pytest.raises(ValueError):
             elastic_cluster(1, "churn", horizon)
 
-    def test_cluster_capability_ratios_mask_membership(self):
+    def test_cluster_active_mask_follows_membership(self):
         from repro.apps.workloads import elastic_cluster
 
         cluster = elastic_cluster(4, "join-midrun", 100.0)
-        early = cluster.capability_ratios(0.0)
-        assert early[3] == 0.0
-        assert math.isclose(early.sum(), 1.0)
-        late = cluster.capability_ratios(60.0)
-        assert late[3] > 0.0
-        # Explicit masks override the trace.
-        forced = cluster.capability_ratios(0.0, active=np.ones(4, bool))
-        assert forced[3] > 0.0
+        assert not cluster.active_mask(0.0)[3]
+        assert cluster.active_mask(60.0)[3]
+        # The raw machine view ignores membership: the standby rank could
+        # still deliver work if it participated.
+        assert cluster.effective_speeds(0.0)[3] > 0.0
 
     def test_subset_carries_membership(self):
         from repro.apps.workloads import elastic_cluster
@@ -485,7 +459,7 @@ class TestElasticScenarios:
         cluster = elastic_cluster(4, "churn", 100.0)
         sub = cluster.subset([0, 1])
         assert sub.membership.world_size == 2
-        assert sub.membership.active_at(35.0) == frozenset({0})
+        assert np.flatnonzero(sub.membership.active_mask(35.0)).tolist() == [0]
         # A sub-world that is not runnable (its only rank starts standby)
         # surfaces as the same ConfigurationError as any invalid subset.
         join = elastic_cluster(3, "join-midrun", 10.0)

@@ -128,8 +128,9 @@ class TestDiffInterval:
         # An empty interval that "moves" (e.g. (0,0) -> (1,1)) still holds
         # zero elements, so the diff is empty even though the bounds differ.
         unmoved = (lo0, hi0) == (lo1, hi1) or (hi0 - lo0 == 0 and hi1 - lo1 == 0)
-        assert d.is_empty == unmoved
-        if d.is_empty:
+        empty = not d.lost and not d.gained
+        assert empty == unmoved
+        if empty:
             assert d.n_lost == 0 and d.n_gained == 0
             assert d.keep_hi - d.keep_lo == hi0 - lo0
 

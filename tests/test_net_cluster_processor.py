@@ -62,18 +62,22 @@ class TestClusterSpec:
         cl = heterogeneous_cluster([1.0, 0.5])
         np.testing.assert_allclose(cl.speeds, [1.0, 0.5])
 
-    def test_capability_ratios_normalized(self):
+    def test_effective_speeds_are_base_speeds_without_load(self):
         cl = heterogeneous_cluster([3.0, 1.0])
-        np.testing.assert_allclose(cl.capability_ratios(), [0.75, 0.25])
+        np.testing.assert_allclose(cl.effective_speeds(), [3.0, 1.0])
 
-    def test_capability_ratios_respond_to_load(self):
+    def test_effective_speeds_respond_to_load(self):
         cl = uniform_cluster(2).with_load(0, ConstantLoad(1.0))
-        np.testing.assert_allclose(cl.capability_ratios(0.0), [1 / 3, 2 / 3])
+        np.testing.assert_allclose(cl.effective_speeds(0.0), [0.5, 1.0])
 
     def test_subset(self):
         cl = heterogeneous_cluster([1.0, 0.8, 0.6])
         sub = cl.subset([0, 2])
         np.testing.assert_allclose(sub.speeds, [1.0, 0.6])
+
+    def test_subset_of_leading_ranks(self):
+        cl = sun4_cluster(5)
+        np.testing.assert_allclose(cl.subset([0, 1]).speeds, SUN4_SPEEDS[:2])
 
     def test_subset_rejects_bad_rank(self):
         with pytest.raises(ConfigurationError):
@@ -82,10 +86,6 @@ class TestClusterSpec:
     def test_subset_rejects_empty(self):
         with pytest.raises(ConfigurationError):
             uniform_cluster(2).subset([])
-
-    def test_prefix(self):
-        cl = sun4_cluster(5)
-        np.testing.assert_allclose(cl.prefix(2).speeds, SUN4_SPEEDS[:2])
 
     def test_with_load_out_of_range(self):
         with pytest.raises(ConfigurationError):

@@ -112,22 +112,6 @@ class TestCollectives:
         res = run_spmd(uniform_cluster(3), lambda ctx: ctx.allgather(ctx.rank**2))
         assert all(v == [0, 1, 4] for v in res.values)
 
-    def test_scatter(self):
-        def fn(ctx):
-            parts = [f"part{r}" for r in range(ctx.size)] if ctx.rank == 0 else None
-            return ctx.scatter(parts, root=0)
-
-        res = run_spmd(uniform_cluster(3), fn)
-        assert res.values == ["part0", "part1", "part2"]
-
-    def test_scatter_wrong_length(self):
-        def fn(ctx):
-            parts = ["only-one"] if ctx.rank == 0 else None
-            return ctx.scatter(parts, root=0)
-
-        with pytest.raises(RankFailedError):
-            run_spmd(uniform_cluster(3), fn)
-
     def test_reduce_rank_order(self):
         def fn(ctx):
             return ctx.reduce(f"{ctx.rank}", lambda a, b: a + b, root=0)
@@ -202,24 +186,12 @@ class TestVirtualTime:
         )
         assert res.values[0] == pytest.approx(1.0)
 
-    def test_charge_raw_seconds(self):
-        res = run_spmd(
-            heterogeneous_cluster([0.5]),
-            lambda ctx: ctx.charge(2.0) or ctx.clock,
-        )
-        assert res.values[0] == pytest.approx(2.0)  # no speed scaling
-
-    def test_charge_negative_rejected(self):
-        with pytest.raises(RankFailedError):
-            run_spmd(uniform_cluster(1), lambda ctx: ctx.charge(-1.0))
-
     def test_makespan_is_max_clock(self):
         res = run_spmd(
             heterogeneous_cluster([1.0, 0.5]),
             lambda ctx: ctx.compute(1.0),
         )
         assert res.makespan == pytest.approx(2.0)
-        assert res.imbalance == pytest.approx(2.0 / 1.5)
 
 
 class TestSPMDFailures:
@@ -265,7 +237,7 @@ class TestSPMDFailures:
 
 
 class TestDegenerateAggregates:
-    """SPMDResult.makespan/imbalance must never silently report balance."""
+    """SPMDResult.makespan must never silently report a degenerate run."""
 
     def _result(self, clocks):
         from repro.net.spmd import SPMDResult
@@ -284,13 +256,10 @@ class TestDegenerateAggregates:
 
         res = self._result([])
         with pytest.raises(ConfigurationError, match="no ranks"):
-            res.imbalance
-        with pytest.raises(ConfigurationError, match="no ranks"):
             res.makespan
 
-    def test_all_zero_clocks_is_vacuously_balanced(self):
+    def test_all_zero_clocks(self):
         res = self._result([0.0, 0.0, 0.0])
-        assert res.imbalance == 1.0
         assert res.makespan == 0.0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
@@ -299,14 +268,11 @@ class TestDegenerateAggregates:
 
         res = self._result([1.0, bad, 2.0])
         with pytest.raises(ConfigurationError, match="degenerate"):
-            res.imbalance
-        with pytest.raises(ConfigurationError, match="degenerate"):
             res.makespan
 
     def test_normal_clocks_still_work(self):
         res = self._result([2.0, 4.0])
         assert res.makespan == 4.0
-        assert res.imbalance == pytest.approx(4.0 / 3.0)
 
 
 class TestRecvTimeoutPlumbing:
@@ -377,7 +343,7 @@ class TestOneRankSurface:
 
     #: What differs between worlds (plus private latched-clock helpers).
     WORLD_PRIMITIVES = {
-        "clock", "charge", "compute", "send", "multicast", "barrier",
+        "clock", "compute", "send", "multicast", "barrier",
     }
 
     def test_real_context_defines_only_the_world_primitives(self):
@@ -394,8 +360,8 @@ class TestOneRankSurface:
         shared |= {"_note_recv", "__repr__"}
         # The surface the acceptance criteria name must actually be there.
         assert shared >= {
-            "recv", "recv_expected", "send_packed", "compute_items",
-            "bcast", "gather", "allgather", "scatter", "reduce",
+            "recv", "recv_expected", "compute_items",
+            "bcast", "gather", "allgather", "reduce",
             "allreduce", "alltoallv", "trace", "cluster", "network",
         }
         assert not shared & set(vars(RealRankContext))

@@ -110,9 +110,10 @@ class TestTraces:
         tr = RandomWalkLoad(horizon=10, dt=1.0, seed=0)
         assert tr.load_at(10.5) == tr.load_at(1e6)
 
-    def test_mean_load(self):
+    def test_work_done_in_step_load(self):
+        # Full speed for 5 s, then a third of it (two competitors) for 5 s.
         tr = StepLoad([(0, 0), (5, 2)])
-        assert tr.mean_load(0, 10) == pytest.approx(1.0)
+        assert work_done_in(0, 10, 1.0, tr) == pytest.approx(5.0 + 5.0 / 3.0)
 
 
 class TestAdvanceClock:
@@ -264,12 +265,13 @@ class TestCompositeAlgebraProperties:
         t1j = advance_clock(0.0, 12.0, 1.0, jagged)
         assert t1j == pytest.approx(t1p, rel=1e-12)
 
-    def test_mean_load_handles_coincident_breakpoints(self):
+    def test_work_done_in_handles_coincident_breakpoints(self):
         tr = SumLoad([
             StepLoad([(0.0, 1.0), (2.0, 0.0)]),
             StepLoad([(0.0, 0.0), (2.0, 1.0)]),
         ])
-        assert tr.mean_load(0.0, 4.0) == pytest.approx(1.0)
+        # One competing process throughout: half speed for 4 s.
+        assert work_done_in(0.0, 4.0, 1.0, tr) == pytest.approx(2.0)
 
 
 # ----------------------------------------------------------------------

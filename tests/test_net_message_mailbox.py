@@ -209,16 +209,16 @@ class TestPackedArrays:
         assert [o.size for o in out] == [0, 0]
         assert [o.dtype for o in out] == [np.float64, np.intp]
 
-    def test_send_packed_recv_packed(self):
+    def test_packed_arrays_cross_the_network(self):
         from repro.net.cluster import uniform_cluster
-        from repro.net.message import unpack_arrays
+        from repro.net.message import pack_arrays, unpack_arrays
         from repro.net.spmd import run_spmd
 
         fields = [np.arange(4, dtype=np.float64), np.ones((2, 3))]
 
         def fn(ctx):
             if ctx.rank == 0:
-                ctx.send_packed(1, fields, tag=101)
+                ctx.send(1, pack_arrays(fields), tag=101)
                 return None
             parts = unpack_arrays(ctx.recv(0, 101))
             for a, b in zip(fields, parts):
@@ -228,18 +228,19 @@ class TestPackedArrays:
         res = run_spmd(uniform_cluster(2), fn)
         assert res.values[1] == 2
 
-    def test_send_packed_is_one_message(self):
+    def test_packed_send_is_one_message(self):
         from repro.net.cluster import uniform_cluster
+        from repro.net.message import pack_arrays
         from repro.net.spmd import run_spmd
 
         def fn(ctx):
             if ctx.rank == 0:
-                ctx.send_packed(1, [np.zeros(5), np.zeros(6)], tag=102)
+                ctx.send(1, pack_arrays([np.zeros(5), np.zeros(6)]), tag=102)
             else:
                 ctx.recv(0, 102)
 
         res = run_spmd(uniform_cluster(2), fn, trace=True)
-        assert res.trace.message_count() == 1
+        assert len(res.trace.events(kind="send")) == 1
 
 
 class TestMailboxLazyDeletion:

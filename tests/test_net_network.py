@@ -34,10 +34,10 @@ class TestPointToPoint:
         t = 3.0
         assert net.injection_done(0, 1, 5000, t) <= net.send(0, 1, 5000, t)
 
-    def test_message_cost_matches_send_delta(self):
+    def test_send_cost_is_overhead_latency_and_serialization(self):
         net = PointToPointNetwork()
         assert net.send(0, 1, 4096, 10.0) - 10.0 == pytest.approx(
-            net.message_cost(4096)
+            net.per_message_overhead + net.latency + net.serialization_time(4096)
         )
 
     def test_sequential_multicast_fallback(self):
@@ -73,6 +73,13 @@ class TestSharedEthernet:
         arrivals = net.multicast(0, [1, 2, 3, 4], 10_000, 0.0)
         assert len(arrivals) == 4
         assert len(set(arrivals)) == 1  # all destinations hear one frame
+
+    def test_link_defaults_match_point_to_point(self):
+        shared, links = SharedEthernet(), PointToPointNetwork()
+        assert (shared.latency, shared.bandwidth, shared.per_message_overhead) == (
+            links.latency, links.bandwidth, links.per_message_overhead
+        )
+        assert SharedEthernet(latency=2e-3).latency == 2e-3
 
     def test_multicast_empty_dests(self):
         assert SharedEthernet().multicast(0, [], 100, 0.0) == []

@@ -11,6 +11,7 @@ from repro.net.cluster import uniform_cluster
 from repro.net.message import Tags
 from repro.net.spmd import run_spmd
 from repro.net.trace import TraceEvent, TraceLog
+from repro.obs import summarize
 
 
 class TestTraceLog:
@@ -28,20 +29,21 @@ class TestTraceLog:
         assert len(log.events(rank=1)) == 2
         assert len(log.events(kind="send", rank=1)) == 1
 
-    def test_message_count_and_bytes(self):
+    def test_summary_counts_transmissions_and_bytes(self):
         log = TraceLog()
         log.record(TraceEvent("send", 0, 0.0, 1.0, nbytes=10))
         log.record(TraceEvent("multicast", 0, 1.0, 2.0, nbytes=20))
         log.record(TraceEvent("recv", 1, 0.0, 1.0, nbytes=10))
-        assert log.message_count() == 2
-        assert log.bytes_sent() == 30
+        s = summarize(log)
+        assert sum(s.messages_by_tag.values()) == 2
+        assert sum(s.bytes_by_tag.values()) == 30
 
-    def test_time_in(self):
+    def test_summary_time_per_rank_and_kind(self):
         log = TraceLog()
         log.record(TraceEvent("compute", 0, 0.0, 1.5))
         log.record(TraceEvent("compute", 0, 2.0, 3.0))
         log.record(TraceEvent("compute", 1, 0.0, 9.0))
-        assert log.time_in("compute", 0) == 2.5
+        assert summarize(log).time(0, "compute") == 2.5
 
     def test_clear(self):
         log = TraceLog()

@@ -34,9 +34,6 @@ class TestDistributions:
             d.owner_of(np.arange(10)), [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
         )
         np.testing.assert_array_equal(d.global_indices(1), [4, 5, 6, 7])
-        np.testing.assert_array_equal(
-            d.local_index(np.array([4, 7, 9])), [0, 3, 1]
-        )
 
     def test_cyclic_layout(self):
         d = CyclicDistribution(10, 3)
@@ -44,7 +41,6 @@ class TestDistributions:
             d.owner_of(np.arange(6)), [0, 1, 2, 0, 1, 2]
         )
         np.testing.assert_array_equal(d.global_indices(1), [1, 4, 7])
-        np.testing.assert_array_equal(d.local_index(np.array([1, 4, 7])), [0, 1, 2])
 
     def test_block_cyclic_layout(self):
         d = BlockCyclicDistribution(12, 2, 3)
@@ -53,16 +49,12 @@ class TestDistributions:
             [0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1],
         )
         np.testing.assert_array_equal(d.global_indices(0), [0, 1, 2, 6, 7, 8])
-        np.testing.assert_array_equal(
-            d.local_index(np.array([0, 2, 6, 8])), [0, 2, 3, 5]
-        )
 
     def test_cyclic_equals_block_cyclic_1(self):
         c = CyclicDistribution(17, 4)
         bc = BlockCyclicDistribution(17, 4, 1)
         gi = np.arange(17)
         np.testing.assert_array_equal(c.owner_of(gi), bc.owner_of(gi))
-        np.testing.assert_array_equal(c.local_index(gi), bc.local_index(gi))
 
     def test_block_equals_big_block_cyclic(self):
         b = BlockDistribution(12, 3)
@@ -79,11 +71,6 @@ class TestDistributions:
         # global_indices inverts owner_of.
         seen = np.concatenate([d.global_indices(r) for r in range(4)])
         assert np.array_equal(np.sort(seen), gi)
-        # local indices are a bijection per rank.
-        for r in range(4):
-            mine = d.global_indices(r)
-            local = d.local_index(mine)
-            assert np.array_equal(np.sort(local), np.arange(mine.size))
 
     def test_validation(self):
         with pytest.raises(PartitionError):

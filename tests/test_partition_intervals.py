@@ -102,26 +102,26 @@ class TestIntervalPartition:
         with pytest.raises(PartitionError):
             part.owner_of(-1)
 
-    def test_local_index(self):
-        part = partition_list(10, [0.5, 0.5])
-        assert part.local_index(7) == 2
-        np.testing.assert_array_equal(
-            part.local_index(np.array([0, 5, 9])), [0, 0, 4]
-        )
-
     def test_dereference_pairs(self):
         part = partition_list(100, [0.27, 0.18, 0.34, 0.07, 0.14])
         owner, local = part.dereference(np.array([0, 26, 27, 99]))
         np.testing.assert_array_equal(owner, [0, 0, 1, 4])
         np.testing.assert_array_equal(local, [0, 26, 0, 13])
 
+    def test_dereference_local_offsets(self):
+        part = partition_list(10, [0.5, 0.5], arrangement=[1, 0])
+        owner, local = part.dereference(np.array([7, 0, 5, 4]))
+        np.testing.assert_array_equal(owner, [0, 1, 0, 1])
+        np.testing.assert_array_equal(local, [2, 0, 0, 4])
+
+    def test_intervals_tile_the_list(self):
+        part = partition_list(10, [0.3, 0.5, 0.2], arrangement=[2, 0, 1])
+        blocks = sorted(part.interval(r) for r in range(3))
+        assert blocks == [(0, 2), (2, 5), (5, 10)]
+
     def test_to_labels(self):
         part = partition_list(6, [1, 2], arrangement=[1, 0])
         np.testing.assert_array_equal(part.to_labels(), [1, 1, 1, 1, 0, 0])
-
-    def test_first_last_inclusive(self):
-        part = partition_list(10, [0.5, 0.5])
-        assert part.first_last() == [(0, 4), (5, 9)]
 
     def test_empty_block_handled(self):
         part = partition_list(3, [1.0, 0.0, 1.0])

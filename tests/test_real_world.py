@@ -122,7 +122,7 @@ def _shared_surface_probe(ctx):
     ctx.compute_items(100, 1.0e-6, label="probe")
     right = (ctx.rank + 1) % ctx.size
     left = (ctx.rank - 1) % ctx.size
-    ctx.send_packed(right, [np.arange(3.0) + ctx.rank, np.ones(2)], tag=210)
+    ctx.send(right, pack_arrays([np.arange(3.0) + ctx.rank, np.ones(2)]), tag=210)
     a, b = unpack_arrays(ctx.recv(left, 210))
     return ctx.allgather(float(a.sum() + b.sum()))
 

@@ -244,13 +244,13 @@ class TestEstimateCheckpointCost:
         assert three > one > 0.0
 
     def test_shared_medium_serializes(self):
+        """Same link parameters; only the shared medium serializes."""
         part = partition_list(4000, [0.25, 0.25, 0.25, 0.25])
         shared = estimate_checkpoint_cost(
             ETHERNET_10MBIT(), part, np.ones(4, bool), 8
         )
         switched = estimate_checkpoint_cost(
-            ETHERNET_10MBIT(), part, np.ones(4, bool), 8,
-            shared_medium=False,
+            PointToPointNetwork(), part, np.ones(4, bool), 8
         )
         assert shared > switched
 

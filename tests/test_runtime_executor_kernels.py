@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles_kernels import BincountRowSegments, sequential_kernel_oracle
+from oracles_kernels import (
+    BincountRowSegments, sequential_kernel_oracle, sweep_reference,
+)
 from repro.apps.sparse_matvec import (
     SymmetricPatternMatrix,
     run_parallel_spmv,
@@ -236,7 +238,7 @@ class TestKernelPlan:
         local = rng.uniform(size=hi - lo)
         ghost = rng.uniform(size=sched.ghost_size)
         np.testing.assert_array_equal(
-            plan.sweep(local, ghost), plan.sweep_reference(local, ghost)
+            plan.sweep(local, ghost), sweep_reference(plan, local, ghost)
         )
 
     @pytest.mark.parametrize("extra", [1, -1])
@@ -423,7 +425,7 @@ class TestSummationOrderContract:
             out = plan.sweep(local, ghost)
             assert out.shape == (hi - lo,)
             np.testing.assert_array_equal(
-                out, plan.sweep_reference(local, ghost)
+                out, sweep_reference(plan, local, ghost)
             )
             np.testing.assert_array_equal(out, whole[lo:hi])
             if split == "1 rank":
@@ -475,7 +477,7 @@ class TestSummationOrderContract:
                 out, want.kernel_plan.sweep(y[lo:hi], ghost)
             )
             np.testing.assert_array_equal(
-                out, got.kernel_plan.sweep_reference(y[lo:hi], ghost)
+                out, sweep_reference(got.kernel_plan, y[lo:hi], ghost)
             )
 
     def test_run_sequential_is_the_loop_iterated(self):

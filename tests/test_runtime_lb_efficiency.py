@@ -25,7 +25,6 @@ class TestLoadMonitor:
         m.record(2.0, 100)
         m.record(2.0, 100)
         assert m.avg_time_per_item() == pytest.approx(0.02)
-        assert m.capability() == pytest.approx(50.0)
 
     def test_window_reset(self):
         m = LoadMonitor()

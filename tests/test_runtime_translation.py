@@ -11,6 +11,7 @@ from oracles_runtime import dereference_oracle
 from repro.errors import TranslationError
 from repro.net.cluster import uniform_cluster
 from repro.net.spmd import run_spmd
+from repro.obs import summarize
 from repro.partition.intervals import partition_list
 from repro.runtime.translation import (
     DistributedTranslationTable,
@@ -69,9 +70,14 @@ class TestDistributedTable:
             t0.lookup_local(np.array([15]))
 
     def test_memory_split(self):
+        # Each rank's slice of the table is n/p entries: its home block.
         part = partition_list(1000, np.ones(4))
-        t = DistributedTranslationTable(part, 0)
-        assert t.memory_entries == 500  # 2 * n/p
+        homes = table_home(np.arange(1000), 1000, 4)
+        np.testing.assert_array_equal(np.bincount(homes), [250] * 4)
+        for rank in range(4):
+            block = np.flatnonzero(homes == rank)
+            owner, _ = DistributedTranslationTable(part, rank).lookup_local(block)
+            assert owner.size == 250
 
     def test_collective_dereference_matches_oracle(self):
         part = partition_list(60, [0.2, 0.5, 0.3], arrangement=[2, 0, 1])
@@ -115,4 +121,4 @@ class TestDistributedTable:
             table.dereference_collective(ctx, queries)
 
         res = run_spmd(uniform_cluster(2), fn, trace=True)
-        assert res.trace.message_count() > 0
+        assert sum(summarize(res.trace).messages_by_tag.values()) > 0

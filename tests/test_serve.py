@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.net.cluster import uniform_cluster
-from repro.net.loadmodel import ConstantLoad, MembershipEvent, MembershipTrace, ServiceLoad
+from repro.net.loadmodel import (
+    ConstantLoad, MembershipEvent, MembershipTrace, ServiceLoad, work_done_in,
+)
 from repro.serve import (
     ADMISSION_POLICIES,
     JobQueue,
@@ -40,6 +42,11 @@ def _job(job_id: str, *, ranks: int = 1, vertices: int = 48,
         ranks=ranks,
         **kw,
     )
+
+
+def _jsonl(queue: JobQueue) -> str:
+    """A stream file's text: one ``JobSpec.to_json`` line per job."""
+    return "".join(job.to_json() + "\n" for job in queue)
 
 
 # --------------------------------------------------------------------- #
@@ -88,9 +95,10 @@ class TestServiceLoad:
         with pytest.raises(ValueError, match="origin"):
             ServiceLoad([(0.0, 1.0, 1.0)], origin=-0.5)
 
-    def test_mean_load_integrates(self):
+    def test_work_done_integrates_the_load(self):
         load = ServiceLoad([(0.0, 2.0, 1.0)])
-        assert load.mean_load(0.0, 4.0) == pytest.approx(0.5)
+        # Half speed for 2 s, then full speed for 2 s.
+        assert work_done_in(0.0, 4.0, 1.0, load) == pytest.approx(3.0)
 
 
 # --------------------------------------------------------------------- #
@@ -161,7 +169,7 @@ class TestJobQueue:
 
     def test_jsonl_round_trip_with_comments(self):
         queue = JobQueue([_job("a", ranks=2), _job("b")])
-        text = "# stream header\n\n" + queue.to_jsonl()
+        text = "# stream header\n\n" + _jsonl(queue)
         again = JobQueue.from_jsonl(text)
         assert again.jobs == queue.jobs
 
@@ -188,9 +196,9 @@ class TestGenerateStream:
     def test_deterministic_per_seed(self):
         a = generate_stream("uniform", 6, max_ranks=4, seed=7)
         b = generate_stream("uniform", 6, max_ranks=4, seed=7)
-        assert a.to_jsonl() == b.to_jsonl()
+        assert _jsonl(a) == _jsonl(b)
         c = generate_stream("uniform", 6, max_ranks=4, seed=8)
-        assert a.to_jsonl() != c.to_jsonl()
+        assert _jsonl(a) != _jsonl(c)
 
     def test_unknown_shape(self):
         with pytest.raises(ConfigurationError, match="stream shape"):
@@ -506,7 +514,7 @@ class TestServeCli:
         stream = tmp_path / "jobs.jsonl"
         stream.write_text(
             "# two tiny jobs\n"
-            + JobQueue([_job("a"), _job("b", ranks=2)]).to_jsonl()
+            + _jsonl(JobQueue([_job("a"), _job("b", ranks=2)]))
         )
         rc = main(["serve", "--jobs", str(stream), "--cluster-size", "2"])
         assert rc == 0
