@@ -8,10 +8,12 @@ axes — e.g. a rotated channel — at the cost of a small eigen-solve per box.
 Built level by level on the driver RCB uses
 (:mod:`repro.partition.bisection`): the covariances of all boxes of one
 depth come from segment sums (``np.add.reduceat``) and one stacked
-``np.linalg.eigh``.  Batched summation rounds differently from a per-box
-matrix product, so against the box-at-a-time recursion kept as the test
-oracle (``tests/oracles_partition.py``) the contract is the same bisection
-rule and the same partition quality, not an identical permutation.
+``np.linalg.eigh``.  The driver runs a large tree's subtrees on parallel
+threads; ``level_keys`` writes nothing they share.  Batched summation
+rounds differently from a per-box matrix product, so against the
+box-at-a-time recursion kept as the test oracle
+(``tests/oracles_partition.py``) the contract is the same bisection rule
+and the same partition quality, not an identical permutation.
 """
 
 from __future__ import annotations

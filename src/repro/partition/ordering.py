@@ -67,13 +67,23 @@ def require_coords(graph: CSRGraph, method: str) -> np.ndarray:
 
     Coordinate-based methods (RCB, inertial, SFC) need the physical
     embedding the paper assumes for graphs "from the physical domain".
+    Every coordinate must be finite: one NaN turns every RCB and inertial
+    key into NaN and every SFC key into an undefined integer cast.
     """
-    if graph.coords is None:
+    coords = graph.coords
+    if coords is None:
         raise OrderingError(
             f"{method} requires vertex coordinates; this graph has none "
             f"(use spectral ordering for abstract graphs)"
         )
-    return graph.coords
+    finite = np.isfinite(coords)
+    if not finite.all():
+        vertex, axis = np.argwhere(~finite)[0]
+        raise OrderingError(
+            f"{method} requires finite coordinates; vertex {vertex} has "
+            f"{coords[vertex, axis]} on axis {axis}"
+        )
+    return coords
 
 
 @dataclass(frozen=True)

@@ -35,12 +35,19 @@ def quantize_coords(coords: np.ndarray, bits: int) -> np.ndarray:
     """Snap float coordinates to the integer lattice [0, 2^bits)."""
     if not (1 <= bits <= 21):
         raise OrderingError(f"bits must be in 1..21, got {bits}")
-    lo = coords.min(axis=0)
-    span = coords.max(axis=0) - lo
-    span = np.where(span > 0, span, 1.0)
-    scale = (2**bits - 1) / span
-    q = np.floor((coords - lo) * scale + 0.5).astype(np.uint64)
-    return np.minimum(q, np.uint64(2**bits - 1))
+    top = 2**bits - 1
+    q = np.empty(coords.shape, dtype=np.uint64)
+    # Axis by axis: reducing an (n, 2) array along axis 0 runs numpy's
+    # inner loop once per row, a 1-D column reduces in one SIMD pass.
+    for axis in range(coords.shape[1]):
+        column = coords[:, axis]
+        lo = column.min()
+        span = column.max() - lo
+        cell = column - lo
+        cell *= top / (span if span > 0 else 1.0)
+        cell += 0.5
+        q[:, axis] = np.floor(cell, out=cell)
+    return np.minimum(q, np.uint64(top), out=q)
 
 
 def _interleave2(x: np.ndarray, y: np.ndarray, bits: int) -> np.ndarray:

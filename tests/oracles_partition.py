@@ -21,6 +21,10 @@ The shipped functions must return exactly what these return.
 **Hilbert keys.**  ``hilbert_keys_2d_oracle`` is the one-bit-per-step
 rotation walk that the table-driven ``hilbert_keys_2d`` replaced; keys must
 be ``array_equal`` for every ``bits``.
+
+**Lattice snapping.**  ``quantize_coords_oracle`` is the whole-array body
+``quantize_coords`` shipped before it reduced and scaled one column at a
+time; the lattice points must be ``array_equal``.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ __all__ = [
     "mcr_oracle",
     "brute_force_oracle",
     "hilbert_keys_2d_oracle",
+    "quantize_coords_oracle",
 ]
 
 
@@ -327,3 +332,13 @@ def hilbert_keys_2d_oracle(coords: np.ndarray, *, bits: int = 16) -> np.ndarray:
         x, y = x_new, y_new
         s >>= 1
     return d.astype(np.uint64)
+
+
+def quantize_coords_oracle(coords: np.ndarray, bits: int) -> np.ndarray:
+    """Snap coordinates to [0, 2^bits) with axis-0 reductions over the array."""
+    lo = coords.min(axis=0)
+    span = coords.max(axis=0) - lo
+    span = np.where(span > 0, span, 1.0)
+    scale = (2**bits - 1) / span
+    q = np.floor((coords - lo) * scale + 0.5).astype(np.uint64)
+    return np.minimum(q, np.uint64(2**bits - 1))

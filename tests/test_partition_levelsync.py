@@ -3,12 +3,17 @@
 ``rcb_order`` must return the oracle's permutation exactly whenever the
 ``coords + jitter`` keys are distinct, and split equal keys by vertex id
 when they are not.  ``inertial_order`` shares the driver and is held to
-the oracle's bisection rule and partition quality.
+the oracle's bisection rule and partition quality.  From
+``ONE_THREAD_BELOW_VERTICES`` up the driver splits the tree's subtrees
+across threads; every permutation must equal the serial driver's.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -23,7 +28,10 @@ from oracles_partition import (
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import grid_graph, paper_mesh
 from repro.graph.metrics import edge_cut
+from repro.net.spmd import one_cpu
+from repro.partition import bisection
 from repro.partition.bisection import (
+    ONE_THREAD_BELOW_VERTICES,
     bisection_order,
     stable_order,
     stable_ranks,
@@ -220,3 +228,115 @@ class TestInertial:
                 labels[order] = block
                 cuts.append(edge_cut(graph, labels))
             assert abs(cuts[0] - cuts[1]) <= 0.02 * cuts[1], (parts, cuts)
+
+
+#: The three bisection orderings the driver serves.
+METHODS = {
+    "rcb-widest": functools.partial(rcb_order, alternate_axes=False),
+    "rcb-alternate": functools.partial(rcb_order, alternate_axes=True),
+    "inertial": inertial_order,
+}
+
+#: Just below, at and just above the constant.
+AROUND = (ONE_THREAD_BELOW_VERTICES - 1, ONE_THREAD_BELOW_VERTICES,
+          ONE_THREAD_BELOW_VERTICES + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def split_cloud(n: int, dim: int) -> CSRGraph:
+    return cloud(n, dim, n + dim)
+
+
+@functools.lru_cache(maxsize=None)
+def serial_order(method: str, n: int, dim: int) -> np.ndarray:
+    saved = bisection._host_cpus
+    bisection._host_cpus = lambda: 1
+    try:
+        return METHODS[method](split_cloud(n, dim))
+    finally:
+        bisection._host_cpus = saved
+
+
+def force_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(bisection, "_host_cpus", lambda: cpus)
+
+
+class TestSubtreeThreads:
+    """The split changes where each level runs, never the permutation."""
+
+    @pytest.mark.parametrize("cpus", (1, 2, 3, 4))
+    @pytest.mark.parametrize("n", AROUND, ids=("below", "at", "above"))
+    @pytest.mark.parametrize("dim", (2, 3))
+    @pytest.mark.parametrize("method", METHODS)
+    def test_equals_serial_driver(self, monkeypatch, method, dim, n, cpus):
+        force_cpus(monkeypatch, cpus)
+        np.testing.assert_array_equal(
+            METHODS[method](split_cloud(n, dim)), serial_order(method, n, dim)
+        )
+
+    @pytest.mark.parametrize("alternate_axes", (False, True))
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_rcb_equals_oracle_above_the_constant(
+        self, monkeypatch, dim, alternate_axes
+    ):
+        force_cpus(monkeypatch, 4)
+        graph = split_cloud(AROUND[-1], dim)
+        assert_matches_oracle(graph, alternate_axes=alternate_axes)
+
+    def test_split_runs_on_other_threads_and_joins_them(self, monkeypatch):
+        force_cpus(monkeypatch, 4)
+        before = threading.active_count()
+        callers = set()
+
+        def level_keys(perm, starts, seg, depth):
+            callers.add((threading.get_ident(), depth >= 2))
+            return np.argsort(np.argsort(perm))
+
+        n = ONE_THREAD_BELOW_VERTICES
+        np.testing.assert_array_equal(bisection_order(n, level_keys), np.arange(n))
+        # Two levels on the caller, then four subtrees over four threads.
+        assert {ident for ident, below in callers if not below} == {
+            threading.get_ident()
+        }
+        assert len({ident for ident, below in callers if below}) > 1
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("subtree", (0, 1), ids=("caller", "worker"))
+    def test_an_exception_in_a_subtree_surfaces(self, monkeypatch, subtree):
+        force_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        n = ONE_THREAD_BELOW_VERTICES
+
+        def level_keys(perm, starts, seg, depth):
+            if depth == 3 and (perm[0] >= n // 2) == subtree:
+                raise ValueError(f"subtree {subtree} failed")
+            return np.argsort(np.argsort(perm))
+
+        with pytest.raises(ValueError, match=f"subtree {subtree} failed"):
+            bisection_order(n, level_keys)
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity"
+    )
+    def test_one_cpu_mask_stays_serial(self):
+        callers = set()
+
+        def level_keys(perm, starts, seg, depth):
+            callers.add(threading.get_ident())
+            return np.argsort(np.argsort(perm))
+
+        with one_cpu():
+            assert bisection.threads_for(ONE_THREAD_BELOW_VERTICES) == 1
+            bisection_order(ONE_THREAD_BELOW_VERTICES, level_keys)
+        assert callers == {threading.get_ident()}
+
+    def test_below_the_constant_stays_serial(self, monkeypatch):
+        force_cpus(monkeypatch, 4)
+        assert bisection.threads_for(ONE_THREAD_BELOW_VERTICES - 1) == 1
+        assert bisection.threads_for(ONE_THREAD_BELOW_VERTICES) == 4
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(bisection.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(bisection.os, "cpu_count", lambda: 3)
+        assert bisection._host_cpus() == 3

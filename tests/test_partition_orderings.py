@@ -98,6 +98,24 @@ class TestOrderingBasics:
             with pytest.raises(OrderingError):
                 method(abstract)
 
+    @pytest.mark.parametrize(
+        "bad", (np.nan, np.inf, -np.inf), ids=("nan", "inf", "-inf")
+    )
+    @pytest.mark.parametrize(
+        "method",
+        [RCBOrdering(), InertialOrdering(), HilbertOrdering(), MortonOrdering()],
+        ids=lambda m: m.name,
+    )
+    def test_coordinate_methods_reject_non_finite_coords(self, method, bad):
+        # One bad value made RCB and inertial return the identity (every
+        # jittered key NaN) and the SFCs an arbitrary order.
+        graph = paper_mesh(2_000, seed=3)
+        coords = graph.coords.copy()
+        coords[1_234, 0] = bad
+        graph = CSRGraph(graph.indptr, graph.indices, coords=coords)
+        with pytest.raises(OrderingError, match=rf"vertex 1234 has {bad} on axis 0"):
+            method(graph)
+
     def test_spectral_works_without_coords(self):
         abstract = CSRGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         perm = SpectralOrdering(leaf_size=8)(abstract)

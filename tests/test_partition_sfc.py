@@ -3,7 +3,8 @@
 When key and vertex id fit one 64-bit word, ``sfc_order`` sorts
 ``key << id_bits | id`` by value; otherwise it keeps the stable argsort.
 Both must return ``np.argsort(keys, kind="stable")``: vertices sharing a
-grid cell keep input order.
+grid cell keep input order.  ``quantize_coords`` must snap to exactly the
+lattice points of its whole-array oracle.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from oracles_graph import grid_mesh_3d
+from oracles_partition import quantize_coords_oracle
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import grid_graph, paper_mesh, scale_mesh
 from repro.partition.rcb import RCBOrdering
@@ -21,6 +23,7 @@ from repro.partition.sfc import (
     HilbertOrdering,
     hilbert_keys_2d,
     morton_keys,
+    quantize_coords,
     sfc_order,
 )
 
@@ -58,6 +61,27 @@ class TestStableOrder:
 
     def test_all_points_in_one_cell(self, curve, dim, keys_fn):
         assert_stable(points(np.full((100, dim), 2.5)), curve, keys_fn, 16)
+
+
+@pytest.mark.parametrize("bits", (1, 4, 16, 21))
+@pytest.mark.parametrize(
+    "coords",
+    (
+        np.random.default_rng(0).normal(size=(5_000, 2)) * (30.0, 0.01),
+        np.random.default_rng(1).random((2_000, 3)) - 0.5,
+        np.column_stack((np.random.default_rng(2).random(300), np.full(300, -4.0))),
+        np.full((40, 3), 2.5),
+        np.array([[1.5, -2.0]]),
+        np.array([[7.0, 1.0, -1.0]]),
+    ),
+    ids=("random-2d", "random-3d", "zero-span-axis", "all-equal-3d",
+         "one-point-2d", "one-point-3d"),
+)
+def test_quantize_coords_matches_oracle(coords, bits):
+    q = quantize_coords(coords, bits)
+    expected = quantize_coords_oracle(coords, bits)
+    assert q.dtype == expected.dtype and q.shape == expected.shape
+    np.testing.assert_array_equal(q, expected)
 
 
 @pytest.mark.parametrize("n", (1 << 16, (1 << 16) + 1), ids=("packed", "argsort"))
