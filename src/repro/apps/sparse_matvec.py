@@ -27,7 +27,7 @@ from repro.partition.ordering import OrderingMethod
 from repro.partition.rcb import RCBOrdering
 from repro.runtime.executor import gather
 from repro.runtime.inspector import run_inspector
-from repro.runtime.kernels import KernelCostModel, RowSegments
+from repro.runtime.kernels import KernelCostModel, RowOperator
 
 __all__ = ["SymmetricPatternMatrix", "spmv_sequential", "run_parallel_spmv"]
 
@@ -110,9 +110,17 @@ def spmv_sequential(mat: SymmetricPatternMatrix, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     g = mat.graph
     # diag·x + (row sum), the association run_parallel_spmv uses too.
-    return mat.diag * x + RowSegments(g.degrees).sums(
+    return mat.diag * x + _weight_sums(g.indptr).sums(
         mat.offdiag * x[g.indices]
     )
+
+
+def _weight_sums(indptr: np.ndarray) -> RowOperator:
+    """Row sums of per-reference products, already multiplied: the
+    operator reads reference ``k`` at column ``k``, so each row still
+    multiplies, then sums in array order, whatever the compiler fuses."""
+    m = int(indptr[-1])
+    return RowOperator(indptr, np.arange(m), m)
 
 
 def run_parallel_spmv(
@@ -159,14 +167,13 @@ def run_parallel_spmv(
         local_diag = pmat.diag[lo:hi]
         start, stop = pmat.graph.indptr[lo], pmat.graph.indptr[hi]
         local_w = pmat.offdiag[start:stop]
-        # The weights are per reference, so these segments take no index.
-        segments = RowSegments(plan.counts)
+        rows = _weight_sums(plan.indptr)
         for _ in range(iterations):
             ghost = gather(ctx, insp.schedule, local_x)
             combined = (
                 np.concatenate([local_x, ghost]) if ghost.size else local_x
             )
-            y = local_diag * local_x + segments.sums(
+            y = local_diag * local_x + rows.sums(
                 local_w * combined[plan.slots]
             )
             ctx.compute(

@@ -13,6 +13,7 @@ over whatever configurations were run.
 
 from __future__ import annotations
 
+import statistics
 import time
 from functools import lru_cache
 from itertools import pairwise
@@ -67,10 +68,18 @@ def time_mcr(
 def _expect_table1(runs):
     from repro.runtime.adaptive.strategy import MCR_SECONDS_PER_P3
 
-    for _, by_p in group_runs(runs, "p"):
-        t = {p: by_p[p]["mcr_seconds"] for p in sorted(by_p)}
+    for _, by_p in group_runs(runs, "p", field="passes"):
+        passes = {p: [m["mcr_seconds"] for m in by_p[p]] for p in sorted(by_p)}
+        t = {p: min(seconds) for p, seconds in passes.items()}
         for a, b in pairwise(t):
-            yield from below(f"MCR seconds at p={a} vs p={b}", t[a], t[b])
+            # Pass k of p=a and of p=b ran milliseconds apart, so their
+            # ratio cancels the host's drift; two bests over all passes,
+            # taken at different moments, do not.
+            yield from below(
+                f"MCR seconds at p={a} / p={b}, median over paired passes",
+                statistics.median(x / y for x, y in zip(passes[a], passes[b])),
+                1.0,
+            )
         yield from below(f"MCR seconds at p={max(t)} vs a remap", t[max(t)], 0.05)
         # Measured beside modelled: the host cost of MCR stays below the
         # virtual seconds the simulator charges for it (Table 1's 2 us p^3).
@@ -92,8 +101,9 @@ def _expect_table1(runs):
     # One pass times p = 3 and p = 5 a few ms apart, and host speed on a
     # shared 2-core container drifts by up to 1.6x over ~0.1-1 s: the
     # quick grid's "p=3 below p=5" flipped in 24 of 1,000 one-pass runs,
-    # and more repeats per pass made it worse.  Twenty alternated passes:
-    # 0 of 1,000.
+    # and more repeats per pass made it worse.  Twenty alternated passes,
+    # best against best: 3 of 1,000 under bursty load (two busy-wait
+    # processes on 2 vCPUs).  The same passes paired: 0 of 1,000.
     passes=20,
 )
 def _exp_table1(params: Mapping[str, Any], *, seed: int) -> dict[str, float]:

@@ -129,6 +129,8 @@ def run_experiment(
             run["wall_s"] += time.perf_counter() - t0
             run["max_rss_kb"] = max_rss_kb()
             metrics = _check_metrics(exp.name, run["params"], metrics)
+            if exp.passes > 1:
+                run.setdefault("passes", []).append(metrics)
             if "metrics" in run:
                 metrics = {
                     key: (max if key in exp.higher_is_better else min)(

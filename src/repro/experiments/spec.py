@@ -77,14 +77,15 @@ def expand_grid(grid: Mapping[str, Sequence[Any]]) -> list[dict[str, Any]]:
 
 
 def group_runs(
-    runs: Sequence[Mapping[str, Any]], *axes: str
-) -> list[tuple[dict[str, Any], dict[Any, Mapping[str, float]]]]:
+    runs: Sequence[Mapping[str, Any]], *axes: str, field: str = "metrics"
+) -> list[tuple[dict[str, Any], dict[Any, Any]]]:
     """Split run records into the families an expectation compares within.
 
     Runs that agree on every parameter except *axes* form one group,
     returned as ``(shared, by_axis)``: the parameters they share, and a
     mapping from each run's value on *axes* (a tuple when there are
-    several) to its metrics.  A partner that was not run is simply absent.
+    several) to its *field*: its metrics, or its ``passes``.  A partner
+    that was not run is simply absent.
     """
     groups: dict[str, tuple[dict, dict]] = {}
     for run in runs:
@@ -92,7 +93,7 @@ def group_runs(
         shared = {k: v for k, v in params.items() if k not in axes}
         key = params[axes[0]] if len(axes) == 1 else tuple(params[a] for a in axes)
         _, by_axis = groups.setdefault(repr(sorted(shared.items())), (shared, {}))
-        by_axis[key] = run["metrics"]
+        by_axis[key] = run[field]
     return list(groups.values())
 
 
@@ -151,9 +152,11 @@ class Experiment:
     higher_is_better: tuple[str, ...] = ()
     expect: ExpectFn | None = None
     #: Passes over the grid, configuration after configuration; each run
-    #: records every metric's best value over its passes.  For host-timed
-    #: metrics: host speed drifts over seconds, and alternating the
-    #: configurations an ``expect`` compares lets each see the same drift.
+    #: records every metric's best value over its passes and, when there
+    #: is more than one, each pass's metrics in order under ``passes``.
+    #: For host-timed metrics: host speed drifts over seconds, and pass k
+    #: of every configuration runs within the same few milliseconds, so an
+    #: ``expect`` that pairs configurations pass by pass sees one drift.
     passes: int = 1
 
     def __post_init__(self) -> None:

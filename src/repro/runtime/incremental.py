@@ -213,9 +213,9 @@ def inspector_results_equal(a: InspectorResult, b: InspectorResult) -> bool:
     return (
         pa.rank == pb.rank
         and pa.n_local == pb.n_local
+        and pa.n_ghost == pb.n_ghost
         and np.array_equal(pa.slots, pb.slots)
-        and np.array_equal(pa.starts, pb.starts)
-        and np.array_equal(pa.counts, pb.counts)
+        and np.array_equal(pa.indptr, pb.indptr)
     )
 
 
@@ -602,21 +602,11 @@ class IncrementalInspector:
         # position ranges, so the concatenation is already sorted.
         off_pos = np.concatenate(off_parts)
 
-        counts = np.asarray(
-            graph.indptr[lo1 + 1 : hi1 + 1] - graph.indptr[lo1:hi1],
-            dtype=np.intp,
-        )
-        # starts is the running sum of counts, which for contiguous rows
-        # is just the indptr offsets — identical values to the
-        # zeros+cumsum in build_kernel_plan, one subtraction instead.
-        starts = np.asarray(
-            graph.indptr[lo1:hi1] - graph.indptr[lo1], dtype=np.intp
-        )
         plan = KernelPlan(
             rank=self.rank,
             n_local=n_local1,
+            n_ghost=int(ghost_globals.size),
             slots=slots,
-            starts=starts,
-            counts=counts,
+            indptr=graph.indptr[lo1 : hi1 + 1] - graph.indptr[lo1],
         )
         return plan, off_pos

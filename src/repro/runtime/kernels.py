@@ -11,11 +11,11 @@ i.e. one Jacobi-style neighbor-averaging sweep through an indirection
 array.  :func:`run_sequential` is the single-machine form;
 :class:`KernelPlan` is the per-rank compiled form produced by the
 inspector (address-translated slots into the combined [local | ghost]
-buffer).  Both apply one kernel, :class:`RowSegments`: a segmented sum
-that accumulates each row's references in array order starting from 0.0
-— exactly the loop's ``t[i] += y[ia(k)]`` — so the vectorized sweeps are
-bit-identical to the literal transcription of Fig. 8 over a plan, not
-merely close to it.
+buffer).  Both apply one kernel, :class:`RowOperator`: a CSR matrix of
+ones whose product accumulates each row's references in array order
+starting from 0.0 — exactly the loop's ``t[i] += y[ia(k)]`` — so the
+vectorized sweeps are bit-identical to the literal transcription of
+Fig. 8 over a plan, not merely close to it.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.errors import ScheduleError
 from repro.graph.csr import CSRGraph
@@ -33,7 +34,7 @@ from repro.utils.lazy import lazy_attribute
 __all__ = [
     "KernelCostModel",
     "KernelPlan",
-    "RowSegments",
+    "RowOperator",
     "build_kernel_plan",
     "sorted_ghost_slots",
     "run_sequential",
@@ -59,112 +60,49 @@ class KernelCostModel:
         )
 
 
-class RowSegments:
-    """The loop invariants of a row-wise sweep over consecutive segments.
+class RowOperator:
+    """Row-wise sums and means through one CSR matrix of ones.
 
-    Row ``i`` owns the next ``counts[i]`` references of a flat
-    per-reference array; reference ``k`` reads ``values[index[k]]`` (or
-    ``values[k]`` when *index* is ``None``).  Everything that depends only
-    on ``counts`` and ``index`` is derived here, once:
+    Row ``i`` reads ``values[index[k]]`` for ``k`` in
+    ``indptr[i]:indptr[i + 1]``.  *index* must lie in ``[0, n_cols)``:
+    scipy's ``csr_matvec`` reads without bounds checks, so the caller
+    checks once, where it builds the operator.
 
-    * rows are *ranked* by descending reference count (stable), and the
-      references laid out column-major — column ``j`` holds the ``j``-th
-      reference of every row with more than ``j``, i.e. a prefix of the
-      ranked rows — so a sweep is one gather (``values[gather]``) and one
-      contiguous ``np.add`` per column into a zeroed accumulator;
-    * column adds stop at the first column shorter than the number of
-      columns still to go; the remaining references of those few long rows
-      go through one ``np.add.at`` in array order.  That bounds the column
-      adds by ``sqrt(2 * m)`` for ``m`` references (a hub row costs one
-      ``add.at`` element per reference, not one ``np.add`` call).
-
-    Every row therefore still adds its references in array order starting
-    from 0.0 — the summation order of the Fig. 8 loop — so results are
-    bit-identical to it, including −0.0, infinities and a NaN's payload.
+    ``csr_matvec`` adds each row's products in array order, starting from
+    the zeroed output, and ``1.0 * x`` is exact, so every row sum is the
+    Fig. 8 loop's ``t[i] += y[ia(k)]`` bit for bit, even in an
+    FMA-contracted build: −0.0, infinities and a NaN's payload included.
     (Where two *different* NaNs meet in one add, IEEE 754 leaves the
-    survivor to the implementation; numpy's scalar and array adds differ.)
+    survivor to the implementation.)  A sweep is one matrix-vector
+    product, so it releases and retakes the GIL once, however many rows
+    are hubs.
     """
 
-    __slots__ = (
-        "n_rows", "gather", "columns", "tail_rows", "tail_start",
-        "unrank", "divisor", "empty",
-    )
+    __slots__ = ("matrix", "divisor", "empty")
 
-    def __init__(self, counts: np.ndarray, index: np.ndarray | None = None) -> None:
-        counts = np.asarray(counts, dtype=np.intp)
-        n = self.n_rows = int(counts.size)
-        width = int(counts.max()) if n else 0
-        # A stable sort of small unsigned keys is numpy's radix sort.
-        order = np.argsort(
-            (width - counts).astype(np.min_scalar_type(width)), kind="stable"
+    def __init__(self, indptr: np.ndarray, index: np.ndarray, n_cols: int) -> None:
+        degrees = np.diff(indptr)
+        self.matrix = csr_matrix(
+            (np.ones(index.size), index, indptr), shape=(degrees.size, n_cols)
         )
-        ranked = counts[order]
-        starts = (np.cumsum(counts) - counts)[order]
-        # longer[j]: how many rows have more than j references, i.e. the
-        # length of column j.
-        longer = np.searchsorted(-ranked, -np.arange(width))
-        short = np.flatnonzero(longer < width - np.arange(width))
-        n_cols = int(short[0]) if short.size else width
-        bounds = np.zeros(n_cols + 1, dtype=np.intp)
-        np.cumsum(longer[:n_cols], out=bounds[1:])
-        #: ``(rows, lo, hi)`` of every column: ``laid[lo:hi]`` adds into
-        #: the first ``rows`` ranked rows.
-        self.columns = list(
-            zip(longer[:n_cols].tolist(), bounds[:-1].tolist(), bounds[1:].tolist())
-        )
-        # The tail: references n_cols.. of every row longer than n_cols,
-        # row by row in array order.
-        n_long = int(longer[n_cols]) if n_cols < width else 0
-        rest = ranked[:n_long] - n_cols
-        self.tail_rows = np.repeat(np.arange(n_long, dtype=np.intp), rest)
-        self.tail_start = int(bounds[-1])
-        #: Where each laid-out reference reads its value: *index* composed
-        #: with the layout — the one per-reference array kept.  Filled one
-        #: column at a time, so building holds no second per-reference array.
-        self.gather = np.empty(self.tail_start + self.tail_rows.size, dtype=np.intp)
-
-        def place(lo: int, hi: int, positions: np.ndarray) -> None:
-            self.gather[lo:hi] = positions if index is None else index[positions]
-
-        for j, (rows, lo, hi) in enumerate(self.columns):
-            place(lo, hi, starts[:rows] + j)
-        if self.tail_rows.size:
-            first = np.cumsum(rest) - rest
-            place(
-                self.tail_start, self.gather.size,
-                starts[self.tail_rows] + n_cols
-                + np.arange(self.tail_rows.size) - first[self.tail_rows],
-            )
-        #: Ranked position of every row (the inverse of *order*).
-        self.unrank = np.empty(n, dtype=np.intp)
-        self.unrank[order] = np.arange(n, dtype=np.intp)
+        #: Float reference counts (empty rows divide by 1).
+        self.divisor = np.maximum(degrees, 1.0)
+        empty = np.flatnonzero(degrees == 0)
         #: Rows without references (``None`` when every row has one).
-        self.empty = counts == 0 if n and ranked[-1] == 0 else None
-        #: Float reference counts in ranked order (empty rows divide by 1).
-        self.divisor = np.maximum(ranked, 1.0)
-
-    def _ranked_sums(self, values: np.ndarray) -> np.ndarray:
-        laid = values[self.gather]
-        t = np.zeros(self.n_rows)
-        for rows, lo, hi in self.columns:
-            head = t[:rows]
-            np.add(head, laid[lo:hi], head)
-        if self.tail_rows.size:
-            np.add.at(t, self.tail_rows, laid[self.tail_start :])
-        return t
+        self.empty = empty if empty.size else None
 
     def sums(self, values: np.ndarray) -> np.ndarray:
         """Per-row sum of the referenced *values*; empty rows get 0."""
-        return self._ranked_sums(values)[self.unrank]
+        return self.matrix @ values
 
     def means(self, values: np.ndarray, keep: np.ndarray) -> np.ndarray:
         """Per-row mean of the referenced *values*; empty rows take their
         value in *keep*."""
-        t = self._ranked_sums(values)
-        out = np.divide(t, self.divisor, out=t)[self.unrank]
+        t = self.matrix @ values
+        np.divide(t, self.divisor, out=t)
         if self.empty is not None:
-            out[self.empty] = keep[self.empty]
-        return out
+            t[self.empty] = keep[self.empty]
+        return t
 
 
 def _as_vertex_values(graph: CSRGraph, y: np.ndarray) -> np.ndarray:
@@ -182,9 +120,9 @@ def run_sequential(
     """Run the Fig. 8 loop *iterations* times sequentially (the oracle for
     the parallel runs and the T(p_i) baseline of the Sec. 4 efficiency)."""
     y = _as_vertex_values(graph, y0).copy()
-    segments = RowSegments(graph.degrees, graph.indices)
+    rows = RowOperator(graph.indptr, graph.indices, graph.num_vertices)
     for _ in range(iterations):
-        y = segments.means(y, y)
+        y = rows.means(y, y)
     return y
 
 
@@ -192,24 +130,37 @@ def run_sequential(
 class KernelPlan:
     """Per-rank compiled kernel: translated addresses, ready to sweep.
 
-    ``slots`` indexes the combined ``[local | ghost]`` value buffer;
-    ``starts``/``counts`` delimit each owned vertex's neighbor segment —
-    the executor-phase output of the paper's address translation.
+    ``slots`` indexes the combined ``[local | ghost]`` value buffer of
+    ``n_local + n_ghost`` values; ``indptr`` delimits each owned vertex's
+    neighbor segment in it — the executor-phase output of the paper's
+    address translation.
     """
 
     rank: int
     n_local: int
+    n_ghost: int
     slots: np.ndarray
-    starts: np.ndarray
-    counts: np.ndarray
+    indptr: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.starts.shape != self.counts.shape or self.starts.ndim != 1:
-            raise ScheduleError("starts/counts must be equal-length 1-D")
-        if self.starts.size != self.n_local:
+        # The row operator reads without bounds checks: a plan that
+        # passes here cannot make a sweep read outside its buffers.
+        rows, slots = self.indptr, self.slots
+        if (
+            rows.shape != (self.n_local + 1,)
+            or rows[0] != 0
+            or rows[-1] != slots.size
+            or (rows[1:] < rows[:-1]).any()
+        ):
             raise ScheduleError(
-                f"plan covers {self.starts.size} vertices, block holds "
-                f"{self.n_local}"
+                f"rank {self.rank}: indptr does not delimit {slots.size} "
+                f"references over {self.n_local} vertices"
+            )
+        width = self.n_local + self.n_ghost
+        if slots.size and (slots.min() < 0 or slots.max() >= width):
+            raise ScheduleError(
+                f"rank {self.rank}: slots must lie in [0, {width}), got "
+                f"[{slots.min()}, {slots.max()}]"
             )
 
     @property
@@ -217,10 +168,10 @@ class KernelPlan:
         return int(self.slots.size)
 
     @lazy_attribute
-    def segments(self) -> RowSegments:
-        """The plan's row segments, derived on first use and kept for its
+    def rows(self) -> RowOperator:
+        """The plan's row operator, built on first use and kept for its
         lifetime: no sweep repeats plan-only work."""
-        return RowSegments(self.counts, self.slots)
+        return RowOperator(self.indptr, self.slots, self.n_local + self.n_ghost)
 
     def sweep(self, local_y: np.ndarray, ghost: np.ndarray) -> np.ndarray:
         """One vectorized kernel sweep over this rank's vertices."""
@@ -231,8 +182,13 @@ class KernelPlan:
                 f"rank {self.rank}: local data has shape {local_y.shape}, "
                 f"plan covers {self.n_local} vertices"
             )
+        if ghost.shape != (self.n_ghost,):
+            raise ScheduleError(
+                f"rank {self.rank}: ghost buffer has shape {ghost.shape}, "
+                f"plan reads {self.n_ghost} ghosts"
+            )
         combined = np.concatenate([local_y, ghost]) if ghost.size else local_y
-        return self.segments.means(combined, local_y)
+        return self.rows.means(combined, local_y)
 
 
 def sorted_ghost_slots(
@@ -270,9 +226,8 @@ def build_kernel_plan(
     rank = schedule.rank
     lo, hi = partition.interval(rank)
     n_local = hi - lo
-    start, stop = graph.indptr[lo], graph.indptr[hi]
-    nbr = graph.indices[start:stop]
-    counts = np.diff(graph.indptr[lo : hi + 1]).astype(np.intp)
+    indptr = graph.indptr[lo : hi + 1] - graph.indptr[lo]
+    nbr = graph.indices[graph.indptr[lo] : graph.indptr[hi]]
     if resolve_backend(backend) == "reference":
         from repro.runtime.reference import kernel_slots_loop
 
@@ -303,11 +258,10 @@ def build_kernel_plan(
                     "buffer"
                 ) from None
         slots[~local_mask] = off_slots
-    # An empty interval (a drained or standby rank under elastic
-    # membership) has no vertices and therefore no segment starts.
-    starts = np.zeros(counts.size, dtype=np.intp)
-    if counts.size:
-        starts[1:] = np.cumsum(counts[:-1])
     return KernelPlan(
-        rank=rank, n_local=n_local, slots=slots, starts=starts, counts=counts
+        rank=rank,
+        n_local=n_local,
+        n_ghost=schedule.ghost_size,
+        slots=slots,
+        indptr=indptr,
     )

@@ -6,12 +6,12 @@ pure Python loops; one sweep of ``run_sequential`` must equal it bitwise.
 ``KernelPlan`` (local block plus ghost buffer); ``KernelPlan.sweep`` must
 equal it bitwise.
 
-``BincountRowSegments`` is the body ``repro.runtime.kernels.RowSegments``
-shipped before the degree-ranked column layout: the owning row of every
-reference (``np.repeat``), then one ``np.bincount`` per sweep, which adds
-each row's weights in array order from 0.0.  It takes per-reference
-weights (``values[index]`` already gathered), not an index.  The shipped
-kernel must return bitwise what this returns.
+``BincountRowSegments`` is the segmented sum the kernel shipped before it
+became a row operator: the owning row of every reference (``np.repeat``),
+then one ``np.bincount`` per sweep, which adds each row's weights in
+array order from 0.0.  It takes per-reference weights (``values[index]``
+already gathered), not an index.  ``repro.runtime.kernels.RowOperator``
+must return bitwise what this returns.
 """
 
 from __future__ import annotations
@@ -44,13 +44,13 @@ def sweep_reference(plan, local_y: np.ndarray, ghost: np.ndarray) -> np.ndarray:
     combined = np.concatenate([local_y, ghost]) if ghost.size else local_y
     out = np.array(local_y, dtype=np.float64, copy=True)
     for i in range(plan.n_local):
-        cnt = int(plan.counts[i])
-        if not cnt:
+        lo, hi = int(plan.indptr[i]), int(plan.indptr[i + 1])
+        if lo == hi:
             continue
         t = 0.0
-        for k in range(plan.starts[i], plan.starts[i] + cnt):
+        for k in range(lo, hi):
             t += combined[plan.slots[k]]
-        out[i] = t / cnt
+        out[i] = t / (hi - lo)
     return out
 
 

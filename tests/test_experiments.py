@@ -262,9 +262,32 @@ def test_passes_alternate_configurations_and_keep_each_best_metric():
     assert [run["seed"] for run in artifact["runs"]] == [
         config_seed(exp.seed, {"a": a}) for a in (1, 2)
     ]
+    # Every pass is kept in order, so an expectation can pair them.
+    assert [[m["host_s"] for m in run["passes"]] for run in artifact["runs"]] == [
+        [9.0, 7.0, 15.0],
+        [8.0, 14.0, 16.0],
+    ]
     with pytest.raises(ReproError, match="passes"):
         Experiment(name="none", title="t", paper_anchor="none", fn=fn,
                    grid={"a": (1,)}, passes=0)
+
+
+def test_table1_compares_p_pass_by_pass():
+    """A slow spell over every pass of p=3 but the last of p=5 flips best
+    against best; the paired ratios still see p=3 faster.  A genuinely
+    slower p=3 is still reported."""
+    expect = get("table1").expect
+
+    def runs(p3, p5):
+        return [
+            {"params": {"p": p, "elements": 2_000}, "metrics": {"mcr_seconds": min(s)},
+             "passes": [{"mcr_seconds": x} for x in s]}
+            for p, s in ((3, p3), (5, p5))
+        ]
+
+    assert list(expect(runs([6e-4, 6e-4, 6e-4], [1e-3, 1e-3, 5.9e-4]))) == []
+    (slower,) = expect(runs([1.1e-3, 1.1e-3, 5e-4], [1e-3, 1e-3, 1e-3]))
+    assert slower.startswith("MCR seconds at p=3 / p=5, median over paired passes")
 
 
 def test_agree_across_names_configuration_metric_and_both_values():

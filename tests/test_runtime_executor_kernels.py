@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+import dataclasses
 
 import numpy as np
 import pytest
@@ -36,7 +36,7 @@ from repro.runtime.inspector import run_inspector
 from repro.runtime import kernels
 from repro.runtime.kernels import (
     KernelCostModel,
-    RowSegments,
+    RowOperator,
     build_kernel_plan,
     run_sequential,
     sorted_ghost_slots,
@@ -255,13 +255,56 @@ class TestKernelPlan:
         assert "rank 1" in msg
         assert str(local.size) in msg and str(plan.n_local) in msg
 
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_sweep_rejects_wrong_ghost_length(self, mesh, extra):
+        """A short ghost buffer would be read past its end and a long one
+        silently accepted: refuse both, naming the rank and both lengths."""
+        part = partition_list(mesh.num_vertices, np.ones(2))
+        sched = build_schedule_sort1(mesh, part, 1)
+        plan = build_kernel_plan(mesh, part, sched)
+        assert plan.n_ghost == sched.ghost_size > 0
+        ghost = np.zeros(sched.ghost_size + extra)
+        with pytest.raises(ScheduleError) as exc:
+            plan.sweep(np.zeros(plan.n_local), ghost)
+        msg = str(exc.value)
+        assert "rank 1" in msg
+        assert str(ghost.size) in msg and str(plan.n_ghost) in msg
+
+    @pytest.mark.parametrize("where", ["below", "above"])
+    def test_plan_rejects_slots_out_of_range(self, mesh, where):
+        """The operator reads without bounds checks, so the plan checks
+        every slot against ``[0, n_local + n_ghost)`` once, at build."""
+        part = partition_list(mesh.num_vertices, np.ones(2))
+        sched = build_schedule_sort1(mesh, part, 1)
+        plan = build_kernel_plan(mesh, part, sched)
+        slots = plan.slots.copy()
+        slots[-1] = -1 if where == "below" else plan.n_local + plan.n_ghost
+        with pytest.raises(ScheduleError, match=r"rank 1: slots must lie in"):
+            dataclasses.replace(plan, slots=slots)
+
+    def test_plan_rejects_a_bad_row_pointer(self, mesh):
+        part = partition_list(mesh.num_vertices, np.ones(2))
+        sched = build_schedule_sort1(mesh, part, 0)
+        plan = build_kernel_plan(mesh, part, sched)
+        bad = [
+            plan.indptr[:-1],  # one row short
+            plan.indptr + 1,  # does not start at 0
+            np.append(plan.indptr[:-1], plan.n_references + 1),  # overruns
+            np.concatenate(([0, plan.n_references], plan.indptr[2:])),  # decreasing
+        ]
+        for indptr in bad:
+            with pytest.raises(ScheduleError, match="rank 0: indptr"):
+                dataclasses.replace(plan, indptr=indptr)
+
     def test_plan_covers_all_local_degrees(self, mesh):
         part = partition_list(mesh.num_vertices, np.ones(4))
         for r in range(4):
             sched = build_schedule_sort1(mesh, part, r)
             plan = build_kernel_plan(mesh, part, sched)
             lo, hi = part.interval(r)
-            np.testing.assert_array_equal(plan.counts, mesh.degrees[lo:hi])
+            np.testing.assert_array_equal(
+                np.diff(plan.indptr), mesh.degrees[lo:hi]
+            )
             assert plan.n_references == int(mesh.degrees[lo:hi].sum())
 
     def test_plan_with_request_order_ghosts(self, mesh):
@@ -433,13 +476,13 @@ class TestSummationOrderContract:
         if split == "empty rank":
             assert part.size(1) == 0
 
-    def test_plan_derives_its_segments_once(self, mesh, monkeypatch):
+    def test_plan_builds_its_operator_once(self, mesh, monkeypatch):
         """Nothing that depends only on the plan is redone per sweep."""
         built = []
-        init = kernels.RowSegments.__init__
+        csr_matrix = kernels.csr_matrix
         monkeypatch.setattr(
-            kernels.RowSegments, "__init__",
-            lambda self, *args: (built.append(1), init(self, *args))[1],
+            kernels, "csr_matrix",
+            lambda *args, **kw: (built.append(1), csr_matrix(*args, **kw))[1],
         )
         part = partition_list(mesh.num_vertices, np.ones(2))
         sched = build_schedule_sort1(mesh, part, 0)
@@ -453,7 +496,7 @@ class TestSummationOrderContract:
 
     def test_patched_plan_sweeps_like_a_fresh_one(self):
         """The patch path builds a new KernelPlan from the old one's
-        arrays; its segments must be its own, not the (already swept)
+        arrays; its operator must be its own, not the (already swept)
         old plan's."""
         g = paper_mesh(600, seed=1)
         g = g.permute(RCBOrdering()(g))
@@ -501,9 +544,15 @@ class TestSummationOrderContract:
         np.testing.assert_array_equal(rep.values, run_sequential(g, y0, 6))
 
 
-class TestColumnLayout:
-    """The degree-ranked column layout against the loop and against the
-    ``bincount`` body it replaced (``oracles_kernels``), bit for bit."""
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    indptr = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+class TestRowOperator:
+    """The CSR row operator against the loop and against the ``bincount``
+    segmented sum (``oracles_kernels``), bit for bit."""
 
     @given(seed=st.integers(0, 2**32 - 1), share=st.sampled_from([0.0, 0.05, 0.3]))
     @settings(max_examples=60, deadline=None)
@@ -534,16 +583,20 @@ class TestColumnLayout:
         weights = values[index]
         nan_meets_nan = _nan_meets_nan(counts, weights)
         oracle = BincountRowSegments(counts)
-        segments = RowSegments(counts, index)
+        indptr = _indptr(counts)
+        rows = RowOperator(indptr, index, values.size)
         with np.errstate(invalid="ignore"):
-            sums = segments.sums(values)
-            means = segments.means(values, keep)
+            sums = rows.sums(values)
+            means = rows.means(values, keep)
             _assert_bitwise_equal(sums, oracle.sums(weights), nan_meets_nan)
             _assert_bitwise_equal(
                 means, oracle.means(weights, keep), nan_meets_nan
             )
             _assert_bitwise_equal(
-                RowSegments(counts).sums(weights), sums, nan_meets_nan
+                RowOperator(indptr, np.arange(index.size), index.size).sums(
+                    weights
+                ),
+                sums, nan_meets_nan,
             )
             # The literal loop, row by row from 0.0.
             loop = keep.copy()
@@ -557,17 +610,26 @@ class TestColumnLayout:
                     loop[i] = t / c
         _assert_bitwise_equal(means, loop, nan_meets_nan)
 
-    def test_star_hub_goes_through_the_tail(self):
+    @pytest.mark.parametrize("share", [0.0, 0.3])
+    def test_degree_10000_hub_equals_the_loop(self, share):
+        """One row of 10,000 references is one row of the matrix: its
+        sum still runs in array order from 0.0, special values too."""
         g = _star_graph()
-        segments = RowSegments(g.degrees, g.indices)
-        # Column 0 holds every row's first reference; the hub's other
-        # 9,999 are one add.at, not 9,999 column adds.
-        assert segments.columns == [(10_001, 0, 10_001)]
-        assert segments.tail_rows.size == 9_999
-        y = _special_values(np.random.default_rng(12), g.num_vertices, 0.0)
-        _assert_bitwise_equal(
-            run_sequential(g, y, 1), sequential_kernel_oracle(g, y)
-        )
+        assert g.degrees.max() == 10_000
+        y = _special_values(np.random.default_rng(12), g.num_vertices, share)
+        nan_meets_nan = _nan_meets_nan(g.degrees, y[g.indices])
+        with np.errstate(invalid="ignore"):
+            got = run_sequential(g, y, 1)
+            loop = sequential_kernel_oracle(g, y)
+        _assert_bitwise_equal(got, loop, nan_meets_nan)
+        part = partition_list(g.num_vertices, [0.3, 0.7])
+        for r in range(2):
+            sched = build_schedule_sort1(g, part, r)
+            plan = build_kernel_plan(g, part, sched)
+            lo, hi = part.interval(r)
+            with np.errstate(invalid="ignore"):
+                out = plan.sweep(y[lo:hi], y[sched.ghost_globals])
+            _assert_bitwise_equal(out, loop[lo:hi], nan_meets_nan[lo:hi])
 
     def test_empty_interval_plan(self):
         g = paper_mesh(300, seed=2)
@@ -575,26 +637,12 @@ class TestColumnLayout:
         sched = build_schedule_sort1(g, part, 1)
         plan = build_kernel_plan(g, part, sched)
         assert plan.n_local == 0
-        assert plan.segments.gather.size == 0 and plan.segments.columns == []
+        assert plan.rows.matrix.shape == (0, sched.ghost_size)
+        assert plan.rows.matrix.nnz == 0
         out = plan.sweep(np.empty(0), np.empty(sched.ghost_size))
         assert out.shape == (0,)
-        assert RowSegments(np.zeros(0, dtype=np.intp)).sums(np.empty(0)).shape == (0,)
-
-    @pytest.mark.parametrize(
-        "graph",
-        [*TestSummationOrderContract.GRAPHS, "random hubs"],
-    )
-    def test_column_adds_bounded_by_sqrt_2m(self, graph):
-        if graph == "random hubs":
-            rng = np.random.default_rng(13)
-            graphs = [_random_hub_graph(rng) for _ in range(200)]
-        else:
-            graphs = [TestSummationOrderContract.GRAPHS[graph]()]
-        for g in graphs:
-            m = int(g.indices.size)
-            segments = RowSegments(g.degrees, g.indices)
-            assert len(segments.columns) <= math.isqrt(2 * m) + 1
-            assert segments.gather.size == m
+        empty = np.zeros(0, dtype=np.intp)
+        assert RowOperator(_indptr(empty), empty, 0).sums(np.empty(0)).shape == (0,)
 
     def test_sparse_matvec_parallel_equals_sequential(self):
         """The SpMV app sums per-reference weights through the same
@@ -674,9 +722,9 @@ class TestKernelPlanEmptyIntervals:
             assert plan.n_local == hi - lo
             if hi == lo:
                 # The empty plan must be structurally sound, not a crash:
-                # no slots, no starts, and a sweep over nothing.
+                # no slots, one row pointer, and a sweep over nothing.
                 assert plan.slots.size == 0
-                assert plan.counts.size == 0 and plan.starts.size == 0
+                assert plan.indptr.tolist() == [0]
             ghost = gather(ctx, insp.schedule, y[lo:hi].copy())
             out = plan.sweep(y[lo:hi].copy(), ghost)
             ctx.barrier()
