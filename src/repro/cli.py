@@ -58,10 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workstations", type=int, default=4, choices=range(1, 6))
     run.add_argument("--strategy", default="sort2",
                      choices=("simple", "sort1", "sort2"))
-    run.add_argument("--backend", default=None,
-                     choices=("reference", "vectorized"),
-                     help="hot-path implementation (default: REPRO_BACKEND "
-                          "env var, else vectorized)")
     run.add_argument("--inspector-mode", default="full",
                      choices=("full", "incremental"),
                      help="phase-B rebuild after a remap: 'full' re-runs "
@@ -152,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "or the JSON object inline")
     invariant_help = (
         "check only the named invariant(s); repeatable (default: all "
-        "seven — reference-match, no-desync, recoverable, and the four "
-        "differentials backend-differential, obs-neutral, "
+        "six — reference-match, no-desync, recoverable, and the three "
+        "differentials obs-neutral, "
         "inspector-differential, world-differential)"
     )
     frun.add_argument("--invariant", action="append", default=[],
@@ -219,11 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="jobs a single rank may host concurrently "
                             "(1 = space sharing; higher values time-share "
                             "and co-tenant compute becomes competing load)")
-    serve.add_argument("--backend", default=None,
-                       choices=("reference", "vectorized"),
-                       help="hot-path implementation for every job "
-                            "(default: REPRO_BACKEND env var, else "
-                            "vectorized)")
     serve.add_argument("--json", dest="json_out", default=None,
                        metavar="FILE",
                        help="also write the service report as JSON")
@@ -347,7 +338,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config = ProgramConfig(
             iterations=args.iterations,
             strategy=args.strategy,
-            backend=args.backend,
             inspector_mode=args.inspector_mode,
             initial_capabilities=(
                 "equal"
@@ -676,7 +666,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             policy=args.policy,
             seed=args.seed,
             max_tenants=args.max_tenants,
-            backend=args.backend,
             trace=args.trace_out is not None,
             trace_capacity=args.trace_capacity,
         )

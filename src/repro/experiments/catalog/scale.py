@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from functools import partial
 from typing import Any, Mapping
 
 import numpy as np
 
 from repro.experiments.registry import experiment
 from repro.experiments.catalog.workloads import huge_workload, scale_workload
-from repro.experiments.spec import agree_across, below, config_label, group_runs
+from repro.experiments.spec import below, config_label, group_runs
 
 __all__ = [
     "scale_epoch_measurements",
@@ -24,21 +23,14 @@ __all__ = [
 ]
 
 # --------------------------------------------------------------------------
-# Scale tier — host-time benchmarks of the backend hot paths (ROADMAP
-# north star: "as fast as the hardware allows", far past the paper's
-# 30,269-vertex mesh).  Unlike the table experiments, these measure *host*
-# wall seconds, because both backends charge identical virtual time by
-# design — the contract each ``expect`` here states: a backend pair agrees
-# on every metric but the host-timed ones, bit for bit.
-
-#: The host-timed metrics of a timed ``run_program`` (``_scale_run``).
-_RUN_HOST = ("redistribute_host_s", "run_host_s")
+# Scale tier — host-time benchmarks of the runtime hot paths, far past
+# the paper's 30,269-vertex mesh.  Unlike the table experiments, these
+# measure *host* wall seconds next to the virtual ones.
 
 
 def scale_epoch_measurements(
     tier: str,
     family: str,
-    backend: str,
     p: int,
     epochs: int,
     *,
@@ -65,8 +57,7 @@ def scale_epoch_measurements(
 
     t0 = time.perf_counter()
     insp = [
-        run_inspector(graph, part, r, strategy="sort2", backend=backend)
-        for r in range(p)
+        run_inspector(graph, part, r, strategy="sort2") for r in range(p)
     ]
     inspector_s = time.perf_counter() - t0
 
@@ -75,8 +66,8 @@ def scale_epoch_measurements(
         lo, hi = part.interval(ctx.rank)
         local = y0[lo:hi].copy()
         for _ in range(epochs):
-            ghost = gather(ctx, sched, local, backend=backend)
-            scatter(ctx, sched, ghost, local, op="add", backend=backend)
+            ghost = gather(ctx, sched, local)
+            scatter(ctx, sched, ghost, local, op="add")
         return float(local.sum())
 
     t0 = time.perf_counter()
@@ -96,14 +87,27 @@ def scale_epoch_measurements(
     }
 
 
+def _expect_scale_epoch(runs):
+    # Sec. 3.2 conservation: each ghost slot is filled by exactly one
+    # element some peer sends.
+    for run in runs:
+        sent, ghosts = (
+            run["metrics"][k] for k in ("send_volume_total", "ghost_total")
+        )
+        if sent != ghosts:
+            yield (
+                f"{sent:.0f} elements sent for {ghosts:.0f} ghost slots at "
+                f"{config_label(run['params'])}"
+            )
+
+
 @experiment(
     "scale-epoch",
-    title="Scale tier: inspector+executor epoch, vectorized vs reference",
+    title="Scale tier: inspector+executor epoch",
     paper_anchor="ROADMAP (beyond Table 3)",
     grid={
         "tier": ("250k", "500k"),
         "family": ("grid", "geometric"),
-        "backend": ("vectorized", "reference"),
         "p": (4,),
         "epochs": (3,),
         "workload_seed": (1995,),
@@ -112,23 +116,17 @@ def scale_epoch_measurements(
     quick_grid={
         "tier": ("100k",),
         "family": ("grid",),
-        "backend": ("vectorized", "reference"),
         "p": (4,),
         "epochs": (1,),
         "workload_seed": (1995,),
         "world": ("sim",),
     },
-    expect=partial(
-        agree_across,
-        axis="backend",
-        ignore=("inspector_host_s", "executor_host_s", "epoch_host_s"),
-    ),
+    expect=_expect_scale_epoch,
 )
 def _exp_scale_epoch(params: Mapping[str, Any], *, seed: int) -> dict[str, float]:
     return scale_epoch_measurements(
         str(params["tier"]),
         str(params["family"]),
-        str(params["backend"]),
         int(params["p"]),
         int(params["epochs"]),
         workload_seed=int(params["workload_seed"]),
@@ -249,7 +247,6 @@ def _scale_run(
 def scale_adaptive_measurements(
     tier: str,
     scenario: str,
-    backend: str,
     style: str,
     p: int,
     iterations: int,
@@ -261,12 +258,11 @@ def scale_adaptive_measurements(
 ) -> dict[str, float]:
     """One dynamic-load run at a scale tier, through the adaptive session.
 
-    Virtual metrics (makespan, remap/check cost, remap count) are
-    backend-independent by the differential contract; the host-time
-    metrics (``redistribute_host_s``, ``run_host_s``) are what separates
-    the ``vectorized`` packed-slab exchange from the ``reference``
-    per-element loops.  With ``world="real"`` the whole adaptive session
-    runs on OS processes and the makespan is wall seconds; the competing
+    Virtual metrics (makespan, remap/check cost, remap count) come from
+    the sim cost model; the host-time metrics (``redistribute_host_s``,
+    ``run_host_s``) time the packed-slab exchange and the whole run.
+    With ``world="real"`` the whole adaptive session runs on OS
+    processes and the makespan is wall seconds; the competing
     load is then only visible to the *decision* layer (the simulated
     traces do not slow the host down), so the interesting real-world
     metrics are the overhead ones.
@@ -278,7 +274,6 @@ def scale_adaptive_measurements(
         tier, family, workload_seed, p, iterations,
         lambda horizon: dynamic_load_cluster(p, scenario, horizon),
         lambda cluster, horizon: dict(
-            backend=backend,
             load_balance=LoadBalanceConfig(
                 check_interval=check_interval, style=style
             ),
@@ -290,10 +285,12 @@ def scale_adaptive_measurements(
 
 
 def _expect_scale_adaptive(runs):
-    # A real-world run (--set world=real) reports wall seconds: only the
-    # sim world's metrics are virtual.
-    sim = [run for run in runs if run["params"]["world"] == "sim"]
-    yield from agree_across(sim, "backend", ignore=_RUN_HOST)
+    for run in runs:
+        if not run["metrics"]["num_remaps"] >= 1:
+            yield (
+                f"the dynamic load was never rebalanced at "
+                f"{config_label(run['params'])}"
+            )
 
 
 @experiment(
@@ -303,7 +300,6 @@ def _expect_scale_adaptive(runs):
     grid={
         "tier": ("10k", "100k", "250k", "500k"),
         "scenario": ("onset", "hotspot", "ramp"),
-        "backend": ("vectorized", "reference"),
         "style": ("centralized",),
         "p": (4,),
         "iterations": (30,),
@@ -314,7 +310,6 @@ def _expect_scale_adaptive(runs):
     quick_grid={
         "tier": ("10k",),
         "scenario": ("onset",),
-        "backend": ("vectorized", "reference"),
         "style": ("centralized", "distributed"),
         "p": (4,),
         "iterations": (20,),
@@ -330,7 +325,6 @@ def _exp_scale_adaptive(
     return scale_adaptive_measurements(
         str(params["tier"]),
         str(params["scenario"]),
-        str(params["backend"]),
         str(params["style"]),
         int(params["p"]),
         int(params["iterations"]),
@@ -480,7 +474,7 @@ def _expect_scale_real(runs):
 @experiment(
     "scale-real",
     title="Real processes vs simulator: measured/predicted cost ratios",
-    paper_anchor="ROADMAP (real-process backend)",
+    paper_anchor="ROADMAP (real-process world)",
     grid={
         "tier": ("10k", "100k"),
         "p": (4,),
@@ -516,7 +510,6 @@ def _exp_scale_real(params: Mapping[str, Any], *, seed: int) -> dict[str, float]
 def scale_elastic_measurements(
     tier: str,
     scenario: str,
-    backend: str,
     lb: bool,
     p: int,
     iterations: int,
@@ -529,8 +522,7 @@ def scale_elastic_measurements(
 
     ``lb=False`` is the static baseline: departures still drain (the data
     has nowhere else to go), but load imbalance is never corrected and
-    joins are never adopted.  Virtual metrics are backend-independent by
-    the differential contract; ``final_active`` counts the ranks actually
+    joins are never adopted.  ``final_active`` counts the ranks actually
     holding data at the end (the surviving set).
     """
     from repro.apps.workloads import elastic_cluster
@@ -540,7 +532,6 @@ def scale_elastic_measurements(
         tier, family, workload_seed, p, iterations,
         lambda horizon: elastic_cluster(p, scenario, horizon),
         lambda cluster, horizon: dict(
-            backend=backend,
             load_balance=(
                 LoadBalanceConfig(check_interval=check_interval)
                 if lb
@@ -553,6 +544,18 @@ def scale_elastic_measurements(
     )
 
 
+def _expect_scale_elastic(runs):
+    # Only a balancing run adopts a machine that joins, and adopting it
+    # must pay.  (After a departure both runs drain to the same survivors;
+    # whether rebalancing them pays depends on the run's length.)
+    for shared, by in group_runs(runs, "lb"):
+        if shared["scenario"] == "join-midrun" and True in by and False in by:
+            yield from below(
+                f"makespan with vs without LB ({config_label(shared)})",
+                by[True]["makespan"], by[False]["makespan"],
+            )
+
+
 @experiment(
     "scale-elastic",
     title="Scale tier: elastic membership (join/leave/churn) mid-run",
@@ -560,7 +563,6 @@ def scale_elastic_measurements(
     grid={
         "tier": ("10k", "100k", "250k", "500k"),
         "scenario": ("leave-at-peak", "join-midrun", "churn"),
-        "backend": ("vectorized", "reference"),
         "lb": (True, False),
         "p": (4,),
         "iterations": (30,),
@@ -570,14 +572,13 @@ def scale_elastic_measurements(
     quick_grid={
         "tier": ("10k",),
         "scenario": ("leave-at-peak", "join-midrun"),
-        "backend": ("vectorized", "reference"),
         "lb": (True, False),
         "p": (4,),
         "iterations": (20,),
         "check_interval": (5,),
         "workload_seed": (1995,),
     },
-    expect=partial(agree_across, axis="backend", ignore=_RUN_HOST),
+    expect=_expect_scale_elastic,
 )
 def _exp_scale_elastic(
     params: Mapping[str, Any], *, seed: int
@@ -585,7 +586,6 @@ def _exp_scale_elastic(
     return scale_elastic_measurements(
         str(params["tier"]),
         str(params["scenario"]),
-        str(params["backend"]),
         bool(params["lb"]),
         int(params["p"]),
         int(params["iterations"]),
@@ -603,7 +603,6 @@ def _exp_scale_elastic(
 def scale_resilience_measurements(
     tier: str,
     scenario: str,
-    backend: str,
     policy: str,
     p: int,
     iterations: int,
@@ -621,8 +620,7 @@ def scale_resilience_measurements(
     operator's honest failure-rate estimate for the scenario (the
     compute horizon divided by the number of failures in its trace) —
     the arm the checkpoint-interval sweep compares the fixed intervals
-    against.  Virtual metrics are backend-independent by the
-    differential contract; ``lost_time`` is the virtual progress each
+    against.  ``lost_time`` is the virtual progress each
     rollback discarded and re-executed, ``checkpoint_time`` the total
     replication overhead — the two sides of the trade the cost model
     navigates.  *replication* is the number of distinct ring successors
@@ -647,7 +645,6 @@ def scale_resilience_measurements(
             else resolve_checkpoint_policy(policy)
         )
         return dict(
-            backend=backend,
             load_balance=LoadBalanceConfig(check_interval=check_interval),
             checkpoint=dataclasses.replace(
                 checkpoint, replication_factor=int(replication)
@@ -665,7 +662,6 @@ def scale_resilience_measurements(
 
 
 def _expect_scale_resilience(runs):
-    yield from agree_across(runs, "backend", ignore=_RUN_HOST)
     for run in runs:
         if not run["metrics"]["num_rollbacks"] >= 1:
             yield f"a failure went unrecovered at {config_label(run['params'])}"
@@ -686,7 +682,6 @@ def _expect_scale_resilience(runs):
     grid={
         "tier": ("10k", "100k", "250k", "500k"),
         "scenario": ("fail-at-peak", "repeated-failures"),
-        "backend": ("vectorized",),
         "policy": ("interval:1", "interval:4", "interval:16", "cost"),
         "replication": (1, 2, 3),
         "p": (4,),
@@ -697,7 +692,6 @@ def _expect_scale_resilience(runs):
     quick_grid={
         "tier": ("10k",),
         "scenario": ("fail-at-peak", "repeated-failures"),
-        "backend": ("vectorized", "reference"),
         "policy": ("interval:4", "cost"),
         "replication": (1, 2),
         "p": (4,),
@@ -713,7 +707,6 @@ def _exp_scale_resilience(
     return scale_resilience_measurements(
         str(params["tier"]),
         str(params["scenario"]),
-        str(params["backend"]),
         str(params["policy"]),
         int(params["p"]),
         int(params["iterations"]),
@@ -750,7 +743,7 @@ _HUGE_ROUNDS = 4
 
 
 def scale_huge_measurements(
-    tier: str, p: int, backend: str, *, workload_seed: int = 1995
+    tier: str, p: int, *, workload_seed: int = 1995
 ) -> dict[str, float]:
     """Incremental-vs-full Phase B across repeated small-boundary remaps.
 
@@ -784,15 +777,11 @@ def scale_huge_measurements(
     values_match = True
     ghost_total = 0
     for r in range(p):
-        inc = IncrementalInspector(
-            graph, old, r, strategy="sort2", backend=backend
-        )
+        inc = IncrementalInspector(graph, old, r, strategy="sort2")
         fulls = []
         for part in remaps:
             t0 = time.perf_counter()
-            fulls.append(
-                run_inspector(graph, part, r, strategy="sort2", backend=backend)
-            )
+            fulls.append(run_inspector(graph, part, r, strategy="sort2"))
             full_s += time.perf_counter() - t0
         patched_events = 0
         patches = []
@@ -837,10 +826,6 @@ def scale_huge_measurements(
 
 
 def _expect_scale_huge(runs):
-    # (patch_virtual_s included: the charge is deterministic in the diff.)
-    yield from agree_across(
-        runs, "backend", ignore=("full_rebuild_s", "incremental_s", "speedup")
-    )
     for run in runs:
         params, m = run["params"], run["metrics"]
         at = config_label(params)
@@ -863,13 +848,11 @@ def _expect_scale_huge(runs):
     grid={
         "tier": ("1m", "4m", "10m"),
         "p": (16, 64, 128),
-        "backend": ("vectorized", "reference"),
         "workload_seed": (1995,),
     },
     quick_grid={
         "tier": ("1m",),
         "p": (16,),
-        "backend": ("vectorized", "reference"),
         "workload_seed": (1995,),
     },
     higher_is_better=("speedup",),
@@ -879,7 +862,6 @@ def _exp_scale_huge(params: Mapping[str, Any], *, seed: int) -> dict[str, float]
     return scale_huge_measurements(
         str(params["tier"]),
         int(params["p"]),
-        str(params["backend"]),
         workload_seed=int(params["workload_seed"]),
     )
 
@@ -892,7 +874,6 @@ def _exp_scale_huge(params: Mapping[str, Any], *, seed: int) -> dict[str, float]
 def scale_service_measurements(
     jobs: int,
     policy: str,
-    backend: str,
     shape: str,
     *,
     p: int = 8,
@@ -906,10 +887,10 @@ def scale_service_measurements(
     behind each wide head job, which the seeded random permutation fixes.
     The other shapes run time-shared (``max_tenants=2``) so co-tenant
     compute flows through :class:`~repro.net.loadmodel.ServiceLoad` into
-    every job's capability ratios.  All metrics are virtual, hence
-    bit-identical across backends (the differential contract);
-    ``checksum_sum`` aggregates the per-job value checksums, which are
-    policy- and placement-invariant (no job lost or duplicated).
+    every job's capability ratios.  All metrics but ``run_host_s`` are
+    virtual; ``checksum_sum`` aggregates the per-job value checksums,
+    which are policy- and placement-invariant (no job lost or
+    duplicated).
     """
     from repro.net import uniform_cluster
     from repro.serve import ServiceSession, generate_stream
@@ -922,7 +903,6 @@ def scale_service_measurements(
         policy=policy,
         seed=admission_seed,
         max_tenants=max_tenants,
-        backend=backend,
     )
     t0 = time.perf_counter()
     report = session.run()
@@ -935,7 +915,6 @@ def scale_service_measurements(
 
 
 def _expect_scale_service(runs):
-    yield from agree_across(runs, "backend", ignore=("run_host_s",))
     # On the adversarial descending stream the seeded random permutation
     # must beat FIFO's p99 makespan (narrow jobs stop queuing behind the
     # wide head-of-line job).
@@ -954,7 +933,6 @@ def _expect_scale_service(runs):
     grid={
         "jobs": (16, 24),
         "policy": ("fifo", "random", "sjf"),
-        "backend": ("vectorized", "reference"),
         "shape": ("descending", "uniform"),
         "p": (8,),
         "stream_seed": (1995,),
@@ -963,7 +941,6 @@ def _expect_scale_service(runs):
     quick_grid={
         "jobs": (16,),
         "policy": ("fifo", "random", "sjf"),
-        "backend": ("vectorized", "reference"),
         "shape": ("descending", "uniform"),
         "p": (8,),
         "stream_seed": (1995,),
@@ -978,7 +955,6 @@ def _exp_scale_service(
     return scale_service_measurements(
         int(params["jobs"]),
         str(params["policy"]),
-        str(params["backend"]),
         str(params["shape"]),
         p=int(params["p"]),
         stream_seed=int(params["stream_seed"]),

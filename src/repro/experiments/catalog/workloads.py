@@ -34,7 +34,7 @@ def rcb_ordered_mesh(n_vertices: int, seed: int):
 
 @lru_cache(maxsize=2)
 def scale_workload(tier: str, family: str, seed: int):
-    """(graph, y0) for one scale-tier mesh, shared across backend configs.
+    """(graph, y0) for one scale-tier mesh, shared across configs.
 
     The mesh arrives already phase-A ordered — grids are naturally
     row-major, geometric meshes get one (cached) Hilbert indexing — so the
@@ -59,7 +59,7 @@ def huge_workload(tier: str, workload_seed: int):
     Cached separately from :func:`scale_workload` with ``maxsize=1``:
     a 10M-vertex CSR is hundreds of MB, so at most one huge mesh lives
     at a time (put ``tier`` first in the grid so the cache actually
-    hits across the p/backend axes).
+    hits across the p axis).
     """
     import warnings
 

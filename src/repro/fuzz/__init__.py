@@ -1,13 +1,13 @@
 """Seeded adversarial scenario fuzzing (churn × load × failure).
 
 The runtime's standing contracts are each pinned by hand-written tests.
-This package turns them into an *oracle* of seven named invariants —
+This package turns them into an *oracle* of six named invariants —
 ``reference-match`` (recovery reproduces the no-failure values bit for
 bit), ``no-desync`` (collective counters never desynchronize),
 ``recoverable`` (an unrecoverable world dies with a diagnosed
 :class:`ResilienceError` rather than a crash), and one differential per
-neutral axis: ``backend-differential``, ``obs-neutral``,
-``inspector-differential``, ``world-differential`` — and drives randomly
+neutral axis: ``obs-neutral``, ``inspector-differential``,
+``world-differential`` — and drives randomly
 composed scenarios at it:
 
 * :mod:`~repro.fuzz.scenario` — the deterministic generator: a seed maps

@@ -18,20 +18,20 @@ the standing invariants of the runtime held:
   crash.  A scenario's ``expect`` field may narrow this to exactly one
   of the two legitimate outcomes.
 
-and four *differentials*, one per row of :data:`LATTICE`: the scenario is
+and three *differentials*, one per row of :data:`LATTICE`: the scenario is
 re-run with one neutral :class:`~repro.runtime.ProgramConfig` axis moved,
 and the two reports must agree under the one rule,
 :meth:`ProgramReport.differences <repro.runtime.ProgramReport.differences>`.
-``backend-differential`` (the paper-faithful loops) and ``obs-neutral``
-(recording is observation only: a span that advanced a clock or perturbed
-a decision would break determinism in the subtlest possible way; obs's
-*own* outputs, e.g. the mailbox-depth gauge, are not compared) stay
-inside one cost model, so the outcome, every clock, virtual time and
-collective counter must match too.  ``inspector-differential`` and
-``world-differential`` are values-only: a patch is charged less virtual
-time than a rebuild, and in the real world membership events fire on
-wall time, so clocks — and in the real world even the outcome —
-legitimately move.  A variant run that *crashes* is always a violation.
+``obs-neutral`` (recording is observation only: a span that advanced a
+clock or perturbed a decision would break determinism in the subtlest
+possible way; obs's *own* outputs, e.g. the mailbox-depth gauge, are not
+compared) stays inside one cost model, so the outcome, every clock,
+virtual time and collective counter must match too.
+``inspector-differential`` and ``world-differential`` are values-only: a
+patch is charged less virtual time than a rebuild, and in the real world
+membership events fire on wall time, so clocks — and in the real world
+even the outcome — legitimately move.  A variant run that *crashes* is
+always a violation.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ class Axis(NamedTuple):
 
 
 LATTICE = (
-    Axis("backend-differential", {"backend": "reference"}, virtual=True),
     Axis("obs-neutral", {"trace": True}, virtual=True),
     Axis(
         "inspector-differential",
@@ -151,12 +150,12 @@ class OracleReport:
 def _attempt(
     scenario: Scenario, **changes: Any
 ) -> tuple[str, "ProgramReport | None", str]:
-    """One run of *scenario* on the vectorized backend, with *changes*
-    replaced in its config: (outcome, report-or-None, diagnosis-or-crash)."""
+    """One run of *scenario*, with *changes* replaced in its config:
+    (outcome, report-or-None, diagnosis-or-crash)."""
     graph = scenario.build_graph()
     y0 = scenario.build_y0(graph)
     cluster = scenario.build_cluster()
-    config = replace(scenario.build_config(backend="vectorized"), **changes)
+    config = replace(scenario.build_config(), **changes)
     try:
         report = run_program(graph, cluster, config, y0=y0)
         return "recovered", report, ""
@@ -187,9 +186,9 @@ def run_scenario(
 ) -> OracleReport:
     """Execute *scenario* under the selected invariants.
 
-    The scenario runs once as configured (vectorized backend); every
-    selected :data:`LATTICE` row that applies re-runs it with that axis
-    moved, and ``reference-match`` additionally runs the quiet baseline.
+    The scenario runs once as configured; every selected :data:`LATTICE`
+    row that applies re-runs it with that axis moved, and
+    ``reference-match`` additionally runs the quiet baseline.
     """
     checked = check_invariant_names(invariants)
     outcome, primary, diagnosis = _attempt(scenario)
@@ -209,7 +208,7 @@ def run_scenario(
                 "ResilienceError but the run completed"
             )
     if "no-desync" in checked and primary is not None:
-        _check_desync(primary, "vectorized", violations)
+        _check_desync(primary, "as configured", violations)
 
     for axis in LATTICE:
         if axis.invariant not in checked or not axis.applies(scenario):

@@ -211,13 +211,12 @@ class Scenario:
             cluster = cluster.with_load(ls.rank, ls.as_trace())
         return cluster
 
-    def build_config(self, *, backend: str | None = None) -> "ProgramConfig":
+    def build_config(self) -> "ProgramConfig":
         from repro.runtime import ProgramConfig, resolve_load_balance
 
         return ProgramConfig(
             iterations=self.iterations,
             strategy=self.strategy,
-            backend=backend,
             initial_capabilities="equal",
             load_balance=resolve_load_balance(
                 self.load_balance, check_interval=self.check_interval
@@ -290,13 +289,7 @@ class Scenario:
                 f"scenario schema_version {version} is not supported "
                 f"(this build reads version {SCENARIO_SCHEMA_VERSION})"
             )
-        loads = tuple(
-            LoadSpec(
-                rank=int(entry["rank"]),
-                steps=tuple(tuple(s) for s in entry["steps"]),
-            )
-            for entry in data.pop("loads", [])
-        )
+        loads = _loads_from_json(data.pop("loads", []))
         speeds = data.pop("speeds", None)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
@@ -329,6 +322,40 @@ class Scenario:
         compact = json.dumps(self.to_dict(), sort_keys=True,
                              separators=(",", ":"))
         return f"python -m repro fuzz run --scenario '{compact}'"
+
+
+def _loads_from_json(value: Any) -> tuple[LoadSpec, ...]:
+    """``loads`` of a scenario JSON object; a malformed entry is a
+    :class:`ConfigurationError` that names it."""
+    if not isinstance(value, list):
+        raise ConfigurationError(
+            f"scenario loads must be a list, got {type(value).__name__}"
+        )
+    loads = []
+    for i, entry in enumerate(value):
+        where = f"scenario loads[{i}]"
+        if not isinstance(entry, Mapping):
+            raise ConfigurationError(
+                f"{where} must be an object, got {type(entry).__name__}"
+            )
+        missing = sorted({"rank", "steps"} - entry.keys())
+        if missing:
+            raise ConfigurationError(f"{where} is missing {missing}")
+        steps = entry["steps"]
+        if not isinstance(steps, list):
+            raise ConfigurationError(
+                f"{where} steps must be a list, got {type(steps).__name__}"
+            )
+        for step in steps:
+            if not isinstance(step, list) or len(step) != 2:
+                raise ConfigurationError(
+                    f"{where} step {step!r} is not a [time, load] pair"
+                )
+        try:
+            loads.append(LoadSpec(rank=int(entry["rank"]), steps=steps))
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{where} is invalid: {exc}") from None
+    return tuple(loads)
 
 
 # ---------------------------------------------------------------------- #

@@ -292,8 +292,8 @@ class RankContext:
         ascending virtual (arrival_time, source) order** — not the
         host-thread order the messages happened to be deposited in.  On
         deterministic networks this makes the receiver's clock
-        bit-reproducible across runs, thread schedules, and runtime
-        backends; it is the receive pattern behind the executor
+        bit-reproducible across runs and thread schedules; it is the
+        receive pattern behind the executor
         primitives, rooted collectives, and the load-report drains (one
         message per known peer per phase).
         """

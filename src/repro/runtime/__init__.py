@@ -13,12 +13,6 @@ from repro.runtime.adaptive import (
     resolve_load_balance,
     transfer_plan_summary,
 )
-from repro.runtime.backend import (
-    BACKENDS,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
 from repro.runtime.efficiency import (
     cluster_efficiency,
     nonuniform_efficiency,
@@ -44,11 +38,7 @@ from repro.runtime.kernels import (
     run_sequential,
 )
 from repro.runtime.monitor import LoadMonitor
-from repro.runtime.prediction import (
-    CapabilityPredictor,
-    LinearTrendPredictor,
-    make_predictor,
-)
+from repro.runtime.prediction import LinearTrendPredictor
 from repro.runtime.program import (
     ProgramConfig,
     ProgramReport,
@@ -82,8 +72,6 @@ from repro.runtime.translation import (
 
 __all__ = [
     "AdaptiveSession",
-    "BACKENDS",
-    "CapabilityPredictor",
     "Checkpoint",
     "CheckpointPolicy",
     "CommSchedule",
@@ -96,7 +84,6 @@ __all__ = [
     "redistribute_fields",
     "transfer_plan_summary",
     "LinearTrendPredictor",
-    "make_predictor",
     "DistributedTranslationTable",
     "ExecutorCostModel",
     "ExecutorScratch",
@@ -123,10 +110,7 @@ __all__ = [
     "estimate_remap_cost",
     "gather",
     "local_references",
-    "resolve_backend",
     "resolve_load_balance",
-    "set_backend",
-    "use_backend",
     "nonuniform_efficiency",
     "parse_checkpoint_policy",
     "recover_redistribute_fields",

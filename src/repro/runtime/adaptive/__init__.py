@@ -12,8 +12,7 @@ MinimizeCostRedistribution, remap — lives here in four modules:
   (a static run) is understood;
 * :mod:`~repro.runtime.adaptive.redistribution` — *how data moves*:
   :func:`redistribute_fields` ships k fields plus vertex identity in one
-  packed message per peer, with backend-paired (reference/vectorized)
-  buffer packing;
+  packed message per peer;
 * :mod:`~repro.runtime.adaptive.session` — *the loop*:
   :class:`AdaptiveSession` owns monitor → decide → redistribute →
   inspector-rebuild, so ``run_program``, the adaptive apps, and the

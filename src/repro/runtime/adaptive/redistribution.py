@@ -14,11 +14,9 @@ per-message setup cost once per peer instead of once per field.  Its body,
 sources stood in for by their replica holders): one implementation.  The
 identity segment lets the receiver verify each slab against the shared
 plan — a desynchronized partition (ranks disagreeing about who owns what)
-fails loudly instead of silently scattering data.  Buffer packing
-dispatches on the runtime backend (:mod:`repro.runtime.backend`):
-``vectorized`` copies whole slabs with numpy slicing, ``reference`` copies
-element by element; both produce bit-identical buffers and charge
-identical virtual time.
+fails loudly instead of silently scattering data.  Slabs are copied
+with numpy slicing; the per-element loops of ``tests/oracles_runtime.py``
+are the oracle they are tested against.
 
 :func:`estimate_remap_cost` is the analytic cost the rebalancing strategy
 uses for its profitability test before actually moving anything, and
@@ -37,8 +35,6 @@ from repro.net.message import Tags, pack_arrays, payload_nbytes, unpack_arrays
 from repro.net.network import PointToPointNetwork, SharedEthernet
 from repro.partition.arrangement import Transfer, transfer_matrix
 from repro.partition.intervals import IntervalPartition
-from repro.runtime import reference as ref
-from repro.runtime.backend import resolve_backend
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.comm import RankContext
@@ -65,31 +61,19 @@ IDENTITY_NBYTES = np.dtype(np.intp).itemsize
 # The packed wire format of one slab group — THE single implementation.
 # The remap / recovery exchange (:func:`exchange_fields`) and the
 # checkpoint replication (:mod:`repro.runtime.resilience.checkpoint`) ship
-# slabs through these four helpers, so the backend-paired
-# pack/verify/place semantics (and the bit-identical reference/vectorized
-# contract) cannot diverge between the exchanges.
+# slabs through these four helpers, so the pack/verify/place semantics
+# cannot diverge between the exchanges.
 
 
 def extract_slabs(
     source_fields: Sequence[np.ndarray],
     slabs: Sequence[Transfer],
     src_lo: int,
-    backend: str,
 ) -> list[np.ndarray]:
     """Per-field concatenated slab payloads (no identity, not packed).
 
     *src_lo* is the global start of the block *source_fields* covers.
     """
-    if backend == "reference":
-        return [
-            np.concatenate(
-                [
-                    ref.slab_pack_loop(f, tr.lo - src_lo, tr.hi - src_lo)
-                    for tr in slabs
-                ]
-            )
-            for f in source_fields
-        ]
     return [
         np.concatenate([f[tr.lo - src_lo : tr.hi - src_lo] for tr in slabs])
         for f in source_fields
@@ -100,23 +84,17 @@ def pack_slabs(
     source_fields: Sequence[np.ndarray],
     slabs: Sequence[Transfer],
     src_lo: int,
-    backend: str,
 ):
     """One packed [identity, field0, ...] payload for a slab group.
 
     *src_lo* is the global start of the block *source_fields* covers
     (the sender's interval — or, on the recovery path, the dead owner's).
     """
-    if backend == "reference":
-        identity = np.concatenate(
-            [ref.iota_loop(tr.lo, tr.hi) for tr in slabs]
-        )
-    else:
-        identity = np.concatenate(
-            [np.arange(tr.lo, tr.hi, dtype=np.intp) for tr in slabs]
-        )
+    identity = np.concatenate(
+        [np.arange(tr.lo, tr.hi, dtype=np.intp) for tr in slabs]
+    )
     return pack_arrays(
-        [identity] + extract_slabs(source_fields, slabs, src_lo, backend)
+        [identity] + extract_slabs(source_fields, slabs, src_lo)
     )
 
 
@@ -162,18 +140,15 @@ def place_slabs(
     slabs: Sequence[Transfer],
     parts: Sequence[np.ndarray],
     new_lo: int,
-    backend: str,
 ) -> None:
     """Place verified per-field slab payloads into the new-block arrays."""
     for f_idx, out in enumerate(outs):
         part = parts[f_idx]
         offset = 0
         for tr in slabs:
-            segment = part[offset : offset + tr.count]
-            if backend == "reference":
-                ref.slab_unpack_loop(out, tr.lo - new_lo, segment)
-            else:
-                out[tr.lo - new_lo : tr.hi - new_lo] = segment
+            out[tr.lo - new_lo : tr.hi - new_lo] = part[
+                offset : offset + tr.count
+            ]
             offset += tr.count
 
 
@@ -184,7 +159,6 @@ def exchange_fields(
     fields: Sequence[np.ndarray],
     *,
     tag: int = Tags.REDISTRIBUTE,
-    backend: str | None = None,
     failed: np.ndarray | None = None,
     shippers: Mapping[int, int] | None = None,
     replicas: Mapping[int, Sequence[np.ndarray]] | None = None,
@@ -201,7 +175,6 @@ def exchange_fields(
     (``Tags.RECOVERY_BASE + owner``) so a holder covering several dead
     owners keeps their streams apart from each other and from its own.
     """
-    backend = resolve_backend(backend)
     fields = [np.asarray(f) for f in fields]
     if not fields:
         raise error_cls("the packed exchange needs at least one field")
@@ -225,8 +198,7 @@ def exchange_fields(
         kept = [Transfer(rank, rank, max(old_lo, new_lo), min(old_hi, new_hi))]
         if kept[0].lo < kept[0].hi:
             place_slabs(
-                outs, kept, extract_slabs(fields, kept, old_lo, backend),
-                new_lo, backend,
+                outs, kept, extract_slabs(fields, kept, old_lo), new_lo
             )
 
     def replica_tag(owner: int) -> int:
@@ -261,12 +233,12 @@ def exchange_fields(
     # is deterministic regardless of plan enumeration details: own slabs,
     # then replica slabs.
     for dest in sorted(own_out):
-        ctx.send(dest, pack_slabs(fields, own_out[dest], old_lo, backend), tag)
+        ctx.send(dest, pack_slabs(fields, own_out[dest], old_lo), tag)
     for owner, dest in sorted(replica_out):
         if dest != rank:  # this rank's own share is placed locally below
             payload = pack_slabs(
                 list(replicas[owner]), replica_out[(owner, dest)],
-                old.interval(owner)[0], backend,
+                old.interval(owner)[0],
             )
             ctx.send(dest, payload, replica_tag(owner))
 
@@ -278,7 +250,7 @@ def exchange_fields(
         verify_slabs(
             rank, f"rank {source}", parts, slabs, len(fields), outs, error_cls
         )
-        place_slabs(outs, slabs, parts[1:], new_lo, backend)
+        place_slabs(outs, slabs, parts[1:], new_lo)
 
     # Dead owners' slabs, ascending owner: from the local replica when
     # this rank is the designated shipper, else from its message.
@@ -287,7 +259,7 @@ def exchange_fields(
         holder = shippers[owner]
         if holder == rank:
             parts = extract_slabs(
-                list(replicas[owner]), slabs, old.interval(owner)[0], backend
+                list(replicas[owner]), slabs, old.interval(owner)[0]
             )
         else:
             parts = unpack_arrays(ctx.recv(holder, replica_tag(owner)))
@@ -296,7 +268,7 @@ def exchange_fields(
                 len(fields), outs, error_cls,
             )
             parts = parts[1:]
-        place_slabs(outs, slabs, parts, new_lo, backend)
+        place_slabs(outs, slabs, parts, new_lo)
     return outs
 
 
@@ -307,14 +279,13 @@ def redistribute_fields(
     fields: Sequence[np.ndarray],
     *,
     tag: int = Tags.REDISTRIBUTE,
-    backend: str | None = None,
 ) -> list[np.ndarray]:
     """Move this rank's block of *k* fields from *old* to *new* homes.
 
     SPMD collective: all ranks call it with their old-block fields; each
     returns its new-block fields (:func:`exchange_fields`, nothing failed).
     """
-    return exchange_fields(ctx, old, new, fields, tag=tag, backend=backend)
+    return exchange_fields(ctx, old, new, fields, tag=tag)
 
 
 def redistribute(
@@ -324,7 +295,6 @@ def redistribute(
     local_data: np.ndarray,
     *,
     tag: int = Tags.REDISTRIBUTE,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Move one field between partitions (single-field convenience form).
 
@@ -333,7 +303,7 @@ def redistribute(
     packed message per peer.
     """
     return redistribute_fields(
-        ctx, old, new, [np.asarray(local_data)], tag=tag, backend=backend
+        ctx, old, new, [np.asarray(local_data)], tag=tag
     )[0]
 
 

@@ -31,7 +31,7 @@ The session also does the bookkeeping Tables 4-5 are made of, once, in
 its rank's metrics registry (:data:`LEDGER`): virtual time spent in
 checks, remaps, checkpoints, and rollbacks; check/remap/epoch counts; and
 the host seconds of the redistribution exchange (what the
-``scale-adaptive`` benchmarks compare across backends).
+``scale-adaptive`` benchmarks report).
 
 The competing load this loop reacts to comes from two producers: scripted
 per-rank traces (``StepLoad`` schedules — the Table 5 setup), and the job
@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from repro.errors import LoadBalanceError, ResilienceError
+from repro.errors import ConfigurationError, LoadBalanceError, ResilienceError
 from repro.graph.csr import CSRGraph
 from repro.partition.intervals import IntervalPartition
 from repro.runtime.adaptive.elastic import (
@@ -159,7 +159,8 @@ class AdaptiveSession:
     lb: "LoadBalanceConfig | str | None" = None
     schedule_strategy: str = "sort2"
     inspector_cost: InspectorCostModel = field(default_factory=InspectorCostModel)
-    backend: str | None = None
+    # bench/tracing.py passes this; ROADMAP item 3 deletes it.
+    backend: None = None
     #: Checkpoint policy (:mod:`repro.runtime.resilience`): a policy
     #: object, a DSL string ("interval:4" / "cost:50"), or None for no
     #: checkpointing.  Mandatory when the membership trace contains
@@ -174,6 +175,11 @@ class AdaptiveSession:
     inspector_mode: str = "full"
 
     def __post_init__(self) -> None:
+        if self.backend is not None:
+            raise ConfigurationError(
+                f"backend must be None (the runtime has one "
+                f"implementation), got {self.backend!r}"
+            )
         if self.total_iterations < 1:
             raise LoadBalanceError(
                 f"total_iterations must be >= 1, got {self.total_iterations}"
@@ -181,10 +187,10 @@ class AdaptiveSession:
         self.lb = resolve_load_balance(self.lb)
         self.monitor = LoadMonitor()
         self._predictor = None
-        if not self.static and self.lb.predictor is not None:
-            from repro.runtime.prediction import make_predictor
+        if not self.static and self.lb.predictor == "trend":
+            from repro.runtime.prediction import LinearTrendPredictor
 
-            self._predictor = make_predictor(self.lb.predictor)
+            self._predictor = LinearTrendPredictor()
         # Elastic membership is the cluster's trace (run_program attaches
         # the resolved one); clusters without one keep a fixed rank set.
         trace = self.ctx.cluster.membership
@@ -220,7 +226,6 @@ class AdaptiveSession:
                 strategy=self.schedule_strategy,
                 ctx=self.ctx,
                 cost_model=self.inspector_cost,
-                backend=self.backend,
             )
             self.inspector: InspectorResult = self._incremental.result
         else:
@@ -246,7 +251,6 @@ class AdaptiveSession:
             strategy=self.schedule_strategy,
             ctx=self.ctx,
             cost_model=self.inspector_cost,
-            backend=self.backend,
         )
 
     def _rebuild_inspector(self) -> InspectorResult:
@@ -645,7 +649,6 @@ class AdaptiveSession:
                 self.active,
                 next_iteration=next_iteration,
                 epoch=res.epochs_taken,
-                backend=self.backend,
                 replication_factor=res.policy.replication_factor,
             )
         res.measured_cost = ctx.clock - t0
@@ -747,7 +750,6 @@ class AdaptiveSession:
                 failed=self.elastic.failed,
                 partners=cp.partners,
                 replicas=cp.replicas,
-                backend=self.backend,
             )
             ctx.metrics.observe(
                 "lb.redistribute_host_time", time.perf_counter() - host0
@@ -779,8 +781,7 @@ class AdaptiveSession:
             if fields:
                 host0 = time.perf_counter()
                 fields = redistribute_fields(
-                    ctx, self.partition, new_partition, fields,
-                    backend=self.backend,
+                    ctx, self.partition, new_partition, fields
                 )
                 ctx.metrics.observe(
                     "lb.redistribute_host_time", time.perf_counter() - host0

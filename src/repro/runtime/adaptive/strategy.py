@@ -122,6 +122,11 @@ class LoadBalanceConfig:
             raise LoadBalanceError(
                 f"style must be one of {_PROTOCOLS}, got {self.style!r}"
             )
+        if self.predictor not in (None, "trend"):
+            raise LoadBalanceError(
+                f"unknown predictor {self.predictor!r}; pick None (the "
+                f"last phase) or 'trend'"
+            )
 
 
 def resolve_load_balance(

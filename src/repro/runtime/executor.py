@@ -14,13 +14,12 @@ results are bit-deterministic even when thread scheduling reorders arrivals
 (this matters for ``scatter(op="add")``, where a local element accumulates
 floating-point contributions from several peers).  Virtual time is charged
 in sorted virtual-arrival order, so on deterministic networks the clocks
-are bit-reproducible too — across runs, thread schedules, and runtime
-backends.
+are bit-reproducible too — across runs and thread schedules.
 
-Buffer pack/unpack dispatches on the runtime backend
-(:mod:`repro.runtime.backend`): ``vectorized`` uses fancy indexing and
-``np.add.at``; ``reference`` copies element by element.  Both send one
-coalesced payload per peer per phase and charge identical virtual time.
+Buffers are packed and unpacked with fancy indexing (``np.add.at`` for
+accumulation), one coalesced payload per peer per phase; the per-element
+loops of ``tests/oracles_runtime.py`` are the oracle they are tested
+against.
 """
 
 from __future__ import annotations
@@ -30,10 +29,8 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from repro.errors import ScheduleError
+from repro.errors import ConfigurationError, ScheduleError
 from repro.net.message import Tags
-from repro.runtime import reference as ref
-from repro.runtime.backend import resolve_backend
 from repro.runtime.schedule import CommSchedule
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -128,7 +125,8 @@ def gather(
     *,
     tag: int = Tags.EXECUTOR_GATHER,
     cost_model: ExecutorCostModel = ExecutorCostModel(),
-    backend: str | None = None,
+    # bench/tracing.py passes this; ROADMAP item 3 deletes it.
+    backend: None = None,
     scratch: ExecutorScratch | None = None,
 ) -> np.ndarray:
     """Fetch off-processor elements into this rank's ghost buffer.
@@ -138,7 +136,11 @@ def gather(
     With *scratch*, the ghost buffer is recycled across calls (see
     :class:`ExecutorScratch` for the validity contract).
     """
-    backend = resolve_backend(backend)
+    if backend is not None:
+        raise ConfigurationError(
+            f"backend must be None (the runtime has one implementation), "
+            f"got {backend!r}"
+        )
     local_data = np.asarray(local_data)
     _check_local_shape(ctx, schedule, local_data)
     ctx.metrics.count("exec.gathers")
@@ -146,11 +148,7 @@ def gather(
     pack = 0
     for dest in schedule.send_peers():
         idx = schedule.send_lists[dest]
-        if backend == "reference":
-            buf = ref.pack_loop(local_data, idx)
-        else:
-            buf = np.ascontiguousarray(local_data[idx])
-        ctx.send(dest, buf, tag)
+        ctx.send(dest, np.ascontiguousarray(local_data[idx]), tag)
         pack += idx.size
     if pack:
         ctx.compute(pack * cost_model.sec_per_pack, label="gather-pack")
@@ -167,10 +165,7 @@ def gather(
     unpack = 0
     for src in schedule.recv_peers():
         pos = schedule.recv_lists[src]
-        if backend == "reference":
-            ref.unpack_loop(ghost, pos, received[src])
-        else:
-            ghost[pos] = received[src]
+        ghost[pos] = received[src]
         unpack += pos.size
     if unpack:
         ctx.compute(unpack * cost_model.sec_per_unpack, label="gather-unpack")
@@ -186,7 +181,6 @@ def scatter(
     op: Callable[[np.ndarray, np.ndarray, np.ndarray], None] | str = "add",
     tag: int = Tags.EXECUTOR_SCATTER,
     cost_model: ExecutorCostModel = ExecutorCostModel(),
-    backend: str | None = None,
 ) -> np.ndarray:
     """Push ghost-buffer contributions back to their home processors.
 
@@ -197,13 +191,12 @@ def scatter(
 
     Contributions are combined in ascending peer order regardless of
     message arrival order, so accumulation results are bit-deterministic
-    across runs, backends, and thread schedules.
+    across runs and thread schedules.
 
     Used by irregular kernels that accumulate into neighbor data (the
     symmetric counterpart of Fig. 8's read pattern).  Modifies and returns
     ``local_data``.
     """
-    backend = resolve_backend(backend)
     ghost_data = np.asarray(ghost_data)
     if ghost_data.shape[0] != schedule.ghost_size:
         raise ScheduleError(
@@ -216,11 +209,7 @@ def scatter(
     pack = 0
     for src in schedule.recv_peers():
         pos = schedule.recv_lists[src]
-        if backend == "reference":
-            buf = ref.pack_loop(ghost_data, pos)
-        else:
-            buf = np.ascontiguousarray(ghost_data[pos])
-        ctx.send(src, buf, tag)
+        ctx.send(src, np.ascontiguousarray(ghost_data[pos]), tag)
         pack += pos.size
     if pack:
         ctx.compute(pack * cost_model.sec_per_pack, label="scatter-pack")
@@ -234,15 +223,9 @@ def scatter(
         idx = schedule.send_lists[source]
         payload = received[source]
         if op == "add":
-            if backend == "reference":
-                ref.scatter_add_loop(local_data, idx, payload)
-            else:
-                np.add.at(local_data, idx, payload)
+            np.add.at(local_data, idx, payload)
         elif op == "replace":
-            if backend == "reference":
-                ref.scatter_replace_loop(local_data, idx, payload)
-            else:
-                local_data[idx] = payload
+            local_data[idx] = payload
         else:
             op(local_data, idx, payload)
         unpack += idx.size

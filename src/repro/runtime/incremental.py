@@ -25,7 +25,7 @@ addresses are unchanged.  This module exploits that:
 
 **Bit-identity contract.**  The patched schedule and plan are equal,
 array for array, to what a from-scratch ``sort1``/``sort2`` build would
-produce (both backends): the ghost buffer is ``np.unique`` of the same
+produce: the ghost buffer is ``np.unique`` of the same
 cross-reference multiset, the recv side reuses
 :func:`~repro.runtime.schedule_builders._recv_side_sorted` verbatim, and
 the send side *is*
@@ -40,8 +40,7 @@ for ``sort1``/``sort2``); the ``simple`` strategy's request-ordered
 ghost buffers cannot be patched and are rejected at construction.
 
 Virtual time: a patch charges ``"inspector-incremental"`` — a
-deterministic function of the diff's structural sizes, identical across
-backends (the incremental path is a single numpy implementation), and
+deterministic function of the diff's structural sizes, and
 much smaller than a full build's charge.  That shrinkage feeds the
 session's learned rebuild cost, making *more* remaps pass
 the profitability test — a perf change that also improves adaptive
@@ -196,27 +195,7 @@ def _range_ref_count(graph: CSRGraph, ranges: tuple[tuple[int, int], ...]) -> in
 def inspector_results_equal(a: InspectorResult, b: InspectorResult) -> bool:
     """Array-for-array equality of two inspector results (schedule and
     kernel plan; build times and strategies are excluded on purpose)."""
-    sa, sb = a.schedule, b.schedule
-    if sa.rank != sb.rank or not np.array_equal(sa.ghost_globals, sb.ghost_globals):
-        return False
-    if sorted(sa.send_lists) != sorted(sb.send_lists):
-        return False
-    if any(not np.array_equal(sa.send_lists[d], sb.send_lists[d])
-           for d in sa.send_lists):
-        return False
-    if sorted(sa.recv_lists) != sorted(sb.recv_lists):
-        return False
-    if any(not np.array_equal(sa.recv_lists[s], sb.recv_lists[s])
-           for s in sa.recv_lists):
-        return False
-    pa, pb = a.kernel_plan, b.kernel_plan
-    return (
-        pa.rank == pb.rank
-        and pa.n_local == pb.n_local
-        and pa.n_ghost == pb.n_ghost
-        and np.array_equal(pa.slots, pb.slots)
-        and np.array_equal(pa.indptr, pb.indptr)
-    )
+    return a.schedule == b.schedule and a.kernel_plan == b.kernel_plan
 
 
 class IncrementalInspector:
@@ -246,7 +225,6 @@ class IncrementalInspector:
         strategy: str = "sort2",
         ctx: "RankContext | None" = None,
         cost_model: InspectorCostModel = InspectorCostModel(),
-        backend: str | None = None,
     ):
         check_inspector_mode("incremental", strategy)
         self.graph = graph
@@ -254,7 +232,6 @@ class IncrementalInspector:
         self.strategy = strategy
         self.ctx = ctx
         self.cost_model = cost_model
-        self.backend = backend
         self.num_patches = 0
         self.num_full_rebuilds = 0
         self.last_mode = "full"
@@ -273,7 +250,6 @@ class IncrementalInspector:
             strategy=self.strategy,
             ctx=self.ctx,
             cost_model=self.cost_model,
-            backend=self.backend,
         )
         self._capture(partition, result)
         return result
@@ -306,7 +282,7 @@ class IncrementalInspector:
     # indptr), the moved rows' reference count (exact), and the current
     # cross-reference, ghost and send sizes, which stand in for the new
     # partition's (a boundary shift changes them by boundary-sized
-    # amounts).  Deterministic and backend-identical.
+    # amounts).  Deterministic.
 
     def _full_cost_estimate(self, d: IntervalDiff) -> float:
         """What ``sort1``/``sort2`` would charge for the new block."""
@@ -478,8 +454,7 @@ class IncrementalInspector:
         )
 
         # --- virtual charge ------------------------------------------- #
-        # Deterministic in the diff's structural sizes (and trivially
-        # backend-identical: the patch is a single numpy implementation).
+        # Deterministic in the diff's structural sizes.
         cost = self.cost_model.patch_cost(
             diff_refs=_range_ref_count(graph, d.lost + d.gained),
             cross=int(self.cross_src.size + cross_src.size),

@@ -57,17 +57,12 @@ def run_inspector(
     strategy: str = "sort2",
     ctx: "RankContext | None" = None,
     cost_model: InspectorCostModel = InspectorCostModel(),
-    backend: str | None = None,
 ) -> InspectorResult:
     """Build this rank's communication schedule and kernel plan.
 
     ``strategy`` is one of :data:`STRATEGIES`.  The ``simple`` strategy is
     an SPMD collective and therefore requires *ctx*; the sorting strategies
     run locally (ctx, when given, only receives the virtual time charge).
-
-    ``backend`` selects the ``reference`` (scalar loop) or ``vectorized``
-    (bulk numpy) implementation of the hot paths; both yield bit-identical
-    schedules and plans and the same virtual-time charges.
     """
     if strategy not in STRATEGIES:
         raise ScheduleError(
@@ -91,20 +86,17 @@ def run_inspector(
                     f"ctx.rank={ctx.rank} disagrees with rank={rank}"
                 )
             schedule = build_schedule_simple(
-                graph, partition, ctx=ctx, cost_model=cost_model,
-                backend=backend,
+                graph, partition, ctx=ctx, cost_model=cost_model
             )
         elif strategy == "sort1":
             schedule = build_schedule_sort1(
-                graph, partition, rank, ctx=ctx, cost_model=cost_model,
-                backend=backend,
+                graph, partition, rank, ctx=ctx, cost_model=cost_model
             )
         else:
             schedule = build_schedule_sort2(
-                graph, partition, rank, ctx=ctx, cost_model=cost_model,
-                backend=backend,
+                graph, partition, rank, ctx=ctx, cost_model=cost_model
             )
-        plan = build_kernel_plan(graph, partition, schedule, backend=backend)
+        plan = build_kernel_plan(graph, partition, schedule)
     build_time = (ctx.clock - t0) if ctx is not None else 0.0
     if ctx is not None:
         ctx.metrics.count("inspector.full_builds")

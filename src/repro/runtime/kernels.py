@@ -126,7 +126,7 @@ def run_sequential(
     return y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelPlan:
     """Per-rank compiled kernel: translated addresses, ready to sweep.
 
@@ -162,6 +162,20 @@ class KernelPlan:
                 f"rank {self.rank}: slots must lie in [0, {width}), got "
                 f"[{slots.min()}, {slots.max()}]"
             )
+
+    def __eq__(self, other: object) -> bool:
+        """Field for field, the arrays element for element."""
+        if not isinstance(other, KernelPlan):
+            return NotImplemented
+        return (
+            self.rank == other.rank
+            and self.n_local == other.n_local
+            and self.n_ghost == other.n_ghost
+            and np.array_equal(self.slots, other.slots)
+            and np.array_equal(self.indptr, other.indptr)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
     @property
     def n_references(self) -> int:
@@ -212,8 +226,6 @@ def build_kernel_plan(
     graph: CSRGraph,
     partition: IntervalPartition,
     schedule: CommSchedule,
-    *,
-    backend: str | None = None,
 ) -> KernelPlan:
     """Translate the global Fig. 8 indirection into local+ghost slots.
 
@@ -221,43 +233,32 @@ def build_kernel_plan(
     offsets into the local block; off-processor neighbors become
     ``n_local + position`` in the (sorted or request-ordered) ghost buffer.
     """
-    from repro.runtime.backend import resolve_backend
-
     rank = schedule.rank
     lo, hi = partition.interval(rank)
     n_local = hi - lo
     indptr = graph.indptr[lo : hi + 1] - graph.indptr[lo]
     nbr = graph.indices[graph.indptr[lo] : graph.indptr[hi]]
-    if resolve_backend(backend) == "reference":
-        from repro.runtime.reference import kernel_slots_loop
-
+    slots = np.empty(nbr.size, dtype=np.intp)
+    local_mask = (nbr >= lo) & (nbr < hi)
+    slots[local_mask] = nbr[local_mask] - lo
+    off = nbr[~local_mask]
+    ghost = schedule.ghost_globals
+    off_slots = sorted_ghost_slots(ghost, off, n_local)
+    if off_slots is None:
+        # Request-ordered ghost buffers (simple strategy) are not
+        # sorted; fall back to a dictionary translation.
+        lookup = {int(g): i for i, g in enumerate(ghost)}
         try:
-            slots = kernel_slots_loop(nbr, lo, hi, schedule.ghost_globals)
-        except ScheduleError as exc:
-            raise ScheduleError(f"rank {rank}: {exc}") from None
-    else:
-        slots = np.empty(nbr.size, dtype=np.intp)
-        local_mask = (nbr >= lo) & (nbr < hi)
-        slots[local_mask] = nbr[local_mask] - lo
-        off = nbr[~local_mask]
-        ghost = schedule.ghost_globals
-        off_slots = sorted_ghost_slots(ghost, off, n_local)
-        if off_slots is None:
-            # Request-ordered ghost buffers (simple strategy) are not
-            # sorted; fall back to a dictionary translation.
-            lookup = {int(g): i for i, g in enumerate(ghost)}
-            try:
-                off_slots = n_local + np.fromiter(
-                    (lookup[int(g)] for g in off),
-                    dtype=np.intp,
-                    count=off.size,
-                )
-            except KeyError as exc:
-                raise ScheduleError(
-                    f"rank {rank}: reference {exc} missing from ghost "
-                    "buffer"
-                ) from None
-        slots[~local_mask] = off_slots
+            off_slots = n_local + np.fromiter(
+                (lookup[int(g)] for g in off),
+                dtype=np.intp,
+                count=off.size,
+            )
+        except KeyError as exc:
+            raise ScheduleError(
+                f"rank {rank}: reference {exc} missing from ghost buffer"
+            ) from None
+    slots[~local_mask] = off_slots
     return KernelPlan(
         rank=rank,
         n_local=n_local,

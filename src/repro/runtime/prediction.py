@@ -17,63 +17,41 @@ average and an exponential smoothing both lost to the last phase.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Protocol
 
 import numpy as np
 
 from repro.errors import LoadBalanceError
 
-__all__ = [
-    "CapabilityPredictor",
-    "LinearTrendPredictor",
-    "make_predictor",
-]
+__all__ = ["LinearTrendPredictor"]
+
+#: Phases the trend line is fitted over.
+WINDOW = 4
+#: A forecast stays within [MIN_FACTOR, MAX_FACTOR] x the last
+#: observation, so a noisy fit cannot produce absurd extrapolations.
+MIN_FACTOR = 0.25
+MAX_FACTOR = 4.0
 
 
-class CapabilityPredictor(Protocol):
-    """One processor's capability forecaster."""
+class LinearTrendPredictor:
+    """One processor's forecaster (``LoadBalanceConfig(predictor="trend")``):
+    a least-squares line over the last :data:`WINDOW` phases, extrapolated
+    one step — anticipates ramping competing load (someone's build job
+    warming up) instead of lagging it.
+    """
+
+    def __init__(self) -> None:
+        self._history: deque[float] = deque(maxlen=WINDOW)
 
     def observe(self, capability: float) -> None:
         """Record the capability (items/second) measured in the last phase."""
-        ...
-
-    def predict(self) -> float:
-        """Forecast the capability of the next phase."""
-        ...
-
-
-@dataclass
-class LinearTrendPredictor:
-    """Least-squares line over the last *window* phases, extrapolated one
-    step — anticipates ramping competing load (someone's build job warming
-    up) instead of lagging it.
-
-    Forecasts are clamped to stay within [min_factor, max_factor] of the
-    last observation so a noisy fit cannot produce absurd extrapolations.
-    """
-
-    window: int = 4
-    min_factor: float = 0.25
-    max_factor: float = 4.0
-    _history: Deque[float] = field(default_factory=deque)
-
-    def __post_init__(self) -> None:
-        if self.window < 2:
-            raise LoadBalanceError(f"window must be >= 2, got {self.window}")
-        if not (0 < self.min_factor <= 1.0 <= self.max_factor):
-            raise LoadBalanceError("need min_factor <= 1 <= max_factor")
-
-    def observe(self, capability: float) -> None:
         if not np.isfinite(capability) or capability <= 0:
             raise LoadBalanceError(
                 f"capability observations must be positive, got {capability}"
             )
         self._history.append(float(capability))
-        while len(self._history) > self.window:
-            self._history.popleft()
 
     def predict(self) -> float:
+        """Forecast the capability of the next phase."""
         if not self._history:
             raise LoadBalanceError("no observations yet")
         h = np.asarray(self._history)
@@ -83,17 +61,4 @@ class LinearTrendPredictor:
         slope, intercept = np.polyfit(x, h, 1)
         forecast = intercept + slope * h.size
         last = float(h[-1])
-        return float(
-            np.clip(forecast, last * self.min_factor, last * self.max_factor)
-        )
-
-
-def make_predictor(kind: str, **kwargs: object) -> CapabilityPredictor:
-    """Factory by name: 'trend'.  The paper's last-phase rule is no
-    predictor at all (``LoadBalanceConfig(predictor=None)``)."""
-    factories = {"trend": LinearTrendPredictor}
-    if kind not in factories:
-        raise LoadBalanceError(
-            f"unknown predictor {kind!r}; pick from {sorted(factories)}"
-        )
-    return factories[kind](**kwargs)  # type: ignore[arg-type]
+        return float(np.clip(forecast, last * MIN_FACTOR, last * MAX_FACTOR))

@@ -84,10 +84,8 @@ class ProgramConfig:
     #: (:mod:`repro.runtime.incremental`) — bit-identical results, a
     #: fraction of the rebuild cost.  Requires a sorting strategy.
     inspector_mode: str = "full"
-    #: Hot-path implementation: "reference" | "vectorized" | None (= the
-    #: process default from :mod:`repro.runtime.backend`).  Both backends
-    #: produce bit-identical results and virtual times.
-    backend: str | None = None
+    # bench/tracing.py passes this; ROADMAP item 3 deletes it.
+    backend = None
     ordering: OrderingMethod | None = None  # None -> RCB (or identity if no coords)
     #: "speeds" (split by known base speeds), "equal" (the paper's adaptive
     #: experiment: "the graph was decomposed assuming all the processors had
@@ -163,10 +161,6 @@ class ProgramConfig:
             raise ConfigurationError(
                 f"recv_timeout must be > 0 seconds, got {self.recv_timeout}"
             )
-        if self.backend is not None:
-            from repro.runtime.backend import resolve_backend
-
-            resolve_backend(self.backend)  # raises on unknown names
         if self.checkpoint is not None:
             from repro.runtime.resilience import resolve_checkpoint_policy
 
@@ -243,7 +237,7 @@ class ProgramReport:
     ) -> list[str]:
         """The differential rule: where two runs of one program disagree.
 
-        Two runs that differ only in a *neutral axis* — backend, tracing,
+        Two runs that differ only in a *neutral axis* — tracing,
         inspector mode, execution world — must compute the same final
         values, bit for bit.  When both ran on the sim world's one cost
         model (*virtual*), per-rank clocks and :data:`VIRTUAL` must be
@@ -351,7 +345,6 @@ def _rank_body(
         lb=config.load_balance,
         schedule_strategy=config.strategy,
         inspector_cost=config.inspector_cost,
-        backend=config.backend,
         checkpoint=config.checkpoint,
         inspector_mode=config.inspector_mode,
     )
@@ -372,8 +365,7 @@ def _rank_body(
             with ctx.tracer.span("executor"):
                 ghost = gather(
                     ctx, session.schedule, local,
-                    cost_model=config.executor_cost,
-                    backend=config.backend, scratch=scratch,
+                    cost_model=config.executor_cost, scratch=scratch,
                 )
                 t0 = ctx.clock
                 local = session.kernel_plan.sweep(local, ghost)

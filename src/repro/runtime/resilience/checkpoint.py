@@ -39,7 +39,6 @@ from repro.runtime.adaptive.redistribution import (
     pack_slabs,
     verify_slabs,
 )
-from repro.runtime.backend import resolve_backend
 from repro.runtime.resilience.policy import CheckpointPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -194,7 +193,6 @@ def take_checkpoint(
     next_iteration: int,
     epoch: int,
     tag: int = Tags.CHECKPOINT,
-    backend: str | None = None,
     replication_factor: int = 1,
 ) -> Checkpoint:
     """Replicate this epoch to the ring partners; SPMD collective.
@@ -208,7 +206,6 @@ def take_checkpoint(
     single-partner diskless scheme; ``k`` successors survive any ``k``
     correlated failures within one epoch's ring neighborhood.
     """
-    backend = resolve_backend(backend)
     fields = [np.asarray(f) for f in fields]
     if not fields:
         raise ResilienceError("take_checkpoint needs at least one field")
@@ -228,9 +225,7 @@ def take_checkpoint(
     # wire-format implementation, packed once and fanned out.  Sends go
     # in ring order so the virtual clock is deterministic.
     for partner in partners.get(rank, ()):
-        payload = pack_slabs(
-            fields, [Transfer(rank, partner, lo, hi)], lo, backend
-        )
+        payload = pack_slabs(fields, [Transfer(rank, partner, lo, hi)], lo)
         ctx.metrics.count("cp.checkpoint_bytes", payload_nbytes(payload))
         ctx.send(partner, payload, tag)
 

@@ -96,7 +96,6 @@ def recover_redistribute_fields(
     failed: np.ndarray,
     partners: "Mapping[int, int | Sequence[int]]",
     replicas: Mapping[int, Sequence[np.ndarray]],
-    backend: str | None = None,
 ) -> list[np.ndarray]:
     """Move the restored epoch from *old* to *new* homes; SPMD collective.
 
@@ -116,6 +115,6 @@ def recover_redistribute_fields(
             f"recovery partition assigns elements to failed ranks {bad}"
         )
     return exchange_fields(
-        ctx, old, new, fields, backend=backend, failed=failed,
+        ctx, old, new, fields, failed=failed,
         shippers=shippers, replicas=replicas, error_cls=ResilienceError,
     )

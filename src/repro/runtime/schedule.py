@@ -27,7 +27,15 @@ from repro.partition.intervals import IntervalPartition
 __all__ = ["CommSchedule"]
 
 
-@dataclass
+def _lists_equal(
+    a: dict[int, np.ndarray], b: dict[int, np.ndarray]
+) -> bool:
+    return a.keys() == b.keys() and all(
+        np.array_equal(a[peer], b[peer]) for peer in a
+    )
+
+
+@dataclass(eq=False)
 class CommSchedule:
     """One rank's gather/scatter schedule.
 
@@ -118,6 +126,20 @@ class CommSchedule:
         self._recv_peers: tuple[int, ...] = tuple(
             sorted(s for s, pos in self.recv_lists.items() if pos.size)
         )
+
+    def __eq__(self, other: object) -> bool:
+        """Same rank, ghost buffer and per-peer lists, array for array
+        (the partition is not compared)."""
+        if not isinstance(other, CommSchedule):
+            return NotImplemented
+        return (
+            self.rank == other.rank
+            and np.array_equal(self.ghost_globals, other.ghost_globals)
+            and _lists_equal(self.send_lists, other.send_lists)
+            and _lists_equal(self.recv_lists, other.recv_lists)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
     # ------------------------------------------------------------------ #
 

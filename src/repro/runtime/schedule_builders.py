@@ -36,8 +36,6 @@ from repro.errors import ScheduleError
 from repro.graph.csr import CSRGraph
 from repro.net.message import Tags
 from repro.partition.intervals import IntervalPartition
-from repro.runtime import reference as ref
-from repro.runtime.backend import resolve_backend
 from repro.runtime.schedule import CommSchedule
 from repro.runtime.translation import DistributedTranslationTable
 
@@ -123,8 +121,7 @@ def _group_by_value(values: np.ndarray) -> dict[int, np.ndarray]:
     """Positions per distinct value via one stable argsort (O(g log g)).
 
     Within each group the positions come out ascending (stable sort), so
-    order-within-group matches a per-value ``flatnonzero`` scan — and the
-    scalar :func:`repro.runtime.reference.group_by_owner_loop`.
+    order-within-group matches a per-value ``flatnonzero`` scan.
     """
     values = np.asarray(values)
     if values.size == 0:
@@ -237,29 +234,23 @@ def _send_side(
 
 
 def _sorted_schedule(
-    graph: CSRGraph, partition: IntervalPartition, rank: int,
-    backend: str | None = None,
+    graph: CSRGraph, partition: IntervalPartition, rank: int
 ) -> tuple[CommSchedule, dict[str, int]]:
     """The (identical) schedule produced by sort1 and sort2, plus sizes."""
-    if resolve_backend(backend) == "reference":
-        send_lists, recv_lists, ghost_globals, sizes = (
-            ref.sorted_schedule_parts_loop(graph, partition, rank)
-        )
-    else:
-        lo, hi = partition.interval(rank)
-        src, nbr = local_references(graph, partition, rank)
-        off_mask = (nbr < lo) | (nbr >= hi)
-        off = nbr[off_mask]
-        ghost_globals = np.unique(off)  # dedup ("hash table") + ascending order
-        recv_lists, ghost_globals = _recv_side_sorted(
-            partition, rank, ghost_globals
-        )
-        send_lists = _send_side(partition, rank, src[off_mask], off)
-        sizes = {
-            "refs": int(nbr.size),
-            "ghosts": int(ghost_globals.size),
-            "sends": int(sum(a.size for a in send_lists.values())),
-        }
+    lo, hi = partition.interval(rank)
+    src, nbr = local_references(graph, partition, rank)
+    off_mask = (nbr < lo) | (nbr >= hi)
+    off = nbr[off_mask]
+    ghost_globals = np.unique(off)  # dedup ("hash table") + ascending order
+    recv_lists, ghost_globals = _recv_side_sorted(
+        partition, rank, ghost_globals
+    )
+    send_lists = _send_side(partition, rank, src[off_mask], off)
+    sizes = {
+        "refs": int(nbr.size),
+        "ghosts": int(ghost_globals.size),
+        "sends": int(sum(a.size for a in send_lists.values())),
+    }
     sched = CommSchedule(
         rank=rank,
         partition=partition,
@@ -277,7 +268,6 @@ def build_schedule_sort1(
     *,
     ctx: "RankContext | None" = None,
     cost_model: InspectorCostModel = InspectorCostModel(),
-    backend: str | None = None,
 ) -> CommSchedule:
     """Schedule via symmetry + sorting both lists (schedule_sort1).
 
@@ -285,7 +275,7 @@ def build_schedule_sort1(
     the unique ghosts, an explicit sort of the permutation list *and* of
     the send lists.
     """
-    sched, sizes = _sorted_schedule(graph, partition, rank, backend)
+    sched, sizes = _sorted_schedule(graph, partition, rank)
     _charge(
         ctx, cost_model.sorted_build_cost("sort1", **sizes), "inspector-sort1"
     )
@@ -299,13 +289,12 @@ def build_schedule_sort2(
     *,
     ctx: "RankContext | None" = None,
     cost_model: InspectorCostModel = InspectorCostModel(),
-    backend: str | None = None,
 ) -> CommSchedule:
     """Schedule via symmetry with the traversal-order restriction
     (schedule_sort2): identical schedule to sort1, but the send lists come
     out sorted for free, so only the permutation-list sort is charged.
     """
-    sched, sizes = _sorted_schedule(graph, partition, rank, backend)
+    sched, sizes = _sorted_schedule(graph, partition, rank)
     _charge(
         ctx, cost_model.sorted_build_cost("sort2", **sizes), "inspector-sort2"
     )
@@ -319,7 +308,6 @@ def build_schedule_no_dedup(
     *,
     ctx: "RankContext | None" = None,
     cost_model: InspectorCostModel = InspectorCostModel(),
-    backend: str | None = None,
 ) -> CommSchedule:
     """A schedule *without* duplicate-access removal — the naive baseline.
 
@@ -331,38 +319,33 @@ def build_schedule_no_dedup(
     locally (one entry per cross edge, sorted by the referenced global id),
     so the schedule is correct, just fatter.
     """
-    if resolve_backend(backend) == "reference":
-        send_lists, off = ref.no_dedup_parts_loop(graph, partition, rank)
-        recv_lists = ref.recv_side_sorted_loop(partition, rank, off)
-        ghost_globals = off
-    else:
-        lo, hi = partition.interval(rank)
-        src, nbr = local_references(graph, partition, rank)
-        off_mask = (nbr < lo) | (nbr >= hi)
-        off = np.sort(nbr[off_mask])  # duplicates retained
-        recv_lists, ghost_globals = _recv_side_sorted(partition, rank, off)
+    lo, hi = partition.interval(rank)
+    src, nbr = local_references(graph, partition, rank)
+    off_mask = (nbr < lo) | (nbr >= hi)
+    off = np.sort(nbr[off_mask])  # duplicates retained
+    recv_lists, ghost_globals = _recv_side_sorted(partition, rank, off)
 
-        # Send side with multiplicity: one entry per cross edge (dest block,
-        # my vertex), ordered by (dest, my global id) to match the receiver's
-        # per-segment ascending order.
-        src_off = src[off_mask]
-        dest = (
-            partition.owner_of(nbr[off_mask])
-            if off_mask.any()
-            else np.empty(0, np.intp)
-        )
-        send_lists = {}
-        if src_off.size:
-            order = np.lexsort((src_off, dest))
-            d_sorted = dest[order]
-            s_sorted = src_off[order]
-            change = np.flatnonzero(np.diff(d_sorted)) + 1
-            starts = np.concatenate([[0], change])
-            ends = np.concatenate([change, [d_sorted.size]])
-            for s, e in zip(starts, ends):
-                send_lists[int(d_sorted[s])] = (s_sorted[s:e] - lo).astype(
-                    np.intp
-                )
+    # Send side with multiplicity: one entry per cross edge (dest block,
+    # my vertex), ordered by (dest, my global id) to match the receiver's
+    # per-segment ascending order.
+    src_off = src[off_mask]
+    dest = (
+        partition.owner_of(nbr[off_mask])
+        if off_mask.any()
+        else np.empty(0, np.intp)
+    )
+    send_lists = {}
+    if src_off.size:
+        order = np.lexsort((src_off, dest))
+        d_sorted = dest[order]
+        s_sorted = src_off[order]
+        change = np.flatnonzero(np.diff(d_sorted)) + 1
+        starts = np.concatenate([[0], change])
+        ends = np.concatenate([change, [d_sorted.size]])
+        for s, e in zip(starts, ends):
+            send_lists[int(d_sorted[s])] = (s_sorted[s:e] - lo).astype(
+                np.intp
+            )
     cost = cost_model.sec_per_translate * off.size + cost_model.sort_cost(off.size)
     _charge(ctx, cost, "inspector-no-dedup")
     return CommSchedule(
@@ -381,7 +364,6 @@ def build_schedule_simple(
     ctx: "RankContext",
     cost_model: InspectorCostModel = InspectorCostModel(),
     table: DistributedTranslationTable | None = None,
-    backend: str | None = None,
 ) -> CommSchedule:
     """Schedule via an explicit distributed translation table (the
     "Simple Strategy" of Table 3).  SPMD collective: all ranks call it.
@@ -391,7 +373,6 @@ def build_schedule_simple(
     Round 2: ship each home processor the list of its elements we need, so
     it can build its send list (in request order — no sorting anywhere).
     """
-    backend = resolve_backend(backend)
     rank = ctx.rank
     lo, hi = partition.interval(rank)
     src, nbr = local_references(graph, partition, rank)
@@ -399,12 +380,8 @@ def build_schedule_simple(
     off = nbr[off_mask]
     # Dedup preserving first-appearance order (the hash-table order of the
     # paper's Fig. 4 "before sorting" lists).
-    if backend == "reference":
-        ghost_globals = ref.dedup_first_seen_loop(off)
-    else:
-        ghost_globals, first_pos = np.unique(off, return_index=True)
-        order = np.argsort(first_pos, kind="stable")
-        ghost_globals = ghost_globals[order]
+    ghost_globals, first_pos = np.unique(off, return_index=True)
+    ghost_globals = ghost_globals[np.argsort(first_pos, kind="stable")]
     _charge(ctx, cost_model.sec_per_ref * nbr.size, "inspector-simple-dedup")
 
     if table is None:
@@ -424,17 +401,12 @@ def build_schedule_simple(
     setups = 2 * n_homes + n_owners + 4  # queries+replies, requests, allgathers
     _charge(ctx, cost_model.sec_per_message_setup * setups,
             "inspector-simple-setup")
-    owners, locals_ = table.dereference_collective(
-        ctx, ghost_globals, backend=backend
-    )
+    owners, locals_ = table.dereference_collective(ctx, ghost_globals)
 
     # Group ghost slots by owner, preserving request order within groups.
     recv_lists: dict[int, np.ndarray] = {}
     request_out: dict[int, np.ndarray] = {}
-    if backend == "reference":
-        groups = ref.group_by_owner_loop(owners)
-    else:
-        groups = _group_by_value(owners)
+    groups = _group_by_value(owners)
     for o in sorted(groups):
         pos = groups[o]
         if o == rank:

@@ -25,7 +25,6 @@ import numpy as np
 from repro.errors import TranslationError
 from repro.net.message import Tags
 from repro.partition.intervals import IntervalPartition
-from repro.runtime.backend import resolve_backend
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.comm import RankContext
@@ -74,7 +73,7 @@ class DistributedTranslationTable:
         self._local = local.copy()
 
     def lookup_local(
-        self, global_indices: np.ndarray, *, backend: str | None = None
+        self, global_indices: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Look up entries stored on *this* rank."""
         gi = np.asarray(global_indices, dtype=np.intp)
@@ -83,21 +82,12 @@ class DistributedTranslationTable:
             raise TranslationError(
                 f"rank {self.rank} asked for table entries it does not store"
             )
-        if resolve_backend(backend) == "reference":
-            owner = np.empty(off.size, dtype=np.intp)
-            local = np.empty(off.size, dtype=np.intp)
-            for k, o in enumerate(off.tolist()):
-                owner[k] = self._owner[o]
-                local[k] = self._local[o]
-            return owner, local
         return self._owner[off], self._local[off]
 
     def dereference_collective(
         self,
         ctx: "RankContext",
         global_indices: np.ndarray,
-        *,
-        backend: str | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """SPMD collective dereference through query/reply messages.
 
@@ -107,7 +97,6 @@ class DistributedTranslationTable:
         from the closed-form distribution; the pattern is made globally
         known with one allgather of per-destination counts.
         """
-        backend = resolve_backend(backend)
         gi = np.asarray(global_indices, dtype=np.intp)
         n = self.partition.num_elements
         p = ctx.size
@@ -134,7 +123,7 @@ class DistributedTranslationTable:
         for src, q in incoming.items():
             if src == ctx.rank:
                 continue
-            owner, local = self.lookup_local(q, backend=backend)
+            owner, local = self.lookup_local(q)
             ctx.compute_items(q.size, 2.0e-6, label="table-lookup")
             replies_out[src] = np.stack([owner, local], axis=0)
         expect_replies = [d for d in queries_out]
@@ -148,7 +137,7 @@ class DistributedTranslationTable:
             if offsets[home + 1] == offsets[home]:
                 continue
             if home == ctx.rank:
-                own, loc = self.lookup_local(sorted_gi[seg], backend=backend)
+                own, loc = self.lookup_local(sorted_gi[seg])
                 ctx.compute_items(offsets[home + 1] - offsets[home], 2.0e-6,
                                   label="table-lookup")
             else:
@@ -157,12 +146,6 @@ class DistributedTranslationTable:
             local_sorted[seg] = loc
         owner = np.empty(gi.size, dtype=np.intp)
         local = np.empty(gi.size, dtype=np.intp)
-        if backend == "reference":
-            # Scalar inverse permutation back to query order.
-            for k, dst in enumerate(order.tolist()):
-                owner[dst] = owner_sorted[k]
-                local[dst] = local_sorted[k]
-        else:
-            owner[order] = owner_sorted
-            local[order] = local_sorted
+        owner[order] = owner_sorted
+        local[order] = local_sorted
         return owner, local

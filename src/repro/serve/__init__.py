@@ -13,10 +13,9 @@ reacts to real co-tenants instead of scripted traces.
 :class:`ServiceReport` summarizes the service view: throughput, the
 per-job makespan distribution (p50/p99), Jain fairness, and queue waits.
 
-Everything is virtual-time deterministic, so service metrics inherit the
-repo's backend differential contract (reference == vectorized,
-bit-identical).  Entry points: ``repro serve`` (CLI) and the
-``scale-service`` experiment family.
+Everything is virtual-time deterministic: the same stream, policy and
+seed give bit-identical service metrics.  Entry points: ``repro serve``
+(CLI) and the ``scale-service`` experiment family.
 """
 
 from repro.serve.job import (

@@ -116,13 +116,12 @@ class JobSpec:
             0, 100, graph.num_vertices
         )
 
-    def build_config(self, *, backend: str | None = None) -> "ProgramConfig":
+    def build_config(self) -> "ProgramConfig":
         from repro.runtime import ProgramConfig, resolve_load_balance
 
         return ProgramConfig(
             iterations=self.iterations,
             strategy=self.strategy,
-            backend=backend,
             # Admission cannot know the co-tenant load in advance — the
             # paper's adaptive setup: decompose as if equal, let Phase D
             # react to the measured capability ratios.

@@ -22,9 +22,8 @@ Jobs admitted *later* do not retroactively slow an earlier job — the
 approximation that keeps admission decisions causal and the whole run
 deterministic.
 
-All quantities are virtual, so every service metric inherits the
-backend differential contract: reference and vectorized runs produce
-bit-identical :class:`ServiceReport` numbers.
+All quantities are virtual, so a rerun produces bit-identical
+:class:`ServiceReport` numbers.
 """
 
 from __future__ import annotations
@@ -63,8 +62,8 @@ class JobRecord:
     #: The job's own execution time (virtual, admission -> completion).
     exec_makespan: float
     #: Sum of final vertex values — a function of (graph, y0, iterations)
-    #: only, so it is invariant across policies, placements, and
-    #: backends; the conservation tests key on it.
+    #: only, so it is invariant across policies and placements; the
+    #: conservation tests key on it.
     checksum: float
     #: All jobs are submitted at service time 0 (batch stream).
     submitted: float = 0.0
@@ -100,7 +99,6 @@ class ServiceReport:
     policy: str
     seed: int
     max_tenants: int
-    backend: str | None
     cluster_size: int
     records: list[JobRecord] = field(default_factory=list)
     #: Service-time span log (admit / job spans on the service track,
@@ -171,7 +169,6 @@ class ServiceReport:
             "policy": self.policy,
             "seed": self.seed,
             "max_tenants": self.max_tenants,
-            "backend": self.backend,
             "cluster_size": self.cluster_size,
             "metrics": self.metrics(),
             "lb_priced_out": self.lb_priced_out,
@@ -240,7 +237,6 @@ class ServiceSession:
         policy: str = "fifo",
         seed: int = 0,
         max_tenants: int = 1,
-        backend: str | None = None,
         trace: bool = False,
         trace_capacity: int | None = None,
     ):
@@ -271,7 +267,6 @@ class ServiceSession:
         self._policy = policy
         self._seed = int(seed)
         self._max_tenants = int(max_tenants)
-        self._backend = backend
         #: Service-time observability: spans land on the service track
         #: (rank -1) plus one occupancy span per placed rank.  Everything
         #: recorded is a function of virtual quantities only, so tracing
@@ -323,7 +318,7 @@ class ServiceSession:
         if loads:
             sub = sub.with_loads(loads)
         graph = job.build_graph()
-        config = job.build_config(backend=self._backend)
+        config = job.build_config()
         priced_out = config.load_balance is not None and not price_checks(
             sub,
             graph.degrees,
@@ -415,7 +410,6 @@ class ServiceSession:
             policy=self._policy,
             seed=self._seed,
             max_tenants=self._max_tenants,
-            backend=self._backend,
             cluster_size=self._cluster.size,
             records=records,
             trace=self._trace if self._trace.enabled else None,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -141,13 +143,13 @@ class TestCommands:
         rc = main(["mcr", "--old", "0.5", "0.5", "--new", "1.0"])
         assert rc == 2
 
-    def test_run_backend_flag(self, capsys):
-        rc = main([
-            "run", "--vertices", "300", "--iterations", "5",
-            "--workstations", "2", "--backend", "reference", "--verify",
-        ])
-        assert rc == 0
-        assert "verified against sequential oracle" in capsys.readouterr().out
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    def test_backend_flag_is_gone(self, capsys, command):
+        # The runtime has one implementation: there is nothing to select.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--backend", "reference"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_run_incremental_inspector_mode(self, capsys):
         rc = main([
@@ -185,7 +187,7 @@ class TestBenchGlobs:
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "backend=vectorized" in out and "backend=reference" in out
+        assert "tier=10k" in out and "backend" not in out
         assert (tmp_path / "scale-epoch-quick.json").exists()
 
     def test_bench_run_profile(self, capsys, tmp_path):
@@ -279,6 +281,28 @@ class TestFuzzCLI:
         rc = main(["fuzz", "run", "--scenario", "no/such/file.json"])
         assert rc == 2
         assert "neither an inline JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "loads, message",
+        [
+            ([{"steps": [[0, 1]]}], "loads[0] is missing ['rank']"),
+            ([{"rank": 0}], "loads[0] is missing ['steps']"),
+            ([{"rank": 0, "steps": [[0, 1]]}, {"rank": 1, "steps": [[0]]}],
+             "loads[1] step [0] is not a [time, load] pair"),
+            ([{"rank": 0, "steps": 3}], "loads[0] steps must be a list"),
+            ([{"rank": 0, "steps": [[1, 1], [0, 1]]}], "loads[0] is invalid"),
+            ([[0, [[0, 1]]]], "loads[0] must be an object"),
+            ({"rank": 0}, "loads must be a list"),
+        ],
+    )
+    def test_malformed_loads_are_configuration_errors(
+        self, capsys, loads, message
+    ):
+        scenario = json.dumps({"seed": 1, "vertices": 96, "workstations": 2,
+                               "iterations": 3, "loads": loads})
+        rc = main(["fuzz", "run", "--scenario", scenario])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     def test_shrink_without_target_is_an_error(self, capsys):
         rc = main(["fuzz", "shrink"])

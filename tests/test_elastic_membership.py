@@ -1,10 +1,9 @@
-"""Elastic-membership tests: trace algebra, the session, and the
-backend-differential contract (ISSUE 4 tentpole).
+"""Elastic-membership tests: trace algebra, the session, and whole runs.
 
 The hardest guarantee is at the bottom: random membership traces (joins,
-leaves, standby starts) driven through ``run_program`` must produce
-bit-identical field arrays, virtual clocks, and remap counts under the
-``reference`` and ``vectorized`` backends — elastic repartitioning onto a
+leaves, standby starts) driven through ``run_program`` must reproduce the
+sequential oracle's values, and a rerun must reproduce the fields, virtual
+clocks and remap counts bit for bit — elastic repartitioning onto a
 different-sized active set included.
 """
 
@@ -228,11 +227,10 @@ class TestElasticRuns:
         y0 = np.random.default_rng(11).uniform(0, 100, graph.num_vertices)
         return graph, y0
 
-    def _run(self, workload, trace, backend, *, lb="centralized", iters=12, p=4):
+    def _run(self, workload, trace, *, lb="centralized", iters=12, p=4):
         graph, y0 = workload
         config = ProgramConfig(
             iterations=iters,
-            backend=backend,
             membership=trace,
             load_balance=lb,
             initial_capabilities="equal",
@@ -241,7 +239,7 @@ class TestElasticRuns:
 
     def test_leave_drains_to_survivors(self, workload):
         trace = MembershipTrace(4, [E(0.02, "leave", 1)])
-        report = self._run(workload, trace, None)
+        report = self._run(workload, trace)
         sizes = report.partition_final.sizes()
         assert sizes[1] == 0
         assert sizes.sum() == workload[0].num_vertices
@@ -254,44 +252,33 @@ class TestElasticRuns:
         trace = MembershipTrace(
             4, [E(0.01, "leave", 0), E(0.02, "leave", 1), E(0.03, "leave", 3)]
         )
-        results = {}
-        for backend in ("vectorized", "reference"):
-            report = self._run(workload, trace, backend)
-            sizes = report.partition_final.sizes()
-            assert sizes.tolist().count(0) == 3
-            assert sizes[2] == workload[0].num_vertices
-            results[backend] = report
-        assert results["vectorized"].differences(
-            results["reference"], virtual=True
-        ) == []
+        report = self._run(workload, trace)
+        sizes = report.partition_final.sizes()
+        assert sizes.tolist().count(0) == 3
+        assert sizes[2] == workload[0].num_vertices
         oracle = run_sequential(*workload, 12)
-        np.testing.assert_allclose(
-            results["vectorized"].values, oracle, atol=1e-9
-        )
+        np.testing.assert_allclose(report.values, oracle, atol=1e-9)
 
     def test_join_before_first_epoch(self, workload):
         """A join landing at the very first iteration boundary, before any
-        monitor window exists, is adopted without desync on either backend."""
+        monitor window exists, is adopted without desync."""
         trace = MembershipTrace(
             4, [E(1e-9, "join", 3)], initially_inactive=[3]
         )
-        results = {}
-        for backend in ("vectorized", "reference"):
-            report = self._run(workload, trace, backend)
-            assert report.partition_final.sizes()[3] > 0
-            results[backend] = report
-        assert results["vectorized"].differences(
-            results["reference"], virtual=True
-        ) == []
+        report = self._run(workload, trace)
+        assert report.partition_final.sizes()[3] > 0
+        assert report.num_remaps >= 1  # reading a desynced counter raises
+        oracle = run_sequential(*workload, 12)
+        np.testing.assert_allclose(report.values, oracle, atol=1e-9)
 
     def test_static_baseline_drains_but_ignores_joins(self, workload):
         drain = MembershipTrace(4, [E(0.02, "leave", 0)])
-        report = self._run(workload, drain, None, lb="off")
+        report = self._run(workload, drain, lb="off")
         assert report.num_remaps == 1  # the mandatory drain
         assert report.partition_final.sizes()[0] == 0
 
         join = MembershipTrace(4, [E(0.02, "join", 3)], initially_inactive=[3])
-        report = self._run(workload, join, None, lb="off")
+        report = self._run(workload, join, lb="off")
         assert report.num_remaps == 0
         assert report.partition_final.sizes()[3] == 0  # never adopted
 
@@ -302,7 +289,7 @@ class TestElasticRuns:
             [E(0.02, "join", 3), E(0.04, "leave", 0)],
             initially_inactive=[3],
         )
-        report = self._run(workload, join_then_leave, None, lb="off")
+        report = self._run(workload, join_then_leave, lb="off")
         sizes = report.partition_final.sizes()
         assert sizes[0] == 0 and sizes[3] == 0
         assert sizes[1] > 0 and sizes[2] > 0
@@ -315,7 +302,7 @@ class TestElasticRuns:
             2, [E(0.005, "join", 1), E(0.012, "leave", 0)],
             initially_inactive=[1],
         )
-        report = self._run(workload, only_choice, None, lb="off", p=2)
+        report = self._run(workload, only_choice, lb="off", p=2)
         sizes = report.partition_final.sizes()
         assert sizes[0] == 0 and sizes[1] == workload[0].num_vertices
 
@@ -323,7 +310,7 @@ class TestElasticRuns:
         trace = MembershipTrace(
             4, [E(0.02, "replace", 0, replacement=3)], initially_inactive=[3]
         )
-        report = self._run(workload, trace, None, lb="off")
+        report = self._run(workload, trace, lb="off")
         sizes = report.partition_final.sizes()
         assert sizes[0] == 0 and sizes[3] > 0
         oracle = run_sequential(*workload, 12)
@@ -376,14 +363,14 @@ class TestElasticRuns:
             run_spmd(uniform_cluster(3).with_membership(trace), rank_main)
 
     def test_dsl_string_accepted_by_program_config(self, workload):
-        report = self._run(workload, "leave:1@0.02", None)
+        report = self._run(workload, "leave:1@0.02")
         assert report.partition_final.sizes()[1] == 0
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=8, deadline=None)
-    def test_differential_random_membership(self, seed):
-        """Random traces x both backends: bit-identical fields, clocks,
-        and remap counts, and values equal to the sequential oracle."""
+    def test_random_membership_reruns_identically(self, seed):
+        """Random traces: a rerun has bit-identical fields, clocks and
+        remap counts, and values equal to the sequential oracle."""
         rng = np.random.default_rng(seed)
         graph = paper_mesh(300, seed=17)
         y0 = np.random.default_rng(17).uniform(0, 100, graph.num_vertices)
@@ -392,19 +379,16 @@ class TestElasticRuns:
         # Virtual event times on the scale of this workload's short runs.
         trace = _random_trace(p, rng, t_scale=0.05)
         style = rng.choice(["centralized", "distributed", "off"])
-        reports = {}
-        for backend in ("vectorized", "reference"):
-            config = ProgramConfig(
-                iterations=iters,
-                backend=backend,
-                membership=trace,
-                load_balance=str(style),
-                initial_capabilities="equal",
-            )
-            reports[backend] = run_program(
-                graph, uniform_cluster(p), config, y0=y0
-            )
-        a, b = reports["vectorized"], reports["reference"]
+        config = ProgramConfig(
+            iterations=iters,
+            membership=trace,
+            load_balance=str(style),
+            initial_capabilities="equal",
+        )
+        a, b = (
+            run_program(graph, uniform_cluster(p), config, y0=y0)
+            for _ in range(2)
+        )
         assert a.differences(b, virtual=True) == []
         np.testing.assert_array_equal(
             a.partition_final.bounds, b.partition_final.bounds
@@ -470,10 +454,10 @@ class TestElasticScenarios:
         from repro.experiments.catalog import scale_elastic_measurements
 
         m = scale_elastic_measurements(
-            "10k", "leave-at-peak", "vectorized", True, 4, 30, 5
+            "10k", "leave-at-peak", True, 4, 30, 5
         )
         baseline = scale_elastic_measurements(
-            "10k", "leave-at-peak", "vectorized", False, 4, 30, 5
+            "10k", "leave-at-peak", False, 4, 30, 5
         )
         assert m["membership_events"] == 1
         assert m["num_remaps"] >= 2  # at least one rebalance + the drain

@@ -1,7 +1,7 @@
 """Determinism of executor send/recv ordering (ISSUE 2 satellite).
 
 ``gather``/``scatter`` iterate schedule dictionaries — these tests pin three
-properties, for both backends:
+properties:
 
 * sends are issued in ascending peer order regardless of dict insertion
   order (``sorted(...)`` is load-bearing, not incidental);
@@ -22,7 +22,6 @@ from repro.net.cluster import heterogeneous_cluster, uniform_cluster
 from repro.net.message import Tags
 from repro.net.spmd import run_spmd
 from repro.partition.intervals import partition_list
-from repro.runtime.backend import BACKENDS
 from repro.runtime.executor import gather, scatter
 from repro.runtime.schedule import CommSchedule
 from repro.runtime.schedule_builders import build_schedule_sort2
@@ -66,17 +65,16 @@ def _expected_scatter_add(part, scheds, y):
     return expected
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestOrderingDeterminism:
-    def test_sends_issued_in_ascending_peer_order(self, workload, backend):
+    def test_sends_issued_in_ascending_peer_order(self, workload):
         _, part, scheds, y = workload
 
         def fn(ctx):
             sched = _reversed_dicts(scheds[ctx.rank])
             lo, hi = part.interval(ctx.rank)
-            ghost = gather(ctx, sched, y[lo:hi], backend=backend)
+            ghost = gather(ctx, sched, y[lo:hi])
             local = np.zeros(hi - lo)
-            scatter(ctx, sched, ghost, local, op="add", backend=backend)
+            scatter(ctx, sched, ghost, local, op="add")
             return True
 
         res = run_spmd(uniform_cluster(4), fn, trace=True)
@@ -87,7 +85,7 @@ class TestOrderingDeterminism:
                 assert peers == sorted(peers), (r, tag, peers)
                 assert len(peers) == len(set(peers))  # one message per peer
 
-    def test_scatter_add_applies_in_ascending_peer_order(self, workload, backend):
+    def test_scatter_add_applies_in_ascending_peer_order(self, workload):
         _, part, scheds, y = workload
         expected = _expected_scatter_add(part, scheds, y)
 
@@ -96,7 +94,7 @@ class TestOrderingDeterminism:
             lo, hi = part.interval(ctx.rank)
             local = y[lo:hi].copy()
             ghost = y[sched.ghost_globals]  # as filled by a correct gather
-            scatter(ctx, sched, ghost, local, op="add", backend=backend)
+            scatter(ctx, sched, ghost, local, op="add")
             return local
 
         # Repeat: thread scheduling (hence arrival order) varies, results
@@ -106,7 +104,7 @@ class TestOrderingDeterminism:
             for r in range(4):
                 np.testing.assert_array_equal(res.values[r], expected[r])
 
-    def test_insertion_order_cannot_change_results(self, workload, backend):
+    def test_insertion_order_cannot_change_results(self, workload):
         _, part, scheds, y = workload
 
         def run(make_sched):
@@ -114,8 +112,8 @@ class TestOrderingDeterminism:
                 sched = make_sched(scheds[ctx.rank])
                 lo, hi = part.interval(ctx.rank)
                 local = y[lo:hi].copy()
-                ghost = gather(ctx, sched, local, backend=backend)
-                scatter(ctx, sched, ghost, local, op="add", backend=backend)
+                ghost = gather(ctx, sched, local)
+                scatter(ctx, sched, ghost, local, op="add")
                 return ghost, local
 
             return run_spmd(uniform_cluster(4), fn)

@@ -33,6 +33,28 @@ from repro.experiments import (
     save_artifact,
     validate_artifact,
 )
+from repro.experiments.spec import config_label, group_runs
+
+
+def agree_across(runs, axis, ignore=()):
+    """The differential claim over artifact runs: runs that differ only in
+    *axis* agree, bit for bit, on every metric not in *ignore*.
+
+    Yields one message per disagreement, naming the configuration, the
+    metric and both values.  A partner that was not run is not compared.
+    """
+    for shared, by in group_runs(runs, axis):
+        (first, expected), *others = by.items()
+        for value, metrics in others:
+            for name in sorted((expected.keys() | metrics.keys()) - set(ignore)):
+                a, b = expected.get(name), metrics.get(name)
+                if a != b:
+                    yield (
+                        f"{name} differs across {axis} at "
+                        f"{config_label(shared)}: "
+                        f"{a!r} ({axis}={first}) vs {b!r} ({axis}={value})"
+                    )
+
 
 PAPER_EXPERIMENTS = {
     "table1", "table2", "table3", "table4", "table5",
@@ -291,68 +313,67 @@ def test_table1_compares_p_pass_by_pass():
 
 
 def test_agree_across_names_configuration_metric_and_both_values():
-    from repro.experiments.spec import agree_across
-
-    def run(backend, tier, makespan, host):
+    def run(captured, tier, makespan, host):
         return {
-            "params": {"tier": tier, "backend": backend, "p": 4},
+            "params": {"tier": tier, "captured": captured, "p": 4},
             "metrics": {"makespan": makespan, "run_host_s": host},
         }
 
     runs = [
-        run("vectorized", "10k", 1.5, 0.1), run("reference", "10k", 1.5, 0.9),
-        run("vectorized", "100k", 7.25, 0.2), run("reference", "100k", 7.5, 2.0),
-        run("vectorized", "250k", 9.0, 0.3),  # partner not run: not compared
+        run(False, "10k", 1.5, 0.1), run(True, "10k", 1.5, 0.9),
+        run(False, "100k", 7.25, 0.2), run(True, "100k", 7.5, 2.0),
+        run(False, "250k", 9.0, 0.3),  # partner not run: not compared
     ]
-    assert list(agree_across(runs, "backend", ignore=("run_host_s",))) == [
-        "makespan differs across backend at tier=100k, p=4: "
-        "7.25 (backend=vectorized) vs 7.5 (backend=reference)"
+    assert list(agree_across(runs, "captured", ignore=("run_host_s",))) == [
+        "makespan differs across captured at tier=100k, p=4: "
+        "7.25 (captured=False) vs 7.5 (captured=True)"
     ]
     # Nothing ignored: the host-timed metric of every pair differs too.
-    assert len(list(agree_across(runs, "backend"))) == 3
+    assert len(list(agree_across(runs, "captured"))) == 3
 
 
+@pytest.mark.filterwarnings("ignore::repro.errors.ResilienceWarning")
 def test_one_nudged_virtual_metric_fails_the_cli_run(tmp_path, capsys):
-    # The acceptance drill: corrupt one backend's virtual metric of a real
-    # scale experiment and `repro bench run` must exit 1, name experiment,
+    # The acceptance drill: corrupt one virtual metric of a real scale
+    # experiment and `repro bench run` must exit 1, name experiment,
     # configuration and metric, and still write the artifact.
     import dataclasses
 
     from repro.experiments import registry
 
-    exp = get("scale-elastic")
+    exp = get("scale-resilience")
 
     def nudged(params, *, seed):
         metrics = dict(exp.fn(params, seed=seed))
-        if params["backend"] == "reference":
-            metrics["makespan"] += 1e-9
+        if params["replication"] == 2:
+            metrics["checkpoint_time"] = 0.0
         return metrics
 
     registry._REGISTRY[exp.name] = dataclasses.replace(exp, fn=nudged)
     try:
         rc = main([
-            "bench", "run", exp.name, "--quick", "--set", "lb=true",
-            "--set", 'scenario="leave-at-peak"', "--results-dir", str(tmp_path),
+            "bench", "run", exp.name, "--quick",
+            "--set", 'scenario="fail-at-peak"', "--set", 'policy="interval:4"',
+            "--results-dir", str(tmp_path),
         ])
     finally:
         registry._REGISTRY[exp.name] = exp
     assert rc == 1
     out = capsys.readouterr().out
     assert (
-        "expectation violated: scale-elastic: makespan differs across "
-        "backend at tier=10k, scenario=leave-at-peak, lb=True, p=4"
+        "expectation violated: scale-resilience: checkpoint_time at r1 vs r2 "
+        "(tier=10k, scenario=fail-at-peak, policy=interval:4, p=4"
     ) in out
-    artifact = load_artifact(tmp_path / "scale-elastic-quick.json")
+    artifact = load_artifact(tmp_path / "scale-resilience-quick.json")
     assert len(artifact["runs"]) == 2
     [violation] = artifact["violations"]
-    assert "(backend=vectorized) vs" in violation
+    assert "is not below 1 x 0" in violation
 
 
 def test_capture_window_is_neutral(tmp_path):
     # What CI's traced re-run used to assert across two artifacts: an open
     # capture window (bench run --trace-out) changes no metric but the
     # host-timed ones, and the captured trace has the program's spans.
-    from repro.experiments.spec import agree_across
     from repro.obs import capture_traces, write_chrome_trace
 
     plain, _ = run_experiment("scale-adaptive", quick=True, results_dir=None)

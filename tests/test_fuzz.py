@@ -215,29 +215,28 @@ class TestOracleDetects:
         return plant
 
     def test_invariants_are_the_three_checks_plus_the_lattice(self):
-        assert len(INVARIANTS) == 7
+        assert len(INVARIANTS) == 6
         assert INVARIANTS[3:] == tuple(axis.invariant for axis in LATTICE)
 
     def test_agreeing_runs_pass_and_walk_the_whole_lattice(self, planted):
         seen = planted(lambda config, report: None)
         assert run_scenario(self.SCENARIO).ok
         moved = [
-            (c.backend, c.trace, c.inspector_mode, c.world) for c in seen
+            (c.trace, c.inspector_mode, c.world) for c in seen
         ]
         assert moved == [
-            ("vectorized", False, "full", "sim"),
-            ("reference", False, "full", "sim"),
-            ("vectorized", True, "full", "sim"),
-            ("vectorized", False, "incremental", "sim"),
-            ("vectorized", False, "full", "real"),
-            ("vectorized", False, "full", "sim"),  # the quiet baseline
+            (False, "full", "sim"),
+            (True, "full", "sim"),
+            (False, "incremental", "sim"),
+            (False, "full", "real"),
+            (False, "full", "sim"),  # the quiet baseline
         ]
 
     @pytest.mark.parametrize(
         "invariant, on, field",
         [
-            ("backend-differential", lambda c: c.backend == "reference", "clocks"),
-            ("backend-differential", lambda c: c.backend == "reference", "values"),
+            ("obs-neutral", lambda c: c.trace, "clocks"),
+            ("obs-neutral", lambda c: c.trace, "values"),
             ("obs-neutral", lambda c: c.trace, "remap_time"),
             ("obs-neutral", lambda c: c.trace, "num_checkpoints"),
             ("inspector-differential",
@@ -271,12 +270,12 @@ class TestOracleDetects:
 
     def test_a_desync_is_reported_once_by_no_desync(self, planted):
         def tamper(config, report):
-            if config.backend == "reference":
+            if config.trace:
                 report.metrics_by_rank[0]["counters"]["lb.remaps"] += 1
 
         planted(tamper)
         [violation] = run_scenario(self.SCENARIO).violations
-        assert violation.startswith("no-desync[backend='reference']")
+        assert violation.startswith("no-desync[trace=True]")
 
     def test_a_crashing_variant_is_a_violation_on_every_axis(self, planted):
         def tamper(config, report):
@@ -316,8 +315,8 @@ class TestOracleDetects:
 
     @pytest.mark.parametrize(
         "invariant, moved",
-        [("backend-differential", {"backend": "reference"}),
-         ("obs-neutral", {"trace": True})],
+        [("obs-neutral", {"trace": True}),
+         ("inspector-differential", {"inspector_mode": "incremental"})],
     )
     def test_one_selected_differential_runs_one_variant(
         self, planted, invariant, moved
@@ -426,7 +425,6 @@ def test_corpus_exercises_every_axis():
         for axis in LATTICE
     }
     assert applicable == {
-        "backend-differential": 22,
         "obs-neutral": 22,
         "inspector-differential": 17,
         "world-differential": 22,

@@ -118,7 +118,7 @@ def test_artifact_schema_still_validates():
     artifact, _ = run_experiment(
         "scale-epoch",
         quick=True,
-        overrides={"tier": "10k", "backend": "vectorized"},
+        overrides={"tier": "10k"},
         results_dir=None,
     )
     validate_artifact(artifact)

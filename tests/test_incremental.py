@@ -4,7 +4,7 @@ Pins the module's two contracts: the interval-diff classifier tiles the
 old/new intervals exactly (hypothesis property suite), and a patched
 ``InspectorResult`` is bit-identical — array for array, and through the
 kernel sweep — to a from-scratch build (randomized remap differentials,
-both backends, chained patches included).
+chained patches included).
 """
 
 from __future__ import annotations
@@ -166,8 +166,7 @@ def meshes():
 
 
 class TestIncrementalDifferential:
-    @pytest.mark.parametrize("backend", ["vectorized", "reference"])
-    def test_crossover_rebuild_matches_full(self, meshes, backend):
+    def test_crossover_rebuild_matches_full(self, meshes):
         """rebuild() under its own crossover test, random remap walks."""
         for graph in meshes:
             n = graph.num_vertices
@@ -175,18 +174,14 @@ class TestIncrementalDifferential:
                 rng = np.random.default_rng(1000 + p)
                 part = random_partition(n, p, rng)
                 incs = [
-                    IncrementalInspector(
-                        graph, part, r, strategy="sort2", backend=backend
-                    )
+                    IncrementalInspector(graph, part, r, strategy="sort2")
                     for r in range(p)
                 ]
                 for _ in range(4):
                     part = random_partition(n, p, rng)
                     for r in range(p):
                         got = incs[r].rebuild(part)
-                        want = run_inspector(
-                            graph, part, r, strategy="sort2", backend=backend
-                        )
+                        want = run_inspector(graph, part, r, strategy="sort2")
                         assert inspector_results_equal(got, want)
 
     @pytest.mark.parametrize("strategy", ["sort1", "sort2"])
@@ -294,6 +289,26 @@ class TestIncrementalDifferential:
         part = random_partition(graph.num_vertices, 2, np.random.default_rng(0))
         with pytest.raises(ScheduleError, match="simple"):
             IncrementalInspector(graph, part, 0, strategy="simple")
+
+
+def test_schedules_and_plans_compare_by_value(meshes):
+    """``==`` on a schedule or kernel plan compares its arrays element for
+    element: equal builds are equal, a moved boundary is not, and neither
+    comparison raises numpy's ambiguous-truth-value error."""
+    graph = meshes[1]
+    n = graph.num_vertices
+    part = IntervalPartition(np.array([0, n // 3, n]), np.array([0, 1]))
+    moved = IntervalPartition(np.array([0, n // 3 + 2, n]), np.array([0, 1]))
+    a, b = (run_inspector(graph, part, 0) for _ in range(2))
+    c = run_inspector(graph, moved, 0)
+    assert a.schedule == b.schedule and a.kernel_plan == b.kernel_plan
+    assert a.schedule != c.schedule and a.kernel_plan != c.kernel_plan
+    assert a.kernel_plan != a.schedule
+    assert inspector_results_equal(a, b) and not inspector_results_equal(a, c)
+    with pytest.raises(TypeError):
+        hash(a.kernel_plan)
+    with pytest.raises(TypeError):
+        hash(a.schedule)
 
 
 class TestCrossoverEstimate:

@@ -49,14 +49,12 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 CALLER_DIRS = ("src", "examples", "bench", "tools")
 
-#: Public names allowed to have only test callers, each with its reason.
-ALLOWED_NAMES = {
-    "use_backend": "leaves with the backend switch; the differential tests "
-                   "run whole programs under each backend through it",
-}
+#: Public names allowed to have only test callers, each with its reason
+#: (none are).
+ALLOWED_NAMES: dict[str, str] = {}
 
 #: Public class members allowed to have only test callers, each with its
-#: reason (at most five).
+#: reason (none are).
 ALLOWED_MEMBERS: dict[str, str] = {}
 
 #: CLI flags allowed to appear nowhere but cli.py and tests/.
@@ -172,7 +170,7 @@ def test_every_public_name_has_a_caller_outside_tests(census):
 
 
 def test_name_allow_list_only_shrinks(census):
-    assert len(ALLOWED_NAMES) <= 5
+    assert len(ALLOWED_NAMES) <= 0
     stale = _stale_allowances(census, ALLOWED_NAMES)
     assert not stale, "\n".join(stale)
 
@@ -187,7 +185,7 @@ def test_every_public_member_has_a_caller_outside_tests(member_census):
 
 
 def test_member_allow_list_only_shrinks(member_census):
-    assert len(ALLOWED_MEMBERS) <= 5
+    assert len(ALLOWED_MEMBERS) <= 0
     stale = _stale_allowances(member_census, ALLOWED_MEMBERS)
     assert not stale, "\n".join(stale)
 

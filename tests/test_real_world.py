@@ -320,19 +320,17 @@ class TestRealSPMD:
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("backend", ["vectorized", "reference"])
-    def test_program_values_bit_identical(self, tiny_paper_mesh, backend):
+    def test_program_values_bit_identical(self, tiny_paper_mesh):
         y0 = np.random.default_rng(11).uniform(0, 100, 500)
         cluster = uniform_cluster(4)
         sim = run_program(
             tiny_paper_mesh, cluster,
-            ProgramConfig(iterations=12, backend=backend), y0=y0,
+            ProgramConfig(iterations=12), y0=y0,
         )
         real = run_program(
             tiny_paper_mesh, cluster,
             ProgramConfig(
-                iterations=12, backend=backend,
-                world="real", recv_timeout=30,
+                iterations=12, world="real", recv_timeout=30,
             ),
             y0=y0,
         )

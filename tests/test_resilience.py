@@ -21,7 +21,6 @@ from repro.net.loadmodel import MembershipEvent, MembershipTrace
 from repro.net.network import ETHERNET_10MBIT, PointToPointNetwork
 from repro.net.spmd import run_spmd
 from repro.partition.intervals import partition_list
-from repro.runtime.backend import BACKENDS
 from repro.runtime.program import ProgramConfig, run_program
 from repro.runtime.resilience import (
     CostModelCheckpoint,
@@ -276,7 +275,7 @@ class TestEstimateCheckpointCost:
 # checkpoint + recovery mechanics (unit level, via run_spmd)
 
 
-def _checkpoint_and_recover(n, p, dead, backend, *, k_fields=2):
+def _checkpoint_and_recover(n, p, dead, *, k_fields=2):
     """Take an epoch, kill *dead*, reassemble on survivors; returns the
     per-rank recovered blocks plus the expected full arrays."""
     part = partition_list(n, np.ones(p))
@@ -294,7 +293,7 @@ def _checkpoint_and_recover(n, p, dead, backend, *, k_fields=2):
         fields = [b[lo:hi].copy() for b in base]
         cp = take_checkpoint(
             ctx, part, fields, active,
-            next_iteration=0, epoch=0, backend=backend,
+            next_iteration=0, epoch=0,
         )
         # Restored-from-epoch data must match the checkpoint exactly.
         for snap, b in zip(cp.snapshot, (b[lo:hi] for b in base)):
@@ -305,7 +304,6 @@ def _checkpoint_and_recover(n, p, dead, backend, *, k_fields=2):
         outs = recover_redistribute_fields(
             ctx, part, new_part, restored,
             failed=failed, partners=cp.partners, replicas=cp.replicas,
-            backend=backend,
         )
         ctx.barrier()
         return [o.copy() for o in outs], ctx.clock
@@ -315,24 +313,21 @@ def _checkpoint_and_recover(n, p, dead, backend, *, k_fields=2):
 
 
 class TestCheckpointRecovery:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_epoch_reassembles_after_failure(self, backend):
-        res, new_part, base = _checkpoint_and_recover(120, 4, 1, backend)
+    def test_epoch_reassembles_after_failure(self):
+        res, new_part, base = _checkpoint_and_recover(120, 4, 1)
         for rank, (outs, _) in enumerate(res.values):
             lo, hi = new_part.interval(rank)
             for f, b in zip(outs, base):
                 np.testing.assert_array_equal(f, b[lo:hi])
 
-    def test_backends_bit_identical(self):
-        blocks = {}
-        clocks = {}
-        for backend in BACKENDS:
-            res, _, _ = _checkpoint_and_recover(97, 4, 2, backend, k_fields=3)
-            blocks[backend] = [v[0] for v in res.values]
-            clocks[backend] = [v[1] for v in res.values]
-        assert clocks["reference"] == clocks["vectorized"]
-        for a, b in zip(blocks["reference"], blocks["vectorized"]):
-            for fa, fb in zip(a, b):
+    def test_reruns_bit_identical(self):
+        runs = [
+            _checkpoint_and_recover(97, 4, 2, k_fields=3)[0] for _ in range(2)
+        ]
+        a, b = ([v[0] for v in res.values] for res in runs)
+        assert [v[1] for v in runs[0].values] == [v[1] for v in runs[1].values]
+        for blocks_a, blocks_b in zip(a, b):
+            for fa, fb in zip(blocks_a, blocks_b):
                 np.testing.assert_array_equal(fa, fb)
 
     def test_partner_failure_is_unrecoverable(self):
@@ -384,7 +379,6 @@ class TestCheckpointRecovery:
 def _fail_run(
     p=4,
     *,
-    backend=None,
     lb="centralized",
     checkpoint="interval:4",
     events=((0.04, "fail", 1),),
@@ -402,7 +396,6 @@ def _fail_run(
     cluster = uniform_cluster(p).with_membership(trace)
     config = ProgramConfig(
         iterations=iterations,
-        backend=backend,
         initial_capabilities="equal",
         load_balance=lb,
         checkpoint=checkpoint,
@@ -410,12 +403,11 @@ def _fail_run(
     return run_program(graph, cluster, config, y0=y0)
 
 
-def _baseline_run(p=4, *, backend=None, lb="centralized", iterations=20, n=800):
+def _baseline_run(p=4, *, lb="centralized", iterations=20, n=800):
     graph = paper_mesh(n, seed=0)
     y0 = np.random.default_rng(0).uniform(0, 100, graph.num_vertices)
     config = ProgramConfig(
         iterations=iterations,
-        backend=backend,
         initial_capabilities="equal",
         load_balance=lb,
     )
@@ -438,14 +430,9 @@ class TestFailureRuns:
         assert rep.partition_final.size(1) == 0
 
     @pytest.mark.parametrize("lb", ["off", "centralized"])
-    def test_virtual_metrics_bit_identical_across_backends(self, lb):
-        reports = {
-            backend: _fail_run(backend=backend, lb=lb)
-            for backend in BACKENDS
-        }
-        assert reports["vectorized"].differences(
-            reports["reference"], virtual=True
-        ) == []
+    def test_virtual_metrics_bit_identical_across_reruns(self, lb):
+        a, b = (_fail_run(lb=lb) for _ in range(2))
+        assert a.differences(b, virtual=True) == []
 
     def test_static_baseline_recovers_too(self):
         rep = _fail_run(lb="off")
@@ -847,12 +834,11 @@ class TestKSuccessorRecovery:
         rep0 = _baseline_run(p=5)
         assert np.array_equal(rep.values, rep0.values)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_k2_recovery_is_backend_identical(self, backend):
-        rep = _fail_run(
-            events=self._edge, checkpoint="interval:2:r2", backend=backend
+    def test_k2_recovery_reruns_identically(self):
+        rep, rep0 = (
+            _fail_run(events=self._edge, checkpoint="interval:2:r2")
+            for _ in range(2)
         )
-        rep0 = _fail_run(events=self._edge, checkpoint="interval:2:r2")
         assert rep.makespan == rep0.makespan
         assert np.array_equal(rep.values, rep0.values)
 

@@ -18,55 +18,57 @@ from repro.net.cluster import adaptive_cluster, heterogeneous_cluster, uniform_c
 from repro.net.network import PointToPointNetwork, SharedEthernet
 from repro.net.spmd import run_spmd
 from repro.partition.intervals import partition_list
-from repro.runtime.adaptive import LoadBalanceConfig, check
+from repro.runtime.adaptive import LoadBalanceConfig, check, resolve_load_balance
 from repro.runtime.kernels import run_sequential
-from repro.runtime.prediction import (
-    LinearTrendPredictor,
-    make_predictor,
-)
+from repro.runtime.prediction import MIN_FACTOR, LinearTrendPredictor
 from repro.runtime.program import ProgramConfig, run_program
 
 
 class TestPredictors:
     def test_trend_extrapolates_ramp(self):
-        p = LinearTrendPredictor(window=4)
+        p = LinearTrendPredictor()
         for v in (10.0, 8.0, 6.0, 4.0):  # capability falling 2/step
             p.observe(v)
         # Forecast continues the decline (clamped above 1 = 4*0.25).
         assert p.predict() == pytest.approx(2.0, abs=0.5)
 
     def test_trend_clamps_extremes(self):
-        p = LinearTrendPredictor(window=2, min_factor=0.5, max_factor=2.0)
+        p = LinearTrendPredictor()
         p.observe(100.0)
         p.observe(1.0)  # wild fit would go negative
-        assert p.predict() >= 0.5
+        assert p.predict() == 1.0 * MIN_FACTOR
 
     def test_trend_single_observation(self):
         p = LinearTrendPredictor()
         p.observe(7.0)
         assert p.predict() == 7.0
 
-    def test_trend_validation(self):
-        with pytest.raises(LoadBalanceError):
-            LinearTrendPredictor(window=1)
-        with pytest.raises(LoadBalanceError):
-            LinearTrendPredictor(min_factor=2.0)
+    def test_trend_fits_only_the_last_window(self):
+        p = LinearTrendPredictor()
+        for v in (50.0, 1.0, 2.0, 3.0, 4.0):  # the outlier leaves the window
+            p.observe(v)
+        assert p.predict() == pytest.approx(5.0)
 
     def test_rejects_nonpositive_observations(self):
         with pytest.raises(LoadBalanceError):
             LinearTrendPredictor().observe(0.0)
 
-    def test_factory(self):
-        assert isinstance(make_predictor("trend"), LinearTrendPredictor)
-        for removed in ("oracle", "moving-average", "ewma", "last"):
-            with pytest.raises(LoadBalanceError):
-                make_predictor(removed)
+    @pytest.mark.parametrize(
+        "name", ["bogus", "oracle", "moving-average", "ewma", "last"]
+    )
+    def test_unknown_predictor_fails_at_configuration(self, name):
+        # Raised while configuring, not as a RankFailedError from the
+        # rank threads of a run.
+        with pytest.raises(LoadBalanceError, match="unknown predictor"):
+            LoadBalanceConfig(predictor=name)
+        with pytest.raises(LoadBalanceError, match="unknown predictor"):
+            resolve_load_balance("centralized", predictor=name)
 
     def test_trend_beats_last_on_ramp(self):
         """On a steadily degrading machine the trend predictor's forecast is
         closer to the next observation than the last phase's."""
         series = [10.0, 9.0, 8.0, 7.0, 6.0, 5.0]
-        trend = LinearTrendPredictor(window=4)
+        trend = LinearTrendPredictor()
         trend_err = last_err = 0.0
         for prev, nxt in zip(series, series[1:]):
             trend.observe(prev)

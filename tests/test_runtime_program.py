@@ -261,6 +261,36 @@ class TestConfigValidation:
         sizes = rep.partition_final.sizes()
         assert sizes[0] > 2.5 * sizes[1]
 
+    def test_backend_is_no_longer_a_config_field(self):
+        # One implementation: ProgramConfig.backend is a constant None kept
+        # for the benchmark's traced mirror, not a field.
+        assert ProgramConfig().backend is None
+        with pytest.raises(TypeError):
+            ProgramConfig(backend="reference")
+
+    def test_session_and_gather_accept_only_a_none_backend(self, workload):
+        from repro.net.spmd import run_spmd
+        from repro.partition.intervals import partition_list
+        from repro.runtime import AdaptiveSession, gather
+
+        g, y0 = workload
+        part = partition_list(g.num_vertices, [1.0, 1.0])
+
+        def fn(ctx):
+            session = AdaptiveSession(ctx, g, part, 1, backend=None)
+            lo, hi = session.interval()
+            ghost = gather(ctx, session.schedule, y0[lo:hi], backend=None)
+            for call in (
+                lambda: AdaptiveSession(ctx, g, part, 1, backend="reference"),
+                lambda: gather(ctx, session.schedule, y0[lo:hi],
+                               backend="vectorized"),
+            ):
+                with pytest.raises(ConfigurationError, match="one implementation"):
+                    call()
+            return ghost.size
+
+        assert all(run_spmd(uniform_cluster(2), fn).values)
+
 
 class TestLooselySynchronous:
     """``barrier_each_iteration=False`` is the paper's loosely synchronous

@@ -1,19 +1,16 @@
-"""The scalar loops of ``repro.runtime.reference`` against the numpy idiom
-each one's docstring names as its vectorized counterpart.
+"""The scalar loops of ``oracles_runtime`` against the numpy idiom each
+one's docstring names as its counterpart.
 
-The differential suite compares whole schedules and programs across the
-two backends; these tests pin the small building blocks one by one, so a
-divergence names the loop that caused it.
+``test_runtime_oracles.py`` compares the runtime's functions with these
+loops; the tests here check the loops themselves, one by one, so a wrong
+oracle cannot vouch for a wrong implementation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-
-from repro.errors import ScheduleError
-from repro.partition.intervals import partition_list
-from repro.runtime.reference import (
+from oracles_runtime import (
     dedup_first_seen_loop,
     group_by_owner_loop,
     iota_loop,
@@ -26,6 +23,8 @@ from repro.runtime.reference import (
     slab_unpack_loop,
     unpack_loop,
 )
+from repro.errors import ScheduleError
+from repro.partition.intervals import partition_list
 
 #: (trailing shape, dtype) of the field arrays the executor moves.
 FIELDS = [

@@ -3,7 +3,7 @@
 Covers the JSONL job schema, the canonical seeded streams, admission
 ordering and gang placement, the :class:`ServiceLoad` interval algebra,
 the service session's event loop (head-of-line blocking, co-tenant
-coupling), the backend differential contract on service metrics, and a
+coupling), bit-identical service metrics across reruns, and a
 hypothesis test that admission-policy permutations conserve total work —
 no job lost, duplicated, or numerically altered by reordering.
 """
@@ -308,15 +308,13 @@ class TestPlaceJob:
 # --------------------------------------------------------------------- #
 
 
-def _run(jobs, *, size=2, policy="fifo", seed=0, max_tenants=1,
-         backend=None):
+def _run(jobs, *, size=2, policy="fifo", seed=0, max_tenants=1):
     session = ServiceSession(
         uniform_cluster(size, name="test-pool"),
         JobQueue(jobs),
         policy=policy,
         seed=seed,
         max_tenants=max_tenants,
-        backend=backend,
     )
     return session.run()
 
@@ -430,24 +428,22 @@ class TestServiceSession:
 # --------------------------------------------------------------------- #
 
 
-class TestServeBackendDifferential:
+class TestServeDeterminism:
     @pytest.mark.parametrize("shape", ["uniform", "descending"])
     @pytest.mark.parametrize("policy", ["fifo", "random"])
-    def test_metrics_bit_identical(self, shape, policy):
+    def test_metrics_bit_identical_across_reruns(self, shape, policy):
         queue = generate_stream(shape, 5, max_ranks=4, seed=11)
         max_tenants = 1 if shape == "descending" else 2
-        reports = {}
-        for backend in ("reference", "vectorized"):
-            session = ServiceSession(
+        ref, vec = (
+            ServiceSession(
                 uniform_cluster(4, name="diff-pool"),
                 queue,
                 policy=policy,
                 seed=1,
                 max_tenants=max_tenants,
-                backend=backend,
-            )
-            reports[backend] = session.run()
-        ref, vec = reports["reference"], reports["vectorized"]
+            ).run()
+            for _ in range(2)
+        )
         assert ref.metrics() == vec.metrics()
         for a, b in zip(ref.records, vec.records):
             assert a.job.job_id == b.job.job_id
