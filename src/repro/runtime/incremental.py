@@ -66,7 +66,6 @@ from repro.runtime.schedule_builders import (
     _recv_side_sorted,
     _send_side,
     _sorted_unique,
-    local_references,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -262,16 +261,19 @@ class IncrementalInspector:
         Bookkeeping only — it mirrors information the build just derived,
         so no extra virtual time is charged.
         """
-        lo, hi = partition.interval(self.rank)
-        src, nbr = local_references(self.graph, partition, self.rank)
-        off_mask = (nbr < lo) | (nbr >= hi)
-        self.cross_src = src[off_mask].astype(np.intp)
-        self.cross_nbr = nbr[off_mask].astype(np.intp)
+        plan = result.kernel_plan
         # Positions of the off-block references within the block's
-        # reference array (== the kernel plan's slot order), ascending.
-        # The patch path uses these to locate every slot it must rewrite
-        # in O(boundary) instead of scanning all O(refs) slot values.
-        self._off_pos = np.flatnonzero(off_mask)
+        # reference array (== the kernel plan's slot order), ascending:
+        # exactly the slots past the local block.  The patch path uses
+        # these to locate every slot it must rewrite in O(boundary)
+        # instead of scanning all O(refs) slot values.
+        off_pos = np.flatnonzero(plan.slots >= plan.n_local)
+        lo = partition.interval(self.rank)[0]
+        self.cross_src = lo + np.searchsorted(plan.indptr, off_pos, "right") - 1
+        self.cross_nbr = result.schedule.ghost_globals[
+            plan.slots[off_pos] - plan.n_local
+        ].astype(np.intp, copy=False)
+        self._off_pos = off_pos
         self.partition = partition
         self.result = result
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from repro.errors import ScheduleError
+from repro.errors import ConfigurationError, ScheduleError
 from repro.graph.csr import CSRGraph
 from repro.partition.intervals import IntervalPartition
 from repro.runtime.schedule import CommSchedule
@@ -60,6 +60,9 @@ class KernelCostModel:
         )
 
 
+_INT32_MAX = np.iinfo(np.int32).max
+
+
 class RowOperator:
     """Row-wise sums and means through one CSR matrix of ones.
 
@@ -68,38 +71,68 @@ class RowOperator:
     scipy's ``csr_matvec`` reads without bounds checks, so the caller
     checks once, where it builds the operator.
 
+    The matrix holds the rows grouped by length (a stable sort on
+    ``min(length, 255)``), each row's references still in their order,
+    so the product's inner loop runs the same trip count row after row
+    instead of changing it at every row; one ``take`` of ``inverse``
+    puts the results back in row order.
+
     ``csr_matvec`` adds each row's products in array order, starting from
     the zeroed output, and ``1.0 * x`` is exact, so every row sum is the
     Fig. 8 loop's ``t[i] += y[ia(k)]`` bit for bit, even in an
     FMA-contracted build: −0.0, infinities and a NaN's payload included.
     (Where two *different* NaNs meet in one add, IEEE 754 leaves the
-    survivor to the implementation.)  A sweep is one matrix-vector
-    product, so it releases and retakes the GIL once, however many rows
-    are hubs.
+    survivor to the implementation.)  Which row is computed when changes
+    no row's sum.  A sweep is one matrix-vector product, a divide and a
+    ``take``, however many rows are hubs: three GIL hand-offs.
     """
 
-    __slots__ = ("matrix", "divisor", "empty")
+    __slots__ = ("matrix", "divisor", "inverse", "empty")
 
     def __init__(self, indptr: np.ndarray, index: np.ndarray, n_cols: int) -> None:
-        degrees = np.diff(indptr)
+        n_rows, nnz = indptr.size - 1, index.size
+        # scipy's own narrowing rule: int32 arrays reach csr_matvec as
+        # they are, without a scan of their contents or a copy.
+        itype = np.int32 if max(n_rows, n_cols, nnz) <= _INT32_MAX else np.intp
+        degrees = indptr[1:] - indptr[:-1]
+        # uint8 keys take numpy's radix sort; rows of 255 or more
+        # references share the last group, in row order.
+        order = np.minimum(degrees, 255).astype(np.uint8).argsort(kind="stable")
+        lengths = degrees.take(order)
+        grouped = np.zeros(n_rows + 1, dtype=itype)
+        lengths.cumsum(out=grouped[1:])
+        # Where each grouped reference sits in *index*: its row's start
+        # there plus its offset inside the row.
+        at = (indptr[:-1].take(order) - grouped[:-1]).repeat(lengths)
+        at += np.arange(nnz)
+        columns = index.take(at)
+        # Freed before the matrix is allocated: the sim world's rank
+        # threads build at once, and their temporaries set its peak.
+        del at
+        columns = columns.astype(itype, copy=False)
         self.matrix = csr_matrix(
-            (np.ones(index.size), index, indptr), shape=(degrees.size, n_cols)
+            (np.ones(nnz), columns, grouped), shape=(n_rows, n_cols)
         )
-        #: Float reference counts (empty rows divide by 1).
-        self.divisor = np.maximum(degrees, 1.0)
-        empty = np.flatnonzero(degrees == 0)
+        #: Float reference counts in grouped order (empty rows divide by 1).
+        self.divisor = np.maximum(lengths, 1.0)
+        #: Each row's position in the grouped order.
+        self.inverse = np.empty(n_rows, dtype=np.intp)
+        self.inverse[order] = np.arange(n_rows)
+        # Empty rows sort first, in row order.
+        n_empty = n_rows - np.count_nonzero(degrees)
         #: Rows without references (``None`` when every row has one).
-        self.empty = empty if empty.size else None
+        self.empty = order[:n_empty].copy() if n_empty else None
 
     def sums(self, values: np.ndarray) -> np.ndarray:
         """Per-row sum of the referenced *values*; empty rows get 0."""
-        return self.matrix @ values
+        return (self.matrix @ values).take(self.inverse)
 
     def means(self, values: np.ndarray, keep: np.ndarray) -> np.ndarray:
         """Per-row mean of the referenced *values*; empty rows take their
         value in *keep*."""
         t = self.matrix @ values
         np.divide(t, self.divisor, out=t)
+        t = t.take(self.inverse)
         if self.empty is not None:
             t[self.empty] = keep[self.empty]
         return t
@@ -118,7 +151,10 @@ def run_sequential(
     graph: CSRGraph, y0: np.ndarray, iterations: int
 ) -> np.ndarray:
     """Run the Fig. 8 loop *iterations* times sequentially (the oracle for
-    the parallel runs and the T(p_i) baseline of the Sec. 4 efficiency)."""
+    the parallel runs and the T(p_i) baseline of the Sec. 4 efficiency).
+    Zero iterations return a copy of *y0*."""
+    if iterations < 0:
+        raise ConfigurationError(f"iterations must be >= 0, got {iterations}")
     y = _as_vertex_values(graph, y0).copy()
     rows = RowOperator(graph.indptr, graph.indices, graph.num_vertices)
     for _ in range(iterations):

@@ -33,6 +33,7 @@ from repro.runtime.incremental import (
 from repro.runtime.inspector import run_inspector
 from repro.runtime.kernels import run_sequential
 from repro.runtime.program import ProgramConfig, run_program
+from repro.runtime.schedule_builders import local_references
 
 
 def random_partition(n: int, p: int, rng: np.random.Generator) -> IntervalPartition:
@@ -289,6 +290,31 @@ class TestIncrementalDifferential:
         part = random_partition(graph.num_vertices, 2, np.random.default_rng(0))
         with pytest.raises(ScheduleError, match="simple"):
             IncrementalInspector(graph, part, 0, strategy="simple")
+
+
+@pytest.mark.parametrize("strategy", ["sort1", "sort2"])
+def test_cross_references_come_from_the_plan(meshes, strategy):
+    """After a full build the cross-reference cache is read off the
+    kernel plan; it equals, dtypes included, the off-block references
+    of the rank's rows picked out of ``local_references``."""
+    rng = np.random.default_rng(31)
+    for graph in meshes:
+        n = graph.num_vertices
+        for p in (1, 2, 4, 7):
+            for _ in range(3):
+                part = random_partition(n, p, rng)
+                for r in range(p):
+                    inc = IncrementalInspector(graph, part, r, strategy=strategy)
+                    lo, hi = part.interval(r)
+                    src, nbr = local_references(graph, part, r)
+                    off = (nbr < lo) | (nbr >= hi)
+                    for got, want in (
+                        (inc.cross_src, src[off].astype(np.intp)),
+                        (inc.cross_nbr, nbr[off].astype(np.intp)),
+                        (inc._off_pos, np.flatnonzero(off)),
+                    ):
+                        assert got.dtype == want.dtype
+                        np.testing.assert_array_equal(got, want)
 
 
 def test_schedules_and_plans_compare_by_value(meshes):

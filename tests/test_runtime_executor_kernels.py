@@ -17,7 +17,7 @@ from repro.apps.sparse_matvec import (
     run_parallel_spmv,
     spmv_sequential,
 )
-from repro.errors import RankFailedError, ScheduleError
+from repro.errors import ConfigurationError, RankFailedError, ScheduleError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
     grid_graph,
@@ -531,6 +531,15 @@ class TestSummationOrderContract:
             expected = sequential_kernel_oracle(g, expected)
         np.testing.assert_array_equal(run_sequential(g, y, 4), expected)
 
+    def test_run_sequential_rejects_negative_iterations(self):
+        g = paper_mesh(300, seed=2)
+        y = np.random.default_rng(11).uniform(0.0, 100.0, g.num_vertices)
+        with pytest.raises(ConfigurationError, match="got -3"):
+            run_sequential(g, y, -3)
+        same = run_sequential(g, y, 0)  # the identity, as a copy
+        np.testing.assert_array_equal(same, y)
+        assert not np.shares_memory(same, y)
+
     def test_parallel_run_equals_run_sequential_on_same_numbering(self):
         """Under IdentityOrdering every rank sums each row in the graph's
         own neighbor order, so 4 ranks reproduce the oracle bit for bit
@@ -550,9 +559,37 @@ def _indptr(counts: np.ndarray) -> np.ndarray:
     return indptr
 
 
+def _mixed_counts(rng: np.random.Generator, n: int) -> np.ndarray:
+    counts = rng.integers(0, 4, n) * (rng.random(n) < 0.8)
+    counts[rng.random(n) < 0.1] = rng.integers(10, 200)
+    return counts
+
+
+def _empty_runs(rng: np.random.Generator, n: int) -> np.ndarray:
+    counts = rng.integers(1, 8, n)
+    for start in rng.integers(0, max(n, 1), 3):
+        counts[start : start + int(rng.integers(1, 10))] = 0
+    return counts
+
+
+def _hubs(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Rows of 255 or more references share the operator's last group."""
+    counts = rng.integers(0, 8, n)
+    counts[rng.random(n) < 0.15] = rng.integers(250, 300)
+    return counts
+
+
 class TestRowOperator:
     """The CSR row operator against the loop and against the ``bincount``
     segmented sum (``oracles_kernels``), bit for bit."""
+
+    COUNT_SHAPES = {
+        "mixed": _mixed_counts,
+        "empty runs": _empty_runs,
+        "hubs": _hubs,
+        "one length": lambda rng, n: np.full(n, int(rng.integers(0, 9))),
+        "already grouped": lambda rng, n: np.sort(_hubs(rng, n)),
+    }
 
     @given(seed=st.integers(0, 2**32 - 1), share=st.sampled_from([0.0, 0.05, 0.3]))
     @settings(max_examples=60, deadline=None)
@@ -568,15 +605,20 @@ class TestRowOperator:
         _assert_bitwise_equal(got, loop, nan_meets_nan)
         _assert_bitwise_equal(got, oracle, nan_meets_nan)
 
-    @given(seed=st.integers(0, 2**32 - 1), share=st.sampled_from([0.0, 0.3]))
-    @settings(max_examples=40, deadline=None)
-    def test_any_counts_and_index_property(self, seed, share):
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        share=st.sampled_from([0.0, 0.3]),
+        shape=st.sampled_from(list(COUNT_SHAPES)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_any_counts_and_index_property(self, seed, share, shape):
         """Rows need not come from a graph: arbitrary counts (hubs, runs
-        of empty rows) and an arbitrary index, with and without it."""
+        of empty rows) and an arbitrary index, with and without it.  The
+        matrix holds them grouped by length; results come back in row
+        order."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(0, 60))
-        counts = rng.integers(0, 4, n) * (rng.random(n) < 0.8)
-        counts[rng.random(n) < 0.1] = rng.integers(10, 200)
+        counts = self.COUNT_SHAPES[shape](rng, n)
         values = _special_values(rng, int(rng.integers(1, 50)), share)
         index = rng.integers(0, values.size, int(counts.sum()))
         keep = _special_values(rng, n, share)
@@ -585,6 +627,9 @@ class TestRowOperator:
         oracle = BincountRowSegments(counts)
         indptr = _indptr(counts)
         rows = RowOperator(indptr, index, values.size)
+        lengths = np.diff(rows.matrix.indptr)
+        assert (np.diff(np.minimum(lengths, 255)) >= 0).all()
+        np.testing.assert_array_equal(np.sort(lengths), np.sort(counts))
         with np.errstate(invalid="ignore"):
             sums = rows.sums(values)
             means = rows.means(values, keep)
@@ -609,6 +654,24 @@ class TestRowOperator:
                 if c:
                     loop[i] = t / c
         _assert_bitwise_equal(means, loop, nan_meets_nan)
+
+    @pytest.mark.parametrize(
+        "counts", [[2, 0, 1, 3], [0, 0, 0], [1, 1, 1], []], ids=str
+    )
+    def test_means_returns_a_fresh_array(self, counts):
+        """The result aliases neither input, also when *values* is *keep*
+        (``run_sequential``) and when every row is empty."""
+        counts = np.array(counts, dtype=np.intp)
+        n = counts.size
+        rows = RowOperator(_indptr(counts), np.arange(counts.sum()) % max(n, 1), n)
+        y = np.arange(n, dtype=np.float64) + 1.0
+        keep = y.copy()
+        for values in (y, keep):
+            out = rows.means(values, keep)
+            assert not np.shares_memory(out, values)
+            assert not np.shares_memory(out, keep)
+            out[:] = -1.0
+            np.testing.assert_array_equal(keep, y)
 
     @pytest.mark.parametrize("share", [0.0, 0.3])
     def test_degree_10000_hub_equals_the_loop(self, share):
