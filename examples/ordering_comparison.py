@@ -11,7 +11,7 @@ Run:  python examples/ordering_comparison.py
 
 from __future__ import annotations
 
-from repro.graph import airfoil_mesh
+from repro.graph import paper_mesh
 from repro.partition import (
     HilbertOrdering,
     IdentityOrdering,
@@ -26,9 +26,8 @@ from repro.utils import format_table
 
 
 def main() -> None:
-    mesh = airfoil_mesh(3_000, seed=9)
-    graph = mesh.graph
-    print(f"workload: {mesh} (nonconvex airfoil domain)")
+    graph = paper_mesh(3_000, seed=9)
+    print(f"workload: {graph} (the paper's mesh family)")
 
     part_counts = (2, 4, 8, 16)
     methods = [

@@ -36,8 +36,7 @@ def main() -> None:
         report = run_program(graph, cluster, config, y0=y0)
         assert report.trace is not None
         summary = summarize(report.trace)
-        print(f"\n=== {label}: {report.makespan:.3f} virtual s, "
-              f"mean utilization {summary.mean_utilization:.2f}")
+        print(f"\n=== {label}: {report.makespan:.3f} virtual s")
         print(summary.to_text())
         print()
         print(timeline(report.trace, width=64))

@@ -5,19 +5,11 @@ from repro.apps.adaptive_refinement import (
     MovingHotspot,
     run_adaptive_application,
 )
-from repro.apps.sparse_matvec import (
-    SymmetricPatternMatrix,
-    run_parallel_spmv,
-    spmv_sequential,
-)
 from repro.apps.workloads import random_capabilities
 
 __all__ = [
     "AdaptiveRunReport",
     "MovingHotspot",
     "run_adaptive_application",
-    "SymmetricPatternMatrix",
     "random_capabilities",
-    "run_parallel_spmv",
-    "spmv_sequential",
 ]

@@ -291,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="omit wall-clock fields from the event args")
     tsummary = tsub.add_parser(
         "summary", help="per-phase totals, each rank's compute / comm / "
-                        "barrier budget and utilization, traffic by tag"
+                        "barrier budget and utilization, traffic by tag, "
+                        "and a timeline row per rank"
     )
     tsummary.add_argument("input",
                           help="Chrome trace-event JSON written by --trace-out")
@@ -845,12 +846,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
-    from repro.obs import load_chrome_trace, summarize, write_chrome_trace
+    from repro.obs import (
+        load_chrome_trace,
+        summarize,
+        timeline,
+        write_chrome_trace,
+    )
 
     try:
         trace = load_chrome_trace(args.input)
         if args.trace_command == "summary":
             print(summarize(trace).to_text())
+            print()
+            print(timeline(trace))
             return 0
         if args.trace_command == "export":
             write_chrome_trace(

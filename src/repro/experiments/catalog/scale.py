@@ -756,10 +756,7 @@ def scale_huge_measurements(
     instance.  Every event's structures are checked array-for-array, and
     the first and last events' kernel-sweep values for bit-identity.
     """
-    from repro.runtime.incremental import (
-        IncrementalInspector,
-        inspector_results_equal,
-    )
+    from repro.runtime.incremental import IncrementalInspector
     from repro.runtime.inspector import run_inspector
     from repro.partition.intervals import partition_list
 
@@ -795,7 +792,7 @@ def scale_huge_measurements(
         if patched_events == len(remaps):
             patched_ranks += 1
         for i, (part, full, patched) in enumerate(zip(remaps, fulls, patches)):
-            if not inspector_results_equal(patched, full):
+            if patched != full:
                 results_match = False
             if i not in (0, len(remaps) - 1):
                 continue

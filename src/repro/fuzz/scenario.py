@@ -19,8 +19,9 @@ own that).
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -30,10 +31,10 @@ from repro.errors import ConfigurationError
 from repro.net.loadmodel import MembershipTrace, StepLoad
 from repro.runtime.adaptive import STRATEGY_NAMES
 from repro.runtime.inspector import STRATEGIES
+from repro.runtime.program_spec import ProgramSpec, require_int
 from repro.utils.rng import SeedLike, as_generator
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.graph.csr import CSRGraph
     from repro.net.cluster import ClusterSpec
     from repro.runtime.program import ProgramConfig
 
@@ -68,6 +69,7 @@ class LoadSpec:
     steps: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rank", require_int(self.rank, "load rank"))
         if self.rank < 0:
             raise ConfigurationError(
                 f"load rank must be >= 0, got {self.rank}"
@@ -84,16 +86,14 @@ class LoadSpec:
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(ProgramSpec):
     """One adversarial run, fully determined and JSON-serializable."""
 
-    seed: int
-    vertices: int
+    MIN_VERTICES = 32
+    KIND = "scenario"
+    SCHEMA_VERSION = SCENARIO_SCHEMA_VERSION
+
     workstations: int
-    iterations: int
-    strategy: str = "sort2"
-    load_balance: str = "centralized"
-    check_interval: int = 4
     #: Relative machine speeds; ``None`` means a uniform pool.
     speeds: tuple[float, ...] | None = None
     #: Membership churn in the :meth:`MembershipTrace.parse` DSL
@@ -109,32 +109,11 @@ class Scenario:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.vertices < 32:
-            raise ConfigurationError(
-                f"scenario needs >= 32 vertices for a meaningful mesh, "
-                f"got {self.vertices}"
-            )
+        super().__post_init__()
+        self._require_ints("workstations")
         if self.workstations < 1:
             raise ConfigurationError(
                 f"scenario needs >= 1 workstation, got {self.workstations}"
-            )
-        if self.iterations < 1:
-            raise ConfigurationError(
-                f"scenario needs >= 1 iteration, got {self.iterations}"
-            )
-        if self.strategy not in STRATEGIES:
-            raise ConfigurationError(
-                f"unknown schedule strategy {self.strategy!r}; known: "
-                f"{', '.join(STRATEGIES)}"
-            )
-        if self.load_balance not in STRATEGY_NAMES:
-            raise ConfigurationError(
-                f"unknown load-balance style {self.load_balance!r}; known: "
-                f"{', '.join(STRATEGY_NAMES)}"
-            )
-        if self.check_interval < 1:
-            raise ConfigurationError(
-                f"check_interval must be >= 1, got {self.check_interval}"
             )
         if self.expect not in EXPECTATIONS:
             raise ConfigurationError(
@@ -142,6 +121,14 @@ class Scenario:
                 f"{', '.join(EXPECTATIONS)}"
             )
         if self.speeds is not None:
+            if not isinstance(self.speeds, (list, tuple)) or any(
+                isinstance(s, bool) or not isinstance(s, numbers.Real)
+                for s in self.speeds
+            ):
+                raise ConfigurationError(
+                    f"scenario: speeds must be a list of numbers, got "
+                    f"{self.speeds!r}"
+                )
             object.__setattr__(
                 self, "speeds", tuple(float(s) for s in self.speeds)
             )
@@ -150,9 +137,10 @@ class Scenario:
                     f"speeds vector has {len(self.speeds)} entries, "
                     f"scenario has {self.workstations} workstations"
                 )
-            if any(s <= 0 for s in self.speeds):
+            if not all(0 < s < math.inf for s in self.speeds):
                 raise ConfigurationError(
-                    f"speeds must be positive, got {list(self.speeds)}"
+                    f"scenario: speeds must be positive and finite, got "
+                    f"{list(self.speeds)}"
                 )
         object.__setattr__(self, "loads", tuple(self.loads))
         for ls in self.loads:
@@ -190,16 +178,6 @@ class Scenario:
                 f"scenario membership DSL is invalid: {exc}"
             ) from None
 
-    def build_graph(self) -> "CSRGraph":
-        from repro.graph import paper_mesh
-
-        return paper_mesh(self.vertices, seed=self.seed)
-
-    def build_y0(self, graph: "CSRGraph") -> np.ndarray:
-        return np.random.default_rng(self.seed).uniform(
-            0, 100, graph.num_vertices
-        )
-
     def build_cluster(self) -> "ClusterSpec":
         from repro.net import heterogeneous_cluster, uniform_cluster
 
@@ -212,17 +190,8 @@ class Scenario:
         return cluster
 
     def build_config(self) -> "ProgramConfig":
-        from repro.runtime import ProgramConfig, resolve_load_balance
-
-        return ProgramConfig(
-            iterations=self.iterations,
-            strategy=self.strategy,
-            initial_capabilities="equal",
-            load_balance=resolve_load_balance(
-                self.load_balance, check_interval=self.check_interval
-            ),
-            membership=self.membership,
-            checkpoint=self.checkpoint,
+        return super().build_config(
+            membership=self.membership, checkpoint=self.checkpoint
         )
 
     def baseline(self) -> "Scenario":
@@ -276,46 +245,8 @@ class Scenario:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"a scenario must be a JSON object, got "
-                f"{type(data).__name__}"
-            )
-        data = dict(data)
-        version = data.pop("schema_version", SCENARIO_SCHEMA_VERSION)
-        if version != SCENARIO_SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"scenario schema_version {version} is not supported "
-                f"(this build reads version {SCENARIO_SCHEMA_VERSION})"
-            )
-        loads = _loads_from_json(data.pop("loads", []))
-        speeds = data.pop("speeds", None)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"scenario has unknown field(s) {sorted(unknown)}; known "
-                f"fields: {sorted(known | {'schema_version'})}"
-            )
-        try:
-            return cls(
-                loads=loads,
-                speeds=tuple(speeds) if speeds is not None else None,
-                **data,
-            )
-        except TypeError as exc:
-            raise ConfigurationError(f"malformed scenario: {exc}") from None
-
-    @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"scenario is not valid JSON: {exc}"
-            ) from None
-        return cls.from_dict(data)
+    def _fields_from_json(cls, data: dict[str, Any]) -> dict[str, Any]:
+        return {**data, "loads": _loads_from_json(data.get("loads", []))}
 
     def reproducer_command(self) -> str:
         """A runnable one-liner that replays exactly this scenario."""
@@ -352,7 +283,7 @@ def _loads_from_json(value: Any) -> tuple[LoadSpec, ...]:
                     f"{where} step {step!r} is not a [time, load] pair"
                 )
         try:
-            loads.append(LoadSpec(rank=int(entry["rank"]), steps=steps))
+            loads.append(LoadSpec(rank=entry["rank"], steps=steps))
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"{where} is invalid: {exc}") from None
     return tuple(loads)

@@ -4,7 +4,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
     PAPER_MESH_EDGES,
     PAPER_MESH_VERTICES,
-    airfoil_mesh,
     delaunay_mesh,
     grid_graph,
     paper_mesh,
@@ -21,7 +20,6 @@ __all__ = [
     "Mesh",
     "PAPER_MESH_EDGES",
     "PAPER_MESH_VERTICES",
-    "airfoil_mesh",
     "connected_components",
     "cut_curve",
     "delaunay_mesh",

@@ -25,7 +25,6 @@ __all__ = [
     "grid_graph",
     "delaunay_mesh",
     "perturbed_grid_mesh",
-    "airfoil_mesh",
     "random_geometric_graph",
     "thin_to_edge_count",
     "paper_mesh",
@@ -85,61 +84,6 @@ def perturbed_grid_mesh(
     pts = np.stack([xs.ravel(), ys.ravel()], axis=1)
     pts += rng.uniform(-jitter, jitter, size=pts.shape)
     return delaunay_mesh(pts)
-
-
-def airfoil_mesh(
-    n_points: int = 4000,
-    *,
-    seed: SeedLike = 0,
-    chord: float = 4.0,
-    thickness: float = 0.5,
-) -> Mesh:
-    """An airfoil-in-a-channel mesh: nonconvex domain, graded density.
-
-    Points cluster near an elliptic "airfoil" cut out of a rectangular
-    channel — the classic unstructured-CFD workload the paper's mesh comes
-    from.  Triangles inside the airfoil are removed, making the domain
-    nonconvex (so orderings must respect holes, a harder locality test than
-    a convex cloud).
-    """
-    if n_points < 100:
-        raise GraphError("airfoil_mesh needs at least 100 points")
-    rng = as_generator(seed)
-    # Channel: [-2c, 3c] x [-1.5c, 1.5c]; airfoil: ellipse at origin.
-    width, height = 5.0 * chord, 3.0 * chord
-
-    def inside_airfoil(p: np.ndarray) -> np.ndarray:
-        return (p[:, 0] / (chord / 2.0)) ** 2 + (
-            p[:, 1] / (thickness * chord / 2.0)
-        ) ** 2 < 1.0
-
-    # Graded sampling: more points near the airfoil surface.
-    n_far = n_points // 2
-    far = np.empty((n_far, 2))
-    far[:, 0] = rng.uniform(-2.0 * chord, 3.0 * chord, n_far)
-    far[:, 1] = rng.uniform(-1.5 * chord, 1.5 * chord, n_far)
-    n_near = n_points - n_far
-    theta = rng.uniform(0.0, 2.0 * math.pi, n_near)
-    radial = 1.0 + rng.exponential(0.35, n_near)
-    near = np.stack(
-        [
-            radial * (chord / 2.0) * np.cos(theta),
-            radial * (thickness * chord / 2.0) * np.sin(theta),
-        ],
-        axis=1,
-    )
-    keep_near = (np.abs(near[:, 0]) < width / 2.0 + chord) & (
-        np.abs(near[:, 1]) < height / 2.0
-    )
-    pts = np.concatenate([far, near[keep_near]], axis=0)
-    pts = pts[~inside_airfoil(pts)]
-    tri = Delaunay(pts)
-    centroids = pts[tri.simplices].mean(axis=1)
-    cells = tri.simplices[~inside_airfoil(centroids)].astype(np.intp)
-    used = np.unique(cells)
-    remap = -np.ones(pts.shape[0], dtype=np.intp)
-    remap[used] = np.arange(used.size)
-    return Mesh(pts[used], remap[cells])
 
 
 def random_geometric_graph(

@@ -23,7 +23,6 @@ __all__ = [
     "gather",
     "allgather",
     "reduce",
-    "allreduce",
     "alltoallv",
 ]
 
@@ -87,12 +86,6 @@ def reduce(
     for v in values[1:]:
         acc = op(acc, v)
     return acc
-
-
-def allreduce(ctx: "RankContext", value: Any, op: Callable[[Any, Any], Any]) -> Any:
-    """Reduce at rank 0, then broadcast the result."""
-    result = reduce(ctx, value, op, root=0)
-    return bcast(ctx, result, root=0, tag=Tags.BCAST)
 
 
 def alltoallv(

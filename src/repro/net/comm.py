@@ -346,11 +346,6 @@ class RankContext:
 
         return _reduce(self, value, op, root=root)
 
-    def allreduce(self, value: Any, op: Callable[[Any, Any], Any]) -> Any:
-        from repro.net.collectives import allreduce
-
-        return allreduce(self, value, op)
-
     def alltoallv(
         self,
         outgoing: dict[int, Any],

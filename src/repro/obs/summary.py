@@ -82,11 +82,6 @@ class TraceSummary:
             if any((r, k) in self.phases for k in _BUDGET_KINDS)
         ]
 
-    @property
-    def mean_utilization(self) -> float:
-        utils = [self.budget(r)["util"] for r in self.budget_ranks]
-        return sum(utils) / len(utils) if utils else 0.0
-
     def to_text(self) -> str:
         """Phase rows, the per-rank budget and the traffic by tag."""
         rows = [

@@ -28,7 +28,6 @@ from repro.runtime.incremental import (
     IncrementalInspector,
     IntervalDiff,
     diff_interval,
-    inspector_results_equal,
 )
 from repro.runtime.inspector import STRATEGIES, InspectorResult, run_inspector
 from repro.runtime.kernels import (
@@ -90,7 +89,6 @@ __all__ = [
     "IncrementalInspector",
     "IntervalDiff",
     "diff_interval",
-    "inspector_results_equal",
     "InspectorCostModel",
     "InspectorResult",
     "KernelCostModel",

@@ -76,7 +76,6 @@ __all__ = [
     "diff_interval",
     "IncrementalInspector",
     "check_inspector_mode",
-    "inspector_results_equal",
 ]
 
 #: Phase B rebuild modes after a remap (``ProgramConfig.inspector_mode``).
@@ -189,12 +188,6 @@ def _range_refs(graph: CSRGraph, lo: int, hi: int) -> tuple[np.ndarray, np.ndarr
 
 def _range_ref_count(graph: CSRGraph, ranges: tuple[tuple[int, int], ...]) -> int:
     return int(sum(graph.indptr[hi] - graph.indptr[lo] for lo, hi in ranges))
-
-
-def inspector_results_equal(a: InspectorResult, b: InspectorResult) -> bool:
-    """Array-for-array equality of two inspector results (schedule and
-    kernel plan; build times and strategies are excluded on purpose)."""
-    return a.schedule == b.schedule and a.kernel_plan == b.kernel_plan
 
 
 class IncrementalInspector:

@@ -15,7 +15,7 @@ whenever data is redistributed").
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import ScheduleError
@@ -45,8 +45,10 @@ class InspectorResult:
 
     schedule: CommSchedule
     kernel_plan: KernelPlan
-    strategy: str
-    build_time: float  # virtual seconds spent building (0 if no ctx)
+    #: Neither takes part in ``==``: two results are equal when their
+    #: schedules and kernel plans are, array for array.
+    strategy: str = field(compare=False)
+    build_time: float = field(compare=False)  # virtual s (0 if no ctx)
 
 
 def run_inspector(

@@ -64,7 +64,7 @@ _INT32_MAX = np.iinfo(np.int32).max
 
 
 class RowOperator:
-    """Row-wise sums and means through one CSR matrix of ones.
+    """Row-wise means through one CSR matrix of ones.
 
     Row ``i`` reads ``values[index[k]]`` for ``k`` in
     ``indptr[i]:indptr[i + 1]``.  *index* must lie in ``[0, n_cols)``:
@@ -122,10 +122,6 @@ class RowOperator:
         n_empty = n_rows - np.count_nonzero(degrees)
         #: Rows without references (``None`` when every row has one).
         self.empty = order[:n_empty].copy() if n_empty else None
-
-    def sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-row sum of the referenced *values*; empty rows get 0."""
-        return (self.matrix @ values).take(self.inverse)
 
     def means(self, values: np.ndarray, keep: np.ndarray) -> np.ndarray:
         """Per-row mean of the referenced *values*; empty rows take their

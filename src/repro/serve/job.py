@@ -3,8 +3,9 @@
 A :class:`JobSpec` is a *complete, serializable* description of one
 submitted program: the graph (a seeded :func:`~repro.graph.paper_mesh`),
 the iteration count, the schedule strategy, how many processors the job
-wants, and a priority class.  Like :class:`repro.fuzz.Scenario` it is
-plain data on purpose — specs round-trip through JSON, so a job stream
+wants, and a priority class.  Like :class:`repro.fuzz.Scenario` it is a
+:class:`~repro.runtime.program_spec.ProgramSpec`, plain data on purpose —
+specs round-trip through JSON, so a job stream
 is a JSONL file (one spec per line) that diffs cleanly and replays
 exactly.
 
@@ -19,19 +20,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
-
-import numpy as np
+from dataclasses import dataclass, field
+from typing import Any, Iterator, Sequence
 
 from repro.errors import ConfigurationError
-from repro.runtime.adaptive import STRATEGY_NAMES
-from repro.runtime.inspector import STRATEGIES
+from repro.runtime.program_spec import ProgramSpec
 from repro.utils.rng import SeedLike, as_generator
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.graph.csr import CSRGraph
-    from repro.runtime.program import ProgramConfig
 
 __all__ = [
     "JOB_SCHEMA_VERSION",
@@ -48,92 +42,38 @@ STREAM_SHAPES = ("uniform", "descending", "mixed")
 
 
 @dataclass(frozen=True)
-class JobSpec:
+class JobSpec(ProgramSpec):
     """One submitted program, fully determined and JSON-serializable."""
 
+    MIN_VERTICES = 16
+    KIND = "job spec"
+    SCHEMA_VERSION = JOB_SCHEMA_VERSION
+
     job_id: str
-    vertices: int
-    iterations: int
     #: How many processors the job requests (its gang width).
     ranks: int
     #: Priority class: higher admits first; ties follow the admission
     #: policy's order.  Default 0 = everything in one class.
     priority: int = 0
-    seed: int = 1995
-    strategy: str = "sort2"
-    load_balance: str = "centralized"
-    check_interval: int = 4
+    seed: int = field(default=1995, kw_only=True)
 
     def __post_init__(self) -> None:
         if not self.job_id:
             raise ConfigurationError("job_id must be a non-empty string")
-        if self.vertices < 16:
-            raise ConfigurationError(
-                f"job {self.job_id!r} needs >= 16 vertices for a "
-                f"meaningful mesh, got {self.vertices}"
-            )
-        if self.iterations < 1:
-            raise ConfigurationError(
-                f"job {self.job_id!r} needs >= 1 iteration, got "
-                f"{self.iterations}"
-            )
+        super().__post_init__()
+        self._require_ints("ranks", "priority")
         if self.ranks < 1:
             raise ConfigurationError(
-                f"job {self.job_id!r} must request >= 1 rank, got "
-                f"{self.ranks}"
+                f"{self.label} must request >= 1 rank, got {self.ranks}"
             )
-        if self.strategy not in STRATEGIES:
-            raise ConfigurationError(
-                f"job {self.job_id!r}: unknown schedule strategy "
-                f"{self.strategy!r}; known: {', '.join(STRATEGIES)}"
-            )
-        if self.load_balance not in STRATEGY_NAMES:
-            raise ConfigurationError(
-                f"job {self.job_id!r}: unknown load-balance style "
-                f"{self.load_balance!r}; known: {', '.join(STRATEGY_NAMES)}"
-            )
-        if self.check_interval < 1:
-            raise ConfigurationError(
-                f"job {self.job_id!r}: check_interval must be >= 1, got "
-                f"{self.check_interval}"
-            )
+
+    @property
+    def label(self) -> str:
+        return f"job {self.job_id!r}"
 
     def work_estimate(self) -> float:
         """Total work in vertex-sweeps — the shortest-job-first key."""
         return float(self.vertices) * float(self.iterations)
-
-    # ------------------------------------------------------------------ #
-    # building the runnable pieces
-    # ------------------------------------------------------------------ #
-
-    def build_graph(self) -> "CSRGraph":
-        from repro.graph import paper_mesh
-
-        return paper_mesh(self.vertices, seed=self.seed)
-
-    def build_y0(self, graph: "CSRGraph") -> np.ndarray:
-        return np.random.default_rng(self.seed).uniform(
-            0, 100, graph.num_vertices
-        )
-
-    def build_config(self) -> "ProgramConfig":
-        from repro.runtime import ProgramConfig, resolve_load_balance
-
-        return ProgramConfig(
-            iterations=self.iterations,
-            strategy=self.strategy,
-            # Admission cannot know the co-tenant load in advance — the
-            # paper's adaptive setup: decompose as if equal, let Phase D
-            # react to the measured capability ratios.
-            initial_capabilities="equal",
-            load_balance=resolve_load_balance(
-                self.load_balance, check_interval=self.check_interval
-            ),
-        )
-
-    # ------------------------------------------------------------------ #
-    # serialization
-    # ------------------------------------------------------------------ #
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -143,41 +83,6 @@ class JobSpec:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "JobSpec":
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"a job spec must be a JSON object, got {type(data).__name__}"
-            )
-        data = dict(data)
-        version = data.pop("schema_version", JOB_SCHEMA_VERSION)
-        if version != JOB_SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"job schema_version {version} is not supported (this "
-                f"build reads version {JOB_SCHEMA_VERSION})"
-            )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"job spec has unknown field(s) {sorted(unknown)}; known "
-                f"fields: {sorted(known | {'schema_version'})}"
-            )
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigurationError(f"malformed job spec: {exc}") from None
-
-    @classmethod
-    def from_json(cls, text: str) -> "JobSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"job spec is not valid JSON: {exc}"
-            ) from None
-        return cls.from_dict(data)
 
 
 class JobQueue:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from test_public_surface import CALLER_DIRS, ROOT
 from repro.errors import ConfigurationError, LoadBalanceError, ResilienceError
 from repro.graph.generators import paper_mesh
 from repro.net.cluster import adaptive_cluster, uniform_cluster
@@ -80,13 +80,12 @@ def _fields_passed(cls, resolvers, trees) -> set[str]:
 
 
 def _fields_never_passed(cls, *resolvers: str) -> set[str]:
-    """Fields of dataclass *cls* that no call in src/, bench/, examples/
-    or tools/ passes (see :func:`_fields_passed`)."""
-    root = Path(__file__).resolve().parent.parent
+    """Fields of dataclass *cls* that no call in the surface walk's
+    caller directories passes (see :func:`_fields_passed`)."""
     trees = (
         ast.parse(path.read_text())
-        for top in ("src", "bench", "examples", "tools")
-        for path in (root / top).rglob("*.py")
+        for top in CALLER_DIRS
+        for path in (ROOT / top).rglob("*.py")
     )
     names = {f.name for f in dataclasses.fields(cls)}
     return names - _fields_passed(cls, resolvers, trees)

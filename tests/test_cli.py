@@ -160,6 +160,23 @@ class TestCommands:
         assert rc == 0
         assert "verified against sequential oracle" in capsys.readouterr().out
 
+    def test_trace_summary_ends_with_the_timeline(self, capsys, tmp_path):
+        """A saved sim trace: the tables, then one timeline row per rank."""
+        from repro.obs import load_chrome_trace, timeline
+
+        path = tmp_path / "run.json"
+        assert main([
+            "run", "--vertices", "400", "--iterations", "8",
+            "--workstations", "3", "--trace-out", str(path),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["trace", "summary", str(path)]) == 0
+        tables, art = capsys.readouterr().out.rsplit("\n\n", 1)
+        assert "Traffic by message tag" in tables
+        assert art.rstrip("\n") == timeline(load_chrome_trace(path))
+        rows = [line for line in art.splitlines() if line.startswith("rank")]
+        assert [line.split("|")[0].split()[1] for line in rows] == ["0", "1", "2"]
+
 
 class TestBenchGlobs:
     def test_bench_run_glob(self, capsys, tmp_path):
@@ -303,6 +320,38 @@ class TestFuzzCLI:
         rc = main(["fuzz", "run", "--scenario", scenario])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, change, field",
+        [
+            ("scenario", {"seed": "x"}, "seed"),
+            ("scenario", {"seed": 1.5}, "seed"),
+            ("scenario", {"speeds": ["a", "b"]}, "speeds"),
+            ("scenario", {"speeds": [1.0, float("nan")]}, "speeds"),
+            ("scenario", {"workstations": True}, "workstations"),
+            ("job", {"seed": "x"}, "seed"),
+            ("job", {"seed": -1}, "seed"),
+            ("job", {"ranks": 1.5}, "ranks"),
+            ("job", {"vertices": 64.5}, "vertices"),
+            ("job", {"iterations": 2.5}, "iterations"),
+            ("job", {"priority": "high"}, "priority"),
+        ],
+    )
+    def test_malformed_numbers_are_configuration_errors(
+        self, capsys, tmp_path, kind, change, field
+    ):
+        if kind == "scenario":
+            spec = {"seed": 1, "vertices": 96, "workstations": 2,
+                    "iterations": 3, **change}
+            argv = ["fuzz", "run", "--scenario", json.dumps(spec)]
+        else:
+            spec = {"job_id": "a", "vertices": 64, "iterations": 2,
+                    "ranks": 1, **change}
+            jobs = tmp_path / "jobs.jsonl"
+            jobs.write_text(json.dumps(spec) + "\n")
+            argv = ["serve", "--jobs", str(jobs)]
+        assert main(argv) == 2
+        assert f"{field} must be " in capsys.readouterr().err
 
     def test_shrink_without_target_is_an_error(self, capsys):
         rc = main(["fuzz", "shrink"])

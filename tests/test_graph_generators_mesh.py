@@ -20,7 +20,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
     PAPER_MESH_EDGES,
     PAPER_MESH_VERTICES,
-    airfoil_mesh,
     delaunay_mesh,
     grid_graph,
     paper_mesh,
@@ -73,7 +72,6 @@ class TestMesh:
 
     @pytest.mark.parametrize("build", [
         lambda: perturbed_grid_mesh(13, 11, seed=4),
-        lambda: airfoil_mesh(600, seed=2),
         lambda: grid_mesh_3d(4, 3, 5, jitter=0.2, seed=1),
         # A degenerate cell (repeated vertex) adds no self-loop; a shared
         # edge is stored once.
@@ -141,17 +139,6 @@ class TestUnstructuredGenerators:
     def test_perturbed_grid_rejects_big_jitter(self):
         with pytest.raises(GraphError):
             perturbed_grid_mesh(5, 5, jitter=0.7)
-
-    def test_airfoil_nonconvex_hole(self):
-        m = airfoil_mesh(1200, seed=1, chord=4.0, thickness=0.5)
-        # No mesh point inside the elliptic airfoil.
-        inside = (m.points[:, 0] / 2.0) ** 2 + (m.points[:, 1] / 1.0) ** 2 < 1.0
-        assert not inside.any()
-        assert connected_components(m.graph)[0] >= 1
-
-    def test_airfoil_rejects_tiny(self):
-        with pytest.raises(GraphError):
-            airfoil_mesh(10)
 
     def test_random_geometric_connected(self):
         g = random_geometric_graph(300, seed=2)
@@ -394,11 +381,6 @@ class TestScaleMesh:
         "7083203e4f95bd2541af296d12308ed62d1549127044608db19282790bd37b30",
         "41a62358e017d1ec918c77af54a8c2bafb819bb33ebc20eff1e6b97544da0bc2",
     ), id="scale_mesh(10k,geometric,seed=1995)"),
-    pytest.param(lambda: airfoil_mesh(4000).graph, (
-        "e96cb3a55844326f755414a08dfe3e8b3b8362077bac4d9f78596d8e1e6ddd7b",
-        "d4cabe70c6a9b7a0ebf31b01311bfb9a7665a24c905cf27578a898dfb3b97bcd",
-        "3f18f5e8f92612689f66e9db113f5a10fc37663522304dbcc767bf44feb2823f",
-    ), id="airfoil_mesh(4000)"),
 ])
 def test_mesh_digest_pinned(build, digests):
     graph = build()

@@ -9,6 +9,7 @@ chained patches included).
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -28,7 +29,6 @@ from repro.runtime.incremental import (
     IncrementalInspector,
     check_inspector_mode,
     diff_interval,
-    inspector_results_equal,
 )
 from repro.runtime.inspector import run_inspector
 from repro.runtime.kernels import run_sequential
@@ -183,7 +183,7 @@ class TestIncrementalDifferential:
                     for r in range(p):
                         got = incs[r].rebuild(part)
                         want = run_inspector(graph, part, r, strategy="sort2")
-                        assert inspector_results_equal(got, want)
+                        assert got == want
 
     @pytest.mark.parametrize("strategy", ["sort1", "sort2"])
     def test_forced_patch_matches_full(self, meshes, strategy):
@@ -203,7 +203,7 @@ class TestIncrementalDifferential:
                         )
                         got = inc.rebuild(new, force="patch")
                         want = run_inspector(graph, new, r, strategy=strategy)
-                        assert inspector_results_equal(got, want)
+                        assert got == want
                         assert inc.last_mode == "patched"
                         assert inc.num_patches == 1
 
@@ -225,7 +225,7 @@ class TestIncrementalDifferential:
                         continue
                     got = incs[r].rebuild(nxt, force="patch")
                     want = run_inspector(graph, nxt, r, strategy="sort2")
-                    assert inspector_results_equal(got, want)
+                    assert got == want
                 part = nxt
 
     def test_patched_sweep_values_bit_identical(self, meshes):
@@ -256,7 +256,7 @@ class TestIncrementalDifferential:
         inc = IncrementalInspector(graph, part, 1, strategy="sort2")
         got = inc.rebuild(part)
         want = run_inspector(graph, part, 1, strategy="sort2")
-        assert inspector_results_equal(got, want)
+        assert got == want
         assert inc.last_mode == "patched"
 
     def test_force_full_takes_full_path(self, meshes):
@@ -330,7 +330,9 @@ def test_schedules_and_plans_compare_by_value(meshes):
     assert a.schedule == b.schedule and a.kernel_plan == b.kernel_plan
     assert a.schedule != c.schedule and a.kernel_plan != c.kernel_plan
     assert a.kernel_plan != a.schedule
-    assert inspector_results_equal(a, b) and not inspector_results_equal(a, c)
+    assert a == b and a != c
+    # Build time and strategy name are not part of a result's value.
+    assert dataclasses.replace(a, strategy="sort1", build_time=1.0) == b
     with pytest.raises(TypeError):
         hash(a.kernel_plan)
     with pytest.raises(TypeError):
@@ -367,7 +369,7 @@ class TestCrossoverEstimate:
                 estimate = inc._patch_cost_estimate(d)
                 got = inc.rebuild(part)
                 want = run_inspector(graph, part, r, strategy="sort2")
-                assert inspector_results_equal(got, want)
+                assert got == want
                 rebuilds.append((estimate, inc.last_mode, inc.last_patch_cost))
         return rebuilds
 

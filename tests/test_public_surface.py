@@ -1,9 +1,10 @@
 """The library exports what has a caller.
 
 **Names.**  Every module-level public name defined in ``src/repro`` must be
-referenced from ``src/``, ``examples/``, ``bench/`` or ``tools/``.  A
-capability only the tests call is deleted; a reference implementation the
-tests compare against lives in ``tests/oracles_*.py``.  The walk reads the
+referenced from ``src/``, ``bench/`` or ``tools/``.  The examples are
+clients of the library, as the tests are: a capability only they or the
+tests call is deleted; a reference implementation the tests compare
+against lives in ``tests/oracles_*.py``.  The walk reads the
 source with ``ast`` and imports nothing.  A reference is a ``Name`` or
 ``Attribute`` load outside the name's own definition.  ``__all__`` strings,
 re-exports and import aliases are not loads, so an unused import cannot keep
@@ -14,7 +15,7 @@ allow-list entry.
 
 **Members.**  Every public method and property defined in a class body
 under ``src/repro`` must be loaded as an attribute in ``src/``,
-``examples/``, ``bench/`` or ``tools/``, outside its own definition (a
+``bench/`` or ``tools/``, outside its own definition (a
 recursive call does not count).  The same rules hold: ``ast`` only,
 matching by bare name, dunders and ``_private`` names exempt.  A bare name
 load does not count — a method is reached through an attribute — but any
@@ -47,7 +48,8 @@ from repro.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
-CALLER_DIRS = ("src", "examples", "bench", "tools")
+#: Where a call keeps a public name or member alive (see the module doc).
+CALLER_DIRS = ("src", "bench", "tools")
 
 #: Public names allowed to have only test callers, each with its reason
 #: (none are).

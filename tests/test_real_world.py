@@ -112,7 +112,7 @@ def _ring_and_collectives(ctx):
     left = (ctx.rank - 1) % ctx.size
     ctx.send(right, np.arange(4, dtype=np.float64) + ctx.rank, tag=200)
     got = ctx.recv(left, 200)
-    total = ctx.allreduce(float(got.sum()), lambda a, b: a + b)
+    total = ctx.bcast(ctx.reduce(float(got.sum()), lambda a, b: a + b))
     gathered = ctx.allgather(ctx.rank * 10)
     ctx.barrier()
     return (os.getpid(), total, gathered, ctx.clock)

@@ -12,11 +12,6 @@ from hypothesis import strategies as st
 from oracles_kernels import (
     BincountRowSegments, sequential_kernel_oracle, sweep_reference,
 )
-from repro.apps.sparse_matvec import (
-    SymmetricPatternMatrix,
-    run_parallel_spmv,
-    spmv_sequential,
-)
 from repro.errors import ConfigurationError, RankFailedError, ScheduleError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
@@ -631,17 +626,18 @@ class TestRowOperator:
         assert (np.diff(np.minimum(lengths, 255)) >= 0).all()
         np.testing.assert_array_equal(np.sort(lengths), np.sort(counts))
         with np.errstate(invalid="ignore"):
-            sums = rows.sums(values)
+            # The matrix's own row sums, before the divide.
+            sums = (rows.matrix @ values).take(rows.inverse)
             means = rows.means(values, keep)
             _assert_bitwise_equal(sums, oracle.sums(weights), nan_meets_nan)
             _assert_bitwise_equal(
                 means, oracle.means(weights, keep), nan_meets_nan
             )
             _assert_bitwise_equal(
-                RowOperator(indptr, np.arange(index.size), index.size).sums(
-                    weights
+                RowOperator(indptr, np.arange(index.size), index.size).means(
+                    weights, keep
                 ),
-                sums, nan_meets_nan,
+                means, nan_meets_nan,
             )
             # The literal loop, row by row from 0.0.
             loop = keep.copy()
@@ -705,29 +701,9 @@ class TestRowOperator:
         out = plan.sweep(np.empty(0), np.empty(sched.ghost_size))
         assert out.shape == (0,)
         empty = np.zeros(0, dtype=np.intp)
-        assert RowOperator(_indptr(empty), empty, 0).sums(np.empty(0)).shape == (0,)
-
-    def test_sparse_matvec_parallel_equals_sequential(self):
-        """The SpMV app sums per-reference weights through the same
-        kernel on both sides: bit-identical under the same numbering."""
-        g = _hub_graph()
-        rng = np.random.default_rng(14)
-        m = g.indices.size
-        offdiag = rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.integers(-6, 7, m)
-        mat = SymmetricPatternMatrix(
-            g, offdiag, rng.uniform(1.0, 2.0, g.num_vertices)
-        )
-        x0 = rng.uniform(-1.0, 1.0, g.num_vertices)
-        oracle = mat.diag * x0 + BincountRowSegments(g.degrees).sums(
-            offdiag * x0[g.indices]
-        )
-        _assert_bitwise_equal(spmv_sequential(mat, x0), oracle)
-        par, _ = run_parallel_spmv(
-            mat, uniform_cluster(3), x0, iterations=2, normalize=False,
-            ordering=IdentityOrdering(),
-        )
-        seq = spmv_sequential(mat, spmv_sequential(mat, x0))
-        np.testing.assert_array_equal(par, seq)
+        assert RowOperator(_indptr(empty), empty, 0).means(
+            np.empty(0), np.empty(0)
+        ).shape == (0,)
 
 
 class TestSortedGhostSlots:
