@@ -111,6 +111,8 @@ class Scenario(ProgramSpec):
     def __post_init__(self) -> None:
         super().__post_init__()
         self._require_ints("workstations")
+        self._require_strs("expect", "name")
+        self._require_strs("membership", "checkpoint", optional=True)
         if self.workstations < 1:
             raise ConfigurationError(
                 f"scenario needs >= 1 workstation, got {self.workstations}"

@@ -95,6 +95,16 @@ class ProgramSpec:
             value = require_int(getattr(self, name), f"{self.label}: {name}")
             object.__setattr__(self, name, value)
 
+    def _require_strs(self, *names: str, optional: bool = False) -> None:
+        """Each named field must be a string (or ``None`` if *optional*)."""
+        for name in names:
+            value = getattr(self, name)
+            if not (isinstance(value, str) or (optional and value is None)):
+                raise ConfigurationError(
+                    f"{self.label}: {name} must be a string"
+                    f"{' or null' if optional else ''}, got {value!r}"
+                )
+
     @property
     def label(self) -> str:
         """How an error message names this instance."""

@@ -58,8 +58,10 @@ class JobSpec(ProgramSpec):
     seed: int = field(default=1995, kw_only=True)
 
     def __post_init__(self) -> None:
-        if not self.job_id:
-            raise ConfigurationError("job_id must be a non-empty string")
+        if not isinstance(self.job_id, str) or not self.job_id:
+            raise ConfigurationError(
+                f"job_id must be a non-empty string, got {self.job_id!r}"
+            )
         super().__post_init__()
         self._require_ints("ranks", "priority")
         if self.ranks < 1:

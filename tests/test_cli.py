@@ -335,6 +335,10 @@ class TestFuzzCLI:
             ("job", {"vertices": 64.5}, "vertices"),
             ("job", {"iterations": 2.5}, "iterations"),
             ("job", {"priority": "high"}, "priority"),
+            ("scenario", {"membership": 5}, "membership"),
+            ("scenario", {"checkpoint": 5}, "checkpoint"),
+            ("scenario", {"name": 5}, "name"),
+            ("job", {"job_id": 5}, "job_id"),
         ],
     )
     def test_malformed_numbers_are_configuration_errors(
