@@ -11,7 +11,7 @@ MinimizeCostRedistribution, remap — lives here in four modules:
   and :func:`resolve_load_balance`, the one place ``"off"`` / ``None``
   (a static run) is understood;
 * :mod:`~repro.runtime.adaptive.redistribution` — *how data moves*:
-  :func:`redistribute_fields` ships k fields plus vertex identity in one
+  :func:`redistribute_fields` ships k fields plus their slab bounds in one
   packed message per peer;
 * :mod:`~repro.runtime.adaptive.session` — *the loop*:
   :class:`AdaptiveSession` owns monitor → decide → redistribute →
@@ -32,7 +32,7 @@ from repro.runtime.adaptive.elastic import (
     resolve_membership,
 )
 from repro.runtime.adaptive.redistribution import (
-    IDENTITY_NBYTES,
+    SLAB_BOUNDS_NBYTES,
     estimate_remap_cost,
     redistribute,
     redistribute_fields,
@@ -55,10 +55,10 @@ __all__ = [
     "CheckPrice",
     "Decision",
     "ElasticState",
-    "IDENTITY_NBYTES",
     "LoadBalanceConfig",
     "MembershipEvent",
     "MembershipTrace",
+    "SLAB_BOUNDS_NBYTES",
     "STRATEGY_NAMES",
     "SessionStats",
     "check",

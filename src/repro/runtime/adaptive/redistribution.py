@@ -7,14 +7,15 @@ round: each rank sends its outgoing slabs and receives exactly the incoming
 slabs the shared plan predicts.
 
 :func:`redistribute_fields` is the workhorse: it moves *k* field arrays
-plus the vertex identity of every moved element in **one** packed message
-per peer (:class:`repro.net.message.PackedArrays`), so a remap pays the
+plus a slab-bounds header in **one** packed message per peer
+(:class:`repro.net.message.PackedArrays`), so a remap pays the
 per-message setup cost once per peer instead of once per field.  Its body,
 :func:`exchange_fields`, is also the failure-recovery exchange (dead
 sources stood in for by their replica holders): one implementation.  The
-identity segment lets the receiver verify each slab against the shared
-plan — a desynchronized partition (ranks disagreeing about who owns what)
-fails loudly instead of silently scattering data.  Slabs are copied
+header, ``[lo0, hi0, lo1, hi1, ...]``, names every moved vertex in two
+integers per slab; the receiver checks it against the shared plan — a
+desynchronized partition (ranks disagreeing about who owns what) fails
+loudly instead of silently scattering data.  Slabs are copied
 with numpy slicing; the per-element loops of ``tests/oracles_runtime.py``
 are the oracle they are tested against.
 
@@ -45,17 +46,18 @@ __all__ = [
     "exchange_fields",
     "extract_slabs",
     "pack_slabs",
+    "slab_bounds",
     "verify_slabs",
     "place_slabs",
     "estimate_remap_cost",
     "network_pricing_params",
     "transfer_plan_summary",
-    "IDENTITY_NBYTES",
+    "SLAB_BOUNDS_NBYTES",
 ]
 
-#: Wire size of one vertex-identity entry (``np.intp`` on the simulated
-#: testbed's 64-bit hosts), counted by :func:`estimate_remap_cost`.
-IDENTITY_NBYTES = np.dtype(np.intp).itemsize
+#: Wire size of one slab's ``(lo, hi)`` header entry (two ``np.intp`` on
+#: the simulated testbed's 64-bit hosts), counted by the exchange prices.
+SLAB_BOUNDS_NBYTES = 2 * np.dtype(np.intp).itemsize
 
 
 # The packed wire format of one slab group — THE single implementation.
@@ -80,21 +82,23 @@ def extract_slabs(
     ]
 
 
+def slab_bounds(slabs: Sequence[Transfer]) -> np.ndarray:
+    """The header of a slab group: ``[lo0, hi0, lo1, hi1, ...]``."""
+    return np.array([[tr.lo, tr.hi] for tr in slabs], dtype=np.intp).reshape(-1)
+
+
 def pack_slabs(
     source_fields: Sequence[np.ndarray],
     slabs: Sequence[Transfer],
     src_lo: int,
 ):
-    """One packed [identity, field0, ...] payload for a slab group.
+    """One packed [bounds, field0, ...] payload for a slab group.
 
     *src_lo* is the global start of the block *source_fields* covers
     (the sender's interval — or, on the recovery path, the dead owner's).
     """
-    identity = np.concatenate(
-        [np.arange(tr.lo, tr.hi, dtype=np.intp) for tr in slabs]
-    )
     return pack_arrays(
-        [identity] + extract_slabs(source_fields, slabs, src_lo)
+        [slab_bounds(slabs)] + extract_slabs(source_fields, slabs, src_lo)
     )
 
 
@@ -107,31 +111,27 @@ def verify_slabs(
     outs: Sequence[np.ndarray],
     error_cls: type[Exception] = RedistributionError,
 ) -> None:
-    """Check one received payload against the shared plan's prediction."""
+    """Check one received payload against the shared plan's prediction:
+    its slab bounds, and each field's length, dtype and trailing shape."""
     if len(parts) != 1 + num_fields:
         raise error_cls(
             f"rank {rank}: packed message from {origin} has "
             f"{len(parts)} segments, plan expects {1 + num_fields}"
         )
-    expected = np.concatenate(
-        [np.arange(tr.lo, tr.hi, dtype=np.intp) for tr in slabs]
-    )
-    identity = parts[0]
-    if identity.shape != expected.shape or not np.array_equal(
-        identity, expected
-    ):
+    if not np.array_equal(parts[0], slab_bounds(slabs)):
         raise error_cls(
-            f"rank {rank}: slab from {origin} carries vertex "
-            f"identities that do not match the shared transfer plan "
-            f"(desynchronized exchange?)"
+            f"rank {rank}: slab from {origin} carries slab bounds that "
+            f"do not match the shared transfer plan (desynchronized exchange?)"
         )
+    count = sum(tr.count for tr in slabs)
     for f_idx, out in enumerate(outs):
         part = parts[1 + f_idx]
-        if part.shape[0] != expected.size or part.dtype != out.dtype:
+        want = (count,) + out.shape[1:]
+        if part.shape != want or part.dtype != out.dtype:
             raise error_cls(
                 f"rank {rank}: field {f_idx} slab from {origin} does "
-                f"not match the plan ({part.shape[0]} elements of "
-                f"{part.dtype}, expected {expected.size} of {out.dtype})"
+                f"not match the plan ({part.shape} of {part.dtype}, "
+                f"expected {want} of {out.dtype})"
             )
 
 
@@ -166,8 +166,8 @@ def exchange_fields(
 ) -> list[np.ndarray]:
     """The packed *old* -> *new* exchange; SPMD collective.
 
-    One packed message per peer carries the vertex identity plus every
-    field's slab; the receiver checks identity against the shared plan
+    One packed message per peer carries the slab bounds plus every
+    field's slab; the receiver checks the bounds against the shared plan
     before placing anything.  With nothing *failed* this is the Phase D
     remap.  On the recovery path (:mod:`repro.runtime.resilience.recovery`)
     a *failed* rank contributes no data: each slab it owned is shipped by
@@ -243,7 +243,7 @@ def exchange_fields(
             ctx.send(dest, payload, replica_tag(owner))
 
     # Live incoming, ascending source: verified against the plan's
-    # identity prediction, then placed slab by slab.
+    # slab bounds, then placed slab by slab.
     for source in sorted(incoming_live):
         slabs = incoming_live[source]
         parts = unpack_arrays(ctx.recv(source, tag))
@@ -299,7 +299,7 @@ def redistribute(
     """Move one field between partitions (single-field convenience form).
 
     Equivalent to ``redistribute_fields(ctx, old, new, [local_data])[0]``:
-    the exchange still ships vertex identity alongside the data in one
+    the exchange still ships the slab bounds alongside the data in one
     packed message per peer.
     """
     return redistribute_fields(
@@ -333,13 +333,13 @@ def estimate_remap_cost(
     element_nbytes: int,
     *,
     num_fields: int = 1,
-    include_identity: bool = True,
 ) -> float:
     """Predicted virtual seconds to redistribute, without doing it.
 
     Prices the packed exchange :func:`redistribute_fields` performs: per
-    moved element, ``num_fields`` payload copies of *element_nbytes* plus
-    (by default) one vertex-identity entry, and one per-peer message setup.
+    moved element, ``num_fields`` payload copies of *element_nbytes*; per
+    slab, its :data:`SLAB_BOUNDS_NBYTES` header; and one per-peer message
+    setup.
     On a shared medium (Ethernet) all frames serialize, so the estimate is
     the sum of per-message fixed costs plus total bytes over the shared
     bandwidth.  On switched fabrics transfers to distinct destinations can
@@ -356,21 +356,18 @@ def estimate_remap_cost(
     transfers = transfer_matrix(old, new)
     if not transfers:
         return 0.0
-    per_element = num_fields * element_nbytes + (
-        IDENTITY_NBYTES if include_identity else 0
-    )
+    per_element = num_fields * element_nbytes
     latency, bandwidth, overhead, shared_medium = network_pricing_params(network)
-    n_messages = len({(tr.source, tr.dest) for tr in transfers})
-    fixed = n_messages * (overhead + latency)
-    if shared_medium:
-        total_bytes = sum(tr.count for tr in transfers) * per_element
-        return fixed + total_bytes / bandwidth
     by_link: dict[tuple[int, int], int] = {}
     for tr in transfers:
         key = (tr.source, tr.dest)
-        by_link[key] = by_link.get(key, 0) + tr.count * per_element
-    slowest = max(by_link.values())
-    return fixed + slowest / bandwidth
+        by_link[key] = (
+            by_link.get(key, 0) + tr.count * per_element + SLAB_BOUNDS_NBYTES
+        )
+    fixed = len(by_link) * (overhead + latency)
+    if shared_medium:
+        return fixed + sum(by_link.values()) / bandwidth
+    return fixed + max(by_link.values()) / bandwidth
 
 
 def transfer_plan_summary(
@@ -388,19 +385,18 @@ def transfer_plan_summary(
     pins so redistribution semantics cannot silently drift.
     """
     transfers = transfer_matrix(old, new)
-    by_peer: dict[tuple[int, int], int] = {}
+    by_peer: dict[tuple[int, int], list[Transfer]] = {}
     for tr in transfers:
-        key = (tr.source, tr.dest)
-        by_peer[key] = by_peer.get(key, 0) + tr.count
-    message_nbytes = {}
-    for (source, dest), count in sorted(by_peer.items()):
-        dummy = [np.empty(count, dtype=np.intp)] + [
-            np.empty(count, dtype=f"V{element_nbytes}")
-            for _ in range(num_fields)
-        ]
-        message_nbytes[f"{source}->{dest}"] = payload_nbytes(
-            pack_arrays(dummy)
+        by_peer.setdefault((tr.source, tr.dest), []).append(tr)
+    # A dummy block covering the whole list stands in for every sender's
+    # fields, so each message is sized by the one wire format itself.
+    block = np.empty(old.num_elements, dtype=f"V{element_nbytes}")
+    message_nbytes = {
+        f"{source}->{dest}": payload_nbytes(
+            pack_slabs([block] * num_fields, slabs, 0)
         )
+        for (source, dest), slabs in sorted(by_peer.items())
+    }
     return {
         "transfers": [
             [tr.source, tr.dest, tr.lo, tr.hi] for tr in transfers

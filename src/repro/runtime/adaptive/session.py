@@ -305,9 +305,9 @@ class AdaptiveSession:
 
         The one path the periodic check, a membership batch and the
         recovery share.  The remap is priced for what the packed exchange
-        will really ship — every field plus identity (with no fields at
-        all it only moves ownership and rebuilds schedules) — plus the
-        rebuild cost learned from the last remap's measured span
+        will really ship — every field plus the slab bounds (with no
+        fields at all it only moves ownership and rebuilds schedules) —
+        plus the rebuild cost learned from the last remap's measured span
         (:meth:`_note_remap_span`; 0.0 outside elastic runs, which keep
         the paper's protocol untouched).  All inputs are identical on
         every rank, keeping decisions collective.

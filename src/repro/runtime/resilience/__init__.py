@@ -15,7 +15,7 @@ pluggable layers, mirroring the Phase D decomposition:
   style applied to failures);
 * :mod:`~repro.runtime.resilience.checkpoint` — *what a checkpoint is*:
   diskless partner replication; each data-holding rank ships its block
-  (fields + vertex identity) in one :class:`~repro.net.message.PackedArrays`
+  (fields + its interval bounds) in one :class:`~repro.net.message.PackedArrays`
   message to each of its ``replication_factor`` ring successors
   (:func:`replica_partners`) and snapshots its own block locally,
   priced analytically by :func:`estimate_checkpoint_cost` — ``k``

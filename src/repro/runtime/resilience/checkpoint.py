@@ -1,7 +1,7 @@
 """Partner-replication checkpoints: one packed message per rank.
 
 A checkpoint makes the run survivable: every data-holding rank ships its
-interval's fields **plus vertex identity** to a *partner* (the next active
+interval's fields **plus its bounds** to a *partner* (the next active
 rank on a ring over the active set) through the same
 :class:`~repro.net.message.PackedArrays` wire format the Phase D
 redistribution uses — one message, one per-message setup charge — and
@@ -14,7 +14,7 @@ the price of one extra message per rank.
 
 Like every other Phase D decision, the checkpoint is collective and built
 from replicated knowledge only: the partition is replicated (Fig. 3), so
-the ring assignment, the message sizes, and the identity segments are all
+the ring assignment, the message sizes, and the bounds headers are all
 known to every rank without negotiation, and
 :func:`estimate_checkpoint_cost` can price the whole exchange analytically
 the same way :func:`~repro.runtime.adaptive.redistribution.estimate_remap_cost`
@@ -34,7 +34,7 @@ from repro.net.message import Tags, payload_nbytes, unpack_arrays
 from repro.partition.arrangement import Transfer
 from repro.partition.intervals import IntervalPartition
 from repro.runtime.adaptive.redistribution import (
-    IDENTITY_NBYTES,
+    SLAB_BOUNDS_NBYTES,
     network_pricing_params,
     pack_slabs,
     verify_slabs,
@@ -199,7 +199,7 @@ def take_checkpoint(
 
     Every rank calls it at a synchronized boundary with its current block
     of *fields*.  Data-holding active ranks send one packed message
-    (identity + every field) to each of their *replication_factor* ring
+    (interval bounds + every field) to each of their *replication_factor* ring
     successors; every rank snapshots its own block locally; a trailing
     barrier makes the epoch's cost a synchronized span every rank
     measures identically.  With ``replication_factor=1`` this is the
@@ -235,10 +235,10 @@ def take_checkpoint(
 
     # Incoming: every ring predecessor whose holder set names this rank
     # (at most ``replication_factor`` of them).  The shared verify
-    # checks identity against the replicated partition plus every field
-    # segment's length and dtype (own fields are the dtype reference —
-    # SPMD ranks run one program), so a malformed replica fails at
-    # replication time, not mid-rollback.
+    # checks the bounds against the replicated partition plus every field
+    # segment's length, dtype and trailing shape (own fields are the
+    # reference — SPMD ranks run one program), so a malformed replica
+    # fails at replication time, not mid-rollback.
     replicas: dict[int, list[np.ndarray]] = {}
     predecessors = [o for o, holders in partners.items() if rank in holders]
     for owner in sorted(predecessors):
@@ -282,7 +282,7 @@ def estimate_checkpoint_cost(
     Prices exactly what :func:`take_checkpoint` ships: per data-holding
     active rank, one packed message per ring successor (``k`` of them
     under ``replication_factor=k``) of its interval's ``num_fields``
-    payload copies plus one vertex-identity entry per element.  Shared
+    payload copies per element plus one slab-bounds header.  Shared
     media serialize all frames; switched fabrics overlap distinct
     sources but serialize each source's own fan-out, approximated by the
     slowest single source — the same style of model as
@@ -297,11 +297,13 @@ def estimate_checkpoint_cost(
     partners = replica_partners(partition, active, replication_factor)
     if not partners:
         return 0.0
-    per_element = num_fields * element_nbytes + IDENTITY_NBYTES
     latency, bandwidth, overhead, shared_medium = network_pricing_params(network)
     # Per owner: all its replica copies leave through its own port.
     outgoing = {
-        owner: partition.size(owner) * per_element * len(holders)
+        owner: (
+            partition.size(owner) * num_fields * element_nbytes
+            + SLAB_BOUNDS_NBYTES
+        ) * len(holders)
         for owner, holders in partners.items()
     }
     n_messages = sum(len(holders) for holders in partners.values())

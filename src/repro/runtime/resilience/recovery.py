@@ -13,7 +13,7 @@ whose *source* is a dead rank are shipped from the replica by that
 rank's *first surviving* checkpoint holder instead — the plan is still
 fully replicated (partition, ring, holder lists, and failure set are
 shared knowledge), so no discovery round is needed and the receiver can
-still verify every slab's vertex identity against the plan.  Under
+still verify every slab's bounds against the plan.  Under
 k-successor replication an owner has up to ``k`` holders; exactly one
 (the designated shipper) speaks for it, chosen identically on every
 rank.  Replica slabs travel under a per-owner tag

@@ -71,7 +71,7 @@ __all__ = [
     "scatter_replace_loop",
     "slab_pack_loop",
     "slab_unpack_loop",
-    "iota_loop",
+    "slab_bounds_loop",
     "schedule_oracle",
     "simple_schedules_oracle",
     "gather_oracle",
@@ -492,12 +492,14 @@ def slab_unpack_loop(out: np.ndarray, start: int, payload: np.ndarray) -> None:
         out[start + k] = payload[k]
 
 
-def iota_loop(lo: int, hi: int) -> np.ndarray:
-    """Build the vertex-identity run [lo, hi) one element at a time
-    (matches ``np.arange(lo, hi, dtype=np.intp)``)."""
-    arr = np.empty(hi - lo, dtype=np.intp)
-    for k in range(hi - lo):
-        arr[k] = lo + k
+def slab_bounds_loop(slabs) -> np.ndarray:
+    """Build a slab group's header ``[lo0, hi0, lo1, hi1, ...]`` one
+    entry at a time from its ``(lo, hi)`` pairs (matches
+    ``np.array(pairs, dtype=np.intp).reshape(-1)``, as ``slab_bounds``)."""
+    arr = np.empty(2 * len(slabs), dtype=np.intp)
+    for k, (lo, hi) in enumerate(slabs):
+        arr[2 * k] = lo
+        arr[2 * k + 1] = hi
     return arr
 
 

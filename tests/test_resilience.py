@@ -233,7 +233,7 @@ class TestRingPartners:
 
 
 class TestEstimateCheckpointCost:
-    def test_prices_fields_and_identity(self):
+    def test_prices_every_field(self):
         part = partition_list(1000, [0.5, 0.5])
         net = PointToPointNetwork()
         one = estimate_checkpoint_cost(net, part, np.ones(2, bool), 8)
@@ -347,6 +347,25 @@ class TestCheckpointRecovery:
         part = partition_list(80, [0.5, 0.0, 0.5])
         failed = np.array([False, True, False])
         check_recoverable(part, {}, failed)  # does not raise
+
+    def test_replica_of_another_trailing_shape_is_rejected(self):
+        """A (count, 3) replica for a (count, 2) field fails at
+        replication time, naming the field, not later mid-rollback."""
+        part = partition_list(40, [0.0, 1.0])  # only rank 1 -> rank 0 ships
+
+        def fn(ctx):
+            lo, hi = part.interval(ctx.rank)
+            width = 3 if ctx.rank == 1 else 2
+            take_checkpoint(
+                ctx, part, [np.zeros((hi - lo, width))], np.ones(2, bool),
+                next_iteration=0, epoch=0,
+            )
+
+        with pytest.raises(RankFailedError) as exc:
+            run_spmd(uniform_cluster(2), fn)
+        [failure] = exc.value.failures.values()
+        assert isinstance(failure, ResilienceError)
+        assert "field 0" in str(failure) and "(40, 3)" in str(failure)
 
     def test_recovery_partition_must_exclude_dead(self):
         part = partition_list(60, np.ones(3))

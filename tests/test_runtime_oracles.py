@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 from oracles_runtime import (
     dereference_oracle,
     gather_oracle,
-    iota_loop,
     kernel_slots_loop,
     scatter_oracle,
     schedule_oracle,
     simple_schedules_oracle,
+    slab_bounds_loop,
     slab_pack_loop,
     slab_unpack_loop,
 )
@@ -268,10 +268,9 @@ class TestRedistribution:
             ]
             for got, expected in zip(extract_slabs(blocks, slabs, lo), want):
                 np.testing.assert_array_equal(got, expected)
-            identity, *parts = unpack_arrays(pack_slabs(blocks, slabs, lo))
+            bounds, *parts = unpack_arrays(pack_slabs(blocks, slabs, lo))
             np.testing.assert_array_equal(
-                identity,
-                np.concatenate([iota_loop(tr.lo, tr.hi) for tr in slabs]),
+                bounds, slab_bounds_loop([(tr.lo, tr.hi) for tr in slabs])
             )
             for got, expected in zip(parts, want):
                 np.testing.assert_array_equal(got, expected)

@@ -394,13 +394,13 @@ class TestLedgerPinned:
     bit of any of them."""
 
     AGGREGATES = {
-        "makespan": 0.19397855314324186,
+        "makespan": 0.1793353906536372,
         "inspector_time": 0.006643833893348354,
         "compute_time": 0.04337100000000005,
-        "lb_check_time": 0.03267520000000021,
-        "remap_time": 0.016853519249893114,
-        "checkpoint_time": 0.03570880000000001,
-        "rollback_time": 0.006094500000000003,
+        "lb_check_time": 0.032675200000000154,
+        "remap_time": 0.015070856760288485,
+        "checkpoint_time": 0.023408000000000033,
+        "rollback_time": 0.0052561000000000135,
         "lost_time": 0.00437860000000001,
         "num_checks": 6,
         "num_remaps": 2,
@@ -409,8 +409,8 @@ class TestLedgerPinned:
         "num_rollbacks": 1,
     }
     CLOCKS = [
-        0.19397855314324186, 0.19001855314324184,
-        0.19257935314324184, 0.19257855314324185,
+        0.1793353906536372, 0.1753753906536372,
+        0.1779361906536372, 0.1779353906536372,
     ]
     #: Per-rank values that differ between ranks; every other ledger name
     #: holds the aggregate on every rank.
@@ -420,12 +420,12 @@ class TestLedgerPinned:
             0.004860074956100206, 0.0,
         ],
         "compute_time": [
-            0.008763000000000005, 0.01369750000000002,
-            0.04337100000000005, 0.04227650000000009,
+            0.010516500000000014, 0.013697500000000017,
+            0.04337100000000005, 0.04052300000000009,
         ],
         "lb_check_time": [
-            0.017651200000000093, 0.024851200000000125,
-            0.028763200000000166, 0.03267520000000021,
+            0.017651200000000075, 0.0248512000000001,
+            0.028763200000000128, 0.032675200000000154,
         ],
     }
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import RankFailedError, RedistributionError, ResilienceError
 from repro.net.cluster import uniform_cluster
-from repro.net.message import Tags, pack_arrays, unpack_arrays
+from repro.net.message import Tags, pack_arrays, payload_nbytes, unpack_arrays
 from repro.net.network import ETHERNET_10MBIT, PointToPointNetwork
 from repro.net.spmd import run_spmd
 from repro.obs import summarize
@@ -31,6 +31,7 @@ from repro.runtime.adaptive.redistribution import (
     network_pricing_params,
     pack_slabs,
     place_slabs,
+    slab_bounds,
     verify_slabs,
 )
 
@@ -233,7 +234,7 @@ class TestRedistributeFields:
         assert sum(summarize(res.trace).messages_by_tag.values()) == message_count(old, new)
 
     def test_identity_guard_detects_corrupt_slab(self):
-        """A slab whose vertex identity disagrees with the plan is rejected."""
+        """A slab whose bounds disagree with the plan is rejected."""
         n = 10
         old = partition_list(n, [1.0, 1.0])
         new = partition_list(n, [1.2, 0.8])  # plan: rank1 -> rank0 slab
@@ -244,13 +245,10 @@ class TestRedistributeFields:
             if ctx.rank == 1:
                 # Impersonate the exchange but lie about which vertices move.
                 [tr] = transfer_matrix(old, new)
-                wrong_identity = np.arange(tr.lo + 1, tr.hi + 1, dtype=np.intp)
+                shifted = np.array([tr.lo + 1, tr.hi + 1], dtype=np.intp)
                 ctx.send(
                     tr.dest,
-                    pack_arrays([
-                        wrong_identity,
-                        data[tr.lo - lo : tr.hi - lo],
-                    ]),
+                    pack_arrays([shifted, data[tr.lo - lo : tr.hi - lo]]),
                     Tags.REDISTRIBUTE,
                 )
                 return None
@@ -258,7 +256,24 @@ class TestRedistributeFields:
 
         with pytest.raises(RankFailedError) as err:
             run_spmd(uniform_cluster(2), fn)
-        assert "identities" in str(err.value)
+        assert "slab bounds" in str(err.value)
+
+    def test_rejects_a_field_of_another_trailing_shape(self):
+        """A (count, 3) slab bound for a (count, 2) field fails the
+        verify, naming the field, before anything is placed."""
+        old = partition_list(10, [1.0, 1.0])
+        new = partition_list(10, [1.2, 0.8])  # plan: rank1 -> rank0 slab
+
+        def fn(ctx):
+            lo, hi = old.interval(ctx.rank)
+            width = 3 if ctx.rank == 1 else 2
+            return redistribute_fields(ctx, old, new, [np.zeros((hi - lo, width))])
+
+        with pytest.raises(RankFailedError) as err:
+            run_spmd(uniform_cluster(2), fn)
+        [failure] = err.value.failures.values()
+        assert isinstance(failure, RedistributionError)
+        assert "field 0" in str(failure) and "(1, 3)" in str(failure)
 
     def test_rejects_empty_field_list(self):
         old = partition_list(10, [1, 1])
@@ -328,15 +343,18 @@ class TestTransferPlanSummary:
         assert summary["moved_elements"] == sum(
             tr.count for tr in transfer_matrix(old, new)
         )
-        # Every packed message prices identity + both fields.
+        # Every packed message is the bounds header plus both fields.
         for key, nbytes in summary["packed_message_nbytes"].items():
             src, dst = key.split("->")
-            count = sum(
-                tr.count
-                for tr in transfer_matrix(old, new)
+            slabs = [
+                tr for tr in transfer_matrix(old, new)
                 if tr.source == int(src) and tr.dest == int(dst)
-            )
-            assert nbytes >= count * (8 + 2 * 8)
+            ]
+            count = sum(tr.count for tr in slabs)
+            assert nbytes == payload_nbytes(pack_arrays([
+                np.empty(2 * len(slabs), dtype=np.intp),
+                np.empty(count), np.empty(count),
+            ]))
 
     def test_identity_partition_is_empty(self):
         part = partition_list(50, np.ones(4))
@@ -384,14 +402,14 @@ class TestSlabHelpers:
         slabs = [Transfer(0, 1, 2, 4), Transfer(0, 1, 6, 9)]
         block = np.arange(10, dtype=np.float64) + 0.5
         parts = unpack_arrays(pack_slabs([block], slabs, 0))
-        np.testing.assert_array_equal(parts[0], [2, 3, 6, 7, 8])
+        np.testing.assert_array_equal(parts[0], [2, 4, 6, 9])
         np.testing.assert_array_equal(parts[1], block[[2, 3, 6, 7, 8]])
         out = np.zeros(8)
         verify_slabs(1, "rank 0", parts, slabs, 1, [out])
         place_slabs([out], slabs, parts[1:], 2)
         np.testing.assert_array_equal(out, [2.5, 3.5, 0, 0, 6.5, 7.5, 8.5, 0])
 
-    def test_pack_carries_identity_first(self):
+    def test_pack_carries_bounds_first(self):
         source, _, slabs = self._first_group()
         lo, hi = self.OLD.interval(source)
         fields = self._fields()
@@ -399,9 +417,9 @@ class TestSlabHelpers:
             pack_slabs([f[lo:hi] for f in fields], slabs, lo)
         )
         assert len(parts) == 1 + len(fields)
+        assert parts[0].dtype == np.intp
         np.testing.assert_array_equal(
-            parts[0],
-            np.concatenate([np.arange(tr.lo, tr.hi) for tr in slabs]),
+            parts[0], [b for tr in slabs for b in (tr.lo, tr.hi)]
         )
 
     def test_round_trip_rebuilds_new_blocks(self):
@@ -438,26 +456,49 @@ class TestSlabHelpers:
         with pytest.raises(RedistributionError, match="segments"):
             self._verify([np.arange(3)], slabs, outs)
 
-    def test_verify_rejects_foreign_identities(self):
+    def test_verify_rejects_per_element_identities(self):
         _, _, slabs = self._first_group()
         count = sum(tr.count for tr in slabs)
-        parts = [np.arange(count, dtype=np.intp) + 1000, np.zeros(count)]
-        with pytest.raises(RedistributionError, match="identities"):
+        identity = np.concatenate([np.arange(tr.lo, tr.hi) for tr in slabs])
+        parts = [identity.astype(np.intp), np.zeros(count)]
+        with pytest.raises(RedistributionError, match="slab bounds"):
             self._verify(parts, slabs, [np.zeros(count)])
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda b: b + np.array([0, 0, 1, 1]),  # a slab shifted by one
+            lambda b: b[[2, 3, 0, 1]],  # two slabs swapped
+            lambda b: b[:2],  # a slab missing
+        ],
+        ids=["shifted", "swapped", "missing"],
+    )
+    def test_verify_rejects_corrupt_bounds(self, corrupt):
+        slabs = [Transfer(0, 1, 2, 4), Transfer(0, 1, 6, 9)]
+        parts = [corrupt(slab_bounds(slabs)), np.zeros(5)]
+        with pytest.raises(RedistributionError, match="slab bounds"):
+            self._verify(parts, slabs, [np.zeros(5)])
 
     def test_verify_rejects_wrong_dtype(self):
         _, _, slabs = self._first_group()
-        identity = np.concatenate([np.arange(tr.lo, tr.hi) for tr in slabs])
-        parts = [identity, np.zeros(identity.size, dtype=np.float32)]
+        count = sum(tr.count for tr in slabs)
+        parts = [slab_bounds(slabs), np.zeros(count, dtype=np.float32)]
         with pytest.raises(RedistributionError, match="does not match"):
-            self._verify(parts, slabs, [np.zeros(identity.size)])
+            self._verify(parts, slabs, [np.zeros(count)])
 
     def test_verify_rejects_short_field(self):
         _, _, slabs = self._first_group()
-        identity = np.concatenate([np.arange(tr.lo, tr.hi) for tr in slabs])
-        parts = [identity, np.zeros(identity.size - 1)]
+        count = sum(tr.count for tr in slabs)
+        parts = [slab_bounds(slabs), np.zeros(count - 1)]
         with pytest.raises(RedistributionError, match="does not match"):
-            self._verify(parts, slabs, [np.zeros(identity.size)])
+            self._verify(parts, slabs, [np.zeros(count)])
+
+    def test_verify_rejects_wrong_trailing_shape(self):
+        _, _, slabs = self._first_group()
+        count = sum(tr.count for tr in slabs)
+        parts = [slab_bounds(slabs), np.zeros((count, 3))]
+        with pytest.raises(RedistributionError, match="field 0"):
+            self._verify(parts, slabs, [np.zeros((count, 2))])
 
     def test_verify_raises_the_given_error_class(self):
         _, _, slabs = self._first_group()

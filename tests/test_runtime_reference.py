@@ -13,12 +13,12 @@ import pytest
 from oracles_runtime import (
     dedup_first_seen_loop,
     group_by_owner_loop,
-    iota_loop,
     kernel_slots_loop,
     pack_loop,
     recv_side_sorted_loop,
     scatter_add_loop,
     scatter_replace_loop,
+    slab_bounds_loop,
     slab_pack_loop,
     slab_unpack_loop,
     unpack_loop,
@@ -113,11 +113,15 @@ class TestSlabs:
         want[5:9] = payload
         np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("lo,hi", [(0, 0), (0, 1), (7, 19), (1000, 1003)])
-    def test_iota_matches_arange(self, lo, hi):
-        got = iota_loop(lo, hi)
+    @pytest.mark.parametrize(
+        "slabs", [[], [(0, 1)], [(2, 4), (6, 9)], [(1000, 1003), (7, 19)]]
+    )
+    def test_slab_bounds_interleave_the_pairs(self, slabs):
+        got = slab_bounds_loop(slabs)
         assert got.dtype == np.intp
-        np.testing.assert_array_equal(got, np.arange(lo, hi, dtype=np.intp))
+        np.testing.assert_array_equal(
+            got, np.array(slabs, dtype=np.intp).reshape(-1)
+        )
 
 
 class TestDedupAndGrouping:

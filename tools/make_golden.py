@@ -60,7 +60,7 @@ def build_golden() -> dict:
 
     # The packed-exchange transfer plan for the paper's Fig. 5 capability
     # change (Sec. 3.4), under the MCR arrangement: slabs, per-peer packed
-    # message count, and each message's wire size for 2 fields + identity.
+    # message count, and each message's wire size for 2 fields + bounds.
     old_caps = [0.27, 0.18, 0.34, 0.07, 0.14]
     new_caps = [0.10, 0.13, 0.29, 0.24, 0.24]
     arrangement = minimize_cost_redistribution(
