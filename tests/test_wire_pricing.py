@@ -27,10 +27,17 @@ from repro.runtime.resilience import estimate_checkpoint_cost, take_checkpoint
 
 UNIT_LINKS = {"latency": 0.0, "bandwidth": 1.0, "per_message_overhead": 0.0}
 DTYPES = (np.int32, np.float64, np.complex128)
+#: Each network kind with how its price combines per-link bytes: a shared
+#: medium serializes every frame, switched links overlap.
+NETWORKS = (
+    (SharedEthernet, sum),
+    (PointToPointNetwork, lambda nbytes: max(nbytes, default=0)),
+)
 
 
-def unit_networks():
-    return [SharedEthernet(**UNIT_LINKS), PointToPointNetwork(**UNIT_LINKS)]
+def run_on(network_cls, p, fn):
+    cluster = uniform_cluster(p, network_factory=lambda: network_cls(**UNIT_LINKS))
+    return run_spmd(cluster, fn, trace=True)
 
 
 def header_nbytes(num_fields: int) -> int:
@@ -76,16 +83,15 @@ def test_remap_price_equals_shipped_bytes(seed, n, p, k):
         exchange_fields(ctx, old, new, [f[lo:hi] for f in fields])
         return ctx.metrics.snapshot()["counters"]
 
-    res = run_spmd(uniform_cluster(p), fn, trace=True)
-    by_link = shipped_by_link(res, Tags.REDISTRIBUTE, k)
-    shared, links = (
-        estimate_remap_cost(
-            net, old, new, fields[0].itemsize, num_fields=k
+    for network_cls, combine in NETWORKS:
+        by_link = shipped_by_link(
+            run_on(network_cls, p, fn), Tags.REDISTRIBUTE, k
         )
-        for net in unit_networks()
-    )
-    assert shared == sum(by_link.values(), 0)
-    assert links == max(by_link.values(), default=0)
+        price = estimate_remap_cost(
+            network_cls(**UNIT_LINKS), old, new, fields[0].itemsize,
+            num_fields=k,
+        )
+        assert price == combine(by_link.values())
 
 
 @given(
@@ -110,16 +116,13 @@ def test_checkpoint_price_equals_shipped_bytes(seed, n, p, k, replication):
         )
         return ctx.metrics.snapshot()["counters"]
 
-    res = run_spmd(uniform_cluster(p), fn, trace=True)
-    by_source: dict[int, int] = {}
-    for (source, _), nbytes in shipped_by_link(res, Tags.CHECKPOINT, k).items():
-        by_source[source] = by_source.get(source, 0) + nbytes
-    shared, links = (
-        estimate_checkpoint_cost(
-            net, part, active, fields[0].itemsize,
+    for network_cls, combine in NETWORKS:
+        by_link = shipped_by_link(run_on(network_cls, p, fn), Tags.CHECKPOINT, k)
+        by_source: dict[int, int] = {}  # a source's copies share its port
+        for (source, _), nbytes in by_link.items():
+            by_source[source] = by_source.get(source, 0) + nbytes
+        price = estimate_checkpoint_cost(
+            network_cls(**UNIT_LINKS), part, active, fields[0].itemsize,
             num_fields=k, replication_factor=replication,
         )
-        for net in unit_networks()
-    )
-    assert shared == sum(by_source.values())
-    assert links == max(by_source.values())
+        assert price == combine(by_source.values())
