@@ -259,7 +259,7 @@ class TestRedistributeFields:
         assert "slab bounds" in str(err.value)
 
     def test_rejects_a_field_of_another_trailing_shape(self):
-        """A (count, 3) slab bound for a (count, 2) field fails the
+        """A (count, 3) slab sent for a (count, 2) field fails the
         verify, naming the field, before anything is placed."""
         old = partition_list(10, [1.0, 1.0])
         new = partition_list(10, [1.2, 0.8])  # plan: rank1 -> rank0 slab
@@ -492,13 +492,6 @@ class TestSlabHelpers:
         parts = [slab_bounds(slabs), np.zeros(count - 1)]
         with pytest.raises(RedistributionError, match="does not match"):
             self._verify(parts, slabs, [np.zeros(count)])
-
-    def test_verify_rejects_wrong_trailing_shape(self):
-        _, _, slabs = self._first_group()
-        count = sum(tr.count for tr in slabs)
-        parts = [slab_bounds(slabs), np.zeros((count, 3))]
-        with pytest.raises(RedistributionError, match="field 0"):
-            self._verify(parts, slabs, [np.zeros((count, 2))])
 
     def test_verify_raises_the_given_error_class(self):
         _, _, slabs = self._first_group()
