@@ -34,14 +34,18 @@ Payload encodings:
     :class:`~repro.errors.MailboxClosedError`, mirroring the sim world's
     failure cascade).
 
-Array bodies are received into fresh writable memory (``recv_into`` on a
-``bytearray``), so decoded arrays behave like the sim world's payloads.
+A frame leaves as one ``sendmsg`` of :func:`frame_parts`.  The receiving
+side parses the stream with a :class:`FrameReader`, which never blocks and
+never touches a socket: its owner reads whatever bytes are available into
+:meth:`FrameReader.buffer` and collects the completed frames.  Bodies are
+received into fresh writable memory (a ``bytearray`` per frame, which a
+large body is read into directly), so decoded arrays behave like the sim
+world's payloads.
 """
 
 from __future__ import annotations
 
 import pickle
-import socket
 import struct
 from typing import Any
 
@@ -56,10 +60,10 @@ __all__ = [
     "KIND_PACKED",
     "KIND_SHUTDOWN",
     "Frame",
+    "FrameReader",
     "encode_payload",
     "decode_payload",
-    "send_frame",
-    "recv_frame",
+    "frame_parts",
 ]
 
 _MAGIC = 0x5250524F  # "RPRO"
@@ -120,52 +124,87 @@ def decode_payload(kind: int, meta: bytes, body: bytes | bytearray) -> Any:
     raise CommunicationError(f"cannot decode payload frame of kind {kind}")
 
 
-def send_frame(
-    sock: socket.socket,
-    source: int,
-    tag: int,
-    kind: int,
-    meta: bytes,
-    body: Any,
-) -> int:
-    """Write one frame to *sock*; returns the wire size in bytes.
-
-    Each socket direction has exactly one writer (the owning rank's main
-    thread), so no locking is needed here.
-    """
+def frame_parts(
+    source: int, tag: int, kind: int, meta: bytes, body: Any
+) -> tuple[bytes, bytes, Any]:
+    """The buffers of one frame, ``(header, meta, body)``, for one
+    ``sendmsg`` (no concatenation copy)."""
     header = _HEADER.pack(_MAGIC, source, tag, kind, len(meta), len(body))
-    sock.sendall(header + meta)
-    if len(body):
-        sock.sendall(body)
-    return _HEADER.size + len(meta) + len(body)
+    return header, meta, body
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytearray:
-    """Read exactly *n* bytes into fresh writable memory; raises EOFError."""
-    buf = bytearray(n)
-    view = memoryview(buf)
-    got = 0
-    while got < n:
-        k = sock.recv_into(view[got:], n - got)
-        if k == 0:
-            raise EOFError(f"socket closed after {got}/{n} bytes")
-        got += k
-    return buf
+class FrameReader:
+    """Incremental frame parser for one peer's byte stream.
 
+    The owner asks :meth:`buffer` where the next bytes go, reads into it
+    (``sock.recv_into``) and reports the count to :meth:`advance`, which
+    returns the frames that count completed.  Headers and metadata land in
+    a scratch buffer; once a header names a body that has not fully
+    arrived, :meth:`buffer` is the unfilled tail of that frame's fresh
+    ``bytearray``, so large bodies are read straight into their final
+    memory.  :meth:`eof` raises if the stream ends inside a frame.
+    """
 
-def recv_frame(sock: socket.socket) -> Frame | None:
-    """Read one frame from *sock*; ``None`` on clean EOF at a frame edge."""
-    try:
-        header = _recv_exact(sock, _HEADER.size)
-    except EOFError as exc:
-        if "0/" in str(exc):
-            return None  # EOF between frames: the peer closed its socket
-        raise
-    magic, source, tag, kind, meta_len, body_len = _HEADER.unpack(bytes(header))
-    if magic != _MAGIC:
-        raise CommunicationError(
-            f"bad frame magic 0x{magic:08x}: socket stream desynchronized"
-        )
-    meta = bytes(_recv_exact(sock, meta_len)) if meta_len else b""
-    body = _recv_exact(sock, body_len) if body_len else bytearray()
-    return Frame(source, tag, kind, meta, body)
+    __slots__ = ("_scratch", "_pending", "_head", "_body", "_got")
+
+    def __init__(self, scratch_bytes: int = 1 << 16):
+        self._scratch = memoryview(bytearray(scratch_bytes))
+        self._pending = bytearray()  # unparsed header/meta bytes
+        self._head: tuple[int, int, int, bytes] | None = None
+        self._body: bytearray | None = None  # the body being filled
+        self._got = 0
+
+    def buffer(self) -> memoryview:
+        """Writable memory for the next bytes of the stream."""
+        if self._body is not None:
+            return memoryview(self._body)[self._got:]
+        return self._scratch
+
+    def advance(self, n: int) -> list[Frame]:
+        """Account for *n* bytes just written into :meth:`buffer`."""
+        if self._body is None:
+            self._pending += self._scratch[:n]
+            return self._parse()
+        self._got += n
+        if self._got < len(self._body):
+            return []
+        source, tag, kind, meta = self._head
+        frame = Frame(source, tag, kind, meta, self._body)
+        self._head = self._body = None
+        return [frame]
+
+    def eof(self) -> None:
+        """The stream ended: fine at a frame edge, an error inside one."""
+        if self._body is not None or self._pending:
+            raise CommunicationError("stream ended inside a frame")
+
+    def _parse(self) -> list[Frame]:
+        frames: list[Frame] = []
+        buf = self._pending
+        pos = 0
+        while len(buf) - pos >= _HEADER.size:
+            magic, source, tag, kind, meta_len, body_len = _HEADER.unpack_from(
+                buf, pos
+            )
+            if magic != _MAGIC:
+                raise CommunicationError(
+                    f"bad frame magic 0x{magic:08x}: socket stream "
+                    f"desynchronized"
+                )
+            start = pos + _HEADER.size
+            if len(buf) - start < meta_len:
+                break  # wait for the rest of the metadata
+            meta = bytes(buf[start:start + meta_len])
+            start += meta_len
+            have = min(body_len, len(buf) - start)
+            body = bytearray(body_len)
+            body[:have] = buf[start:start + have]
+            pos = start + have
+            if have < body_len:
+                self._head, self._body, self._got = (
+                    (source, tag, kind, meta), body, have
+                )
+                break
+            frames.append(Frame(source, tag, kind, meta, body))
+        del buf[:pos]
+        return frames

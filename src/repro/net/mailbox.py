@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Deque, Iterable
+from typing import Callable, Deque, Iterable
 
 from repro.errors import CommunicationError, MailboxClosedError
 from repro.net.message import Message
@@ -30,15 +30,24 @@ class Mailbox:
     blocked rank can proceed is a function of those channels alone.
     """
 
-    def __init__(self, rank: int):
+    def __init__(
+        self, rank: int, block: Callable[[float | None], bool] | None = None
+    ):
         self.rank = rank
         self._cond = threading.Condition()
+        #: The blocked-wait step: ``block(timeout)`` returns once a deposit
+        #: (or a close) may have happened, False if *timeout* passed first.
+        #: The sim world waits on the condition a sender thread notifies;
+        #: a real-world rank passes its socket progress routine, which
+        #: deposits from the calling thread.
+        self._block = block or self._cond.wait
         self._channels: dict[tuple[int, int], Deque[Message]] = {}
         self._pending = 0
         self._closed = False
 
     def deposit(self, msg: Message) -> None:
-        """Called by a sender thread; never blocks."""
+        """Called by a sender thread (sim) or the owner's progress routine
+        (real); never blocks."""
         if msg.dest != self.rank:
             raise CommunicationError(
                 f"message for rank {msg.dest} deposited in mailbox {self.rank}"
@@ -60,7 +69,7 @@ class Mailbox:
         expiry raises :class:`CommunicationError` naming what the rank was
         blocked on and how many other messages sit buffered.
         """
-        if not self._cond.wait(timeout=timeout):
+        if not self._block(timeout):
             raise CommunicationError(
                 f"rank {self.rank}: {what} timed out after {timeout}s "
                 f"waiting for {waiting_for} ({self._pending} non-matching "

@@ -14,8 +14,15 @@ Bootstrap protocol (parent <-> workers over ``multiprocessing.Pipe``):
    4-byte hello) and accepts connections from every rank ``s > r`` —
    deadlock-free because listeners are bound before any port is reported,
    so a dial can complete before the acceptor reaches ``accept()``;
-4. every worker runs one initial barrier, aligning the latched clocks'
-   epoch across ranks, then calls the rank function.
+4. every worker makes its peer sockets non-blocking, runs one initial
+   barrier, aligning the latched clocks' epoch across ranks, then calls
+   the rank function.  A worker runs one thread: it progresses its own
+   sockets whenever it sends or waits to receive
+   (:mod:`repro.runtime.procs.context`).
+
+The parent then waits on every pending result pipe and process sentinel
+at once (``multiprocessing.connection.wait``) until each rank has
+reported or exited.
 
 Failure semantics mirror the sim runner: a worker that raises sends an
 error-shutdown frame to its peers (their blocked receives wake with
@@ -32,6 +39,7 @@ is killed and named as unresponsive.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection as mp_connection
 import os
 import signal
 import socket
@@ -263,7 +271,8 @@ def run_real_spmd(
         for r in range(size):
             conns[r].send(("ports", ports))
 
-        # Phase 2: collect results.  Workers self-police deadlocks via
+        # Phase 2: collect results, waiting on every pending pipe and
+        # process sentinel at once.  Workers self-police deadlocks via
         # recv_timeout; once one rank has failed, a peer that neither
         # reports nor exits within recv_timeout + _FAILURE_GRACE (stopped,
         # or stuck outside any receive) is killed and named.
@@ -274,37 +283,43 @@ def run_real_spmd(
         first_failure: tuple[int, float] | None = None  # (rank, when)
         pending = set(range(size))
         while pending:
-            progressed = False
+            wait_s = None
+            if first_failure is not None:
+                wait_s = max(
+                    0.0,
+                    first_failure[1] + timeout + _FAILURE_GRACE
+                    - time.monotonic(),
+                )
+            ready = set(mp_connection.wait(
+                [conns[r] for r in pending]
+                + [procs[r].sentinel for r in pending],
+                timeout=wait_s,
+            ))
             for r in sorted(pending):
-                if conns[r].poll(0.05):
-                    progressed = True
+                if conns[r] in ready:
                     try:
                         msg = conns[r].recv()
-                    except EOFError:  # poll() also fires when the pipe closes
+                    except EOFError:  # the pipe closed with no result on it
                         failures[r] = _died_without_reporting(r, procs[r])
-                        pending.discard(r)
-                        continue
                     except Exception as exc:
                         failures[r] = CommunicationError(
                             f"rank {r}: undecodable result from worker: {exc}"
                         )
-                        pending.discard(r)
-                        continue
-                    if msg[0] == "ok":
-                        values[r], clocks[r] = msg[1], msg[2]
-                        blobs[r] = msg[3]
                     else:
-                        failures[r] = _decode_error(msg)
+                        if msg[0] == "ok":
+                            values[r], clocks[r] = msg[1], msg[2]
+                            blobs[r] = msg[3]
+                        else:
+                            failures[r] = _decode_error(msg)
                     pending.discard(r)
-                elif procs[r].exitcode is not None:
-                    progressed = True
+                elif procs[r].sentinel in ready:
                     failures[r] = _died_without_reporting(r, procs[r])
                     pending.discard(r)
             if failures and first_failure is None:
                 first_failure = (min(failures), time.monotonic())
             if first_failure is not None and pending:
                 waited = time.monotonic() - first_failure[1]
-                if waited > timeout + _FAILURE_GRACE:
+                if waited >= timeout + _FAILURE_GRACE:
                     for r in sorted(pending):
                         state = _process_state(procs[r])
                         procs[r].kill()
@@ -314,8 +329,6 @@ def run_real_spmd(
                             f"rank {first_failure[0]} failed (process {state})"
                         )
                     pending.clear()
-            if not progressed:
-                time.sleep(0.01)
     finally:
         for p in procs:
             p.join(timeout=10.0)

@@ -12,7 +12,9 @@ import multiprocessing
 import os
 import re
 import signal
+import random
 import socket
+import threading
 import time
 
 import numpy as np
@@ -24,10 +26,10 @@ from repro.net.framing import (
     KIND_ARRAY,
     KIND_PACKED,
     KIND_PICKLE,
+    FrameReader,
     decode_payload,
     encode_payload,
-    recv_frame,
-    send_frame,
+    frame_parts,
 )
 from repro.net.message import PackedArrays, pack_arrays, unpack_arrays
 from repro.net.spmd import run_spmd
@@ -41,17 +43,30 @@ pytestmark = pytest.mark.real
 # ------------------------------------------------------------------ #
 
 
+def _read_to_eof(sock):
+    """Every frame on *sock* until its EOF, through one FrameReader."""
+    reader = FrameReader(scratch_bytes=64)  # small: bodies span reads
+    frames = []
+    while True:
+        buf = reader.buffer()
+        n = sock.recv_into(buf)
+        if n == 0:
+            reader.eof()
+            return frames
+        frames += reader.advance(n)
+
+
 class TestFraming:
     def _roundtrip(self, payload, tag=101):
         a, b = socket.socketpair()
         try:
             kind, meta, body = encode_payload(payload)
-            send_frame(a, 3, tag, kind, meta, body)
-            frame = recv_frame(b)
+            a.sendmsg(frame_parts(3, tag, kind, meta, body))
+            a.shutdown(socket.SHUT_WR)
+            (frame,) = _read_to_eof(b)
         finally:
             a.close()
             b.close()
-        assert frame is not None
         assert frame.source == 3 and frame.tag == tag and frame.kind == kind
         return decode_payload(frame.kind, frame.meta, frame.body)
 
@@ -83,11 +98,11 @@ class TestFraming:
         assert encode_payload(pack_arrays([np.ones(3)]))[0] == KIND_PACKED
         assert encode_payload({"k": 1})[0] == KIND_PICKLE
 
-    def test_eof_between_frames_is_none(self):
+    def test_eof_between_frames_is_clean(self):
         a, b = socket.socketpair()
         a.close()
         try:
-            assert recv_frame(b) is None
+            assert _read_to_eof(b) == []
         finally:
             b.close()
 
@@ -95,8 +110,9 @@ class TestFraming:
         a, b = socket.socketpair()
         try:
             a.sendall(b"not a frame header at all....")
+            a.shutdown(socket.SHUT_WR)
             with pytest.raises(CommunicationError, match="magic"):
-                recv_frame(b)
+                _read_to_eof(b)
         finally:
             a.close()
             b.close()
@@ -163,6 +179,49 @@ def _sigstop_on_rank1(ctx):
     if ctx.rank == 1:
         os.kill(os.getpid(), signal.SIGSTOP)
     ctx.barrier()  # rank 0 times out waiting for rank 1
+    return ctx.rank
+
+
+def _stuffing_floats():
+    """float64 count of a payload of at least 4x (SO_SNDBUF + SO_RCVBUF)
+    of a fresh loopback TCP connection, and of at least 16 MiB: both
+    buffers grow from those values as the connection carries data."""
+    with socket.create_server(("127.0.0.1", 0)) as srv:
+        with socket.create_connection(srv.getsockname()[:2]) as c:
+            held = c.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+            held += c.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+    return max(4 * held, 16 << 20) // 8
+
+
+def _large_send_before_receive(ctx, n):
+    """Every rank sends *n* floats to its right neighbour, then receives
+    from its left: no rank reads before its own send has gone out."""
+    right = (ctx.rank + 1) % ctx.size
+    left = (ctx.rank - 1) % ctx.size
+    ctx.send(right, np.full(n, float(ctx.rank)), tag=250)
+    got = ctx.recv(left, 250)
+    assert got.shape == (n,) and np.all(got == float(left))
+    # The rank drives its own sockets: no reader threads.
+    assert threading.enumerate() == [threading.main_thread()]
+    return ctx.rank
+
+
+def _barrier_storm(ctx, rounds, seed):
+    rng = random.Random(seed * 100 + ctx.rank)
+    entries, exits = [], []
+    for _ in range(rounds):
+        time.sleep(rng.uniform(0.0, 5e-4))
+        entries.append(ctx.clock)
+        ctx.barrier()
+        exits.append(ctx.clock)
+    return entries, exits
+
+
+def _sigstop_then_large_send(ctx, n):
+    ctx.barrier()
+    if ctx.rank == 1:
+        os.kill(os.getpid(), signal.SIGSTOP)
+    ctx.send(1, np.ones(n), tag=260)  # more than rank 1's buffers hold
     return ctx.rank
 
 
@@ -247,6 +306,48 @@ class TestRealSPMD:
             msg,
         )
         assert multiprocessing.active_children() == []
+
+    def test_large_send_to_stopped_peer_fails_and_names_it(self):
+        """A send that no longer moves a byte raises within recv_timeout
+        instead of blocking forever on a full socket."""
+        from repro.runtime.procs.runner import _FAILURE_GRACE
+
+        recv_timeout = 1.0
+        start = time.monotonic()
+        with pytest.raises(RankFailedError) as ei:
+            run_spmd(
+                uniform_cluster(2), _sigstop_then_large_send,
+                _stuffing_floats(), world="real", recv_timeout=recv_timeout,
+            )
+        assert time.monotonic() - start < recv_timeout + _FAILURE_GRACE + 5.0
+        failure = ei.value.failures[0]
+        assert isinstance(failure, CommunicationError)
+        assert "rank 0: send to rank 1 (tag 260) made no progress" in str(failure)
+        assert "(process stopped)" in str(ei.value.failures[1])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_large_sends_before_receives_complete(self, size):
+        res = run_spmd(
+            uniform_cluster(size), _large_send_before_receive,
+            _stuffing_floats(), world="real", recv_timeout=30,
+        )
+        assert res.values == list(range(size))
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
+    def test_back_to_back_barriers_agree(self, size):
+        rounds = 200
+        res = run_spmd(
+            uniform_cluster(size), _barrier_storm, rounds, size,
+            world="real", recv_timeout=30,
+        )
+        entries = np.array([v[0] for v in res.values])  # (rank, round)
+        exits = np.array([v[1] for v in res.values])
+        # Identical exit clocks on every rank (a message taken from the
+        # wrong round would split them), each >= every entry clock.
+        assert (exits == exits[0]).all()
+        assert (exits[0] >= entries.max(axis=0)).all()
+        assert (np.diff(exits[0]) > 0).all()
 
     def test_rank_failure_cascades(self):
         with pytest.raises(RankFailedError) as ei:
