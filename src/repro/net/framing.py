@@ -68,6 +68,8 @@ __all__ = [
 
 _MAGIC = 0x5250524F  # "RPRO"
 _HEADER = struct.Struct("<IiiiIQ")
+#: One socket read's worth of headers, metadata and small bodies.
+_SCRATCH_BYTES = 1 << 16
 
 KIND_PICKLE = 0
 KIND_ARRAY = 1
@@ -147,8 +149,8 @@ class FrameReader:
 
     __slots__ = ("_scratch", "_pending", "_head", "_body", "_got")
 
-    def __init__(self, scratch_bytes: int = 1 << 16):
-        self._scratch = memoryview(bytearray(scratch_bytes))
+    def __init__(self):
+        self._scratch = memoryview(bytearray(_SCRATCH_BYTES))
         self._pending = bytearray()  # unparsed header/meta bytes
         self._head: tuple[int, int, int, bytes] | None = None
         self._body: bytearray | None = None  # the body being filled

@@ -210,7 +210,7 @@ class RealCommunicator:
         try:
             self.mailbox.deposit(msg)
         except MailboxClosedError:
-            pass  # our own rank already failed; drop the stream
+            pass  # our own rank already failed; drop the message
 
     def _end_stream(self, peer: int, *, failed: bool) -> None:
         """Stop reading *peer*; a failed stream closes the mailbox, like

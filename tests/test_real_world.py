@@ -45,7 +45,7 @@ pytestmark = pytest.mark.real
 
 def _read_to_eof(sock):
     """Every frame on *sock* until its EOF, through one FrameReader."""
-    reader = FrameReader(scratch_bytes=64)  # small: bodies span reads
+    reader = FrameReader()
     frames = []
     while True:
         buf = reader.buffer()
