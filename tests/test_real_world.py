@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import random
 import re
 import signal
-import random
 import socket
 import threading
 import time
