@@ -58,7 +58,12 @@ from repro.errors import ScheduleError
 from repro.graph.csr import CSRGraph
 from repro.partition.intervals import IntervalPartition
 from repro.runtime.inspector import InspectorResult, run_inspector
-from repro.runtime.kernels import KernelPlan, sorted_ghost_slots
+from repro.runtime.kernels import (
+    KernelPlan,
+    index_type,
+    sorted_ghost_slots,
+    translate_local,
+)
 from repro.runtime.schedule import CommSchedule
 from repro.runtime.schedule_builders import (
     InspectorCostModel,
@@ -508,9 +513,12 @@ class IncrementalInspector:
         old_slots = old_plan.slots[s0:s1]
 
         # Assemble straight into the final array (fresh-left | kept |
-        # fresh-right) so the kept segment is written exactly once.
+        # fresh-right) so the kept segment is written exactly once; the
+        # full build's dtype rule, so the two paths give equal plans.
+        n_ghost = int(ghost_globals.size)
         slots = np.empty(
-            int(graph.indptr[hi1] - graph.indptr[lo1]), dtype=np.intp
+            int(graph.indptr[hi1] - graph.indptr[lo1]),
+            dtype=index_type(n_local1 + n_ghost),
         )
         left = [r for r in d.gained if r[1] <= d.keep_lo]
         right = [r for r in d.gained if r[0] >= d.keep_hi]
@@ -532,7 +540,7 @@ class IncrementalInspector:
 
         kept_off = np.empty(0, dtype=np.intp)
         if exc.size:
-            es = old_slots[exc]
+            es = old_slots[exc].astype(np.intp)
             g = np.empty(es.size, dtype=np.intp)
             was_local = es < n_local0
             g[was_local] = es[was_local] + lo0
@@ -550,9 +558,7 @@ class IncrementalInspector:
         # positions of the row range's off-block references.
         def fresh(out: np.ndarray, base: int, glo: int, ghi: int) -> np.ndarray:
             nbr = graph.indices[graph.indptr[glo] : graph.indptr[ghi]]
-            local = (nbr >= lo1) & (nbr < hi1)
-            out[local] = nbr[local] - lo1
-            off_idx = np.flatnonzero(~local)
+            off_idx = translate_local(out, nbr, lo1, hi1)
             out[off_idx] = ghost_slots(nbr[off_idx], "gained")
             return base + off_idx
 
@@ -575,7 +581,7 @@ class IncrementalInspector:
         plan = KernelPlan(
             rank=self.rank,
             n_local=n_local1,
-            n_ghost=int(ghost_globals.size),
+            n_ghost=n_ghost,
             slots=slots,
             indptr=graph.indptr[lo1 : hi1 + 1] - graph.indptr[lo1],
         )

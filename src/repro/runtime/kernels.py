@@ -20,6 +20,7 @@ Fig. 8 over a plan, not merely close to it.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,10 @@ __all__ = [
     "KernelPlan",
     "RowOperator",
     "build_kernel_plan",
+    "index_type",
     "sorted_ghost_slots",
     "run_sequential",
+    "translate_local",
 ]
 
 
@@ -63,6 +66,30 @@ class KernelCostModel:
 _INT32_MAX = np.iinfo(np.int32).max
 
 
+def index_type(*sizes: int) -> type:
+    """scipy's own narrowing rule: ``int32`` when every size fits it,
+    else ``intp``.  int32 arrays reach ``csr_matvec`` as they are,
+    without a scan of their contents or a copy."""
+    return np.int32 if max(sizes, default=0) <= _INT32_MAX else np.intp
+
+
+_ones = np.ones(0)
+_ones.flags.writeable = False
+_ones_lock = threading.Lock()
+
+
+def _shared_ones(n: int) -> np.ndarray:
+    """A read-only view of *n* ones into one vector every
+    :class:`RowOperator` of the process shares: the matrices differ only
+    in their index arrays."""
+    global _ones
+    with _ones_lock:
+        if _ones.size < n:
+            _ones = np.ones(n)
+            _ones.flags.writeable = False
+        return _ones[:n]
+
+
 class RowOperator:
     """Row-wise means through one CSR matrix of ones.
 
@@ -85,15 +112,17 @@ class RowOperator:
     survivor to the implementation.)  Which row is computed when changes
     no row's sum.  A sweep is one matrix-vector product, a divide and a
     ``take``, however many rows are hubs: three GIL hand-offs.
+
+    The matrix's data is a view of one read-only vector of ones shared
+    by every operator (``csr_matvec`` only reads it), so the operator
+    holds 4 bytes per reference where its index type is int32.
     """
 
     __slots__ = ("matrix", "divisor", "inverse", "empty")
 
     def __init__(self, indptr: np.ndarray, index: np.ndarray, n_cols: int) -> None:
         n_rows, nnz = indptr.size - 1, index.size
-        # scipy's own narrowing rule: int32 arrays reach csr_matvec as
-        # they are, without a scan of their contents or a copy.
-        itype = np.int32 if max(n_rows, n_cols, nnz) <= _INT32_MAX else np.intp
+        itype = index_type(n_rows, n_cols, nnz)
         degrees = indptr[1:] - indptr[:-1]
         # uint8 keys take numpy's radix sort; rows of 255 or more
         # references share the last group, in row order.
@@ -102,17 +131,21 @@ class RowOperator:
         grouped = np.zeros(n_rows + 1, dtype=itype)
         lengths.cumsum(out=grouped[1:])
         # Where each grouped reference sits in *index*: its row's start
-        # there plus its offset inside the row.
-        at = (indptr[:-1].take(order) - grouped[:-1]).repeat(lengths)
-        at += np.arange(nnz)
+        # there plus its offset inside the row, in the index type.
+        at = (indptr[:-1].take(order) - grouped[:-1]).astype(itype).repeat(lengths)
+        at += np.arange(nnz, dtype=itype)
         columns = index.take(at)
-        # Freed before the matrix is allocated: the sim world's rank
-        # threads build at once, and their temporaries set its peak.
+        # Freed before the cast: the sim world's rank threads build at
+        # once, and their temporaries set its peak.
         del at
+        # A plan's slots already have the index type: no copy.
         columns = columns.astype(itype, copy=False)
-        self.matrix = csr_matrix(
-            (np.ones(nnz), columns, grouped), shape=(n_rows, n_cols)
-        )
+        # Filled in after construction: the constructor copies a view
+        # smaller than half its base ("prune"), as most views of the
+        # shared ones are.
+        self.matrix = csr_matrix((n_rows, n_cols))
+        self.matrix.indptr, self.matrix.indices = grouped, columns
+        self.matrix.data = _shared_ones(nnz)
         #: Float reference counts in grouped order (empty rows divide by 1).
         self.divisor = np.maximum(lengths, 1.0)
         #: Each row's position in the grouped order.
@@ -165,7 +198,8 @@ class KernelPlan:
     ``slots`` indexes the combined ``[local | ghost]`` value buffer of
     ``n_local + n_ghost`` values; ``indptr`` delimits each owned vertex's
     neighbor segment in it — the executor-phase output of the paper's
-    address translation.
+    address translation.  ``slots`` has the dtype
+    ``index_type(n_local + n_ghost)``: int32 unless the buffer outgrows it.
     """
 
     rank: int
@@ -196,13 +230,15 @@ class KernelPlan:
             )
 
     def __eq__(self, other: object) -> bool:
-        """Field for field, the arrays element for element."""
+        """Field for field, the arrays element for element, the slots'
+        dtype too (``np.array_equal`` ignores it)."""
         if not isinstance(other, KernelPlan):
             return NotImplemented
         return (
             self.rank == other.rank
             and self.n_local == other.n_local
             and self.n_ghost == other.n_ghost
+            and self.slots.dtype == other.slots.dtype
             and np.array_equal(self.slots, other.slots)
             and np.array_equal(self.indptr, other.indptr)
         )
@@ -254,6 +290,14 @@ def sorted_ghost_slots(
     return n_local + pos if found.all() else None
 
 
+def translate_local(out: np.ndarray, nbr: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Write ``nbr - lo`` into *out*: the slot of every reference into the
+    local block ``[lo, hi)``.  Returns the positions of the other
+    references, whose entries in *out* the caller overwrites."""
+    np.subtract(nbr, lo, out=out, casting="unsafe")
+    return np.flatnonzero((nbr < lo) | (nbr >= hi))
+
+
 def build_kernel_plan(
     graph: CSRGraph,
     partition: IntervalPartition,
@@ -270,10 +314,9 @@ def build_kernel_plan(
     n_local = hi - lo
     indptr = graph.indptr[lo : hi + 1] - graph.indptr[lo]
     nbr = graph.indices[graph.indptr[lo] : graph.indptr[hi]]
-    slots = np.empty(nbr.size, dtype=np.intp)
-    local_mask = (nbr >= lo) & (nbr < hi)
-    slots[local_mask] = nbr[local_mask] - lo
-    off = nbr[~local_mask]
+    slots = np.empty(nbr.size, dtype=index_type(n_local + schedule.ghost_size))
+    off_at = translate_local(slots, nbr, lo, hi)
+    off = nbr[off_at]
     ghost = schedule.ghost_globals
     off_slots = sorted_ghost_slots(ghost, off, n_local)
     if off_slots is None:
@@ -290,7 +333,7 @@ def build_kernel_plan(
             raise ScheduleError(
                 f"rank {rank}: reference {exc} missing from ghost buffer"
             ) from None
-    slots[~local_mask] = off_slots
+    slots[off_at] = off_slots
     return KernelPlan(
         rank=rank,
         n_local=n_local,

@@ -431,6 +431,26 @@ class RealRankContext(RankContext):
         """The wait already happened on the host: latch it."""
         self._latch()
 
+    def align_clocks(self) -> None:
+        """The dissemination round of :meth:`barrier` alone: every rank
+        adopts the maximum of all ranks' clocks.  Not a program barrier —
+        no count, no span, no wait — so a worker aligns its clock epoch
+        with it before the rank function runs, and ``net.barriers`` counts
+        what the program asked for in either world."""
+        self._latch()
+        comm = self._comm
+        agreed = self._clock
+        step = 1
+        while step < self.size:
+            comm.send_payload((self.rank + step) % self.size, Tags.BARRIER, agreed)
+            msg = self._mailbox.receive(
+                (self.rank - step) % self.size, Tags.BARRIER,
+                timeout=comm.recv_timeout,
+            )
+            agreed = max(agreed, float(msg.payload))
+            step *= 2
+        self._adopt(agreed)
+
     def barrier(self) -> None:
         """Max-agreement barrier: all ranks leave with **identical** clocks.
 
@@ -449,18 +469,8 @@ class RealRankContext(RankContext):
         self.metrics.count("net.barriers")
         if self.size == 1:
             return
+        self.align_clocks()
         comm = self._comm
-        agreed = self._clock
-        step = 1
-        while step < self.size:
-            comm.send_payload((self.rank + step) % self.size, Tags.BARRIER, agreed)
-            msg = self._mailbox.receive(
-                (self.rank - step) % self.size, Tags.BARRIER,
-                timeout=comm.recv_timeout,
-            )
-            agreed = max(agreed, float(msg.payload))
-            step *= 2
-        self._adopt(agreed)
         if comm.trace.enabled:
             comm.trace.record(
                 TraceEvent("barrier", self.rank, t0, self._clock)

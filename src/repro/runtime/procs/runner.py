@@ -14,9 +14,9 @@ Bootstrap protocol (parent <-> workers over ``multiprocessing.Pipe``):
    4-byte hello) and accepts connections from every rank ``s > r`` —
    deadlock-free because listeners are bound before any port is reported,
    so a dial can complete before the acceptor reaches ``accept()``;
-4. every worker makes its peer sockets non-blocking, runs one initial
-   barrier, aligning the latched clocks' epoch across ranks, then calls
-   the rank function.  A worker runs one thread: it progresses its own
+4. every worker makes its peer sockets non-blocking, aligns the latched
+   clocks' epoch across ranks with one barrier round that the program's
+   metrics and trace do not see, then calls the rank function.  A worker runs one thread: it progresses its own
    sockets whenever it sends or waits to receive
    (:mod:`repro.runtime.procs.context`).
 
@@ -31,9 +31,10 @@ errors are filtered, and the parent raises
 :class:`~repro.errors.RankFailedError` with the primary exceptions.  A
 worker that dies without reporting (killed, segfault) is surfaced as a
 :class:`~repro.errors.CommunicationError` naming the rank and exit code;
-once any rank has failed, one that neither reports nor exits within
-``recv_timeout`` plus a fixed grace (stopped, or stuck outside a receive)
-is killed and named as unresponsive.
+once any rank has failed, a rank the OS reports stopped is killed and
+named as unresponsive at once, and one that neither reports nor exits
+within ``recv_timeout`` plus a fixed grace (stuck outside a receive) is
+killed and named too.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ __all__ = ["run_real_spmd"]
 #: How long the parent waits for the socket-mesh bootstrap phase.
 _BOOTSTRAP_TIMEOUT = 60.0
 #: After a rank fails, how much longer than recv_timeout the parent waits
-#: for each other rank to report before killing it as unresponsive.
+#: for each other rank that is not stopped to report before killing it as
+#: unresponsive.
 _FAILURE_GRACE = 5.0
 _HELLO = struct.Struct("<i")
 
@@ -154,7 +156,7 @@ def _worker_main(
             trace=trace, trace_capacity=trace_capacity,
         )
         ctx = RealRankContext(comm)
-        ctx.barrier()  # align the latched-clock epoch across ranks
+        ctx.align_clocks()
         value = fn(ctx, *args, **kwargs)
         # Snapshot the span buffer BEFORE the close (close discards the
         # communicator); ship it through the framing codec so the wire
@@ -167,8 +169,9 @@ def _worker_main(
         comm = None
         conn.send(("ok", value, ctx.clock, blob))
     except BaseException as exc:  # noqa: BLE001 - reported to the parent
-        if comm is not None:
-            comm.close(clean=False)
+        # Reported before the error close, whose drain can wait seconds on
+        # a peer that never sends its EOF (a stopped one): the parent kills
+        # such a peer once it knows a rank failed.
         try:
             conn.send(("error", exc))
         except Exception:
@@ -176,6 +179,8 @@ def _worker_main(
                 ("error-text",
                  f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}")
             )
+        if comm is not None:
+            comm.close(clean=False)
     finally:
         conn.close()
 
@@ -273,9 +278,10 @@ def run_real_spmd(
 
         # Phase 2: collect results, waiting on every pending pipe and
         # process sentinel at once.  Workers self-police deadlocks via
-        # recv_timeout; once one rank has failed, a peer that neither
-        # reports nor exits within recv_timeout + _FAILURE_GRACE (stopped,
-        # or stuck outside any receive) is killed and named.
+        # recv_timeout; once one rank has failed, every wake kills and
+        # names each pending peer the OS reports stopped, and after
+        # recv_timeout + _FAILURE_GRACE every pending peer (stuck outside
+        # any receive).
         values: list[Any] = [None] * size
         clocks: list[float] = [0.0] * size
         blobs: list[tuple | None] = [None] * size
@@ -319,16 +325,18 @@ def run_real_spmd(
                 first_failure = (min(failures), time.monotonic())
             if first_failure is not None and pending:
                 waited = time.monotonic() - first_failure[1]
-                if waited >= timeout + _FAILURE_GRACE:
-                    for r in sorted(pending):
-                        state = _process_state(procs[r])
-                        procs[r].kill()
-                        procs[r].join(timeout=5.0)
-                        failures[r] = CommunicationError(
-                            f"rank {r}: unresponsive for {waited:.1f} s after "
-                            f"rank {first_failure[0]} failed (process {state})"
-                        )
-                    pending.clear()
+                late = waited >= timeout + _FAILURE_GRACE
+                for r in sorted(pending):
+                    state = _process_state(procs[r])
+                    if not late and state != "stopped":
+                        continue
+                    procs[r].kill()
+                    procs[r].join(timeout=5.0)
+                    failures[r] = CommunicationError(
+                        f"rank {r}: unresponsive for {waited:.1f} s after "
+                        f"rank {first_failure[0]} failed (process {state})"
+                    )
+                    pending.discard(r)
     finally:
         for p in procs:
             p.join(timeout=10.0)

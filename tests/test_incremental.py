@@ -204,6 +204,9 @@ class TestIncrementalDifferential:
                         got = inc.rebuild(new, force="patch")
                         want = run_inspector(graph, new, r, strategy=strategy)
                         assert got == want
+                        # Both paths lay the plan out alike: int32 slots.
+                        for plan in (got.kernel_plan, want.kernel_plan):
+                            assert plan.slots.dtype == np.int32
                         assert inc.last_mode == "patched"
                         assert inc.num_patches == 1
 
@@ -226,6 +229,7 @@ class TestIncrementalDifferential:
                     got = incs[r].rebuild(nxt, force="patch")
                     want = run_inspector(graph, nxt, r, strategy="sort2")
                     assert got == want
+                    assert got.kernel_plan.slots.dtype == np.int32
                 part = nxt
 
     def test_patched_sweep_values_bit_identical(self, meshes):
@@ -330,6 +334,10 @@ def test_schedules_and_plans_compare_by_value(meshes):
     assert a.schedule == b.schedule and a.kernel_plan == b.kernel_plan
     assert a.schedule != c.schedule and a.kernel_plan != c.kernel_plan
     assert a.kernel_plan != a.schedule
+    # The slots' layout is part of a plan's value: equal numbers in
+    # another dtype are another plan.
+    wide = a.kernel_plan.slots.astype(np.intp)
+    assert dataclasses.replace(a.kernel_plan, slots=wide) != a.kernel_plan
     assert a == b and a != c
     # Build time and strategy name are not part of a result's value.
     assert dataclasses.replace(a, strategy="sort1", build_time=1.0) == b

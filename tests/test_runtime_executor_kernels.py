@@ -792,3 +792,74 @@ class TestKernelPlanEmptyIntervals:
             return True
 
         assert all(run_spmd(uniform_cluster(3), fn).values)
+
+
+class TestPlanMemory:
+    """A plan holds 8 bytes per reference: int32 slots, int32 matrix
+    columns, and matrix data that is a view of one vector of ones."""
+
+    @staticmethod
+    def _plans(g, old, new):
+        """Every rank's full build for *new*, then its patch from *old*."""
+        plans = []
+        for r in range(new.num_processors):
+            plans.append(run_inspector(g, new, r, strategy="sort2").kernel_plan)
+            inc = IncrementalInspector(g, old, r, strategy="sort2")
+            plans.append(inc.rebuild(new, force="patch").kernel_plan)
+        return plans
+
+    @pytest.fixture(scope="class")
+    def walk(self):
+        g = paper_mesh(600, seed=1)
+        g = g.permute(RCBOrdering()(g))
+        n = g.num_vertices
+        old = partition_list(n, [0.4, 0.3, 0.3])
+        new = partition_list(n, [0.3, 0.45, 0.25])
+        y = np.random.default_rng(13).uniform(-50.0, 50.0, n)
+        return g, old, new, y
+
+    def test_eight_bytes_per_reference(self, walk):
+        g, old, new, _ = walk
+        for plan in self._plans(g, old, new):
+            assert plan.slots.dtype == np.int32
+            assert plan.n_references == plan.slots.size > 0
+            assert (
+                plan.slots.nbytes + plan.rows.matrix.indices.nbytes
+                == 8 * plan.n_references
+            )
+
+    def test_operators_share_one_read_only_vector_of_ones(self, walk):
+        g, old, new, _ = walk
+        # The whole graph's operator first: no later one grows the vector.
+        ops = [RowOperator(g.indptr, g.indices, g.num_vertices)]
+        ops += [plan.rows for plan in self._plans(g, old, new)]
+        ones = ops[0].matrix.data
+        for op in ops:
+            data = op.matrix.data
+            assert np.shares_memory(data, ones)
+            assert not data.flags.writeable
+            assert data.size == op.matrix.nnz and (data == 1.0).all()
+        with pytest.raises(ValueError, match="read-only"):
+            ones[0] = 2.0
+
+    def test_intp_branch_sweeps_like_the_int32_branch(self, walk, monkeypatch):
+        """Above int32 the slots and the operator's index arrays are intp;
+        the sweep is the same bit for bit."""
+        g, old, new, y = walk
+        narrow = self._plans(g, old, new)
+        monkeypatch.setattr(kernels, "_INT32_MAX", 16)
+        wide = self._plans(g, old, new)
+        for a, b in zip(narrow, wide):
+            assert b.slots.dtype == np.intp
+            assert b.rows.matrix.indices.dtype == np.intp
+            assert b.rows.matrix.indptr.dtype == np.intp
+            assert a != b  # the layout is part of the value
+            np.testing.assert_array_equal(a.slots, b.slots)
+            lo, hi = new.interval(a.rank)
+            ghost = np.random.default_rng(a.rank).uniform(size=a.n_ghost)
+            np.testing.assert_array_equal(
+                a.sweep(y[lo:hi], ghost), b.sweep(y[lo:hi], ghost)
+            )
+        # Full build and patch agree in the wide layout too.
+        for full, patched in zip(wide[::2], wide[1::2]):
+            assert full == patched
