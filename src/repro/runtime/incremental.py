@@ -540,7 +540,7 @@ class IncrementalInspector:
 
         kept_off = np.empty(0, dtype=np.intp)
         if exc.size:
-            es = old_slots[exc].astype(np.intp)
+            es = old_slots[exc]
             g = np.empty(es.size, dtype=np.intp)
             was_local = es < n_local0
             g[was_local] = es[was_local] + lo0

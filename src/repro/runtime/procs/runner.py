@@ -16,9 +16,9 @@ Bootstrap protocol (parent <-> workers over ``multiprocessing.Pipe``):
    so a dial can complete before the acceptor reaches ``accept()``;
 4. every worker makes its peer sockets non-blocking, aligns the latched
    clocks' epoch across ranks with one barrier round that the program's
-   metrics and trace do not see, then calls the rank function.  A worker runs one thread: it progresses its own
-   sockets whenever it sends or waits to receive
-   (:mod:`repro.runtime.procs.context`).
+   metrics and trace do not see, then calls the rank function.  A worker
+   runs one thread: it progresses its own sockets whenever it sends or
+   waits to receive (:mod:`repro.runtime.procs.context`).
 
 The parent then waits on every pending result pipe and process sentinel
 at once (``multiprocessing.connection.wait``) until each rank has
