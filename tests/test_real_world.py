@@ -299,7 +299,8 @@ class TestRealSPMD:
         assert isinstance(failure, CommunicationError)
         msg = str(failure)
         # Ranks 0 and 2 both time out in the barrier; either may report
-        # first.  The stopped rank is killed on the wake that reports it.
+        # first.  The stopped rank is killed on the wake that brings the
+        # first failure.
         named = re.fullmatch(
             r"rank 1: unresponsive for ([\d.]+) s after rank [02] failed "
             r"\(process stopped\)",
