@@ -202,8 +202,9 @@ class RankContext:
             return
         nbytes = payload_nbytes(payload)
         t0 = self.clock
-        arrival = comm.network.send(self.rank, dest, nbytes, t0)
-        self.clock = comm.network.injection_done(self.rank, dest, nbytes, t0)
+        (arrival,), self.clock = comm.network.transmit(
+            self.rank, (dest,), nbytes, t0
+        )
         msg = Message(
             self.rank, dest, tag, payload, nbytes,
             send_time=t0, arrival_time=arrival,
@@ -234,8 +235,7 @@ class RankContext:
             return
         nbytes = payload_nbytes(payload)
         t0 = self.clock
-        arrivals = comm.network.multicast(self.rank, dests, nbytes, t0)
-        self.clock = comm.network.injection_done(self.rank, dests[0], nbytes, t0)
+        arrivals, self.clock = comm.network.transmit(self.rank, dests, nbytes, t0)
         kind = "multicast" if comm.network.supports_multicast else "send"
         if comm.trace.enabled:
             comm.trace.record(

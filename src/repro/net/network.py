@@ -8,6 +8,11 @@ Two models, matching the environments the paper discusses:
   the paper): only one frame in flight at a time, with **hardware
   multicast** (Sec. 3.6) so one frame reaches any number of destinations.
 
+A model answers two questions: :meth:`~NetworkModel.transmit` prices one
+transmission as the sender makes it, :meth:`~NetworkModel.burst_seconds`
+predicts a burst of concurrent messages for the cost estimates that decide
+before anything is sent.
+
 All times are virtual seconds.  The models are thread-safe: the SPMD runner
 calls into them concurrently from one thread per rank.
 """
@@ -15,8 +20,7 @@ calls into them concurrently from one thread per rank.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 from repro.utils.validation import check_positive
 
@@ -29,60 +33,28 @@ __all__ = [
 
 
 class NetworkModel:
-    """Base class: maps (send time, size, destinations) -> arrival time."""
+    """Base class: prices transmissions and bursts of messages."""
 
     #: True if a single transmission can reach several destinations at once.
     supports_multicast: bool = False
-
-    def send(self, source: int, dest: int, nbytes: int, t_send: float) -> float:
-        """Arrival time of a point-to-point message issued at *t_send*."""
-        raise NotImplementedError
-
-    def multicast(
-        self, source: int, dests: Sequence[int], nbytes: int, t_send: float
-    ) -> list[float]:
-        """Arrival times for a one-to-many transmission.
-
-        The default falls back to sequential unicasts (what a sender must do
-        when the network has no multicast support, as Sec. 3.6 notes).
-        """
-        arrivals = []
-        t = t_send
-        for d in dests:
-            arrival = self.send(source, d, nbytes, t)
-            arrivals.append(arrival)
-            # Sequential unicast: the sender can inject the next copy only
-            # after the previous frame left its interface.
-            t = max(t, self.injection_done(source, d, nbytes, t))
-        return arrivals
-
-    def injection_done(
-        self, source: int, dest: int, nbytes: int, t_send: float
-    ) -> float:
-        """Virtual time at which the sender's interface is free again.
-
-        Defaults to the serialization time of the frame; models override if
-        contention delays injection.
-        """
-        return t_send + self.serialization_time(nbytes)
-
-    def serialization_time(self, nbytes: int) -> float:
-        raise NotImplementedError
-
-    def reset(self) -> None:
-        """Forget contention state (start of a new SPMD run)."""
-
-
-@dataclass
-class _LinkParams:
     latency: float
     bandwidth: float  # bytes / second
     per_message_overhead: float
 
-    def __post_init__(self) -> None:
-        check_positive("latency", self.latency, strict=False)
-        check_positive("bandwidth", self.bandwidth)
-        check_positive("per_message_overhead", self.per_message_overhead, strict=False)
+    def transmit(
+        self, source: int, dests: Sequence[int], nbytes: int, t_send: float
+    ) -> tuple[Sequence[float], float]:
+        """One transmission of *nbytes* issued at *t_send*: each of *dests*'
+        arrival time, and the time the sender is free again."""
+        raise NotImplementedError
+
+    def burst_seconds(self, port_bytes: Collection[int], messages: int) -> float:
+        """Predicted seconds for *messages* concurrent messages whose bytes
+        leave through ports carrying *port_bytes* each."""
+        raise NotImplementedError
+
+    def reset(self) -> None:
+        """Forget contention state (start of a new SPMD run)."""
 
 
 class PointToPointNetwork(NetworkModel):
@@ -93,6 +65,8 @@ class PointToPointNetwork(NetworkModel):
     ``per_message_overhead`` is the sender-side software cost (the dominant
     term for the many small messages the "simple" schedule strategy sends,
     which is what makes it lose to the sorting strategies in Table 3).
+    Several destinations get sequential unicasts, what a sender must do
+    when the network has no multicast (Sec. 3.6).
     """
 
     def __init__(
@@ -102,50 +76,61 @@ class PointToPointNetwork(NetworkModel):
         bandwidth: float = 1.25e6,
         per_message_overhead: float = 5e-4,
     ):
-        self._p = _LinkParams(latency, bandwidth, per_message_overhead)
+        check_positive("latency", latency, strict=False)
+        check_positive("bandwidth", bandwidth)
+        check_positive("per_message_overhead", per_message_overhead, strict=False)
+        self.latency = latency
+        self.bandwidth = bandwidth
+        self.per_message_overhead = per_message_overhead
 
-    @property
-    def latency(self) -> float:
-        return self._p.latency
-
-    @property
-    def bandwidth(self) -> float:
-        return self._p.bandwidth
-
-    @property
-    def per_message_overhead(self) -> float:
-        return self._p.per_message_overhead
-
-    def serialization_time(self, nbytes: int) -> float:
-        return nbytes / self._p.bandwidth
-
-    def send(self, source: int, dest: int, nbytes: int, t_send: float) -> float:
+    def transmit(
+        self, source: int, dests: Sequence[int], nbytes: int, t_send: float
+    ) -> tuple[Sequence[float], float]:
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        p = self._p
-        return t_send + p.per_message_overhead + p.latency + nbytes / p.bandwidth
-
-    def injection_done(
-        self, source: int, dest: int, nbytes: int, t_send: float
-    ) -> float:
+        frame = nbytes / self.bandwidth
         # The sending CPU is busy for the software overhead plus the copy
         # onto the wire (workstation NICs of the era were CPU-driven).
-        return t_send + self._p.per_message_overhead + self.serialization_time(nbytes)
+        ready = t_send + self.per_message_overhead
+        try:
+            # One destination, every plain send: the unpack is the
+            # cheapest test for it on this per-message path.
+            (_,) = dests
+        except ValueError:
+            # Sequential unicasts, each copy sent once the previous one
+            # left.  The sender is charged for the first copy only, however
+            # many follow: a known undercharge, kept so virtual time stays
+            # unchanged.
+            arrivals = []
+            t = t_send
+            for dest in dests:
+                (arrival,), t = self.transmit(source, (dest,), nbytes, t)
+                arrivals.append(arrival)
+            return arrivals, ready + frame if dests else t_send
+        return (ready + self.latency + frame,), ready + frame
+
+    def burst_seconds(self, port_bytes: Collection[int], messages: int) -> float:
+        # Distinct ports overlap: the busiest one bounds the burst.
+        return (
+            messages * (self.per_message_overhead + self.latency)
+            + max(port_bytes, default=0) / self.bandwidth
+        )
 
 
 class SharedEthernet(PointToPointNetwork):
     """A single shared medium: one frame in flight cluster-wide.
 
-    A transmission issued at ``t_send`` waits for the medium to free, holds
-    it for the frame's serialization time, and arrives ``latency`` after the
-    frame finishes.  Hardware multicast sends one frame to all destinations
+    A :meth:`transmit` issued at ``t_send`` waits for the medium to free,
+    holds it for the frame's serialization time, and arrives ``latency``
+    after the frame finishes; the sender is free once its frame has left
+    the medium.  Hardware multicast sends one frame to all destinations
     (Sec. 3.6: "our library has the ability to use multicast ... if the
     network supports multicast (e.g., Ethernet)").
 
     Contention ordering follows the (real) order in which rank threads call
-    :meth:`send`, so virtual times under contention can vary run to run by
-    up to the contention delay; benchmark assertions use shapes, not exact
-    values.
+    :meth:`transmit`, so virtual times under contention can vary run to run
+    by up to the contention delay; benchmark assertions use shapes, not
+    exact values.
     """
 
     supports_multicast = True
@@ -155,84 +140,30 @@ class SharedEthernet(PointToPointNetwork):
         super().__init__(**link)
         self._lock = threading.Lock()
         self._medium_free = 0.0
-        # Last granted reservation per source rank: (dest, nbytes, t_send,
-        # sender_free).  What lets injection_done report the *granted* slot
-        # instead of a contention-free guess.
-        self._grants: dict[int, tuple[int, int, float, float]] = {}
 
     def reset(self) -> None:
         with self._lock:
             self._medium_free = 0.0
-            self._grants.clear()
 
-    def _acquire_medium(
-        self,
-        t_ready: float,
-        hold: float,
-        *,
-        grant_key: tuple[int, int, int, float] | None = None,
-    ) -> float:
-        """Reserve the medium from max(t_ready, free); return start time.
-
-        With *grant_key* = (source, dest, nbytes, t_send), the reservation
-        is also recorded so a matching :meth:`injection_done` query can
-        report when the sender's frame actually left the medium.
-        """
-        with self._lock:
-            start = max(t_ready, self._medium_free)
-            self._medium_free = start + hold
-            if grant_key is not None:
-                source, dest, nbytes, t_send = grant_key
-                self._grants[source] = (dest, nbytes, t_send, start + hold)
-            return start
-
-    def send(self, source: int, dest: int, nbytes: int, t_send: float) -> float:
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        p = self._p
-        frame = nbytes / p.bandwidth
-        start = self._acquire_medium(
-            t_send + p.per_message_overhead,
-            frame,
-            grant_key=(source, dest, nbytes, t_send),
-        )
-        return start + frame + p.latency
-
-    def injection_done(
-        self, source: int, dest: int, nbytes: int, t_send: float
-    ) -> float:
-        # The sender is busy until its frame has left the shared medium.
-        # When the query matches the source's last granted reservation (the
-        # send/injection_done pairing every caller uses), report the granted
-        # slot: under contention the frame may have held the medium much
-        # later than t_send, and injecting the next frame before then would
-        # let a sequential-unicast fallback overlap its own frames.
-        with self._lock:
-            grant = self._grants.get(source)
-            if grant is not None and grant[:3] == (dest, nbytes, t_send):
-                return grant[3]
-        # No recorded reservation (a cost estimator probing, or a query for
-        # a transmission this model never granted): contention-free bound.
-        return t_send + self._p.per_message_overhead + self.serialization_time(nbytes)
-
-    def multicast(
+    def transmit(
         self, source: int, dests: Sequence[int], nbytes: int, t_send: float
-    ) -> list[float]:
-        if not dests:
-            return []
+    ) -> tuple[Sequence[float], float]:
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        p = self._p
-        frame = nbytes / p.bandwidth
-        # Recorded under the first destination: the comm layer queries
-        # injection_done with dests[0] after a multicast.
-        start = self._acquire_medium(
-            t_send + p.per_message_overhead,
-            frame,
-            grant_key=(source, int(dests[0]), nbytes, t_send),
+        if not dests:
+            return (), t_send
+        frame = nbytes / self.bandwidth
+        with self._lock:
+            start = max(t_send + self.per_message_overhead, self._medium_free)
+            self._medium_free = sender_free = start + frame
+        return (sender_free + self.latency,) * len(dests), sender_free
+
+    def burst_seconds(self, port_bytes: Collection[int], messages: int) -> float:
+        # Every frame serializes on the one medium.
+        return (
+            messages * (self.per_message_overhead + self.latency)
+            + sum(port_bytes) / self.bandwidth
         )
-        arrival = start + frame + p.latency
-        return [arrival] * len(dests)
 
 
 def ETHERNET_10MBIT() -> SharedEthernet:

@@ -153,10 +153,3 @@ class TraceLog:
     def __len__(self) -> int:
         with self._lock:
             return len(self._events)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._events.clear()
-            self._seq.clear()
-            self._dropped = 0
-            self._warned = False

@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.errors import RedistributionError
 from repro.net.message import Tags, pack_arrays, payload_nbytes, unpack_arrays
-from repro.net.network import PointToPointNetwork, SharedEthernet
 from repro.partition.arrangement import Transfer, transfer_matrix
 from repro.partition.intervals import IntervalPartition
 
@@ -50,7 +49,6 @@ __all__ = [
     "verify_slabs",
     "place_slabs",
     "estimate_remap_cost",
-    "network_pricing_params",
     "transfer_plan_summary",
     "SLAB_BOUNDS_NBYTES",
 ]
@@ -307,27 +305,8 @@ def redistribute(
     )[0]
 
 
-def network_pricing_params(
-    network: PointToPointNetwork,
-) -> tuple[float, float, float, bool]:
-    """``(latency, bandwidth, per_message_overhead, shared?)`` of *network*.
-
-    The one extraction every analytic exchange price shares —
-    :func:`estimate_remap_cost` here and
-    :func:`~repro.runtime.resilience.estimate_checkpoint_cost` — so the
-    two estimates stay comparable by construction and a changed default
-    can never make them silently diverge.
-    """
-    return (
-        network.latency,
-        network.bandwidth,
-        network.per_message_overhead,
-        isinstance(network, SharedEthernet),
-    )
-
-
 def estimate_remap_cost(
-    network: PointToPointNetwork,
+    network,
     old: IntervalPartition,
     new: IntervalPartition,
     element_nbytes: int,
@@ -339,11 +318,10 @@ def estimate_remap_cost(
     Prices the packed exchange :func:`redistribute_fields` performs: per
     moved element, ``num_fields`` payload copies of *element_nbytes*; per
     slab, its :data:`SLAB_BOUNDS_NBYTES` header; and one per-peer message
-    setup.
-    On a shared medium (Ethernet) all frames serialize, so the estimate is
-    the sum of per-message fixed costs plus total bytes over the shared
-    bandwidth.  On switched fabrics transfers to distinct destinations can
-    overlap; we approximate with the per-destination maximum.
+    setup.  The messages go to *network* (a
+    :class:`~repro.net.network.NetworkModel`) as one burst, one port per
+    (source, destination) link: a shared medium (Ethernet) serializes all
+    frames, switched links overlap transfers to distinct destinations.
     """
     if element_nbytes <= 0:
         raise RedistributionError(
@@ -357,17 +335,13 @@ def estimate_remap_cost(
     if not transfers:
         return 0.0
     per_element = num_fields * element_nbytes
-    latency, bandwidth, overhead, shared_medium = network_pricing_params(network)
     by_link: dict[tuple[int, int], int] = {}
     for tr in transfers:
         key = (tr.source, tr.dest)
         by_link[key] = (
             by_link.get(key, 0) + tr.count * per_element + SLAB_BOUNDS_NBYTES
         )
-    fixed = len(by_link) * (overhead + latency)
-    if shared_medium:
-        return fixed + sum(by_link.values()) / bandwidth
-    return fixed + max(by_link.values()) / bandwidth
+    return network.burst_seconds(by_link.values(), len(by_link))
 
 
 def transfer_plan_summary(

@@ -44,10 +44,7 @@ from repro.net.comm import RECV_OVERHEAD
 from repro.net.message import Tags
 from repro.partition.arrangement import minimize_cost_redistribution
 from repro.partition.intervals import IntervalPartition, partition_list
-from repro.runtime.adaptive.redistribution import (
-    estimate_remap_cost,
-    network_pricing_params,
-)
+from repro.runtime.adaptive.redistribution import estimate_remap_cost
 from repro.runtime.kernels import KernelCostModel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -345,8 +342,8 @@ def price_checks(
       predictor forecasts past the measured load.  It is 0 for one rank:
       there is nowhere to move data to.
     * *Price per check, a lower bound.*  Each due check costs the critical
-      path at least one load-report hop (``overhead + latency`` of
-      :func:`network_pricing_params`), the p-1 receive overheads of the
+      path at least one load-report hop (the network's
+      ``per_message_overhead + latency``), the p-1 receive overheads of the
       reports, rank 0's MCR charge of :data:`MCR_SECONDS_PER_P3` x p^3 at
       its unloaded speed, and under ``"centralized"`` one decision hop.
       One rank pays only the MCR charge.
@@ -364,12 +361,10 @@ def price_checks(
             for proc in cluster.processors
         )
         savings = (iterations - lb.check_interval) * work * slowdown
-    latency, _bandwidth, overhead, _shared = network_pricing_params(
-        cluster.make_network()
-    )
+    network = cluster.make_network()
     hops = 0 if p == 1 else 2 if lb.style == "centralized" else 1
     per_check = (
-        hops * (overhead + latency)
+        hops * (network.per_message_overhead + network.latency)
         + (p - 1) * RECV_OVERHEAD
         + MCR_SECONDS_PER_P3 * p**3 / cluster.processors[0].speed
     )

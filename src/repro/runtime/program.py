@@ -99,9 +99,7 @@ class ProgramConfig:
     #: Elastic membership: a :class:`~repro.net.loadmodel.MembershipTrace`,
     #: a DSL string ("leave:0@9.5, join:2@20"), or None.  A trace given
     #: here overrides the cluster's own ``ClusterSpec.membership``; the DSL
-    #: string is resolved against the cluster size at run time.  Membership
-    #: runs require ``barrier_each_iteration`` (events are applied at
-    #: synchronized iteration boundaries).
+    #: string is resolved against the cluster size at run time.
     membership: MembershipTrace | str | None = None
     #: Checkpoint policy (:mod:`repro.runtime.resilience`): a
     #: :class:`~repro.runtime.resilience.CheckpointPolicy`, a DSL string
@@ -122,7 +120,6 @@ class ProgramConfig:
     #: :attr:`~repro.net.trace.TraceLog.dropped_events` counts evictions —
     #: tracing a scale-huge run cannot OOM (the ``--trace-capacity`` knob).
     trace_capacity: int | None = None
-    barrier_each_iteration: bool = True
     #: Execution world: "sim" (threads + virtual clocks, the default) or
     #: "real" (one OS process per rank over loopback sockets, wall-clock
     #: time).  Final field values are bit-identical between the two; time
@@ -376,8 +373,7 @@ def _rank_body(
                     label="kernel",
                 )
             session.record(ctx.clock - t0, int(local.size))
-            if config.barrier_each_iteration:
-                ctx.barrier()
+            ctx.barrier()
             (local,) = session.maybe_rebalance(it, (local,))
         it = session.next_iteration(it)
 
@@ -426,16 +422,6 @@ def run_program(
     )
     if trace is not None:
         cluster = cluster.with_membership(trace)
-        if not config.barrier_each_iteration:
-            raise ConfigurationError(
-                "elastic membership requires barrier_each_iteration: events "
-                "are applied at synchronized iteration boundaries"
-            )
-    if config.checkpoint is not None and not config.barrier_each_iteration:
-        raise ConfigurationError(
-            "checkpointing requires barrier_each_iteration: epochs are "
-            "taken at synchronized iteration boundaries"
-        )
     require_checkpoint(trace, config.checkpoint)
 
     # Phase A: 1-D transformation (done once, offline).

@@ -35,7 +35,6 @@ from repro.partition.arrangement import Transfer
 from repro.partition.intervals import IntervalPartition
 from repro.runtime.adaptive.redistribution import (
     SLAB_BOUNDS_NBYTES,
-    network_pricing_params,
     pack_slabs,
     verify_slabs,
 )
@@ -43,7 +42,6 @@ from repro.runtime.resilience.policy import CheckpointPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.comm import RankContext
-    from repro.net.network import PointToPointNetwork
 
 __all__ = [
     "Checkpoint",
@@ -269,7 +267,7 @@ def take_checkpoint(
 
 
 def estimate_checkpoint_cost(
-    network: "PointToPointNetwork",
+    network,
     partition: IntervalPartition,
     active: np.ndarray,
     element_nbytes: int,
@@ -282,10 +280,11 @@ def estimate_checkpoint_cost(
     Prices exactly what :func:`take_checkpoint` ships: per data-holding
     active rank, one packed message per ring successor (``k`` of them
     under ``replication_factor=k``) of its interval's ``num_fields``
-    payload copies per element plus one slab-bounds header.  Shared
-    media serialize all frames; switched fabrics overlap distinct
-    sources but serialize each source's own fan-out, approximated by the
-    slowest single source — the same style of model as
+    payload copies per element plus one slab-bounds header.  The
+    messages go to *network* (a :class:`~repro.net.network.NetworkModel`)
+    as one burst, one port per owner: shared media serialize all frames;
+    switched fabrics overlap distinct sources but serialize each source's
+    own fan-out — the same style of model as
     :func:`~repro.runtime.adaptive.redistribution.estimate_remap_cost`.
     """
     if element_nbytes <= 0:
@@ -297,7 +296,6 @@ def estimate_checkpoint_cost(
     partners = replica_partners(partition, active, replication_factor)
     if not partners:
         return 0.0
-    latency, bandwidth, overhead, shared_medium = network_pricing_params(network)
     # Per owner: all its replica copies leave through its own port.
     outgoing = {
         owner: (
@@ -307,7 +305,4 @@ def estimate_checkpoint_cost(
         for owner, holders in partners.items()
     }
     n_messages = sum(len(holders) for holders in partners.values())
-    fixed = n_messages * (overhead + latency)
-    if shared_medium:
-        return fixed + sum(outgoing.values()) / bandwidth
-    return fixed + max(outgoing.values()) / bandwidth
+    return network.burst_seconds(outgoing.values(), n_messages)

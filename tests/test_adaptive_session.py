@@ -122,7 +122,7 @@ class TestOptionsCensus:
     def test_every_session_field_is_passed(self):
         assert _fields_never_passed(AdaptiveSession) == set()
 
-    def test_program_config_unset_fields_are_the_known_four(self):
+    def test_program_config_unset_fields_are_the_known_three(self):
         """Each unset field waits on a ROADMAP item; a new one fails."""
         waiting = {
             # ROADMAP item 7 folds the three pricing fields into one
@@ -132,9 +132,6 @@ class TestOptionsCensus:
             "kernel_cost",
             "inspector_cost",
             "executor_cost",
-            # ROADMAP item 7: an ablation_barrier experiment earns it a
-            # caller, or the field and its branches go.
-            "barrier_each_iteration",
         }
         assert _fields_never_passed(ProgramConfig) == waiting
 

@@ -332,20 +332,6 @@ class TestElasticRuns:
 
         assert all(run_spmd(uniform_cluster(2), fn).values)
 
-    def test_membership_requires_barriers(self, workload):
-        trace = MembershipTrace(4, [E(0.02, "leave", 0)])
-        with pytest.raises(ConfigurationError, match="barrier"):
-            self._run_config_error(workload, trace)
-
-    def _run_config_error(self, workload, trace):
-        graph, y0 = workload
-        config = ProgramConfig(
-            iterations=4,
-            membership=trace,
-            barrier_each_iteration=False,
-        )
-        run_program(graph, uniform_cluster(4), config, y0=y0)
-
     def test_session_rejects_data_on_standby_ranks(self, workload):
         graph, _ = workload
         n = graph.num_vertices

@@ -45,12 +45,6 @@ class TestTraceLog:
         log.record(TraceEvent("compute", 1, 0.0, 9.0))
         assert summarize(log).time(0, "compute") == 2.5
 
-    def test_clear(self):
-        log = TraceLog()
-        log.record(TraceEvent("send", 0, 0.0, 1.0))
-        log.clear()
-        assert len(log) == 0
-
     def test_iteration(self):
         log = TraceLog()
         log.record(TraceEvent("send", 0, 0.0, 1.0))
@@ -108,16 +102,6 @@ class TestTraceLog:
                 log.record(TraceEvent("send", 0, float(i), float(i) + 1.0))
         warnings = [r for r in caplog.records if "trace buffer full" in r.message]
         assert len(warnings) == 1
-
-    def test_clear_resets_drop_accounting(self):
-        log = TraceLog(capacity=1)
-        log.record(TraceEvent("send", 0, 0.0, 1.0))
-        log.record(TraceEvent("send", 0, 1.0, 2.0))
-        assert log.dropped_events == 1
-        log.clear()
-        assert log.dropped_events == 0
-        log.record(TraceEvent("send", 0, 0.0, 1.0))
-        assert log.events()[0].seq == 0  # seq counters restart too
 
 
 class TestTraceIntegration:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from oracles_runtime import ring_partners
 from repro.errors import (
-    ConfigurationError,
     RankFailedError,
     ResilienceError,
     ResilienceWarning,
@@ -621,13 +620,6 @@ class TestFailureRuns:
     def test_fail_without_policy_is_actionable(self):
         with pytest.raises(ResilienceError, match="checkpoint policy"):
             _fail_run(checkpoint=None)
-
-    def test_checkpoint_requires_barriers(self):
-        graph = paper_mesh(400, seed=0)
-        cfg = ProgramConfig(iterations=4, checkpoint="interval:2",
-                            barrier_each_iteration=False)
-        with pytest.raises(ConfigurationError, match="barrier_each_iteration"):
-            run_program(graph, uniform_cluster(2), cfg)
 
     def test_report_aggregates_are_consistent(self):
         rep = _fail_run()

@@ -293,35 +293,57 @@ class TestConfigValidation:
 
 
 class TestLooselySynchronous:
-    """``barrier_each_iteration=False`` is the paper's loosely synchronous
-    mode: neighbours drift a phase apart, so a rank's gather drain finds a
-    fast peer's *next* message queued behind the one it is taking."""
+    """Without a barrier between iterations (the paper's loosely
+    synchronous mode) neighbours drift a phase apart, so a rank's gather
+    drain finds a fast peer's *next* message queued behind the one it is
+    taking."""
 
     @pytest.fixture(scope="class")
     def runs(self):
+        from repro.net.spmd import run_spmd
+        from repro.partition.intervals import partition_list
+        from repro.runtime.adaptive import AdaptiveSession
+        from repro.runtime.executor import gather
+
         g = paper_mesh(3000, seed=3)
         y0 = np.random.default_rng(0).uniform(0, 100, g.num_vertices)
-        config = ProgramConfig(iterations=60, barrier_each_iteration=False)
-        reports = [
-            run_program(g, sun4_cluster(5, ethernet=False), config, y0=y0)
+
+        def rank_main(ctx):
+            session = AdaptiveSession(
+                ctx, g, partition_list(g.num_vertices, np.ones(ctx.size)), 60
+            )
+            lo, hi = session.interval()
+            local = y0[lo:hi].copy()
+            for _ in range(60):
+                ghost = gather(ctx, session.schedule, local)
+                local = session.kernel_plan.sweep(local, ghost)
+                ctx.compute_items(session.kernel_plan.n_references, 1e-6)
+            depth = ctx.metrics.snapshot()["gauges"]["net.mailbox_depth"]
+            return lo, local, depth
+
+        runs = [
+            run_spmd(sun4_cluster(5, ethernet=False), rank_main)
             for _ in range(10)
         ]
-        return g, y0, reports
+        return g, y0, runs
 
     def test_five_ranks_without_barriers_match_the_oracle(self, runs):
-        g, y0, reports = runs
+        g, y0, results = runs
         oracle = run_sequential(g, y0, 60)
-        for rep in reports:
-            np.testing.assert_allclose(rep.values, oracle, atol=1e-9)
+        for res in results:
+            values = np.concatenate(
+                [local for _, local, _ in sorted(res.values, key=lambda v: v[0])]
+            )
+            np.testing.assert_allclose(values, oracle, atol=1e-9)
+
+    def test_a_fast_peers_next_message_waits_behind(self, runs):
+        # In every run some drain left a next-iteration message buffered
+        # (with a barrier per iteration no rank ever does).
+        for res in runs[2]:
+            assert max(depth for *_, depth in res.values) >= 1
 
     def test_makespan_is_a_function_of_the_program(self, runs):
-        g, y0, reports = runs
-        assert len({rep.makespan for rep in reports}) == 1
-        synced = run_program(
-            g, sun4_cluster(5, ethernet=False),
-            ProgramConfig(iterations=60), y0=y0,
-        )
-        assert reports[0].makespan < synced.makespan
+        assert len({res.makespan for res in runs[2]}) == 1
 
     def test_a_genuine_intruder_still_raises(self):
         from repro.errors import CommunicationError, RankFailedError

@@ -28,7 +28,6 @@ from repro.runtime.adaptive import (
 )
 from repro.runtime.adaptive.redistribution import (
     extract_slabs,
-    network_pricing_params,
     pack_slabs,
     place_slabs,
     slab_bounds,
@@ -160,15 +159,6 @@ class TestEstimateRemapCost:
             latency=1e-3, bandwidth=1.25e6, per_message_overhead=5e-4
         )
         assert estimate_remap_cost(links, old, new, 8) < eth_cost
-
-    def test_pricing_params_read_the_network(self):
-        links = PointToPointNetwork(
-            latency=2e-3, bandwidth=1e6, per_message_overhead=1e-4
-        )
-        assert network_pricing_params(links) == (2e-3, 1e6, 1e-4, False)
-        assert network_pricing_params(ETHERNET_10MBIT()) == (
-            1e-3, 1.25e6, 5e-4, True
-        )
 
     def test_rejects_bad_element_size(self):
         part = partition_list(10, [1, 1])

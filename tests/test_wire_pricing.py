@@ -6,19 +6,24 @@ returns its bytes term alone.  The shipped side is what the messages of a
 real :func:`exchange_fields` / :func:`take_checkpoint` run are charged
 for (``payload_nbytes``, summed in ``net.bytes_sent`` and traced per
 send) less the fixed header ``payload_nbytes`` adds to every message.
+The estimates and ``price_checks`` also return, float for float, the
+prices recorded before they asked the network model for them.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph import paper_mesh
 from repro.net.cluster import uniform_cluster
 from repro.net.message import Tags, pack_arrays, payload_nbytes
 from repro.net.network import PointToPointNetwork, SharedEthernet
 from repro.net.spmd import run_spmd
 from repro.partition.intervals import partition_list
+from repro.runtime.adaptive import LoadBalanceConfig, price_checks
 from repro.runtime.adaptive.redistribution import (
     estimate_remap_cost,
     exchange_fields,
@@ -126,3 +131,62 @@ def test_checkpoint_price_equals_shipped_bytes(seed, n, p, k, replication):
             num_fields=k, replication_factor=replication,
         )
         assert price == combine(by_source.values())
+
+
+#: Link parameters whose sums round, so an evaluation-order change shows.
+ODD_LINKS = {"latency": 1.3e-3, "bandwidth": 1.1e6, "per_message_overhead": 3.7e-4}
+#: Each price as recorded while the estimates still restated the network's
+#: formulas: (remap, remap of 3 fields of 12 B, checkpoint, checkpoint of
+#: 2 fields x 2 replicas, centralized check, distributed check).
+RECORDED_PRICES = {
+    "ethernet-default": (
+        0.0722464, 0.2615712, 0.07765999999999999, 0.28340960000000004,
+        0.00405, 0.00255,
+    ),
+    "ethernet-odd": (
+        0.08168363636363637, 0.29682545454545456,
+        0.08793909090909091, 0.3214345454545454,
+        0.004390000000000001, 0.00272,
+    ),
+    "p2p-default": (
+        0.025129600000000002, 0.050038400000000004,
+        0.0263192, 0.07825119999999999, 0.00405, 0.00255,
+    ),
+    "p2p-odd": (
+        0.028141818181818185, 0.05644727272727273,
+        0.02959727272727273, 0.0883, 0.004390000000000001, 0.00272,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_PRICES))
+def test_prices_are_the_recorded_floats(name):
+    kind, links = name.split("-")
+    cls = SharedEthernet if kind == "ethernet" else PointToPointNetwork
+    link = ODD_LINKS if links == "odd" else {}
+
+    def make():
+        return cls(**link)
+
+    # Nine ranks: 12 remap links and 9 / 18 checkpoint messages, counts
+    # at which a regrouped fixed term rounds differently.
+    old = partition_list(10_007, np.ones(9))
+    new = partition_list(10_007, np.arange(1, 10))
+    active = np.ones(9, dtype=bool)
+    degrees = paper_mesh(300, seed=3).degrees
+    prices = (
+        estimate_remap_cost(make(), old, new, 8),
+        estimate_remap_cost(make(), old, new, 12, num_fields=3),
+        estimate_checkpoint_cost(make(), new, active, 8),
+        estimate_checkpoint_cost(
+            make(), new, active, 8, num_fields=2, replication_factor=2
+        ),
+        *(
+            price_checks(
+                uniform_cluster(5, network_factory=make), degrees, 20,
+                LoadBalanceConfig(check_interval=3, style=style),
+            ).per_check
+            for style in ("centralized", "distributed")
+        ),
+    )
+    assert prices == RECORDED_PRICES[name]
