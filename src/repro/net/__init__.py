@@ -34,7 +34,7 @@ from repro.net.network import (
     SharedEthernet,
 )
 from repro.net.processor import ProcessorSpec
-from repro.net.spmd import WORLDS, SPMDResult, SPMDRunner, run_spmd
+from repro.net.spmd import WORLDS, SPMDResult, run_spmd
 from repro.net.trace import TraceEvent, TraceLog
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "RandomWalkLoad",
     "RankContext",
     "SPMDResult",
-    "SPMDRunner",
     "SUN4_SPEEDS",
     "SharedEthernet",
     "StepLoad",

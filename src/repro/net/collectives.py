@@ -11,7 +11,7 @@ exact ``recv(source, tag)``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, TYPE_CHECKING
+from typing import Any, Iterable, TYPE_CHECKING
 
 from repro.net.message import Tags
 
@@ -22,7 +22,6 @@ __all__ = [
     "bcast",
     "gather",
     "allgather",
-    "reduce",
     "alltoallv",
 ]
 
@@ -64,28 +63,6 @@ def allgather(ctx: "RankContext", payload: Any) -> list[Any]:
     """Gather at rank 0, then broadcast the full list."""
     values = gather(ctx, payload, root=0, tag=Tags.GATHER)
     return bcast(ctx, values, root=0, tag=Tags.BCAST)
-
-
-def reduce(
-    ctx: "RankContext",
-    value: Any,
-    op: Callable[[Any, Any], Any],
-    *,
-    root: int = 0,
-) -> Any | None:
-    """Reduce with *op* at *root* in rank order; None elsewhere.
-
-    Rank-ordered application keeps results deterministic even for
-    non-commutative ``op``.
-    """
-    values = gather(ctx, value, root=root, tag=Tags.REDUCE)
-    if ctx.rank != root:
-        return None
-    assert values is not None
-    acc = values[0]
-    for v in values[1:]:
-        acc = op(acc, v)
-    return acc
 
 
 def alltoallv(

@@ -6,6 +6,16 @@ through a :class:`RankContext`, which exposes an MPI-like API (``send`` /
 ``recv`` / collectives) plus :meth:`RankContext.compute` for charging
 computation time through the rank's processor speed and competing-load trace.
 
+:class:`RankContext` holds the one body of every rank operation for both
+execution worlds: argument checks, self-sends, the trace event and the
+``net.*`` counts.  A world supplies only how bytes and clocks move, as four
+private primitives: :meth:`~RankContext._post` (put one payload on the
+wire to some destinations), :meth:`~RankContext._advance` (charge
+computation), :meth:`~RankContext._synchronize` (the barrier itself) and
+:meth:`~RankContext._charge_recv` (take one delivered message).  The ones
+here are the sim world's; :mod:`repro.runtime.procs.context` has the real
+world's.
+
 Each rank is an OS thread, so ranks block on receives exactly as P4
 processes would; under the GIL the threads take turns rather than run at
 once, so they model SPMD control flow, not host parallelism.  **All
@@ -21,7 +31,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.errors import CommunicationError, ConfigurationError
 from repro.net.cluster import ClusterSpec
@@ -32,7 +42,13 @@ from repro.net.trace import TraceEvent, TraceLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import Tracer
 
-__all__ = ["Communicator", "RECV_OVERHEAD", "RankContext", "resolve_recv_timeout"]
+__all__ = [
+    "BARRIER_OVERHEAD",
+    "Communicator",
+    "RECV_OVERHEAD",
+    "RankContext",
+    "resolve_recv_timeout",
+]
 
 #: Default *host* timeout for blocking receives, to surface deadlocks in
 #: tests instead of hanging forever.  Override per run with the
@@ -73,8 +89,12 @@ def resolve_recv_timeout(explicit: float | None = None) -> float:
 
 
 #: Virtual seconds a rank pays to take one delivered message off its
-#: mailbox (:meth:`RankContext._charge_recv`); the communicator's default.
+#: mailbox (:meth:`RankContext._charge_recv`).
 RECV_OVERHEAD = 2.0e-4
+
+#: Virtual seconds every rank pays to leave a barrier, after the latest
+#: rank has arrived (:meth:`RankContext._synchronize`).
+BARRIER_OVERHEAD = 1.0e-4
 
 
 class Communicator:
@@ -87,8 +107,6 @@ class Communicator:
         trace: bool = False,
         trace_capacity: int | None = None,
         recv_timeout: float | None = None,
-        recv_overhead: float = RECV_OVERHEAD,
-        barrier_overhead: float = 1.0e-4,
     ):
         self.cluster = cluster
         self.size = cluster.size
@@ -99,8 +117,6 @@ class Communicator:
         #: One registry per rank; each rank thread touches only its own.
         self.metrics = [MetricsRegistry() for _ in range(self.size)]
         self.recv_timeout = resolve_recv_timeout(recv_timeout)
-        self.recv_overhead = recv_overhead
-        self.barrier_overhead = barrier_overhead
         self._barrier_max = 0.0
         self._barrier = threading.Barrier(self.size, action=self._barrier_action)
 
@@ -127,12 +143,9 @@ class Communicator:
 class RankContext:
     """Per-rank handle: the API SPMD rank functions program against.
 
-    This is the one rank-side surface for both execution worlds.  The
-    methods here implement the sim world (virtual clocks, modeled
-    network); :class:`repro.runtime.procs.context.RealRankContext`
-    overrides only the clock and transport primitives — ``clock``,
-    ``compute``, ``send``, ``multicast``, ``barrier`` and the
-    per-message :meth:`_charge_recv` hook — and inherits everything else.
+    The one rank-side surface for both execution worlds (see the module
+    docstring); the ``clock`` and the private primitives here are the sim
+    world's: virtual clocks and the modeled network.
     """
 
     def __init__(self, comm: Communicator, rank: int):
@@ -168,19 +181,18 @@ class RankContext:
         processors: it is found by integrating the processor's effective
         speed (base speed / (1 + competing load)) from the current clock.
         """
+        if work_seconds < 0:
+            raise ValueError(f"work_seconds must be >= 0, got {work_seconds}")
         t0 = self.clock
-        t1 = self.proc.finish_time(t0, work_seconds)
-        self.clock = t1
+        self._advance(work_seconds)
         if self._comm.trace.enabled:
             self._comm.trace.record(
-                TraceEvent("compute", self.rank, t0, t1, label=label)
+                TraceEvent("compute", self.rank, t0, self.clock, label=label)
             )
 
-    def compute_items(self, n_items: int, sec_per_item: float, *, label: str = "") -> None:
-        """Charge computation proportional to a number of data items."""
-        if n_items < 0 or sec_per_item < 0:
-            raise ValueError("n_items and sec_per_item must be >= 0")
-        self.compute(n_items * sec_per_item, label=label)
+    def _advance(self, work_seconds: float) -> None:
+        """Move the clock past *work_seconds* of unit-speed work."""
+        self.clock = self.proc.finish_time(self.clock, work_seconds)
 
     # ------------------------------------------------------------------ #
     # point-to-point
@@ -188,35 +200,17 @@ class RankContext:
 
     def send(self, dest: int, payload: Any, tag: int = Tags.USER_BASE) -> None:
         """Buffered (non-blocking-complete) send, like P4/MPI eager sends."""
-        comm = self._comm
         if not (0 <= dest < self.size):
             raise CommunicationError(f"send to invalid rank {dest}")
+        nbytes = payload_nbytes(payload)
         if dest == self.rank:
             # Self-sends bypass the network (local memory copy).
-            nbytes = payload_nbytes(payload)
-            msg = Message(
+            self._mailbox.deposit(Message(
                 self.rank, dest, tag, payload, nbytes,
                 send_time=self.clock, arrival_time=self.clock,
-            )
-            comm.mailboxes[dest].deposit(msg)
+            ))
             return
-        nbytes = payload_nbytes(payload)
-        t0 = self.clock
-        (arrival,), self.clock = comm.network.transmit(
-            self.rank, (dest,), nbytes, t0
-        )
-        msg = Message(
-            self.rank, dest, tag, payload, nbytes,
-            send_time=t0, arrival_time=arrival,
-        )
-        if comm.trace.enabled:
-            comm.trace.record(
-                TraceEvent("send", self.rank, t0, self.clock, nbytes=nbytes,
-                           peer=dest, tag=tag)
-            )
-        self.metrics.count("net.messages_sent")
-        self.metrics.count("net.bytes_sent", nbytes)
-        comm.mailboxes[dest].deposit(msg)
+        self._transmit("send", (dest,), dest, payload, tag, nbytes, "")
 
     def multicast(
         self, dests: Sequence[int], payload: Any, tag: int = Tags.USER_BASE
@@ -224,32 +218,50 @@ class RankContext:
         """One logical transmission to several destinations (Sec. 3.6).
 
         Uses hardware multicast when the network supports it (one frame on
-        Ethernet); otherwise degrades to sequential unicasts.
+        Ethernet); otherwise degrades to sequential unicasts.  Either way
+        it is one traced event and one counted message.
         """
-        comm = self._comm
         dests = [d for d in dests if d != self.rank]
         for d in dests:
             if not (0 <= d < self.size):
                 raise CommunicationError(f"multicast to invalid rank {d}")
         if not dests:
             return
-        nbytes = payload_nbytes(payload)
+        kind = "multicast" if self.network.supports_multicast else "send"
+        self._transmit(
+            kind, dests, -1, payload, tag, payload_nbytes(payload),
+            f"x{len(dests)}",
+        )
+
+    def _transmit(
+        self, kind: str, dests: Sequence[int], peer: int, payload: Any,
+        tag: int, nbytes: int, label: str,
+    ) -> None:
+        """Post one transmission, then trace and count it once."""
         t0 = self.clock
-        arrivals, self.clock = comm.network.transmit(self.rank, dests, nbytes, t0)
-        kind = "multicast" if comm.network.supports_multicast else "send"
-        if comm.trace.enabled:
-            comm.trace.record(
+        self._post(dests, payload, tag, nbytes)
+        if self._comm.trace.enabled:
+            self._comm.trace.record(
                 TraceEvent(kind, self.rank, t0, self.clock, nbytes=nbytes,
-                           peer=-1, tag=tag, label=f"x{len(dests)}")
+                           peer=peer, tag=tag, label=label)
             )
         self.metrics.count("net.messages_sent")
         self.metrics.count("net.bytes_sent", nbytes)
+
+    def _post(
+        self, dests: Sequence[int], payload: Any, tag: int, nbytes: int
+    ) -> None:
+        """Put *payload* on the wire to *dests* (never this rank): price
+        it through the network model, free the sender when the model
+        says, and deposit one message per destination."""
+        comm = self._comm
+        t0 = self.clock
+        arrivals, self.clock = comm.network.transmit(self.rank, dests, nbytes, t0)
         for d, arrival in zip(dests, arrivals):
-            msg = Message(
+            comm.mailboxes[d].deposit(Message(
                 self.rank, d, tag, payload, nbytes,
                 send_time=t0, arrival_time=arrival,
-            )
-            comm.mailboxes[d].deposit(msg)
+            ))
 
     def recv(self, source: int, tag: int) -> Any:
         """Blocking receive of the next payload on the exact (source, tag)
@@ -263,7 +275,7 @@ class RankContext:
     def _charge_recv(self, msg: Message) -> None:
         """Advance the clock for one delivered message: wait for its
         virtual arrival, then pay the fixed receive overhead."""
-        self.clock = max(self.clock, msg.arrival_time) + self._comm.recv_overhead
+        self.clock = max(self.clock, msg.arrival_time) + RECV_OVERHEAD
 
     def _note_recv(self, msg: Message) -> None:
         """Charge, trace and count one delivered message (shared by
@@ -317,14 +329,21 @@ class RankContext:
 
     def barrier(self) -> None:
         """Synchronize all ranks; exit clocks equal the max entry clock."""
-        comm = self._comm
         t0 = self.clock
-        comm._barrier.wait()
-        self.clock = comm._barrier_max + comm.barrier_overhead
-        if comm.trace.enabled:
-            comm.trace.record(TraceEvent("barrier", self.rank, t0, self.clock))
+        self._synchronize()
+        if self._comm.trace.enabled:
+            self._comm.trace.record(
+                TraceEvent("barrier", self.rank, t0, self.clock)
+            )
         self.metrics.count("net.barriers")
         self.metrics.observe("net.barrier_wait", self.clock - t0)
+
+    def _synchronize(self) -> None:
+        """Wait for every rank, then leave at the latest entry clock plus
+        the barrier overhead."""
+        comm = self._comm
+        comm._barrier.wait()
+        self.clock = comm._barrier_max + BARRIER_OVERHEAD
 
     def bcast(self, payload: Any, root: int = 0, *, tag: int = Tags.BCAST) -> Any:
         from repro.net.collectives import bcast
@@ -340,11 +359,6 @@ class RankContext:
         from repro.net.collectives import allgather
 
         return allgather(self, payload)
-
-    def reduce(self, value: Any, op: Callable[[Any, Any], Any], root: int = 0) -> Any | None:
-        from repro.net.collectives import reduce as _reduce
-
-        return _reduce(self, value, op, root=root)
 
     def alltoallv(
         self,

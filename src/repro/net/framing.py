@@ -89,11 +89,6 @@ class Frame:
         self.meta = meta
         self.body = body
 
-    @property
-    def nbytes(self) -> int:
-        """Wire size of this frame (header + sections)."""
-        return _HEADER.size + len(self.meta) + len(self.body)
-
 
 def encode_payload(payload: Any) -> tuple[int, bytes, Any]:
     """Return ``(kind, meta, body)`` for *payload*.

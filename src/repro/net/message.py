@@ -34,7 +34,6 @@ class Tags:
     BARRIER = 0
     BCAST = 1
     GATHER = 2
-    REDUCE = 4
     ALLTOALL = 5
     SCHEDULE_REQUEST = 6
     SCHEDULE_REPLY = 7

@@ -41,7 +41,7 @@ from repro.net.cluster import ClusterSpec
 from repro.net.comm import Communicator, RankContext  # noqa: F401 - re-export
 from repro.net.trace import TraceLog
 
-__all__ = ["WORLDS", "SPMDResult", "SPMDRunner", "one_cpu", "run_spmd"]
+__all__ = ["WORLDS", "SPMDResult", "one_cpu", "run_spmd"]
 
 #: Supported execution worlds.
 WORLDS = ("sim", "real")
@@ -118,94 +118,6 @@ class SPMDResult:
         return self.values[rank]
 
 
-class SPMDRunner:
-    """Runs rank functions over a cluster specification.
-
-    ``recv_timeout=None`` resolves through ``REPRO_RECV_TIMEOUT`` and then
-    :data:`~repro.net.comm.DEFAULT_RECV_TIMEOUT`.
-    """
-
-    def __init__(
-        self,
-        cluster: ClusterSpec,
-        *,
-        trace: bool = False,
-        trace_capacity: int | None = None,
-        recv_timeout: float | None = None,
-        world: str = "sim",
-    ):
-        self.cluster = cluster
-        self.trace = trace
-        self.trace_capacity = trace_capacity
-        self.recv_timeout = recv_timeout
-        self.world = _check_world(world)
-
-    def run(
-        self,
-        fn: Callable[..., Any],
-        *args: Any,
-        **kwargs: Any,
-    ) -> SPMDResult:
-        """Execute ``fn(ctx, *args, **kwargs)`` on every rank.
-
-        *args*/*kwargs* are shared across ranks (rank-specific data should
-        be derived from ``ctx.rank``, as in any SPMD program).  Returns the
-        per-rank return values and final clocks.
-        """
-        if self.world == "real":
-            from repro.runtime.procs import run_real_spmd
-
-            return run_real_spmd(
-                self.cluster, fn, *args,
-                trace=self.trace, trace_capacity=self.trace_capacity,
-                recv_timeout=self.recv_timeout, **kwargs,
-            )
-
-        comm = Communicator(
-            self.cluster, trace=self.trace,
-            trace_capacity=self.trace_capacity,
-            recv_timeout=self.recv_timeout,
-        )
-        size = comm.size
-        values: list[Any] = [None] * size
-        failures: dict[int, BaseException] = {}
-        failure_lock = threading.Lock()
-
-        def worker(rank: int) -> None:
-            ctx = comm.context(rank)
-            try:
-                values[rank] = fn(ctx, *args, **kwargs)
-            except BaseException as exc:  # noqa: BLE001 - reported to caller
-                with failure_lock:
-                    failures[rank] = exc
-                comm.shutdown()  # wake peers blocked in recv/barrier
-                comm._barrier.abort()
-
-        threads = [
-            threading.Thread(target=worker, args=(rank,), name=f"spmd-rank-{rank}")
-            for rank in range(size)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        if failures:
-            primary = {
-                r: e
-                for r, e in failures.items()
-                if not isinstance(e, (MailboxClosedError, threading.BrokenBarrierError))
-            }
-            raise RankFailedError(primary or failures)
-
-        return SPMDResult(
-            values=values,
-            clocks=list(comm.clocks),
-            trace=comm.trace,
-            cluster=self.cluster,
-        )
-
-
 def run_spmd(
     cluster: ClusterSpec,
     fn: Callable[..., Any],
@@ -216,8 +128,62 @@ def run_spmd(
     world: str = "sim",
     **kwargs: Any,
 ) -> SPMDResult:
-    """One-shot convenience wrapper around :class:`SPMDRunner`."""
-    return SPMDRunner(
+    """Execute ``fn(ctx, *args, **kwargs)`` on every rank of *cluster*.
+
+    *args*/*kwargs* are shared across ranks (rank-specific data should
+    be derived from ``ctx.rank``, as in any SPMD program).  Returns the
+    per-rank return values and final clocks.  ``recv_timeout=None``
+    resolves through ``REPRO_RECV_TIMEOUT`` and then
+    :data:`~repro.net.comm.DEFAULT_RECV_TIMEOUT`.
+    """
+    if _check_world(world) == "real":
+        from repro.runtime.procs import run_real_spmd
+
+        return run_real_spmd(
+            cluster, fn, *args,
+            trace=trace, trace_capacity=trace_capacity,
+            recv_timeout=recv_timeout, **kwargs,
+        )
+
+    comm = Communicator(
         cluster, trace=trace, trace_capacity=trace_capacity,
-        recv_timeout=recv_timeout, world=world,
-    ).run(fn, *args, **kwargs)
+        recv_timeout=recv_timeout,
+    )
+    size = comm.size
+    values: list[Any] = [None] * size
+    failures: dict[int, BaseException] = {}
+    failure_lock = threading.Lock()
+
+    def worker(rank: int) -> None:
+        ctx = comm.context(rank)
+        try:
+            values[rank] = fn(ctx, *args, **kwargs)
+        except BaseException as exc:  # noqa: BLE001 - reported to caller
+            with failure_lock:
+                failures[rank] = exc
+            comm.shutdown()  # wake peers blocked in recv/barrier
+            comm._barrier.abort()
+
+    threads = [
+        threading.Thread(target=worker, args=(rank,), name=f"spmd-rank-{rank}")
+        for rank in range(size)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+
+    if failures:
+        primary = {
+            r: e
+            for r, e in failures.items()
+            if not isinstance(e, (MailboxClosedError, threading.BrokenBarrierError))
+        }
+        raise RankFailedError(primary or failures)
+
+    return SPMDResult(
+        values=values,
+        clocks=list(comm.clocks),
+        trace=comm.trace,
+        cluster=cluster,
+    )

@@ -1,11 +1,15 @@
 """Real-process rank contexts: :class:`RankContext` over sockets.
 
-There is one rank-side surface, :class:`repro.net.comm.RankContext`;
-:class:`RealRankContext` subclasses it and overrides only the clock and
-transport primitives (``clock``/``compute``, ``send``/
-``multicast``, ``barrier`` and the per-message ``_charge_recv`` hook).
-Receives (exact ``(source, tag)`` channels, as in the sim world) and
-collectives are the inherited ones, running over this process's mailbox.
+There is one rank-side surface, :class:`repro.net.comm.RankContext`, and
+it holds the one body of every operation: ``send``, ``multicast``,
+``compute``, ``barrier``, the receives (exact ``(source, tag)`` channels)
+and the collectives, with their checks, trace events and counts.
+:class:`RealRankContext` subclasses it and supplies only how bytes and
+clocks move: the ``clock`` and the private primitives ``_post`` (one
+frame per destination), ``_advance`` and ``_charge_recv`` (latch) and
+``_synchronize`` (:meth:`RealRankContext.align_clocks`).  A message is
+counted by ``payload_nbytes``, the size the sim world's network model
+prices, on both sides and in both worlds.
 
 One :class:`RealCommunicator` lives in each worker OS process.  It owns the
 non-blocking peer sockets, one :class:`~repro.net.framing.FrameReader` per
@@ -36,8 +40,10 @@ Instead, ``ctx.clock`` is a *stored* value that advances in two ways:
 
 * every communication/compute operation latches it forward to the rank's
   current wall time (``max`` keeps it monotonic), so spans measured as
-  ``ctx.clock - t0`` reflect real elapsed time; and
-* :meth:`RealRankContext.barrier` runs an explicit max-agreement round
+  ``ctx.clock - t0`` reflect real elapsed time, and a rank's flat trace
+  events tile its timeline (each starts at the clock the previous one
+  latched); and
+* ``barrier`` runs an explicit max-agreement round
   (a dissemination exchange of entry clocks, ``ceil(log2 p)`` steps):
   every rank **sets** its clock to the same maximum ``M`` and re-bases
   its wall offset.
@@ -72,7 +78,7 @@ from repro.net.framing import (
 )
 from repro.net.mailbox import Mailbox
 from repro.net.message import Message, Tags, payload_nbytes
-from repro.net.trace import TraceEvent, TraceLog
+from repro.net.trace import TraceLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import Tracer
 
@@ -198,12 +204,13 @@ class RealCommunicator:
                 self._end_stream(peer, failed=True)  # error cascade
             return
         now = self.wall()
+        payload = decode_payload(frame.kind, frame.meta, frame.body)
         msg = Message(
             frame.source,
             self.rank,
             frame.tag,
-            decode_payload(frame.kind, frame.meta, frame.body),
-            frame.nbytes,
+            payload,
+            payload_nbytes(payload),
             send_time=now,
             arrival_time=now,
         )
@@ -225,16 +232,17 @@ class RealCommunicator:
     # send side
     # -------------------------------------------------------------- #
 
-    def send_payload(self, dest: int, tag: int, payload: Any) -> int:
-        """Encode and write one payload frame to *dest* (never self);
-        returns the wire size in bytes."""
+    def send_payload(self, dests: Sequence[int], tag: int, payload: Any) -> None:
+        """Encode *payload* once and write one frame of it to each of
+        *dests* (never self), in order."""
         kind, meta, body = encode_payload(payload)
-        return self._send_frame(dest, tag, kind, meta, body, self.recv_timeout)
+        for dest in dests:
+            self._send_frame(dest, tag, kind, meta, body, self.recv_timeout)
 
     def _send_frame(
         self, dest: int, tag: int, kind: int, meta: bytes, body: Any,
         patience: float,
-    ) -> int:
+    ) -> None:
         """Write one frame as one ``sendmsg``.  While *dest*'s socket is
         full, keep reading incoming frames (two ranks that both send large
         messages before receiving cannot deadlock); raise if no byte goes
@@ -258,7 +266,7 @@ class RealCommunicator:
                 if sent:
                     left -= sent
                     if not left:
-                        return total
+                        return
                     parts = _consume(parts, sent)
                     deadline = time.monotonic() + patience
                 elif time.monotonic() >= deadline:
@@ -338,12 +346,10 @@ def _consume(parts: Sequence[Any], n: int) -> list[Any]:
 
 
 class RealRankContext(RankContext):
-    """:class:`~repro.net.comm.RankContext` with the clock and transport
-    primitives overridden: real sockets and a latched wall clock.
-
-    Everything else — receives, collectives — is inherited, so rank
-    functions, the executor, and the adaptive session run unmodified in
-    either world.
+    """:class:`~repro.net.comm.RankContext` over real sockets and a latched
+    wall clock: every public operation is the inherited one, so rank
+    functions, the executor and the adaptive session run unmodified in
+    either world and trace and count the same.
     """
 
     def __init__(self, comm: RealCommunicator):
@@ -381,68 +387,52 @@ class RealRankContext(RankContext):
         """Latched wall time in seconds (see module docstring)."""
         return self._clock
 
-    def compute(self, work_seconds: float, *, label: str = "") -> None:
-        """Latch the clock forward to now: the computation already ran on
-        the host, so its real duration is captured by the latch."""
-        if work_seconds < 0:
-            raise ValueError(f"work_seconds must be >= 0, got {work_seconds}")
-        t0 = self._clock
+    def _advance(self, work_seconds: float) -> None:
+        """The computation already ran on the host: latch its duration."""
         self._latch()
-        if self._comm.trace.enabled:
-            self._comm.trace.record(
-                TraceEvent("compute", self.rank, t0, self._clock, label=label)
-            )
 
     # -------------------------------------------------------------- #
     # transport
     # -------------------------------------------------------------- #
 
-    def send(self, dest: int, payload: Any, tag: int = Tags.USER_BASE) -> None:
-        if not (0 <= dest < self.size):
-            raise CommunicationError(f"send to invalid rank {dest}")
-        if dest == self.rank:
-            self._latch()
-            msg = Message(
-                self.rank, dest, tag, payload, payload_nbytes(payload),
-                send_time=self._clock, arrival_time=self._clock,
-            )
-            self._mailbox.deposit(msg)
-            return
-        t0 = self._now()
-        nbytes = self._comm.send_payload(dest, tag, payload)
-        self._latch()
-        if self._comm.trace.enabled:
-            self._comm.trace.record(
-                TraceEvent("send", self.rank, t0, self._clock,
-                           nbytes=nbytes, peer=dest, tag=tag)
-            )
-        self.metrics.count("net.messages_sent")
-        self.metrics.count("net.bytes_sent", nbytes)
-
-    def multicast(
-        self, dests: Sequence[int], payload: Any, tag: int = Tags.USER_BASE
+    def _post(
+        self, dests: Sequence[int], payload: Any, tag: int, nbytes: int
     ) -> None:
-        """Sequential unicasts: loopback TCP has no hardware multicast."""
-        for d in dests:
-            if d != self.rank:
-                self.send(d, payload, tag)
+        """One frame per destination (loopback TCP has no hardware
+        multicast), then latch."""
+        self._comm.send_payload(dests, tag, payload)
+        self._latch()
 
     def _charge_recv(self, msg: Message) -> None:
         """The wait already happened on the host: latch it."""
         self._latch()
 
     def align_clocks(self) -> None:
-        """The dissemination round of :meth:`barrier` alone: every rank
-        adopts the maximum of all ranks' clocks.  Not a program barrier —
-        no count, no span, no wait — so a worker aligns its clock epoch
-        with it before the rank function runs, and ``net.barriers`` counts
-        what the program asked for in either world."""
+        """Every rank adopts the maximum of all ranks' clocks.
+
+        A dissemination round: in step ``k`` rank ``r`` sends its running
+        maximum of entry clocks to ``(r + 2**k) mod p`` and receives from
+        ``(r - 2**k) mod p`` (tag ``Tags.BARRIER``), ``ceil(log2 p)`` steps
+        in all — one exchange for two ranks.  Each step has its own source,
+        so per-channel FIFO keeps back-to-back rounds from interleaving.
+        The internal sends/receives bypass ``send`` (no metric counts) and
+        the latch, so the adopted value is ``>=`` every rank's clock,
+        keeping the clock monotonic *and* rank-agreed.
+
+        The round is what :meth:`barrier` waits on; called alone it is not
+        a program barrier — no count, no trace event, no wait — so a
+        worker aligns its clock epoch with it before the rank function
+        runs, and ``net.barriers`` counts what the program asked for in
+        either world.
+        """
         self._latch()
         comm = self._comm
         agreed = self._clock
         step = 1
         while step < self.size:
-            comm.send_payload((self.rank + step) % self.size, Tags.BARRIER, agreed)
+            comm.send_payload(
+                ((self.rank + step) % self.size,), Tags.BARRIER, agreed
+            )
             msg = self._mailbox.receive(
                 (self.rank - step) % self.size, Tags.BARRIER,
                 timeout=comm.recv_timeout,
@@ -451,28 +441,5 @@ class RealRankContext(RankContext):
             step *= 2
         self._adopt(agreed)
 
-    def barrier(self) -> None:
-        """Max-agreement barrier: all ranks leave with **identical** clocks.
-
-        A dissemination round: in step ``k`` rank ``r`` sends its running
-        maximum of entry clocks to ``(r + 2**k) mod p`` and receives from
-        ``(r - 2**k) mod p`` (tag ``Tags.BARRIER``), ``ceil(log2 p)`` steps
-        in all — one exchange for two ranks.  Each step has its own source,
-        so per-channel FIFO keeps back-to-back barriers from interleaving.
-        Every rank ends with the maximum of all entry clocks and adopts it.
-        The internal sends/receives bypass ``send`` (no metric counts) and
-        the latch, so the adopted value is ``>=`` every rank's clock,
-        keeping the clock monotonic *and* rank-agreed.
-        """
-        self._latch()
-        t0 = self._clock
-        self.metrics.count("net.barriers")
-        if self.size == 1:
-            return
-        self.align_clocks()
-        comm = self._comm
-        if comm.trace.enabled:
-            comm.trace.record(
-                TraceEvent("barrier", self.rank, t0, self._clock)
-            )
-        self.metrics.observe("net.barrier_wait", max(self._clock - t0, 0.0))
+    #: The barrier itself: all ranks leave with **identical** clocks.
+    _synchronize = align_clocks

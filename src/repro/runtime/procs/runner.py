@@ -1,6 +1,6 @@
 """Spawn real OS processes and run a rank function on each.
 
-This is the real-world counterpart of :class:`repro.net.spmd.SPMDRunner`:
+This is the real-world half of :func:`repro.net.spmd.run_spmd`:
 ``run_real_spmd(cluster, fn, *args)`` executes ``fn(ctx, *args)`` on one
 OS process per rank, connected pairwise by loopback TCP sockets, and
 returns the same :class:`~repro.net.spmd.SPMDResult` shape (per-rank

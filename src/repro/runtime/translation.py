@@ -34,6 +34,9 @@ __all__ = [
     "table_home",
 ]
 
+#: Unit-speed seconds a rank spends reading one table entry for a query.
+LOOKUP_SECONDS = 2.0e-6
+
 
 def table_home(global_indices: np.ndarray, n: int, p: int) -> np.ndarray:
     """Which rank stores the table entry for each index (block distribution).
@@ -124,7 +127,7 @@ class DistributedTranslationTable:
             if src == ctx.rank:
                 continue
             owner, local = self.lookup_local(q)
-            ctx.compute_items(q.size, 2.0e-6, label="table-lookup")
+            ctx.compute(q.size * LOOKUP_SECONDS, label="table-lookup")
             replies_out[src] = np.stack([owner, local], axis=0)
         expect_replies = [d for d in queries_out]
         replies = ctx.alltoallv(replies_out, expect_replies, tag=Tags.SCHEDULE_REPLY)
@@ -138,8 +141,8 @@ class DistributedTranslationTable:
                 continue
             if home == ctx.rank:
                 own, loc = self.lookup_local(sorted_gi[seg])
-                ctx.compute_items(offsets[home + 1] - offsets[home], 2.0e-6,
-                                  label="table-lookup")
+                ctx.compute((offsets[home + 1] - offsets[home]) * LOOKUP_SECONDS,
+                            label="table-lookup")
             else:
                 own, loc = replies[home][0], replies[home][1]
             owner_sorted[seg] = own

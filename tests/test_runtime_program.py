@@ -317,7 +317,7 @@ class TestLooselySynchronous:
             for _ in range(60):
                 ghost = gather(ctx, session.schedule, local)
                 local = session.kernel_plan.sweep(local, ghost)
-                ctx.compute_items(session.kernel_plan.n_references, 1e-6)
+                ctx.compute(session.kernel_plan.n_references * 1e-6)
             depth = ctx.metrics.snapshot()["gauges"]["net.mailbox_depth"]
             return lo, local, depth
 
