@@ -38,7 +38,8 @@ slightly different value on every rank and desynchronize the decisions.
 
 Instead, ``ctx.clock`` is a *stored* value that advances in two ways:
 
-* every communication/compute operation latches it forward to the rank's
+* every communication/compute operation but a self-send (which never
+  leaves the process) latches it forward to the rank's
   current wall time (``max`` keeps it monotonic), so spans measured as
   ``ctx.clock - t0`` reflect real elapsed time, and a rank's flat trace
   events tile its timeline (each starts at the clock the previous one

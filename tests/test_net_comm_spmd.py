@@ -325,6 +325,8 @@ class TestOneRankSurface:
     WORLD_PRIMITIVES = {
         "clock", "_post", "_advance", "_synchronize", "_charge_recv",
     }
+    #: The real world's latched-clock helpers and its barrier round.
+    REAL_CLOCK = {"__init__", "_now", "_latch", "_adopt", "align_clocks"}
 
     def test_real_context_defines_only_the_world_primitives(self):
         from repro.net.comm import RankContext
@@ -333,7 +335,16 @@ class TestOneRankSurface:
         assert issubclass(RealRankContext, RankContext)
         public = {n for n in vars(RealRankContext) if not n.startswith("_")}
         assert public == {"clock", "align_clocks"}
-        assert self.WORLD_PRIMITIVES <= set(vars(RealRankContext))
+        # Every name it defines, private ones too: an override of a
+        # shared body (_transmit, _note_recv, __repr__, ...) is a fork.
+        defined = {
+            n for n in vars(RealRankContext)
+            if n == "__init__" or not n.startswith("__")
+        }
+        assert defined == self.WORLD_PRIMITIVES | self.REAL_CLOCK
+        assert not {"_note_recv", "_transmit", "__repr__"} & set(
+            vars(RealRankContext)
+        )
         # The operations the acceptance criteria name exist once, on the
         # shared class.
         for name in ("send", "multicast", "compute", "barrier", "recv",
