@@ -931,6 +931,19 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    # A trace is written after the whole run: check where it goes first.
+    trace_out = getattr(args, "trace_out", None)
+    if trace_out:
+        from pathlib import Path
+
+        parent = Path(trace_out).parent
+        if not parent.is_dir():
+            _log.error(
+                "error: --trace-out %s: directory %s does not exist",
+                trace_out,
+                parent,
+            )
+            return 2
     if args.command == "info":
         return _cmd_info()
     if args.command == "run":

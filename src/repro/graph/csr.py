@@ -74,13 +74,18 @@ class CSRGraph:
         self._check_symmetric()
 
     def _check_symmetric(self) -> None:
-        n = self.num_vertices
-        src = np.repeat(np.arange(n, dtype=np.intp), self.degrees)
-        if (src == self.indices).any():
+        # Two per-entry arrays: the reversed keys dst * n + src, and the
+        # row ids, turned in place into the forward keys src * n + dst.
+        n, indices = self.num_vertices, self.indices
+        keys = np.repeat(np.arange(n, dtype=np.intp), self.degrees)
+        if (keys == indices).any():
             raise GraphError("graph has self-loops")
-        rev = self.indices * n + src
+        rev = indices * n
+        rev += keys
         rev.sort()
-        if not np.array_equal(_sorted(src * n + self.indices), rev):
+        keys *= n
+        keys += indices
+        if not np.array_equal(_sorted(keys), rev):
             raise GraphError("adjacency is not symmetric")
 
     # ------------------------------------------------------------------ #
@@ -139,11 +144,16 @@ class CSRGraph:
         if n < 0:
             raise GraphError(f"vertex count must be >= 0, got {n}")
         arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
-        arr = arr.reshape(-1, 2).astype(np.intp)
+        arr = arr.reshape(-1, 2).astype(np.intp, copy=False)
         if arr.size and (arr.min() < 0 or arr.max() >= n):
             raise GraphError("edge endpoints out of range")
-        u, v = arr[arr[:, 0] != arr[:, 1]].T  # drop self-loops
-        keys = np.concatenate([u * n + v, v * n + u])
+        loops = arr[:, 0] == arr[:, 1]
+        if loops.any():
+            arr = arr[~loops]
+        keys = _both_orientations(n, arr[:, 0], arr[:, 1])
+        # The edge list is not needed past its keys: a caller that passes
+        # a temporary gets its memory back before the graph is checked.
+        del edges, arr, loops
         return _from_keys(n, keys, coords, vertex_weights)
 
     def permute(self, perm: Sequence[int] | np.ndarray) -> "CSRGraph":
@@ -161,21 +171,18 @@ class CSRGraph:
         # new_src * n + new_dst groups the rows and orders each row.
         old_degrees = self.degrees
         degrees = old_degrees[inv]
-        keys = np.repeat(perm * n, old_degrees) + perm[self.indices]
+        keys = np.repeat(perm * n, old_degrees)
+        keys += perm[self.indices]
         keys.sort()
-        keys -= np.repeat(np.arange(n, dtype=np.intp) * n, degrees)
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(degrees, out=indptr[1:])
         coords, weights = (
             None if a is None else a[inv] for a in (self.coords, self.vertex_weights)
         )
-        # A relabelled valid graph is valid: skip __post_init__, whose
-        # symmetry check is one more sort of all 2m entries.
-        out = object.__new__(CSRGraph)
-        out.__dict__.update(
-            indptr=indptr, indices=keys, coords=coords, vertex_weights=weights
+        # A relabelled valid graph is valid: skip the symmetry check.
+        return _trusted(
+            indptr, np.remainder(keys, n, out=keys), coords, weights
         )
-        return out
 
     def subgraph(self, keep: np.ndarray) -> "CSRGraph":
         """The subgraph induced by the vertices where *keep* is true,
@@ -206,11 +213,45 @@ def _sorted(keys: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _both_orientations(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The keys ``u * n + v`` then ``v * n + u`` of the undirected edges
+    (u, v), written in place into one array."""
+    m = u.size
+    keys = np.empty(2 * m, dtype=np.intp)
+    for out, a, b in ((keys[:m], u, v), (keys[m:], v, u)):
+        np.multiply(a, n, out=out)
+        out += b
+    return keys
+
+
 def _from_keys(n: int, keys: np.ndarray, coords, vertex_weights) -> CSRGraph:
     """The one construction of a CSR: from its directed entries as scalar
-    keys ``src * n + dst`` (>= 0), sorted and deduplicated here."""
+    keys ``src * n + dst`` (>= 0), sorted and deduplicated here.  *keys*
+    is consumed: it is sorted and becomes ``indices`` in place unless a
+    duplicate forces one copy."""
     keys = _sorted(keys)
-    src, dst = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return CSRGraph(indptr, dst, coords=coords, vertex_weights=vertex_weights)
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    if not first.all():
+        keys = keys[first]
+    del first
+    # Row v's entries are the keys in [v * n, (v + 1) * n).
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.intp) * n)
+    return CSRGraph(
+        indptr,
+        np.remainder(keys, n, out=keys),
+        coords=coords,
+        vertex_weights=vertex_weights,
+    )
+
+
+def _trusted(indptr, indices, coords, vertex_weights) -> CSRGraph:
+    """A CSRGraph from arrays already in canonical form (``intp`` index
+    arrays, float64 attributes) that a valid graph was transformed into
+    by a structure-preserving map: no validation pass."""
+    out = object.__new__(CSRGraph)
+    out.__dict__.update(
+        indptr=indptr, indices=indices, coords=coords, vertex_weights=vertex_weights
+    )
+    return out

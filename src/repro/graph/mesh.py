@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.csr import CSRGraph, _from_keys
+from repro.graph.csr import CSRGraph, _both_orientations, _from_keys
 
 __all__ = ["Mesh"]
 
@@ -65,7 +65,7 @@ class Mesh:
         """The computational graph induced by the simplex edges.
 
         Both orientations of every simplex edge become one scalar key
-        each and go through the one CSR construction
+        each, written into one array, and go through the one CSR construction
         (:func:`repro.graph.csr._from_keys`), which drops the copies of
         an edge shared by neighbouring simplices.
         """
@@ -73,8 +73,10 @@ class Mesh:
         i, j = zip(*combinations(range(self.cells.shape[1]), 2))
         a, b = self.cells[:, list(i)].ravel(), self.cells[:, list(j)].ravel()
         edge = a != b  # a degenerate simplex repeats a vertex
-        a, b = a[edge], b[edge]
-        keys = np.concatenate([a * n + b, b * n + a])
+        if not edge.all():
+            a, b = a[edge], b[edge]
+        keys = _both_orientations(n, a, b)
+        del a, b, edge
         return _from_keys(n, keys, self.points, None)
 
     @property

@@ -178,6 +178,31 @@ class TestCommands:
         assert [line.split("|")[0].split()[1] for line in rows] == ["0", "1", "2"]
 
 
+class TestTraceOutDirectory:
+    """A --trace-out path in a missing directory is refused before any
+    work, with exit 2 and the directory named, by every subcommand that
+    writes a trace."""
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--vertices", "400", "--iterations", "2"],
+        ["serve", "--n-jobs", "1"],
+        ["bench", "run", "table1", "--quick"],
+    ], ids=["run", "serve", "bench-run"])
+    def test_missing_directory_exits_2_before_running(
+        self, capsys, tmp_path, command
+    ):
+        missing = tmp_path / "nodir"
+        rc = main([
+            *command, "--trace-out", str(missing / "t.json"),
+            *(["--results-dir", str(tmp_path)] if command[0] == "bench" else []),
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"directory {missing} does not exist" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestBenchGlobs:
     def test_bench_run_glob(self, capsys, tmp_path):
         rc = main([

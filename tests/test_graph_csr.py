@@ -322,6 +322,24 @@ class TestScalarKeyConstruction:
         assert_same_graph(g.subgraph(keep), induced_subgraph_oracle(g, keep))
         assert_same_graph(largest_component(g), largest_component_oracle(g))
 
+    @pytest.mark.parametrize("n, edges", [
+        # two triangles: the one holding vertex 0 wins the tie
+        (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+        # the same, listed and numbered so the tie's winner comes second
+        (7, [(4, 5), (5, 6), (4, 6), (1, 2), (2, 3), (1, 3)]),
+        # equal paths interleaved by vertex id, isolated vertices between
+        (9, [(1, 3), (3, 5), (2, 4), (4, 6)]),
+        # a larger component after a tie of smaller ones and isolated ids
+        (10, [(0, 1), (2, 3), (5, 6), (6, 7), (7, 9)]),
+        # isolated vertices only: every component ties at one vertex
+        (4, []),
+    ])
+    def test_largest_component_tie_goes_to_the_lowest_vertex(self, n, edges):
+        g = CSRGraph.from_edges(
+            n, edges, coords=np.arange(2.0 * n).reshape(n, 2)
+        )
+        assert_same_graph(largest_component(g), largest_component_oracle(g))
+
     @given(raw_csrs(symmetric=False))
     @settings(max_examples=300, deadline=None)
     def test_rejections_match_oracle(self, raw):

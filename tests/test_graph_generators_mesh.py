@@ -362,6 +362,26 @@ class TestScaleMesh:
         assert g.num_vertices == 10_000
 
 
+def test_geometric_build_memory_is_bounded():
+    """Graph construction reuses its per-entry arrays: the traced peak of
+    building the 100k geometric mesh stays within 4.5x the output's
+    arrays.  Measured 2.86x (20.4 MB for 7.1 MB of indptr, indices and
+    coords); 6.04x when every builder step allocated fresh per-edge
+    temporaries."""
+    import tracemalloc
+
+    from repro.graph.generators import scale_mesh
+
+    tracemalloc.start()
+    try:
+        graph = scale_mesh("100k", family="geometric", seed=1995)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = graph.indptr.nbytes + graph.indices.nbytes + graph.coords.nbytes
+    assert peak <= 4.5 * output, f"traced peak {peak / output:.2f}x the output"
+
+
 # sha256 of (indptr, indices, coords) of the meshes the benchmark workloads
 # and their fingerprints are built on; computed before CSR construction moved
 # to sorted scalar keys, which must not change one byte of them.
