@@ -27,7 +27,7 @@ from repro.runtime import (
 
 def main() -> None:
     graph = paper_mesh(5_000, seed=11)
-    cluster = adaptive_cluster(4, loaded_rank=0, competing_load=2.0)
+    cluster = adaptive_cluster(4, competing_load=2.0)
     y0 = np.random.default_rng(1).uniform(0.0, 100.0, graph.num_vertices)
     iterations = 80
 

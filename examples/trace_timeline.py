@@ -22,7 +22,7 @@ from repro.runtime import LoadBalanceConfig, ProgramConfig, run_program
 
 def main() -> None:
     graph = paper_mesh(3_000, seed=23)
-    cluster = adaptive_cluster(4, loaded_rank=0, competing_load=2.0)
+    cluster = adaptive_cluster(4, competing_load=2.0)
     y0 = np.random.default_rng(6).uniform(0.0, 100.0, graph.num_vertices)
 
     for label, lb in (("WITHOUT load balancing", None),
@@ -39,7 +39,7 @@ def main() -> None:
         print(f"\n=== {label}: {report.makespan:.3f} virtual s")
         print(summary.to_text())
         print()
-        print(timeline(report.trace, width=64))
+        print(timeline(report.trace))
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
 from repro.net.cluster import ClusterSpec
 from repro.net.spmd import run_spmd
-from repro.partition.ordering import OrderingMethod
 from repro.partition.rcb import RCBOrdering
 from repro.partition.weighted import partition_weighted_list
 from repro.runtime.adaptive import AdaptiveSession
@@ -90,17 +89,16 @@ def run_adaptive_application(
     adapt_interval: int = 10,
     hotspot: MovingHotspot | None = None,
     repartition: bool = True,
-    ordering: OrderingMethod | None = None,
-    kernel_cost: KernelCostModel = KernelCostModel(),
     y0: np.ndarray | None = None,
 ) -> AdaptiveRunReport:
     """Run the Fig. 8 loop while the per-vertex work adapts.
 
-    Every ``adapt_interval`` iterations the weight field advances one phase;
-    with ``repartition=True`` the data is re-split into weighted intervals
-    (redistribution + inspector rebuild), otherwise the initial partition is
-    kept — the baseline showing why adaptive applications need phase D even
-    on dedicated machines.
+    The graph is ordered by RCB and each sweep priced by the default
+    :class:`KernelCostModel`.  Every ``adapt_interval`` iterations the
+    weight field advances one phase; with ``repartition=True`` the data is
+    re-split into weighted intervals (redistribution + inspector rebuild),
+    otherwise the initial partition is kept — the baseline showing why
+    adaptive applications need phase D even on dedicated machines.
     """
     n = graph.num_vertices
     if iterations < 1 or adapt_interval < 1:
@@ -112,9 +110,7 @@ def run_adaptive_application(
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.shape != (n,):
         raise ConfigurationError(f"y0 has shape {y0.shape}, expected ({n},)")
-    if ordering is None:
-        ordering = RCBOrdering()
-    perm = ordering(graph)
+    perm = RCBOrdering()(graph)
     gperm = graph.permute(perm)
     hotspot_p = MovingHotspot(
         gperm, hotspot.amplitude, hotspot.radius_fraction, hotspot.n_phases
@@ -126,6 +122,7 @@ def run_adaptive_application(
     # A refined vertex does proportionally more work on *all* its terms
     # (more sub-elements -> more references and more updates), so the cost
     # weight scales the full per-vertex sweep cost.
+    kernel_cost = KernelCostModel()
     base_cost = (
         kernel_cost.sec_per_reference * gperm.degrees.astype(np.float64)
         + kernel_cost.sec_per_vertex

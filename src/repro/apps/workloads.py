@@ -26,18 +26,20 @@ __all__ = [
 ]
 
 
-def random_capabilities(
-    p: int, rng: np.random.Generator, *, floor: float = 0.02
-) -> np.ndarray:
-    """A random normalized capability vector with no near-zero entries.
+def random_capabilities(p: int, rng: np.random.Generator) -> np.ndarray:
+    """A random normalized capability vector with no entry below 0.02
+    before normalization.
 
     Used for Table 2's "100 randomly generated samples" of adapting
     capability ratios.
     """
     caps = rng.dirichlet(np.ones(p))
-    caps = np.maximum(caps, floor)
+    caps = np.maximum(caps, 0.02)
     return caps / caps.sum()
 
+
+#: Competing processes a loaded workstation of the scale scenarios runs.
+_COMPETING_LOAD = 2.0
 
 #: The dynamic-load scenario names of the ``scale-adaptive`` experiments.
 DYNAMIC_SCENARIOS = ("onset", "hotspot", "ramp")
@@ -47,8 +49,6 @@ def dynamic_load_cluster(
     p: int,
     scenario: str,
     horizon: float,
-    *,
-    competing_load: float = 2.0,
 ) -> ClusterSpec:
     """A uniform pool whose competing load changes *during* the run.
 
@@ -58,14 +58,14 @@ def dynamic_load_cluster(
     is the expected virtual duration of the run; the traces scale to it
     so every scenario forces its load changes mid-run at any mesh size:
 
-    * ``"onset"`` — a competing load appears on workstation 0 at 15% of
-      the horizon and leaves at 55%: the runtime must remap away from the
+    * ``"onset"`` — two competing processes appear on workstation 0 at 15%
+      of the horizon and leave at 55%: the runtime must remap away from the
       loaded machine and then remap back;
     * ``"hotspot"`` — the competing load moves from workstation to
       workstation, holding each for ``horizon / p``: no single remap is
       ever final;
     * ``"ramp"`` — the load on workstation 0 climbs linearly from 0 to
-      ``1.5 x competing_load`` over the first 70% of the horizon (the
+      3 competing processes over the first 70% of the horizon (the
       scenario where multi-phase capability *prediction*, footnote 2,
       can beat the last-value rule).
     """
@@ -77,7 +77,7 @@ def dynamic_load_cluster(
             0,
             StepLoad([
                 (0.0, 0.0),
-                (0.15 * horizon, competing_load),
+                (0.15 * horizon, _COMPETING_LOAD),
                 (0.55 * horizon, 0.0),
             ]),
         )
@@ -87,15 +87,15 @@ def dynamic_load_cluster(
             cluster = cluster.with_load(
                 rank,
                 StepLoad([
-                    (0.0, competing_load if rank == 0 else 0.0),
-                    (rank * dwell, competing_load),
+                    (0.0, _COMPETING_LOAD if rank == 0 else 0.0),
+                    (rank * dwell, _COMPETING_LOAD),
                     ((rank + 1) * dwell, 0.0),
                 ]),
             )
         return cluster
     if scenario == "ramp":
         return cluster.with_load(
-            0, RampLoad(0.0, 0.7 * horizon, 0.0, 1.5 * competing_load)
+            0, RampLoad(0.0, 0.7 * horizon, 0.0, 1.5 * _COMPETING_LOAD)
         )
     raise ValueError(
         f"unknown dynamic-load scenario {scenario!r}; "
@@ -111,8 +111,6 @@ def elastic_cluster(
     p: int,
     scenario: str,
     horizon: float,
-    *,
-    competing_load: float = 2.0,
 ) -> ClusterSpec:
     """A uniform pool whose *membership* changes during the run.
 
@@ -123,7 +121,7 @@ def elastic_cluster(
     scenario forces its changes mid-run at any mesh size:
 
     * ``"leave-at-peak"`` — the owner of workstation 0 returns at 15% of
-      the horizon (``competing_load`` competing processes) and reclaims
+      the horizon (two competing processes) and reclaims
       the machine outright at 105%, when its contention is at its peak.  A
       balancing run sheds work soon after the onset and later drains a
       lightly-loaded block; the static baseline rides the full imbalance
@@ -150,7 +148,7 @@ def elastic_cluster(
     cluster = uniform_cluster(p, name=f"elastic-{scenario}")
     if scenario == "leave-at-peak":
         cluster = cluster.with_load(
-            0, StepLoad([(0.0, 0.0), (0.15 * horizon, competing_load)])
+            0, StepLoad([(0.0, 0.0), (0.15 * horizon, _COMPETING_LOAD)])
         )
         trace = MembershipTrace(
             p, [MembershipEvent(1.05 * horizon, "leave", 0)]
@@ -186,8 +184,6 @@ def resilient_cluster(
     p: int,
     scenario: str,
     horizon: float,
-    *,
-    competing_load: float = 2.0,
 ) -> ClusterSpec:
     """A uniform pool where machines die *unannounced* during the run.
 
@@ -216,7 +212,7 @@ def resilient_cluster(
     cluster = uniform_cluster(p, name=f"resilient-{scenario}")
     if scenario == "fail-at-peak":
         cluster = cluster.with_load(
-            0, StepLoad([(0.0, 0.0), (0.15 * horizon, competing_load)])
+            0, StepLoad([(0.0, 0.0), (0.15 * horizon, _COMPETING_LOAD)])
         )
         trace = MembershipTrace(
             p, [MembershipEvent(0.45 * horizon, "fail", 0)]

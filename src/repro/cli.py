@@ -37,6 +37,24 @@ __all__ = ["main", "build_parser"]
 _log = logging.getLogger("repro.cli")
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _capability(text: str) -> float:
+    """An argparse type: a finite capability ratio >= 0."""
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite ratio >= 0, got {text}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -117,13 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     orderings = sub.add_parser("orderings", help="compare 1-D transformations")
     orderings.add_argument("--vertices", type=int, default=3000)
-    orderings.add_argument("--parts", type=int, nargs="+", default=[2, 4, 8, 16])
+    orderings.add_argument("--parts", type=_positive_int, nargs="+",
+                           default=[2, 4, 8, 16])
     orderings.add_argument("--seed", type=int, default=0)
 
     mcr = sub.add_parser("mcr", help="run MinimizeCostRedistribution")
-    mcr.add_argument("--old", type=float, nargs="+", required=True,
+    mcr.add_argument("--old", type=_capability, nargs="+", required=True,
                      help="old capability ratios")
-    mcr.add_argument("--new", type=float, nargs="+", required=True,
+    mcr.add_argument("--new", type=_capability, nargs="+", required=True,
                      help="new capability ratios")
     mcr.add_argument("--elements", type=int, default=100)
 
@@ -330,7 +349,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     graph = paper_mesh(args.vertices, seed=args.seed)
     if args.competing_load > 0:
         cluster = adaptive_cluster(
-            args.workstations, loaded_rank=0, competing_load=args.competing_load
+            args.workstations, competing_load=args.competing_load
         )
     else:
         cluster = sun4_cluster(args.workstations)
@@ -469,6 +488,9 @@ def _cmd_mcr(args: argparse.Namespace) -> int:
 
     if len(args.old) != len(args.new):
         _log.error("--old and --new must have the same length")
+        return 2
+    if not (sum(args.old) > 0 and sum(args.new) > 0):
+        _log.error("--old and --new must each have a positive sum")
         return 2
     p = len(args.old)
     arrangement = minimize_cost_redistribution(
@@ -713,6 +735,36 @@ def _parse_override(text: str) -> tuple[str, object]:
         return key, raw
 
 
+def _bench_targets(args: argparse.Namespace) -> tuple[list[str], dict]:
+    """The experiments ``bench run`` selects and its ``--set`` overrides,
+    checked before anything runs (``tools/check_ci.py`` checks CI's runs
+    with it).
+
+    Raises :class:`~repro.errors.ReproError` for a name or glob that
+    names no registered experiment, or an override that is not an axis of
+    every match: a glob run cannot burn minutes and then die mid-loop on
+    the first experiment lacking an overridden axis.  The runner applies
+    the same override check per experiment.
+    """
+    from fnmatch import fnmatchcase
+
+    from repro.errors import ReproError
+    from repro.experiments.registry import get, names
+    from repro.experiments.runner import validate_overrides
+
+    overrides = dict(_parse_override(t) for t in args.overrides)
+    if any(ch in args.name for ch in "*?["):
+        matched = [n for n in names() if fnmatchcase(n, args.name)]
+        if not matched:
+            raise ReproError(f"no experiment matches {args.name!r}")
+    else:
+        matched = [get(args.name).name]
+    if overrides:
+        for name in matched:
+            validate_overrides(name, overrides, quick=args.quick)
+    return matched, overrides
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
     from repro.utils import format_table
@@ -741,29 +793,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             return 0
 
         if args.bench_command == "run":
-            from fnmatch import fnmatchcase
-
             from repro.experiments import run_experiment
-            from repro.experiments.registry import names
 
-            overrides = dict(_parse_override(t) for t in args.overrides)
-            if any(ch in args.name for ch in "*?["):
-                matched = [n for n in names() if fnmatchcase(n, args.name)]
-                if not matched:
-                    _log.error("error: no experiment matches %r", args.name)
-                    return 2
-            else:
-                matched = [args.name]
-            if overrides:
-                # Fail fast: validate the overrides against every matched
-                # experiment *before* running any, so a glob run cannot
-                # burn minutes and then die mid-loop on the first
-                # experiment lacking an overridden axis.  Same check the
-                # runner applies per experiment.
-                from repro.experiments.runner import validate_overrides
-
-                for name in matched:
-                    validate_overrides(name, overrides, quick=args.quick)
+            matched, overrides = _bench_targets(args)
             import cProfile
             import pstats
             from contextlib import ExitStack, nullcontext
@@ -853,6 +885,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_chrome_trace,
     )
 
+    if args.trace_command == "export" and _missing_directory(
+        "--output", args.output
+    ):
+        return 2
     try:
         trace = load_chrome_trace(args.input)
         if args.trace_command == "summary":
@@ -930,20 +966,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
 
+def _missing_directory(flag: str, path: str) -> bool:
+    """Whether the directory *path* is to be written into is missing
+    (and say so): checked before any work, not after it."""
+    from pathlib import Path
+
+    parent = Path(path).parent
+    if parent.is_dir():
+        return False
+    _log.error("error: %s %s: directory %s does not exist", flag, path, parent)
+    return True
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     # A trace is written after the whole run: check where it goes first.
     trace_out = getattr(args, "trace_out", None)
-    if trace_out:
-        from pathlib import Path
-
-        parent = Path(trace_out).parent
-        if not parent.is_dir():
-            _log.error(
-                "error: --trace-out %s: directory %s does not exist",
-                trace_out,
-                parent,
-            )
-            return 2
+    if trace_out and _missing_directory("--trace-out", trace_out):
+        return 2
     if args.command == "info":
         return _cmd_info()
     if args.command == "run":

@@ -375,7 +375,7 @@ def _exp_ablation_multicast(
 
     def fn(ctx):
         for _ in range(broadcasts):
-            ctx.bcast(payload if ctx.rank == 0 else None, root=0)
+            ctx.bcast(payload if ctx.rank == 0 else None)
             ctx.barrier()
 
     return {"bcast_seconds": run_spmd(cluster, fn).makespan}

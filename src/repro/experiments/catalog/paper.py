@@ -294,17 +294,18 @@ def static_run(graph, y0, iterations: int, p: int):
     )
 
 
-def single_machine_times(graph, y0, iterations: int, num_ws: int = 5) -> list[float]:
-    """T(p_i): the single-workstation makespans, the Sec. 4 denominator."""
+def single_machine_times(graph, y0, iterations: int) -> list[float]:
+    """T(p_i): the single-workstation makespans of the five SUN4s, the
+    Sec. 4 denominator."""
     from repro.net.cluster import sun4_cluster
     from repro.runtime.program import ProgramConfig, run_program
 
-    pool = sun4_cluster(num_ws)
+    pool = sun4_cluster(5)
     return [
         run_program(
             graph, pool.subset([i]), ProgramConfig(iterations=iterations), y0=y0
         ).makespan
-        for i in range(num_ws)
+        for i in range(5)
     ]
 
 
@@ -314,7 +315,7 @@ def _cached_singles(
 ) -> tuple[float, ...]:
     """All five T(p_i) for one workload; every p-configuration slices this."""
     graph, y0 = mesh_workload(n_vertices, workload_seed)
-    return tuple(single_machine_times(graph, y0, iterations, num_ws=5))
+    return tuple(single_machine_times(graph, y0, iterations))
 
 
 def _expect_table4(runs):
@@ -376,15 +377,11 @@ def adaptive_run(
     p: int,
     *,
     lb: bool,
-    competing_load: float = 2.0,
     check_interval: int = 10,
-    style: str = "centralized",
 ):
-    """One Table-5 run: competing load on ws 0, equal initial decomposition.
-
-    *style* picks the rebalance strategy ("centralized" is the paper's
-    protocol, "distributed" its stated future work); ``lb=False`` runs the
-    no-balancing baseline regardless of style.
+    """One Table-5 run: two competing processes on ws 0, equal initial
+    decomposition; ``lb=True`` balances with the paper's centralized
+    protocol, ``lb=False`` runs the no-balancing baseline.
     """
     from repro.net.cluster import adaptive_cluster
     from repro.runtime.adaptive import LoadBalanceConfig
@@ -394,15 +391,12 @@ def adaptive_run(
         iterations=iterations,
         initial_capabilities="equal",
         load_balance=(
-            LoadBalanceConfig(check_interval=check_interval, style=style)
+            LoadBalanceConfig(check_interval=check_interval)
             if lb
             else None
         ),
     )
-    cluster = adaptive_cluster(
-        p, loaded_rank=0, competing_load=competing_load
-    )
-    return run_program(graph, cluster, cfg, y0=y0)
+    return run_program(graph, adaptive_cluster(p, competing_load=2.0), cfg, y0=y0)
 
 
 def _expect_table5(runs):

@@ -67,7 +67,7 @@ def scale_epoch_measurements(
         local = y0[lo:hi].copy()
         for _ in range(epochs):
             ghost = gather(ctx, sched, local)
-            scatter(ctx, sched, ghost, local, op="add")
+            scatter(ctx, sched, ghost, local)
         return float(local.sum())
 
     t0 = time.perf_counter()
@@ -252,7 +252,6 @@ def scale_adaptive_measurements(
     iterations: int,
     check_interval: int,
     *,
-    family: str = "grid",
     workload_seed: int = 1995,
     world: str = "sim",
 ) -> dict[str, float]:
@@ -271,7 +270,7 @@ def scale_adaptive_measurements(
     from repro.runtime.adaptive import LoadBalanceConfig
 
     return _scale_run(
-        tier, family, workload_seed, p, iterations,
+        tier, "grid", workload_seed, p, iterations,
         lambda horizon: dynamic_load_cluster(p, scenario, horizon),
         lambda cluster, horizon: dict(
             load_balance=LoadBalanceConfig(
@@ -396,7 +395,6 @@ def scale_real_measurements(
     epochs: int,
     replication: int,
     *,
-    family: str = "grid",
     workload_seed: int = 1995,
 ) -> dict[str, float]:
     """Run the probe in both worlds and report measured-vs-predicted ratios.
@@ -415,7 +413,7 @@ def scale_real_measurements(
     from repro.runtime.adaptive.redistribution import estimate_remap_cost
     from repro.runtime.resilience import estimate_checkpoint_cost
 
-    graph, y0 = scale_workload(tier, family, workload_seed)
+    graph, y0 = scale_workload(tier, "grid", workload_seed)
     n = graph.num_vertices
     cluster = uniform_cluster(p)
     caps_old = np.ones(p)
@@ -433,7 +431,7 @@ def scale_real_measurements(
     est_remap = estimate_remap_cost(network, part_old, part_new, 8, num_fields=1)
     est_checkpoint = estimate_checkpoint_cost(
         network, part_new, np.ones(p, dtype=bool), 8,
-        num_fields=1, replication_factor=replication,
+        replication_factor=replication,
     )
 
     svals, rvals = sim.values[0], real.values[0]
@@ -515,7 +513,6 @@ def scale_elastic_measurements(
     iterations: int,
     check_interval: int,
     *,
-    family: str = "grid",
     workload_seed: int = 1995,
 ) -> dict[str, float]:
     """One elastic-membership run at a scale tier, through the session.
@@ -529,7 +526,7 @@ def scale_elastic_measurements(
     from repro.runtime.adaptive import LoadBalanceConfig
 
     return _scale_run(
-        tier, family, workload_seed, p, iterations,
+        tier, "grid", workload_seed, p, iterations,
         lambda horizon: elastic_cluster(p, scenario, horizon),
         lambda cluster, horizon: dict(
             load_balance=(
@@ -608,7 +605,6 @@ def scale_resilience_measurements(
     iterations: int,
     check_interval: int,
     *,
-    family: str = "grid",
     workload_seed: int = 1995,
     replication: int = 1,
 ) -> dict[str, float]:
@@ -652,7 +648,7 @@ def scale_resilience_measurements(
         )
 
     return _scale_run(
-        tier, family, workload_seed, p, iterations,
+        tier, "grid", workload_seed, p, iterations,
         lambda horizon: resilient_cluster(p, scenario, horizon),
         config_extras,
         ("makespan", "num_checkpoints", "num_rollbacks", "checkpoint_time",

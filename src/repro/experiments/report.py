@@ -54,7 +54,7 @@ class Comparison:
     new_label: str
     experiment: str
     threshold: float
-    deltas: list[MetricDelta] = field(default_factory=list)
+    deltas: list[MetricDelta] = field(default_factory=list, init=False)
     #: Configurations present in only one artifact (params-key strings).
     only_old: list[str] = field(default_factory=list)
     only_new: list[str] = field(default_factory=list)

@@ -73,24 +73,37 @@ def validate_overrides(
     *,
     quick: bool = False,
 ) -> None:
-    """Reject override keys that are not axes of the selected grid.
+    """Reject override keys that are not axes of the selected grid, and
+    values of a type the axis never takes.
 
     Only grid axes may be overridden: a stray key would be recorded in
     the artifact (and perturb the seed) without the experiment ever
-    reading it, making the artifact lie about what ran.  The CLI calls
+    reading it, making the artifact lie about what ran.  A value replaces
+    one configuration's value, so it must be of a type the axis holds:
+    ``p=[99]`` is a list, not a count, and would fail only inside the
+    experiment, after the run began.  The CLI calls
     this for every glob match *before* running anything, so one bad key
     cannot kill a multi-experiment run mid-loop; :func:`run_experiment`
     applies the same rule for direct callers.
     """
     if isinstance(exp, str):
         exp = registry.get(exp)
-    axes = set(exp.configs(quick=quick)[0])
+    configs = exp.configs(quick=quick)
+    axes = set(configs[0])
     unknown = sorted(set(overrides) - axes)
     if unknown:
         raise ReproError(
             f"unknown parameter(s) for experiment {exp.name!r}: "
             f"{', '.join(unknown)}; grid axes: {', '.join(sorted(axes))}"
         )
+    for key, value in overrides.items():
+        kinds = {type(cfg[key]) for cfg in configs}
+        if type(value) not in kinds:
+            names = " or ".join(sorted(k.__name__ for k in kinds))
+            raise ReproError(
+                f"parameter {key!r} of experiment {exp.name!r} takes "
+                f"{names} values, got {value!r}"
+            )
 
 
 def run_experiment(

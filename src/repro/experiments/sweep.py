@@ -64,14 +64,14 @@ def _make_cluster(load: str, p: int, seed: int):
     if load == "none":
         return sun4_cluster(p)
     if load == "constant":
-        return adaptive_cluster(p, loaded_rank=0, competing_load=2.0)
+        return adaptive_cluster(p, competing_load=2.0)
     if load == "ramp":
         # Competing work climbs from 0 to 2 processes over the first virtual
         # second on workstation 0 (the transition Sec. 1 calls "adaptive").
         return sun4_cluster(p).with_load(0, RampLoad(0.0, 1.0, 0.0, 2.0))
     if load == "walk":
         return sun4_cluster(p).with_load(
-            0, RandomWalkLoad(horizon=30.0, dt=0.05, max_load=3.0, seed=seed)
+            0, RandomWalkLoad(horizon=30.0, dt=0.05, seed=seed)
         )
     raise ReproError(f"unknown load trace {load!r}")
 

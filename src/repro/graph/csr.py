@@ -37,7 +37,6 @@ class CSRGraph:
     indptr: np.ndarray
     indices: np.ndarray
     coords: np.ndarray | None = None
-    vertex_weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         indptr = np.ascontiguousarray(self.indptr, dtype=np.intp)
@@ -64,13 +63,6 @@ class CSRGraph:
                 raise GraphError(
                     f"coords must be (n, 2) or (n, 3), got {coords.shape}"
                 )
-        if self.vertex_weights is not None:
-            w = np.ascontiguousarray(self.vertex_weights, dtype=np.float64)
-            object.__setattr__(self, "vertex_weights", w)
-            if w.shape != (n,):
-                raise GraphError(f"vertex_weights must have shape ({n},)")
-            if np.any(w < 0):
-                raise GraphError("vertex_weights must be non-negative")
         self._check_symmetric()
 
     def _check_symmetric(self) -> None:
@@ -110,12 +102,6 @@ class CSRGraph:
         """Embedding dimension (2 or 3), or None for abstract graphs."""
         return None if self.coords is None else self.coords.shape[1]
 
-    def weights(self) -> np.ndarray:
-        """Vertex computational weights (default: uniform 1.0)."""
-        if self.vertex_weights is not None:
-            return self.vertex_weights
-        return np.ones(self.num_vertices)
-
     def edge_array(self) -> np.ndarray:
         """(m, 2) array of undirected edges with u < v, sorted."""
         n = self.num_vertices
@@ -134,7 +120,6 @@ class CSRGraph:
         edges: Iterable[tuple[int, int]] | np.ndarray,
         *,
         coords: np.ndarray | None = None,
-        vertex_weights: np.ndarray | None = None,
     ) -> "CSRGraph":
         """Build a symmetric CSR graph from an undirected edge list.
 
@@ -154,14 +139,14 @@ class CSRGraph:
         # The edge list is not needed past its keys: a caller that passes
         # a temporary gets its memory back before the graph is checked.
         del edges, arr, loops
-        return _from_keys(n, keys, coords, vertex_weights)
+        return _from_keys(n, keys, coords)
 
     def permute(self, perm: Sequence[int] | np.ndarray) -> "CSRGraph":
         """Relabel vertices: new label of old vertex ``v`` is ``perm[v]``.
 
         This applies the 1-D locality transformation T: V -> {0..n-1} of
         Sec. 3.1: vertex ``v`` of the input becomes vertex ``perm[v]`` of
-        the output, with coords and weights carried along.
+        the output, with its coords carried along.
         """
         n = self.num_vertices
         perm = check_permutation(perm, n)
@@ -176,27 +161,21 @@ class CSRGraph:
         keys.sort()
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(degrees, out=indptr[1:])
-        coords, weights = (
-            None if a is None else a[inv] for a in (self.coords, self.vertex_weights)
-        )
+        coords = None if self.coords is None else self.coords[inv]
         # A relabelled valid graph is valid: skip the symmetry check.
-        return _trusted(
-            indptr, np.remainder(keys, n, out=keys), coords, weights
-        )
+        return _trusted(indptr, np.remainder(keys, n, out=keys), coords)
 
     def subgraph(self, keep: np.ndarray) -> "CSRGraph":
         """The subgraph induced by the vertices where *keep* is true,
         relabelled in order (so sorted rows stay sorted), with their
-        coords and weights."""
+        coords."""
         keep = np.asarray(keep, dtype=bool)
         n, new_id = int(keep.sum()), np.cumsum(keep) - 1
         entry = np.repeat(keep, self.degrees) & keep[self.indices]
         keys = np.repeat(new_id * n, self.degrees)[entry]
         keys += new_id[self.indices[entry]]
-        coords, weights = (
-            None if a is None else a[keep] for a in (self.coords, self.vertex_weights)
-        )
-        return _from_keys(n, keys, coords, weights)
+        coords = None if self.coords is None else self.coords[keep]
+        return _from_keys(n, keys, coords)
 
     def __repr__(self) -> str:
         return (
@@ -224,7 +203,7 @@ def _both_orientations(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _from_keys(n: int, keys: np.ndarray, coords, vertex_weights) -> CSRGraph:
+def _from_keys(n: int, keys: np.ndarray, coords) -> CSRGraph:
     """The one construction of a CSR: from its directed entries as scalar
     keys ``src * n + dst`` (>= 0), sorted and deduplicated here.  *keys*
     is consumed: it is sorted and becomes ``indices`` in place unless a
@@ -238,20 +217,13 @@ def _from_keys(n: int, keys: np.ndarray, coords, vertex_weights) -> CSRGraph:
     del first
     # Row v's entries are the keys in [v * n, (v + 1) * n).
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.intp) * n)
-    return CSRGraph(
-        indptr,
-        np.remainder(keys, n, out=keys),
-        coords=coords,
-        vertex_weights=vertex_weights,
-    )
+    return CSRGraph(indptr, np.remainder(keys, n, out=keys), coords=coords)
 
 
-def _trusted(indptr, indices, coords, vertex_weights) -> CSRGraph:
+def _trusted(indptr, indices, coords) -> CSRGraph:
     """A CSRGraph from arrays already in canonical form (``intp`` index
     arrays, float64 attributes) that a valid graph was transformed into
     by a structure-preserving map: no validation pass."""
     out = object.__new__(CSRGraph)
-    out.__dict__.update(
-        indptr=indptr, indices=indices, coords=coords, vertex_weights=vertex_weights
-    )
+    out.__dict__.update(indptr=indptr, indices=indices, coords=coords)
     return out

@@ -68,34 +68,31 @@ def delaunay_mesh(points: np.ndarray) -> Mesh:
     return Mesh(pts, tri.simplices.astype(np.intp))
 
 
-def perturbed_grid_mesh(
-    nx: int, ny: int, *, jitter: float = 0.35, seed: SeedLike = 0
-) -> Mesh:
+#: How far :func:`perturbed_grid_mesh` moves each grid point along each
+#: axis, at most (grid spacing 1; below 0.5 no two points swap places).
+_GRID_JITTER = 0.35
+
+
+def perturbed_grid_mesh(nx: int, ny: int, *, seed: SeedLike = 0) -> Mesh:
     """A Delaunay mesh over a jittered grid: unstructured but uniform density.
 
     This is the workhorse synthetic "unstructured mesh from the physical
     domain" — vertices have 2-D coordinates and interactions are physically
-    proximate, the property Sec. 3.1's transformations rely on.
+    proximate, the property Sec. 3.1's transformations rely on.  Each point
+    moves by up to 0.35 along each axis.
     """
-    if not (0.0 <= jitter < 0.5):
-        raise GraphError(f"jitter must be in [0, 0.5), got {jitter}")
     rng = as_generator(seed)
     xs, ys = np.meshgrid(np.arange(nx, dtype=float), np.arange(ny, dtype=float))
     pts = np.stack([xs.ravel(), ys.ravel()], axis=1)
-    pts += rng.uniform(-jitter, jitter, size=pts.shape)
+    pts += rng.uniform(-_GRID_JITTER, _GRID_JITTER, size=pts.shape)
     return delaunay_mesh(pts)
 
 
 def random_geometric_graph(
-    n: int,
-    radius: float | None = None,
-    *,
-    seed: SeedLike = 0,
-    dim: int = 2,
+    n: int, *, seed: SeedLike = 0, dim: int = 2
 ) -> CSRGraph:
-    """Uniform points in the unit square/cube, edges within *radius*.
-
-    Default radius targets mean degree ~6 (triangulation-like).  The
+    """Uniform points in the unit square/cube, edges between points closer
+    than the radius that gives mean degree ~6 (triangulation-like).  The
     largest connected component is returned.
     """
     if n < 2:
@@ -104,12 +101,11 @@ def random_geometric_graph(
         raise GraphError(f"dim must be 2 or 3, got {dim}")
     rng = as_generator(seed)
     pts = rng.uniform(0.0, 1.0, size=(n, dim))
-    if radius is None:
-        target_degree = 6.0
-        if dim == 2:
-            radius = math.sqrt(target_degree / (math.pi * n))
-        else:
-            radius = (target_degree * 3.0 / (4.0 * math.pi * n)) ** (1.0 / 3.0)
+    target_degree = 6.0
+    if dim == 2:
+        radius = math.sqrt(target_degree / (math.pi * n))
+    else:
+        radius = (target_degree * 3.0 / (4.0 * math.pi * n)) ** (1.0 / 3.0)
     # The tree and its pairs are temporaries: from_edges frees the pairs
     # once it holds their keys, before it sorts and checks them.
     graph = CSRGraph.from_edges(
@@ -185,9 +181,7 @@ def _thin(graph: CSRGraph, m_target: int, seed: SeedLike) -> CSRGraph | None:
     extra = m_target - mst.nnz
     keep[non_tree[np.argsort(lengths[non_tree])[:extra]]] = True
     u, v = u[keep], v[keep]
-    return _from_keys(
-        n, _both_orientations(n, u, v), graph.coords, graph.vertex_weights
-    )
+    return _from_keys(n, _both_orientations(n, u, v), graph.coords)
 
 
 #: Named mesh sizes of the scale benchmark tier (target vertex counts; the
@@ -206,12 +200,16 @@ SCALE_TIERS = {
 SCALE_FAMILIES = ("grid", "geometric")
 
 
-def streamed_grid_graph(nx: int, ny: int, *, block_rows: int = 256) -> CSRGraph:
+#: Grid rows :func:`streamed_grid_graph` fills per block.
+_BLOCK_ROWS = 256
+
+
+def streamed_grid_graph(nx: int, ny: int) -> CSRGraph:
     """A structured grid built straight into CSR form, block by block.
 
     Never materializes the global edge list: ``indptr`` comes from a
     closed-form degree formula and ``indices`` is filled in row blocks of
-    bounded size (O(``block_rows`` * nx) scratch), in the sorted neighbor
+    bounded size (O(256 * nx) scratch), in the sorted neighbor
     order :meth:`CSRGraph.from_edges` would give.  What remains of peak
     construction memory is the constructor's symmetry check, two
     per-entry temporaries: the traced peak is 2.8x the output arrays
@@ -219,8 +217,6 @@ def streamed_grid_graph(nx: int, ny: int, *, block_rows: int = 256) -> CSRGraph:
     """
     if nx < 1 or ny < 1:
         raise GraphError(f"grid dimensions must be >= 1, got {nx}x{ny}")
-    if block_rows < 1:
-        raise GraphError(f"block_rows must be >= 1, got {block_rows}")
     cols = np.arange(nx, dtype=np.intp)
     # Closed-form degrees: 4 minus one per domain boundary the vertex sits on.
     row_deg = np.full(nx, 4, dtype=np.intp)
@@ -234,8 +230,8 @@ def streamed_grid_graph(nx: int, ny: int, *, block_rows: int = 256) -> CSRGraph:
         deg[-nx:] -= 1      # last row: no south
     indptr = np.concatenate([[0], np.cumsum(deg)]).astype(np.intp)
     indices = np.empty(int(indptr[-1]), dtype=np.intp)
-    for r0 in range(0, ny, block_rows):
-        r1 = min(r0 + block_rows, ny)
+    for r0 in range(0, ny, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, ny)
         rows = np.arange(r0, r1, dtype=np.intp)
         vs = rows[:, None] * nx + cols[None, :]
         # Candidate neighbors in ascending index order: N, W, E, S.
@@ -256,7 +252,7 @@ def streamed_grid_graph(nx: int, ny: int, *, block_rows: int = 256) -> CSRGraph:
 
 
 def scale_mesh(
-    tier: str, *, family: str = "grid", seed: SeedLike = 0, exact: bool = False
+    tier: str, *, family: str = "grid", seed: SeedLike = 0
 ) -> CSRGraph:
     """A scale-tier workload mesh: ``tier`` names the target vertex count.
 
@@ -266,11 +262,9 @@ def scale_mesh(
     whose target is not a perfect square (100k, 500k, 10m) the grid
     therefore lands *near* the target, not on it: 100k -> 99,856
     (316x316), 500k -> 499,849 (707x707), 10m -> 9,998,244 (3162x3162).
-    A :class:`RuntimeWarning` notes the deviation; pass ``exact=True`` to
-    turn it into a :class:`GraphError` instead for callers that require
-    the nominal count.  ``family="geometric"`` is a random geometric
-    graph at mean degree ~6 (its largest connected component, so counts
-    land slightly under the target; ``exact`` does not apply).
+    A :class:`RuntimeWarning` notes the deviation.  ``family="geometric"``
+    is a random geometric graph at mean degree ~6 (its largest connected
+    component, so counts land slightly under the target).
     """
     if tier not in SCALE_TIERS:
         known = ", ".join(SCALE_TIERS)
@@ -279,12 +273,6 @@ def scale_mesh(
     if family == "grid":
         side = int(round(math.sqrt(n)))
         if side * side != n:
-            if exact:
-                raise GraphError(
-                    f"scale tier {tier!r} targets {n} vertices but the "
-                    f"square grid family only builds {side}x{side} = "
-                    f"{side * side}; use a square tier or exact=False"
-                )
             warnings.warn(
                 f"scale_mesh({tier!r}, family='grid') builds {side}x{side} "
                 f"= {side * side} vertices, not the nominal {n}",
@@ -300,28 +288,24 @@ def scale_mesh(
 
 
 def paper_mesh(
-    n_vertices: int = PAPER_MESH_VERTICES,
-    n_edges: int | None = None,
-    *,
-    seed: SeedLike = 1995,
+    n_vertices: int = PAPER_MESH_VERTICES, *, seed: SeedLike = 1995
 ) -> CSRGraph:
     """A synthetic stand-in for the paper's Fig. 9 mesh.
 
     Builds a jittered-grid Delaunay mesh with ``n_vertices`` points and
-    thins it to the paper's edge/vertex ratio (44,929 / 30,269 ≈ 1.484 by
-    default).  Connectivity and 2-D locality are preserved, so partition
-    quality and communication volume behave like the original workload.
+    thins it to the paper's edge/vertex ratio (44,929 / 30,269 ≈ 1.484).
+    Connectivity and 2-D locality are preserved, so partition quality and
+    communication volume behave like the original workload.
     """
     if n_vertices < 9:
         raise GraphError("paper_mesh needs at least 9 vertices")
-    if n_edges is None:
-        n_edges = int(round(n_vertices * PAPER_MESH_EDGES / PAPER_MESH_VERTICES))
+    n_edges = int(round(n_vertices * PAPER_MESH_EDGES / PAPER_MESH_VERTICES))
 
     def edge_target(g: CSRGraph) -> int:
         return max(min(n_edges, g.num_edges), g.num_vertices - 1)
 
     side = int(math.ceil(math.sqrt(n_vertices)))
-    graph = perturbed_grid_mesh(side, side, jitter=0.35, seed=seed).graph
+    graph = perturbed_grid_mesh(side, side, seed=seed).graph
     if graph.num_vertices > n_vertices:
         # Trim to exactly n_vertices by dropping the last grid points.
         graph = graph.subgraph(np.arange(graph.num_vertices) < n_vertices)

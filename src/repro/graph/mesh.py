@@ -77,7 +77,7 @@ class Mesh:
             a, b = a[edge], b[edge]
         keys = _both_orientations(n, a, b)
         del a, b, edge
-        return _from_keys(n, keys, self.points, None)
+        return _from_keys(n, keys, self.points)
 
     @property
     def num_edges(self) -> int:

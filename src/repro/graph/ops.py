@@ -62,10 +62,8 @@ def largest_component(graph: CSRGraph) -> CSRGraph:
     sub_indptr = np.zeros(kept_degrees.size + 1, dtype=np.intp)
     np.cumsum(kept_degrees, out=sub_indptr[1:])
     sub_indices = new_id[indices[np.repeat(keep, degrees)]]
-    coords, weights = (
-        None if a is None else a[keep] for a in (graph.coords, graph.vertex_weights)
-    )
-    return _trusted(sub_indptr, sub_indices, coords, weights)
+    coords = None if graph.coords is None else graph.coords[keep]
+    return _trusted(sub_indptr, sub_indices, coords)
 
 
 def _component_labels(graph: CSRGraph) -> tuple[int, np.ndarray]:

@@ -164,15 +164,14 @@ class ClusterSpec:
 def uniform_cluster(
     n: int,
     *,
-    speed: float = 1.0,
     network_factory: Callable[[], NetworkModel] = PointToPointNetwork,
     name: str = "uniform",
 ) -> ClusterSpec:
-    """*n* identical dedicated workstations."""
+    """*n* identical dedicated workstations of relative speed 1."""
     if n < 1:
         raise ConfigurationError(f"cluster size must be >= 1, got {n}")
     procs = tuple(
-        ProcessorSpec(speed=speed, load=NoLoad(), name=f"ws{i}") for i in range(n)
+        ProcessorSpec(speed=1.0, load=NoLoad(), name=f"ws{i}") for i in range(n)
     )
     return ClusterSpec(procs, network_factory, name)
 
@@ -218,7 +217,6 @@ def sun4_cluster(
 def adaptive_cluster(
     n: int = 5,
     *,
-    loaded_rank: int = 0,
     competing_load: float = 1.0,
     ethernet: bool = True,
 ) -> ClusterSpec:
@@ -230,4 +228,4 @@ def adaptive_cluster(
     loaded machine: Table 5 reproductions pass ``competing_load=2.0``.
     """
     base = sun4_cluster(n, ethernet=ethernet, name="sun4-adaptive")
-    return base.with_load(loaded_rank, ConstantLoad(competing_load))
+    return base.with_load(0, ConstantLoad(competing_load))

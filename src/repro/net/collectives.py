@@ -26,27 +26,24 @@ __all__ = [
 ]
 
 
-def bcast(ctx: "RankContext", payload: Any, *, root: int = 0, tag: int = Tags.BCAST) -> Any:
-    """Broadcast from *root*; returns the payload on every rank.
+def bcast(ctx: "RankContext", payload: Any, *, tag: int = Tags.BCAST) -> Any:
+    """Broadcast from rank 0; returns rank 0's payload on every rank.
 
     Uses one multicast transmission when the network supports it (Sec. 3.6);
-    otherwise the root sends p-1 unicasts.
+    otherwise rank 0 sends p-1 unicasts.
     """
     if ctx.size == 1:
         return payload
-    if ctx.rank == root:
-        dests = [r for r in range(ctx.size) if r != root]
-        ctx.multicast(dests, payload, tag=tag)
+    if ctx.rank == 0:
+        ctx.multicast(list(range(1, ctx.size)), payload, tag=tag)
         return payload
-    return ctx.recv(root, tag)
+    return ctx.recv(0, tag)
 
 
-def gather(
-    ctx: "RankContext", payload: Any, *, root: int = 0, tag: int = Tags.GATHER
-) -> list[Any] | None:
+def gather(ctx: "RankContext", payload: Any, *, root: int = 0) -> list[Any] | None:
     """Gather one value per rank at *root* (rank order); None elsewhere."""
     if ctx.rank != root:
-        ctx.send(root, payload, tag)
+        ctx.send(root, payload, Tags.GATHER)
         return None
     values: list[Any] = [None] * ctx.size
     values[root] = payload
@@ -54,15 +51,15 @@ def gather(
     # in arrival order regardless of host thread scheduling (duplicate
     # contributions surface as unexpected-source errors).
     peers = [r for r in range(ctx.size) if r != root]
-    for source, msg in ctx.recv_expected(peers, tag).items():
+    for source, msg in ctx.recv_expected(peers, Tags.GATHER).items():
         values[source] = msg.payload
     return values
 
 
 def allgather(ctx: "RankContext", payload: Any) -> list[Any]:
     """Gather at rank 0, then broadcast the full list."""
-    values = gather(ctx, payload, root=0, tag=Tags.GATHER)
-    return bcast(ctx, values, root=0, tag=Tags.BCAST)
+    values = gather(ctx, payload)
+    return bcast(ctx, values, tag=Tags.BCAST)
 
 
 def alltoallv(

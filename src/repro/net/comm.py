@@ -345,15 +345,15 @@ class RankContext:
         comm._barrier.wait()
         self.clock = comm._barrier_max + BARRIER_OVERHEAD
 
-    def bcast(self, payload: Any, root: int = 0, *, tag: int = Tags.BCAST) -> Any:
+    def bcast(self, payload: Any, *, tag: int = Tags.BCAST) -> Any:
         from repro.net.collectives import bcast
 
-        return bcast(self, payload, root=root, tag=tag)
+        return bcast(self, payload, tag=tag)
 
-    def gather(self, payload: Any, root: int = 0, *, tag: int = Tags.GATHER) -> list[Any] | None:
+    def gather(self, payload: Any, root: int = 0) -> list[Any] | None:
         from repro.net.collectives import gather
 
-        return gather(self, payload, root=root, tag=tag)
+        return gather(self, payload, root=root)
 
     def allgather(self, payload: Any) -> list[Any]:
         from repro.net.collectives import allgather

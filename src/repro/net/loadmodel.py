@@ -160,6 +160,13 @@ class RampLoad(StepLoad):
         super().__init__(steps)
 
 
+#: A :class:`RandomWalkLoad` starts at no load and stays within [0, 3]
+#: competing processes; each step is a normal increment of standard
+#: deviation 0.5.
+_WALK_MAX_LOAD = 3.0
+_WALK_STEP = 0.5
+
+
 class RandomWalkLoad(StepLoad):
     """A bounded random-walk load, resampled every ``dt`` seconds.
 
@@ -169,26 +176,18 @@ class RandomWalkLoad(StepLoad):
     the final value holds.
     """
 
-    def __init__(
-        self,
-        *,
-        horizon: float,
-        dt: float,
-        max_load: float = 3.0,
-        step_scale: float = 0.5,
-        seed: SeedLike = None,
-        initial: float = 0.0,
-    ):
+    def __init__(self, *, horizon: float, dt: float, seed: SeedLike = None):
         check_positive("horizon", horizon)
         check_positive("dt", dt)
-        check_positive("max_load", max_load)
         rng = as_generator(seed)
         n = int(math.ceil(horizon / dt)) + 1
         loads = np.empty(n)
-        loads[0] = min(max(initial, 0.0), max_load)
-        increments = rng.normal(0.0, step_scale, size=n - 1)
+        loads[0] = 0.0
+        increments = rng.normal(0.0, _WALK_STEP, size=n - 1)
         for i in range(1, n):
-            loads[i] = min(max(loads[i - 1] + increments[i - 1], 0.0), max_load)
+            loads[i] = min(
+                max(loads[i - 1] + increments[i - 1], 0.0), _WALK_MAX_LOAD
+            )
         steps = [(i * dt, float(loads[i])) for i in range(n)]
         super().__init__(steps)
 
@@ -598,20 +597,23 @@ class MembershipTrace:
         )
 
 
+#: Load changes :func:`advance_clock` crosses before it calls the trace a
+#: runaway.
+_MAX_SEGMENTS = 10_000_000
+
+
 def advance_clock(
     t0: float,
     work_seconds: float,
     speed: float,
     trace: LoadTrace,
-    *,
-    max_segments: int = 10_000_000,
 ) -> float:
     """Return the virtual time at which *work_seconds* of unit-speed work
     finishes, starting at *t0* on a processor of relative *speed* whose
     competing load follows *trace*.
 
     Solves  ∫_{t0}^{t1}  speed / (1 + L(s)) ds = work_seconds  exactly for
-    piecewise-constant L.
+    piecewise-constant L, crossing at most ``_MAX_SEGMENTS`` load changes.
     """
     check_positive("speed", speed)
     if work_seconds < 0:
@@ -620,7 +622,7 @@ def advance_clock(
         return t0
     remaining = float(work_seconds)
     t = float(t0)
-    for _ in range(max_segments):
+    for _ in range(_MAX_SEGMENTS):
         rate = speed / (1.0 + trace.load_at(t))
         boundary = trace.next_change_after(t)
         if boundary == math.inf:

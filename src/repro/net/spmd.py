@@ -114,9 +114,6 @@ class SPMDResult:
             )
         return max(self.clocks)
 
-    def value(self, rank: int = 0) -> Any:
-        return self.values[rank]
-
 
 def run_spmd(
     cluster: ClusterSpec,

@@ -133,19 +133,10 @@ class TraceLog:
         for event in events:
             self.record(event)
 
-    def events(self, kind: str | None = None, rank: int | None = None) -> list[TraceEvent]:
-        """Snapshot of events, optionally filtered by kind and/or rank."""
+    def events(self) -> list[TraceEvent]:
+        """Snapshot of the events."""
         with self._lock:
-            evs = list(self._events)
-        if kind is not None:
-            evs = [e for e in evs if e.kind == kind]
-        if rank is not None:
-            evs = [e for e in evs if e.rank == rank]
-        return evs
-
-    def spans(self, kind: str | None = None, rank: int | None = None) -> list[TraceEvent]:
-        """Snapshot of span events only (``span_id >= 0``)."""
-        return [e for e in self.events(kind=kind, rank=rank) if e.span_id >= 0]
+            return list(self._events)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events())

@@ -139,7 +139,12 @@ def write_chrome_trace(
 def load_chrome_trace(path: str) -> TraceLog:
     """Rebuild a :class:`TraceLog` from an exported Chrome trace file."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ConfigurationError(
+                f"{path}: not a JSON trace file ({exc})"
+            ) from exc
     if not isinstance(doc, dict) or "traceEvents" not in doc:
         raise ConfigurationError(
             f"{path}: not a Chrome trace-event file (no traceEvents key)"

@@ -39,11 +39,11 @@ class TraceSummary:
     """What :func:`summarize` tallies; every report is a view of it."""
 
     #: (rank, kind) -> [events, time, bytes]; rank -1 is the service track.
-    phases: dict[tuple[int, str], list] = field(default_factory=dict)
-    messages_by_tag: dict[int, int] = field(default_factory=dict)
-    bytes_by_tag: dict[int, int] = field(default_factory=dict)
+    phases: dict[tuple[int, str], list] = field(default_factory=dict, init=False)
+    messages_by_tag: dict[int, int] = field(default_factory=dict, init=False)
+    bytes_by_tag: dict[int, int] = field(default_factory=dict, init=False)
     #: rank -> largest ``t_end`` among its events.
-    ends: dict[int, float] = field(default_factory=dict)
+    ends: dict[int, float] = field(default_factory=dict, init=False)
     dropped_events: int = 0
 
     @property
@@ -134,24 +134,24 @@ def summarize(trace: TraceLog) -> TraceSummary:
     return s
 
 
-def timeline(trace: TraceLog, *, width: int = 72) -> str:
-    """One row per rank of *trace*, one glyph per time bucket.
+#: Time buckets per :func:`timeline` row.
+_WIDTH = 72
+
+
+def timeline(trace: TraceLog) -> str:
+    """One row per rank of *trace*, one glyph per time bucket (72 of them).
 
     Glyphs: ``#`` compute-dominated bucket, ``~`` communication, ``.``
     barrier/idle, space for time after the rank's end.
     """
-    if width < 8:
-        raise ConfigurationError(
-            f"timeline width must be >= 8, got {width}"
-        )
     s = summarize(trace)
     makespan = s.makespan
     if makespan <= 0:
         return "(empty timeline)"
-    dt = makespan / width
+    dt = makespan / _WIDTH
     row = {r: i for i, r in enumerate(s.ranks)}
-    compute = [[0.0] * width for _ in row]
-    comm = [[0.0] * width for _ in row]
+    compute = [[0.0] * _WIDTH for _ in row]
+    comm = [[0.0] * _WIDTH for _ in row]
     for ev in trace:
         if ev.rank not in row:
             continue
@@ -161,17 +161,17 @@ def timeline(trace: TraceLog, *, width: int = 72) -> str:
             target = comm[row[ev.rank]]
         else:
             continue
-        b0 = min(int(ev.t_start / dt), width - 1)
-        b1 = min(int(ev.t_end / dt), width - 1)
+        b0 = min(int(ev.t_start / dt), _WIDTH - 1)
+        b1 = min(int(ev.t_end / dt), _WIDTH - 1)
         for b in range(b0, b1 + 1):
             lo = max(ev.t_start, b * dt)
             hi = min(ev.t_end, (b + 1) * dt)
             target[b] += max(hi - lo, 0.0)
     lines = []
     for r, i in row.items():
-        end_bucket = min(int(s.ends[r] / dt), width)
+        end_bucket = min(int(s.ends[r] / dt), _WIDTH)
         chars = []
-        for b in range(width):
+        for b in range(_WIDTH):
             c, m = compute[i][b], comm[i][b]
             if b >= end_bucket:
                 chars.append(" ")
@@ -182,5 +182,5 @@ def timeline(trace: TraceLog, *, width: int = 72) -> str:
             else:
                 chars.append(".")
         lines.append(f"rank {r:2d} |{''.join(chars)}|")
-    lines.append(f"        0{' ' * (width - 10)}{makespan:.3f}s")
+    lines.append(f"        0{' ' * (_WIDTH - 10)}{makespan:.3f}s")
     return "\n".join(lines)

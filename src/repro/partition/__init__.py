@@ -49,7 +49,6 @@ from repro.partition.spectral import (
     SpectralOrdering,
     fiedler_vector,
     rsb_order,
-    spectral_order_flat,
 )
 from repro.partition.weighted import partition_weighted_list
 
@@ -91,6 +90,5 @@ __all__ = [
     "redistribution_gain",
     "rsb_order",
     "sfc_order",
-    "spectral_order_flat",
     "transfer_matrix",
 ]

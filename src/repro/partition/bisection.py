@@ -43,7 +43,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import as_generator
 
 __all__ = [
     "ONE_THREAD_BELOW_VERTICES",
@@ -72,11 +72,12 @@ ONE_THREAD_BELOW_VERTICES = 2**15
 LevelKeys = Callable[[np.ndarray, np.ndarray, np.ndarray, int], np.ndarray]
 
 
-def tiebreak_jitter(coords: np.ndarray, seed: SeedLike) -> np.ndarray:
+def tiebreak_jitter(coords: np.ndarray) -> np.ndarray:
     """Per-vertex offset, 1e-9 of the domain size, that separates exactly
-    equal coordinates (structured grids) without perturbing real orderings."""
+    equal coordinates (structured grids) without perturbing real orderings
+    (drawn from seed 0, so every ordering is a function of the graph)."""
     scale = max(float(np.ptp(coords)) if coords.size else 1.0, 1e-30)
-    return as_generator(seed).uniform(-1e-9, 1e-9, size=coords.shape[0]) * scale
+    return as_generator(0).uniform(-1e-9, 1e-9, size=coords.shape[0]) * scale
 
 
 def stable_order(keys: np.ndarray) -> np.ndarray:

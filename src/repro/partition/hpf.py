@@ -161,8 +161,6 @@ def redistribute_hpf(
     old: HPFDistribution,
     new: HPFDistribution,
     local_data: np.ndarray,
-    *,
-    tag: int = Tags.REDISTRIBUTE,
 ) -> np.ndarray:
     """Move this rank's elements from *old* to *new* (SPMD collective).
 
@@ -192,7 +190,7 @@ def redistribute_hpf(
     mine_new = new.global_indices(ctx.rank)
     src = old.owner_of(mine_new)
     recv_from = [int(s) for s in np.unique(src) if s != ctx.rank]
-    received = ctx.alltoallv(outgoing, recv_from, tag=tag)
+    received = ctx.alltoallv(outgoing, recv_from, tag=Tags.REDISTRIBUTE)
 
     out = np.empty((mine_new.size,) + local_data.shape[1:],
                    dtype=local_data.dtype)

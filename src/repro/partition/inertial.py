@@ -19,6 +19,7 @@ and the same partition quality, not an identical permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from repro.partition.bisection import (
     tiebreak_jitter,
 )
 from repro.partition.ordering import positions_from_order, require_coords
-from repro.utils.rng import SeedLike
 
 __all__ = ["InertialOrdering", "inertial_order"]
 
@@ -72,14 +72,14 @@ def _principal_axes(columns: list[np.ndarray], starts: np.ndarray) -> np.ndarray
     return axes
 
 
-def inertial_order(graph: CSRGraph, *, seed: SeedLike = 0) -> np.ndarray:
+def inertial_order(graph: CSRGraph) -> np.ndarray:
     """Inertial bisection visit order (vertex ids in 1-D sequence).
 
     Boxes of one or two points are ordered by their x coordinate.
     """
     coords = require_coords(graph, "inertial bisection")
     n, dim = coords.shape
-    jitter = tiebreak_jitter(coords, seed)
+    jitter = tiebreak_jitter(coords)
     columns = [np.ascontiguousarray(coords[:, a]) for a in range(dim)]
 
     def level_keys(perm, starts, seg, depth):
@@ -97,8 +97,7 @@ def inertial_order(graph: CSRGraph, *, seed: SeedLike = 0) -> np.ndarray:
 class InertialOrdering:
     """Inertial bisection as an :class:`OrderingMethod`."""
 
-    seed: SeedLike = 0
-    name: str = "inertial"
+    name: ClassVar[str] = "inertial"
 
     def __call__(self, graph: CSRGraph) -> np.ndarray:
-        return positions_from_order(inertial_order(graph, seed=self.seed))
+        return positions_from_order(inertial_order(graph))

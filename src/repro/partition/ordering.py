@@ -15,7 +15,7 @@ T); ``inverse(perm)[i]`` is the vertex at position ``i``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import ClassVar, Protocol
 
 import numpy as np
 
@@ -90,7 +90,7 @@ def require_coords(graph: CSRGraph, method: str) -> np.ndarray:
 class IdentityOrdering:
     """The do-nothing baseline: keep the input numbering."""
 
-    name: str = "identity"
+    name: ClassVar[str] = "identity"
 
     def __call__(self, graph: CSRGraph) -> np.ndarray:
         return np.arange(graph.num_vertices, dtype=np.intp)
@@ -101,7 +101,7 @@ class RandomOrdering:
     """The worst-case baseline: a random permutation destroys locality."""
 
     seed: SeedLike = 0
-    name: str = "random"
+    name: ClassVar[str] = "random"
 
     def __call__(self, graph: CSRGraph) -> np.ndarray:
         rng = as_generator(self.seed)

@@ -2,8 +2,8 @@
 
 The point of the 1-D transformation is "good partitioning for a wide range
 of partitions" from one permutation.  :func:`compare_orderings` evaluates a
-set of ordering methods on one graph across many partition counts and
-capability vectors, producing the rows the Fig. 2 benchmark prints.
+set of ordering methods on one graph across many partition counts,
+producing the rows the Fig. 2 benchmark prints.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ class OrderingReport:
     name: str
     mean_span: float
     bandwidth: int
-    cuts: dict[int, int] = field(default_factory=dict)
+    #: Edge cut of each part count's equal contiguous split.
+    cuts: dict[int, int] = field(default_factory=dict, init=False)
 
     def as_row(self, part_counts: Sequence[int]) -> list[object]:
         return [self.name, self.mean_span, self.bandwidth] + [
@@ -40,14 +41,8 @@ def evaluate_ordering(
     graph: CSRGraph,
     method: OrderingMethod,
     part_counts: Sequence[int] = (2, 4, 8, 16),
-    capabilities: np.ndarray | None = None,
 ) -> OrderingReport:
-    """Edge cuts of contiguous splits of one ordering.
-
-    If *capabilities* is given (length must equal each part count is not
-    required — the vector is truncated/normalized per count), the splits are
-    proportional rather than equal, exercising the nonuniform case.
-    """
+    """Edge cuts of equal contiguous splits of one ordering."""
     perm = method(graph)
     report = OrderingReport(
         name=getattr(method, "name", type(method).__name__),
@@ -56,11 +51,7 @@ def evaluate_ordering(
     )
     n = graph.num_vertices
     for p in part_counts:
-        if capabilities is None:
-            caps = np.ones(p)
-        else:
-            caps = np.resize(np.asarray(capabilities, dtype=float), p)
-        part = partition_list(n, caps)
+        part = partition_list(n, np.ones(p))
         labels = part.to_labels()[perm]  # element at 1-D position perm[v]
         report.cuts[int(p)] = edge_cut(graph, labels)
     return report
@@ -70,9 +61,6 @@ def compare_orderings(
     graph: CSRGraph,
     methods: Iterable[OrderingMethod],
     part_counts: Sequence[int] = (2, 4, 8, 16),
-    capabilities: np.ndarray | None = None,
 ) -> list[OrderingReport]:
     """Evaluate several ordering methods on the same graph."""
-    return [
-        evaluate_ordering(graph, m, part_counts, capabilities) for m in methods
-    ]
+    return [evaluate_ordering(graph, m, part_counts) for m in methods]

@@ -29,6 +29,7 @@ still ``s // 2 | s - s // 2`` per box.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,26 +42,19 @@ from repro.partition.bisection import (
     tiebreak_jitter,
 )
 from repro.partition.ordering import positions_from_order, require_coords
-from repro.utils.rng import SeedLike
 
 __all__ = ["RCBOrdering", "rcb_order"]
 
 
-def rcb_order(
-    graph: CSRGraph,
-    *,
-    alternate_axes: bool = False,
-    seed: SeedLike = 0,
-) -> np.ndarray:
+def rcb_order(graph: CSRGraph) -> np.ndarray:
     """RCB visit order: vertex ids in 1-D sequence.
 
-    ``alternate_axes=True`` cycles the split axis x, y, x, ... (the textbook
-    variant); the default picks the widest axis per box, which adapts to
-    anisotropic domains like the airfoil channel.
+    Each box is split across its widest axis, which adapts to anisotropic
+    domains like the airfoil channel.
     """
     coords = require_coords(graph, "RCB")
     n, dim = coords.shape
-    jitter = tiebreak_jitter(coords, seed)
+    jitter = tiebreak_jitter(coords)
     columns = [np.ascontiguousarray(coords[:, a]) for a in range(dim)]
     # Key a * n + r stands for the vertex of rank r along axis a:
     # vertex_of[a * n + r] is that vertex, key_of[a * n + v] its key.
@@ -73,18 +67,14 @@ def rcb_order(
     )
 
     def level_keys(perm, starts, seg, depth):
-        if alternate_axes:
-            axis = depth % dim
-        else:
-            extents = []
-            for col in columns:
-                sub = col[perm]
-                extents.append(
-                    np.maximum.reduceat(sub, starts)
-                    - np.minimum.reduceat(sub, starts)
-                )
-            # Widest axis of each box (lowest axis on equal extents).
-            axis = np.argmax(extents, axis=0)[seg]
+        extents = []
+        for col in columns:
+            sub = col[perm]
+            extents.append(
+                np.maximum.reduceat(sub, starts) - np.minimum.reduceat(sub, starts)
+            )
+        # Widest axis of each box (lowest axis on equal extents).
+        axis = np.argmax(extents, axis=0)[seg]
         return key_of[axis * n + perm]
 
     return bisection_order(n, level_keys, vertex_of)
@@ -94,11 +84,7 @@ def rcb_order(
 class RCBOrdering:
     """Recursive coordinate bisection as an :class:`OrderingMethod`."""
 
-    alternate_axes: bool = False
-    seed: SeedLike = 0
-    name: str = "rcb"
+    name: ClassVar[str] = "rcb"
 
     def __call__(self, graph: CSRGraph) -> np.ndarray:
-        return positions_from_order(
-            rcb_order(graph, alternate_axes=self.alternate_axes, seed=self.seed)
-        )
+        return positions_from_order(rcb_order(graph))

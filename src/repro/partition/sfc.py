@@ -1,7 +1,7 @@
 """Space-filling-curve (index-based) orderings — Sec. 3.1's "index-based
 partitioners".
 
-Vertices are snapped to a 2^bits grid and sorted by their Hilbert or Morton
+Vertices are snapped to a 2^16 grid and sorted by their Hilbert or Morton
 (Z-order) key.  Hilbert keys guarantee that consecutive 1-D positions are
 adjacent grid cells, giving RCB-quality locality at sort cost; Morton is
 cheaper but has long jumps at quadrant boundaries — a nice ablation pair.
@@ -14,6 +14,7 @@ consumes four bits of each coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,6 +30,9 @@ __all__ = [
     "quantize_coords",
     "sfc_order",
 ]
+
+#: Lattice resolution of the orderings: each coordinate snaps to 2^16 cells.
+_BITS = 16
 
 
 def quantize_coords(coords: np.ndarray, bits: int) -> np.ndarray:
@@ -72,7 +76,7 @@ def _interleave3(
     return key
 
 
-def morton_keys(coords: np.ndarray, *, bits: int = 16) -> np.ndarray:
+def morton_keys(coords: np.ndarray, bits: int) -> np.ndarray:
     """Morton (Z-order) keys for 2-D or 3-D coordinates."""
     q = quantize_coords(coords, bits)
     if coords.shape[1] == 2:
@@ -109,7 +113,7 @@ def _hilbert_tables() -> tuple[np.ndarray, np.ndarray]:
 _HILBERT_DIGITS, _HILBERT_NEXT = _hilbert_tables()
 
 
-def hilbert_keys_2d(coords: np.ndarray, *, bits: int = 16) -> np.ndarray:
+def hilbert_keys_2d(coords: np.ndarray, bits: int) -> np.ndarray:
     """2-D Hilbert-curve keys (Lam-Shapiro rotation walk, 4 levels per lookup)."""
     if coords.shape[1] != 2:
         raise OrderingError("hilbert_keys_2d needs 2-D coordinates")
@@ -138,20 +142,18 @@ def hilbert_keys_2d(coords: np.ndarray, *, bits: int = 16) -> np.ndarray:
     return keys
 
 
-def sfc_order(
-    graph: CSRGraph, *, curve: str = "hilbert", bits: int = 16
-) -> np.ndarray:
+def sfc_order(graph: CSRGraph, *, curve: str = "hilbert") -> np.ndarray:
     """SFC visit order (vertex ids in 1-D sequence) for 2-D/3-D graphs."""
     coords = require_coords(graph, f"{curve} ordering")
     if curve == "hilbert":
         if coords.shape[1] != 2:
             # 3-D Hilbert degenerates to Morton here; good enough in
             # practice and keeps the implementation honest about scope.
-            keys = morton_keys(coords, bits=bits)
+            keys = morton_keys(coords, _BITS)
         else:
-            keys = hilbert_keys_2d(coords, bits=bits)
+            keys = hilbert_keys_2d(coords, _BITS)
     elif curve == "morton":
-        keys = morton_keys(coords, bits=bits)
+        keys = morton_keys(coords, _BITS)
     else:
         raise OrderingError(f"unknown curve {curve!r}; use 'hilbert' or 'morton'")
     # Stable order: vertices in the same grid cell keep input order.  When
@@ -173,19 +175,17 @@ def sfc_order(
 class HilbertOrdering:
     """Hilbert space-filling-curve indexing as an :class:`OrderingMethod`."""
 
-    bits: int = 16
-    name: str = "hilbert"
+    name: ClassVar[str] = "hilbert"
 
     def __call__(self, graph: CSRGraph) -> np.ndarray:
-        return positions_from_order(sfc_order(graph, curve="hilbert", bits=self.bits))
+        return positions_from_order(sfc_order(graph, curve="hilbert"))
 
 
 @dataclass(frozen=True)
 class MortonOrdering:
     """Morton (Z-order) indexing as an :class:`OrderingMethod`."""
 
-    bits: int = 16
-    name: str = "morton"
+    name: ClassVar[str] = "morton"
 
     def __call__(self, graph: CSRGraph) -> np.ndarray:
-        return positions_from_order(sfc_order(graph, curve="morton", bits=self.bits))
+        return positions_from_order(sfc_order(graph, curve="morton"))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,11 +26,16 @@ from repro.errors import OrderingError
 from repro.graph.csr import CSRGraph
 from repro.graph.ops import to_scipy
 from repro.partition.ordering import positions_from_order
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import as_generator
 
-__all__ = ["SpectralOrdering", "rsb_order", "fiedler_vector", "spectral_order_flat"]
+__all__ = ["SpectralOrdering", "rsb_order", "fiedler_vector"]
 
 _DENSE_CUTOFF = 128
+#: LOBPCG's residual tolerance and iteration cap for each Fiedler vector.
+_TOL = 1e-6
+_MAXITER = 200
+#: The seed of the random start vectors and tie-breaking offsets.
+_SEED = 0
 
 
 def _laplacian(adj: sp.csr_matrix) -> sp.csr_matrix:
@@ -43,13 +49,7 @@ def _fiedler_dense(lap: np.ndarray) -> np.ndarray:
     return vecs[:, 1]
 
 
-def fiedler_vector(
-    adj: sp.csr_matrix,
-    *,
-    rng: np.random.Generator,
-    tol: float = 1e-6,
-    maxiter: int = 200,
-) -> np.ndarray:
+def fiedler_vector(adj: sp.csr_matrix, *, rng: np.random.Generator) -> np.ndarray:
     """Fiedler vector of a *connected* graph given its adjacency matrix."""
     n = adj.shape[0]
     if n < 2:
@@ -67,7 +67,8 @@ def fiedler_vector(
         warnings.simplefilter("ignore")
         try:
             _, vecs = lobpcg(
-                lap, x0, M=precond, Y=ones, tol=tol, maxiter=maxiter, largest=False
+                lap, x0, M=precond, Y=ones, tol=_TOL, maxiter=_MAXITER,
+                largest=False,
             )
             vec = vecs[:, 0]
             if np.all(np.isfinite(vec)) and np.ptp(vec) > 0:
@@ -88,7 +89,6 @@ def _order_recursive(
     out: list[np.ndarray],
     rng: np.random.Generator,
     leaf_size: int,
-    tol: float,
 ) -> None:
     n = idx.size
     if n <= 2:
@@ -101,9 +101,9 @@ def _order_recursive(
         for comp in _component_order(labels, n_comp):
             mask = labels == comp
             sub = adj[mask][:, mask].tocsr()
-            _order_recursive(sub, idx[mask], out, rng, leaf_size, tol)
+            _order_recursive(sub, idx[mask], out, rng, leaf_size)
         return
-    vec = fiedler_vector(adj, rng=rng, tol=tol)
+    vec = fiedler_vector(adj, rng=rng)
     if n <= leaf_size:
         # Leaf: a full sort by Fiedler value is the 1-D spectral sequence.
         tie = rng.uniform(0, 1e-9, n)
@@ -116,7 +116,7 @@ def _order_recursive(
     lo_mask[part[:half]] = True
     for mask in (lo_mask, ~lo_mask):
         sub = adj[mask][:, mask].tocsr()
-        _order_recursive(sub, idx[mask], out, rng, leaf_size, tol)
+        _order_recursive(sub, idx[mask], out, rng, leaf_size)
 
 
 def _component_order(labels: np.ndarray, n_comp: int) -> list[int]:
@@ -127,54 +127,21 @@ def _component_order(labels: np.ndarray, n_comp: int) -> list[int]:
     return list(np.argsort(first_vertex))
 
 
-def rsb_order(
-    graph: CSRGraph,
-    *,
-    leaf_size: int = 64,
-    tol: float = 1e-6,
-    seed: SeedLike = 0,
-) -> np.ndarray:
+def rsb_order(graph: CSRGraph, *, leaf_size: int = 64) -> np.ndarray:
     """RSB visit order: vertex ids in 1-D sequence."""
     n = graph.num_vertices
     if n == 0:
         return np.empty(0, dtype=np.intp)
     if leaf_size < 2:
         raise OrderingError(f"leaf_size must be >= 2, got {leaf_size}")
-    rng = as_generator(seed)
+    rng = as_generator(_SEED)
     adj = to_scipy(graph)
     out: list[np.ndarray] = []
-    _order_recursive(adj, np.arange(n, dtype=np.intp), out, rng, leaf_size, tol)
+    _order_recursive(adj, np.arange(n, dtype=np.intp), out, rng, leaf_size)
     order = np.concatenate(out) if out else np.empty(0, dtype=np.intp)
     if order.size != n:
         raise OrderingError(f"RSB emitted {order.size} of {n} vertices")
     return order
-
-
-def spectral_order_flat(graph: CSRGraph, *, seed: SeedLike = 0) -> np.ndarray:
-    """Single global Fiedler sort (no recursion) — the cheap variant.
-
-    Good enough for one split level; the recursive version wins when many
-    partition sizes must be served by one ordering.
-    """
-    n = graph.num_vertices
-    if n == 0:
-        return np.empty(0, dtype=np.intp)
-    if n == 1:
-        return np.zeros(1, dtype=np.intp)
-    rng = as_generator(seed)
-    adj = to_scipy(graph)
-    n_comp, labels = sp.csgraph.connected_components(adj, directed=False)
-    pieces: list[np.ndarray] = []
-    idx = np.arange(n, dtype=np.intp)
-    for comp in _component_order(labels, n_comp):
-        mask = labels == comp
-        sub_idx = idx[mask]
-        if sub_idx.size == 1:
-            pieces.append(sub_idx)
-            continue
-        vec = fiedler_vector(adj[mask][:, mask].tocsr(), rng=rng)
-        pieces.append(sub_idx[np.argsort(vec, kind="stable")])
-    return np.concatenate(pieces)
 
 
 @dataclass(frozen=True)
@@ -182,16 +149,7 @@ class SpectralOrdering:
     """Recursive spectral bisection as an :class:`OrderingMethod`."""
 
     leaf_size: int = 64
-    tol: float = 1e-6
-    seed: SeedLike = 0
-    recursive: bool = True
-    name: str = "rsb"
+    name: ClassVar[str] = "rsb"
 
     def __call__(self, graph: CSRGraph) -> np.ndarray:
-        if self.recursive:
-            order = rsb_order(
-                graph, leaf_size=self.leaf_size, tol=self.tol, seed=self.seed
-            )
-        else:
-            order = spectral_order_flat(graph, seed=self.seed)
-        return positions_from_order(order)
+        return positions_from_order(rsb_order(graph, leaf_size=self.leaf_size))

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import PartitionError
 from repro.partition.intervals import IntervalPartition
-from repro.utils.validation import check_permutation, check_probability_vector
+from repro.utils.validation import check_probability_vector
 
 __all__ = ["partition_weighted_list"]
 
@@ -29,7 +29,6 @@ __all__ = ["partition_weighted_list"]
 def partition_weighted_list(
     weights: np.ndarray | Sequence[float],
     capabilities: np.ndarray | Sequence[float],
-    arrangement: np.ndarray | Sequence[int] | None = None,
 ) -> IntervalPartition:
     """Contiguous blocks whose *weights* are proportional to capability.
 
@@ -44,19 +43,14 @@ def partition_weighted_list(
     if w.size and w.min() < 0:
         raise PartitionError("element weights must be non-negative")
     cap = check_probability_vector("capabilities", capabilities)
-    p = cap.size
-    if arrangement is None:
-        arrangement = np.arange(p, dtype=np.intp)
-    owners = check_permutation(arrangement, p)
     n = w.size
     total = float(w.sum())
     if total <= 0:
         # No weight information: fall back to count-proportional blocks.
         from repro.partition.intervals import partition_list
 
-        return partition_list(n, cap, owners)
-    block_caps = cap[owners]
-    shares = np.cumsum(block_caps / block_caps.sum())[:-1] * total
+        return partition_list(n, cap)
+    shares = np.cumsum(cap / cap.sum())[:-1] * total
     prefix = np.cumsum(w)
     # Boundary after the element where the prefix first reaches the share.
     bounds = np.concatenate(
@@ -66,4 +60,4 @@ def partition_weighted_list(
     # clamp so bounds stay sorted (later blocks may then be empty).
     np.maximum.accumulate(bounds, out=bounds)
     bounds = np.minimum(bounds, n)
-    return IntervalPartition(bounds=bounds, owners=owners)
+    return IntervalPartition(bounds=bounds, owners=np.arange(cap.size, dtype=np.intp))

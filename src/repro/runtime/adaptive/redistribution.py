@@ -156,7 +156,6 @@ def exchange_fields(
     new: IntervalPartition,
     fields: Sequence[np.ndarray],
     *,
-    tag: int = Tags.REDISTRIBUTE,
     failed: np.ndarray | None = None,
     shippers: Mapping[int, int] | None = None,
     replicas: Mapping[int, Sequence[np.ndarray]] | None = None,
@@ -164,11 +163,12 @@ def exchange_fields(
 ) -> list[np.ndarray]:
     """The packed *old* -> *new* exchange; SPMD collective.
 
-    One packed message per peer carries the slab bounds plus every
-    field's slab; the receiver checks the bounds against the shared plan
-    before placing anything.  With nothing *failed* this is the Phase D
-    remap.  On the recovery path (:mod:`repro.runtime.resilience.recovery`)
-    a *failed* rank contributes no data: each slab it owned is shipped by
+    One packed message per peer (tag ``Tags.REDISTRIBUTE``) carries the
+    slab bounds plus every field's slab; the receiver checks the bounds
+    against the shared plan before placing anything.  With nothing
+    *failed* this is the Phase D remap.  On the recovery path
+    (:mod:`repro.runtime.resilience.recovery`) a *failed* rank
+    contributes no data: each slab it owned is shipped by
     ``shippers[owner]`` out of ``replicas[owner]``, under a per-owner tag
     (``Tags.RECOVERY_BASE + owner``) so a holder covering several dead
     owners keeps their streams apart from each other and from its own.
@@ -231,7 +231,9 @@ def exchange_fields(
     # is deterministic regardless of plan enumeration details: own slabs,
     # then replica slabs.
     for dest in sorted(own_out):
-        ctx.send(dest, pack_slabs(fields, own_out[dest], old_lo), tag)
+        ctx.send(
+            dest, pack_slabs(fields, own_out[dest], old_lo), Tags.REDISTRIBUTE
+        )
     for owner, dest in sorted(replica_out):
         if dest != rank:  # this rank's own share is placed locally below
             payload = pack_slabs(
@@ -244,7 +246,7 @@ def exchange_fields(
     # slab bounds, then placed slab by slab.
     for source in sorted(incoming_live):
         slabs = incoming_live[source]
-        parts = unpack_arrays(ctx.recv(source, tag))
+        parts = unpack_arrays(ctx.recv(source, Tags.REDISTRIBUTE))
         verify_slabs(
             rank, f"rank {source}", parts, slabs, len(fields), outs, error_cls
         )
@@ -275,15 +277,13 @@ def redistribute_fields(
     old: IntervalPartition,
     new: IntervalPartition,
     fields: Sequence[np.ndarray],
-    *,
-    tag: int = Tags.REDISTRIBUTE,
 ) -> list[np.ndarray]:
     """Move this rank's block of *k* fields from *old* to *new* homes.
 
     SPMD collective: all ranks call it with their old-block fields; each
     returns its new-block fields (:func:`exchange_fields`, nothing failed).
     """
-    return exchange_fields(ctx, old, new, fields, tag=tag)
+    return exchange_fields(ctx, old, new, fields)
 
 
 def redistribute(
@@ -291,8 +291,6 @@ def redistribute(
     old: IntervalPartition,
     new: IntervalPartition,
     local_data: np.ndarray,
-    *,
-    tag: int = Tags.REDISTRIBUTE,
 ) -> np.ndarray:
     """Move one field between partitions (single-field convenience form).
 
@@ -300,9 +298,7 @@ def redistribute(
     the exchange still ships the slab bounds alongside the data in one
     packed message per peer.
     """
-    return redistribute_fields(
-        ctx, old, new, [np.asarray(local_data)], tag=tag
-    )[0]
+    return redistribute_fields(ctx, old, new, [np.asarray(local_data)])[0]
 
 
 def estimate_remap_cost(
@@ -349,13 +345,12 @@ def transfer_plan_summary(
     new: IntervalPartition,
     *,
     num_fields: int = 1,
-    element_nbytes: int = 8,
 ) -> dict:
     """Structural facts of one remap's transfer plan (deterministic).
 
     Returns the slab list, the packed per-peer message count, the moved
     element total, and each packed message's wire size for ``num_fields``
-    fields of *element_nbytes* — the facts the golden regression fixture
+    fields of 8-byte elements — the facts the golden regression fixture
     pins so redistribution semantics cannot silently drift.
     """
     transfers = transfer_matrix(old, new)
@@ -364,7 +359,7 @@ def transfer_plan_summary(
         by_peer.setdefault((tr.source, tr.dest), []).append(tr)
     # A dummy block covering the whole list stands in for every sender's
     # fields, so each message is sized by the one wire format itself.
-    block = np.empty(old.num_elements, dtype=f"V{element_nbytes}")
+    block = np.empty(old.num_elements, dtype="V8")
     message_nbytes = {
         f"{source}->{dest}": payload_nbytes(
             pack_slabs([block] * num_fields, slabs, 0)

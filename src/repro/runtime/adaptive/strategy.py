@@ -406,7 +406,7 @@ def check(
             )
         else:
             ctx.send(0, float(time_per_item), Tags.LOAD_REPORT)
-        return ctx.bcast(decision, root=0, tag=Tags.LB_DECISION)
+        return ctx.bcast(decision, tag=Tags.LB_DECISION)
     if style == "distributed":
         # No controller: every rank multicasts its load and redundantly
         # runs the same deterministic decision.

@@ -11,7 +11,7 @@ rank hears from, so each phase is one known-pattern drain
 phase's tag, taken as they arrive so no peer can stall progress).  Received
 payloads are **applied in sorted peer order**, never arrival order, so
 results are bit-deterministic even when thread scheduling reorders arrivals
-(this matters for ``scatter(op="add")``, where a local element accumulates
+(this matters for ``scatter``, where a local element accumulates
 floating-point contributions from several peers).  Virtual time is charged
 in sorted virtual-arrival order, so on deterministic networks the clocks
 are bit-reproducible too — across runs and thread schedules.
@@ -25,7 +25,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -123,7 +123,6 @@ def gather(
     schedule: CommSchedule,
     local_data: np.ndarray,
     *,
-    tag: int = Tags.EXECUTOR_GATHER,
     cost_model: ExecutorCostModel = ExecutorCostModel(),
     # bench/tracing.py passes this; ROADMAP item 3 deletes it.
     backend: None = None,
@@ -145,6 +144,7 @@ def gather(
     _check_local_shape(ctx, schedule, local_data)
     ctx.metrics.count("exec.gathers")
     ctx.metrics.count("exec.ghost_elements", schedule.ghost_size)
+    tag = Tags.EXECUTOR_GATHER
     pack = 0
     for dest in schedule.send_peers():
         idx = schedule.send_lists[dest]
@@ -177,17 +177,13 @@ def scatter(
     schedule: CommSchedule,
     ghost_data: np.ndarray,
     local_data: np.ndarray,
-    *,
-    op: Callable[[np.ndarray, np.ndarray, np.ndarray], None] | str = "add",
-    tag: int = Tags.EXECUTOR_SCATTER,
-    cost_model: ExecutorCostModel = ExecutorCostModel(),
 ) -> np.ndarray:
     """Push ghost-buffer contributions back to their home processors.
 
     The mirror of :func:`gather`: this rank sends each source's segment of
     its ghost buffer back, and receives contributions for the elements it
-    sent out during gather, combining them into ``local_data`` with *op*
-    (``"add"``, ``"replace"``, or a callable ``op(local, idx, values)``).
+    sent out during gather, adding them into ``local_data``; packing and
+    unpacking are priced by the default :class:`ExecutorCostModel`.
 
     Contributions are combined in ascending peer order regardless of
     message arrival order, so accumulation results are bit-deterministic
@@ -203,9 +199,8 @@ def scatter(
             f"rank {ctx.rank}: ghost buffer has {ghost_data.shape[0]} "
             f"elements, schedule has {schedule.ghost_size} slots"
         )
-    if not (op in ("add", "replace") or callable(op)):
-        raise ScheduleError(f"unknown scatter op {op!r}")
     ctx.metrics.count("exec.scatters")
+    tag, cost_model = Tags.EXECUTOR_SCATTER, ExecutorCostModel()
     pack = 0
     for src in schedule.recv_peers():
         pos = schedule.recv_lists[src]
@@ -221,13 +216,7 @@ def scatter(
     unpack = 0
     for source in schedule.send_peers():
         idx = schedule.send_lists[source]
-        payload = received[source]
-        if op == "add":
-            np.add.at(local_data, idx, payload)
-        elif op == "replace":
-            local_data[idx] = payload
-        else:
-            op(local_data, idx, payload)
+        np.add.at(local_data, idx, received[source])
         unpack += idx.size
     if unpack:
         ctx.compute(unpack * cost_model.sec_per_unpack, label="scatter-unpack")

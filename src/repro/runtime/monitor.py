@@ -22,11 +22,11 @@ __all__ = ["LoadMonitor"]
 class LoadMonitor:
     """Sliding-window accumulator of compute time per data item."""
 
-    window_seconds: float = 0.0
-    window_items: int = 0
-    total_seconds: float = 0.0
-    total_items: int = 0
-    samples: int = field(default=0)
+    window_seconds: float = field(default=0.0, init=False)
+    window_items: int = field(default=0, init=False)
+    total_seconds: float = field(default=0.0, init=False)
+    total_items: int = field(default=0, init=False)
+    samples: int = field(default=0, init=False)
 
     def record(self, compute_seconds: float, items: int) -> None:
         """Record one phase's computation (one kernel sweep, typically)."""

@@ -23,9 +23,9 @@ The worker has one thread, and it progresses its own sockets:
   instead of waiting for another thread to deposit;
 * a send writes each frame with one ``sendmsg``; while the peer's socket is
   full it keeps reading incoming frames, so ranks that all send large
-  messages before receiving cannot deadlock, and a send that moves no byte
-  for ``recv_timeout`` raises :class:`~repro.errors.CommunicationError`
-  naming the destination.
+  messages before receiving cannot deadlock, and a frame still unsent
+  ``recv_timeout`` after its first ``sendmsg`` raises
+  :class:`~repro.errors.CommunicationError` naming the destination.
 
 Latched wall clock
 ------------------
@@ -246,8 +246,10 @@ class RealCommunicator:
     ) -> None:
         """Write one frame as one ``sendmsg``.  While *dest*'s socket is
         full, keep reading incoming frames (two ranks that both send large
-        messages before receiving cannot deadlock); raise if no byte goes
-        out for *patience* seconds."""
+        messages before receiving cannot deadlock); raise if the frame is
+        not all out *patience* seconds after the first attempt.  One
+        deadline per frame: a stopped peer whose kernel still accepts a
+        chunk now and then cannot stretch it."""
         sock = self._peers.get(dest)
         if sock is None or dest in self._broken:
             raise CommunicationError(
@@ -269,14 +271,13 @@ class RealCommunicator:
                     if not left:
                         return
                     parts = _consume(parts, sent)
-                    deadline = time.monotonic() + patience
-                elif time.monotonic() >= deadline:
+                if time.monotonic() >= deadline:
                     self._broken.add(dest)
                     raise CommunicationError(
                         f"rank {self.rank}: send to rank {dest} (tag {tag}) "
-                        f"made no progress for {patience}s ({left} of "
-                        f"{total} byte(s) unsent); the peer is stopped or "
-                        f"not reading — tune with --recv-timeout / "
+                        f"not done within {patience}s ({left} of {total} "
+                        f"byte(s) unsent); the peer is stopped or not "
+                        f"reading — tune with --recv-timeout / "
                         f"REPRO_RECV_TIMEOUT"
                     )
                 self._poll.register(

@@ -173,13 +173,13 @@ class ResilienceState:
     """One rank's checkpoint/recovery bookkeeping (session-owned)."""
 
     policy: CheckpointPolicy
-    checkpoint: Checkpoint | None = None
+    checkpoint: Checkpoint | None = field(default=None, init=False)
     #: Measured synchronized cost of the last checkpoint (virtual s);
     #: identical on every rank, which is what lets
     #: :class:`~repro.runtime.resilience.policy.CostModelCheckpoint`
     #: decide without a message.
-    measured_cost: float = 0.0
-    epochs_taken: int = 0
+    measured_cost: float = field(default=0.0, init=False)
+    epochs_taken: int = field(default=0, init=False)
 
 
 def take_checkpoint(
@@ -190,15 +190,15 @@ def take_checkpoint(
     *,
     next_iteration: int,
     epoch: int,
-    tag: int = Tags.CHECKPOINT,
     replication_factor: int = 1,
 ) -> Checkpoint:
     """Replicate this epoch to the ring partners; SPMD collective.
 
     Every rank calls it at a synchronized boundary with its current block
     of *fields*.  Data-holding active ranks send one packed message
-    (interval bounds + every field) to each of their *replication_factor* ring
-    successors; every rank snapshots its own block locally; a trailing
+    (tag ``Tags.CHECKPOINT``: interval bounds + every field) to each of
+    their *replication_factor* ring successors; every rank snapshots its
+    own block locally; a trailing
     barrier makes the epoch's cost a synchronized span every rank
     measures identically.  With ``replication_factor=1`` this is the
     single-partner diskless scheme; ``k`` successors survive any ``k``
@@ -225,7 +225,7 @@ def take_checkpoint(
     for partner in partners.get(rank, ()):
         payload = pack_slabs(fields, [Transfer(rank, partner, lo, hi)], lo)
         ctx.metrics.count("cp.checkpoint_bytes", payload_nbytes(payload))
-        ctx.send(partner, payload, tag)
+        ctx.send(partner, payload, Tags.CHECKPOINT)
 
     # Local snapshot: the rank's own half of the epoch (free of network
     # cost, like the retained-overlap copy of a redistribution).
@@ -240,7 +240,7 @@ def take_checkpoint(
     replicas: dict[int, list[np.ndarray]] = {}
     predecessors = [o for o, holders in partners.items() if rank in holders]
     for owner in sorted(predecessors):
-        parts = unpack_arrays(ctx.recv(owner, tag))
+        parts = unpack_arrays(ctx.recv(owner, Tags.CHECKPOINT))
         olo, ohi = partition.interval(owner)
         verify_slabs(
             rank,
@@ -272,15 +272,14 @@ def estimate_checkpoint_cost(
     active: np.ndarray,
     element_nbytes: int,
     *,
-    num_fields: int = 1,
     replication_factor: int = 1,
 ) -> float:
     """Predicted virtual seconds for one checkpoint, without taking it.
 
     Prices exactly what :func:`take_checkpoint` ships: per data-holding
     active rank, one packed message per ring successor (``k`` of them
-    under ``replication_factor=k``) of its interval's ``num_fields``
-    payload copies per element plus one slab-bounds header.  The
+    under ``replication_factor=k``) of its interval's one field plus one
+    slab-bounds header.  The
     messages go to *network* (a :class:`~repro.net.network.NetworkModel`)
     as one burst, one port per owner: shared media serialize all frames;
     switched fabrics overlap distinct sources but serialize each source's
@@ -291,15 +290,13 @@ def estimate_checkpoint_cost(
         raise ResilienceError(
             f"element_nbytes must be > 0, got {element_nbytes}"
         )
-    if num_fields < 1:
-        raise ResilienceError(f"num_fields must be >= 1, got {num_fields}")
     partners = replica_partners(partition, active, replication_factor)
     if not partners:
         return 0.0
     # Per owner: all its replica copies leave through its own port.
     outgoing = {
         owner: (
-            partition.size(owner) * num_fields * element_nbytes
+            partition.size(owner) * element_nbytes
             + SLAB_BOUNDS_NBYTES
         ) * len(holders)
         for owner, holders in partners.items()

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, ClassVar, Protocol, runtime_checkable
 
 from repro.errors import ResilienceError
 
@@ -95,7 +95,7 @@ class IntervalCheckpoint:
     """Checkpoint every *k* synchronized iterations (the fixed rule)."""
 
     k: int
-    name: str = "interval"
+    name: ClassVar[str] = "interval"
     replication_factor: int = 1
 
     def __post_init__(self) -> None:
@@ -126,14 +126,11 @@ class CostModelCheckpoint:
     synchronized cost, a checkpoint is due once
     ``boundary_clock - last_checkpoint_clock >= sqrt(2 * C * mtbf)`` —
     the first-order optimum balancing checkpoint overhead against the
-    expected re-execution loss.  ``min_interval_s`` floors the interval
-    so a near-zero measured cost (tiny runs) cannot trigger a
-    checkpoint storm.
+    expected re-execution loss.
     """
 
     mtbf: float
-    min_interval_s: float = 0.0
-    name: str = "cost"
+    name: ClassVar[str] = "cost"
     replication_factor: int = 1
 
     def __post_init__(self) -> None:
@@ -142,18 +139,11 @@ class CostModelCheckpoint:
                 f"mtbf must be a finite positive virtual-second estimate, "
                 f"got {self.mtbf}"
             )
-        if self.min_interval_s < 0:
-            raise ResilienceError(
-                f"min_interval_s must be >= 0, got {self.min_interval_s}"
-            )
         _check_replication_factor(self.replication_factor)
 
     def interval(self, checkpoint_cost: float) -> float:
-        """The target interval ``max(sqrt(2 C M), min_interval_s)``."""
-        return max(
-            math.sqrt(2.0 * max(checkpoint_cost, 0.0) * self.mtbf),
-            self.min_interval_s,
-        )
+        """The target interval ``sqrt(2 C M)``."""
+        return math.sqrt(2.0 * max(checkpoint_cost, 0.0) * self.mtbf)
 
     def due(
         self,

@@ -302,12 +302,7 @@ def build_schedule_sort2(
 
 
 def build_schedule_no_dedup(
-    graph: CSRGraph,
-    partition: IntervalPartition,
-    rank: int,
-    *,
-    ctx: "RankContext | None" = None,
-    cost_model: InspectorCostModel = InspectorCostModel(),
+    graph: CSRGraph, partition: IntervalPartition, rank: int
 ) -> CommSchedule:
     """A schedule *without* duplicate-access removal — the naive baseline.
 
@@ -317,7 +312,8 @@ def build_schedule_no_dedup(
     so a boundary vertex referenced by k of my vertices is shipped k times
     per gather.  Symmetry still lets both sides derive the multiset order
     locally (one entry per cross edge, sorted by the referenced global id),
-    so the schedule is correct, just fatter.
+    so the schedule is correct, just fatter.  Building it charges no
+    inspector time.
     """
     lo, hi = partition.interval(rank)
     src, nbr = local_references(graph, partition, rank)
@@ -346,8 +342,6 @@ def build_schedule_no_dedup(
             send_lists[int(d_sorted[s])] = (s_sorted[s:e] - lo).astype(
                 np.intp
             )
-    cost = cost_model.sec_per_translate * off.size + cost_model.sort_cost(off.size)
-    _charge(ctx, cost, "inspector-no-dedup")
     return CommSchedule(
         rank=rank,
         partition=partition,
@@ -363,7 +357,6 @@ def build_schedule_simple(
     *,
     ctx: "RankContext",
     cost_model: InspectorCostModel = InspectorCostModel(),
-    table: DistributedTranslationTable | None = None,
 ) -> CommSchedule:
     """Schedule via an explicit distributed translation table (the
     "Simple Strategy" of Table 3).  SPMD collective: all ranks call it.
@@ -384,8 +377,7 @@ def build_schedule_simple(
     ghost_globals = ghost_globals[np.argsort(first_pos, kind="stable")]
     _charge(ctx, cost_model.sec_per_ref * nbr.size, "inspector-simple-dedup")
 
-    if table is None:
-        table = DistributedTranslationTable(partition, rank)
+    table = DistributedTranslationTable(partition, rank)
     # Per-message software setup for the query/reply protocol (rounds 1+2
     # below plus the two count-allgathers): this is the term that grows with
     # the processor count and eventually sinks the simple strategy.

@@ -65,24 +65,24 @@ class JobRecord:
     #: only, so it is invariant across policies and placements; the
     #: conservation tests key on it.
     checksum: float
-    #: All jobs are submitted at service time 0 (batch stream).
-    submitted: float = 0.0
     #: Admission found the job's load-balance checks cannot pay on its
     #: placement and ran it without them.
     lb_priced_out: bool = False
 
     @property
     def queue_wait(self) -> float:
-        return self.admitted - self.submitted
+        """Admission time: every job is submitted at service time 0 (a
+        batch stream)."""
+        return self.admitted
 
     @property
     def makespan(self) -> float:
-        """The job's end-to-end makespan: submission to completion.
+        """The job's end-to-end makespan: submission (time 0) to completion.
 
         Includes queue wait — the number a user of the service sees, and
         the distribution the p99 / fairness metrics summarize.
         """
-        return self.finished - self.submitted
+        return self.finished
 
 
 def _nearest_rank(sorted_vals: list[float], q: float) -> float:

@@ -96,9 +96,7 @@ def thin_to_edge_count_oracle(
     keep = np.zeros(edges.shape[0], dtype=bool)
     keep[in_tree] = True
     keep[keep_extra] = True
-    return CSRGraph.from_edges(
-        n, edges[keep], coords=graph.coords, vertex_weights=graph.vertex_weights
-    )
+    return CSRGraph.from_edges(n, edges[keep], coords=graph.coords)
 
 
 def mesh_graph_oracle(mesh: Mesh) -> CSRGraph:
@@ -109,18 +107,14 @@ def mesh_graph_oracle(mesh: Mesh) -> CSRGraph:
 
 
 def paper_mesh_oracle(
-    n_vertices: int = generators.PAPER_MESH_VERTICES,
-    n_edges: int | None = None,
-    *,
-    seed: SeedLike = 1995,
+    n_vertices: int = generators.PAPER_MESH_VERTICES, *, seed: SeedLike = 1995
 ) -> CSRGraph:
-    if n_edges is None:
-        n_edges = int(round(
-            n_vertices * generators.PAPER_MESH_EDGES / generators.PAPER_MESH_VERTICES
-        ))
+    n_edges = int(round(
+        n_vertices * generators.PAPER_MESH_EDGES / generators.PAPER_MESH_VERTICES
+    ))
     side = int(math.ceil(math.sqrt(n_vertices)))
     # Looked up at call time, so a test can hand both builders one mesh.
-    mesh = generators.perturbed_grid_mesh(side, side, jitter=0.35, seed=seed)
+    mesh = generators.perturbed_grid_mesh(side, side, seed=seed)
     graph = mesh_graph_oracle(mesh)
     if graph.num_vertices > n_vertices:
         keep = np.arange(graph.num_vertices) < n_vertices
@@ -141,11 +135,7 @@ def grid_graph_oracle(nx: int, ny: int) -> CSRGraph:
 
 
 def from_edges_oracle(
-    n: int,
-    edges,
-    *,
-    coords: np.ndarray | None = None,
-    vertex_weights: np.ndarray | None = None,
+    n: int, edges, *, coords: np.ndarray | None = None
 ) -> CSRGraph:
     if n < 0:
         raise GraphError(f"vertex count must be >= 0, got {n}")
@@ -168,7 +158,7 @@ def from_edges_oracle(
     src, dst = src[order], dst[order]
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return CSRGraph(indptr, dst, coords=coords, vertex_weights=vertex_weights)
+    return CSRGraph(indptr, dst, coords=coords)
 
 
 def edge_array_oracle(graph: CSRGraph) -> np.ndarray:
@@ -199,12 +189,7 @@ def induced_subgraph_oracle(graph: CSRGraph, keep: np.ndarray) -> CSRGraph:
     mask = keep[edges[:, 0]] & keep[edges[:, 1]]
     remapped = new_id[edges[mask]]
     coords = None if graph.coords is None else graph.coords[keep]
-    weights = (
-        None if graph.vertex_weights is None else graph.vertex_weights[keep]
-    )
-    return from_edges_oracle(
-        int(keep.sum()), remapped, coords=coords, vertex_weights=weights
-    )
+    return from_edges_oracle(int(keep.sum()), remapped, coords=coords)
 
 
 def largest_component_oracle(graph: CSRGraph) -> CSRGraph:

@@ -39,7 +39,7 @@ from repro.partition.arrangement import RedistributionCostModel
 from repro.partition.inertial import _principal_axes
 from repro.partition.intervals import IntervalPartition, partition_list
 from repro.partition.sfc import quantize_coords
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import as_generator
 
 __all__ = [
     "rcb_order_oracle",
@@ -58,16 +58,14 @@ __all__ = [
 ]
 
 
-def _jitter(coords: np.ndarray, n: int, seed: SeedLike) -> np.ndarray:
-    rng = as_generator(seed)
+def _jitter(coords: np.ndarray, n: int) -> np.ndarray:
+    rng = as_generator(0)
     scale = max(float(np.ptp(coords)) if coords.size else 1.0, 1e-30)
     return rng.uniform(-1e-9, 1e-9, size=n) * scale
 
 
-def _split_axis(coords: np.ndarray, idx: np.ndarray, axis: int | None) -> int:
-    """Choose the axis to split: widest extent, or the given axis."""
-    if axis is not None:
-        return axis
+def _split_axis(coords: np.ndarray, idx: np.ndarray) -> int:
+    """Choose the axis to split: the widest extent."""
     sub = coords[idx]
     extents = sub.max(axis=0) - sub.min(axis=0)
     return int(np.argmax(extents))
@@ -90,13 +88,7 @@ def _median_split(
     return idx[part[:half]], idx[part[half:]]
 
 
-def rcb_order_oracle(
-    graph: CSRGraph,
-    *,
-    alternate_axes: bool = False,
-    seed: SeedLike = 0,
-    stable_ties: bool = False,
-) -> np.ndarray:
+def rcb_order_oracle(graph: CSRGraph, *, stable_ties: bool = False) -> np.ndarray:
     """RCB visit order, one explicit-stack step per box.
 
     The shipped body left equal keys to ``argpartition``'s introselect;
@@ -107,7 +99,7 @@ def rcb_order_oracle(
     n = graph.num_vertices
     if n == 0:
         return np.empty(0, dtype=np.intp)
-    jitter = _jitter(coords, n, seed)
+    jitter = _jitter(coords, n)
     order = np.empty(n, dtype=np.intp)
     out = 0
     # Children pushed hi-first so the lo side is emitted first.
@@ -118,9 +110,7 @@ def rcb_order_oracle(
             order[out : out + idx.size] = idx
             out += idx.size
             continue
-        axis = _split_axis(
-            coords, idx, depth % coords.shape[1] if alternate_axes else None
-        )
+        axis = _split_axis(coords, idx)
         lo, hi = _median_split(coords, idx, axis, jitter, stable_ties)
         stack.append((hi, depth + 1))
         stack.append((lo, depth + 1))
@@ -150,13 +140,13 @@ def principal_axis_oracle(points: np.ndarray) -> np.ndarray:
     return axis
 
 
-def inertial_order_oracle(graph: CSRGraph, *, seed: SeedLike = 0) -> np.ndarray:
+def inertial_order_oracle(graph: CSRGraph) -> np.ndarray:
     """Inertial bisection visit order, one explicit-stack step per box."""
     coords = graph.coords
     n = graph.num_vertices
     if n == 0:
         return np.empty(0, dtype=np.intp)
-    jitter = _jitter(coords, n, seed)
+    jitter = _jitter(coords, n)
     order = np.empty(n, dtype=np.intp)
     out = 0
     stack: list[np.ndarray] = [np.arange(n, dtype=np.intp)]

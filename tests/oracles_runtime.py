@@ -68,7 +68,6 @@ __all__ = [
     "pack_loop",
     "unpack_loop",
     "scatter_add_loop",
-    "scatter_replace_loop",
     "slab_pack_loop",
     "slab_unpack_loop",
     "slab_bounds_loop",
@@ -463,15 +462,6 @@ def scatter_add_loop(
         local[i] += payload[k]
 
 
-def scatter_replace_loop(
-    local: np.ndarray, idx: np.ndarray, payload: np.ndarray
-) -> None:
-    """Overwrite elements one at a time (last duplicate wins, as with
-    fancy-index assignment)."""
-    for k, i in enumerate(idx.tolist()):
-        local[i] = payload[k]
-
-
 # redistribution slab pack/unpack (phase D)
 
 
@@ -585,16 +575,14 @@ def scatter_oracle(
     schedules: list[CommSchedule],
     ghosts: list[np.ndarray],
     blocks: list[np.ndarray],
-    op: str,
 ) -> list[np.ndarray]:
     """Each rank's block after ``scatter``: every peer's ghost segment
     packed and combined element by element, peers in ascending order."""
     out = [block.copy() for block in blocks]
-    combine = scatter_add_loop if op == "add" else scatter_replace_loop
     for sched in schedules:
         for src in sorted(sched.send_lists):
             pos = schedules[src].recv_lists[sched.rank]
-            combine(
+            scatter_add_loop(
                 out[sched.rank], sched.send_lists[src], pack_loop(ghosts[src], pos)
             )
     return out

@@ -60,7 +60,7 @@ class TestGridMesh3D:
 class TestOrderings3D:
     @pytest.mark.parametrize(
         "method",
-        [RCBOrdering(), RCBOrdering(alternate_axes=True), InertialOrdering(),
+        [RCBOrdering(), InertialOrdering(),
          MortonOrdering(), HilbertOrdering()],
         ids=lambda m: m.name,
     )

@@ -2,20 +2,15 @@
 
 One ``AdaptiveSession`` code path serves the program driver, the adaptive
 apps, and the benchmarks; ``resolve_load_balance`` is the one place the
-names ``"off"`` / ``None`` are understood; and ``LoadBalanceConfig``,
-``AdaptiveSession`` and ``ProgramConfig`` carry only options some caller
-outside the tests sets (``ProgramConfig`` less four allow-listed fields).
+names ``"off"`` / ``None`` are understood.  That every option has a
+caller outside the tests is the census in ``test_public_surface.py``.
 """
 
 from __future__ import annotations
 
-import ast
-import dataclasses
-
 import numpy as np
 import pytest
 
-from test_public_surface import CALLER_DIRS, ROOT
 from repro.errors import ConfigurationError, LoadBalanceError, ResilienceError
 from repro.graph.generators import paper_mesh
 from repro.net.cluster import adaptive_cluster, uniform_cluster
@@ -56,84 +51,6 @@ class TestResolveLoadBalance:
             resolve_load_balance("oracle")
         with pytest.raises(LoadBalanceError, match="cannot resolve"):
             resolve_load_balance(10)
-
-
-def _fields_passed(cls, resolvers, trees) -> set[str]:
-    """Fields of dataclass *cls* that some call in *trees* passes: a call
-    of *cls* by keyword or by position, a call of one of the *resolvers*
-    (which take *cls*'s fields as keywords) by keyword only."""
-    names = [f.name for f in dataclasses.fields(cls)]
-    passed: set[str] = set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = getattr(node.func, "id", None) or getattr(
-                node.func, "attr", None
-            )
-            if callee == cls.__name__:
-                passed.update(names[: len(node.args)])
-            elif callee not in resolvers:
-                continue
-            passed.update(kw.arg for kw in node.keywords)
-    return passed
-
-
-def _fields_never_passed(cls, *resolvers: str) -> set[str]:
-    """Fields of dataclass *cls* that no call in the surface walk's
-    caller directories passes (see :func:`_fields_passed`)."""
-    trees = (
-        ast.parse(path.read_text())
-        for top in CALLER_DIRS
-        for path in (ROOT / top).rglob("*.py")
-    )
-    names = {f.name for f in dataclasses.fields(cls)}
-    return names - _fields_passed(cls, resolvers, trees)
-
-
-class TestOptionsCensus:
-    """A field no call site outside the tests ever passes is not an
-    option: make it a constant or an argument."""
-
-    def test_fields_are_exactly_the_three_options(self):
-        assert [f.name for f in dataclasses.fields(LoadBalanceConfig)] == [
-            "check_interval", "style", "predictor",
-        ]
-
-    def test_positional_arguments_count_for_the_class_only(self):
-        """A resolver's positional argument is the spec, not a field."""
-        def passed(source):
-            return _fields_passed(
-                LoadBalanceConfig, ("resolve_load_balance",),
-                [ast.parse(source)],
-            )
-
-        assert passed("resolve_load_balance(spec)") == set()
-        assert passed("resolve_load_balance(spec, predictor='t')") == {
-            "predictor"
-        }
-        assert passed("cfg.LoadBalanceConfig(3)") == {"check_interval"}
-
-    def test_every_load_balance_field_is_passed(self):
-        assert _fields_never_passed(
-            LoadBalanceConfig, "resolve_load_balance"
-        ) == set()
-
-    def test_every_session_field_is_passed(self):
-        assert _fields_never_passed(AdaptiveSession) == set()
-
-    def test_program_config_unset_fields_are_the_known_three(self):
-        """Each unset field waits on a ROADMAP item; a new one fails."""
-        waiting = {
-            # ROADMAP item 7 folds the three pricing fields into one
-            # CostModel.  That waits on item 3, which thaws bench/: its
-            # tracing.py reads kernel_cost, inspector_cost and
-            # executor_cost.
-            "kernel_cost",
-            "inspector_cost",
-            "executor_cost",
-        }
-        assert _fields_never_passed(ProgramConfig) == waiting
 
 
 def _session_loop(graph, y0, cluster, iterations, lb):

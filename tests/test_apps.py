@@ -35,10 +35,3 @@ class TestOrderingQuality:
         row = reps[0].as_row((2,))
         assert row[0] == "rcb" and len(row) == 4
 
-    def test_nonuniform_capabilities_splits(self):
-        g = paper_mesh(300, seed=5)
-        rep = evaluate_ordering(
-            g, RCBOrdering(), part_counts=(3,),
-            capabilities=np.array([3.0, 1.0, 1.0]),
-        )
-        assert rep.cuts[3] >= 0

@@ -107,6 +107,37 @@ def test_checker_catches_repro_commands_the_cli_rejects(tmp_path):
     assert check_ci.main([str(tmp_path)]) == 1
 
 
+BENCH_RUNS = """\
+jobs:
+  harness:
+    steps:
+      - name: fine
+        run: python -m repro bench run 'table4*' --quick --set p=3
+      - name: no such experiment
+        run: python -m repro bench run table9 --quick
+      - name: not an axis
+        run: |
+          python -m repro bench run table4 --quick \\
+            --set bogus=1
+"""
+
+
+@pytest.mark.parametrize("line, problem", [
+    (7, "bench run table9: unknown experiment 'table9'"),
+    (10, "bench run table4: unknown parameter(s) for experiment 'table4': bogus"),
+], ids=["unregistered-experiment", "unknown-axis"])
+def test_checker_catches_bench_runs_the_harness_rejects(tmp_path, line, problem):
+    workflows = tmp_path / ".github" / "workflows"
+    workflows.mkdir(parents=True)
+    (workflows / "ci.yml").write_text(BENCH_RUNS, encoding="utf-8")
+    problems = check_ci.check_repo(tmp_path)
+    assert len(problems) == 2
+    assert any(
+        p.startswith(f".github/workflows/ci.yml:{line}: {problem}")
+        for p in problems
+    ), problems
+
+
 class TestReproCommands:
     """How a ``run:`` script is cut into ``repro`` argument lists."""
 

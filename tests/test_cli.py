@@ -203,6 +203,44 @@ class TestTraceOutDirectory:
         assert list(tmp_path.iterdir()) == []
 
 
+def _exit_code(argv) -> int:
+    """``main``'s exit code, whether it returns or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestMalformedInput:
+    """Malformed input exits 2 with a message where it enters, before any
+    work and never with a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["mcr", "--old", "1", "-1", "--new", "1", "2"],
+         "argument --old: must be a finite ratio >= 0, got -1"),
+        (["orderings", "--parts", "0"], "argument --parts: must be >= 1"),
+        (["trace", "summary", "{notes}"], "not a JSON trace file"),
+        (["trace", "export", "{notes}", "-o", "{tmp}/x.json"],
+         "not a JSON trace file"),
+        (["trace", "export", "{trace}", "-o", "{tmp}/nodir/x.json"],
+         "--output {tmp}/nodir/x.json: directory {tmp}/nodir does not exist"),
+        (["bench", "run", "table4", "--quick", "--set", "p=[99]",
+          "--results-dir", "{tmp}/results"],
+         "parameter 'p' of experiment 'table4' takes int values, got [99]"),
+    ], ids=["mcr", "orderings", "trace-summary", "trace-export",
+            "trace-export-output", "bench-run-set"])
+    def test_exits_2_with_a_message(self, capsys, tmp_path, argv, message):
+        notes, trace = tmp_path / "notes.md", tmp_path / "t.json"
+        notes.write_text("# not a trace\n")
+        trace.write_text('{"traceEvents": []}')
+        paths = dict(notes=notes, trace=trace, tmp=tmp_path)
+        assert _exit_code([a.format(**paths) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert message.format(**paths) in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "results").exists()
+
+
 class TestBenchGlobs:
     def test_bench_run_glob(self, capsys, tmp_path):
         rc = main([

@@ -6,7 +6,7 @@ properties:
 * sends are issued in ascending peer order regardless of dict insertion
   order (``sorted(...)`` is load-bearing, not incidental);
 * received contributions are **applied** in ascending peer order, not
-  message-arrival order — so ``scatter(op="add")`` accumulation is
+  message-arrival order — so ``scatter`` accumulation is
   bit-deterministic even though floating-point addition does not commute
   across thread-scheduling-dependent arrival orders;
 * repeated runs produce bit-identical buffers.
@@ -74,14 +74,14 @@ class TestOrderingDeterminism:
             lo, hi = part.interval(ctx.rank)
             ghost = gather(ctx, sched, y[lo:hi])
             local = np.zeros(hi - lo)
-            scatter(ctx, sched, ghost, local, op="add")
+            scatter(ctx, sched, ghost, local)
             return True
 
         res = run_spmd(uniform_cluster(4), fn, trace=True)
         for r in range(4):
             for tag in (Tags.EXECUTOR_GATHER, Tags.EXECUTOR_SCATTER):
-                peers = [e.peer for e in res.trace.events(kind="send", rank=r)
-                         if e.tag == tag]
+                peers = [e.peer for e in res.trace
+                         if e.kind == "send" and e.rank == r and e.tag == tag]
                 assert peers == sorted(peers), (r, tag, peers)
                 assert len(peers) == len(set(peers))  # one message per peer
 
@@ -94,7 +94,7 @@ class TestOrderingDeterminism:
             lo, hi = part.interval(ctx.rank)
             local = y[lo:hi].copy()
             ghost = y[sched.ghost_globals]  # as filled by a correct gather
-            scatter(ctx, sched, ghost, local, op="add")
+            scatter(ctx, sched, ghost, local)
             return local
 
         # Repeat: thread scheduling (hence arrival order) varies, results
@@ -113,7 +113,7 @@ class TestOrderingDeterminism:
                 lo, hi = part.interval(ctx.rank)
                 local = y[lo:hi].copy()
                 ghost = gather(ctx, sched, local)
-                scatter(ctx, sched, ghost, local, op="add")
+                scatter(ctx, sched, ghost, local)
                 return ghost, local
 
             return run_spmd(uniform_cluster(4), fn)
@@ -135,7 +135,7 @@ def test_scatter_add_deterministic_on_heterogeneous_cluster(workload):
         lo, hi = part.interval(ctx.rank)
         local = y[lo:hi].copy()
         ghost = y[sched.ghost_globals]
-        scatter(ctx, sched, ghost, local, op="add")
+        scatter(ctx, sched, ghost, local)
         return local
 
     cluster = heterogeneous_cluster([1.0, 0.3, 0.9, 0.5])

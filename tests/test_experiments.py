@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import re
 from pathlib import Path
 
@@ -513,6 +514,34 @@ def test_cli_bench_sweep_small(tmp_path):
                if r["params"]["load"] == "constant")
     # Every scenario finished with a positive makespan.
     assert all(r["metrics"]["makespan"] > 0 for r in artifact["runs"])
+
+
+def _sweep_full_values():
+    """(axis, value) for every value of every ``sweep_full`` input axis."""
+    from repro.experiments.sweep import SCENARIO_GRIDS
+
+    full = SCENARIO_GRIDS["full"]
+    return [
+        (axis, value)
+        for axis in ("cluster", "load", "ordering", "graph")
+        for value in full[axis]
+    ]
+
+
+@pytest.mark.parametrize(
+    "axis, value", _sweep_full_values(), ids=lambda v: str(v)
+)
+def test_every_sweep_full_input_builds_and_runs(axis, value):
+    """Each cluster, load, ordering and graph builder of ``sweep_full``
+    (ramp and walk loads, hilbert, perturbed, 3 and 5 workstations are in
+    no other grid) at ``sweep_small``'s first values and size."""
+    from repro.experiments.sweep import SCENARIO_GRIDS, run_scenario
+
+    params = {k: v[0] for k, v in SCENARIO_GRIDS["small"].items()}
+    params[axis] = value
+    metrics = run_scenario(params, seed=7)
+    assert metrics and all(math.isfinite(v) for v in metrics.values())
+    assert metrics["makespan"] > 0
 
 
 def test_cli_bench_sweep_unknown_grid_fails_cleanly(tmp_path, capsys):

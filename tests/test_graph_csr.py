@@ -77,17 +77,6 @@ class TestConstruction:
         with pytest.raises(GraphError):
             CSRGraph.from_edges(3, [(0, 1)], coords=np.zeros((3, 5)))
 
-    def test_weights_validation(self):
-        g = CSRGraph.from_edges(2, [(0, 1)], vertex_weights=[1.0, 2.0])
-        np.testing.assert_array_equal(g.weights(), [1.0, 2.0])
-        with pytest.raises(GraphError):
-            CSRGraph.from_edges(2, [(0, 1)], vertex_weights=[-1.0, 2.0])
-        with pytest.raises(GraphError):
-            CSRGraph.from_edges(2, [(0, 1)], vertex_weights=[1.0])
-
-    def test_default_weights_uniform(self):
-        np.testing.assert_array_equal(triangle().weights(), np.ones(3))
-
 
 class TestAccessors:
     def test_neighbors(self):
@@ -131,11 +120,6 @@ class TestPermute:
         # new vertex 2 is old vertex 0.
         np.testing.assert_array_equal(g2.coords[2], coords[0])
 
-    def test_permute_carries_weights(self):
-        g = CSRGraph.from_edges(2, [(0, 1)], vertex_weights=[5.0, 7.0])
-        g2 = g.permute([1, 0])
-        np.testing.assert_array_equal(g2.vertex_weights, [7.0, 5.0])
-
     def test_permute_rejects_invalid(self):
         with pytest.raises(ValueError):
             triangle().permute([0, 0, 1])
@@ -144,7 +128,7 @@ class TestPermute:
         lambda: paper_mesh(700, seed=3),
         lambda: grid_graph(9, 4),
         lambda: grid_mesh_3d(3, 4, 5).graph,
-        lambda: CSRGraph.from_edges(6, [(0, 5), (2, 3)], vertex_weights=np.arange(6.0)),
+        lambda: CSRGraph.from_edges(6, [(0, 5), (2, 3)]),
         lambda: CSRGraph.from_edges(4, []),
         lambda: CSRGraph.from_edges(0, []),
     ))
@@ -159,12 +143,9 @@ class TestPermute:
             n,
             perm[g.edge_array()],
             coords=None if g.coords is None else g.coords[inv],
-            vertex_weights=(
-                None if g.vertex_weights is None else g.vertex_weights[inv]
-            ),
         )
         got = g.permute(perm)
-        for name in ("indptr", "indices", "coords", "vertex_weights"):
+        for name in ("indptr", "indices", "coords"):
             a, b = getattr(got, name), getattr(want, name)
             if b is None:
                 assert a is None
@@ -172,7 +153,7 @@ class TestPermute:
                 assert a.dtype == b.dtype
                 np.testing.assert_array_equal(a, b)
         # ... and a valid one: the validating constructor accepts it.
-        CSRGraph(got.indptr, got.indices, got.coords, got.vertex_weights)
+        CSRGraph(got.indptr, got.indices, got.coords)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -219,7 +200,7 @@ class TestPermute:
 
 
 def assert_same_graph(got: CSRGraph, want: CSRGraph) -> None:
-    for name in ("indptr", "indices", "coords", "vertex_weights"):
+    for name in ("indptr", "indices", "coords"):
         a, b = getattr(got, name), getattr(want, name)
         if b is None:
             assert a is None, name
@@ -244,11 +225,9 @@ def edge_lists(draw, min_n=0):
 
 @st.composite
 def attributes(draw, n):
-    """Optional coords and vertex weights for an *n*-vertex graph."""
+    """Optional coords for an *n*-vertex graph."""
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    coords = rng.uniform(size=(n, 2)) if draw(st.booleans()) else None
-    weights = rng.uniform(size=n) if draw(st.booleans()) else None
-    return coords, weights
+    return rng.uniform(size=(n, 2)) if draw(st.booleans()) else None
 
 
 @st.composite
@@ -289,10 +268,10 @@ class TestScalarKeyConstruction:
     @settings(max_examples=150, deadline=None)
     def test_from_edges_matches_oracle(self, case, data):
         n, edges = case
-        coords, weights = data.draw(attributes(n))
+        coords = data.draw(attributes(n))
         assert_same_graph(
-            CSRGraph.from_edges(n, edges, coords=coords, vertex_weights=weights),
-            from_edges_oracle(n, edges, coords=coords, vertex_weights=weights),
+            CSRGraph.from_edges(n, edges, coords=coords),
+            from_edges_oracle(n, edges, coords=coords),
         )
 
     @given(raw_csrs())
@@ -307,8 +286,8 @@ class TestScalarKeyConstruction:
     @settings(max_examples=100, deadline=None)
     def test_largest_component_matches_oracle(self, case, data):
         n, edges = case
-        coords, weights = data.draw(attributes(n))
-        g = CSRGraph.from_edges(n, edges, coords=coords, vertex_weights=weights)
+        coords = data.draw(attributes(n))
+        g = CSRGraph.from_edges(n, edges, coords=coords)
         assert_same_graph(largest_component(g), largest_component_oracle(g))
 
     @given(raw_csrs(), st.data())
@@ -316,8 +295,8 @@ class TestScalarKeyConstruction:
     def test_subgraph_matches_oracle_on_raw_rows(self, raw, data):
         indptr, indices = raw
         n = indptr.size - 1
-        coords, weights = data.draw(attributes(n))
-        g = CSRGraph(indptr, indices, coords=coords, vertex_weights=weights)
+        coords = data.draw(attributes(n))
+        g = CSRGraph(indptr, indices, coords=coords)
         keep = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
         assert_same_graph(g.subgraph(keep), induced_subgraph_oracle(g, keep))
         assert_same_graph(largest_component(g), largest_component_oracle(g))

@@ -136,10 +136,6 @@ class TestUnstructuredGenerators:
         b = perturbed_grid_mesh(10, 10, seed=6)
         assert not np.array_equal(a.points, b.points)
 
-    def test_perturbed_grid_rejects_big_jitter(self):
-        with pytest.raises(GraphError):
-            perturbed_grid_mesh(5, 5, jitter=0.7)
-
     def test_random_geometric_connected(self):
         g = random_geometric_graph(300, seed=2)
         assert connected_components(g)[0] == 1
@@ -239,10 +235,6 @@ class TestPaperMesh:
         a, b = paper_mesh(800, seed=9), paper_mesh(800, seed=9)
         np.testing.assert_array_equal(a.indices, b.indices)
 
-    def test_explicit_edge_target(self):
-        g = paper_mesh(1000, n_edges=1300, seed=4)
-        assert g.num_edges == 1300
-
     def test_rejects_tiny(self):
         with pytest.raises(GraphError):
             paper_mesh(4)
@@ -263,7 +255,7 @@ class TestPaperMesh:
         assert paper_mesh(150, seed=2).num_vertices == 150
 
     @staticmethod
-    def split_by_trim(nx, ny, *, jitter, seed):
+    def split_by_trim(nx, ny, *, seed):
         """16 points whose first 10 form two components once the last six
         (the only bridges between them) are trimmed: 0-6 and 7-9."""
         assert (nx, ny) == (4, 4)
@@ -279,32 +271,40 @@ class TestPaperMesh:
     ):
         """No generated mesh splits when trimmed; a handcrafted one does.
         Thinned (9 edges), the spanning forest reports it; unthinned (100),
-        there is no forest and the component search runs instead."""
+        there is no forest and the component search runs instead.  The
+        edge/vertex ratio is set so 10 vertices target *n_edges*."""
         monkeypatch.setattr(generators, "perturbed_grid_mesh", self.split_by_trim)
-        g = paper_mesh(10, n_edges=n_edges, seed=0)
+        monkeypatch.setattr(
+            generators, "PAPER_MESH_EDGES",
+            round(n_edges * generators.PAPER_MESH_VERTICES / 10),
+        )
+        g = paper_mesh(10, seed=0)
         assert (g.num_vertices, g.num_edges) == (7, edges)
         assert connected_components(g)[0] == 1
-        assert_same_graph(g, paper_mesh_oracle(10, n_edges=n_edges, seed=0))
+        assert_same_graph(g, paper_mesh_oracle(10, seed=0))
 
 
 class TestStreamedGridGraph:
     """The streamed CSR builder must match the edge-list path exactly."""
 
     @pytest.mark.parametrize("nx,ny", [(1, 1), (2, 1), (1, 6), (8, 8), (13, 7)])
-    def test_matches_grid_graph(self, nx, ny):
+    def test_matches_grid_graph(self, monkeypatch, nx, ny):
         from repro.graph.generators import streamed_grid_graph
 
+        monkeypatch.setattr(generators, "_BLOCK_ROWS", 3)
         a = grid_graph_oracle(nx, ny)
-        b = streamed_grid_graph(nx, ny, block_rows=3)
+        b = streamed_grid_graph(nx, ny)
         np.testing.assert_array_equal(a.indptr, b.indptr)
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(a.coords, b.coords)
 
-    def test_block_rows_irrelevant(self):
+    def test_block_rows_irrelevant(self, monkeypatch):
         from repro.graph.generators import streamed_grid_graph
 
-        a = streamed_grid_graph(20, 15, block_rows=1)
-        b = streamed_grid_graph(20, 15, block_rows=1000)
+        monkeypatch.setattr(generators, "_BLOCK_ROWS", 1)
+        a = streamed_grid_graph(20, 15)
+        monkeypatch.setattr(generators, "_BLOCK_ROWS", 1000)
+        b = streamed_grid_graph(20, 15)
         np.testing.assert_array_equal(a.indptr, b.indptr)
         np.testing.assert_array_equal(a.indices, b.indices)
 
@@ -314,8 +314,6 @@ class TestStreamedGridGraph:
 
         with pytest.raises(GraphError):
             streamed_grid_graph(0, 5)
-        with pytest.raises(GraphError):
-            streamed_grid_graph(5, 5, block_rows=0)
 
 
 class TestScaleMesh:
@@ -344,21 +342,14 @@ class TestScaleMesh:
             g = scale_mesh("100k")
         assert g.num_vertices == 99_856  # 316^2, not the nominal 100_000
 
-    def test_non_square_tier_exact_raises(self):
-        from repro.errors import GraphError
-        from repro.graph.generators import scale_mesh
-
-        with pytest.raises(GraphError, match=r"99856"):
-            scale_mesh("100k", exact=True)
-
-    def test_square_tier_exact_is_silent(self):
+    def test_square_tier_is_silent(self):
         import warnings
 
         from repro.graph.generators import scale_mesh
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            g = scale_mesh("10k", exact=True)
+            g = scale_mesh("10k")
         assert g.num_vertices == 10_000
 
 
@@ -404,7 +395,6 @@ def test_geometric_build_memory_is_bounded():
 ])
 def test_mesh_digest_pinned(build, digests):
     graph = build()
-    assert graph.vertex_weights is None
     assert tuple(
         hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
         for a in (graph.indptr, graph.indices, graph.coords)

@@ -162,7 +162,7 @@ class TestDiffInterval:
 def meshes():
     return [
         grid_graph(12, 17),
-        perturbed_grid_mesh(15, 15, jitter=0.3, seed=3).graph,
+        perturbed_grid_mesh(15, 15, seed=3).graph,
     ]
 
 
@@ -491,7 +491,7 @@ class TestSessionInspectorModes:
 
     def test_incremental_values_bit_identical_to_full(self, workload):
         g, y0 = workload
-        cl = adaptive_cluster(3, loaded_rank=0, competing_load=2.0)
+        cl = adaptive_cluster(3, competing_load=2.0)
         reps = {}
         for mode in ("full", "incremental"):
             reps[mode] = run_program(

@@ -50,9 +50,9 @@ class TestProcessorSpec:
 
 class TestClusterSpec:
     def test_uniform(self):
-        cl = uniform_cluster(4, speed=2.0)
+        cl = uniform_cluster(4)
         assert cl.size == 4
-        np.testing.assert_allclose(cl.speeds, 2.0)
+        np.testing.assert_allclose(cl.speeds, 1.0)
 
     def test_uniform_rejects_zero(self):
         with pytest.raises(ConfigurationError):
@@ -109,11 +109,10 @@ class TestClusterSpec:
         with pytest.raises(ConfigurationError):
             sun4_cluster(0)
 
-    @pytest.mark.parametrize("loaded", [0, 1])
-    def test_adaptive_cluster_load_placement(self, loaded):
-        cl = adaptive_cluster(3, loaded_rank=loaded, competing_load=2.0)
-        assert isinstance(cl.processors[loaded].load, ConstantLoad)
-        assert isinstance(cl.processors[1 - loaded].load, NoLoad)
-        assert cl.processors[loaded].effective_speed(0.0) == pytest.approx(
-            SUN4_SPEEDS[loaded] / 3.0
+    def test_adaptive_cluster_loads_the_first_workstation(self):
+        cl = adaptive_cluster(3, competing_load=2.0)
+        assert isinstance(cl.processors[0].load, ConstantLoad)
+        assert isinstance(cl.processors[1].load, NoLoad)
+        assert cl.processors[0].effective_speed(0.0) == pytest.approx(
+            SUN4_SPEEDS[0] / 3.0
         )

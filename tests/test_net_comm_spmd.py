@@ -84,17 +84,10 @@ class TestCollectives:
 
     def test_bcast_values(self):
         def fn(ctx):
-            return ctx.bcast("hello" if ctx.rank == 0 else None, root=0)
+            return ctx.bcast("hello" if ctx.rank == 0 else None)
 
         res = run_spmd(eth_cluster(4), fn)
         assert res.values == ["hello"] * 4
-
-    def test_bcast_nonzero_root(self):
-        def fn(ctx):
-            return ctx.bcast(ctx.rank if ctx.rank == 2 else None, root=2)
-
-        res = run_spmd(uniform_cluster(3), fn)
-        assert res.values == [2, 2, 2]
 
     def test_bcast_single_rank(self):
         res = run_spmd(uniform_cluster(1), lambda ctx: ctx.bcast("solo"))
@@ -138,7 +131,7 @@ class TestCollectives:
                 ctx.recv(0, Tags.USER_BASE)
 
         res = run_spmd(eth_cluster(4), fn, trace=True)
-        assert len(res.trace.events(kind="multicast")) == 1
+        assert len([e for e in res.trace if e.kind == "multicast"]) == 1
 
     def test_multicast_fallback_unicasts(self):
         def fn(ctx):
@@ -148,8 +141,8 @@ class TestCollectives:
                 ctx.recv(0, Tags.USER_BASE)
 
         res = run_spmd(uniform_cluster(3), fn, trace=True)
-        assert len(res.trace.events(kind="send")) == 1  # one traced event
-        assert len(res.trace.events(kind="multicast")) == 0
+        assert len([e for e in res.trace if e.kind == "send"]) == 1  # one traced event
+        assert len([e for e in res.trace if e.kind == "multicast"]) == 0
 
 
 class TestVirtualTime:

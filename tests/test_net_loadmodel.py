@@ -99,12 +99,12 @@ class TestTraces:
             RampLoad(5, 5, 0, 1)
 
     def test_random_walk_bounds_and_reproducibility(self):
-        a = RandomWalkLoad(horizon=50, dt=1.0, max_load=2.0, seed=3)
-        b = RandomWalkLoad(horizon=50, dt=1.0, max_load=2.0, seed=3)
+        a = RandomWalkLoad(horizon=50, dt=1.0, seed=3)
+        b = RandomWalkLoad(horizon=50, dt=1.0, seed=3)
         for t in np.linspace(0, 60, 30):
             la, lb = a.load_at(t), b.load_at(t)
             assert la == lb
-            assert 0.0 <= la <= 2.0
+            assert 0.0 <= la <= 3.0
 
     def test_random_walk_holds_after_horizon(self):
         tr = RandomWalkLoad(horizon=10, dt=1.0, seed=0)

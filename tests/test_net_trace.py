@@ -20,15 +20,6 @@ class TestTraceLog:
         log.record(TraceEvent("send", 0, 0.0, 1.0, nbytes=10))
         assert len(log) == 0
 
-    def test_filtering(self):
-        log = TraceLog()
-        log.record(TraceEvent("send", 0, 0.0, 1.0, nbytes=10))
-        log.record(TraceEvent("recv", 1, 0.0, 1.0, nbytes=10))
-        log.record(TraceEvent("send", 1, 1.0, 2.0, nbytes=5))
-        assert len(log.events(kind="send")) == 2
-        assert len(log.events(rank=1)) == 2
-        assert len(log.events(kind="send", rank=1)) == 1
-
     def test_summary_counts_transmissions_and_bytes(self):
         log = TraceLog()
         log.record(TraceEvent("send", 0, 0.0, 1.0, nbytes=10))
@@ -55,17 +46,8 @@ class TestTraceLog:
         log.record(TraceEvent("send", 0, 0.0, 1.0))
         log.record(TraceEvent("send", 1, 0.0, 1.0))
         log.record(TraceEvent("recv", 0, 1.0, 2.0))
-        assert [e.seq for e in log.events(rank=0)] == [0, 1]
-        assert [e.seq for e in log.events(rank=1)] == [0]
-
-    def test_spans_filter(self):
-        log = TraceLog()
-        log.record(TraceEvent("send", 0, 0.0, 1.0))
-        log.record(TraceEvent("epoch", 0, 0.0, 2.0, span_id=0))
-        log.record(TraceEvent("executor", 0, 0.0, 1.0, span_id=1,
-                              parent_id=0))
-        assert [e.kind for e in log.spans()] == ["epoch", "executor"]
-        assert [e.kind for e in log.spans("executor")] == ["executor"]
+        assert [e.seq for e in log if e.rank == 0] == [0, 1]
+        assert [e.seq for e in log if e.rank == 1] == [0]
 
     def test_extend_preserves_shipped_seq(self):
         # A worker recorded locally; the parent merges the shipped events
@@ -76,7 +58,7 @@ class TestTraceLog:
         parent = TraceLog()
         parent.extend(worker.events())
         parent.record(TraceEvent("barrier", 0, 2.0, 3.0))
-        assert [e.seq for e in parent.events(rank=0)] == [0, 1, 2]
+        assert [e.seq for e in parent if e.rank == 0] == [0, 1, 2]
 
     def test_capacity_validation(self):
         with pytest.raises(ConfigurationError, match="capacity"):
@@ -115,11 +97,11 @@ class TestTraceIntegration:
             ctx.compute(0.1)
 
         res = run_spmd(uniform_cluster(2), fn, trace=True)
-        assert len(res.trace.events(kind="send")) == 1
-        assert len(res.trace.events(kind="recv")) == 1
-        assert len(res.trace.events(kind="barrier")) == 2
-        assert len(res.trace.events(kind="compute")) == 2
-        send = res.trace.events(kind="send")[0]
+        assert len([e for e in res.trace if e.kind == "send"]) == 1
+        assert len([e for e in res.trace if e.kind == "recv"]) == 1
+        assert len([e for e in res.trace if e.kind == "barrier"]) == 2
+        assert len([e for e in res.trace if e.kind == "compute"]) == 2
+        send = [e for e in res.trace if e.kind == "send"][0]
         assert send.peer == 1 and send.nbytes == 116
 
     def test_trace_disabled_by_default(self):

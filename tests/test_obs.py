@@ -62,7 +62,7 @@ class TestTracer:
                     pass
             with tracer.span("epoch", label="e1"):
                 pass
-        spans = log.spans()
+        spans = [e for e in log if e.span_id >= 0]
         by_id = {e.span_id: e for e in spans}
         # Ids are allocated in open order: program=0, e0=1, executor=2.
         assert by_id[0].kind == "program" and by_id[0].parent_id == -1
@@ -79,7 +79,7 @@ class TestTracer:
         log, tracer = self._tracer()
         with tracer.span("inspector"):
             pass
-        (ev,) = log.spans()
+        (ev,) = [e for e in log if e.span_id >= 0]
         assert ev.t_end > ev.t_start
         assert ev.wall_end > ev.wall_start >= 0.0
 
@@ -113,7 +113,7 @@ class TestTracer:
             with tracer.span("program"):
                 raise ValueError("boom")
         assert tracer.current_span == -1
-        assert log.spans("program")
+        assert [e for e in log if e.span_id >= 0 and e.kind == "program"]
 
 
 # --------------------------------------------------------------------- #
@@ -301,11 +301,14 @@ class TestProgramObservability:
     def test_report_carries_spans_and_metrics(self, tiny_paper_mesh, rng):
         y0 = rng.uniform(0, 100, 500)
         report = _run(tiny_paper_mesh, y0, trace=True)
-        kinds = {e.kind for e in report.trace.spans()}
+        kinds = {e.kind for e in report.trace if e.span_id >= 0}
         assert {"program", "epoch", "inspector", "executor",
                 "checkpoint"} <= kinds
         # Every rank opened its own program span.
-        assert {e.rank for e in report.trace.spans("program")} == {0, 1, 2}
+        assert {
+            e.rank for e in report.trace
+            if e.span_id >= 0 and e.kind == "program"
+        } == {0, 1, 2}
         counters = report.metrics["counters"]
         assert counters["net.messages_sent"] > 0
         assert counters["net.messages_recv"] > 0
@@ -434,7 +437,7 @@ class TestCaptureWindow:
         assert len(window.traces) == 1
         label, trace = window.traces[0]
         assert "3ranks" in label
-        assert trace.spans("program")
+        assert [e for e in trace if e.span_id >= 0 and e.kind == "program"]
 
     def test_window_capacity_reaches_the_log(self, tiny_paper_mesh, rng):
         y0 = rng.uniform(0, 100, 500)
@@ -508,8 +511,8 @@ class TestServiceObservability:
         )
         report = session.run()
         assert report.trace is not None
-        admits = report.trace.spans("admit")
-        jobs = report.trace.spans("job")
+        admits = [e for e in report.trace if e.span_id >= 0 and e.kind == "admit"]
+        jobs = [e for e in report.trace if e.span_id >= 0 and e.kind == "job"]
         assert len(admits) == 4
         # One service-track span per job plus one occupancy span per
         # granted rank.

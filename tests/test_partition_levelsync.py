@@ -43,44 +43,45 @@ from repro.partition.rcb import rcb_order
 SIZES = (0, 1, 2, 3, 17, 1_000, 30_269)
 
 
-def cloud(n: int, dim: int, seed: int, *, box=None) -> CSRGraph:
+#: Random coordinates, or the same ones rounded onto a 17-point lattice
+#: per axis, so that raw coordinates tie massively (the jitter still
+#: keeps the keys distinct).
+LAYOUTS = ("random", "lattice")
+
+
+def cloud(n: int, dim: int, seed: int, *, box=None, layout="random") -> CSRGraph:
     """n random points (orderings read only the coordinates)."""
     coords = np.random.default_rng(seed).random((n, dim))
+    if layout == "lattice":
+        coords = np.round(coords * 16) / 16
     if box is not None:
         coords = coords * np.asarray(box, dtype=float)
     return CSRGraph.from_edges(n, [], coords=coords)
 
 
-def assert_matches_oracle(graph: CSRGraph, **kwargs) -> None:
-    np.testing.assert_array_equal(
-        rcb_order(graph, **kwargs), rcb_order_oracle(graph, **kwargs)
-    )
+def assert_matches_oracle(graph: CSRGraph) -> None:
+    np.testing.assert_array_equal(rcb_order(graph), rcb_order_oracle(graph))
 
 
 class TestRCBMatchesOracle:
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("seed", (0, 7))
-    @pytest.mark.parametrize("alternate_axes", (False, True))
     @pytest.mark.parametrize("dim", (2, 3))
     @pytest.mark.parametrize("n", SIZES)
-    def test_random_clouds(self, n, dim, alternate_axes, seed):
-        assert_matches_oracle(
-            cloud(n, dim, seed), alternate_axes=alternate_axes, seed=seed
-        )
+    def test_random_clouds(self, n, dim, seed, layout):
+        assert_matches_oracle(cloud(n, dim, seed, layout=layout))
 
-    @pytest.mark.parametrize("alternate_axes", (False, True))
-    def test_paper_mesh(self, alternate_axes):
-        assert_matches_oracle(paper_mesh(30_269), alternate_axes=alternate_axes)
+    def test_paper_mesh(self):
+        assert_matches_oracle(paper_mesh(30_269))
 
-    @pytest.mark.parametrize("alternate_axes", (False, True))
     @pytest.mark.parametrize(
         "graph",
         (grid_graph(16, 16), grid_graph(37, 5), grid_mesh_3d(5, 6, 7).graph),
         ids=("grid16x16", "grid37x5", "grid5x6x7"),
     )
-    def test_structured_grids_exact_coordinate_ties(self, graph, alternate_axes):
+    def test_structured_grids_exact_coordinate_ties(self, graph):
         # Equal raw coordinates; the jitter keeps the keys distinct.
-        for seed in (0, 7):
-            assert_matches_oracle(graph, alternate_axes=alternate_axes, seed=seed)
+        assert_matches_oracle(graph)
 
     @pytest.mark.parametrize("box", ((100.0, 1.0), (1.0, 100.0), (1.0, 100.0, 1.0)))
     def test_anisotropic_boxes(self, box):
@@ -106,20 +107,18 @@ class TestTieSemantics:
         graph = CSRGraph.from_edges(37, [], coords=np.full((37, 2), 3.0))
         np.testing.assert_array_equal(rcb_order(graph), np.arange(37))
 
-    @pytest.mark.parametrize("alternate_axes", (False, True))
     @pytest.mark.parametrize("dim", (2, 3))
-    def test_jitter_absorbed_by_huge_coordinates(self, dim, alternate_axes):
+    def test_jitter_absorbed_by_huge_coordinates(self, dim):
         # Four distinct values per axis at 1e9: the 3e-9 jitter is below
         # the 1.2e-7 spacing of doubles there, so keys tie massively.
         rng = np.random.default_rng(5)
         coords = 1e9 + rng.integers(0, 4, size=(501, dim)).astype(float)
         graph = CSRGraph.from_edges(501, [], coords=coords)
-        assert np.unique(coords[:, 0] + tiebreak_jitter(coords, 0)).size <= 4
-        order = rcb_order(graph, alternate_axes=alternate_axes)
+        assert np.unique(coords[:, 0] + tiebreak_jitter(coords)).size <= 4
+        order = rcb_order(graph)
         np.testing.assert_array_equal(np.sort(order), np.arange(501))
         np.testing.assert_array_equal(
-            order,
-            rcb_order_oracle(graph, alternate_axes=alternate_axes, stable_ties=True),
+            order, rcb_order_oracle(graph, stable_ties=True)
         )
 
     def test_stable_oracle_equals_shipped_oracle_without_ties(self):
@@ -199,7 +198,7 @@ class TestInertial:
     @pytest.mark.parametrize("dim", (2, 3))
     @pytest.mark.parametrize("n", SIZES[:-1])
     def test_bijection(self, n, dim):
-        order = inertial_order(cloud(n, dim, 1), seed=7)
+        order = inertial_order(cloud(n, dim, 1))
         np.testing.assert_array_equal(np.sort(order), np.arange(n))
 
     def test_all_duplicate_coordinates(self):
@@ -230,10 +229,9 @@ class TestInertial:
             assert abs(cuts[0] - cuts[1]) <= 0.02 * cuts[1], (parts, cuts)
 
 
-#: The three bisection orderings the driver serves.
+#: The two bisection orderings the driver serves.
 METHODS = {
-    "rcb-widest": functools.partial(rcb_order, alternate_axes=False),
-    "rcb-alternate": functools.partial(rcb_order, alternate_axes=True),
+    "rcb": rcb_order,
     "inertial": inertial_order,
 }
 
@@ -243,16 +241,16 @@ AROUND = (ONE_THREAD_BELOW_VERTICES - 1, ONE_THREAD_BELOW_VERTICES,
 
 
 @functools.lru_cache(maxsize=None)
-def split_cloud(n: int, dim: int) -> CSRGraph:
-    return cloud(n, dim, n + dim)
+def split_cloud(n: int, dim: int, layout: str = "random") -> CSRGraph:
+    return cloud(n, dim, n + dim, layout=layout)
 
 
 @functools.lru_cache(maxsize=None)
-def serial_order(method: str, n: int, dim: int) -> np.ndarray:
+def serial_order(method: str, n: int, dim: int, layout: str) -> np.ndarray:
     saved = bisection._host_cpus
     bisection._host_cpus = lambda: 1
     try:
-        return METHODS[method](split_cloud(n, dim))
+        return METHODS[method](split_cloud(n, dim, layout))
     finally:
         bisection._host_cpus = saved
 
@@ -266,22 +264,21 @@ class TestSubtreeThreads:
 
     @pytest.mark.parametrize("cpus", (1, 2, 3, 4))
     @pytest.mark.parametrize("n", AROUND, ids=("below", "at", "above"))
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("dim", (2, 3))
     @pytest.mark.parametrize("method", METHODS)
-    def test_equals_serial_driver(self, monkeypatch, method, dim, n, cpus):
+    def test_equals_serial_driver(self, monkeypatch, method, dim, layout, n, cpus):
         force_cpus(monkeypatch, cpus)
         np.testing.assert_array_equal(
-            METHODS[method](split_cloud(n, dim)), serial_order(method, n, dim)
+            METHODS[method](split_cloud(n, dim, layout)),
+            serial_order(method, n, dim, layout),
         )
 
-    @pytest.mark.parametrize("alternate_axes", (False, True))
     @pytest.mark.parametrize("dim", (2, 3))
-    def test_rcb_equals_oracle_above_the_constant(
-        self, monkeypatch, dim, alternate_axes
-    ):
+    def test_rcb_equals_oracle_above_the_constant(self, monkeypatch, dim):
         force_cpus(monkeypatch, 4)
         graph = split_cloud(AROUND[-1], dim)
-        assert_matches_oracle(graph, alternate_axes=alternate_axes)
+        assert_matches_oracle(graph)
 
     def test_split_runs_on_other_threads_and_joins_them(self, monkeypatch):
         force_cpus(monkeypatch, 4)

@@ -18,6 +18,7 @@ from oracles_graph import grid_mesh_3d
 from oracles_partition import quantize_coords_oracle
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import grid_graph, paper_mesh, scale_mesh
+from repro.partition import sfc
 from repro.partition.rcb import RCBOrdering
 from repro.partition.sfc import (
     HilbertOrdering,
@@ -38,28 +39,37 @@ def points(coords: np.ndarray) -> CSRGraph:
     return CSRGraph.from_edges(coords.shape[0], [], coords=coords)
 
 
-def assert_stable(graph: CSRGraph, curve: str, keys_fn, bits: int) -> None:
-    expected = np.argsort(keys_fn(graph.coords, bits=bits), kind="stable")
-    order = sfc_order(graph, curve=curve, bits=bits)
-    assert order.dtype == np.intp
-    np.testing.assert_array_equal(order, expected)
+@pytest.fixture
+def assert_stable(monkeypatch):
+    """Check ``sfc_order`` on a lattice of 2^bits cells per axis (the
+    orderings use 2^16; coarser lattices tie many keys)."""
+    def check(graph: CSRGraph, curve: str, keys_fn, bits: int) -> None:
+        monkeypatch.setattr(sfc, "_BITS", bits)
+        expected = np.argsort(keys_fn(graph.coords, bits=bits), kind="stable")
+        order = sfc_order(graph, curve=curve)
+        assert order.dtype == np.intp
+        np.testing.assert_array_equal(order, expected)
+
+    return check
 
 
 @pytest.mark.parametrize("curve, dim, keys_fn", CURVES, ids=("h2", "m2", "m3"))
 class TestStableOrder:
     @pytest.mark.parametrize("n", (1, 2, 3, 17, 5_000))
     @pytest.mark.parametrize("bits", (1, 4, 16))
-    def test_random_clouds(self, curve, dim, keys_fn, n, bits):
+    def test_random_clouds(self, assert_stable, curve, dim, keys_fn, n, bits):
         coords = np.random.default_rng(n).random((n, dim))
         assert_stable(points(coords), curve, keys_fn, bits)
 
     @pytest.mark.parametrize("bits", (2, 5, 16))
-    def test_structured_grids_share_cells(self, curve, dim, keys_fn, bits):
+    def test_structured_grids_share_cells(
+        self, assert_stable, curve, dim, keys_fn, bits
+    ):
         # At 2 and 5 bits many grid points land in one cell (tied keys).
         graph = grid_graph(37, 41) if dim == 2 else grid_mesh_3d(9, 10, 11).graph
         assert_stable(graph, curve, keys_fn, bits)
 
-    def test_all_points_in_one_cell(self, curve, dim, keys_fn):
+    def test_all_points_in_one_cell(self, assert_stable, curve, dim, keys_fn):
         assert_stable(points(np.full((100, dim), 2.5)), curve, keys_fn, 16)
 
 
@@ -85,7 +95,7 @@ def test_quantize_coords_matches_oracle(coords, bits):
 
 
 @pytest.mark.parametrize("n", (1 << 16, (1 << 16) + 1), ids=("packed", "argsort"))
-def test_both_sides_of_the_packing_limit(n):
+def test_both_sides_of_the_packing_limit(assert_stable, n):
     # 3-D Morton keys at 16 bits span 48 bits: ids of n <= 2**16 vertices
     # fit the remaining 16, one more vertex does not.
     coords = np.random.default_rng(n).random((n, 3))

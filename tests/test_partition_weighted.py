@@ -35,12 +35,6 @@ class TestPartitionWeightedList:
         shares = [w[slice(*part.interval(r))].sum() / w.sum() for r in range(3)]
         assert max(shares / (caps / caps.sum())) < 1.05
 
-    def test_arrangement_respected(self):
-        w = np.ones(60)
-        part = partition_weighted_list(w, [2.0, 1.0], arrangement=[1, 0])
-        assert part.interval(1) == (0, 20)
-        assert part.interval(0) == (20, 60)
-
     def test_zero_weights_fall_back_to_counts(self):
         part = partition_weighted_list(np.zeros(40), [1.0, 3.0])
         np.testing.assert_array_equal(part.sizes(), [10, 30])

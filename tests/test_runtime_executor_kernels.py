@@ -87,7 +87,7 @@ class TestGatherScatter:
             run_spmd(uniform_cluster(2), fn)
 
     def test_scatter_add_accumulates(self, mesh):
-        """scatter(op='add') after gather implements the symmetric
+        """scatter after gather implements the symmetric
         accumulate: each boundary element receives the sum of the ghost
         contributions of every rank that references it."""
         n = mesh.num_vertices
@@ -98,7 +98,7 @@ class TestGatherScatter:
             lo, hi = part.interval(ctx.rank)
             local = np.zeros(hi - lo)
             ghost = np.ones(sched.ghost_size)  # contribute 1 per reference
-            scatter(ctx, sched, ghost, local, op="add")
+            scatter(ctx, sched, ghost, local)
             return lo, local
 
         res = run_spmd(uniform_cluster(3), fn)
@@ -111,54 +111,6 @@ class TestGatherScatter:
             sched = build_schedule_sort1(mesh, part, r)
             expected[sched.ghost_globals] += 1.0
         np.testing.assert_array_equal(total, expected)
-
-    def test_scatter_replace(self, mesh):
-        n = mesh.num_vertices
-        part = partition_list(n, np.ones(2))
-
-        def fn(ctx):
-            sched = build_schedule_sort1(mesh, part, ctx.rank)
-            lo, hi = part.interval(ctx.rank)
-            local = np.full(hi - lo, -1.0)
-            ghost = sched.ghost_globals.astype(np.float64)
-            scatter(ctx, sched, ghost, local, op="replace")
-            return lo, local
-
-        res = run_spmd(uniform_cluster(2), fn)
-        for lo, local in res.values:
-            touched = local >= 0
-            gi = np.flatnonzero(touched) + lo
-            np.testing.assert_array_equal(local[touched], gi.astype(float))
-
-    def test_scatter_bad_op(self, mesh):
-        part = partition_list(mesh.num_vertices, np.ones(2))
-
-        def fn(ctx):
-            sched = build_schedule_sort1(mesh, part, ctx.rank)
-            lo, hi = part.interval(ctx.rank)
-            scatter(ctx, sched, np.zeros(sched.ghost_size), np.zeros(hi - lo),
-                    op="bogus")
-
-        with pytest.raises(RankFailedError):
-            run_spmd(uniform_cluster(2), fn)
-
-    def test_scatter_callable_op(self, mesh):
-        part = partition_list(mesh.num_vertices, np.ones(2))
-
-        def fn(ctx):
-            sched = build_schedule_sort1(mesh, part, ctx.rank)
-            lo, hi = part.interval(ctx.rank)
-            local = np.zeros(hi - lo)
-            seen = []
-
-            def op(arr, idx, vals):
-                seen.append(idx.size)
-                np.maximum.at(arr, idx, vals)
-
-            scatter(ctx, sched, np.ones(sched.ghost_size), local, op=op)
-            return sum(seen) > 0
-
-        assert all(run_spmd(uniform_cluster(2), fn).values)
 
 
 class TestSequentialKernel:

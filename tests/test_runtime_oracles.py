@@ -184,11 +184,12 @@ class TestExecutor:
     """
 
     @pytest.mark.parametrize("strategy", ["sort2", "no-dedup", "simple"])
-    @pytest.mark.parametrize("op", ["add", "replace"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_gather_and_scatter_match_loops(self, seed, op, strategy):
+    @pytest.mark.parametrize("shape,dtype", FIELDS, ids=FIELD_IDS)
+    def test_gather_and_scatter_match_loops(self, shape, dtype, seed, strategy):
         graph, part, p, rng = random_workload(seed)
-        y = rng.uniform(-1e6, 1e6, graph.num_vertices)
+        n = graph.num_vertices
+        y = rng.uniform(-1e6, 1e6, (n,) + shape).astype(dtype)
         if strategy == "simple":
             schedules = simple_schedules_oracle(graph, part, p)
         else:
@@ -201,8 +202,8 @@ class TestExecutor:
             sched = schedules[ctx.rank]
             local = blocks[ctx.rank].copy()
             ghost = gather(ctx, sched, local)
-            contributions = ghost * 0.5 + 1.0
-            scatter(ctx, sched, contributions, local, op=op)
+            contributions = (ghost * 0.5 + 1.0).astype(dtype)
+            scatter(ctx, sched, contributions, local)
             return ghost, contributions, local
 
         res = run_spmd(uniform_cluster(p), fn)
@@ -210,7 +211,7 @@ class TestExecutor:
         for got, want in zip(ghosts, gather_oracle(schedules, blocks)):
             np.testing.assert_array_equal(got, want)
         contributions = [v[1] for v in res.values]
-        want_blocks = scatter_oracle(schedules, contributions, blocks, op)
+        want_blocks = scatter_oracle(schedules, contributions, blocks)
         for (_, _, got), want in zip(res.values, want_blocks):
             # Bitwise, not allclose: contributions apply in the same order.
             np.testing.assert_array_equal(got, want)

@@ -17,7 +17,6 @@ from oracles_runtime import (
     pack_loop,
     recv_side_sorted_loop,
     scatter_add_loop,
-    scatter_replace_loop,
     slab_bounds_loop,
     slab_pack_loop,
     slab_unpack_loop,
@@ -78,18 +77,6 @@ class TestScatter:
         scatter_add_loop(got, idx, payload)
         np.add.at(want, idx, payload)
         np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("shape,dtype", FIELDS, ids=FIELD_IDS)
-    def test_replace_last_duplicate_wins(self, shape, dtype):
-        rng = np.random.default_rng(4)
-        local = _field(rng, 8, shape, dtype)
-        idx = np.array([5, 1, 5, 2, 1], dtype=np.intp)
-        payload = _field(rng, idx.size, shape, dtype)
-        got, want = local.copy(), local.copy()
-        scatter_replace_loop(got, idx, payload)
-        want[idx] = payload
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(got[5], payload[2])
 
 
 class TestSlabs:

@@ -251,7 +251,7 @@ class TestPairwiseConsistencyProperty:
     @settings(max_examples=25, deadline=None)
     def test_all_pairs_consistent_on_random_meshes(self, seed, p):
         g = perturbed_grid_mesh(7, 7, seed=seed).graph
-        g = g.permute(RCBOrdering(seed=seed)(g))
+        g = g.permute(RCBOrdering()(g))
         rng = np.random.default_rng(seed)
         caps = rng.dirichlet(np.ones(p)) + 0.05
         part = partition_list(g.num_vertices, caps)

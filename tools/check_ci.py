@@ -17,7 +17,10 @@ Every ``python -m repro …`` command in a ``run:`` block (backslash
 continuations joined) is parsed with ``repro.cli.build_parser()`` — never
 executed — and an unknown subcommand or flag is reported at the
 ``file:line`` the command starts on, so deleting a CLI flag cannot leave
-CI calling it.
+CI calling it.  A ``bench run NAME`` must also name a registered
+experiment (or a glob matching one), and each ``--set KEY=VALUE`` must fit
+an axis of every experiment it matches (``registry.names`` and
+``runner.validate_overrides``, again without running anything).
 
 Needs PyYAML, which the library itself does not (CI's docs job installs
 it; the tier-1 test skips without it), and numpy, which ``repro.cli``
@@ -122,6 +125,22 @@ def cli_error(argv: list[str]) -> str | None:
     return None
 
 
+def bench_error(argv: list[str]) -> str | None:
+    """Why ``repro bench run`` would refuse the experiment or overrides
+    in *argv* (which the CLI parses), or None."""
+    from repro.cli import _bench_targets, build_parser
+    from repro.errors import ReproError
+
+    args = build_parser().parse_args(argv)
+    if args.command != "bench" or args.bench_command != "run":
+        return None
+    try:
+        _bench_targets(args)
+    except ReproError as exc:
+        return f"bench run {args.name}: {exc}"
+    return None
+
+
 def check_file(path: Path, root: Path) -> list[str]:
     """Return one ``file:line: problem`` string per finding."""
     name = path.relative_to(root)
@@ -141,7 +160,7 @@ def check_file(path: Path, root: Path) -> list[str]:
     ]
     for first, script in loader.scripts:
         for line, argv in repro_commands(first, script):
-            error = cli_error(argv)
+            error = cli_error(argv) or bench_error(argv)
             if error is not None:
                 problems.append(f"{name}:{line}: {error}")
     return problems
