@@ -6,8 +6,10 @@ of the transmissions, and each rank's end — the largest ``t_end`` among
 its events.  Every report is derived from that one result: the phase
 rows, the per-rank budget behind the paper's Sec. 4 efficiency (compute
 / comm / barrier / other, and the compute fraction of the rank's time),
-the traffic-by-tag table, and a coarse ASCII timeline for spotting the
-Table 5 staircase of an imbalanced run.
+the traffic-by-tag table, the remap audit (each Phase D remap's price,
+from its ``remap`` span's ``price=`` label, beside the span it was
+charged), and a coarse ASCII timeline for spotting the Table 5
+staircase of an imbalanced run.
 
 Rank ends come from the trace itself: a :func:`~repro.runtime.run_program`
 rank's outermost ``program`` span ends exactly at its final clock, so a
@@ -17,13 +19,14 @@ budget.  Times are in the world's primary clock.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.net.trace import TraceLog
 from repro.utils.tables import format_table
 
-__all__ = ["TraceSummary", "summarize", "timeline"]
+__all__ = ["PRICE_LABEL", "TraceSummary", "summarize", "timeline"]
 
 #: Event kinds counted as communication time.
 _COMM_KINDS = ("send", "recv", "multicast")
@@ -32,6 +35,9 @@ _TRANSMISSIONS = ("send", "multicast")
 #: Event kinds that make a rank's budget: a rank with none of them (a
 #: ``repro serve`` machine recording only ``job`` spans) has no budget row.
 _BUDGET_KINDS = ("compute", *_COMM_KINDS, "barrier", "program")
+#: How a decided remap's ``remap`` span label starts: the price Phase D
+#: put on it follows, in virtual seconds.
+PRICE_LABEL = "price="
 
 
 @dataclass
@@ -44,6 +50,10 @@ class TraceSummary:
     bytes_by_tag: dict[int, int] = field(default_factory=dict, init=False)
     #: rank -> largest ``t_end`` among its events.
     ends: dict[int, float] = field(default_factory=dict, init=False)
+    #: rank -> (duration, label) of each of its ``remap`` spans, in order.
+    remap_spans: dict[int, list[tuple[float, str]]] = field(
+        default_factory=dict, init=False
+    )
     dropped_events: int = 0
 
     @property
@@ -73,6 +83,26 @@ class TraceSummary:
             "total": total,
             "util": compute / total if total > 0 else 0.0,
         }
+
+    @property
+    def remaps(self) -> list[tuple[float | None, float]]:
+        """One (price, charge) per remap, in order.  Every rank runs each
+        remap (it is a collective), so the i-th ``remap`` span of every
+        rank is the same remap; its charge is the longest of them (the
+        barrier ends them together), its price the ``price=`` label a
+        decided remap carries (None for one the caller supplied)."""
+        out = []
+        for spans in itertools.zip_longest(*self.remap_spans.values()):
+            spans = [span for span in spans if span is not None]
+            prices = [
+                float(label[len(PRICE_LABEL):])
+                for _, label in spans
+                if label.startswith(PRICE_LABEL)
+            ]
+            out.append(
+                (prices[0] if prices else None, max(d for d, _ in spans))
+            )
+        return out
 
     @property
     def budget_ranks(self) -> list[int]:
@@ -108,6 +138,17 @@ class TraceSummary:
                  for tag, n in sorted(self.messages_by_tag.items())],
                 title="Traffic by message tag",
             ))
+        if self.remaps:
+            parts.append(format_table(
+                ["remap", "price", "charge", "charge/price"],
+                [
+                    [i, "-" if price is None else price, charge,
+                     "-" if not price else charge / price]
+                    for i, (price, charge) in enumerate(self.remaps)
+                ],
+                title="Remaps: price against charge (virtual s)",
+                float_fmt="{:.6f}",
+            ))
         if self.dropped_events:
             parts.append(
                 f"(ring buffer dropped {self.dropped_events} event(s))"
@@ -128,6 +169,10 @@ def summarize(trace: TraceLog) -> TraceSummary:
         tally[1] += ev.t_end - ev.t_start
         tally[2] += ev.nbytes
         s.ends[ev.rank] = max(ev.t_end, s.ends.get(ev.rank, ev.t_end))
+        if ev.kind == "remap":
+            s.remap_spans.setdefault(ev.rank, []).append(
+                (ev.t_end - ev.t_start, ev.label)
+            )
         if ev.kind in _TRANSMISSIONS:
             s.messages_by_tag[ev.tag] = s.messages_by_tag.get(ev.tag, 0) + 1
             s.bytes_by_tag[ev.tag] = s.bytes_by_tag.get(ev.tag, 0) + ev.nbytes

@@ -47,6 +47,7 @@ from repro.runtime.adaptive.strategy import Decision, decide
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.comm import RankContext
+    from repro.runtime.incremental import RebuildPrice
 
 __all__ = [
     "MembershipEvent",
@@ -130,7 +131,7 @@ def membership_decision(
     remaining_iterations: int,
     *,
     num_fields: int = 1,
-    rebuild_cost: float = 0.0,
+    rebuild: "RebuildPrice | None" = None,
     force: bool = False,
     iteration_span: float | None = None,
 ) -> Decision:
@@ -153,7 +154,10 @@ def membership_decision(
     scale: if the slowest rank ran ``size_r`` items in ``span`` seconds,
     one item of unit work costs ``span / max(size_r / eff_r)``.  Without a
     span the test falls back to unit work of 1 s/item, which only affects
-    the join profitability threshold, never the proportions.
+    the join profitability threshold, never the proportions.  The remap
+    is priced like a periodic check's, rebuild included (*rebuild*);
+    with no load history the horizon is not capped by persistence, only
+    by the next announced change (the session's cap).
     """
     eff = ctx.cluster.effective_speeds(ctx.clock)
     unit_work = 1.0
@@ -168,7 +172,7 @@ def membership_decision(
         times,
         remaining_iterations,
         num_fields=num_fields,
-        rebuild_cost=rebuild_cost,
+        rebuild=rebuild,
         active=np.asarray(active, dtype=bool),
         force=force,
     )

@@ -53,6 +53,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, LoadBalanceError, ResilienceError
 from repro.graph.csr import CSRGraph
+from repro.obs.summary import PRICE_LABEL
 from repro.partition.intervals import IntervalPartition
 from repro.runtime.adaptive.elastic import (
     ElasticState,
@@ -60,12 +61,17 @@ from repro.runtime.adaptive.elastic import (
 )
 from repro.runtime.adaptive.redistribution import redistribute_fields
 from repro.runtime.adaptive.strategy import (
+    LOAD_TOLERANCE,
     Decision,
     LoadBalanceConfig,
     check,
     resolve_load_balance,
 )
-from repro.runtime.incremental import IncrementalInspector, check_inspector_mode
+from repro.runtime.incremental import (
+    IncrementalInspector,
+    RebuildPrice,
+    check_inspector_mode,
+)
 from repro.runtime.inspector import InspectorResult, run_inspector
 from repro.runtime.monitor import LoadMonitor
 from repro.runtime.resilience.checkpoint import ResilienceState, take_checkpoint
@@ -205,7 +211,6 @@ class AdaptiveSession:
         self._resume_at: int | None = None
         self._last_sync_clock = self.ctx.clock
         self._last_span = 0.0
-        self._rebuild_cost = 0.0  # learned from the last remap's true span
         if self.elastic is not None:
             sizes = self.partition.sizes()
             standby = ~self.elastic.active
@@ -217,6 +222,12 @@ class AdaptiveSession:
                     f"membership trace's active set at t=0"
                 )
         check_inspector_mode(self.inspector_mode, self.schedule_strategy)
+        self._rebuild = RebuildPrice(
+            self.graph,
+            strategy=self.schedule_strategy,
+            mode=self.inspector_mode,
+            cost_model=self.inspector_cost,
+        )
         self._incremental: IncrementalInspector | None = None
         if self.inspector_mode == "incremental":
             self._incremental = IncrementalInspector(
@@ -297,7 +308,7 @@ class AdaptiveSession:
         next_iteration: int,
         span: float,
         *,
-        report: float | None = None,
+        report: np.ndarray | None = None,
         events: Sequence = (),
         force: bool = False,
     ) -> Decision:
@@ -307,20 +318,19 @@ class AdaptiveSession:
         recovery share.  The remap is priced for what the packed exchange
         will really ship — every field plus the slab bounds (with no
         fields at all it only moves ownership and rebuilds schedules) —
-        plus the rebuild cost learned from the last remap's measured span
-        (:meth:`_note_remap_span`; 0.0 outside elastic runs, which keep
-        the paper's protocol untouched).  All inputs are identical on
-        every rank, keeping decisions collective.
+        plus every rank's schedule rebuild, priced by the cost model that
+        charges it (:class:`~repro.runtime.incremental.RebuildPrice`).
+        All inputs are identical on every rank, keeping decisions
+        collective.
 
-        With *report* (this rank's monitored time per item) the configured
-        :func:`check` protocol collects every rank's report; without it
+        With *report* (this rank's time per item and its persistence) the
+        configured :func:`check` protocol collects every rank's report;
+        without it
         the decision is evaluated redundantly from replicated inputs
         (:func:`membership_decision`), for the *events* of a membership
         batch or a recovery's survivor split.
         """
-        pricing = dict(
-            num_fields=len(fields) or 1, rebuild_cost=self._rebuild_cost
-        )
+        pricing = dict(num_fields=len(fields) or 1, rebuild=self._rebuild)
         remaining = max(self.total_iterations - next_iteration, 0)
         if self.elastic is not None:
             remaining = self._capped_remaining(remaining, span)
@@ -354,35 +364,6 @@ class AdaptiveSession:
             iteration_span=span if span > 0 else None,
             **pricing,
         )
-
-    def _note_remap_span(self, decision: Decision) -> None:
-        """Learn the rebuild cost from the remap that just completed.
-
-        The measured synchronized remap span minus its priced *transfer*:
-        the decision's remap cost **minus the rebuild cost that was priced
-        into it** (still ``_rebuild_cost``: nothing else writes it) —
-        subtracting the full priced cost would cancel the previously
-        learned rebuild and oscillate the estimate between R and 0 on
-        alternate remaps.  Pricing it makes the frequent repartitions
-        membership churn provokes stop looking free.
-
-        Only meaningful under elastic membership: ``_last_sync_clock`` is
-        advanced by every :meth:`poll_membership`, which no-ops without a
-        trace — a non-elastic session must not record the garbage span
-        measured from construction time.
-
-        The reference point then moves to the post-remap barrier clock
-        (synchronized), so a periodic-check remap at the same iteration
-        boundary as a membership drain measures its own span, not the
-        drain's too — and the next iteration-span sample starts where the
-        remap actually ended.
-        """
-        if self.elastic is None:
-            return
-        span = self.ctx.clock - self._last_sync_clock
-        transfer = decision.remap_cost - self._rebuild_cost
-        self._rebuild_cost = max(span - transfer, 0.0)
-        self._last_sync_clock = self.ctx.clock
 
     def _capped_remaining(self, remaining: int, span: float) -> int:
         """Cap the profitability horizon at the next *announced* change.
@@ -489,16 +470,17 @@ class AdaptiveSession:
                 # Footnote 2: forecast next-phase capability from history.
                 self._predictor.observe(1.0 / time_per_item)
                 time_per_item = 1.0 / self._predictor.predict()
+            report = np.array(
+                [time_per_item, self.monitor.persistence(LOAD_TOLERANCE)]
+            )
             decision = self._remap_decision(
-                fields, iteration + 1, self._last_span, report=time_per_item
+                fields, iteration + 1, self._last_span, report=report
             )
         ctx.metrics.observe("lb.check_time", ctx.clock - t0)
         ctx.metrics.count("lb.checks")
         self.monitor.reset_window()
         if decision.remap:
-            assert decision.new_partition is not None
-            fields = self.remap_to(decision.new_partition, fields)
-            self._note_remap_span(decision)
+            fields = self._remap(decision, fields)
         return self._maybe_checkpoint(iteration, boundary_clock, fields)
 
     def poll_membership(
@@ -586,9 +568,7 @@ class AdaptiveSession:
         )
         ctx.metrics.observe("lb.check_time", ctx.clock - t0)
         if decision.remap:
-            assert decision.new_partition is not None
-            fields = self.remap_to(decision.new_partition, fields)
-            self._note_remap_span(decision)
+            fields = self._remap(decision, fields)
         if refresh:
             fields = self._take_checkpoint(fields, next_iteration=iteration + 1)
         return fields
@@ -758,7 +738,6 @@ class AdaptiveSession:
             self.inspector = self._rebuild_inspector()
             ctx.barrier()
         ctx.metrics.observe("cp.rollback_time", ctx.clock - t0)
-        self._note_remap_span(decision)
         self._resume_at = cp.next_iteration
         return self._take_checkpoint(
             fields, next_iteration=cp.next_iteration
@@ -774,10 +753,30 @@ class AdaptiveSession:
         its fields to their new homes, rebuilds the schedule, and barriers
         so the remap cost is charged consistently across ranks.
         """
+        return self._remap_fields(new_partition, fields, "")
+
+    def _remap(
+        self, decision: Decision, fields: Sequence[np.ndarray]
+    ) -> list[np.ndarray]:
+        """Carry out an approved *decision*; its ``remap`` span's label is
+        the price the decision put on it, which ``repro trace summary``
+        prints beside the span's charge."""
+        assert decision.new_partition is not None
+        return self._remap_fields(
+            decision.new_partition, fields,
+            f"{PRICE_LABEL}{decision.remap_cost!r}",
+        )
+
+    def _remap_fields(
+        self,
+        new_partition: IntervalPartition,
+        fields: Sequence[np.ndarray],
+        label: str,
+    ) -> list[np.ndarray]:
         ctx = self.ctx
         fields = list(fields)
         t0 = ctx.clock
-        with ctx.tracer.span("remap"):
+        with ctx.tracer.span("remap", label=label):
             if fields:
                 host0 = time.perf_counter()
                 fields = redistribute_fields(
@@ -791,4 +790,7 @@ class AdaptiveSession:
             ctx.barrier()
         ctx.metrics.observe("lb.remap_time", ctx.clock - t0)
         ctx.metrics.count("lb.remaps")
+        # The next iteration-span sample (membership runs) starts where the
+        # remap ended: a synchronized clock, after the barrier.
+        self._last_sync_clock = ctx.clock
         return fields

@@ -2,9 +2,24 @@
 
 Sec. 3.5 fixes *what* is decided — :func:`decide`, the rule that
 remapping pays iff the predicted per-iteration improvement, summed over
-the remaining iterations, exceeds the estimated remap cost
+the iterations it is forecast to last, exceeds the estimated remap cost
 (redistribution + schedule rebuild), with the new arrangement chosen by
-MCR — and varies two things: how often to check ("the frequency of load
+MCR.  Both sides of that test are measured, not assumed:
+
+* the *price* is what the remap will charge: the packed exchange's
+  transfer plus the slowest rank's rebuild, each rank's priced by the
+  same :class:`~repro.runtime.schedule_builders.InspectorCostModel`
+  formula its rebuild charges
+  (:class:`~repro.runtime.incremental.RebuildPrice`) at its measured
+  slowdown;
+* the *horizon* is the remaining iterations, capped at
+  :data:`PERSISTENCE_MULTIPLE` times the load's observed persistence
+  (the fewest trailing iterations any active rank's time per item has
+  stayed within :data:`LOAD_TOLERANCE` of its latest value; unbounded
+  while no rank's has ever changed) unless the pattern is quiet.  A
+  load seen for one iteration is not forecast for fifty.
+
+Sec. 3.5 then varies two things: how often to check ("the frequency of load
 balancing is an important parameter") and how the ``p`` load reports
 reach whoever runs the rule.  :func:`check` is that second choice, the
 two arms of one function:
@@ -50,6 +65,7 @@ from repro.runtime.kernels import KernelCostModel
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.cluster import ClusterSpec
     from repro.net.comm import RankContext
+    from repro.runtime.incremental import RebuildPrice
 
 __all__ = [
     "LoadBalanceConfig",
@@ -60,6 +76,8 @@ __all__ = [
     "MIN_IMPROVEMENT",
     "ELEMENT_NBYTES",
     "MCR_SECONDS_PER_P3",
+    "PERSISTENCE_MULTIPLE",
+    "LOAD_TOLERANCE",
     "resolve_load_balance",
     "decide",
     "check",
@@ -87,6 +105,14 @@ ELEMENT_NBYTES = 8
 #: weights); paper Table 1 measures it at ~2 microseconds x p^3 on the
 #: testbed's workstations.
 MCR_SECONDS_PER_P3 = 2.0e-6
+#: A measured load is forecast to last at most this many times as long as
+#: it has been seen to hold: the cap on the profitability horizon.
+PERSISTENCE_MULTIPLE = 2.0
+#: Two times per item within this relative distance are the same load:
+#: the band of the persistence count, and of the quiet pattern (no active
+#: rank's speed-normalized time per item above 1 + this times the
+#: fastest's), which keeps the whole horizon.
+LOAD_TOLERANCE = 0.25
 
 
 @dataclass(frozen=True)
@@ -154,7 +180,7 @@ class Decision:
     new_partition: IntervalPartition | None
     predicted_current: float  # predicted next-phase time under current split
     predicted_balanced: float  # predicted next-phase time after remap
-    remap_cost: float  # estimated redistribution + rebuild cost
+    remap_cost: float  # priced redistribution + slowest rebuild
 
 
 def decide(
@@ -164,26 +190,46 @@ def decide(
     remaining_iterations: int,
     *,
     num_fields: int = 1,
-    rebuild_cost: float = 0.0,
+    rebuild: "RebuildPrice | None" = None,
+    persistence: np.ndarray | None = None,
     active: np.ndarray | None = None,
     force: bool = False,
 ) -> Decision:
     """The shared deterministic decision function (Sec. 3.5).
 
     Given every processor's monitored average compute time per item,
-    predicts the next phase's duration under the current and rebalanced
+    predicts the per-iteration time under the current and rebalanced
     partitions, prices the remap (MCR arrangement + transfer plan +
-    schedule rebuild), and applies the profitability rule.  Deterministic
-    in its inputs, which is what lets the distributed :func:`check`
-    evaluate it redundantly on every rank without a decision broadcast.
+    schedule rebuild), forecasts how long the measured load lasts, and
+    remaps iff the predicted saving over that horizon exceeds the price.
+    Deterministic in its inputs, which is what lets the distributed
+    :func:`check` evaluate it redundantly on every rank without a
+    decision broadcast.
 
     Every value that can change the outcome is an argument here or a
-    module constant above.  The two per-check prices:
+    module constant above:
 
     * *num_fields* — how many field arrays the packed exchange will ship,
-      so the priced remap matches what :func:`redistribute_fields` moves;
-    * *rebuild_cost* — virtual seconds charged for re-running the
-      inspector after a remap, added to the transfer estimate.
+      so the priced transfer matches what :func:`redistribute_fields`
+      moves;
+    * *rebuild* — prices each rank's Phase B rebuild for the candidate
+      partition (:class:`~repro.runtime.incremental.RebuildPrice`, built
+      from the cost model the session charges with).  Each rank's
+      unloaded price is scaled by its measured slowdown — its time per
+      item over the fastest speed-normalized one, ``times[r] /
+      min(times * speeds)`` over active ranks — and the slowest rank's is
+      added to the transfer: the barrier after the rebuild waits for it.
+      None prices no rebuild (a caller with no schedule to rebuild);
+    * *persistence* — per rank, the trailing iterations its time per item
+      has held, ``inf`` while it has never changed
+      (:meth:`~repro.runtime.monitor.LoadMonitor.persistence`).
+      The horizon is *remaining_iterations* capped at
+      :data:`PERSISTENCE_MULTIPLE` x the minimum over active ranks,
+      unless the pattern is quiet (no active rank's ``times * speeds``
+      above ``1 + LOAD_TOLERANCE`` of the fastest's): a balanced load
+      keeps the whole horizon, so the remap back from a departed load
+      is not stranded.  None keeps the whole horizon (replicated inputs
+      with no history: a membership batch, a recovery).
 
     Elastic membership threads through two extra inputs:
 
@@ -200,6 +246,9 @@ def decide(
     yet).  Its time is imputed from the cluster's *base* speed ratios — a
     deterministic, clock-independent input, so redundant evaluation on
     ranks with different virtual clocks still reaches one conclusion.
+
+    Every :class:`Decision` field is a Python ``float``: the centralized
+    protocol pickles the decision, and its size is priced.
     """
     times_per_item = np.asarray(times_per_item, dtype=np.float64).copy()
     p = times_per_item.size
@@ -221,11 +270,11 @@ def decide(
         raise LoadBalanceError(
             f"invalid load reports: {times_per_item.tolist()}"
         )
+    speeds = ctx.cluster.speeds
     if missing.any():
         # Impute missing windows from base speeds: time_i * speed_i is the
         # (machine-independent) unit work per item, estimated from the
         # ranks that did report.
-        speeds = ctx.cluster.speeds
         if reported.any():
             unit_work = float(
                 np.median(times_per_item[reported] * speeds[reported])
@@ -259,7 +308,11 @@ def decide(
     new_partition = partition_list(
         n, capabilities / capabilities.sum(), arrangement
     )
-    remap_cost = (
+    # Speed-normalized time per item: unit work x (1 + load).  Its
+    # minimum over active ranks stands in for the unloaded unit work.
+    normalized = times_per_item * speeds
+    unloaded = float(np.min(normalized[active]))
+    remap_cost = float(
         estimate_remap_cost(
             ctx.network,
             partition,
@@ -267,12 +320,21 @@ def decide(
             ELEMENT_NBYTES,
             num_fields=num_fields,
         )
-        + rebuild_cost
     )
+    if rebuild is not None:
+        slowdown = times_per_item / unloaded
+        remap_cost += float(
+            np.max(rebuild.seconds(partition, new_partition) * slowdown)
+        )
+    horizon = float(remaining_iterations)
+    quiet = np.max(normalized[active]) <= (1.0 + LOAD_TOLERANCE) * unloaded
+    if persistence is not None and not quiet:
+        held = float(np.min(np.asarray(persistence, dtype=np.float64)[active]))
+        horizon = min(horizon, PERSISTENCE_MULTIPLE * held)
     if np.isinf(predicted_current):
         profitable = True
     else:
-        savings = (predicted_current - predicted_balanced) * remaining_iterations
+        savings = (predicted_current - predicted_balanced) * horizon
         relative_gain = (
             (predicted_current - predicted_balanced) / predicted_current
             if predicted_current > 0
@@ -375,57 +437,69 @@ def check(
     ctx: "RankContext",
     style: str,
     partition: IntervalPartition,
-    time_per_item: float,
+    report: "np.ndarray | tuple[float, float]",
     remaining_iterations: int,
     *,
     num_fields: int = 1,
-    rebuild_cost: float = 0.0,
+    rebuild: "RebuildPrice | None" = None,
     active: np.ndarray | None = None,
 ) -> Decision:
     """One load-balance check under protocol *style* (an SPMD collective).
 
-    All ranks call it in the same phase with their own monitored
-    *time_per_item* (``nan`` for a rank with no monitor window) and get
+    All ranks call it in the same phase with their own load *report*, the
+    two numbers :func:`decide` needs from each rank: its monitored time
+    per item (``nan`` for a rank with no monitor window) and the trailing
+    iterations that time has held (``inf`` if it has never been seen to
+    change).  The report travels as one 2-float64 array.  Every rank gets
     the *same* :class:`Decision` back — the session redistributes
     unconditionally on ``decision.remap``, so anything less deadlocks the
     exchange.  The keyword inputs are forwarded to :func:`decide`.
     """
     if remaining_iterations < 0:
         raise LoadBalanceError("remaining_iterations must be >= 0")
-    inputs = dict(
-        num_fields=num_fields, rebuild_cost=rebuild_cost, active=active
-    )
+    own = np.asarray(report, dtype=np.float64)
+    if own.shape != (2,):
+        raise LoadBalanceError(
+            f"a load report is (time per item, persistence), got shape "
+            f"{own.shape}"
+        )
+    inputs = dict(num_fields=num_fields, rebuild=rebuild, active=active)
     if style == "centralized":
         # "sending the load information as separate messages to the
         # controller, which broadcasts the decision to all the processors"
         decision = None
         if ctx.rank == 0:
-            times = _load_reports(ctx, time_per_item, range(1, ctx.size))
+            reports = _load_reports(ctx, own, range(1, ctx.size))
             decision = decide(
-                ctx, partition, times, remaining_iterations, **inputs
+                ctx, partition, reports[:, 0], remaining_iterations,
+                persistence=reports[:, 1], **inputs,
             )
         else:
-            ctx.send(0, float(time_per_item), Tags.LOAD_REPORT)
+            ctx.send(0, own, Tags.LOAD_REPORT)
         return ctx.bcast(decision, tag=Tags.LB_DECISION)
     if style == "distributed":
         # No controller: every rank multicasts its load and redundantly
         # runs the same deterministic decision.
         peers = [r for r in range(ctx.size) if r != ctx.rank]
         if peers:
-            ctx.multicast(peers, float(time_per_item), Tags.LOAD_REPORT)
-        times = _load_reports(ctx, time_per_item, peers)
-        return decide(ctx, partition, times, remaining_iterations, **inputs)
+            ctx.multicast(peers, own, Tags.LOAD_REPORT)
+        reports = _load_reports(ctx, own, peers)
+        return decide(
+            ctx, partition, reports[:, 0], remaining_iterations,
+            persistence=reports[:, 1], **inputs,
+        )
     raise LoadBalanceError(
         f"unknown load-balance protocol {style!r}; known: {_PROTOCOLS}"
     )
 
 
 def _load_reports(
-    ctx: "RankContext", own: float, peers: Iterable[int]
+    ctx: "RankContext", own: np.ndarray, peers: Iterable[int]
 ) -> np.ndarray:
-    """This rank's report plus one received from every rank in *peers*."""
-    times = np.empty(ctx.size, dtype=np.float64)
-    times[ctx.rank] = own
+    """This rank's report plus one received from every rank in *peers*:
+    one row per rank."""
+    reports = np.empty((ctx.size, 2), dtype=np.float64)
+    reports[ctx.rank] = own
     for source, msg in ctx.recv_expected(peers, Tags.LOAD_REPORT).items():
-        times[source] = msg.payload
-    return times
+        reports[source] = msg.payload
+    return reports

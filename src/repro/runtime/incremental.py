@@ -41,10 +41,9 @@ ghost buffers cannot be patched and are rejected at construction.
 
 Virtual time: a patch charges ``"inspector-incremental"`` — a
 deterministic function of the diff's structural sizes, and
-much smaller than a full build's charge.  That shrinkage feeds the
-session's learned rebuild cost, making *more* remaps pass
-the profitability test — a perf change that also improves adaptive
-quality.
+much smaller than a full build's charge.  :class:`RebuildPrice` puts
+that same charge on a remap before it is approved, so a cheaper rebuild
+lets *more* remaps pass the profitability test.
 """
 
 from __future__ import annotations
@@ -80,6 +79,7 @@ __all__ = [
     "IntervalDiff",
     "diff_interval",
     "IncrementalInspector",
+    "RebuildPrice",
     "check_inspector_mode",
 ]
 
@@ -182,17 +182,248 @@ def _in_ranges(
     return mask
 
 
-def _range_refs(graph: CSRGraph, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """All adjacency references whose source lies in ``[lo, hi)``."""
-    start, stop = graph.indptr[lo], graph.indptr[hi]
-    nbr = graph.indices[start:stop].astype(np.intp, copy=False)
-    counts = graph.indptr[lo + 1 : hi + 1] - graph.indptr[lo:hi]
-    src = np.repeat(np.arange(lo, hi, dtype=np.intp), counts)
-    return src, nbr
+def _range_refs(
+    graph: CSRGraph, lo: int, hi: int, lo_t: int, hi_t: int, inside: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """(source, target) of the references whose source lies in
+    ``[lo, hi)`` and whose target lies inside ``[lo_t, hi_t)`` (or
+    outside it, with ``inside=False``), in reference order."""
+    start = graph.indptr[lo]
+    nbr = graph.indices[start : graph.indptr[hi]]
+    within = (nbr >= lo_t) & (nbr < hi_t)
+    pos = np.flatnonzero(within if inside else ~within)
+    src = np.searchsorted(graph.indptr, pos + start, "right") - 1
+    return src, nbr[pos].astype(np.intp)
 
 
 def _range_ref_count(graph: CSRGraph, ranges: tuple[tuple[int, int], ...]) -> int:
     return int(sum(graph.indptr[hi] - graph.indptr[lo] for lo, hi in ranges))
+
+
+def _patched_cross(
+    graph: CSRGraph, cross_src: np.ndarray, cross_nbr: np.ndarray,
+    d: IntervalDiff,
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], int]:
+    """The new block's cross references, patched from the old block's
+    through the boundary diff *d*.
+
+    Returns the new (source, target) arrays, the kept rows each lost
+    range names (its back references' sources) and how many references
+    were added.  Needs the diff to keep a non-empty intersection.
+    """
+    lo1, hi1 = d.new_lo, d.new_hi
+    # Keep entries whose source stays owned and whose target did not
+    # just become local; the target cannot enter the kept interval
+    # (it was off the OLD block, and kept is a subset of it).
+    keep = (cross_src >= d.keep_lo) & (cross_src < d.keep_hi)
+    if d.gained:
+        keep &= ~_in_ranges(cross_nbr, d.gained)
+    added_src = [cross_src[keep]]
+    added_nbr = [cross_nbr[keep]]
+    added = 0
+    # Gained vertices contribute their own off-block references.
+    for glo, ghi in d.gained:
+        src_off, nbr_off = _range_refs(graph, glo, ghi, lo1, hi1, False)
+        added_src.append(src_off)
+        added_nbr.append(nbr_off)
+        added += src_off.size
+    # Lost vertices turn kept->lost edges into cross references; the
+    # sorting strategies' symmetry assumption lets us find them by
+    # scanning the lost rows for neighbors in the kept interval.
+    back_rows = []
+    for llo, lhi in d.lost:
+        src_l, back_src = _range_refs(
+            graph, llo, lhi, d.keep_lo, d.keep_hi, True
+        )
+        added_src.append(back_src)
+        added_nbr.append(src_l)
+        back_rows.append(back_src)
+        added += back_src.size
+    return (
+        np.concatenate(added_src), np.concatenate(added_nbr), back_rows, added
+    )
+
+
+def _send_volume(
+    partition: IntervalPartition, cross_src: np.ndarray, cross_nbr: np.ndarray
+) -> int:
+    """The block's send volume from its cross references: one entry per
+    distinct (destination, owned source) pair, as :func:`_send_side`
+    builds the lists."""
+    if cross_src.size == 0:
+        return 0
+    n = np.intp(partition.num_elements)
+    return int(_sorted_unique(partition.owner_of(cross_nbr) * n + cross_src).size)
+
+
+def _patch_estimate(
+    cost_model: InspectorCostModel, graph: CSRGraph, d: IntervalDiff, *,
+    cross: int, ghosts: int, sends: int,
+) -> float:
+    """The crossover's price of patching *d*, from pre-patch sizes.
+
+    The sort of the added cross references is left out: it is
+    boundary-sized and unknown until the moved rows are scanned, and the
+    pre-patch bound on it (every reference of every moved row) overstates
+    the whole charge 10-34x, where leaving it out stays within 2x
+    (docs/benchmarks.md, "Incremental crossover").
+    """
+    return cost_model.patch_cost(
+        diff_refs=_range_ref_count(graph, d.lost + d.gained),
+        cross=2 * cross,
+        ghosts=ghosts,
+        sends=sends,
+        added=0,
+    )
+
+
+def _full_estimate(
+    cost_model: InspectorCostModel, strategy: str, graph: CSRGraph,
+    d: IntervalDiff, *, ghosts: int, sends: int,
+) -> float:
+    """What a full build of *d*'s new block charges, at these ghost and
+    send sizes.  The ``simple`` strategy is priced by its local dedup and
+    grouping passes only: its query rounds are messages, not a formula."""
+    refs = int(graph.indptr[d.new_hi] - graph.indptr[d.new_lo])
+    if strategy == "simple":
+        return cost_model.sec_per_ref * refs + cost_model.sec_per_linear_op * ghosts
+    return cost_model.sorted_build_cost(
+        strategy, refs=refs, ghosts=ghosts, sends=sends
+    )
+
+
+def _takes_patch(
+    cost_model: InspectorCostModel, strategy: str, graph: CSRGraph,
+    d: IntervalDiff, *, cross: int, ghosts: int, sends: int,
+) -> bool:
+    """The crossover: whether patching *d* is priced below a full build.
+
+    Both sides are priced by the formulas that charge them, from what is
+    known before any work: the new block's reference count (exact, from
+    indptr), the moved rows' reference count (exact), and the current
+    block's *cross* reference, ghost and send sizes, which stand in for
+    the new block's (a boundary shift changes them by boundary-sized
+    amounts).  Deterministic.
+    """
+    if d.n_kept == 0:
+        return False
+    patch = _patch_estimate(
+        cost_model, graph, d, cross=cross, ghosts=ghosts, sends=sends
+    )
+    return patch < _full_estimate(
+        cost_model, strategy, graph, d, ghosts=ghosts, sends=sends
+    )
+
+
+@dataclass(frozen=True)
+class _BlockBoundary:
+    """One block's cross references and the schedule sizes they fix."""
+
+    src: np.ndarray
+    nbr: np.ndarray
+    ghosts: int
+    sends: int
+
+
+def _boundary(
+    partition: IntervalPartition, src: np.ndarray, nbr: np.ndarray
+) -> _BlockBoundary:
+    return _BlockBoundary(
+        src, nbr, int(_sorted_unique(nbr).size) if nbr.size else 0,
+        _send_volume(partition, src, nbr),
+    )
+
+
+class RebuildPrice:
+    """What each rank's Phase B rebuild will charge for a remap, before it
+    runs: the price :func:`~repro.runtime.adaptive.strategy.decide` puts
+    on the rebuild.
+
+    Every rank holds the whole graph, so the price of any rank's rebuild
+    is a replicated computation: the same cost-model formula the rebuild
+    charges (``patch_cost`` of the rank's boundary diff, or the full
+    build's charge in full mode and when the crossover falls back), fed
+    the sizes the rebuild will see.  Those are exact: the new block's
+    cross references are patched from the old block's exactly as
+    :class:`IncrementalInspector` patches them, so the ghost and send
+    sizes, and the number of added references, are the rebuild's own.
+    The result is in unloaded seconds; the caller scales each rank's by
+    its slowdown.
+
+    The old partition's cross references cost one pass over the graph's
+    references.  The last call's old partition and candidate are kept:
+    the next check prices from one of them (the candidate after a remap).
+    """
+
+    def __init__(
+        self,
+        graph: CSRGraph,
+        *,
+        strategy: str,
+        mode: str,
+        cost_model: InspectorCostModel,
+    ):
+        self.graph = graph
+        self.strategy = strategy
+        self.incremental = mode == "incremental"
+        self.cost_model = cost_model
+        self._cache: dict[bytes, list[_BlockBoundary]] = {}
+
+    @staticmethod
+    def _key(partition: IntervalPartition) -> bytes:
+        return partition.bounds.tobytes() + partition.owners.tobytes()
+
+    def _blocks(self, partition: IntervalPartition) -> list[_BlockBoundary]:
+        blocks = self._cache.get(self._key(partition))
+        if blocks is None:
+            blocks = [
+                _boundary(partition, *_range_refs(self.graph, lo, hi, lo, hi, False))
+                for lo, hi in map(
+                    partition.interval, range(partition.num_processors)
+                )
+            ]
+        return blocks
+
+    def seconds(
+        self, old: IntervalPartition, new: IntervalPartition
+    ) -> np.ndarray:
+        """Per rank, the unloaded virtual seconds its rebuild for the
+        remap *old* -> *new* charges."""
+        graph = self.graph
+        cost = self.cost_model
+        before = self._blocks(old)
+        after = []
+        price = np.zeros(old.num_processors, dtype=np.float64)
+        for rank, was in enumerate(before):
+            d = diff_interval(old, new, rank)
+            if d.n_kept:
+                src, nbr, _, added = _patched_cross(graph, was.src, was.nbr, d)
+            else:
+                lo, hi = d.new_lo, d.new_hi
+                src, nbr = _range_refs(graph, lo, hi, lo, hi, False)
+                added = 0
+            now = _boundary(new, src, nbr)
+            after.append(now)
+            if d.new_hi == d.new_lo:
+                continue
+            if self.incremental and _takes_patch(
+                cost, self.strategy, graph, d,
+                cross=int(was.src.size), ghosts=was.ghosts, sends=was.sends,
+            ):
+                price[rank] = cost.patch_cost(
+                    diff_refs=_range_ref_count(graph, d.lost + d.gained),
+                    cross=int(was.src.size + src.size),
+                    ghosts=now.ghosts,
+                    sends=now.sends,
+                    added=added,
+                )
+            else:
+                price[rank] = _full_estimate(
+                    cost, self.strategy, graph, d,
+                    ghosts=now.ghosts, sends=now.sends,
+                )
+        self._cache = {self._key(old): before, self._key(new): after}
+        return price
 
 
 class IncrementalInspector:
@@ -278,39 +509,14 @@ class IncrementalInspector:
     # ------------------------------------------------------------------ #
     # the crossover: both sides priced by the formulas that charge them
     # ------------------------------------------------------------------ #
-    # Known before any work: the new block's reference count (exact, from
-    # indptr), the moved rows' reference count (exact), and the current
-    # cross-reference, ghost and send sizes, which stand in for the new
-    # partition's (a boundary shift changes them by boundary-sized
-    # amounts).  Deterministic.
 
-    def _full_cost_estimate(self, d: IntervalDiff) -> float:
-        """What ``sort1``/``sort2`` would charge for the new block."""
-        indptr = self.graph.indptr
+    def _sizes(self) -> dict[str, int]:
+        """The current block's cross-reference, ghost and send sizes."""
         schedule = self.result.schedule
-        return self.cost_model.sorted_build_cost(
-            self.strategy,
-            refs=int(indptr[d.new_hi] - indptr[d.new_lo]),
+        return dict(
+            cross=int(self.cross_src.size),
             ghosts=schedule.ghost_size,
             sends=schedule.send_volume,
-        )
-
-    def _patch_cost_estimate(self, d: IntervalDiff) -> float:
-        """What :meth:`_patch` would charge for *d*, from pre-patch sizes.
-
-        The sort of the added cross references is left out: it is
-        boundary-sized and unknown until the moved rows are scanned, and
-        the pre-patch bound on it (every reference of every moved row)
-        overstates the whole charge 10-34x, where leaving it out stays
-        within 2x (docs/benchmarks.md, "Incremental crossover").
-        """
-        schedule = self.result.schedule
-        return self.cost_model.patch_cost(
-            diff_refs=_range_ref_count(self.graph, d.lost + d.gained),
-            cross=2 * int(self.cross_src.size),
-            ghosts=schedule.ghost_size,
-            sends=schedule.send_volume,
-            added=0,
         )
 
     # ------------------------------------------------------------------ #
@@ -344,8 +550,8 @@ class IncrementalInspector:
         elif force == "full":
             take_patch = False
         else:
-            take_patch = patchable and (
-                self._patch_cost_estimate(d) < self._full_cost_estimate(d)
+            take_patch = patchable and _takes_patch(
+                self.cost_model, self.strategy, self.graph, d, **self._sizes()
             )
         if not take_patch:
             self.num_full_rebuilds += 1
@@ -368,42 +574,9 @@ class IncrementalInspector:
         rank = self.rank
         ctx = self.ctx
         t0 = ctx.clock if ctx is not None else 0.0
-        lo1, hi1 = d.new_lo, d.new_hi
-
-        # --- cross-reference update ----------------------------------- #
-        # Keep entries whose source stays owned and whose target did not
-        # just become local; the target cannot enter the kept interval
-        # (it was off the OLD block, and kept is a subset of it).
-        keep = (self.cross_src >= d.keep_lo) & (self.cross_src < d.keep_hi)
-        if d.gained:
-            keep &= ~_in_ranges(self.cross_nbr, d.gained)
-        kept_src = self.cross_src[keep]
-        kept_nbr = self.cross_nbr[keep]
-        added_src = [kept_src]
-        added_nbr = [kept_nbr]
-        added = 0
-        # Gained vertices contribute their own off-block references.
-        for glo, ghi in d.gained:
-            src_g, nbr_g = _range_refs(graph, glo, ghi)
-            off = (nbr_g < lo1) | (nbr_g >= hi1)
-            src_off = src_g[off]
-            added_src.append(src_off)
-            added_nbr.append(nbr_g[off])
-            added += src_off.size
-        # Lost vertices turn kept->lost edges into cross references; the
-        # sorting strategies' symmetry assumption lets us find them by
-        # scanning the lost rows for neighbors in the kept interval.
-        back_rows = []
-        for llo, lhi in d.lost:
-            src_l, nbr_l = _range_refs(graph, llo, lhi)
-            back = (nbr_l >= d.keep_lo) & (nbr_l < d.keep_hi)
-            back_src = nbr_l[back]
-            added_src.append(back_src)
-            added_nbr.append(src_l[back])
-            back_rows.append(back_src)
-            added += back_src.size
-        cross_src = np.concatenate(added_src)
-        cross_nbr = np.concatenate(added_nbr)
+        cross_src, cross_nbr, back_rows, added = _patched_cross(
+            graph, self.cross_src, self.cross_nbr, d
+        )
 
         # --- exceptional slot positions ------------------------------- #
         # Every kept-row slot the kernel-plan patch must rewrite, located

@@ -275,7 +275,7 @@ class TestDynamicLoadScenarios:
     def test_scale_adaptive_measurement_remaps(self):
         from repro.experiments.catalog import scale_adaptive_measurements
 
-        m = scale_adaptive_measurements("10k", "hotspot", "centralized", 4, 20, 5)
+        m = scale_adaptive_measurements("10k", "ramp", "centralized", 4, 20, 5)
         assert m["num_remaps"] >= 1
         assert m["makespan"] > 0
         assert m["redistribute_host_s"] > 0

@@ -69,8 +69,9 @@ def test_elastic_transfer_plan_matches(current, golden):
 
 
 def test_elastic_run_decisions_match(current, golden):
-    """End-to-end elastic run (join adopted + departure drained): remap
-    count, event count, and the final interval sizes are pinned."""
+    """End-to-end elastic run (join priced and declined + departure
+    drained): remap count, event count, and the final interval sizes are
+    pinned."""
     assert current["elastic_run"] == golden["elastic_run"]
     assert golden["elastic_run"]["membership_events"] == 2
     assert golden["elastic_run"]["final_sizes"][0] == 0

@@ -27,6 +27,7 @@ from repro.partition.intervals import IntervalPartition
 from repro.runtime.adaptive import LoadBalanceConfig
 from repro.runtime.incremental import (
     IncrementalInspector,
+    _patch_estimate,
     check_inspector_mode,
     diff_interval,
 )
@@ -374,7 +375,9 @@ class TestCrossoverEstimate:
             part = shifted_partition(part, rng, mag=1500)
             for r, inc in enumerate(incs):
                 d = diff_interval(inc.partition, part, r)
-                estimate = inc._patch_cost_estimate(d)
+                estimate = _patch_estimate(
+                    inc.cost_model, graph, d, **inc._sizes()
+                )
                 got = inc.rebuild(part)
                 want = run_inspector(graph, part, r, strategy="sort2")
                 assert got == want

@@ -147,6 +147,42 @@ class TestBudget:
         assert s.budget(3)["compute"] > 0.0  # the joiner's work is accounted
 
 
+class TestRemapAudit:
+    def _log(self, *events):
+        log = TraceLog(enabled=True)
+        for ev in events:
+            log.record(ev)
+        return log
+
+    def test_one_row_per_remap_with_the_longest_span_as_charge(self):
+        log = self._log(
+            TraceEvent("remap", 0, 1.0, 1.5, label="price=0.4", span_id=1),
+            TraceEvent("remap", 1, 1.1, 1.5, label="price=0.4", span_id=2),
+            TraceEvent("remap", 0, 3.0, 3.2, label="", span_id=3),
+            TraceEvent("remap", 1, 3.0, 3.2, label="", span_id=4),
+        )
+        s = summarize(log)
+        assert s.remaps == [(0.4, 0.5), (None, pytest.approx(0.2))]
+        text = s.to_text()
+        assert "Remaps: price against charge" in text
+
+    def test_a_decided_remap_carries_its_price(self):
+        graph = paper_mesh(600, seed=2)
+        report = run_program(
+            graph,
+            adaptive_cluster(3, competing_load=2.0, ethernet=False),
+            ProgramConfig(
+                iterations=12, load_balance=LoadBalanceConfig(check_interval=4),
+                initial_capabilities="equal", trace=True,
+            ),
+        )
+        remaps = summarize(report.trace).remaps
+        assert len(remaps) == report.num_remaps >= 1
+        for price, charge in remaps:
+            assert price is not None and 0 < price
+            assert 1 / 1.25 <= charge / price <= 1.25
+
+
 class TestTimeline:
     def test_basic_shape(self):
         res = traced_run(uniform_cluster(3))

@@ -83,7 +83,7 @@ class TestDistributedCheck:
         part = partition_list(10_000, np.ones(cluster.size))
 
         def fn(ctx):
-            return check(ctx, style, part, times[ctx.rank], remaining)
+            return check(ctx, style, part, (times[ctx.rank], np.inf), remaining)
 
         return run_spmd(cluster, fn, trace=True)
 
@@ -205,7 +205,10 @@ class TestProgramWithExtensions:
 
         def fn(ctx):
             return [
-                check(ctx, style, part, times[ctx.rank], 400, num_fields=2)
+                check(
+                    ctx, style, part, (times[ctx.rank], np.inf), 400,
+                    num_fields=2,
+                )
                 for style in ("centralized", "distributed")
             ]
 

@@ -64,7 +64,8 @@ class TestControllerCheck:
 
         def fn(ctx):
             return check(
-                ctx, "centralized", part, times_per_item[ctx.rank], remaining
+                ctx, "centralized", part, (times_per_item[ctx.rank], np.inf),
+                remaining,
             )
 
         return run_spmd(cluster, fn)

@@ -28,6 +28,8 @@ from bench.workloads import _adaptive_sfc  # noqa: E402  (the workload's one def
 from repro.runtime import run_program  # noqa: E402
 from repro.runtime.incremental import (  # noqa: E402
     IncrementalInspector,
+    _full_estimate,
+    _patch_estimate,
     _range_ref_count,
     diff_interval,
 )
@@ -49,12 +51,16 @@ def forced_patch_cases(graph, cluster, config, y0) -> list[dict]:
             return rebuild(self, new_partition, force="full")
         cm, indptr = self.cost_model, self.graph.indptr
         moved = _range_ref_count(self.graph, d.lost + d.gained)
-        shipped = self._patch_cost_estimate(d)  # prices no ``added`` sort
+        sizes = self._sizes()
+        shipped = _patch_estimate(cm, self.graph, d, **sizes)  # no ``added`` sort
         estimate = {
             name: shipped + cm.sort_cost(added)
             for name, added in zip(VARIANTS, (moved, 0, int(self.cross_src.size)))
         }
-        new_block = self._full_cost_estimate(d)
+        new_block = _full_estimate(
+            cm, self.strategy, self.graph, d,
+            ghosts=sizes["ghosts"], sends=sizes["sends"],
+        )
         old_refs = int(indptr[d.old_hi] - indptr[d.old_lo])
         new_refs = int(indptr[d.new_hi] - indptr[d.new_lo])
         full_estimate = {
@@ -70,7 +76,11 @@ def forced_patch_cases(graph, cluster, config, y0) -> list[dict]:
             "patch": self.last_patch_cost,
             # After the patch the inspector holds the new partition's exact
             # ghost and send sizes, so the same formula is the exact charge.
-            "full": self._full_cost_estimate(d),
+            "full": _full_estimate(
+                cm, self.strategy, self.graph, d,
+                ghosts=result.schedule.ghost_size,
+                sends=result.schedule.send_volume,
+            ),
             "estimate": estimate,
             "full_estimate": full_estimate,
         })

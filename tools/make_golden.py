@@ -93,7 +93,9 @@ def build_golden() -> dict:
     )
 
     # An end-to-end elastic run's decisions (virtual metrics only): one
-    # join adopted, one departure drained, on the reduced paper mesh.
+    # join priced and declined (its rebuild makes it cost more than its
+    # three iterations save), one departure drained, on the reduced
+    # paper mesh.
     graph, y0 = mesh_workload(800, 1995)
     trace = MembershipTrace(
         4,
