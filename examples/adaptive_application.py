@@ -17,7 +17,7 @@ import numpy as np
 from repro.apps import MovingHotspot, run_adaptive_application
 from repro.graph import paper_mesh
 from repro.net import sun4_cluster
-from repro.runtime import run_sequential
+from repro.runtime import ProgramConfig, run_sequential
 
 
 def main() -> None:
@@ -31,17 +31,21 @@ def main() -> None:
     y0 = np.random.default_rng(4).uniform(0.0, 100.0, graph.num_vertices)
     print(f"workload: {graph}, hotspot sweeping over {hotspot.n_phases} phases")
 
-    kw = dict(
-        iterations=iterations, adapt_interval=adapt_interval,
-        hotspot=hotspot, y0=y0,
+    # The application is one run_program call: world, tracing and
+    # checkpoints come in through its ProgramConfig.
+    config = ProgramConfig(iterations=iterations)
+    kw = dict(adapt_interval=adapt_interval, hotspot=hotspot, y0=y0)
+    static = run_adaptive_application(
+        graph, cluster, config, repartition=False, **kw
     )
-    static = run_adaptive_application(graph, cluster, repartition=False, **kw)
     print(f"static partition:      {static.makespan:8.3f} virtual s")
 
-    adaptive = run_adaptive_application(graph, cluster, repartition=True, **kw)
+    adaptive = run_adaptive_application(
+        graph, cluster, config, repartition=True, **kw
+    )
     print(f"weighted repartition:  {adaptive.makespan:8.3f} virtual s")
-    print(f"  repartitions:        {adaptive.num_repartitions}")
-    print(f"  repartition cost:    {adaptive.repartition_time:8.4f} s")
+    print(f"  repartitions:        {adaptive.num_remaps}")
+    print(f"  repartition cost:    {adaptive.remap_time:8.4f} s")
     print(f"  speedup:             {static.makespan / adaptive.makespan:.2f}x")
 
     oracle = run_sequential(graph, y0, iterations)

@@ -7,32 +7,31 @@ must then re-run after every adaptation even in a *static* environment.
 
 We model refinement as per-vertex computational weights that follow a
 moving hotspot across the mesh (a shock front sweeping the domain).  The
-driver repartitions with **weighted** intervals
-(:func:`repro.partition.weighted.partition_weighted_list`) whenever the
-weights change, then hands the remap to
-:meth:`repro.runtime.adaptive.AdaptiveSession.remap_to` — the same
-redistribute-and-rebuild path the load-balancing strategies use, driven
-here by adaptation instead of a profitability check.
+application is one :func:`~repro.runtime.run_program` call: each
+adaptation is a :class:`~repro.runtime.adaptive.Phase` whose weights
+scale the sweep charge and, when repartitioning, whose **weighted**
+intervals (:func:`repro.partition.weighted.partition_weighted_list`) the
+session remaps to — the same redistribute-and-rebuild path an approved
+load-balance decision takes.  World, tracing and checkpoints come in
+through the :class:`~repro.runtime.ProgramConfig` it runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
 from repro.net.cluster import ClusterSpec
-from repro.net.spmd import run_spmd
+from repro.partition.ordering import IdentityOrdering, inverse
 from repro.partition.rcb import RCBOrdering
 from repro.partition.weighted import partition_weighted_list
-from repro.runtime.adaptive import AdaptiveSession
-from repro.runtime.executor import gather
-from repro.runtime.kernels import KernelCostModel
+from repro.runtime.adaptive import Phase
+from repro.runtime.program import ProgramConfig, ProgramReport, run_program
 
-__all__ = ["MovingHotspot", "AdaptiveRunReport", "run_adaptive_application"]
+__all__ = ["MovingHotspot", "run_adaptive_application"]
 
 
 @dataclass(frozen=True)
@@ -70,39 +69,31 @@ class MovingHotspot:
         return 1.0 + self.amplitude * np.exp(-d2 / (2.0 * radius**2))
 
 
-@dataclass
-class AdaptiveRunReport:
-    """Outcome of one adaptive-application run."""
-
-    values: np.ndarray
-    makespan: float
-    num_repartitions: int
-    repartition_time: float  # max over ranks, total virtual seconds
-    clocks: list[float]
-
-
 def run_adaptive_application(
     graph: CSRGraph,
     cluster: ClusterSpec,
+    config: ProgramConfig = ProgramConfig(),
     *,
-    iterations: int = 60,
     adapt_interval: int = 10,
     hotspot: MovingHotspot | None = None,
     repartition: bool = True,
     y0: np.ndarray | None = None,
-) -> AdaptiveRunReport:
-    """Run the Fig. 8 loop while the per-vertex work adapts.
+) -> ProgramReport:
+    """Run the Fig. 8 loop for ``config.iterations`` while the per-vertex
+    work adapts.
 
-    The graph is ordered by RCB and each sweep priced by the default
-    :class:`KernelCostModel`.  Every ``adapt_interval`` iterations the
-    weight field advances one phase; with ``repartition=True`` the data is
-    re-split into weighted intervals (redistribution + inspector rebuild),
-    otherwise the initial partition is kept — the baseline showing why
-    adaptive applications need phase D even on dedicated machines.
+    The graph is ordered by RCB (*config*'s ordering is replaced) and each
+    sweep priced by *config*'s kernel cost at the current weights.  Every
+    ``adapt_interval`` iterations the weight field advances one phase;
+    with ``repartition=True`` the data is re-split into weighted intervals
+    (redistribution + inspector rebuild), otherwise the initial partition
+    is kept — the baseline showing why adaptive applications need phase D
+    even on dedicated machines.  The report's values are in *graph*'s
+    numbering.
     """
     n = graph.num_vertices
-    if iterations < 1 or adapt_interval < 1:
-        raise ConfigurationError("iterations and adapt_interval must be >= 1")
+    if adapt_interval < 1:
+        raise ConfigurationError("adapt_interval must be >= 1")
     if hotspot is None:
         hotspot = MovingHotspot(graph)
     if y0 is None:
@@ -111,66 +102,23 @@ def run_adaptive_application(
     if y0.shape != (n,):
         raise ConfigurationError(f"y0 has shape {y0.shape}, expected ({n},)")
     perm = RCBOrdering()(graph)
+    order = inverse(perm)  # the vertex at each position of the 1-D list
     gperm = graph.permute(perm)
-    hotspot_p = MovingHotspot(
-        gperm, hotspot.amplitude, hotspot.radius_fraction, hotspot.n_phases
+    # The weighted split balances each vertex's whole sweep charge.
+    kc = config.kernel_cost
+    base_cost = kc.sec_per_reference * gperm.degrees + kc.sec_per_vertex
+    phases = []
+    for k, start in enumerate(range(0, config.iterations, adapt_interval)):
+        weights = hotspot.weights(k)[order]
+        split = None
+        if repartition or k == 0:
+            split = partition_weighted_list(base_cost * weights, cluster.speeds)
+        phases.append(Phase(start, weights=weights, partition=split))
+    report = run_program(
+        gperm,
+        cluster,
+        replace(config, ordering=IdentityOrdering()),
+        y0[order],
+        phases,
     )
-    y_init = np.empty(n)
-    y_init[perm] = y0
-    caps = cluster.speeds
-
-    # A refined vertex does proportionally more work on *all* its terms
-    # (more sub-elements -> more references and more updates), so the cost
-    # weight scales the full per-vertex sweep cost.
-    kernel_cost = KernelCostModel()
-    base_cost = (
-        kernel_cost.sec_per_reference * gperm.degrees.astype(np.float64)
-        + kernel_cost.sec_per_vertex
-    )
-
-    def rank_main(ctx: Any) -> dict[str, Any]:
-        phase = 0
-        cost_w = base_cost * hotspot_p.weights(phase)
-        session = AdaptiveSession(
-            ctx,
-            gperm,
-            partition_weighted_list(cost_w, caps),
-            total_iterations=iterations,
-        )
-        lo, hi = session.interval()
-        local = y_init[lo:hi].copy()
-        for it in range(iterations):
-            ghost = gather(ctx, session.schedule, local)
-            local = session.kernel_plan.sweep(local, ghost)
-            ctx.compute(float(cost_w[lo:hi].sum()), label="kernel")
-            ctx.barrier()
-            if (it + 1) % adapt_interval == 0 and (it + 1) < iterations:
-                phase += 1
-                cost_w = base_cost * hotspot_p.weights(phase)
-                if repartition:
-                    (local,) = session.remap_to(
-                        partition_weighted_list(cost_w, caps), (local,)
-                    )
-                    lo, hi = session.interval()
-        pieces = ctx.gather((session.interval()[0], local), root=0)
-        full = None
-        if ctx.rank == 0:
-            full = np.empty(n)
-            for piece_lo, data in pieces:
-                full[piece_lo : piece_lo + data.size] = data
-        return {
-            "full": full,
-            "repartitions": session.stats.num_remaps,
-            "repartition_time": session.stats.remap_time,
-        }
-
-    result = run_spmd(cluster, rank_main)
-    full_t = result.values[0]["full"]
-    assert full_t is not None
-    return AdaptiveRunReport(
-        values=full_t[perm],
-        makespan=result.makespan,
-        num_repartitions=result.values[0]["repartitions"],
-        repartition_time=max(v["repartition_time"] for v in result.values),
-        clocks=result.clocks,
-    )
+    return replace(report, values=report.values[perm])

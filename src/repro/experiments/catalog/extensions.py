@@ -77,6 +77,7 @@ def _exp_ext_adaptive_application(
         run_adaptive_application,
     )
     from repro.net.cluster import sun4_cluster, uniform_cluster
+    from repro.runtime.program import ProgramConfig
 
     graph, y0 = mesh_workload(
         int(params["n_vertices"]), int(params["workload_seed"])
@@ -88,7 +89,7 @@ def _exp_ext_adaptive_application(
     report = run_adaptive_application(
         graph,
         cluster,
-        iterations=iterations,
+        ProgramConfig(iterations=iterations),
         adapt_interval=interval,
         hotspot=MovingHotspot(
             graph,
@@ -101,8 +102,8 @@ def _exp_ext_adaptive_application(
     )
     return {
         "makespan": report.makespan,
-        "num_repartitions": float(report.num_repartitions),
-        "repartition_time": report.repartition_time,
+        "num_repartitions": float(report.num_remaps),
+        "repartition_time": report.remap_time,
     }
 
 

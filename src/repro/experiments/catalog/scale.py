@@ -351,59 +351,10 @@ def _exp_scale_adaptive(
 
 
 # --------------------------------------------------------------------------
-# Scale tier — sim-vs-real differential benchmark: the same probe program
-# runs in both execution worlds, giving the first *empirical* check on the
+# Scale tier — sim-vs-real differential benchmark: the same program runs
+# in both execution worlds, giving the first *empirical* check on the
 # analytic cost models (estimate_remap_cost / estimate_checkpoint_cost)
 # the profitability tests rely on.
-
-
-def _real_probe_rank(ctx, graph, y0, caps_old, caps_new, epochs, replication):
-    """SPMD probe: epoch loop, one remap, one checkpoint — all between
-    barriers, so the measured spans are rank-agreed in both worlds.
-
-    Module-level (not a closure) so the real world can run it under any
-    multiprocessing start method.
-    """
-    from repro.partition.intervals import partition_list
-    from repro.runtime.adaptive.redistribution import redistribute_fields
-    from repro.runtime.executor import gather
-    from repro.runtime.inspector import run_inspector
-    from repro.runtime.resilience import take_checkpoint
-
-    n = graph.num_vertices
-    part_old = partition_list(n, caps_old)
-    part_new = partition_list(n, caps_new)
-    lo, hi = part_old.interval(ctx.rank)
-    local = y0[lo:hi].copy()
-    insp = run_inspector(graph, part_old, ctx.rank, strategy="sort2", ctx=ctx)
-
-    ctx.barrier()
-    t0 = ctx.clock
-    for _ in range(epochs):
-        ghost = gather(ctx, insp.schedule, local)
-        local = insp.kernel_plan.sweep(local, ghost)
-        ctx.barrier()
-    epoch_s = (ctx.clock - t0) / epochs
-
-    t0 = ctx.clock
-    (local,) = redistribute_fields(ctx, part_old, part_new, (local,))
-    ctx.barrier()
-    remap_s = ctx.clock - t0
-
-    active = np.ones(ctx.size, dtype=bool)
-    t0 = ctx.clock
-    take_checkpoint(
-        ctx, part_new, (local,), active,
-        next_iteration=0, epoch=0, replication_factor=replication,
-    )  # ends with a barrier
-    checkpoint_s = ctx.clock - t0
-
-    return {
-        "epoch_s": epoch_s,
-        "remap_s": remap_s,
-        "checkpoint_s": checkpoint_s,
-        "checksum": float(local.sum()),
-    }
 
 
 def scale_real_measurements(
@@ -416,65 +367,83 @@ def scale_real_measurements(
 ) -> dict[str, float]:
     """Run the probe in both worlds and report measured-vs-predicted ratios.
 
-    ``predicted_*`` are the sim world's virtual spans of the *identical*
-    probe; ``est_remap_s`` / ``est_checkpoint_s`` are the closed-form
-    analytic prices the Phase D profitability tests use.  ``ratio_*`` is
-    measured wall seconds over the virtual prediction — how conservative
-    the simulator's cost model is relative to loopback-socket reality on
-    this host.  ``values_match`` asserts the differential contract (every
-    rank's final checksum bit-identical across worlds).
+    The probe is one :func:`~repro.runtime.run_program` call: ``epochs``
+    iterations on an equal split, one given remap to a capability-skewed
+    split halfway, and ``checkpoint="interval:epochs"`` — the bootstrap
+    epoch alone.  Its seconds are rank 0's spans: the ``remap`` and
+    ``checkpoint`` spans, and the ``epoch`` spans less the remap one of
+    them holds, per iteration.  ``predicted_*`` are the sim world's
+    virtual spans; ``est_remap_s`` / ``est_checkpoint_s`` are the
+    closed-form prices the Phase D profitability tests use (the remap's
+    with its schedule rebuild, as ``decide`` prices it).
+    ``ratio_*`` is measured wall seconds over the virtual prediction —
+    how conservative the simulator's cost model is relative to
+    loopback-socket reality on this host.  ``values_match`` asserts the
+    differential contract (final values bit-identical across worlds).
     """
     from repro.net.cluster import uniform_cluster
-    from repro.net.spmd import run_spmd
+    from repro.obs.summary import summarize
     from repro.partition.intervals import partition_list
+    from repro.partition.ordering import IdentityOrdering
+    from repro.runtime.adaptive import Phase
     from repro.runtime.adaptive.redistribution import estimate_remap_cost
+    from repro.runtime.incremental import RebuildPrice
+    from repro.runtime.program import ProgramConfig, run_program
     from repro.runtime.resilience import estimate_checkpoint_cost
 
     graph, y0 = scale_workload(tier, "grid", workload_seed)
     n = graph.num_vertices
     cluster = uniform_cluster(p)
-    caps_old = np.ones(p)
-    caps_new = np.linspace(1.0, 2.0, p)  # shifts ~1/6 of the elements
-    args = (graph, y0, caps_old, caps_new, epochs, replication)
-
-    sim = run_spmd(cluster, _real_probe_rank, *args)
-    real = run_spmd(
-        cluster, _real_probe_rank, *args, world="real", recv_timeout=60.0
+    part_old = partition_list(n, np.ones(p))
+    # Shifts ~1/6 of the elements.
+    part_new = partition_list(n, np.linspace(1.0, 2.0, p))
+    config = ProgramConfig(
+        iterations=epochs,
+        ordering=IdentityOrdering(),
+        initial_capabilities="equal",
+        checkpoint=f"interval:{epochs}:r{replication}",
+        trace=True,
+        recv_timeout=60.0,
     )
 
-    part_old = partition_list(n, caps_old)
-    part_new = partition_list(n, caps_new)
+    def probe(world: str) -> tuple[np.ndarray, dict[str, float]]:
+        report = run_program(
+            graph, cluster, dataclasses.replace(config, world=world), y0,
+            [Phase(max(epochs // 2, 1), partition=part_new)],
+        )
+        spans = summarize(report.trace)
+        seconds = {kind: spans.time(0, kind) for kind in ("remap", "checkpoint")}
+        seconds["epoch"] = (spans.time(0, "epoch") - seconds["remap"]) / epochs
+        return report.values, seconds
+
+    svals, predicted = probe("sim")
+    rvals, measured = probe("real")
+
     network = cluster.make_network()
-    est_remap = estimate_remap_cost(network, part_old, part_new, 8, num_fields=1)
-    est_checkpoint = estimate_checkpoint_cost(
-        network, part_new, np.ones(p, dtype=bool), 8,
-        replication_factor=replication,
+    # Phase D's price on an unloaded cluster: the transfer plus the
+    # slowest rank's rebuild.
+    rebuild = RebuildPrice(
+        graph, strategy=config.strategy, mode=config.inspector_mode,
+        cost_model=config.inspector_cost,
     )
-
-    svals, rvals = sim.values[0], real.values[0]
-    values_match = all(
-        s["checksum"] == r["checksum"]
-        for s, r in zip(sim.values, real.values)
-    )
-
-    def ratio(measured: float, predicted: float) -> float:
-        return measured / predicted if predicted > 0 else 0.0
-
-    return {
-        "measured_epoch_s": rvals["epoch_s"],
-        "predicted_epoch_s": svals["epoch_s"],
-        "ratio_epoch": ratio(rvals["epoch_s"], svals["epoch_s"]),
-        "measured_remap_s": rvals["remap_s"],
-        "predicted_remap_s": svals["remap_s"],
-        "est_remap_s": est_remap,
-        "ratio_remap": ratio(rvals["remap_s"], svals["remap_s"]),
-        "measured_checkpoint_s": rvals["checkpoint_s"],
-        "predicted_checkpoint_s": svals["checkpoint_s"],
-        "est_checkpoint_s": est_checkpoint,
-        "ratio_checkpoint": ratio(rvals["checkpoint_s"], svals["checkpoint_s"]),
-        "values_match": 1.0 if values_match else 0.0,
+    out = {
+        "est_remap_s": estimate_remap_cost(
+            network, part_old, part_new, 8, num_fields=1
+        ) + float(np.max(rebuild.seconds(part_old, part_new))),
+        "est_checkpoint_s": estimate_checkpoint_cost(
+            network, part_old, np.ones(p, dtype=bool), 8,
+            replication_factor=replication,
+        ),
+        "values_match": 1.0 if np.array_equal(svals, rvals) else 0.0,
         "n_vertices": float(n),
     }
+    for kind in ("epoch", "remap", "checkpoint"):
+        out[f"measured_{kind}_s"] = measured[kind]
+        out[f"predicted_{kind}_s"] = predicted[kind]
+        out[f"ratio_{kind}"] = (
+            measured[kind] / predicted[kind] if predicted[kind] > 0 else 0.0
+        )
+    return out
 
 
 def _expect_scale_real(runs):

@@ -5,6 +5,7 @@ from repro.runtime.adaptive import (
     AdaptiveSession,
     Decision,
     LoadBalanceConfig,
+    Phase,
     SessionStats,
     decide,
     estimate_remap_cost,
@@ -95,6 +96,7 @@ __all__ = [
     "KernelPlan",
     "LoadBalanceConfig",
     "LoadMonitor",
+    "Phase",
     "ProgramConfig",
     "ProgramReport",
     "STRATEGIES",

@@ -38,7 +38,7 @@ from repro.runtime.adaptive.redistribution import (
     redistribute_fields,
     transfer_plan_summary,
 )
-from repro.runtime.adaptive.session import AdaptiveSession, SessionStats
+from repro.runtime.adaptive.session import AdaptiveSession, Phase, SessionStats
 from repro.runtime.adaptive.strategy import (
     STRATEGY_NAMES,
     CheckPrice,
@@ -58,6 +58,7 @@ __all__ = [
     "LoadBalanceConfig",
     "MembershipEvent",
     "MembershipTrace",
+    "Phase",
     "SLAB_BOUNDS_NBYTES",
     "STRATEGY_NAMES",
     "SessionStats",

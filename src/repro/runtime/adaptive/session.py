@@ -4,7 +4,7 @@ Before this subsystem existed, the loop of Sec. 3.5 — monitor the load,
 run the profitability check, redistribute, re-run the inspector — was
 hand-wired separately in ``run_program``, the adaptive-refinement app, and
 several benchmarks.  :class:`AdaptiveSession` is the single code path all
-of them drive now:
+of them drive now (the app and ``scale-real`` through ``run_program``):
 
 * :meth:`record` feeds the per-iteration load sample to the monitor
   ("average computation time per data item");
@@ -12,9 +12,9 @@ of them drive now:
   :func:`~repro.runtime.adaptive.strategy.check` protocol at the check
   interval and, when the decision says remap, performs the packed
   redistribution and the inspector rebuild;
-* :meth:`remap_to` is the unconditional form for *adaptive applications*
-  (paper footnote 1), where the computational structure itself changes and
-  the caller supplies the new (typically weighted) partition;
+* :class:`Phase` s carry *adaptive applications* (paper footnote 1): at
+  each phase's first iteration the session remaps to the caller's (say,
+  weighted) partition through the path an approved decision takes;
 * :meth:`poll_membership` applies elastic membership events
   (:mod:`repro.runtime.adaptive.elastic`): a departing rank's fields are
   drained through the same packed redistribution and the schedules are
@@ -86,7 +86,7 @@ from repro.runtime.schedule_builders import InspectorCostModel
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.comm import RankContext
 
-__all__ = ["LEDGER", "SessionStats", "AdaptiveSession"]
+__all__ = ["LEDGER", "Phase", "SessionStats", "AdaptiveSession"]
 
 #: What a session records in its rank's metrics registry: name -> (registry
 #: entry, the error a disagreement between ranks raises).  An entry with an
@@ -146,6 +146,22 @@ class SessionStats:
         return ledger_value(self._snapshot, name)
 
 
+@dataclass(frozen=True)
+class Phase:
+    """A stretch of iterations whose computational structure is fixed.
+
+    From iteration ``start`` on, each vertex's sweep work is scaled by
+    ``weights`` (None: unit work), and at the boundary before ``start``
+    the session remaps to ``partition`` (None: keep the current split; at
+    ``start=0`` it is the initial split).  Both index the ordered 1-D
+    list the program runs on.
+    """
+
+    start: int
+    weights: np.ndarray | None = None
+    partition: IntervalPartition | None = None
+
+
 @dataclass
 class AdaptiveSession:
     """One rank's Phase D state machine (SPMD: every rank owns one).
@@ -179,6 +195,10 @@ class AdaptiveSession:
     #: (:mod:`repro.runtime.incremental`), producing bit-identical
     #: results for a fraction of the virtual (and host) cost.
     inspector_mode: str = "full"
+    #: The program's :class:`Phase` sequence: each partition given past
+    #: iteration 0 is remapped to at its phase's first iteration, in place
+    #: of that boundary's check.
+    phases: Sequence[Phase] = ()
 
     def __post_init__(self) -> None:
         if self.backend is not None:
@@ -208,6 +228,11 @@ class AdaptiveSession:
         if policy is not None:
             self.resilience = ResilienceState(policy)
         require_checkpoint(trace, policy)
+        self._given = {
+            phase.start: phase.partition
+            for phase in self.phases
+            if phase.start > 0 and phase.partition is not None
+        }
         self._resume_at: int | None = None
         self._last_sync_clock = self.ctx.clock
         self._last_span = 0.0
@@ -425,11 +450,12 @@ class AdaptiveSession:
 
         Elastic membership events that fired during the iteration are
         applied first (:meth:`poll_membership`); a departure drains the
-        leaving rank's fields regardless of the load-balance style.  When a
-        check is due, every rank contributes its monitored load to the
-        configured protocol; if the collective decision says remap,
-        *fields* are redistributed to the new partition and the inspector
-        is rebuilt.
+        leaving rank's fields regardless of the load-balance style.  A
+        :class:`Phase` starting at the next iteration with a partition
+        remaps *fields* to it.  Otherwise, when a check is due, every rank
+        contributes its monitored load to the configured protocol; if the
+        collective decision says remap, *fields* are redistributed to the
+        new partition and the inspector is rebuilt.
         With a checkpoint policy configured, a due boundary additionally
         replicates the (possibly remapped) state as a fresh epoch; a
         ``fail`` event detected by the poll instead triggers the rollback
@@ -456,6 +482,17 @@ class AdaptiveSession:
             # A rollback just restored and re-checkpointed the world;
             # the driver must now consult next_iteration().
             return fields
+        given = self._given.get(iteration + 1)
+        if given is not None:
+            if np.any(~self.active & (given.sizes() > 0)):
+                raise LoadBalanceError(
+                    f"the phase starting at iteration {iteration + 1} "
+                    f"assigns elements to inactive ranks"
+                )
+            fields = self._remap(given, fields)
+            # The samples so far measured the structure that just ended.
+            self.monitor.reset_window()
+            return self._maybe_checkpoint(iteration, boundary_clock, fields)
         if not self.check_due(iteration):
             return self._maybe_checkpoint(iteration, boundary_clock, fields)
         ctx = self.ctx
@@ -480,7 +517,9 @@ class AdaptiveSession:
         ctx.metrics.count("lb.checks")
         self.monitor.reset_window()
         if decision.remap:
-            fields = self._remap(decision, fields)
+            fields = self._remap(
+                decision.new_partition, fields, price=decision.remap_cost
+            )
         return self._maybe_checkpoint(iteration, boundary_clock, fields)
 
     def poll_membership(
@@ -568,7 +607,9 @@ class AdaptiveSession:
         )
         ctx.metrics.observe("lb.check_time", ctx.clock - t0)
         if decision.remap:
-            fields = self._remap(decision, fields)
+            fields = self._remap(
+                decision.new_partition, fields, price=decision.remap_cost
+            )
         if refresh:
             fields = self._take_checkpoint(fields, next_iteration=iteration + 1)
         return fields
@@ -743,36 +784,21 @@ class AdaptiveSession:
             fields, next_iteration=cp.next_iteration
         )
 
-    def remap_to(
-        self, new_partition: IntervalPartition, fields: Sequence[np.ndarray]
-    ) -> list[np.ndarray]:
-        """Remap unconditionally: redistribute, rebuild, synchronize.
-
-        The adaptive-application path (footnote 1): the caller computed a
-        new partition from changed per-vertex weights and every rank moves
-        its fields to their new homes, rebuilds the schedule, and barriers
-        so the remap cost is charged consistently across ranks.
-        """
-        return self._remap_fields(new_partition, fields, "")
-
     def _remap(
-        self, decision: Decision, fields: Sequence[np.ndarray]
-    ) -> list[np.ndarray]:
-        """Carry out an approved *decision*; its ``remap`` span's label is
-        the price the decision put on it, which ``repro trace summary``
-        prints beside the span's charge."""
-        assert decision.new_partition is not None
-        return self._remap_fields(
-            decision.new_partition, fields,
-            f"{PRICE_LABEL}{decision.remap_cost!r}",
-        )
-
-    def _remap_fields(
         self,
         new_partition: IntervalPartition,
         fields: Sequence[np.ndarray],
-        label: str,
+        *,
+        price: float | None = None,
     ) -> list[np.ndarray]:
+        """Redistribute *fields* to *new_partition*, rebuild, synchronize.
+
+        The one remap path of an approved decision and of a given
+        :class:`Phase` partition.  The ``remap`` span's label is the
+        *price* a decision put on it, which ``repro trace summary`` prints
+        beside the span's charge (empty for a given partition).
+        """
+        label = "" if price is None else f"{PRICE_LABEL}{price!r}"
         ctx = self.ctx
         fields = list(fields)
         t0 = ctx.clock

@@ -14,10 +14,15 @@ kernel) over a simulated cluster, wiring together:
 The report carries final values (in original vertex numbering), virtual
 phase times, and load-balancing statistics — everything Tables 4 and 5 are
 made of.
+
+Footnote 1's *adaptive applications* are the same loop: a run takes
+:class:`~repro.runtime.adaptive.Phase` s, whose weights scale the sweep
+charge and whose partitions Phase D remaps to.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -41,6 +46,7 @@ from repro.partition.rcb import RCBOrdering
 from repro.runtime.adaptive import (
     AdaptiveSession,
     LoadBalanceConfig,
+    Phase,
     resolve_load_balance,
 )
 from repro.runtime.adaptive.session import LEDGER, SessionStats, ledger_value
@@ -310,15 +316,41 @@ def _shares_one_cpu(
     )
 
 
+def _check_phases(
+    phases: Sequence[Phase], n: int, size: int, iterations: int
+) -> tuple[Phase, ...]:
+    """*phases* as a run consumes them: led by one starting at 0."""
+    phases = tuple(phases)
+    starts = [phase.start for phase in phases]
+    bad = starts != sorted(set(starts)) or any(
+        not 0 <= start < iterations for start in starts
+    )
+    for phase in phases:
+        part = phase.partition
+        bad |= phase.weights is not None and np.shape(phase.weights) != (n,)
+        bad |= part is not None and part.num_elements != n
+        bad |= part is not None and part.num_processors != size
+    if bad:
+        raise ConfigurationError(
+            f"phases must start in increasing order within [0, "
+            f"{iterations}), with ({n},) weights and partitions of {n} "
+            f"elements over {size} processors"
+        )
+    if not starts or starts[0] > 0:
+        phases = (Phase(0), *phases)
+    return phases
+
+
 def _rank_main(
     ctx: Any,
     gperm: CSRGraph,
     y_init: np.ndarray,
     caps: np.ndarray,
     config: ProgramConfig,
+    phases: tuple[Phase, ...],
 ) -> dict[str, Any]:
     with ctx.tracer.span("program", label=f"world={config.world}"):
-        out = _rank_body(ctx, gperm, y_init, caps, config)
+        out = _rank_body(ctx, gperm, y_init, caps, config, phases)
     out["metrics"] = ctx.metrics.snapshot()
     return out
 
@@ -329,21 +361,24 @@ def _rank_body(
     y_init: np.ndarray,
     caps: np.ndarray,
     config: ProgramConfig,
+    phases: tuple[Phase, ...],
 ) -> dict[str, Any]:
     n = gperm.num_vertices
+    starts = [phase.start for phase in phases]
 
     # Phase D lives in one place: the session builds the inspector, owns
     # the monitor, and runs the strategy check / packed remap / rebuild.
     session = AdaptiveSession(
         ctx,
         gperm,
-        partition_list(n, caps),
+        phases[0].partition or partition_list(n, caps),
         total_iterations=config.iterations,
         lb=config.load_balance,
         schedule_strategy=config.strategy,
         inspector_cost=config.inspector_cost,
         checkpoint=config.checkpoint,
         inspector_mode=config.inspector_mode,
+        phases=phases,
     )
     lo, hi = session.interval()
     local = y_init[lo:hi].copy()
@@ -358,6 +393,8 @@ def _rank_body(
     # discarded suffix is re-executed.
     it = 0
     while it < config.iterations:
+        # By iteration, not by boundary: a rollback may rewind past one.
+        weights = phases[bisect_right(starts, it) - 1].weights
         with ctx.tracer.span("epoch", label=f"iter {it}"):
             with ctx.tracer.span("executor"):
                 ghost = gather(
@@ -366,11 +403,16 @@ def _rank_body(
                 )
                 t0 = ctx.clock
                 local = session.kernel_plan.sweep(local, ghost)
+                refs, items = session.kernel_plan.n_references, local.size
+                if weights is not None:
+                    # A refined vertex does proportionally more work on
+                    # all its terms: its references and its update.
+                    lo, hi = session.interval()
+                    w = weights[lo:hi]
+                    refs = float(w @ np.diff(gperm.indptr[lo : hi + 1]))
+                    items = float(w.sum())
                 ctx.compute(
-                    config.kernel_cost.sweep_seconds(
-                        session.kernel_plan.n_references, local.size
-                    ),
-                    label="kernel",
+                    config.kernel_cost.sweep_seconds(refs, items), label="kernel"
                 )
             session.record(ctx.clock - t0, int(local.size))
             ctx.barrier()
@@ -393,12 +435,17 @@ def run_program(
     cluster: ClusterSpec,
     config: ProgramConfig = ProgramConfig(),
     y0: np.ndarray | None = None,
+    phases: Sequence[Phase] = (),
 ) -> ProgramReport:
     """Run the Fig. 8 loop for ``config.iterations`` over *cluster*.
 
     ``y0`` is the initial value per vertex in the graph's own numbering
     (default: vertex index as a float, which makes convergence toward the
     neighborhood mean easy to eyeball and exactly reproducible).
+    ``phases`` (:class:`~repro.runtime.adaptive.Phase`, by increasing
+    start) index the ordered 1-D list: give them with an
+    :class:`~repro.partition.ordering.IdentityOrdering` over a graph you
+    ordered yourself.
     """
     n = graph.num_vertices
     if n == 0:
@@ -408,6 +455,7 @@ def run_program(
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.shape != (n,):
         raise ConfigurationError(f"y0 has shape {y0.shape}, expected ({n},)")
+    phases = _check_phases(phases, n, cluster.size, config.iterations)
 
     # Elastic membership: a config-level trace (or DSL string) overrides
     # the cluster's own; either way the resolved trace rides on the cluster
@@ -467,6 +515,7 @@ def run_program(
             y_init,
             caps,
             config,
+            phases,
             trace=want_trace,
             trace_capacity=trace_capacity,
             world=config.world,

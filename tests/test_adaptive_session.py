@@ -21,6 +21,7 @@ from repro.partition.weighted import partition_weighted_list
 from repro.runtime.adaptive import (
     AdaptiveSession,
     LoadBalanceConfig,
+    Phase,
     resolve_load_balance,
 )
 from repro.runtime.executor import gather
@@ -129,7 +130,7 @@ class TestAdaptiveSession:
         res = _session_loop(graph, y0, uniform_cluster(2), 6, "off")
         assert all(v["stats"].num_checks == 0 for v in res.values)
 
-    def test_remap_to_moves_multiple_fields(self, workload):
+    def test_phase_partition_moves_multiple_fields(self, workload):
         graph, y0 = workload
         n = graph.num_vertices
         weights = np.ones(n)
@@ -137,16 +138,21 @@ class TestAdaptiveSession:
         aux = np.arange(n, dtype=np.float64)
 
         def rank_main(ctx):
+            new_part = partition_weighted_list(weights, np.ones(ctx.size))
             session = AdaptiveSession(
                 ctx,
                 graph,
                 partition_list(n, np.ones(ctx.size)),
                 total_iterations=4,
+                phases=[Phase(2, partition=new_part)],
             )
             lo, hi = session.interval()
             local, extra = y0[lo:hi].copy(), aux[lo:hi].copy()
-            new_part = partition_weighted_list(weights, np.ones(ctx.size))
-            local, extra = session.remap_to(new_part, (local, extra))
+            # The boundary before the phase's first iteration remaps.
+            local, extra = session.maybe_rebalance(0, (local, extra))
+            assert session.partition is not new_part
+            local, extra = session.maybe_rebalance(1, (local, extra))
+            assert session.partition is new_part
             nlo, nhi = session.interval()
             np.testing.assert_array_equal(local, y0[nlo:nhi])
             np.testing.assert_array_equal(extra, aux[nlo:nhi])

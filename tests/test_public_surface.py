@@ -43,9 +43,13 @@ function that no call passes in turn (the same rules, followed through
 private helpers too).  Calls inside the callable's own body do not count.
 A module-level function loaded as a value (``fn=run_scenario``) or handed
 to a decorator has callers the walk cannot see: all its options count as
-passed.  An attribute call matches by bare name, as for members, so the
-check can miss an option nobody sets; an option set only through a method
-handed on as a value needs an allow-list entry.  With one value in use an option is a
+passed.  An attribute call binds a module-level function only when its
+receiver names an imported module (``import M [as m]``, or ``from P import
+m`` of a module in ``src/repro``), so ``ctx.gather(...)`` sets no option of
+a module's ``gather``; any other receiver binds methods and constructors,
+matched by bare name as for members, so the check can miss an option
+nobody sets.  An option set only through a method handed on as a value
+needs an allow-list entry.  With one value in use an option is a
 constant.
 
 **Flags.**  Every long option of ``repro.cli.build_parser()`` must appear
@@ -529,6 +533,27 @@ def _imports(tree: ast.Module, path: Path) -> dict[str, tuple[str, str]]:
     return found
 
 
+def _module_names(tree: ast.Module, path: Path, known) -> dict[str, str]:
+    """Local name -> module, for each name *tree* binds to a module:
+    ``import M`` / ``import M as m``, and ``from P import m`` when
+    ``P.m`` is one of the *known* modules."""
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                found[alias.asname or alias.name] = alias.name
+                if alias.asname is None:  # ``import a.b`` binds ``a``
+                    root = alias.name.split(".")[0]
+                    found.setdefault(root, root)
+        elif isinstance(node, ast.ImportFrom):
+            for local, (module, name) in _imports(
+                ast.Module([node], []), path
+            ).items():
+                if f"{module}.{name}" in known:
+                    found[local] = f"{module}.{name}"
+    return found
+
+
 def _calls(surface: _Surface, paths) -> tuple[list[_Call], set[str]]:
     """Every call that names a callable of *surface*, and the names loaded
     as values (``fn=run_scenario``): a function that escapes so may be
@@ -547,7 +572,8 @@ def _calls(surface: _Surface, paths) -> tuple[list[_Call], set[str]]:
                 continue
             if isinstance(child, ast.Call):
                 calls.extend(
-                    _resolve(surface, child, path, cls, within, scopes, imports)
+                    _resolve(surface, child, path, cls, within, scopes,
+                             imports, modules)
                 )
             elif isinstance(child, (ast.Name, ast.Attribute)) \
                     and isinstance(child.ctx, ast.Load) \
@@ -559,11 +585,12 @@ def _calls(surface: _Surface, paths) -> tuple[list[_Call], set[str]]:
     for path in paths:
         module = ast.parse(path.read_text())
         imports = _imports(module, path)
+        modules = _module_names(module, path, surface.imports)
         visit(module, path, None, None, (module,))
     return calls, loads
 
 
-def _resolve(surface, node, path, cls, within, scopes, imports):
+def _resolve(surface, node, path, cls, within, scopes, imports, modules):
     func = node.func
     name = _callee_name(func)
     if name == "replace" and node.args:
@@ -596,6 +623,14 @@ def _resolve(surface, node, path, cls, within, scopes, imports):
         # when the walk can tell; else anything of that name.
         source = imports.get(name, (_module(path), name))
         targets = surface.lookup(*source) or targets
+    elif isinstance(func, ast.Attribute):
+        # Only a module's attribute is a module-level function: any other
+        # receiver calls a method or a constructor.
+        module = modules.get(ast.unparse(func.value))
+        if module is None:
+            targets = [t for t in targets if not t.function]
+        else:
+            targets = surface.lookup(module, name) or targets
     if targets:
         yield _Call(node, path, within, targets, scopes)
 
@@ -1069,7 +1104,20 @@ FUNCTION = "def f(a, b=1, *, c=2):\n    return a\n"
 
 def test_an_option_is_passed_by_keyword_or_position(tmp_path):
     assert _unset(tmp_path, FUNCTION, "f(0, 5)\n") == {("f", "c")}
-    assert _unset(tmp_path, FUNCTION, "lib.f(0, c=3)\n") == {("f", "b")}
+    assert _unset(tmp_path, FUNCTION, "import lib\nlib.f(0, c=3)\n") == {
+        ("f", "b"),
+    }
+
+
+def test_an_attribute_call_binds_a_function_only_through_its_module(
+    tmp_path,
+):
+    # ``ctx.gather(...)`` calls a method, not a module-level ``gather``.
+    assert _unset(tmp_path, FUNCTION, "obj.f(0, c=3)\n") == {
+        ("f", "b"), ("f", "c"),
+    }
+    assert _unset(tmp_path, FUNCTION, "import lib as m\nm.f(0, 5, c=3)\n") \
+        == set()
 
 
 def test_a_literal_equal_to_the_default_does_not_pass(tmp_path):

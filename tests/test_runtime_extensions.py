@@ -17,6 +17,7 @@ from repro.graph.generators import paper_mesh
 from repro.net.cluster import adaptive_cluster, heterogeneous_cluster, uniform_cluster
 from repro.net.network import PointToPointNetwork, SharedEthernet
 from repro.net.spmd import run_spmd
+from repro.obs.capture import capture_traces
 from repro.partition.intervals import partition_list
 from repro.runtime.adaptive import LoadBalanceConfig, check, resolve_load_balance
 from repro.runtime.kernels import run_sequential
@@ -260,22 +261,23 @@ class TestAdaptiveApplication:
         oracle = run_sequential(g, y0, 30)
         for repartition in (False, True):
             rep = run_adaptive_application(
-                g, uniform_cluster(3), iterations=30, adapt_interval=10,
-                hotspot=hs, repartition=repartition, y0=y0,
+                g, uniform_cluster(3), ProgramConfig(iterations=30),
+                adapt_interval=10, hotspot=hs, repartition=repartition, y0=y0,
             )
             np.testing.assert_allclose(rep.values, oracle, atol=1e-9)
 
     def test_repartitioning_pays_off(self, setup):
         g, y0, hs = setup
-        kw = dict(iterations=40, adapt_interval=10, hotspot=hs, y0=y0)
+        kw = dict(adapt_interval=10, hotspot=hs, y0=y0)
+        config = ProgramConfig(iterations=40)
         static = run_adaptive_application(
-            g, uniform_cluster(4), repartition=False, **kw
+            g, uniform_cluster(4), config, repartition=False, **kw
         )
         adaptive = run_adaptive_application(
-            g, uniform_cluster(4), repartition=True, **kw
+            g, uniform_cluster(4), config, repartition=True, **kw
         )
-        assert adaptive.num_repartitions == 3
-        assert static.num_repartitions == 0
+        assert adaptive.num_remaps == 3
+        assert static.num_remaps == 0
         assert adaptive.makespan < static.makespan
 
     def test_heterogeneous_cluster_supported(self, setup):
@@ -283,13 +285,46 @@ class TestAdaptiveApplication:
         oracle = run_sequential(g, y0, 20)
         rep = run_adaptive_application(
             g, heterogeneous_cluster([1.0, 0.6, 0.4]),
-            iterations=20, adapt_interval=5, hotspot=hs, y0=y0,
+            ProgramConfig(iterations=20), adapt_interval=5, hotspot=hs, y0=y0,
         )
         np.testing.assert_allclose(rep.values, oracle, atol=1e-9)
 
     def test_validation(self, setup):
         g, y0, hs = setup
         with pytest.raises(ConfigurationError):
-            run_adaptive_application(g, uniform_cluster(2), iterations=0)
+            run_adaptive_application(g, uniform_cluster(2), adapt_interval=0)
         with pytest.raises(ConfigurationError):
             run_adaptive_application(g, uniform_cluster(2), y0=np.zeros(3))
+
+    def test_traced_through_its_config(self, setup):
+        # The capture window reaches the app through run_program: one
+        # remap span per rank per adaptation, none for the initial split.
+        g, y0, hs = setup
+        with capture_traces() as window:
+            rep = run_adaptive_application(
+                g, uniform_cluster(3), ProgramConfig(iterations=30),
+                adapt_interval=10, hotspot=hs, y0=y0,
+            )
+        ((_, trace),) = window.traces
+        remaps = {}
+        for ev in trace:
+            if ev.kind == "remap":
+                remaps[ev.rank] = remaps.get(ev.rank, 0) + 1
+        assert rep.num_remaps == 2
+        assert remaps == {0: 2, 1: 2, 2: 2}
+
+    @pytest.mark.real
+    def test_real_world_matches_sim(self):
+        g = paper_mesh(1200, seed=2)
+        hs = MovingHotspot(g, amplitude=14.0, radius_fraction=0.12, n_phases=3)
+        reports = [
+            run_adaptive_application(
+                g, uniform_cluster(2),
+                ProgramConfig(iterations=9, world=world, recv_timeout=30),
+                adapt_interval=3, hotspot=hs,
+            )
+            for world in ("sim", "real")
+        ]
+        sim, real = reports
+        assert sim.differences(real, virtual=False) == []
+        assert sim.num_remaps == real.num_remaps == 2

@@ -16,7 +16,8 @@ from repro.net.loadmodel import ConstantLoad, StepLoad
 from repro.partition.ordering import IdentityOrdering, RandomOrdering
 from repro.partition.sfc import HilbertOrdering
 from repro.partition.spectral import SpectralOrdering
-from repro.runtime.adaptive import LoadBalanceConfig
+from repro.partition.intervals import partition_list
+from repro.runtime.adaptive import LoadBalanceConfig, Phase
 from repro.runtime.adaptive.session import LEDGER
 from repro.runtime.kernels import run_sequential
 from repro.runtime.program import VIRTUAL, ProgramConfig, run_program
@@ -491,3 +492,51 @@ class TestLedgerPinned:
         assert counters["cp.checkpoints"] == 4 * 6
         assert counters["cp.rollbacks"] == 4 * 1
         assert counters["membership.events"] == 4 * 3
+
+
+class TestPhases:
+    """The phase input: footnote 1's adaptive structure in the one loop."""
+
+    def test_unit_weights_charge_what_no_weights_charge(self, workload):
+        g, y0 = workload
+        n = g.num_vertices
+        config = ProgramConfig(iterations=6, ordering=IdentityOrdering())
+        plain = run_program(g, uniform_cluster(3), config, y0)
+        unit = run_program(
+            g, uniform_cluster(3), config, y0,
+            [Phase(0, weights=np.ones(n)), Phase(3, weights=np.ones(n))],
+        )
+        assert plain.differences(unit, virtual=True) == []
+
+    def test_a_given_partition_is_remapped_to_at_its_start(self, workload):
+        g, y0 = workload
+        n = g.num_vertices
+        skewed = partition_list(n, np.array([1.0, 2.0, 3.0]))
+        rep = run_program(
+            g, uniform_cluster(3),
+            ProgramConfig(iterations=6, ordering=IdentityOrdering()), y0,
+            [Phase(4, partition=skewed)],
+        )
+        assert rep.num_remaps == 1
+        assert rep.partition_final is skewed
+        np.testing.assert_allclose(
+            rep.values, run_sequential(g, y0, 6), atol=1e-9
+        )
+
+    @pytest.mark.parametrize(
+        "phases",
+        [
+            [Phase(3), Phase(2)],
+            [Phase(1), Phase(1)],
+            [Phase(6)],
+            [Phase(0, weights=np.ones(3))],
+            [Phase(1, partition=partition_list(5, np.ones(3)))],
+            [Phase(1, partition=partition_list(800, np.ones(2)))],
+        ],
+    )
+    def test_malformed_phases_are_rejected(self, workload, phases):
+        g, y0 = workload
+        with pytest.raises(ConfigurationError, match="phases must"):
+            run_program(
+                g, uniform_cluster(3), ProgramConfig(iterations=6), y0, phases
+            )
