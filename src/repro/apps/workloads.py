@@ -59,8 +59,9 @@ def dynamic_load_cluster(
     so every scenario forces its load changes mid-run at any mesh size:
 
     * ``"onset"`` — two competing processes appear on workstation 0 at 15%
-      of the horizon and leave at 55%: the runtime must remap away from the
-      loaded machine and then remap back;
+      of the horizon and leave at 55%: a remap away from the loaded
+      machine must also repay the remap back once the load leaves, which
+      at these sizes it cannot, so the runtime should not remap;
     * ``"hotspot"`` — the competing load moves from workstation to
       workstation, holding each for ``horizon / p``: no single remap is
       ever final;

@@ -174,7 +174,8 @@ def _exp_ext_distributed_lb(
 
     def fn(ctx):
         for _ in range(checks):
-            check(ctx, style, part, (times[ctx.rank], np.inf), 100)
+            t = times[ctx.rank]
+            check(ctx, style, part, (t, np.inf, t), 100)
             ctx.barrier()
 
     return {"check_seconds": run_spmd(cluster, fn).makespan / checks}

@@ -285,14 +285,15 @@ def scale_adaptive_measurements(
 
 
 def _expect_scale_adaptive(runs):
-    # A load that holds (onset, ramp) is rebalanced.  A load that moves on
-    # before a remap could repay itself (hotspot) is not chased: the run
-    # may not finish more than 5 % later than the same run without LB.
+    # A load that keeps growing (ramp) is rebalanced.  A load that ends
+    # before a remap and the remap back could repay themselves (onset) or
+    # moves on first (hotspot) is not chased: the run may not finish more
+    # than 5 % later than the same run without LB.
     for run in runs:
         params = run["params"]
         if (
             params["lb"]
-            and params["scenario"] in ("onset", "ramp")
+            and params["scenario"] == "ramp"
             and not run["metrics"]["num_remaps"] >= 1
         ):
             yield (
@@ -300,7 +301,11 @@ def _expect_scale_adaptive(runs):
                 f"{config_label(params)}"
             )
     for shared, by in group_runs(runs, "lb"):
-        if shared["scenario"] == "hotspot" and True in by and False in by:
+        if (
+            shared["scenario"] in ("onset", "hotspot")
+            and True in by
+            and False in by
+        ):
             yield from below(
                 f"makespan with vs without LB ({config_label(shared)})",
                 by[True]["makespan"], by[False]["makespan"], 1.05,
@@ -324,7 +329,7 @@ def _expect_scale_adaptive(runs):
     },
     quick_grid={
         "tier": ("10k",),
-        "scenario": ("onset", "hotspot"),
+        "scenario": ("onset", "hotspot", "ramp"),
         "style": ("centralized", "distributed"),
         "lb": (True, False),
         "p": (4,),

@@ -348,10 +348,10 @@ class AdaptiveSession:
         All inputs are identical on every rank, keeping decisions
         collective.
 
-        With *report* (this rank's time per item and its persistence) the
-        configured :func:`check` protocol collects every rank's report;
-        without it
-        the decision is evaluated redundantly from replicated inputs
+        With *report* (this rank's time per item, its persistence and its
+        latest sample's time per item) the configured :func:`check`
+        protocol collects every rank's report; without it the decision
+        is evaluated redundantly from replicated inputs
         (:func:`membership_decision`), for the *events* of a membership
         batch or a recovery's survivor split.
         """
@@ -507,9 +507,11 @@ class AdaptiveSession:
                 # Footnote 2: forecast next-phase capability from history.
                 self._predictor.observe(1.0 / time_per_item)
                 time_per_item = 1.0 / self._predictor.predict()
-            report = np.array(
-                [time_per_item, self.monitor.persistence(LOAD_TOLERANCE)]
-            )
+            report = np.array([
+                time_per_item,
+                self.monitor.persistence(LOAD_TOLERANCE),
+                self.monitor.latest_time_per_item,
+            ])
             decision = self._remap_decision(
                 fields, iteration + 1, self._last_span, report=report
             )

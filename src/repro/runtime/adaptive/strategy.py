@@ -10,14 +10,17 @@ MCR.  Both sides of that test are measured, not assumed:
   transfer plus the slowest rank's rebuild, each rank's priced by the
   same :class:`~repro.runtime.schedule_builders.InspectorCostModel`
   formula its rebuild charges
-  (:class:`~repro.runtime.incremental.RebuildPrice`) at its measured
-  slowdown;
+  (:class:`~repro.runtime.incremental.RebuildPrice`) at the slowdown of
+  its latest sample: the rebuild runs now, under the current load;
 * the *horizon* is the remaining iterations, capped at
   :data:`PERSISTENCE_MULTIPLE` times the load's observed persistence
-  (the fewest trailing iterations any active rank's time per item has
-  stayed within :data:`LOAD_TOLERANCE` of its latest value; unbounded
-  while no rank's has ever changed) unless the pattern is quiet.  A
-  load seen for one iteration is not forecast for fifty.
+  (the fewest iterations since any active rank's time per item last
+  stepped by more than :data:`LOAD_TOLERANCE`; unbounded while no
+  rank's has ever stepped, so a drift keeps it) unless the pattern is
+  quiet.  A load seen for one iteration is not forecast for fifty;
+* when that cap binds, the forecast says the load *ends* inside the
+  run, and its end brings a second remap: the remap must then repay its
+  own price plus :data:`RETURN_REMAPS` return remaps at the same price.
 
 Sec. 3.5 then varies two things: how often to check ("the frequency of load
 balancing is an important parameter") and how the ``p`` load reports
@@ -78,6 +81,7 @@ __all__ = [
     "MCR_SECONDS_PER_P3",
     "PERSISTENCE_MULTIPLE",
     "LOAD_TOLERANCE",
+    "RETURN_REMAPS",
     "resolve_load_balance",
     "decide",
     "check",
@@ -109,10 +113,15 @@ MCR_SECONDS_PER_P3 = 2.0e-6
 #: it has been seen to hold: the cap on the profitability horizon.
 PERSISTENCE_MULTIPLE = 2.0
 #: Two times per item within this relative distance are the same load:
-#: the band of the persistence count, and of the quiet pattern (no active
-#: rank's speed-normalized time per item above 1 + this times the
-#: fastest's), which keeps the whole horizon.
+#: consecutive samples further apart are a step, which restarts the
+#: persistence count; and the band of the quiet pattern (no active rank's
+#: speed-normalized time per item above 1 + this times the fastest's),
+#: which keeps the whole horizon.
 LOAD_TOLERANCE = 0.25
+#: A load forecast to end inside the run (the persistence cap binds)
+#: brings this many more remaps at the same price, the way back, which
+#: the remap's savings must repay as well.
+RETURN_REMAPS = 1
 
 
 @dataclass(frozen=True)
@@ -180,7 +189,7 @@ class Decision:
     new_partition: IntervalPartition | None
     predicted_current: float  # predicted next-phase time under current split
     predicted_balanced: float  # predicted next-phase time after remap
-    remap_cost: float  # priced redistribution + slowest rebuild
+    remap_cost: float  # one remap's price: redistribution + slowest rebuild
 
 
 def decide(
@@ -192,6 +201,7 @@ def decide(
     num_fields: int = 1,
     rebuild: "RebuildPrice | None" = None,
     persistence: np.ndarray | None = None,
+    latest: np.ndarray | None = None,
     active: np.ndarray | None = None,
     force: bool = False,
 ) -> Decision:
@@ -215,21 +225,28 @@ def decide(
     * *rebuild* — prices each rank's Phase B rebuild for the candidate
       partition (:class:`~repro.runtime.incremental.RebuildPrice`, built
       from the cost model the session charges with).  Each rank's
-      unloaded price is scaled by its measured slowdown — its time per
-      item over the fastest speed-normalized one, ``times[r] /
-      min(times * speeds)`` over active ranks — and the slowest rank's is
-      added to the transfer: the barrier after the rebuild waits for it.
-      None prices no rebuild (a caller with no schedule to rebuild);
-    * *persistence* — per rank, the trailing iterations its time per item
-      has held, ``inf`` while it has never changed
+      unloaded price is scaled by its current slowdown — its *latest*
+      time per item over the fastest speed-normalized window average,
+      ``latest[r] / min(times * speeds)`` over active ranks — and the
+      slowest rank's is added to the transfer: the barrier after the
+      rebuild waits for it.  None prices no rebuild (a caller with no
+      schedule to rebuild);
+    * *persistence* — per rank, the iterations since its time per item
+      last stepped, ``inf`` while it has never stepped
       (:meth:`~repro.runtime.monitor.LoadMonitor.persistence`).
       The horizon is *remaining_iterations* capped at
       :data:`PERSISTENCE_MULTIPLE` x the minimum over active ranks,
       unless the pattern is quiet (no active rank's ``times * speeds``
       above ``1 + LOAD_TOLERANCE`` of the fastest's): a balanced load
       keeps the whole horizon, so the remap back from a departed load
-      is not stranded.  None keeps the whole horizon (replicated inputs
-      with no history: a membership batch, a recovery).
+      is not stranded.  When the cap binds, the savings must repay
+      ``1 + RETURN_REMAPS`` remaps; :attr:`Decision.remap_cost` is still
+      the price of one.  None keeps the whole horizon (replicated inputs
+      with no history: a membership batch, a recovery);
+    * *latest* — per rank, the time per item of its latest sample
+      (:attr:`~repro.runtime.monitor.LoadMonitor.latest_time_per_item`),
+      the load its rebuild will run under; ``nan`` (a rank with no
+      sample) or None falls back to *times_per_item*.
 
     Elastic membership threads through two extra inputs:
 
@@ -322,15 +339,24 @@ def decide(
         )
     )
     if rebuild is not None:
-        slowdown = times_per_item / unloaded
+        now = times_per_item
+        if latest is not None:
+            latest = np.asarray(latest, dtype=np.float64)
+            now = np.where(np.isnan(latest), times_per_item, latest)
+        slowdown = now / unloaded
         remap_cost += float(
             np.max(rebuild.seconds(partition, new_partition) * slowdown)
         )
     horizon = float(remaining_iterations)
+    remaps = 1.0  # the remaps the savings must repay
     quiet = np.max(normalized[active]) <= (1.0 + LOAD_TOLERANCE) * unloaded
     if persistence is not None and not quiet:
         held = float(np.min(np.asarray(persistence, dtype=np.float64)[active]))
-        horizon = min(horizon, PERSISTENCE_MULTIPLE * held)
+        if PERSISTENCE_MULTIPLE * held < horizon:
+            # The forecast load ends inside the run: so does the remap's
+            # arrangement, and the way back is priced like the way out.
+            horizon = PERSISTENCE_MULTIPLE * held
+            remaps += RETURN_REMAPS
     if np.isinf(predicted_current):
         profitable = True
     else:
@@ -341,7 +367,7 @@ def decide(
             else 0.0
         )
         profitable = (
-            savings > PROFITABILITY_MARGIN * remap_cost
+            savings > PROFITABILITY_MARGIN * remaps * remap_cost
             and relative_gain >= MIN_IMPROVEMENT
         )
     profitable = bool(profitable) or force
@@ -437,7 +463,7 @@ def check(
     ctx: "RankContext",
     style: str,
     partition: IntervalPartition,
-    report: "np.ndarray | tuple[float, float]",
+    report: "np.ndarray | tuple[float, float, float]",
     remaining_iterations: int,
     *,
     num_fields: int = 1,
@@ -447,10 +473,11 @@ def check(
     """One load-balance check under protocol *style* (an SPMD collective).
 
     All ranks call it in the same phase with their own load *report*, the
-    two numbers :func:`decide` needs from each rank: its monitored time
-    per item (``nan`` for a rank with no monitor window) and the trailing
-    iterations that time has held (``inf`` if it has never been seen to
-    change).  The report travels as one 2-float64 array.  Every rank gets
+    three numbers :func:`decide` needs from each rank: its monitored time
+    per item over the window (``nan`` for a rank with no monitor window),
+    the iterations since that time last stepped (``inf`` if it never
+    has) and the time per item of its latest sample (``nan`` before the
+    first).  The report travels as one 3-float64 array.  Every rank gets
     the *same* :class:`Decision` back — the session redistributes
     unconditionally on ``decision.remap``, so anything less deadlocks the
     exchange.  The keyword inputs are forwarded to :func:`decide`.
@@ -458,10 +485,10 @@ def check(
     if remaining_iterations < 0:
         raise LoadBalanceError("remaining_iterations must be >= 0")
     own = np.asarray(report, dtype=np.float64)
-    if own.shape != (2,):
+    if own.shape != (3,):
         raise LoadBalanceError(
-            f"a load report is (time per item, persistence), got shape "
-            f"{own.shape}"
+            f"a load report is (time per item, persistence, latest time "
+            f"per item), got shape {own.shape}"
         )
     inputs = dict(num_fields=num_fields, rebuild=rebuild, active=active)
     if style == "centralized":
@@ -472,7 +499,7 @@ def check(
             reports = _load_reports(ctx, own, range(1, ctx.size))
             decision = decide(
                 ctx, partition, reports[:, 0], remaining_iterations,
-                persistence=reports[:, 1], **inputs,
+                persistence=reports[:, 1], latest=reports[:, 2], **inputs,
             )
         else:
             ctx.send(0, own, Tags.LOAD_REPORT)
@@ -486,7 +513,7 @@ def check(
         reports = _load_reports(ctx, own, peers)
         return decide(
             ctx, partition, reports[:, 0], remaining_iterations,
-            persistence=reports[:, 1], **inputs,
+            persistence=reports[:, 1], latest=reports[:, 2], **inputs,
         )
     raise LoadBalanceError(
         f"unknown load-balance protocol {style!r}; known: {_PROTOCOLS}"
@@ -498,7 +525,7 @@ def _load_reports(
 ) -> np.ndarray:
     """This rank's report plus one received from every rank in *peers*:
     one row per rank."""
-    reports = np.empty((ctx.size, 2), dtype=np.float64)
+    reports = np.empty((ctx.size, own.size), dtype=np.float64)
     reports[ctx.rank] = own
     for source, msg in ctx.recv_expected(peers, Tags.LOAD_REPORT).items():
         reports[source] = msg.payload

@@ -8,8 +8,9 @@ on the computation by the number of data elements it owned."
 between load-balance checks and reports the average time per item over the
 current window, which the controller inverts into a capability estimate.
 It also keeps each sample's time per item, so :meth:`LoadMonitor.persistence`
-can say for how many iterations the latest load has held: the evidence
-the profitability test needs before it forecasts that load further.
+can say for how many iterations the load has held since it last stepped:
+the evidence the profitability test needs before it forecasts that load
+further.  Its latest sample is the load a rebuild started now runs under.
 """
 
 from __future__ import annotations
@@ -60,16 +61,28 @@ class LoadMonitor:
         return self.window_seconds / self.window_items
 
     def persistence(self, tolerance: float) -> float:
-        """How many trailing samples (iterations) have a time per item
-        within *tolerance* (relative) of the latest one, the latest
-        included; ``inf`` while every sample so far is (or there is none):
-        a load never seen to change has no observed end."""
-        latest = self.history[-1] if self.history else 0.0
-        band = tolerance * latest
-        for held, t in enumerate(reversed(self.history)):
-            if abs(t - latest) > band:
+        """How many samples (iterations) have passed since the latest
+        *step*, the sample after the step included; ``inf`` while no step
+        has been seen (or there is no sample): a load never seen to
+        change has no observed end.
+
+        A step is a pair of consecutive samples whose times per item
+        differ by more than *tolerance* (relative) of the earlier one.  A
+        drift, however far it goes, is not a step: a ramp keeps its whole
+        horizon rather than reading as a load that has just begun.
+        """
+        history = self.history
+        for held in range(1, len(history)):
+            earlier, later = history[-held - 1], history[-held]
+            if abs(later - earlier) > tolerance * earlier:
                 return float(held)
         return float("inf")
+
+    @property
+    def latest_time_per_item(self) -> float:
+        """Time per item of the latest sample that had items (``nan``
+        before the first): the load the rank runs under now."""
+        return self.history[-1] if self.history else float("nan")
 
     def reset_window(self) -> None:
         """Start a new observation window (after each load-balance check)."""

@@ -149,7 +149,7 @@ class TestSavingsBoundOnARemappingRun:
         # ... and the run is the one the runtime made before the rule:
         # the moving hotspot never holds long enough to repay a remap.
         assert report.num_remaps == 0
-        assert report.makespan == 1.3283160400567802
+        assert report.makespan == 1.3283802770938171
 
     def test_every_remap_is_priced_at_its_charge(self):
         graph, cluster, _, config = _adaptive_sfc_10k(trace=True)

@@ -4,8 +4,11 @@ the load it has seen persist.
 * :class:`RebuildPrice` is the rebuild's own charge, computed before the
   rebuild runs: equal, rank by rank, to what the incremental and the full
   inspector then charge.
+* :meth:`LoadMonitor.persistence` counts the iterations since the
+  latest step; a drift is not a step.
 * :func:`decide` caps its horizon at ``PERSISTENCE_MULTIPLE`` x the
-  load's observed persistence, unless the pattern is quiet.
+  load's observed persistence, unless the pattern is quiet; when the cap
+  binds, the remap must also repay ``RETURN_REMAPS`` return remaps.
 * The remaps of the quick grids of ``scale-adaptive``, ``scale-elastic``
   and ``table5`` are priced within 1.25x of what their ``remap`` spans
   were charged.  (``ablation_check_frequency``'s quick remap, 800
@@ -28,7 +31,11 @@ from repro.obs import capture_traces, summarize
 from repro.partition import HilbertOrdering
 from repro.partition.intervals import IntervalPartition, partition_list
 from repro.runtime.adaptive import check, decide
-from repro.runtime.adaptive.strategy import LOAD_TOLERANCE, PERSISTENCE_MULTIPLE
+from repro.runtime.adaptive.strategy import (
+    LOAD_TOLERANCE,
+    PERSISTENCE_MULTIPLE,
+    RETURN_REMAPS,
+)
 from repro.runtime.incremental import IncrementalInspector, RebuildPrice
 from repro.runtime.monitor import LoadMonitor
 from repro.runtime.schedule_builders import InspectorCostModel
@@ -65,7 +72,7 @@ def _decisions(graph, times, persistence, remaining, partition=None, p=4):
 
 
 class TestLoadPersistence:
-    def test_counts_trailing_samples_within_tolerance_of_the_latest(self):
+    def test_counts_the_samples_since_the_latest_step(self):
         m = LoadMonitor()
         for seconds in (3.0, 3.0, 1.0, 1.1, 0.9, 1.0):
             m.record(seconds, 10)
@@ -86,6 +93,23 @@ class TestLoadPersistence:
         for _ in range(3):
             m.record(1.0, 10)
         assert m.persistence(LOAD_TOLERANCE) == float("inf")
+
+    def test_a_drift_is_not_a_step(self):
+        # 10 % per iteration: five samples end 46 % above the first, yet
+        # no two consecutive ones are a step.
+        m = LoadMonitor()
+        for i in range(6):
+            m.record(1.1**i, 1)
+        assert m.persistence(LOAD_TOLERANCE) == float("inf")
+
+    def test_a_step_restarts_the_count(self):
+        m = LoadMonitor()
+        for seconds in (1.0, 1.0, 3.0, 3.0, 3.0):
+            m.record(seconds, 1)
+        assert m.persistence(LOAD_TOLERANCE) == 3.0
+        m.record(1.0, 1)  # the load leaves: a step down
+        assert m.persistence(LOAD_TOLERANCE) == 1.0
+        assert m.latest_time_per_item == 1.0
 
 
 def _charged(inc, result, partition, rank):
@@ -160,6 +184,34 @@ class TestHorizon:
         assert not once.remap
         assert once.remap_cost == full.remap_cost
 
+    def test_a_load_forecast_to_end_must_repay_its_way_back(self, graph):
+        times = [2e-5, 1e-5, 1e-5, 1e-5]
+        [full, *_] = _decisions(graph, times, None, 1000)
+        gain = full.predicted_current - full.predicted_balanced
+        cost = full.remap_cost
+        # Held long enough that the capped horizon saves 1.5 prices:
+        # one remap's, not the way out and back.
+        held = 1.5 * cost / (PERSISTENCE_MULTIPLE * gain)
+        saved = PERSISTENCE_MULTIPLE * held * gain
+        assert cost < saved < (1 + RETURN_REMAPS) * cost
+        persistence = [held, np.inf, np.inf, np.inf]
+        [capped, *_] = _decisions(graph, times, persistence, 1000)
+        assert not capped.remap
+        # The price reported is still one remap's: the audit compares it
+        # with one remap's charge.
+        assert capped.remap_cost == cost
+        # Never seen to step: no end is forecast, no way back is priced.
+        [endless, *_] = _decisions(graph, times, [np.inf] * 4, 1000)
+        assert endless.remap
+        # The run ends before the load is forecast to: the horizon is the
+        # remaining iterations, and the way back is never taken.
+        remaining = int(PERSISTENCE_MULTIPLE * held)
+        held = remaining / PERSISTENCE_MULTIPLE
+        persistence = [held] + [np.inf] * 3
+        [ends_first, *_] = _decisions(graph, times, persistence, remaining)
+        assert remaining * gain > cost
+        assert ends_first.remap
+
     def test_a_quiet_pattern_keeps_the_whole_horizon(self, graph):
         # Equal loads on a split a departed load left lopsided: the remap
         # back must not be stranded by the just-changed load's short
@@ -177,7 +229,10 @@ class TestHorizon:
 
     def test_centralized_and_distributed_checks_agree(self, graph):
         part = partition_list(graph.num_vertices, np.ones(4))
-        reports = [(3e-5, 2.0), (1e-5, 9.0), (1.1e-5, 4.0), (1e-5, 9.0)]
+        reports = [
+            (3e-5, 16.0, 3.5e-5), (1e-5, np.inf, 1e-5),
+            (1.1e-5, 20.0, 1e-5), (1e-5, np.inf, np.nan),
+        ]
         pricer = _pricer(graph)
 
         def fn(ctx):
@@ -195,14 +250,33 @@ class TestHorizon:
             assert np.array_equal(d.new_partition.bounds, first.new_partition.bounds)
             assert np.array_equal(d.new_partition.owners, first.new_partition.owners)
 
-    def test_a_report_is_two_numbers(self, graph):
+    def test_a_report_is_three_numbers(self, graph):
         part = partition_list(graph.num_vertices, np.ones(2))
 
         def fn(ctx):
-            check(ctx, "distributed", part, 1e-4, 10)
+            check(ctx, "distributed", part, (1e-4, 5.0), 10)
 
-        with pytest.raises(RankFailedError, match="time per item, persistence"):
+        with pytest.raises(
+            RankFailedError, match="time per item, persistence, latest"
+        ):
             run_spmd(uniform_cluster(2), fn)
+
+    def test_the_rebuild_is_priced_at_the_latest_sample(self, graph):
+        part = partition_list(graph.num_vertices, np.ones(4))
+        pricer = _pricer(graph)
+        times = np.array([2e-5, 1e-5, 1e-5, 1e-5])
+
+        def fn(ctx):
+            return [
+                decide(ctx, part, times, 30, rebuild=pricer, latest=latest)
+                for latest in (None, times, times * [2, 1, 1, 1])
+            ]
+
+        window, same, heavier = run_spmd(uniform_cluster(4), fn).values[0]
+        assert same.remap_cost == window.remap_cost
+        assert heavier.remap_cost > window.remap_cost
+        # The forecast is still the window average.
+        assert heavier.predicted_current == window.predicted_current
 
 
 def _audited_remaps(traces):

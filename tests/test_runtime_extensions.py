@@ -84,7 +84,8 @@ class TestDistributedCheck:
         part = partition_list(10_000, np.ones(cluster.size))
 
         def fn(ctx):
-            return check(ctx, style, part, (times[ctx.rank], np.inf), remaining)
+            t = times[ctx.rank]
+            return check(ctx, style, part, (t, np.inf, t), remaining)
 
         return run_spmd(cluster, fn, trace=True)
 
@@ -207,7 +208,8 @@ class TestProgramWithExtensions:
         def fn(ctx):
             return [
                 check(
-                    ctx, style, part, (times[ctx.rank], np.inf), 400,
+                    ctx, style, part,
+                    (times[ctx.rank], np.inf, times[ctx.rank]), 400,
                     num_fields=2,
                 )
                 for style in ("centralized", "distributed")

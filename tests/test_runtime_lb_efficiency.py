@@ -63,10 +63,8 @@ class TestControllerCheck:
         part = partition_list(n, np.ones(cluster.size))
 
         def fn(ctx):
-            return check(
-                ctx, "centralized", part, (times_per_item[ctx.rank], np.inf),
-                remaining,
-            )
+            t = times_per_item[ctx.rank]
+            return check(ctx, "centralized", part, (t, np.inf, t), remaining)
 
         return run_spmd(cluster, fn)
 

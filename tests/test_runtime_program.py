@@ -417,14 +417,14 @@ class TestLedgerPinned:
     bit of any of them."""
 
     AGGREGATES = {
-        "makespan": 0.18209004639337165,
+        "makespan": 0.18213484639337169,
         "inspector_time": 0.006643833893348354,
-        "compute_time": 0.048549500000000065,
-        "lb_check_time": 0.03812320000000017,
+        "compute_time": 0.04854950000000007,
+        "lb_check_time": 0.038168000000000216,
         "remap_time": 0.008721119249893113,
         "checkpoint_time": 0.02383680000000002,
         "rollback_time": 0.005208293250129822,
-        "lost_time": 0.013392000000000043,
+        "lost_time": 0.013398400000000046,
         "num_checks": 7,
         "num_remaps": 1,
         "membership_events": 3,
@@ -432,8 +432,8 @@ class TestLedgerPinned:
         "num_rollbacks": 1,
     }
     CLOCKS = [
-        0.18209004639337165, 0.17813004639337163,
-        0.18069004639337163, 0.18069084639337163,
+        0.18213484639337169, 0.17817484639337167,
+        0.18073484639337167, 0.18073564639337167,
     ]
     #: Per-rank values that differ between ranks; every other ledger name
     #: holds the aggregate on every rank.
@@ -443,12 +443,12 @@ class TestLedgerPinned:
             0.004860074956100206, 0.0,
         ],
         "compute_time": [
-            0.012274499999999999, 0.017395000000000015,
-            0.048549500000000065, 0.035037000000000054,
+            0.012274499999999995, 0.017395000000000008,
+            0.04854950000000007, 0.035037000000000054,
         ],
         "lb_check_time": [
-            0.020595200000000084, 0.028995200000000117,
-            0.03355920000000014, 0.03812320000000017,
+            0.020640000000000127, 0.02904000000000016,
+            0.03360400000000019, 0.038168000000000216,
         ],
     }
 

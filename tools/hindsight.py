@@ -15,6 +15,10 @@ regret (the rule's makespan over the best one's, minus 1).
     python tools/hindsight.py scale-adaptive --set tier='"100k"'
     python tools/hindsight.py table5 ablation_check_frequency scale-elastic --quick
     python tools/hindsight.py adaptive-sfc          # the benchmark workload
+    python tools/hindsight.py scale-adaptive --quick --max-regret 5
+
+With ``--max-regret PCT`` it exits 1 after the table, naming on stderr
+every configuration whose regret is above PCT percent.
 
 A name is a registered experiment (its full grid, or ``--quick``'s; LB-off
 points have no check and are skipped) or the ``adaptive-sfc`` workload of
@@ -149,6 +153,18 @@ def workload_points(name: str, scale: str, seed: int):
     )
 
 
+def above_bound(
+    rows: list[tuple[str, dict | None]], max_regret: float
+) -> list[tuple[str, float]]:
+    """The (label, regret in percent) of every row whose regret is above
+    *max_regret* percent; a configuration without checks has none."""
+    return [
+        (label, 100 * row["regret"])
+        for label, row in rows
+        if row is not None and 100 * row["regret"] > max_regret
+    ]
+
+
 def bits_text(bits: tuple[int, ...]) -> str:
     return "".join(map(str, bits))
 
@@ -163,6 +179,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--scale", default="full", choices=("full", "smoke"))
     parser.add_argument("--seed", type=int, default=1995)
+    parser.add_argument(
+        "--max-regret", type=float, metavar="PCT",
+        help="exit 1 if any configuration's regret is above PCT percent",
+    )
     args = parser.parse_args(argv)
     overrides = {}
     for item in args.set:
@@ -173,6 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     print("| configuration | checks | rule | rank | best | never | rule (s) "
           "| best (s) | never (s) | regret |")
     print("|---|---:|---|---:|---|---|---:|---:|---:|---:|")
+    rows: list[tuple[str, dict | None]] = []
     for name in args.names:
         points = (
             experiment_points(name, args.quick, overrides)
@@ -181,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         for label, fn in points:
             row = hindsight(fn)
+            rows.append((f"{name}: {label}", row))
             if row is None:
                 print(f"| {name}: {label} | 0 | | | | | | | | |")
                 continue
@@ -192,7 +214,15 @@ def main(argv: list[str] | None = None) -> int:
                 f"| {row['never_makespan']:.4f} | {100 * row['regret']:.1f} % |",
                 flush=True,
             )
-    return 0
+    if args.max_regret is None:
+        return 0
+    over = above_bound(rows, args.max_regret)
+    for label, regret in over:
+        print(
+            f"regret above {args.max_regret:g} %: {label} ({regret:.1f} %)",
+            file=sys.stderr,
+        )
+    return 1 if over else 0
 
 
 if __name__ == "__main__":
